@@ -28,6 +28,7 @@ family in the semisimple direction exactly when Wn is nonsingular.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .extension import ExtensionTensor, TensorError
@@ -212,19 +213,43 @@ def casimir_condition_check(t: ExtensionTensor, fam: CasimirFamily) -> Condition
 
 @dataclass(frozen=True)
 class CoextensionResult:
+    """Wn, its pseudoinverse, the projector P = Wn Wn^+ and omega on slots idx.
+
+    ``idx`` lists storage slots; the last one carries Wn, the others are the
+    solvable-local indices of ``sub`` and ``cow``.  The solvability and
+    symmetry conditions are evaluated on first access.
+    """
+
     wn: ExactMatrix
     wn_pinv: ExactMatrix
     projector: ExactMatrix
+    sub: tuple                      # sub[sig][rho, nu] = W_sig^{rho nu}, local indices
     cow: tuple                      # cow[mu][tau][sig], solvable-local indices
-    solvable_ok: bool
-    coext_ok: bool
     nonsingular: bool
-    offset: int                     # storage index of the first solvable slot
+    idx: Tuple[int, ...]
+
+    @property
+    def offset(self) -> int:
+        """Storage index of the first solvable slot."""
+        return self.idx[0]
+
+    @cached_property
+    def solvable_ok(self) -> bool:
+        return all(self.projector @ m == m @ self.projector for m in self.sub)
+
+    @cached_property
+    def coext_ok(self) -> bool:
+        return _coextension_symmetric(self.cow, len(self.sub))
 
 
 def _solvable_range(t: ExtensionTensor) -> Tuple[int, int]:
     s = 1 if t.semidirect else 0
     return s, t.n - 1
+
+
+def _require_identity_w0(t: ExtensionTensor) -> None:
+    if t.semidirect and not t.slice_upper(0).is_identity():
+        raise CasimirError("semidirect tensor must have identity first slice")
 
 
 def build_coextension(t: ExtensionTensor) -> CoextensionResult:
@@ -236,36 +261,42 @@ def build_coextension(t: ExtensionTensor) -> CoextensionResult:
     """
     if not t.is_lower_triangular():
         raise CasimirError("coextension needs a lower-triangular tensor")
-    if t.semidirect and not t.slice_upper(0).is_identity():
-        raise CasimirError("semidirect tensor must have identity first slice")
-    s, last = _solvable_range(t)
-    k = last - s
-    wn = ExactMatrix(k, k, [t.entry(last, s + mu, s + nu) for mu in range(k) for nu in range(k)])
+    _require_identity_w0(t)
+    s, _ = _solvable_range(t)
+    return _coextension(t, range(s, t.n))
+
+
+def _coextension(t: ExtensionTensor, idx: Sequence[int]) -> CoextensionResult:
+    """The coextension of the slots idx, Wn being the slice of idx[-1].
+
+    omega^nu_{lam sig} = sum_rho (Wn^+_{sig rho} W_lam^{rho nu} + Wn^+_{lam rho} W_sig^{rho nu})
+                         - sum_{rho kap mu} Wn^+_{lam rho} Wn^+_{sig kap} Wn_{rho mu} W_mu^{kap nu}
+    is evaluated in the factorized form B_lam[sig, nu] + B_sig[lam, nu]
+    - sum_mu A[lam, mu] B_mu[sig, nu], with A = Wn^+ Wn and B_mu = Wn^+ W_(mu),
+    in O(k^4) rather than O(k^6).
+    """
+    idx = tuple(idx)
+    k = len(idx) - 1
+    last = idx[-1]
+    wn = ExactMatrix(k, k, [t.entry(last, idx[mu], idx[nu]) for mu in range(k) for nu in range(k)])
     wn_pinv = pseudoinverse(wn)
-    projector = wn @ wn_pinv
-    nonsingular = rank(wn) == k
-    sub = [
-        ExactMatrix(k, k, [t.entry(s + sig, s + rho, s + nu) for rho in range(k) for nu in range(k)])
+    sub = tuple(
+        ExactMatrix(k, k, [t.entry(idx[sig], idx[rho], idx[nu]) for rho in range(k) for nu in range(k)])
         for sig in range(k)
-    ]
+    )
+    a = wn_pinv @ wn
+    b = [wn_pinv @ m for m in sub]
     cow = [[[ZERO] * k for _ in range(k)] for _ in range(k)]
-    for nu in range(k):
-        for lam in range(k):
-            for sig in range(k):
-                acc = ZERO
-                for rho in range(k):
-                    acc = acc + wn_pinv[sig, rho] * sub[lam][rho, nu]
-                    acc = acc + wn_pinv[lam, rho] * sub[sig][rho, nu]
-                for rho in range(k):
-                    for kap in range(k):
-                        for mu in range(k):
-                            c = wn_pinv[lam, rho] * wn_pinv[sig, kap] * wn[rho, mu] * sub[mu][kap, nu]
-                            acc = acc - c
+    for lam in range(k):
+        a_row = [(mu, c) for mu, c in enumerate(a.row(lam)) if c]
+        for sig in range(k):
+            for nu in range(k):
+                acc = b[lam][sig, nu] + b[sig][lam, nu]
+                for mu, c in a_row:
+                    acc = acc - c * b[mu][sig, nu]
                 cow[nu][lam][sig] = acc
-    solvable_ok = all(projector @ m == m @ projector for m in sub)
-    coext_ok = _coextension_symmetric(cow, k)
     freeze = tuple(tuple(tuple(row) for row in plane) for plane in cow)
-    return CoextensionResult(wn, wn_pinv, projector, freeze, solvable_ok, coext_ok, nonsingular, s)
+    return CoextensionResult(wn, wn_pinv, wn @ wn_pinv, sub, freeze, rank(wn) == k, idx)
 
 
 def _coextension_symmetric(cow, k: int) -> bool:
@@ -388,15 +419,21 @@ def synthesize_casimirs(t: ExtensionTensor) -> List[CasimirFamily]:
     if not t.is_lower_triangular():
         raise CasimirError("synthesis needs a normalized (lower-triangular) tensor")
     s, _ = _solvable_range(t)
+    whole = list(range(s, t.n))
     families: List[CasimirFamily] = []
-    components = [c for c in _support_components(t, s, t.n) if len(c) > 1]
-    for comp in components:
-        families.extend(_component_families(t, comp, lambda: "f"))
+    whole_co = None
+    for comp in _support_components(t, s, t.n):
+        if len(comp) > 1:
+            co = _coextension(t, comp)
+            if comp == whole:
+                whole_co = co
+            families.extend(_component_families(t, co))
     eig = _eigenvector_family(t, "f")
     if eig is not None:
         families.append(eig)
     if t.semidirect:
-        co = build_coextension(t)
+        _require_identity_w0(t)
+        co = whole_co if whole_co is not None else _coextension(t, whole)
         if co.nonsingular:
             families.insert(0, _semidirect_family(t, co, "f"))
     families = _relabel(families)
@@ -423,31 +460,20 @@ def _relabel(families: List[CasimirFamily]) -> List[CasimirFamily]:
     return out
 
 
-def _component_families(t: ExtensionTensor, comp: List[int], next_label) -> List[CasimirFamily]:
+def _component_families(t: ExtensionTensor, co: CoextensionResult) -> List[CasimirFamily]:
     """Families of one support component, excluding its eigenvector family."""
     n = t.n
-    idx = comp
+    idx = co.idx
     k = len(idx) - 1
-    local_last = idx[-1]
-    wn = ExactMatrix(k, k, [t.entry(local_last, idx[mu], idx[nu]) for mu in range(k) for nu in range(k)])
-    wn_pinv = pseudoinverse(wn)
-    projector = wn @ wn_pinv
-    nonsingular = rank(wn) == k
-    sub = [
-        ExactMatrix(k, k, [t.entry(idx[sig], idx[rho], idx[nu]) for rho in range(k) for nu in range(k)])
-        for sig in range(k)
-    ]
-    cow = _cow_tensor(wn, wn_pinv, sub, k)
-    if not nonsingular:
-        ok = all(projector @ m == m @ projector for m in sub)
-        if not ok or not _coextension_symmetric(cow, k):
-            raise SynthesisObstruction(
-                "solvability/coextension condition fails on an indecomposable block"
-            )
+    # the O(k^5) symmetry check is only needed when Wn is singular
+    if not co.nonsingular and not (co.solvable_ok and co.coext_ok):
+        raise SynthesisObstruction(
+            "solvability/coextension condition fails on an indecomposable block"
+        )
     families = []
     kept_rows: List[ExactMatrix] = []
     for nu in range(k):
-        row = ExactMatrix.column(list(projector.row(nu)))
+        row = ExactMatrix.column(list(co.projector.row(nu)))
         if row.is_zero():
             continue
         if kept_rows and rank(hstack(kept_rows + [row])) == len(kept_rows):
@@ -455,29 +481,11 @@ def _component_families(t: ExtensionTensor, comp: List[int], next_label) -> List
         kept_rows.append(row)
         g0 = Poly.zero(n)
         for rho in range(k):
-            if projector[nu, rho]:
-                g0 = g0 + Poly.variable(n, idx[rho]).scale(projector[nu, rho])
-        series = _series_from_hessian_recursion(n, g0, cow, idx[:k])
-        families.append(_family_from_series(n, series, local_last, next_label(), t.semidirect))
+            if co.projector[nu, rho]:
+                g0 = g0 + Poly.variable(n, idx[rho]).scale(co.projector[nu, rho])
+        series = _series_from_hessian_recursion(n, g0, co.cow, idx[:k])
+        families.append(_family_from_series(n, series, idx[-1], "f", t.semidirect))
     return families
-
-
-def _cow_tensor(wn, wn_pinv, sub, k):
-    cow = [[[ZERO] * k for _ in range(k)] for _ in range(k)]
-    for nu in range(k):
-        for lam in range(k):
-            for sig in range(k):
-                acc = ZERO
-                for rho in range(k):
-                    acc = acc + wn_pinv[sig, rho] * sub[lam][rho, nu]
-                    acc = acc + wn_pinv[lam, rho] * sub[sig][rho, nu]
-                for rho in range(k):
-                    for kap in range(k):
-                        for mu in range(k):
-                            acc = acc - (wn_pinv[lam, rho] * wn_pinv[sig, kap]
-                                         * wn[rho, mu] * sub[mu][kap, nu])
-                cow[nu][lam][sig] = acc
-    return cow
 
 
 def _semidirect_family(t: ExtensionTensor, co: CoextensionResult, label: str) -> CasimirFamily:

@@ -20,13 +20,12 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import List, Optional
 
 from . import casimir as casimir_mod
 from . import tables
-from .classify import ClassificationError, OrderTooHigh, catalog, classify
+from .classify import CaseLabel, ClassificationError, OrderTooHigh, catalog, classify
 from .dynamics import (
     DynamicsError,
     FieldState,
@@ -155,17 +154,13 @@ def cmd_casimir(args) -> int:
     for fam in families:
         print(casimir_mod.format_family(fam))
     if args.verify:
-        return _verify_families(normal, families, args.jobs)
+        return _verify_families(normal, families)
     return EXIT_OK
 
 
-def _fixture_families(normal: ExtensionTensor) -> Optional[List[casimir_mod.CasimirFamily]]:
-    """Table fixtures for the case this normal form belongs to, if known."""
+def _fixture_families(label: CaseLabel) -> Optional[List[casimir_mod.CasimirFamily]]:
+    """Table fixtures for the case with this label, if known."""
     override = os.environ.get("LIEX_FIXTURES")
-    try:
-        label, _ = classify(normal)
-    except (ClassificationError, TensorError):
-        return None
     if override:
         path = os.path.join(override, f"{label.name}{'-sd' if label.semidirect else ''}.json")
         if os.path.exists(path):
@@ -202,48 +197,36 @@ def _shift_solvable_family(fam: casimir_mod.CasimirFamily) -> casimir_mod.Casimi
     return casimir_mod.CasimirFamily(tuple(terms), n, True)
 
 
-def _verify_families(normal, families, jobs: int) -> int:
-    def check(item):
-        tensor, fam = item
-        return bool(casimir_mod.casimir_condition_check(tensor, fam))
-
-    fixtures = _fixture_families(normal)
-    fixture_tensor = None
-    fixture_families = None
-    if fixtures is not None:
-        fixture_tensor = _catalog_form_of(normal)
-        if fixture_tensor is not None:
-            if fixture_tensor.w == normal.w:
-                fixture_families = families
-            else:
-                fixture_families = casimir_mod.synthesize_casimirs(fixture_tensor)
+def _verify_families(normal, families) -> int:
+    try:
+        label, _ = classify(normal)
+    except (ClassificationError, TensorError):
+        label = None
+    fixtures = None if label is None else _fixture_families(label)
     to_check = [(normal, fam) for fam in families]
-    if fixtures is not None and fixture_tensor is not None:
+    if fixtures is not None:
+        fixture_tensor = _catalog_form_of(label)
+        if fixture_tensor.w == normal.w:
+            fixture_families = families
+        else:
+            fixture_families = casimir_mod.synthesize_casimirs(fixture_tensor)
         to_check += [(fixture_tensor, fam) for fam in fixtures]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(check, to_check))
-    else:
-        results = [check(item) for item in to_check]
     ok = True
-    for (tensor, fam), result in zip(to_check, results):
+    for tensor, fam in to_check:
+        result = bool(casimir_mod.casimir_condition_check(tensor, fam))
         status = "pass" if result else "FAIL"
         ok = ok and result
         print(f"  [{status}] {casimir_mod.format_family(fam)}")
-    if fixtures is not None and fixture_families is not None:
+    if fixtures is not None:
         matched = casimir_mod.family_sets_equal(fixture_families, fixtures)
         print(f"table fixtures: {'match' if matched else 'MISMATCH'}")
         ok = ok and matched
     return EXIT_OK if ok else EXIT_INVALID
 
 
-def _catalog_form_of(normal: ExtensionTensor) -> Optional[ExtensionTensor]:
+def _catalog_form_of(label: CaseLabel) -> ExtensionTensor:
     from .extension import append_semisimple
 
-    try:
-        label, _ = classify(normal)
-    except (ClassificationError, TensorError):
-        return None
     entry = catalog(label.order).lookup(label.name)
     return append_semisimple(entry) if label.semidirect else entry
 
@@ -374,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--verify", action="store_true",
                    help="re-check every family and compare with the table fixtures")
-    p.add_argument("--jobs", type=int, default=1, help="parallel verification workers")
     p.set_defaults(func=cmd_casimir)
 
     p = sub.add_parser("simulate", help="integrate the so(3)* realization with drift monitors")

@@ -103,27 +103,22 @@ def _tensor_triples(t: ExtensionTensor) -> List[Tuple[int, int, int, float]]:
     return out
 
 
+def _rhs(triples: List[Tuple[int, int, int, float]], h: HamiltonianSpec,
+         state: np.ndarray) -> np.ndarray:
+    grad = h.gradient(state)
+    out = np.zeros_like(state)
+    for lam, a, nu, w in triples:
+        out[a] += w * np.cross(grad[nu], state[lam])
+    return out
+
+
 def eom_rhs(t: ExtensionTensor, h: HamiltonianSpec, s: FieldState) -> np.ndarray:
     """Right-hand side dl^a/dt = sum W_lam^{a nu} (dH/dl^nu) x l^lam."""
     if h.n != t.n or s.tuples.shape[0] != t.n:
         raise DynamicsError(
             f"dimension mismatch: tensor {t.n}, Hamiltonian {h.n}, state {s.tuples.shape[0]}"
         )
-    grad = h.gradient(s.tuples)
-    out = np.zeros_like(s.tuples)
-    for lam, a, nu, w in _tensor_triples(t):
-        out[a] += w * np.cross(grad[nu], s.tuples[lam])
-    return out
-
-
-def quadratic_monitor(q: np.ndarray):
-    """C_Q = 1/2 sum Q_{mu nu} <l^mu, l^nu> as a callable on states."""
-    q = np.asarray(q, dtype=float)
-
-    def value(state: np.ndarray) -> float:
-        return 0.5 * float(np.einsum("mn,mi,ni->", q, state, state))
-
-    return value
+    return _rhs(_tensor_triples(t), h, s.tuples)
 
 
 def monitor_gradient(q: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -196,14 +191,9 @@ def simulate(
     if h.n != t.n or s0.tuples.shape[0] != t.n:
         raise DynamicsError("dimension mismatch between tensor, Hamiltonian, and state")
     triples = _tensor_triples(t)
-    blocks = h.blocks
 
     def rhs(state):
-        grad = np.einsum("mnij,nj->mi", blocks, state)
-        out = np.zeros_like(state)
-        for lam, a, nu, w in triples:
-            out[a] += w * np.cross(grad[nu], state[lam])
-        return out
+        return _rhs(triples, h, state)
 
     mons = [("H", None)] + list(monitors or [])
     values: Dict[str, List[float]] = {name: [] for name, _ in mons}

@@ -20,11 +20,10 @@ solvable tensor's storage slots 0..n-1 carry printed labels 1..n.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .linalg import ExactMatrix
-from .scalars import GaussianRational, ONE, ZERO, parse_scalar
+from .scalars import GaussianRational, ONE, ZERO, as_scalar
 
 
 class TensorError(Exception):
@@ -53,16 +52,6 @@ class ZeroParameter(TensorError):
 
 class NotSolvable(TensorError):
     pass
-
-
-def _as_scalar(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
-    if isinstance(x, str):
-        return parse_scalar(x)
-    raise TypeError(f"cannot interpret {x!r} as a scalar")
 
 
 class ExtensionTensor:
@@ -164,7 +153,7 @@ def _freeze(w_raw: Sequence[Sequence[Sequence]]) -> Tuple:
         for mu in range(n):
             if len(w_raw[lam][mu]) != n:
                 raise TensorError("tensor array is not cubic")
-            plane.append(tuple(_as_scalar(x) for x in w_raw[lam][mu]))
+            plane.append(tuple(as_scalar(x) for x in w_raw[lam][mu]))
         out.append(tuple(plane))
     return tuple(out)
 
@@ -266,7 +255,7 @@ def crmhd(beta) -> ExtensionTensor:
     flux) at storage indices (0, 1, 2, 3); ``beta`` is the compressibility
     parameter and must be real and nonzero.
     """
-    beta = _as_scalar(beta)
+    beta = as_scalar(beta)
     if beta.is_zero():
         raise ZeroParameter("beta must be nonzero")
     if not beta.is_real():

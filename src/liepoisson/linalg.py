@@ -21,7 +21,7 @@ the transformation.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import (
@@ -29,6 +29,7 @@ from .scalars import (
     ONE,
     UNITS,
     ZERO,
+    as_scalar,
     gaussian_divisors,
     gr,
     parse_scalar,
@@ -58,23 +59,13 @@ class NotCommuting(LinalgError):
         super().__init__(f"matrices {i} and {j} do not commute")
 
 
-def _as_scalar(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
-    if isinstance(x, str):
-        return parse_scalar(x)
-    raise TypeError(f"cannot interpret {x!r} as a Q(i) scalar")
-
-
 class ExactMatrix:
     """Dense matrix with GaussianRational entries, stored row-major."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        entries = tuple(_as_scalar(x) for x in entries)
+        entries = tuple(as_scalar(x) for x in entries)
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         object.__setattr__(self, "rows", rows)
@@ -104,7 +95,7 @@ class ExactMatrix:
 
     @staticmethod
     def diagonal(values: Sequence) -> "ExactMatrix":
-        vals = [_as_scalar(v) for v in values]
+        vals = [as_scalar(v) for v in values]
         n = len(vals)
         return ExactMatrix(n, n, [vals[i] if i == j else ZERO for i in range(n) for j in range(n)])
 
@@ -130,7 +121,7 @@ class ExactMatrix:
 
     def with_entry(self, i: int, j: int, value) -> "ExactMatrix":
         e = list(self.entries)
-        e[i * self.cols + j] = _as_scalar(value)
+        e[i * self.cols + j] = as_scalar(value)
         return ExactMatrix(self.rows, self.cols, e)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "ExactMatrix":
@@ -154,7 +145,7 @@ class ExactMatrix:
         return ExactMatrix(self.rows, self.cols, [-a for a in self.entries])
 
     def scale(self, c) -> "ExactMatrix":
-        c = _as_scalar(c)
+        c = as_scalar(c)
         return ExactMatrix(self.rows, self.cols, [c * a for a in self.entries])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -440,8 +431,7 @@ def roots_in_gaussian_rationals(
     # clear denominators to land in Z[i]
     denom = 1
     for c in coeffs:
-        denom = denom * c.re.denominator // _gcd(denom, c.re.denominator)
-        denom = denom * c.im.denominator // _gcd(denom, c.im.denominator)
+        denom = lcm(denom, c.re.denominator, c.im.denominator)
     zc = [c * gr(denom) for c in coeffs]
     candidates = []
     seen = set()
@@ -471,12 +461,6 @@ def roots_in_gaussian_rationals(
     return roots, work
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def eigenvalues_gaussian(a: ExactMatrix) -> List[Tuple[GaussianRational, int]]:
     """Eigenvalues of ``a`` in Q(i) with algebraic multiplicity.
 
@@ -504,7 +488,7 @@ class BasisChange:
     __slots__ = ("m", "scale", "m_inv")
 
     def __init__(self, m: ExactMatrix, scale: GaussianRational = ONE):
-        scale = _as_scalar(scale)
+        scale = as_scalar(scale)
         if m.rows != m.cols:
             raise ValueError("basis change must be square")
         if not scale:

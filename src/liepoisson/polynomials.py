@@ -7,22 +7,11 @@ canonical comparison use graded lexicographic order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Iterable, Sequence, Tuple
 
-from .scalars import GaussianRational, ONE, ZERO, parse_scalar
+from .scalars import GaussianRational, ONE, ZERO, as_scalar, parse_scalar
 
 Exponents = Tuple[int, ...]
-
-
-def _as_scalar(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
-    if isinstance(x, str):
-        return parse_scalar(x)
-    raise TypeError(f"cannot interpret {x!r} as a scalar")
 
 
 class Poly:
@@ -36,7 +25,7 @@ class Poly:
             e = tuple(e)
             if len(e) != nvars:
                 raise ValueError(f"exponent tuple {e} has wrong length for {nvars} variables")
-            c = _as_scalar(c)
+            c = as_scalar(c)
             if c:
                 clean[e] = c
         object.__setattr__(self, "nvars", nvars)
@@ -53,7 +42,7 @@ class Poly:
 
     @staticmethod
     def constant(nvars: int, c) -> "Poly":
-        return Poly(nvars, {(0,) * nvars: _as_scalar(c)})
+        return Poly(nvars, {(0,) * nvars: as_scalar(c)})
 
     @staticmethod
     def variable(nvars: int, idx: int) -> "Poly":
@@ -63,7 +52,7 @@ class Poly:
 
     @staticmethod
     def monomial(nvars: int, exps: Sequence[int], c=1) -> "Poly":
-        return Poly(nvars, {tuple(exps): _as_scalar(c)})
+        return Poly(nvars, {tuple(exps): as_scalar(c)})
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -102,7 +91,7 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        c = _as_scalar(c)
+        c = as_scalar(c)
         if not c:
             return Poly.zero(self.nvars)
         return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})

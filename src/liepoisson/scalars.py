@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterator, Optional, Union
 
 Rat = Union[int, Fraction]
@@ -201,6 +201,17 @@ def _coerce(x) -> "GaussianRational":
     return NotImplemented
 
 
+def as_scalar(x) -> "GaussianRational":
+    """A Q(i) scalar from a scalar, an int, a Fraction or its string form."""
+    if isinstance(x, GaussianRational):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return GaussianRational(x)
+    if isinstance(x, str):
+        return parse_scalar(x)
+    raise TypeError(f"cannot interpret {x!r} as a Q(i) scalar")
+
+
 _F_ZERO = Fraction(0)
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
@@ -333,8 +344,7 @@ def square_free_part_zi(z: GaussianRational):
     """
     if z.is_zero():
         return ZERO, ONE
-    den = z.re.denominator
-    den = den * (z.im.denominator // _gcd_int(den, z.im.denominator))
+    den = lcm(z.re.denominator, z.im.denominator)
     g = z * GaussianRational(den * den)
     rep = ONE
     for prime, exp in gaussian_factor(g):
@@ -347,12 +357,6 @@ def square_free_part_zi(z: GaussianRational):
     if s is None:
         raise ArithmeticError(f"square-free reduction failed for {z}")
     return rep, s
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -361,23 +361,6 @@ def _conic_point(a: GaussianRational, b: GaussianRational, v: GaussianRational):
     return pt
 
 
-def _squarefree_class(d: GaussianRational) -> Fraction:
-    """Class of a nonzero rational modulo nonzero rational squares."""
-    q = abs(d.re)
-    n = (q.numerator * q.denominator)
-    out = 1
-    f = 2
-    while f * f <= n:
-        e = 0
-        while n % f == 0:
-            n //= f
-            e += 1
-        if e % 2:
-            out *= f
-        f += 1
-    return Fraction(out * n)
-
-
 def congruence_normalize(block: ExactMatrix):
     """Congruence C with C^T block C = c * diag(signs), entries in {0,+1,-1}.
 
@@ -479,13 +462,6 @@ def _repair_classes(diag, pair_op, snapshot, restore) -> bool:
             return True
         restore(state)
     return False
-
-
-def _prod(vals):
-    out = ONE
-    for v in vals:
-        out = out * v
-    return out
 
 
 def _execute_repair(diag, pair_op, nonzero, tau) -> bool:

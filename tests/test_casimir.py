@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from liepoisson import casimir
 from liepoisson.casimir import (
     CasimirFamily,
     CasimirTerm,
@@ -26,7 +27,7 @@ from liepoisson.extension import (
     from_lower_slices,
     leibniz,
 )
-from liepoisson.linalg import ExactMatrix, hstack, rank
+from liepoisson.linalg import BasisChange, ExactMatrix, hstack, pseudoinverse, rank
 from liepoisson.polynomials import Poly
 from liepoisson.scalars import ONE, ZERO, gr
 from liepoisson.tables import (
@@ -35,7 +36,7 @@ from liepoisson.tables import (
     semidirect_extra_table,
     solvable_table,
 )
-from liepoisson.transform import apply_chain
+from liepoisson.transform import apply, apply_chain
 
 M = ExactMatrix.from_rows
 
@@ -111,6 +112,57 @@ def test_leibniz_coextension_closed_form():
                 for sig in range(k):
                     want = ONE if (mu + 1) + n == (tau + 1) + (sig + 1) else ZERO
                     assert co.cow[mu][tau][sig] == want
+
+
+def omega_by_definition(t):
+    """omega^nu_{lam sig}, summed term by term from its definition."""
+    s = 1 if t.semidirect else 0
+    last = t.n - 1
+    k = last - s
+    wn = ExactMatrix(k, k, [t.entry(last, s + mu, s + nu) for mu in range(k) for nu in range(k)])
+    p = pseudoinverse(wn)
+
+    def w(lam, rho, nu):
+        return t.entry(s + lam, s + rho, s + nu)
+
+    out = [[[ZERO] * k for _ in range(k)] for _ in range(k)]
+    for nu in range(k):
+        for lam in range(k):
+            for sig in range(k):
+                acc = ZERO
+                for rho in range(k):
+                    acc = acc + p[sig, rho] * w(lam, rho, nu) + p[lam, rho] * w(sig, rho, nu)
+                    for kap in range(k):
+                        for mu in range(k):
+                            acc = acc - p[lam, rho] * p[sig, kap] * wn[rho, mu] * w(mu, kap, nu)
+                out[nu][lam][sig] = acc
+    return out
+
+
+def test_coextension_matches_definition_on_dense_coefficients():
+    primes = [2, 3, 5, 7, 11, 13]
+    inputs = [leibniz(n) for n in range(3, 7)] + [catalog(4).lookup("n4-case3c")]
+    for t in inputs:
+        scaled = apply(t, BasisChange(ExactMatrix.diagonal(primes[:t.n])))
+        co = build_coextension(scaled)
+        want = omega_by_definition(scaled)
+        assert [[list(row) for row in plane] for plane in co.cow] == want
+        assert any(c not in (ZERO, ONE) for plane in want for row in plane for c in row)
+
+
+def test_semidirect_synthesis_builds_coextension_once(monkeypatch):
+    calls = []
+    builder = casimir._coextension
+
+    def counting(t, idx):
+        calls.append(tuple(idx))
+        return builder(t, idx)
+
+    monkeypatch.setattr(casimir, "_coextension", counting)
+    fams = synthesize_casimirs(leibniz(5, semidirect=True))
+    assert calls == [(1, 2, 3, 4, 5)]
+    assert family_sets_equal(
+        fams, [leibniz_casimirs_closed_form(5, nu, semidirect=True) for nu in range(6)])
 
 
 def test_coextension_symmetry_invariant():

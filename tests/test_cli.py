@@ -96,10 +96,29 @@ def test_casimir_crmhd_verify(crmhd_doc, capsys):
 def test_casimir_case3c(tmp_path, capsys):
     doc = tmp_path / "c3c.json"
     doc.write_text(json.dumps(catalog(4).lookup("n4-case3c").to_json()))
-    code, out = run(["casimir", str(doc), "--verify", "--jobs", "2"], capsys)
+    code, out = run(["casimir", str(doc), "--verify"], capsys)
     assert code == 0
     assert "ξ1 f(ξ4) + ξ2 ξ3 f'(ξ4)" in out
     assert "table fixtures: match" in out
+
+
+def test_casimir_verify_classifies_once(tmp_path, capsys, monkeypatch):
+    from liepoisson import cli
+
+    calls = []
+    original = cli.classify
+
+    def counting(t):
+        calls.append(t)
+        return original(t)
+
+    monkeypatch.setattr(cli, "classify", counting)
+    doc = tmp_path / "c3c.json"
+    doc.write_text(json.dumps(catalog(4).lookup("n4-case3c").to_json()))
+    code, out = run(["casimir", str(doc), "--verify"], capsys)
+    assert code == 0
+    assert "table fixtures: match" in out
+    assert len(calls) == 1
 
 
 def test_casimir_abelian_full_function(tmp_path, capsys):
