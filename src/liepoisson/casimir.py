@@ -257,12 +257,15 @@ def build_coextension(t: ExtensionTensor) -> CoextensionResult:
 
     Expects a normalized tensor (lower-triangular, identity first slice when
     semidirect).  Failure of the solvability or symmetry condition is
-    recorded in the flags, not raised.
+    recorded in the flags, not raised.  A semidirect tensor with no
+    solvable slot (the bare base bracket) has no coextension.
     """
     if not t.is_lower_triangular():
         raise CasimirError("coextension needs a lower-triangular tensor")
     _require_identity_w0(t)
     s, _ = _solvable_range(t)
+    if s == t.n:
+        raise CasimirError("coextension needs at least one solvable slot")
     return _coextension(t, range(s, t.n))
 
 
@@ -414,7 +417,8 @@ def synthesize_casimirs(t: ExtensionTensor) -> List[CasimirFamily]:
     One family per projector-visible solvable direction (via the
     coextension recursion, run per support component so direct sums split),
     one multi-argument family over the simultaneous eigenvectors, and the
-    extra semidirect family exactly when Wn is nonsingular.
+    extra semidirect family exactly when Wn is nonsingular.  The bare base
+    bracket (no solvable slot) has only its eigenvector family f(xi0).
     """
     if not t.is_lower_triangular():
         raise CasimirError("synthesis needs a normalized (lower-triangular) tensor")
@@ -433,9 +437,10 @@ def synthesize_casimirs(t: ExtensionTensor) -> List[CasimirFamily]:
         families.append(eig)
     if t.semidirect:
         _require_identity_w0(t)
-        co = whole_co if whole_co is not None else _coextension(t, whole)
-        if co.nonsingular:
-            families.insert(0, _semidirect_family(t, co, "f"))
+        if whole:
+            co = whole_co if whole_co is not None else _coextension(t, whole)
+            if co.nonsingular:
+                families.insert(0, _semidirect_family(t, co, "f"))
     families = _relabel(families)
     for fam in families:
         report = casimir_condition_check(t, fam)

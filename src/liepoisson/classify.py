@@ -31,9 +31,9 @@ from .extension import (
     strip_semisimple,
     validate,
 )
-from .linalg import BasisChange, ExactMatrix, rank
+from .linalg import BasisChange, ExactMatrix, hstack, inverse, rank, rref, simultaneous_triangularize
 from .scalars import GaussianRational, I, ONE, ZERO, gr, sqrt_gaussian
-from .transform import apply, apply_chain, normalize_w0_to_identity
+from .transform import apply, apply_chain, congruence_move, normalize_w0_to_identity
 
 M = ExactMatrix.from_rows
 
@@ -152,8 +152,6 @@ def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
     original = t
     chain: List[BasisChange] = []
     if not t.is_lower_triangular():
-        from .linalg import simultaneous_triangularize
-
         b = simultaneous_triangularize(t.slices_upper())
         t = apply(t, b, check=False)
         chain.append(b)
@@ -178,7 +176,7 @@ def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
         chain.extend(sol_chain)
         expected = sol_normal
         order = sol_normal.n
-    name = _match_catalog(sol_normal)
+    name = _match_catalog(sol_normal.w, order)
     label = CaseLabel(order, name, semidirect)
     replay = apply_chain(original, chain, check=False)
     if replay.w != expected.w:
@@ -198,9 +196,9 @@ def _require_single_block(t: ExtensionTensor) -> None:
             raise NotSingleBlock("slice past the first has a nonzero eigenvalue")
 
 
-def _match_catalog(normal: ExtensionTensor) -> str:
-    for label, entry in catalog(normal.n).entries:
-        if entry.w == normal.w:
+def _match_catalog(w: tuple, order: int) -> str:
+    for label, entry in catalog(order).entries:
+        if entry.w == w:
             return label.name
     raise ClassificationError("internal error: reduced tensor is not a catalog entry")
 
@@ -261,13 +259,13 @@ def _tail_head_supported(t: ExtensionTensor) -> bool:
     return True
 
 
-def _head_product(t: ExtensionTensor, x: ExactMatrix, y: ExactMatrix) -> List[GaussianRational]:
-    n = t.n
+def _product(t: ExtensionTensor, x: ExactMatrix, y: ExactMatrix) -> List[GaussianRational]:
+    """x * y = sum W_lam^{mu nu} x_mu y_nu; shorter vectors fill the leading slots."""
     out = []
-    for lam in range(n):
+    for lam in range(t.n):
         acc = ZERO
-        for mu in range(2):
-            for nu in range(2):
+        for mu in range(x.rows):
+            for nu in range(y.rows):
                 c = t.entry(lam, mu, nu)
                 if c:
                     acc = acc + c * x[mu, 0] * y[nu, 0]
@@ -325,9 +323,9 @@ def _pencil_reduce(
             v for v in (ExactMatrix.column([ONE, ZERO]), ExactMatrix.column([ZERO, ONE]))
             if (w1.transpose() @ v)[0, 0]
         )
-        f2 = _head_product(t, y0, y0)
-        f3 = _head_product(t, y0, kern)
-        if all(not x for x in f3) or any(_head_product(t, kern, kern)):
+        f2 = _product(t, y0, y0)
+        f3 = _product(t, y0, kern)
+        if all(not x for x in f3) or any(_product(t, kern, kern)):
             raise ClassificationError("internal error: double-root pencil structure")
         cols = [
             [y0[0, 0], y0[1, 0], ZERO, ZERO],
@@ -340,14 +338,12 @@ def _pencil_reduce(
         _, w1 = _rank1_decompose(g1)
         _, w2 = _rank1_decompose(g2)
         wmat = ExactMatrix.from_rows([[w1[0, 0], w1[1, 0]], [w2[0, 0], w2[1, 0]]])
-        from .linalg import inverse
-
         p = inverse(wmat)
         y0 = ExactMatrix.column([p[0, 0], p[1, 0]])
         y1 = ExactMatrix.column([p[0, 1], p[1, 1]])
-        f2 = _head_product(t, y0, y0)
-        f4 = _head_product(t, y1, y1)
-        if any(_head_product(t, y0, y1)):
+        f2 = _product(t, y0, y0)
+        f4 = _product(t, y1, y1)
+        if any(_product(t, y0, y1)):
             raise ClassificationError("internal error: distinct-root pencil structure")
         cols = [
             [y0[0, 0], y0[1, 0], ZERO, ZERO],
@@ -398,10 +394,13 @@ def _pencil_roots(det_a, det_b, mix):
 
 
 def _leading_case(t: ExtensionTensor, m: int) -> str:
-    """Name of the (already normalized) leading m-window, m <= 3."""
-    sub = [[[t.w[l][u][v] for v in range(m)] for u in range(m)] for l in range(m)]
-    sub_t = validate(sub)
-    return _match_catalog(sub_t)
+    """Name of the (already normalized) leading m-window, m <= 3.
+
+    The window of a lower-triangular solvable tensor is closed under the
+    bracket, so matching its stored entries against the catalog suffices.
+    """
+    window = tuple(tuple(row[:m] for row in plane[:m]) for plane in t.w[:m])
+    return _match_catalog(window, m)
 
 
 def _stage(t: ExtensionTensor, m: int, chain: List[BasisChange]) -> ExtensionTensor:
@@ -425,7 +424,7 @@ def _stage(t: ExtensionTensor, m: int, chain: List[BasisChange]) -> ExtensionTen
                 t = _apply_step(t, chain, ExactMatrix.diagonal([ONE, ONE, b] + [ONE] * (n - 3)))
             return t
         # abelian leading part: reduce the terminal cocycle on the 2x2 block
-        pattern, t = _window_congruence(t, s, 2, chain)
+        pattern, t = _window_congruence(t, s, chain)
         if pattern == (1, 0):
             t = _apply_step(t, chain, _perm_columns(n, [0, 2, 1] + list(range(3, n))))
         elif pattern == (1, 1):
@@ -467,38 +466,25 @@ def _complex_pair_map(n: int, imaginary: bool) -> ExactMatrix:
 
 
 def _window_congruence(
-    t: ExtensionTensor, s: int, k: int, chain: List[BasisChange]
+    t: ExtensionTensor, s: int, chain: List[BasisChange]
 ) -> Tuple[tuple, ExtensionTensor]:
-    """Congruence-diagonalize the k x k block of slice ``s`` in place.
+    """Congruence-diagonalize the s x s block of slice ``s`` in place.
 
     Returns the sign pattern (+1/-1/0 per slot, +1s first) and the reduced
-    tensor; the scale factor is embedded at slot ``s`` of the move.
+    tensor; the scale factor sits at slot ``s`` of the move.
     """
-    from .transform import congruence_normalize
-
-    n = t.n
-    block = t.slice_lower(s).submatrix(range(k), range(k))
-    norm = congruence_normalize(block)
-    if norm is None:
+    move = congruence_move(t, s)
+    if move is None:
         raise ClassificationError(
             "tail cannot be scaled to {0,+1,-1} entries over Q(i)"
         )
-    blk, signs, c = norm
-    rows = []
-    for i in range(n):
-        if i < k:
-            rows.append(list(blk.row(i)) + [ZERO] * (n - k))
-        elif i == s:
-            rows.append([ZERO] * i + [c] + [ZERO] * (n - i - 1))
-        else:
-            rows.append([ZERO] * i + [ONE] + [ZERO] * (n - i - 1))
-    t = _apply_step(t, chain, ExactMatrix.from_rows(rows))
-    return tuple(signs), t
+    m, signs = move
+    return tuple(signs), _apply_step(t, chain, m)
 
 
 def _stage4_leading_abelian(t: ExtensionTensor, chain: List[BasisChange]) -> ExtensionTensor:
     n = t.n
-    pattern, t = _window_congruence(t, 3, 3, chain)
+    pattern, t = _window_congruence(t, 3, chain)
     if pattern == (0, 0, 0):
         return t
     if pattern == (1, 1, 1):
@@ -647,8 +633,6 @@ def fingerprint(t: ExtensionTensor) -> dict:
 
 def derived_series_dims(t: ExtensionTensor) -> List[int]:
     """Dimensions of span{x * y : x, y in D_k}, a basis-free invariant."""
-    from .linalg import hstack, rank as _rank
-
     n = t.n
     current = [ExactMatrix.column([ONE if i == j else ZERO for i in range(n)]) for j in range(n)]
     dims: List[int] = []
@@ -656,29 +640,15 @@ def derived_series_dims(t: ExtensionTensor) -> List[int]:
         prods = []
         for x in current:
             for y in current:
-                vec = [
-                    sum(
-                        (t.entry(lam, mu, nu) * x[mu, 0] * y[nu, 0] for mu in range(n) for nu in range(n)),
-                        ZERO,
-                    )
-                    for lam in range(n)
-                ]
+                vec = _product(t, x, y)
                 if any(vec):
                     prods.append(ExactMatrix.column(vec))
-        r = _rank(hstack(prods)) if prods else 0
-        dims.append(r)
-        if r == 0 or (len(dims) >= 2 and dims[-1] == dims[-2]):
+        pivots = rref(hstack(prods))[1] if prods else []
+        dims.append(len(pivots))
+        if not pivots or (len(dims) >= 2 and dims[-1] == dims[-2]):
             break
-        current = _column_basis(prods)
+        current = [prods[p] for p in pivots]
     return dims
-
-
-def _column_basis(cols: List[ExactMatrix]) -> List[ExactMatrix]:
-    from .linalg import hstack, rref
-
-    stacked = hstack(cols)
-    _, pivots = rref(stacked)
-    return [cols[p] for p in pivots]
 
 
 def equivalence_check(a: ExtensionTensor, b: ExtensionTensor):

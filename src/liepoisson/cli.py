@@ -25,7 +25,7 @@ from typing import List, Optional
 
 from . import casimir as casimir_mod
 from . import tables
-from .classify import CaseLabel, ClassificationError, OrderTooHigh, catalog, classify
+from .classify import CaseLabel, ClassificationError, OrderTooHigh, catalog, catalog_entry, classify
 from .dynamics import (
     DynamicsError,
     FieldState,
@@ -154,7 +154,7 @@ def cmd_casimir(args) -> int:
     for fam in families:
         print(casimir_mod.format_family(fam))
     if args.verify:
-        return _verify_families(normal, families)
+        return _verify_families(normal, families, label)
     return EXIT_OK
 
 
@@ -197,15 +197,17 @@ def _shift_solvable_family(fam: casimir_mod.CasimirFamily) -> casimir_mod.Casimi
     return casimir_mod.CasimirFamily(tuple(terms), n, True)
 
 
-def _verify_families(normal, families) -> int:
-    try:
-        label, _ = classify(normal)
-    except (ClassificationError, TensorError):
-        label = None
+def _verify_families(normal, families, label: Optional[CaseLabel]) -> int:
+    """Check every family and the fixtures of ``label``, classifying ``normal`` if None."""
+    if label is None:
+        try:
+            label, _ = classify(normal)
+        except (ClassificationError, TensorError):
+            pass
     fixtures = None if label is None else _fixture_families(label)
     to_check = [(normal, fam) for fam in families]
     if fixtures is not None:
-        fixture_tensor = _catalog_form_of(label)
+        fixture_tensor = catalog_entry(label)
         if fixture_tensor.w == normal.w:
             fixture_families = families
         else:
@@ -222,13 +224,6 @@ def _verify_families(normal, families) -> int:
         print(f"table fixtures: {'match' if matched else 'MISMATCH'}")
         ok = ok and matched
     return EXIT_OK if ok else EXIT_INVALID
-
-
-def _catalog_form_of(label: CaseLabel) -> ExtensionTensor:
-    from .extension import append_semisimple
-
-    entry = catalog(label.order).lookup(label.name)
-    return append_semisimple(entry) if label.semidirect else entry
 
 
 def _parse_inertia(text: str):

@@ -302,10 +302,11 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
 
 
 def inverse(a: ExactMatrix) -> ExactMatrix:
+    """One row reduction of [a | I]: a X = I is solvable exactly when a is invertible."""
     if a.rows != a.cols:
         raise ValueError("only square matrices are invertible")
     x = solve(a, ExactMatrix.identity(a.rows))
-    if x is None or rank(a) != a.rows:
+    if x is None:
         raise LinalgError("matrix is singular")
     return x
 
@@ -494,12 +495,9 @@ class BasisChange:
         if not scale:
             raise ValueError("scale must be nonzero")
         eff = m if scale.is_one() else _scale_last_column(m, scale)
-        inv = solve(eff, ExactMatrix.identity(m.rows))
-        if inv is None or rank(eff) != eff.rows:
-            raise LinalgError("basis change matrix is singular")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "m_inv", inv)
+        object.__setattr__(self, "m_inv", inverse(eff))
 
     def __setattr__(self, name, value):
         raise AttributeError("BasisChange is immutable")

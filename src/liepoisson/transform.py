@@ -5,8 +5,8 @@ A basis change M acts on all three indices of an extension tensor:
     Wbar_b^{a c} = (M^-1)_b^lam  W_lam^{mu nu}  M_mu^a  M_nu^c
 
 :func:`apply` implements this transformation law; validity of the bracket is
-preserved by construction (and re-checked).  On top of it sit the three
-normalizations used by the classifier:
+preserved by construction (and re-checked).  On top of it sit three
+normalizations:
 
 * :func:`normalize_w0_to_identity` drives the first slice matrix to the
   identity by a scalar rescale followed by unit-lower-triangular moves that
@@ -19,12 +19,20 @@ normalizations used by the classifier:
   symmetric congruence and rescales its entries to {0, +1, -1}, ordered with
   the +1s first.
 
+The classifier uses :func:`normalize_w0_to_identity` and
+:func:`congruence_move` (the move behind :func:`congruence_reduce_tail`);
+its coboundary moves are single-entry shears, shorter than going through
+:func:`coboundary_change`.  :func:`remove_coboundary` and
+:func:`congruence_reduce_tail` check their pre- and postconditions for
+other callers, where the classifier relies on its final catalog replay.
+
 Every normalization returns the witness :class:`BasisChange` so reductions
 can be replayed and audited.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import List, Optional, Tuple
 
 from .extension import ExtensionTensor, TensorError, validate
@@ -51,6 +59,7 @@ __all__ = [
     "remove_coboundary",
     "coboundary_change",
     "congruence_reduce_tail",
+    "congruence_move",
     "congruence_diagonalize",
 ]
 
@@ -423,13 +432,6 @@ def congruence_normalize(block: ExactMatrix):
     return final, ordered_signs, c
 
 
-def _prod(vals):
-    out = ONE
-    for v in vals:
-        out = out * v
-    return out
-
-
 def _repair_classes(diag, pair_op, snapshot, restore) -> bool:
     """Unify the square classes of the nonzero diagonal entries.
 
@@ -441,7 +443,7 @@ def _repair_classes(diag, pair_op, snapshot, restore) -> bool:
     nonzero = [i for i, d in enumerate(diag) if d]
     if len(nonzero) < 2:
         return False
-    disc = _prod([diag[i] for i in nonzero])
+    disc = prod((diag[i] for i in nonzero), start=ONE)
     disc_rep, _ = square_free_part(disc)
     if len(nonzero) % 2:
         taus = [disc_rep]
@@ -510,13 +512,34 @@ def _execute_repair(diag, pair_op, nonzero, tau) -> bool:
     return False
 
 
+def congruence_move(t: ExtensionTensor, s: int) -> Optional[Tuple[ExactMatrix, List[int]]]:
+    """Move diag(C, c, 1, ...) reducing the leading s x s block of slice ``s``.
+
+    C, c and the returned signs come from :func:`congruence_normalize`;
+    returns None when the block is not reachable over Q(i).
+    """
+    n = t.n
+    block = t.slice_lower(s).submatrix(range(s), range(s))
+    norm = congruence_normalize(block)
+    if norm is None:
+        return None
+    blk, signs, c = norm
+    rows = []
+    for i in range(n):
+        if i < s:
+            rows.append(list(blk.row(i)) + [ZERO] * (n - s))
+        else:
+            rows.append([ZERO] * i + [c if i == s else ONE] + [ZERO] * (n - i - 1))
+    return ExactMatrix.from_rows(rows), signs
+
+
 def congruence_reduce_tail(t: ExtensionTensor) -> Tuple[ExtensionTensor, BasisChange]:
     """Diagonalize the last slice of a terminal-cocycle tensor.
 
     Precondition: all slices vanish except the last, which is symmetric with
     a zero final row and column.  The result has last slice diag with
     entries in {0, +1, -1}, +1s first, then -1s, then 0s; the free factor c
-    lands in the scale slot of the returned witness.
+    lands on the last slot of the returned witness.
     """
     n = t.n
     last = n - 1
@@ -528,17 +551,13 @@ def congruence_reduce_tail(t: ExtensionTensor) -> Tuple[ExtensionTensor, BasisCh
     wmat = t.slice_lower(last)
     if any(wmat[last, j] or wmat[j, last] for j in range(n)):
         raise TransformError("last slice must have zero final row and column")
-    block = wmat.submatrix(range(last), range(last))
-    norm = congruence_normalize(block)
-    if norm is None:
+    move = congruence_move(t, last)
+    if move is None:
         raise ReductionObstruction(
             "tail diagonal cannot be scaled to {0,+1,-1} over Q(i)"
         )
-    cmat, signs, c = norm
-    full = ExactMatrix.from_rows(
-        [list(cmat.row(i)) + [ZERO] for i in range(last)] + [[ZERO] * last + [ONE]]
-    )
-    witness = BasisChange(full, scale=c)
+    cmat, signs = move
+    witness = BasisChange(cmat)
     out = apply(t, witness)
     pos = sum(1 for s in signs if s == 1)
     neg = sum(1 for s in signs if s == -1)

@@ -4,6 +4,7 @@ import pytest
 
 from liepoisson import casimir
 from liepoisson.casimir import (
+    CasimirError,
     CasimirFamily,
     CasimirTerm,
     FormalFunction,
@@ -19,6 +20,7 @@ from liepoisson.casimir import (
     synthesize_casimirs,
 )
 from liepoisson.classify import catalog, classify
+from liepoisson.dynamics import rigid_body_tensor
 from liepoisson.extension import (
     abelian,
     append_semisimple,
@@ -213,6 +215,15 @@ def test_semidirect_extra_families():
                 assert families_equal(with_zero[0], extras[label.name]), label.name
             else:
                 assert not with_zero, label.name
+
+
+def test_bare_base_bracket_has_only_the_eigenvector_family():
+    t = rigid_body_tensor()
+    fams = synthesize_casimirs(t)
+    assert [format_family(f) for f in fams] == ["f(ξ0)"]
+    assert casimir_condition_check(t, fams[0])
+    with pytest.raises(CasimirError):
+        build_coextension(t)
 
 
 def test_semidirect_gate_follows_tail_determinant():

@@ -6,9 +6,10 @@ import pytest
 
 from liepoisson.cli import main
 from liepoisson.classify import catalog
+from liepoisson.dynamics import rigid_body_tensor
 from liepoisson.extension import ExtensionTensor, crmhd, leibniz
 from liepoisson.transform import apply_chain
-from liepoisson.linalg import BasisChange
+from liepoisson.linalg import BasisChange, ExactMatrix
 
 
 @pytest.fixture
@@ -113,12 +114,28 @@ def test_casimir_verify_classifies_once(tmp_path, capsys, monkeypatch):
         return original(t)
 
     monkeypatch.setattr(cli, "classify", counting)
-    doc = tmp_path / "c3c.json"
-    doc.write_text(json.dumps(catalog(4).lookup("n4-case3c").to_json()))
+    moved = apply_chain(
+        catalog(3).lookup("n3-case2"),
+        [BasisChange(ExactMatrix.from_rows([[1, 2, 0], [0, 1, 3], [0, 0, 1]]))],
+    )
+    # one input in normal form, one that the command has to classify itself
+    for name, t in (("c3c", catalog(4).lookup("n4-case3c")), ("moved-c2", moved)):
+        calls.clear()
+        doc = tmp_path / f"{name}.json"
+        doc.write_text(json.dumps(t.to_json()))
+        code, out = run(["casimir", str(doc), "--verify"], capsys)
+        assert code == 0
+        assert "table fixtures: match" in out
+        assert len(calls) == 1, name
+
+
+def test_casimir_bare_base_bracket(tmp_path, capsys):
+    doc = tmp_path / "rigid_body.json"
+    doc.write_text(json.dumps(rigid_body_tensor().to_json()))
     code, out = run(["casimir", str(doc), "--verify"], capsys)
     assert code == 0
-    assert "table fixtures: match" in out
-    assert len(calls) == 1
+    assert "f(ξ0)" in out
+    assert "FAIL" not in out
 
 
 def test_casimir_abelian_full_function(tmp_path, capsys):

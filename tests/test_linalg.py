@@ -6,6 +6,7 @@ import pytest
 from liepoisson.linalg import (
     BasisChange,
     ExactMatrix,
+    LinalgError,
     NotCommuting,
     SplitFailure,
     characteristic_polynomial,
@@ -85,6 +86,20 @@ def test_solve_and_inverse():
     assert a @ x == ExactMatrix.identity(2)
     assert inverse(a) == x
     assert solve(M([[1, 1], [1, 1]]), M([[1], [2]])) is None
+
+
+def test_singular_matrix_has_no_inverse():
+    singular = (
+        M([[1, 1], [1, 1]]),
+        M([[1, 2, 3], [0, 1, 1], [1, 3, 4]]),
+        M([[0, 0, 0], [1, I, 0], [0, 0, 1]]),
+        ExactMatrix.zeros(2, 2),
+    )
+    for a in singular:
+        with pytest.raises(LinalgError):
+            inverse(a)
+        with pytest.raises(LinalgError):
+            BasisChange(a)
 
 
 def test_determinant():

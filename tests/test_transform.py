@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from liepoisson.classify import classify
 from liepoisson.extension import (
     crmhd,
     direct_sum,
@@ -168,14 +169,18 @@ def test_congruence_reduce_tail_examples():
     out, witness = congruence_reduce_tail(t)
     assert out.slice_lower(2) == ExactMatrix.diagonal([1, 0, 0])
     assert apply(t, witness) == out
+    # the classifier's first step is the same congruence move
+    assert classify(t)[1][0] == witness
     # hyperbolic pair: antidiag -> diag(1,-1,0)
     t = from_lower_slices([None, None, M([[0, 1, 0], [1, 0, 0], [0, 0, 0]])], 3)
     out, witness = congruence_reduce_tail(t)
     assert out.slice_lower(2) == ExactMatrix.diagonal([1, -1, 0])
+    assert classify(t)[1][0] == witness
     # already reduced
     t = from_lower_slices([None, None, ExactMatrix.diagonal([1, 1, 0])], 3)
     out, witness = congruence_reduce_tail(t)
     assert out.slice_lower(2) == ExactMatrix.diagonal([1, 1, 0])
+    assert classify(t)[1][0] == witness
 
 
 def test_congruence_reduce_tail_signature_invariance():
