@@ -36,7 +36,6 @@ from .dynamics import (
     simulate,
 )
 from .extension import ExtensionTensor, TensorError, crmhd, leibniz
-from .transform import apply_chain
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -125,8 +124,17 @@ def _normalized_for_casimir(t: ExtensionTensor):
     )
     if ready:
         return t, None
-    label, chain = classify(t)
-    return apply_chain(t, chain), label
+    label = classify(t)[0]
+    return _normal_form(t, label), label
+
+
+def _normal_form(t: ExtensionTensor, label: CaseLabel) -> ExtensionTensor:
+    """The catalog form of ``label`` with the input's semidirect flag.
+
+    ``classify`` has already replayed its witness chain on ``t`` and checked
+    that it reproduces this entry bit-exactly, so it is not replayed again.
+    """
+    return ExtensionTensor(t.n, t.semidirect, catalog_entry(label).w)
 
 
 def cmd_casimir(args) -> int:
@@ -140,8 +148,8 @@ def cmd_casimir(args) -> int:
             if label is not None:
                 raise
             # a removable coboundary can obstruct the raw form; reduce fully
-            label, chain = classify(t)
-            normal = apply_chain(t, chain)
+            label = classify(t)[0]
+            normal = _normal_form(t, label)
             families = casimir_mod.synthesize_casimirs(normal)
     except OrderTooHigh as err:
         print(f"error: {err}")

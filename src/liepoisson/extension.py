@@ -165,7 +165,15 @@ def validate(w_raw, semidirect: bool = False) -> ExtensionTensor:
     the slice matrices; together these are necessary and sufficient for the
     Jacobi identity of the induced bracket.  Raises
     :class:`SymmetryViolation` or :class:`CommutationViolation` with the
-    offending indices.
+    offending indices (the first pair nu < sigma in lexicographic order).
+
+    Commutation is checked entry by entry on the stored rows, skipping zero
+    factors.  Once symmetry holds, row lam of W^(nu) is the stored row
+    ``w[lam][nu]``, so for each pair and each lam the row vector
+
+        sum_k w[lam][nu][k] w[k][sigma][.] - w[lam][sigma][k] w[k][nu][.]
+
+    must vanish.
     """
     if isinstance(w_raw, ExtensionTensor):
         w = w_raw.w
@@ -178,13 +186,21 @@ def validate(w_raw, semidirect: bool = False) -> ExtensionTensor:
             for nu in range(mu + 1, n):
                 if w[lam][mu][nu] != w[lam][nu][mu]:
                     raise SymmetryViolation(lam, mu, nu)
-    t = ExtensionTensor(n, semidirect, w)
-    slices = t.slices_upper()
+    # the nonzero entries of each stored row w[lam][mu], with their positions
+    rows = [[[(k, x) for k, x in enumerate(row) if x] for row in plane] for plane in w]
     for nu in range(n):
         for sigma in range(nu + 1, n):
-            if slices[nu] @ slices[sigma] != slices[sigma] @ slices[nu]:
-                raise CommutationViolation(nu, sigma)
-    return t
+            for lam in range(n):
+                acc = [ZERO] * n
+                for k, x in rows[lam][nu]:
+                    for mu, y in rows[k][sigma]:
+                        acc[mu] = acc[mu] + x * y
+                for k, x in rows[lam][sigma]:
+                    for mu, y in rows[k][nu]:
+                        acc[mu] = acc[mu] - x * y
+                if any(acc):
+                    raise CommutationViolation(nu, sigma)
+    return ExtensionTensor(n, semidirect, w)
 
 
 def _empty(n: int) -> List[List[List[GaussianRational]]]:

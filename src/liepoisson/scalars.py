@@ -165,7 +165,7 @@ class GaussianRational:
         return (self.re, self.im)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.re) or bool(self.im)
 
     # -- conversion / display -----------------------------------------------
 

@@ -4,9 +4,12 @@ A basis change M acts on all three indices of an extension tensor:
 
     Wbar_b^{a c} = (M^-1)_b^lam  W_lam^{mu nu}  M_mu^a  M_nu^c
 
-:func:`apply` implements this transformation law; validity of the bracket is
-preserved by construction (and re-checked).  On top of it sit three
-normalizations:
+:func:`apply` implements this transformation law as three fused mode
+products over the stored entries (one per index, zero factors skipped, no
+intermediate matrices).  It relies on the upper-index symmetry that every
+:class:`ExtensionTensor` carries and that the law preserves: only the upper
+triangles are computed, then mirrored.  Validity of the bracket is preserved
+by construction (and re-checked).  On top of it sit three normalizations:
 
 * :func:`normalize_w0_to_identity` drives the first slice matrix to the
   identity by a scalar rescale followed by unit-lower-triangular moves that
@@ -83,30 +86,61 @@ class ReductionObstruction(TransformError):
 def apply(t: ExtensionTensor, b: BasisChange, check: bool = True) -> ExtensionTensor:
     """Transform a tensor by a basis change (all three indices).
 
-    Validity is preserved by the transformation law; ``check=False`` skips
-    the re-validation for hot internal loops (the classifier's final
-    bit-exact comparison against the catalog is the real gate there).
-    """
-    if b.n != t.n:
-        raise TransformError(f"basis change is {b.n}x{b.n} but tensor has {t.n} indices")
-    m = b.matrix
-    m_inv = b.m_inv
-    similar = [m_inv @ t.slice_upper(nu) @ m for nu in range(t.n)]
-    n = t.n
-    mixed = []
-    for gamma in range(n):
-        acc = ExactMatrix.zeros(n, n)
-        for nu in range(n):
-            coeff = m[nu, gamma]
-            if coeff:
-                acc = acc + similar[nu].scale(coeff)
-        mixed.append(acc)
-    w = [[[mixed[gamma][beta, alpha] for gamma in range(n)] for alpha in range(n)] for beta in range(n)]
-    if check:
-        return validate(w, semidirect=t.semidirect)
-    from .extension import _freeze
+    The transformation law is evaluated as three mode products over the
+    stored entries ``t.w`` and the entries of M and M^-1, each skipping zero
+    factors and building no intermediate matrix:
 
-    return ExtensionTensor(n, t.semidirect, _freeze(w))
+        T1[b][mu][nu] = sum_lam (M^-1)[b][lam] W[lam][mu][nu]
+        T2[b][a][nu]  = sum_mu  M[mu][a] T1[b][mu][nu]
+        Wbar[b][a][g] = sum_nu  T2[b][a][nu] M[nu][g]
+
+    Every extension tensor is symmetric in its upper indices and the law
+    keeps it so, hence T1 and the result are computed for mu <= nu and
+    a <= g only and mirrored.  ``check=False`` skips the re-validation for
+    hot internal loops (the classifier's final bit-exact comparison against
+    the catalog is the real gate there).
+    """
+    n = t.n
+    if b.n != n:
+        raise TransformError(f"basis change is {b.n}x{b.n} but tensor has {t.n} indices")
+    m = b.matrix.entries
+    m_inv = b.m_inv.entries
+    span = range(n)
+    # nonzero entries: columns and rows of M, upper triangle of each W_(lam)
+    m_cols = [[(mu, m[mu * n + a]) for mu in span if m[mu * n + a]] for a in span]
+    m_rows = [[(g, x) for g, x in enumerate(m[nu * n:nu * n + n]) if x] for nu in span]
+    upper = [
+        [(mu, nu, x) for mu, row in enumerate(plane) for nu, x in enumerate(row) if nu >= mu and x]
+        for plane in t.w
+    ]
+    w = []
+    for beta in span:
+        t1 = [[ZERO] * n for _ in span]
+        for lam, c in enumerate(m_inv[beta * n:beta * n + n]):
+            if c:
+                for mu, nu, x in upper[lam]:
+                    t1[mu][nu] = t1[mu][nu] + c * x
+        for mu in span:
+            for nu in range(mu + 1, n):
+                t1[nu][mu] = t1[mu][nu]
+        t1_rows = [[(nu, x) for nu, x in enumerate(row) if x] for row in t1]
+        plane = [[ZERO] * n for _ in span]
+        for a in span:
+            t2 = [ZERO] * n
+            for mu, c in m_cols[a]:
+                for nu, x in t1_rows[mu]:
+                    t2[nu] = t2[nu] + c * x
+            row = [ZERO] * n
+            for nu, x in enumerate(t2):
+                if x:
+                    for g, c in m_rows[nu]:
+                        if g >= a:
+                            row[g] = row[g] + x * c
+            for g in range(a, n):
+                plane[a][g] = plane[g][a] = row[g]
+        w.append(tuple(tuple(r) for r in plane))
+    out = ExtensionTensor(n, t.semidirect, tuple(w))
+    return validate(out, semidirect=t.semidirect) if check else out
 
 
 def apply_chain(t: ExtensionTensor, chain: List[BasisChange], check: bool = True) -> ExtensionTensor:

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +131,58 @@ def test_casimir_verify_classifies_once(tmp_path, capsys, monkeypatch):
         assert len(calls) == 1, name
 
 
+def _count_calls(monkeypatch, *functions):
+    """Wrap every binding of ``functions`` in the package; returns the counts."""
+    import importlib
+    import pkgutil
+
+    import liepoisson
+
+    counts = {f.__name__: 0 for f in functions}
+
+    def counting(f):
+        def wrapper(*args, **kwargs):
+            counts[f.__name__] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    for info in pkgutil.iter_modules(liepoisson.__path__):
+        module = importlib.import_module(f"liepoisson.{info.name}")
+        for name, value in list(vars(module).items()):
+            for f in functions:
+                if value is f:
+                    monkeypatch.setattr(module, name, counting(f))
+    return counts
+
+
+def test_casimir_does_not_replay_the_witness(tmp_path, capsys, monkeypatch):
+    from liepoisson.classify import classify
+    from liepoisson.extension import validate
+    from liepoisson.transform import apply
+
+    moved = apply_chain(
+        catalog(3).lookup("n3-case2"),
+        [BasisChange(ExactMatrix.from_rows([[1, 2, 0], [0, 1, 3], [0, 0, 1]]))],
+    )
+    doc = tmp_path / "moved-c2.json"
+    doc.write_text(json.dumps(moved.to_json()))
+    parsed = ExtensionTensor.from_json(json.loads(doc.read_text()))
+
+    counts = _count_calls(monkeypatch, apply, validate)
+    classify(parsed)
+    alone = dict(counts)
+    assert alone["apply"] > 0 and alone["validate"] > 0
+
+    for key in counts:
+        counts[key] = 0
+    code, out = run(["casimir", str(doc), "--verify"], capsys)
+    assert code == 0
+    assert "table fixtures: match" in out
+    # reading the document validates it once; the rest is classify's own work
+    assert counts == {"apply": alone["apply"], "validate": alone["validate"] + 1}
+
+
 def test_casimir_bare_base_bracket(tmp_path, capsys):
     doc = tmp_path / "rigid_body.json"
     doc.write_text(json.dumps(rigid_body_tensor().to_json()))
@@ -225,8 +279,10 @@ def test_document_round_trip_determinism(tmp_path, capsys):
 
 
 def test_console_script_installed():
+    # the child process runs the source tree, as the test process does
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     result = subprocess.run([sys.executable, "-m", "liepoisson.cli", "catalog", "--order", "2"],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "n2-case2" in result.stdout
 

@@ -19,6 +19,7 @@ from liepoisson.extension import (
     strip_semisimple,
     validate,
 )
+from liepoisson.classify import catalog
 from liepoisson.linalg import ExactMatrix
 from liepoisson.scalars import ONE, ZERO, gr
 
@@ -144,6 +145,54 @@ def test_fuzz_single_entry_mutations():
         except (SymmetryViolation, CommutationViolation):
             continue
         assert triple_product_symmetric(mutated)
+
+
+def _first_noncommuting_pair(w):
+    """Reference for the commutation law: the first pair nu < sigma whose
+    slice matrices W^(nu) (rows lam, columns mu) fail to commute, by matmul."""
+    n = len(w)
+    slices = [ExactMatrix.from_rows([[w[lam][mu][nu] for mu in range(n)] for lam in range(n)])
+              for nu in range(n)]
+    for nu in range(n):
+        for sigma in range(nu + 1, n):
+            if slices[nu] @ slices[sigma] != slices[sigma] @ slices[nu]:
+                return nu, sigma
+    return None
+
+
+def test_validate_reports_the_reference_violation():
+    rng = random.Random(47)
+    pool = [entry for order in range(1, 5) for _, entry in catalog(order).entries]
+    pool += [append_semisimple(entry) for order in range(2, 5) for _, entry in catalog(order).entries]
+    pool += [leibniz(k) for k in range(2, 6)] + [leibniz(k, semidirect=True) for k in range(1, 5)]
+    pool += [crmhd(1), crmhd(Fraction(-7, 3))]
+    broken = 0
+    for t in pool:
+        assert validate(t, semidirect=t.semidirect) == t
+        assert validate(t.w, semidirect=t.semidirect) == t
+        n = t.n
+        for _ in range(4):
+            lam, mu, nu = (rng.randrange(n) for _ in range(3))
+            delta = rng.choice([gr(1), gr(-2), gr(Fraction(1, 3), 1)])
+            w = [[list(row) for row in plane] for plane in t.w]
+            w[lam][mu][nu] += delta
+            if mu != nu:
+                # one-sided change: the symmetry check reports it first
+                with pytest.raises(SymmetryViolation) as err:
+                    validate(w)
+                assert err.value.indices == (lam, min(mu, nu), max(mu, nu))
+                w[lam][nu][mu] += delta
+            pair = _first_noncommuting_pair(w)
+            frozen = tuple(tuple(tuple(row) for row in plane) for plane in w)
+            if pair is None:
+                assert validate(w).w == frozen
+                continue
+            broken += 1
+            for raw in (w, ExtensionTensor(n, t.semidirect, frozen)):
+                with pytest.raises(CommutationViolation) as err:
+                    validate(raw)
+                assert err.value.pair == pair
+    assert broken > len(pool)
 
 
 def triple_product_symmetric(t):

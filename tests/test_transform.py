@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from liepoisson.classify import classify
+from liepoisson.classify import catalog, classify
 from liepoisson.extension import (
+    append_semisimple,
     crmhd,
     direct_sum,
     from_lower_slices,
@@ -12,7 +13,7 @@ from liepoisson.extension import (
     pure_semidirect,
     validate,
 )
-from liepoisson.linalg import BasisChange, ExactMatrix
+from liepoisson.linalg import BasisChange, ExactMatrix, determinant, inverse
 from liepoisson.scalars import I, ONE, ZERO, gr
 from liepoisson.transform import (
     DegenerateEigenvalueMismatch,
@@ -75,6 +76,54 @@ def test_apply_complex_map_example():
     out = apply(t, BasisChange(m, scale=gr(2)))
     assert out.slice_lower(2) == M([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
     assert out.slice_lower(0).is_zero() and out.slice_lower(1).is_zero()
+
+
+def _contract(t, m):
+    """Wbar_b^{a g} = sum (M^-1)_b^lam W_lam^{mu nu} M_mu^a M_nu^g, entry by entry."""
+    n = t.n
+    m_inv = inverse(m).to_rows()
+    m = m.to_rows()
+    out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for lam in range(n):
+        for mu in range(n):
+            for nu in range(n):
+                x = t.w[lam][mu][nu]
+                if not x:
+                    continue
+                for b in range(n):
+                    xb = m_inv[b][lam] * x
+                    for a in range(n):
+                        xba = xb * m[mu][a]
+                        for g in range(n):
+                            out[b][a][g] += xba * m[nu][g]
+    return tuple(tuple(tuple(row) for row in plane) for plane in out)
+
+
+def dense_gaussian(rng, n):
+    """A dense invertible matrix with nonzero entries p/d + (q/e) i, d and e in 1..3."""
+    while True:
+        rows = [[gr(Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3)),
+                    Fraction(rng.randint(-1, 1), rng.randint(1, 3))) for _ in range(n)]
+                for _ in range(n)]
+        m = M(rows)
+        if determinant(m):
+            return m
+
+
+def test_apply_matches_entrywise_contraction():
+    rng = random.Random(12)
+    pool = [entry for order in range(1, 5) for _, entry in catalog(order).entries]
+    pool += [append_semisimple(entry) for order in range(1, 5) for _, entry in catalog(order).entries]
+    pool += [leibniz(k) for k in range(1, 6)] + [leibniz(k, semidirect=True) for k in range(1, 5)]
+    pool += [crmhd(1), crmhd(Fraction(-5, 3))]
+    assert {t.n for t in pool} == {1, 2, 3, 4, 5}
+    for k, t in enumerate(pool):
+        # every other change carries a complex trailing scale factor
+        b = BasisChange(dense_gaussian(rng, t.n), scale=gr(Fraction(2, 3), 1) if k % 2 else ONE)
+        checked = apply(t, b)
+        assert checked.w == _contract(t, b.matrix)
+        assert apply(t, b, check=False).w == checked.w
+        assert checked.semidirect == t.semidirect
 
 
 def test_normalize_w0_already_identity():
