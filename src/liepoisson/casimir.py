@@ -395,12 +395,14 @@ def _eigenvector_family(t: ExtensionTensor, label: str) -> Optional[CasimirFamil
     diagonals.
     """
     n = t.n
+    # row lam of W^(nu) is the stored row w[lam][nu]; its diagonal value is w[0][0][nu]
     stacked_rows: List[List[GaussianRational]] = []
     for nu in range(n):
-        m = t.slice_upper(nu)
-        ev = m.diagonal_values()[0] if n else ZERO
-        shifted = m - ExactMatrix.identity(n).scale(ev)
-        stacked_rows.extend(shifted.to_rows())
+        ev = t.w[0][0][nu]
+        for lam in range(n):
+            row = list(t.w[lam][nu])
+            row[lam] = row[lam] - ev
+            stacked_rows.append(row)
     stacked = ExactMatrix.from_rows(stacked_rows) if stacked_rows else ExactMatrix.zeros(0, n)
     kernel = null_space(stacked)
     if not kernel:

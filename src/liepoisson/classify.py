@@ -148,7 +148,7 @@ def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
     with the identity slice appended) bit-exactly, which is verified before
     returning.
     """
-    t = validate(t.w, semidirect=t.semidirect)
+    t = validate(t)
     original = t
     chain: List[BasisChange] = []
     if not t.is_lower_triangular():

@@ -18,9 +18,9 @@ out in the Euclidean ring Z[i]:
 * small instances finish by a bounded search.
 
 Square roots modulo a Gaussian prime live in GF(p) for split primes and in
-GF(q^2) for inert ones; both use Tonelli-Shanks.  A failed modular square
-root certifies that the conic has no Q(i)-rational point, which callers
-report as a genuine obstruction.
+GF(q^2) for inert ones; one Tonelli-Shanks on pairs x + y*i serves both.
+A failed modular square root certifies that the conic has no Q(i)-rational
+point, which callers report as a genuine obstruction.
 """
 
 from __future__ import annotations
@@ -70,36 +70,6 @@ def _gi_ext_gcd(a: GaussianRational, b: GaussianRational):
     return r0, s0, t0
 
 
-def _tonelli_shanks(a: int, p: int) -> Optional[int]:
-    """Square root of a modulo an odd prime p, or None."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i = 0
-        t2 = t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r
-
-
 def _gf2_mul(x, y, q):
     return ((x[0] * y[0] - x[1] * y[1]) % q, (x[0] * y[1] + x[1] * y[0]) % q)
 
@@ -114,28 +84,23 @@ def _gf2_pow(x, e, q):
     return out
 
 
-def _sqrt_gf_q2(a, q: int):
-    """Square root in GF(q^2) = GF(q)[i], for an inert rational prime q."""
+def _tonelli_shanks(a, q: int, order: int, candidates):
+    """Square root of a = x + y*i modulo q in a field of ``order`` units, or None.
+
+    Elements are pairs reduced mod q: GF(p) is the pairs (x, 0) with order
+    p - 1, GF(q^2) = GF(q)[i] for an inert q has order q^2 - 1.  The first
+    non-residue among ``candidates`` drives the 2-power part.
+    """
     a = (a[0] % q, a[1] % q)
     if a == (0, 0):
         return (0, 0)
-    order = q * q - 1
     if _gf2_pow(a, order // 2, q) != (1, 0):
         return None
     s, m = order, 0
     while s % 2 == 0:
         s //= 2
         m += 1
-    z = None
-    for zr in range(q):
-        for zi in range(q):
-            if (zr, zi) == (0, 0):
-                continue
-            if _gf2_pow((zr, zi), order // 2, q) != (1, 0):
-                z = (zr, zi)
-                break
-        if z:
-            break
+    z = next(z for z in candidates if _gf2_pow(z, order // 2, q) != (1, 0))
     c = _gf2_pow(z, s, q)
     t = _gf2_pow(a, s, q)
     r = _gf2_pow(a, (s + 1) // 2, q)
@@ -158,23 +123,18 @@ def _sqrt_mod_prime(a: GaussianRational, pi: GaussianRational) -> Optional[Gauss
     if p == 2:
         return _gi_mod(a, pi)
     if pi.im == 0 or pi.re == 0:
+        # inert: Z[i]/(q) is GF(q^2), non-residues searched in lexicographic order
         q = int(abs(pi.re if pi.im == 0 else pi.im))
-        root = _sqrt_gf_q2((int(a.re) % q, int(a.im) % q), q)
-        if root is None:
-            return None
-        return gr(root[0], root[1])
-    r = (-int(pi.re) * pow(int(pi.im), -1, p)) % p
-    a_int = (int(a.re) + int(a.im) * r) % p
-    root = _tonelli_shanks(a_int, p)
+        candidates = ((x, y) for x in range(q) for y in range(q) if x or y)
+        root = _tonelli_shanks((int(a.re), int(a.im)), q, q * q - 1, candidates)
+    else:
+        # split: Z[i]/(pi) is GF(p) with i = r
+        r = (-int(pi.re) * pow(int(pi.im), -1, p)) % p
+        candidates = ((x, 0) for x in range(2, p))
+        root = _tonelli_shanks((int(a.re) + int(a.im) * r, 0), p, p - 1, candidates)
     if root is None:
         return None
-    return gr(root)
-
-
-def _sqrt_mod_squarefree(a: GaussianRational, m: GaussianRational) -> Optional[GaussianRational]:
-    """One balanced t with t^2 = a mod m, for square-free m coprime to a."""
-    roots = _sqrt_mod_squarefree_all(a, m, limit=1)
-    return roots[0] if roots else None
+    return gr(root[0], root[1])
 
 
 def _sqrt_mod_squarefree_all(a: GaussianRational, m: GaussianRational, limit: int = 16):

@@ -73,17 +73,6 @@ class ExtensionTensor:
     def __setattr__(self, name, value):
         raise AttributeError("ExtensionTensor is immutable")
 
-    # -- index bookkeeping ---------------------------------------------------
-
-    @property
-    def solvable_order(self) -> int:
-        """Order of the solvable part (n minus the semisimple slot)."""
-        return self.n - 1 if self.semidirect else self.n
-
-    def display_label(self, storage_index: int) -> int:
-        """Printed label of a storage index (0-based semidirect, else 1-based)."""
-        return storage_index if self.semidirect else storage_index + 1
-
     # -- views -----------------------------------------------------------------
 
     def entry(self, lam: int, mu: int, nu: int) -> GaussianRational:
@@ -158,7 +147,7 @@ def _freeze(w_raw: Sequence[Sequence[Sequence]]) -> Tuple:
     return tuple(out)
 
 
-def validate(w_raw, semidirect: bool = False) -> ExtensionTensor:
+def validate(w_raw, semidirect: Optional[bool] = None) -> ExtensionTensor:
     """Certify a raw cubic array as an extension tensor.
 
     Checks upper-index symmetry entry by entry, then pairwise commutation of
@@ -173,11 +162,14 @@ def validate(w_raw, semidirect: bool = False) -> ExtensionTensor:
 
         sum_k w[lam][nu][k] w[k][sigma][.] - w[lam][sigma][k] w[k][nu][.]
 
-    must vanish.
+    must vanish.  ``semidirect`` defaults to the flag of a tensor passed in,
+    and to False (solvable form) for a raw array.
     """
     if isinstance(w_raw, ExtensionTensor):
         w = w_raw.w
         n = w_raw.n
+        if semidirect is None:
+            semidirect = w_raw.semidirect
     else:
         w = _freeze(w_raw)
         n = len(w)
@@ -200,7 +192,7 @@ def validate(w_raw, semidirect: bool = False) -> ExtensionTensor:
                         acc[mu] = acc[mu] - x * y
                 if any(acc):
                     raise CommutationViolation(nu, sigma)
-    return ExtensionTensor(n, semidirect, w)
+    return ExtensionTensor(n, bool(semidirect), w)
 
 
 def _empty(n: int) -> List[List[List[GaussianRational]]]:
@@ -228,23 +220,13 @@ def leibniz(order: int, semidirect: bool = False) -> ExtensionTensor:
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    if semidirect:
-        n = order + 1
-        w = _empty(n)
-        for lam in range(n):
-            for mu in range(n):
-                for nu in range(n):
-                    if lam == mu + nu:
-                        w[lam][mu][nu] = ONE
-        return ExtensionTensor(n, True, _freeze(w))
-    n = order
+    n = order + 1 if semidirect else order
+    shift = 0 if semidirect else 1  # solvable storage slots are labels minus one
     w = _empty(n)
-    for lam in range(n):
-        for mu in range(n):
-            for nu in range(n):
-                if (lam + 1) == (mu + 1) + (nu + 1):
-                    w[lam][mu][nu] = ONE
-    return ExtensionTensor(n, False, _freeze(w))
+    for mu in range(n):
+        for nu in range(n - mu - shift):
+            w[mu + nu + shift][mu][nu] = ONE
+    return ExtensionTensor(n, semidirect, _freeze(w))
 
 
 def pure_semidirect(order: int) -> ExtensionTensor:

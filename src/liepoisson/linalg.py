@@ -1,8 +1,8 @@
 """Exact dense linear algebra over Q(i).
 
 Everything here is computed without rounding: row reduction, null spaces,
-determinants, the Moore-Penrose pseudoinverse (via rank factorization, so it
-is exact for any rank), characteristic polynomials (Faddeev-LeVerrier), and
+inverses, the Moore-Penrose pseudoinverse (via rank factorization, so it is
+exact for any rank), characteristic polynomials (Faddeev-LeVerrier), and
 eigenvalue search restricted to Q(i) by Gaussian-integer divisor enumeration.
 
 Two higher operations act on *families* of commuting matrices:
@@ -311,29 +311,6 @@ def inverse(a: ExactMatrix) -> ExactMatrix:
     return x
 
 
-def determinant(a: ExactMatrix) -> GaussianRational:
-    """Determinant by fraction-free-ish Gaussian elimination (exact anyway)."""
-    if a.rows != a.cols:
-        raise ValueError("determinant needs a square matrix")
-    m = a.to_rows()
-    n = a.rows
-    det = ONE
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv = ONE / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
-
-
 def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
@@ -386,13 +363,6 @@ def characteristic_polynomial(a: ExactMatrix) -> List[GaussianRational]:
         c = -(m.trace() / gr(k))
         coeffs[n - k] = c
     return coeffs
-
-
-def _poly_eval(coeffs: Sequence[GaussianRational], x: GaussianRational) -> GaussianRational:
-    acc = ZERO
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _poly_deflate(coeffs: List[GaussianRational], root: GaussianRational) -> Optional[List[GaussianRational]]:
@@ -590,22 +560,17 @@ def _common_eigenvector(family: Sequence[ExactMatrix], n: int) -> ExactMatrix:
     return ExactMatrix.column([x / lead for x in vec])
 
 
-def _complete_basis(vectors: List[ExactMatrix], n: int) -> ExactMatrix:
-    """Extend the given independent columns to a basis using standard vectors.
+def _complete_basis(v: ExactMatrix, n: int) -> ExactMatrix:
+    """Extend the nonzero column v to a basis using standard vectors.
 
-    The given vectors are placed *last*; this makes the span of the earlier
-    standard vectors a complement, which is what the lower-triangular
-    recursion wants.
+    Every standard vector except the one at v's last nonzero index joins,
+    and v is placed *last*; this makes the span of the standard vectors a
+    complement, which is what the lower-triangular recursion wants.
     """
-    cols: List[ExactMatrix] = []
-    for j in range(n):
-        e = ExactMatrix.column([ONE if i == j else ZERO for i in range(n)])
-        cand = hstack(cols + [e] + vectors) if cols or vectors else e
-        if rank(cand) == len(cols) + 1 + len(vectors):
-            cols.append(e)
-        if len(cols) + len(vectors) == n:
-            break
-    return hstack(cols + vectors)
+    last = max(i for i in range(n) if v[i, 0])
+    return ExactMatrix.from_rows(
+        [[ONE if i == j else ZERO for j in range(n) if j != last] + [v[i, 0]] for i in range(n)]
+    )
 
 
 def simultaneous_triangularize(family: Sequence[ExactMatrix]) -> BasisChange:
@@ -630,7 +595,7 @@ def _triangularize_rec(family: List[ExactMatrix], n: int) -> ExactMatrix:
     if n == 1:
         return ExactMatrix.identity(1)
     v = _common_eigenvector(family, n)
-    p = _complete_basis([v], n)
+    p = _complete_basis(v, n)
     p_inv = inverse(p)
     reduced = []
     for a in family:

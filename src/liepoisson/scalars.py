@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from typing import Iterator, Optional, Union
 
 Rat = Union[int, Fraction]
@@ -52,9 +52,6 @@ class GaussianRational:
 
     def is_real(self) -> bool:
         return not self.im
-
-    def is_rational_integer(self) -> bool:
-        return not self.im and self.re.denominator == 1
 
     def is_gaussian_integer(self) -> bool:
         return self.re.denominator == 1 and self.im.denominator == 1
@@ -303,20 +300,6 @@ def is_square(z: GaussianRational) -> bool:
     return sqrt_gaussian(z) is not None
 
 
-def _squarefree_int(n: int) -> int:
-    out = 1
-    f = 2
-    while f * f <= n:
-        e = 0
-        while n % f == 0:
-            n //= f
-            e += 1
-        if e % 2:
-            out *= f
-        f += 1
-    return out * n
-
-
 def square_free_part(z: GaussianRational):
     """(rep, s) with z = rep * s^2 and rep a small square-free representative.
 
@@ -328,7 +311,8 @@ def square_free_part(z: GaussianRational):
         return ZERO, ONE
     if z.is_real():
         q = abs(z.re)
-        sf = Fraction(_squarefree_int(q.numerator * q.denominator))
+        odd = [p for p, e in _factor_int(q.numerator * q.denominator).items() if e % 2]
+        sf = Fraction(prod(odd))
         rep = sf if z.re > 0 else -sf
         s = sqrt_fraction(q / sf)
         return GaussianRational(rep), GaussianRational(s)
@@ -380,7 +364,12 @@ def _gi_exact_divide(a: GaussianRational, b: GaussianRational) -> Optional[Gauss
 
 
 def _factor_int(n: int) -> dict:
-    """Trial-division factorization; inputs here stay small."""
+    """Trial-division factorization, the package's one trial division.
+
+    Its step count is about the larger of the second-largest prime factor
+    and the square root of the largest, so a prime factor above 2^60 costs
+    more than 2^29 steps.
+    """
     out: dict = {}
     d = 2
     while d * d <= n:

@@ -140,7 +140,7 @@ def apply(t: ExtensionTensor, b: BasisChange, check: bool = True) -> ExtensionTe
                 plane[a][g] = plane[g][a] = row[g]
         w.append(tuple(tuple(r) for r in plane))
     out = ExtensionTensor(n, t.semidirect, tuple(w))
-    return validate(out, semidirect=t.semidirect) if check else out
+    return validate(out) if check else out
 
 
 def apply_chain(t: ExtensionTensor, chain: List[BasisChange], check: bool = True) -> ExtensionTensor:
@@ -172,31 +172,21 @@ def normalize_w0_to_identity(t: ExtensionTensor) -> Tuple[ExtensionTensor, Basis
     ev = diag[0]
     if not ev:
         raise DegenerateEigenvalueMismatch("first slice eigenvalue vanishes")
-    chain: List[BasisChange] = []
+    # the witness is the product of the moves, inverted once
+    total = ExactMatrix.identity(n)
     if not ev.is_one():
-        b = BasisChange(ExactMatrix.identity(n).scale(ONE / ev))
-        t = apply(t, b)
-        chain.append(b)
+        total = ExactMatrix.identity(n).scale(ONE / ev)
+        t = apply(t, BasisChange(total))
     for lam in range(1, n):
         a = t.entry(lam, 0, 0)
         if a:
-            b = BasisChange(ExactMatrix.identity(n).with_entry(lam, 0, -a))
-            t = apply(t, b)
-            chain.append(b)
+            m = ExactMatrix.identity(n).with_entry(lam, 0, -a)
+            t = apply(t, BasisChange(m))
+            total = total @ m
     if not t.slice_upper(0).is_identity():
         raise TransformError("internal error: W^(0) normalization did not reach the identity")
     t = ExtensionTensor(t.n, True, t.w)
-    witness = _compose(chain, n)
-    return t, witness
-
-
-def _compose(chain: List[BasisChange], n: int) -> BasisChange:
-    if not chain:
-        return BasisChange.identity(n)
-    out = chain[0]
-    for b in chain[1:]:
-        out = out.then(b)
-    return out
+    return t, BasisChange(total)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,44 @@
+"""The benchmark reaches into the package by name; keep those names alive.
+
+``bench/run.py`` wraps the functions named in ``TRACED`` for its traced
+pass, and ``bench/workloads.py`` reads ``.m.entries`` and ``.scale`` off
+every classify witness step.  A deletion in the package that breaks either
+would only show when the benchmark runs, so both are checked here.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import run  # noqa: E402
+import workloads  # noqa: E402
+
+from liepoisson.classify import catalog, classify  # noqa: E402
+from liepoisson.extension import append_semisimple  # noqa: E402
+from liepoisson.linalg import BasisChange, ExactMatrix  # noqa: E402
+from liepoisson.scalars import GaussianRational  # noqa: E402
+from liepoisson.transform import apply  # noqa: E402
+
+
+def test_every_traced_target_resolves_to_a_callable():
+    assert run.TRACED
+    for target in run.TRACED:
+        module, name = target.split(".")
+        assert callable(getattr(importlib.import_module(f"liepoisson.{module}"), name, None)), target
+
+
+def test_witness_steps_expose_what_the_metrics_read():
+    move = BasisChange(ExactMatrix.from_rows([[1, 2, 0, 0], [0, 1, 3, 0], [1, 0, 1, 0], [0, 0, 1, 2]]))
+    inputs = [apply(t, move) for _, t in catalog(4).entries]
+    inputs += [apply(append_semisimple(t), move) for _, t in catalog(3).entries]
+    for t in inputs:
+        _, chain = classify(t)
+        assert chain
+        for b in chain:
+            assert all(isinstance(x, GaussianRational) for x in b.m.entries)
+            assert isinstance(b.scale, GaussianRational)
+        assert workloads.witness_max_bits(chain) > 0

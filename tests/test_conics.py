@@ -7,7 +7,9 @@ from liepoisson.conics import (
     _gi_ext_gcd,
     _gi_gcd,
     _gi_mod,
-    _sqrt_mod_squarefree,
+    _gf2_mul,
+    _gf2_pow,
+    _sqrt_mod_squarefree_all,
     _tonelli_shanks,
     isotropic_ternary,
     represent_binary,
@@ -28,11 +30,21 @@ def test_tonelli_shanks():
         rng = random.Random(p)
         for _ in range(20):
             a = rng.randrange(1, p)
-            r = _tonelli_shanks(a, p)
+            r = _tonelli_shanks((a, 0), p, p - 1, ((x, 0) for x in range(2, p)))
             if r is None:
                 assert pow(a, (p - 1) // 2, p) == p - 1
             else:
-                assert r * r % p == a % p
+                assert r[1] == 0
+                assert r[0] * r[0] % p == a % p
+    # GF(q^2) = GF(q)[i] for inert q, every nonzero element
+    for q in (3, 7, 11, 19, 23):
+        order = q * q - 1
+        for a in ((x, y) for x in range(q) for y in range(q) if x or y):
+            r = _tonelli_shanks(a, q, order, ((x, y) for x in range(q) for y in range(q) if x or y))
+            if r is None:
+                assert _gf2_pow(a, order // 2, q) != (1, 0)
+            else:
+                assert _gf2_mul(r, r, q) == a
 
 
 def test_gaussian_ext_gcd():
@@ -58,8 +70,9 @@ def test_sqrt_mod_squarefree_split_inert_ramified():
             x = gr(rng.randint(-15, 15), rng.randint(-15, 15))
             if _gi_gcd(x, m).norm() != 1:
                 continue
-            t = _sqrt_mod_squarefree(_gi_mod(x * x, m), m)
-            assert t is not None
+            roots = _sqrt_mod_squarefree_all(_gi_mod(x * x, m), m, limit=1)
+            assert roots
+            t = roots[0]
             assert _gi_mod(t * t - x * x, m).is_zero()
 
 

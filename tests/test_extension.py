@@ -76,6 +76,17 @@ def test_commutation_violation():
         validate(w)
 
 
+def test_validate_keeps_the_semidirect_flag():
+    t = crmhd(1)
+    assert validate(t) == t
+    assert validate(leibniz(3)) == leibniz(3)
+    # a raw array is solvable-form unless the flag is given
+    raw = [[list(row) for row in plane] for plane in t.w]
+    assert not validate(raw).semidirect
+    assert validate(raw, semidirect=True) == t
+    assert not validate(t, semidirect=False).semidirect
+
+
 def test_leibniz_slices_are_jordan_powers():
     for order in range(1, 9):
         t = leibniz(order)

@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from liepoisson.linalg import (
+    _complete_basis,
     BasisChange,
     ExactMatrix,
     LinalgError,
     NotCommuting,
     SplitFailure,
     characteristic_polynomial,
-    determinant,
     eigenvalues_gaussian,
     hstack,
     inverse,
@@ -100,12 +100,6 @@ def test_singular_matrix_has_no_inverse():
             inverse(a)
         with pytest.raises(LinalgError):
             BasisChange(a)
-
-
-def test_determinant():
-    assert determinant(M([[1, 2], [3, 4]])) == gr(-2)
-    assert determinant(ExactMatrix.zeros(3, 3)) == ZERO
-    assert determinant(ExactMatrix.identity(4)) == ONE
 
 
 # -- pseudoinverse -----------------------------------------------------------
@@ -234,6 +228,40 @@ def test_triangularize_commuting_random_family():
 def test_triangularize_rejects_noncommuting():
     with pytest.raises(NotCommuting):
         simultaneous_triangularize([M([[0, 1], [0, 0]]), M([[0, 0], [1, 0]])])
+
+
+def greedy_complete_basis(v, n):
+    """Standard vectors kept in order while they stay independent of the kept ones and v."""
+    cols = []
+    for j in range(n):
+        e = ExactMatrix.column([ONE if i == j else ZERO for i in range(n)])
+        if rank(hstack(cols + [e, v])) == len(cols) + 2:
+            cols.append(e)
+        if len(cols) + 1 == n:
+            break
+    return hstack(cols + [v])
+
+
+def test_complete_basis_matches_greedy_choice():
+    rng = random.Random(21)
+    for n in range(1, 7):
+        vectors = []
+        for k in range(n):
+            # one nonzero entry at each position, then random sparse and dense ones
+            vectors.append([gr(rng.randint(1, 5), rng.randint(-2, 2)) if i == k else ZERO for i in range(n)])
+        for _ in range(12):
+            v = list(random_matrix(rng, n, 1).entries)
+            for i in range(n):
+                if rng.random() < 0.4:
+                    v[i] = ZERO
+            if any(v):
+                vectors.append(v)
+        for v in vectors:
+            col = ExactMatrix.column(v)
+            p = _complete_basis(col, n)
+            assert p == greedy_complete_basis(col, n)
+            assert rank(p) == n
+            assert p.col(n - 1) == col.col(0)
 
 
 def test_block_split_examples():

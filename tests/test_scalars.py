@@ -14,6 +14,7 @@ from liepoisson.scalars import (
     parse_scalar,
     sqrt_fraction,
     sqrt_gaussian,
+    square_free_part,
 )
 
 
@@ -94,6 +95,35 @@ def test_sqrt_gaussian():
         z = random_scalar(rng)
         s = sqrt_gaussian(z * z)
         assert s is not None and s * s == z * z
+
+
+def squarefree_by_trial_division(n):
+    out, d = 1, 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e % 2:
+            out *= d
+        d += 1
+    return out * n
+
+
+def test_square_free_part_real():
+    assert square_free_part(ZERO) == (ZERO, ONE)
+    cases = [Fraction(1), Fraction(-1), Fraction(12), Fraction(-50, 9),
+             Fraction(2 * 3 * 5 * 7, 11 ** 2), Fraction(3 ** 2 * (2 ** 31 - 1))]
+    rng = random.Random(17)
+    cases += [Fraction(rng.choice([-1, 1]) * rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 4))
+              for _ in range(200)]
+    for q in cases:
+        rep, s = square_free_part(gr(q))
+        assert rep * s * s == gr(q)
+        assert rep.is_real() and s.is_real() and s.re > 0
+        assert rep.re.denominator == 1 and (rep.re > 0) == (q > 0)
+        sign = 1 if q > 0 else -1
+        assert rep.re == sign * squarefree_by_trial_division(abs(q.numerator) * q.denominator)
 
 
 def test_gaussian_divisors():

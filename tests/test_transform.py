@@ -13,7 +13,7 @@ from liepoisson.extension import (
     pure_semidirect,
     validate,
 )
-from liepoisson.linalg import BasisChange, ExactMatrix, determinant, inverse
+from liepoisson.linalg import BasisChange, ExactMatrix, inverse, rank
 from liepoisson.scalars import I, ONE, ZERO, gr
 from liepoisson.transform import (
     DegenerateEigenvalueMismatch,
@@ -106,7 +106,7 @@ def dense_gaussian(rng, n):
                     Fraction(rng.randint(-1, 1), rng.randint(1, 3))) for _ in range(n)]
                 for _ in range(n)]
         m = M(rows)
-        if determinant(m):
+        if rank(m) == n:
             return m
 
 
