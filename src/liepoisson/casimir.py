@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .extension import ExtensionTensor, TensorError
-from .linalg import ExactMatrix, hstack, null_space, pseudoinverse, rank
+from .linalg import ExactMatrix, hstack, null_space, null_space_rows, pseudoinverse, rank
 from .polynomials import Poly
 from .scalars import GaussianRational, ONE, ZERO, gr, parse_scalar
 
@@ -571,40 +571,34 @@ def quadratic_casimir_basis(t: ExtensionTensor) -> List[ExactMatrix]:
     """Basis of symmetric Q with W_lam^{mu nu} Q_{mu sig} = W_sig^{mu nu} Q_{mu lam}.
 
     These are the constant-Hessian Casimirs 1/2 Q_{mu nu} xi^mu xi^nu, found
-    by a direct null-space computation over the upper-triangle coordinates
-    of Q.
+    by one sparse null-space computation over the upper-triangle coordinates
+    of Q.  Equation (nu, lam, sig), lam > sig, collects +W_lam^{mu nu} at
+    Q_{mu sig} and -W_sig^{mu nu} at Q_{mu lam}; each nonzero entry of W is
+    visited once, and zero and repeated equations are dropped.
     """
     n = t.n
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     index = {p: k for k, p in enumerate(pairs)}
-
-    def q_entry(coeffs, mu, sig):
-        key = (mu, sig) if mu <= sig else (sig, mu)
-        return coeffs[index[key]]
-
-    rows = []
-    for nu in range(n):
-        for lam in range(n):
-            for sig in range(lam):
-                row = [ZERO] * len(pairs)
-                for mu in range(n):
-                    w1 = t.entry(lam, mu, nu)
-                    if w1:
-                        key = (mu, sig) if mu <= sig else (sig, mu)
-                        row[index[key]] = row[index[key]] + w1
-                    w2 = t.entry(sig, mu, nu)
-                    if w2:
-                        key = (mu, lam) if mu <= lam else (lam, mu)
-                        row[index[key]] = row[index[key]] - w2
-                if any(row):
-                    rows.append(row)
-    if not rows:
-        kernel = [ExactMatrix.column([ONE if k == j else ZERO for k in range(len(pairs))])
-                  for j in range(len(pairs))]
-    else:
-        kernel = null_space(ExactMatrix.from_rows(rows))
+    equations: Dict[Tuple[int, int, int], Dict[int, GaussianRational]] = {}
+    for lam, plane in enumerate(t.w):
+        for mu, row in enumerate(plane):
+            for nu, w in enumerate(row):
+                if not w:
+                    continue
+                for sig in range(n):
+                    if sig == lam:
+                        continue
+                    key, x = ((nu, lam, sig), w) if sig < lam else ((nu, sig, lam), -w)
+                    eq = equations.setdefault(key, {})
+                    k = index[(mu, sig) if mu <= sig else (sig, mu)]
+                    x = eq.get(k, ZERO) + x
+                    if x:
+                        eq[k] = x
+                    else:
+                        del eq[k]
+    distinct = {frozenset(eq.items()): eq for eq in equations.values()}
     out = []
-    for v in kernel:
+    for v in null_space_rows(distinct.values(), len(pairs)):
         q = [[ZERO] * n for _ in range(n)]
         for (i, j), k in index.items():
             q[i][j] = v[k, 0]

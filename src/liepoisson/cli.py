@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 from typing import List, Optional
 
@@ -271,9 +272,13 @@ def cmd_simulate(args) -> int:
             rng = np.random.default_rng(0)
             s0 = FieldState(rng.normal(size=(t.n, 3)))
     try:
+        start = time.perf_counter()
         monitors = exact_monitors(t)
+        monitor_ms = (time.perf_counter() - start) * 1e3
+        start = time.perf_counter()
         record = simulate(t, h, s0, args.dt, args.steps, monitors,
                           sample_every=max(1, args.steps // 200))
+        step_us = (time.perf_counter() - start) * 1e6 / max(1, args.steps)
     except DynamicsError as err:
         print(f"error: {err}")
         return EXIT_DIMENSION
@@ -282,7 +287,9 @@ def cmd_simulate(args) -> int:
     print("monitor            drift")
     for name in sorted(record.drifts):
         print(f"{name:<18} {record.drifts[name]:.3e}")
-    summary = {"dt": args.dt, "steps": args.steps, "drifts": record.drifts}
+    print(f"exact monitors {monitor_ms:.2f} ms, RK4 {step_us:.1f} us/step")
+    summary = {"dt": args.dt, "steps": args.steps, "drifts": record.drifts,
+               "monitor_ms": monitor_ms, "step_us": step_us}
     if args.summary:
         _write_json(args.summary, summary)
     return EXIT_OK

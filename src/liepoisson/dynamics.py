@@ -15,6 +15,12 @@ contracts the symmetric Q-Hessian against the bracket antisymmetry and
 vanishes identically, which the tests check to round-off.  Trajectories are
 integrated with classical fixed-step RK4, so conservation shows up as
 drift at the integrator's order, not exactness.
+
+The right-hand side is evaluated without a Python loop over the tensor: the
+T nonzero entries W_lam^{a nu} are laid out once as index arrays lam and nu
+and an (n x T) scatter matrix holding w at row a.  One evaluation gathers
+dH/dl^nu and l^lam for all entries, forms the T cross products component
+by component, and sums them into the n outputs with one ``scatter @ cross``.
 """
 
 from __future__ import annotations
@@ -89,27 +95,35 @@ class HamiltonianSpec:
         return 0.5 * float(np.einsum("mi,mnij,nj->", state, self.blocks, state))
 
 
-def _tensor_triples(t: ExtensionTensor) -> List[Tuple[int, int, int, float]]:
-    """Nonzero entries (lam, a, nu, w) of the tensor as floats."""
-    out = []
-    for lam in range(t.n):
-        for a in range(t.n):
-            for nu in range(t.n):
-                w = t.entry(lam, a, nu)
+def _tensor_triples(t: ExtensionTensor) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The T nonzero entries W_lam^{a nu} as index arrays lam and nu (shape (T,))
+    and an (n, T) scatter matrix holding w at row a."""
+    lams, nus, rows, weights = [], [], [], []
+    for lam, plane in enumerate(t.w):
+        for a, row in enumerate(plane):
+            for nu, w in enumerate(row):
                 if w:
                     if w.im:
                         raise DynamicsError("dynamics needs a real tensor")
-                    out.append((lam, a, nu, float(w.re)))
-    return out
+                    lams.append(lam)
+                    nus.append(nu)
+                    rows.append(a)
+                    weights.append(float(w.re))
+    scatter = np.zeros((t.n, len(weights)))
+    scatter[rows, np.arange(len(weights))] = weights
+    return np.array(lams, dtype=np.intp), np.array(nus, dtype=np.intp), scatter
 
 
-def _rhs(triples: List[Tuple[int, int, int, float]], h: HamiltonianSpec,
+def _rhs(triples: Tuple[np.ndarray, np.ndarray, np.ndarray], h: HamiltonianSpec,
          state: np.ndarray) -> np.ndarray:
-    grad = h.gradient(state)
-    out = np.zeros_like(state)
-    for lam, a, nu, w in triples:
-        out[a] += w * np.cross(grad[nu], state[lam])
-    return out
+    lam, nu, scatter = triples
+    g = h.gradient(state)[nu]
+    s = state[lam]
+    cross = np.empty_like(s)
+    cross[:, 0] = g[:, 1] * s[:, 2] - g[:, 2] * s[:, 1]
+    cross[:, 1] = g[:, 2] * s[:, 0] - g[:, 0] * s[:, 2]
+    cross[:, 2] = g[:, 0] * s[:, 1] - g[:, 1] * s[:, 0]
+    return scatter @ cross
 
 
 def eom_rhs(t: ExtensionTensor, h: HamiltonianSpec, s: FieldState) -> np.ndarray:

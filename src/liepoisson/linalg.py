@@ -1,9 +1,17 @@
-"""Exact dense linear algebra over Q(i).
+"""Exact linear algebra over Q(i).
 
 Everything here is computed without rounding: row reduction, null spaces,
 inverses, the Moore-Penrose pseudoinverse (via rank factorization, so it is
 exact for any rank), characteristic polynomials (Faddeev-LeVerrier), and
 eigenvalue search restricted to Q(i) by Gaussian-integer divisor enumeration.
+
+Matrices are dense :class:`ExactMatrix` values, but there is one elimination
+and it is sparse: :func:`_rref_rows` runs Gauss-Jordan on rows held as
+``{column: value}`` dicts of their nonzero entries, touching only the rows
+that hold each pivot column.  :func:`rref` (and with it ``rank``, ``solve``,
+``inverse`` and ``pseudoinverse``) and :func:`null_space` convert to it;
+callers that build large sparse systems, such as the quadratic Casimir
+solver, pass their rows straight to :func:`null_space_rows`.
 
 Two higher operations act on *families* of commuting matrices:
 
@@ -22,7 +30,7 @@ the transformation.
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import (
     GaussianRational,
@@ -237,28 +245,56 @@ class ExactMatrix:
 # Row reduction and everything built on it
 # ---------------------------------------------------------------------------
 
-def rref(a: ExactMatrix) -> Tuple[ExactMatrix, List[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = a.to_rows()
-    rows, cols = a.rows, a.cols
+def _rref_rows(
+    rows: Iterable[Dict[int, GaussianRational]],
+) -> Tuple[List[Dict[int, GaussianRational]], List[int]]:
+    """Sparse Gauss-Jordan elimination: the nonzero rows of the RREF and its pivots.
+
+    Each row is a ``{column: value}`` dict of its nonzero entries (zeros are
+    dropped on the way in).  Columns are taken in increasing order; the pivot
+    is the shortest remaining row holding the column, its normalization is
+    skipped when the pivot entry is already one, and only the rows holding
+    the pivot column are updated.  The reduced row echelon form is unique,
+    so the result is the same as any dense elimination's.
+    """
+    m = [d for d in ({j: x for j, x in row.items() if x} for row in rows) if d]
     pivots: List[int] = []
     r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot_row is None:
+    for c in sorted({j for row in m for j in row}):
+        held = [i for i in range(r, len(m)) if c in m[i]]
+        if not held:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [inv * x for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        p = min(held, key=lambda i: len(m[i]))
+        m[r], m[p] = m[p], m[r]
+        prow = m[r]
+        lead = prow[c]
+        if not lead.is_one():
+            inv = ONE / lead
+            prow = m[r] = {j: inv * x for j, x in prow.items()}
+        rest = [(j, x) for j, x in prow.items() if j != c]
+        for i, row in enumerate(m):
+            if i != r and c in row:
+                f = row.pop(c)
+                for j, x in rest:
+                    y = row.get(j)
+                    y = -(f * x) if y is None else y - f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == len(m):
             break
-    return ExactMatrix.from_rows(m) if rows else a, pivots
+    return m[:r], pivots
+
+
+def rref(a: ExactMatrix) -> Tuple[ExactMatrix, List[int]]:
+    """Reduced row echelon form and the list of pivot columns."""
+    reduced, pivots = _rref_rows(dict(enumerate(a.row(i))) for i in range(a.rows))
+    entries = [row.get(j, ZERO) for row in reduced for j in range(a.cols)]
+    entries += [ZERO] * ((a.rows - len(reduced)) * a.cols)
+    return ExactMatrix(a.rows, a.cols, entries), pivots
 
 
 def rank(a: ExactMatrix) -> int:
@@ -266,20 +302,30 @@ def rank(a: ExactMatrix) -> int:
 
 
 def null_space(a: ExactMatrix) -> List[ExactMatrix]:
-    """Basis of the right kernel of ``a`` as column vectors.
+    """Basis of the right kernel of ``a`` as column vectors (see :func:`null_space_rows`)."""
+    return null_space_rows((dict(enumerate(a.row(i))) for i in range(a.rows)), a.cols)
+
+
+def null_space_rows(rows: Iterable[Dict[int, object]], cols: int) -> List[ExactMatrix]:
+    """Right kernel of the matrix whose rows are the sparse ``{column: value}`` dicts.
 
     The free variable corresponding to each returned vector is set to one and
     the pivots solved by back-substitution, so the count is always
-    cols - rank(a) and the vectors are linearly independent by construction.
+    cols - rank and the vectors are linearly independent by construction.
+    No rows means the zero map: every standard vector is returned.
     """
-    r, pivots = rref(a)
-    free = [c for c in range(a.cols) if c not in pivots]
+    reduced, pivots = _rref_rows({j: as_scalar(x) for j, x in row.items()} for row in rows)
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
-        v = [ZERO] * a.cols
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        v = [ZERO] * cols
         v[f] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -r[i, f]
+        for row, p in zip(reduced, pivots):
+            x = row.get(f)
+            if x:
+                v[p] = -x
         basis.append(ExactMatrix.column(v))
     return basis
 

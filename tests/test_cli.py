@@ -211,8 +211,10 @@ def test_simulate_rigid_body_preset(tmp_path, capsys):
         "--out", str(out_csv), "--summary", str(summary),
     ], capsys)
     assert code == 0
-    drifts = json.loads(summary.read_text())["drifts"]
-    assert all(v < 1e-8 for v in drifts.values())
+    doc = json.loads(summary.read_text())
+    assert all(v < 1e-8 for v in doc["drifts"].values())
+    assert doc["monitor_ms"] > 0 and doc["step_us"] > 0
+    assert "exact monitors" in out and "us/step" in out
     assert out_csv.read_text().startswith("time,l0_x")
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from liepoisson.dynamics import (
     rigid_body_tensor,
     simulate,
 )
-from liepoisson.extension import abelian, crmhd
+from liepoisson.extension import ExtensionTensor, abelian, crmhd, direct_sum, leibniz
+from liepoisson.scalars import I, ZERO, gr
 
 
 def test_rigid_body_rhs_matches_euler():
@@ -42,6 +44,64 @@ def test_abelian_tensor_is_static():
     rng = np.random.default_rng(3)
     s = FieldState(rng.normal(size=(3, 3)))
     assert np.allclose(eom_rhs(t, h, s), 0.0)
+
+
+def loop_rhs(t, h, state):
+    """The per-triple np.cross loop the RHS used before the gather form: the reference."""
+    grad = h.gradient(state)
+    out = np.zeros_like(state)
+    for lam in range(t.n):
+        for a in range(t.n):
+            for nu in range(t.n):
+                w = t.entry(lam, a, nu)
+                if w:
+                    out[a] += float(w.re) * np.cross(grad[nu], state[lam])
+    return out
+
+
+def random_real_tensor(rng, n):
+    """Real entries with unsymmetric slices; the RHS needs no bracket law."""
+    w = tuple(tuple(tuple(gr(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) if rng.random() < 0.4 else ZERO
+                          for _ in range(n)) for _ in range(n)) for _ in range(n))
+    return ExtensionTensor(n, False, w)
+
+
+def random_hamiltonian(rng, n):
+    """Anisotropic blocks with A[mu, nu] = A[nu, mu]^T, coupling every pair of fields."""
+    m = rng.normal(size=(3 * n, 3 * n))
+    return HamiltonianSpec((m + m.T).reshape(n, 3, n, 3).transpose(0, 2, 1, 3))
+
+
+def test_rhs_matches_loop_oracle():
+    prng = random.Random(17)
+    tensors = [rigid_body_tensor(), heavy_top_tensor(), crmhd(Fraction(5, 2)), crmhd(Fraction(1, 3))]
+    tensors += [leibniz(k) for k in range(1, 9)] + [direct_sum(leibniz(8), leibniz(8))]
+    tensors += [random_real_tensor(prng, n) for n in (1, 2, 3, 5, 7) for _ in range(3)]
+    rng = np.random.default_rng(17)
+    for t in tensors:
+        for _ in range(3):
+            h = random_hamiltonian(rng, t.n)
+            state = rng.normal(size=(t.n, 3))
+            got = eom_rhs(t, h, FieldState(state))
+            want = loop_rhs(t, h, state)
+            assert got.shape == (t.n, 3)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_rhs_rejects_complex_tensor():
+    w = [[[ZERO] * 2 for _ in range(2)] for _ in range(2)]
+    w[1][0][0] = I
+    t = ExtensionTensor(2, False, tuple(tuple(tuple(row) for row in plane) for plane in w))
+    with pytest.raises(DynamicsError):
+        eom_rhs(t, HamiltonianSpec.isotropic(2), FieldState(np.ones((2, 3))))
+
+
+def test_rhs_of_zero_tensor_is_zero():
+    rng = np.random.default_rng(4)
+    for n in (1, 3):
+        rhs = eom_rhs(abelian(n), random_hamiltonian(rng, n), FieldState(rng.normal(size=(n, 3))))
+        assert rhs.shape == (n, 3)
+        assert not np.any(rhs)
 
 
 def test_dimension_mismatch():

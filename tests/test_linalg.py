@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from liepoisson.linalg import (
     hstack,
     inverse,
     null_space,
+    null_space_rows,
     pseudoinverse,
     rank,
     rref,
@@ -78,6 +80,138 @@ def test_null_space_properties_random():
             assert (a @ v).is_zero()
         if basis:
             assert rank(hstack(basis)) == len(basis)
+
+
+def dense_rref(a):
+    """The dense Gauss-Jordan loop that rref was before the sparse core: the reference."""
+    m = a.to_rows()
+    rows, cols = a.rows, a.cols
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = ONE / m[r][c]
+        m[r] = [inv * x for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return (ExactMatrix(rows, cols, [x for row in m for x in row]), pivots)
+
+
+def dense_null_space(a):
+    r, pivots = dense_rref(a)
+    basis = []
+    for f in range(a.cols):
+        if f not in pivots:
+            v = [ZERO] * a.cols
+            v[f] = ONE
+            for i, p in enumerate(pivots):
+                v[p] = -r[i, f]
+            basis.append(ExactMatrix.column(v))
+    return basis
+
+
+def random_oracle_inputs(seed):
+    """Seeded Q(i) matrices: dense and ~10% sparse, square and rectangular,
+    rank-deficient, with zero and repeated rows, and with no rows at all."""
+    rng = random.Random(seed)
+    out = [ExactMatrix.zeros(0, 0), ExactMatrix.zeros(0, 4), ExactMatrix.zeros(3, 0),
+           ExactMatrix.zeros(3, 5), ExactMatrix.identity(4)]
+    for _ in range(120):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        kind = rng.choice(("dense", "sparse", "deficient"))
+        if kind == "deficient":
+            k = rng.randint(1, min(rows, cols))
+            a = random_matrix(rng, rows, k, span=3) @ random_matrix(rng, k, cols, span=3)
+        else:
+            a = random_matrix(rng, rows, cols, complex_prob=0.4)
+            if kind == "sparse":
+                a = ExactMatrix(rows, cols, [x if rng.random() < 0.1 else ZERO for x in a.entries])
+        m = a.to_rows()
+        if rng.random() < 0.3:
+            m[rng.randrange(rows)] = [ZERO] * cols
+        if rng.random() < 0.3:
+            m.append(list(m[rng.randrange(rows)]))
+        rng.shuffle(m)
+        out.append(ExactMatrix(len(m), cols, [x for row in m for x in row]))
+    for _ in range(12):
+        a = random_matrix(rng, rng.randint(10, 20), rng.randint(10, 20), complex_prob=0.5)
+        out.append(ExactMatrix(a.rows, a.cols, [x if rng.random() < 0.1 else ZERO for x in a.entries]))
+    return out
+
+
+def test_rref_matches_dense_oracle():
+    for a in random_oracle_inputs(61):
+        r, pivots = rref(a)
+        assert (r, pivots) == dense_rref(a)
+        assert rank(a) == len(pivots)
+
+
+def test_null_space_rows_matches_dense_matrix():
+    rng = random.Random(62)
+    for a in random_oracle_inputs(62):
+        rows = [{j: x for j, x in enumerate(a.row(i)) if x} for i in range(a.rows)]
+        rows += [{}] + [dict(rows[rng.randrange(len(rows))]) for _ in range(2) if rows]
+        rng.shuffle(rows)
+        expected = dense_null_space(a)
+        assert null_space(a) == expected
+        assert null_space_rows(rows, a.cols) == expected
+    assert null_space_rows([], 3) == [ExactMatrix.column([ONE if i == j else ZERO for i in range(3)])
+                                      for j in range(3)]
+    # plain integers and explicit zeros are accepted
+    assert null_space_rows([{0: 1, 1: -1, 2: 0}], 2) == null_space(M([[1, -1]]))
+
+
+def dense_quadratic_casimir_system(t):
+    """The quadratic Casimir equations as the dense rows built before the sparse builder."""
+    n = t.n
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    index = {p: k for k, p in enumerate(pairs)}
+    rows = []
+    for nu in range(n):
+        for lam in range(n):
+            for sig in range(lam):
+                row = [ZERO] * len(pairs)
+                for mu in range(n):
+                    w1 = t.entry(lam, mu, nu)
+                    if w1:
+                        key = (mu, sig) if mu <= sig else (sig, mu)
+                        row[index[key]] = row[index[key]] + w1
+                    w2 = t.entry(sig, mu, nu)
+                    if w2:
+                        key = (mu, lam) if mu <= lam else (lam, mu)
+                        row[index[key]] = row[index[key]] - w2
+                if any(row):
+                    rows.append(row)
+    return ExactMatrix(len(rows), len(pairs), [x for row in rows for x in row]), index
+
+
+def test_quadratic_casimir_basis_matches_dense_oracle_at_n16():
+    from liepoisson.casimir import quadratic_casimir_basis
+    from liepoisson.extension import direct_sum, leibniz
+
+    t = direct_sum(leibniz(8), leibniz(8))
+    start = time.thread_time()
+    basis = quadratic_casimir_basis(t)
+    elapsed = time.thread_time() - start
+    system, index = dense_quadratic_casimir_system(t)
+    assert system.rows == 728 and system.cols == 136
+    expected = []
+    for v in dense_null_space(system):
+        q = [[ZERO] * t.n for _ in range(t.n)]
+        for (i, j), k in index.items():
+            q[i][j] = q[j][i] = v[k, 0]
+        expected.append(M(q))
+    assert basis == expected
+    assert elapsed < 1.0
 
 
 def test_solve_and_inverse():
