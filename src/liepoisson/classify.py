@@ -31,7 +31,16 @@ from .extension import (
     strip_semisimple,
     validate,
 )
-from .linalg import BasisChange, ExactMatrix, hstack, inverse, rank, rref, simultaneous_triangularize
+from .linalg import (
+    BasisChange,
+    ExactMatrix,
+    SplitFailure,
+    hstack,
+    inverse,
+    rank,
+    rref,
+    simultaneous_triangularize,
+)
 from .scalars import GaussianRational, I, ONE, ZERO, gr, sqrt_gaussian
 from .transform import apply, apply_chain, congruence_move, normalize_w0_to_identity
 
@@ -152,7 +161,11 @@ def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
     original = t
     chain: List[BasisChange] = []
     if not t.is_lower_triangular():
-        b = simultaneous_triangularize(t.slices_upper())
+        try:
+            b = simultaneous_triangularize(t.slices_upper())
+        except SplitFailure as err:
+            # a single block's only eigenvalue is trace / n, always in Q(i)
+            raise NotSingleBlock(f"tensor has more than one block: {err}") from None
         t = apply(t, b, check=False)
         chain.append(b)
     _require_single_block(t)

@@ -16,9 +16,9 @@ solver, pass their rows straight to :func:`null_space_rows`.
 Two higher operations act on *families* of commuting matrices:
 
 * :func:`simultaneous_triangularize` returns an invertible M such that
-  M^-1 A M is lower-triangular for every member, built by recursive common-
-  eigenvector extraction (commuting matrices always share an eigenvector when
-  their characteristic polynomials split over the field).
+  M^-1 A M is lower-triangular for every member: one flag of common kernels,
+  with no eigenvalue search, when each member's one eigenvalue is trace / n,
+  and otherwise one such flag per block of the split below.
 * :func:`simultaneous_block_split` refines this to the joint generalized
   eigenspaces, giving a simultaneous block-diagonal form with one block per
   joint eigenvalue tuple.
@@ -592,66 +592,52 @@ def _restriction(v: ExactMatrix, a: ExactMatrix) -> ExactMatrix:
     return r
 
 
-def _common_eigenvector(family: Sequence[ExactMatrix], n: int) -> ExactMatrix:
-    """One simultaneous eigenvector of a commuting family (column vector)."""
-    v = ExactMatrix.identity(n)
-    for a in family:
-        r = _restriction(v, a)
-        eigs = eigenvalues_gaussian(r)
-        lam = eigs[0][0]
-        kern = null_space(r - ExactMatrix.identity(r.rows).scale(lam))
-        v = v @ hstack(kern)
-    vec = list(v.col(0))
-    lead = next(x for x in vec if x)
-    return ExactMatrix.column([x / lead for x in vec])
+def _kernel_flag(family: Sequence[ExactMatrix], n: int) -> Optional[ExactMatrix]:
+    """M with every M^-1 A M lower-triangular, or None when some member has two eigenvalues.
 
-
-def _complete_basis(v: ExactMatrix, n: int) -> ExactMatrix:
-    """Extend the nonzero column v to a basis using standard vectors.
-
-    Every standard vector except the one at v's last nonzero index joins,
-    and v is placed *last*; this makes the span of the standard vectors a
-    complement, which is what the lower-triangular recursion wants.
+    With N = A - (tr A / n) I per member, K_1 = ker [N_0; N_1; ...] and
+    K_{j+1} = ker [Q_j N_0; Q_j N_1; ...], Q_j the RREF of level j.  Free
+    columns only grow; each level adds the null-space vectors of its newly
+    free columns, deepest level last.  It reaches dimension n iff every N is nilpotent.
     """
-    last = max(i for i in range(n) if v[i, 0])
-    return ExactMatrix.from_rows(
-        [[ONE if i == j else ZERO for j in range(n) if j != last] + [v[i, 0]] for i in range(n)]
-    )
+    shifted = [a - ExactMatrix.identity(n).scale(a.trace() / gr(n)) for a in family] if n else []
+    q = ExactMatrix.identity(n)
+    free: List[int] = []
+    columns: List[ExactMatrix] = []
+    while len(free) < n:
+        r, pivots = rref(ExactMatrix.from_rows([row for s in shifted for row in (q @ s).to_rows()]))
+        q = r.submatrix(range(len(pivots)), range(n))
+        now = [f for f in range(n) if f not in pivots]
+        new = [v for f, v in zip(now, null_space(q)) if f not in free]
+        if not new:
+            return None
+        columns[:0] = new
+        free = now
+    return ExactMatrix(n, n, [v[i, 0] for i in range(n) for v in columns])
 
 
 def simultaneous_triangularize(family: Sequence[ExactMatrix]) -> BasisChange:
     """Basis change M with M^-1 A M lower-triangular for every A in the family.
 
-    Recursive common-eigenvector extraction: a shared eigenvector is placed as
-    the last basis vector, the family is projected onto the complement, and
-    the process repeats on the quotient.
+    One flag of common kernels (:func:`_kernel_flag`) when every member has a
+    single eigenvalue, the single-block case the classifier takes.  Otherwise
+    :func:`simultaneous_block_split` first, then one flag per block.
     """
     n = _check_family(family)
-    m = _triangularize_rec(list(family), n)
+    m = _kernel_flag(family, n)
+    if m is None:
+        split, ranges = simultaneous_block_split(family)
+        moved = [split.m_inv @ a @ split.matrix for a in family]
+        m = hstack([
+            split.matrix.submatrix(range(n), range(s, e))
+            @ _kernel_flag([b.submatrix(range(s, e), range(s, e)) for b in moved], e - s)
+            for s, e in ranges
+        ])
     bc = BasisChange(m)
     for a in family:
         if not (bc.m_inv @ a @ m).is_lower_triangular():
             raise LinalgError("internal error: triangularization postcondition failed")
     return bc
-
-
-def _triangularize_rec(family: List[ExactMatrix], n: int) -> ExactMatrix:
-    if n == 0:
-        return ExactMatrix.identity(0)
-    if n == 1:
-        return ExactMatrix.identity(1)
-    v = _common_eigenvector(family, n)
-    p = _complete_basis(v, n)
-    p_inv = inverse(p)
-    reduced = []
-    for a in family:
-        b = p_inv @ a @ p
-        reduced.append(b.submatrix(range(n - 1), range(n - 1)))
-    q = _triangularize_rec(reduced, n - 1)
-    q_full = ExactMatrix.from_rows(
-        [list(q.row(i)) + [ZERO] for i in range(n - 1)] + [[ZERO] * (n - 1) + [ONE]]
-    )
-    return p @ q_full
 
 
 def simultaneous_block_split(

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from liepoisson.cli import main
+from liepoisson.cli import EXIT_INVALID, main
 from liepoisson.classify import catalog
 from liepoisson.dynamics import rigid_body_tensor
 from liepoisson.extension import ExtensionTensor, crmhd, leibniz
@@ -87,6 +87,19 @@ def test_classify_order_too_high(tmp_path, capsys):
     doc.write_text(json.dumps(leibniz(5).to_json()))
     code, out = run(["classify", str(doc)], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["classify", "casimir"])
+def test_slices_without_q_i_eigenvalues_exit_invalid(tmp_path, command):
+    # W^(0) = [[0, 2], [2, 0]] has the eigenvalues +-sqrt(2): two blocks that Q(i) cannot split
+    doc = tmp_path / "sqrt2.json"
+    doc.write_text(json.dumps({"n": 2, "semidirect": False, "w": [[["0", "2"], ["2", "0"]], [["1", "0"], ["0", "2"]]]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run([sys.executable, "-m", "liepoisson.cli", command, str(doc)],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == EXIT_INVALID
+    assert "more than one block" in result.stdout
+    assert "Traceback" not in result.stderr
 
 
 def test_casimir_crmhd_verify(crmhd_doc, capsys):
@@ -181,6 +194,50 @@ def test_casimir_does_not_replay_the_witness(tmp_path, capsys, monkeypatch):
     assert "table fixtures: match" in out
     # reading the document validates it once; the rest is classify's own work
     assert counts == {"apply": alone["apply"], "validate": alone["validate"] + 1}
+
+
+def test_classify_triangularizes_without_an_eigenvalue_search(monkeypatch):
+    import random
+
+    from liepoisson import linalg
+    from liepoisson.classify import classify
+    from liepoisson.extension import append_semisimple
+
+    rng = random.Random(11)
+
+    def dense_unimodular(n):
+        """L U with unit diagonals and positive entries: determinant one, no zero entry."""
+        lower = ExactMatrix.from_rows(
+            [[rng.randint(1, 3) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+        )
+        upper = ExactMatrix.from_rows(
+            [[rng.randint(1, 3) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+        )
+        return BasisChange(lower @ upper)
+
+    counts = _count_calls(
+        monkeypatch,
+        linalg.simultaneous_triangularize,
+        linalg.eigenvalues_gaussian,
+        linalg.characteristic_polynomial,
+    )
+    moved = 0
+    for order in (2, 3, 4):
+        for _, entry in catalog(order).entries:
+            for t in (entry, append_semisimple(entry)):
+                t = apply_chain(t, [dense_unimodular(t.n)])
+                for key in counts:
+                    counts[key] = 0
+                classify(t)
+                # the three abelian entries stay zero under any move
+                triangularized = int(not t.is_lower_triangular())
+                moved += triangularized
+                assert counts == {
+                    "simultaneous_triangularize": triangularized,
+                    "eigenvalues_gaussian": 0,
+                    "characteristic_polynomial": 0,
+                }
+    assert moved == 2 * 15 - 3
 
 
 def test_casimir_bare_base_bracket(tmp_path, capsys):

@@ -3,9 +3,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liepoisson.linalg import (
-    _complete_basis,
+    _kernel_flag,
     BasisChange,
     ExactMatrix,
     LinalgError,
@@ -24,6 +25,8 @@ from liepoisson.linalg import (
     simultaneous_triangularize,
     solve,
 )
+from liepoisson.classify import catalog
+from liepoisson.extension import append_semisimple, crmhd, leibniz
 from liepoisson.scalars import Fraction as F, I, ONE, ZERO, gr
 
 M = ExactMatrix.from_rows
@@ -332,6 +335,7 @@ def test_triangularize_jordan_flip():
     out = bc.m_inv @ fam[0] @ bc.matrix
     assert out.is_lower_triangular()
     assert not out.is_zero()
+    assert simultaneous_triangularize([ExactMatrix.zeros(0, 0)]).n == 0
 
 
 def test_triangularize_identity_plus_nilpotent():
@@ -364,38 +368,132 @@ def test_triangularize_rejects_noncommuting():
         simultaneous_triangularize([M([[0, 1], [0, 0]]), M([[0, 0], [1, 0]])])
 
 
-def greedy_complete_basis(v, n):
-    """Standard vectors kept in order while they stay independent of the kept ones and v."""
-    cols = []
-    for j in range(n):
-        e = ExactMatrix.column([ONE if i == j else ZERO for i in range(n)])
-        if rank(hstack(cols + [e, v])) == len(cols) + 2:
-            cols.append(e)
-        if len(cols) + 1 == n:
-            break
-    return hstack(cols + [v])
+# -- reference: the recursive common-eigenvector triangularization -----------
+
+def common_eigenvector(family, n):
+    """One simultaneous eigenvector: restrict to each member's first eigenspace in turn."""
+    v = ExactMatrix.identity(n)
+    for a in family:
+        r = solve(v, a @ v)
+        lam = eigenvalues_gaussian(r)[0][0]
+        v = v @ hstack(null_space(r - ExactMatrix.identity(r.rows).scale(lam)))
+    vec = list(v.col(0))
+    lead = next(x for x in vec if x)
+    return ExactMatrix.column([x / lead for x in vec])
 
 
-def test_complete_basis_matches_greedy_choice():
-    rng = random.Random(21)
-    for n in range(1, 7):
-        vectors = []
-        for k in range(n):
-            # one nonzero entry at each position, then random sparse and dense ones
-            vectors.append([gr(rng.randint(1, 5), rng.randint(-2, 2)) if i == k else ZERO for i in range(n)])
-        for _ in range(12):
-            v = list(random_matrix(rng, n, 1).entries)
-            for i in range(n):
-                if rng.random() < 0.4:
-                    v[i] = ZERO
-            if any(v):
-                vectors.append(v)
-        for v in vectors:
-            col = ExactMatrix.column(v)
-            p = _complete_basis(col, n)
-            assert p == greedy_complete_basis(col, n)
-            assert rank(p) == n
-            assert p.col(n - 1) == col.col(0)
+def complete_basis(v, n):
+    """Every standard vector except the one at v's last nonzero index, then v last."""
+    last = max(i for i in range(n) if v[i, 0])
+    return ExactMatrix.from_rows(
+        [[ONE if i == j else ZERO for j in range(n) if j != last] + [v[i, 0]] for i in range(n)]
+    )
+
+
+def recursive_triangularize(family):
+    """M with every M^-1 A M lower-triangular, by recursive eigenvector extraction.
+
+    A shared eigenvector is placed as the last basis vector, the family is
+    projected onto the standard-vector complement, and the process repeats
+    on the quotient.  It searches every eigenvalue through the
+    characteristic polynomial, so it shares no step with the kernel flag.
+    """
+    n = family[0].rows
+    if n <= 1:
+        return ExactMatrix.identity(n)
+    p = complete_basis(common_eigenvector(family, n), n)
+    p_inv = inverse(p)
+    q = recursive_triangularize([(p_inv @ a @ p).submatrix(range(n - 1), range(n - 1)) for a in family])
+    q_full = ExactMatrix.from_rows(
+        [list(q.row(i)) + [ZERO] for i in range(n - 1)] + [[ZERO] * (n - 1) + [ONE]]
+    )
+    return p @ q_full
+
+
+def _slice_families():
+    entries = [entry for order in (2, 3, 4) for _, entry in catalog(order).entries]
+    tensors = entries + [append_semisimple(t) for t in entries]
+    tensors += [leibniz(k) for k in range(1, 6)] + [crmhd(1), crmhd(F(5, 2))]
+    return [t.slices_upper() for t in tensors]
+
+
+SLICE_FAMILIES = _slice_families()
+SMALL_FAMILIES = [fam for fam in SLICE_FAMILIES if fam[0].rows <= 3]
+GAUSSIAN_SHIFTS = st.builds(gr, st.integers(-3, 3), st.integers(-2, 2))
+
+
+@st.composite
+def dense_conjugate(draw, family):
+    """The family moved by one dense GL_n(Z) matrix: shears times a diagonal."""
+    n = family[0].rows
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        for row in m:
+            row[j] += c * row[i]
+    d = draw(st.lists(st.sampled_from((1, -1, 2, 3)), min_size=n, max_size=n))
+    p = M([[m[i][j] * d[j] for j in range(n)] for i in range(n)])
+    p_inv = inverse(p)
+    return [p_inv @ a @ p for a in family]
+
+
+@st.composite
+def single_block_families(draw):
+    return draw(dense_conjugate(draw(st.sampled_from(SLICE_FAMILIES))))
+
+
+@st.composite
+def split_families(draw):
+    """Two shifted slice families side by side; member 0 has distinct eigenvalues."""
+    a, b = draw(st.sampled_from(SMALL_FAMILIES)), draw(st.sampled_from(SMALL_FAMILIES))
+    na, nb, k = a[0].rows, b[0].rows, max(len(a), len(b))
+    shifts = draw(st.lists(st.tuples(GAUSSIAN_SHIFTS, GAUSSIAN_SHIFTS), min_size=k, max_size=k))
+    lam0 = shifts[0][0]
+    shifts[0] = (lam0, draw(GAUSSIAN_SHIFTS.filter(lambda mu: mu != lam0)))
+    family = []
+    for x, (lam, mu) in enumerate(shifts):
+        top = (a[x] if x < len(a) else ExactMatrix.zeros(na, na)) + ExactMatrix.identity(na).scale(lam)
+        bottom = (b[x] if x < len(b) else ExactMatrix.zeros(nb, nb)) + ExactMatrix.identity(nb).scale(mu)
+        family.append(M(
+            [list(top.row(i)) + [ZERO] * nb for i in range(na)]
+            + [[ZERO] * na + list(bottom.row(i)) for i in range(nb)]
+        ))
+    return draw(dense_conjugate(family))
+
+
+def diagonals(m, family):
+    m_inv = inverse(m)
+    out = []
+    for a in family:
+        t = m_inv @ a @ m
+        assert t.is_lower_triangular()
+        out.append(t.diagonal_values())
+    return out
+
+
+def joint_spectrum(diags):
+    return sorted(zip(*diags), key=lambda tup: [x.sort_key() for x in tup])
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(single_block_families())
+def test_kernel_flag_matches_recursion_on_single_blocks(family):
+    n = family[0].rows
+    m = _kernel_flag(family, n)
+    assert m is not None
+    assert simultaneous_triangularize(family).matrix == m
+    assert diagonals(m, family) == diagonals(recursive_triangularize(family), family)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(split_families())
+def test_block_split_fallback_matches_recursion(family):
+    # the blocks come out in the order simultaneous_block_split sorts them,
+    # the recursion's eigenvectors in its own order: the joint spectra agree
+    assert _kernel_flag(family, family[0].rows) is None
+    ours = diagonals(simultaneous_triangularize(family).matrix, family)
+    assert joint_spectrum(ours) == joint_spectrum(diagonals(recursive_triangularize(family), family))
 
 
 def test_block_split_examples():
