@@ -103,12 +103,12 @@ def _tensor_triples(t: ExtensionTensor) -> Tuple[np.ndarray, np.ndarray, np.ndar
         for a, row in enumerate(plane):
             for nu, w in enumerate(row):
                 if w:
-                    if w.im:
+                    if not w.is_real():
                         raise DynamicsError("dynamics needs a real tensor")
                     lams.append(lam)
                     nus.append(nu)
                     rows.append(a)
-                    weights.append(float(w.re))
+                    weights.append(float(w))
     scatter = np.zeros((t.n, len(weights)))
     scatter[rows, np.arange(len(weights))] = weights
     return np.array(lams, dtype=np.intp), np.array(nus, dtype=np.intp), scatter
@@ -117,6 +117,8 @@ def _tensor_triples(t: ExtensionTensor) -> Tuple[np.ndarray, np.ndarray, np.ndar
 def _rhs(triples: Tuple[np.ndarray, np.ndarray, np.ndarray], h: HamiltonianSpec,
          state: np.ndarray) -> np.ndarray:
     lam, nu, scatter = triples
+    if not lam.size:
+        return np.zeros(state.shape)
     g = h.gradient(state)[nu]
     s = state[lam]
     cross = np.empty_like(s)
@@ -149,8 +151,8 @@ def exact_monitors(t: ExtensionTensor) -> List[Tuple[str, np.ndarray]]:
 
     out = []
     for k, q in enumerate(quadratic_casimir_basis(t)):
-        re = np.array([[float(q[i, j].re) for j in range(t.n)] for i in range(t.n)])
-        im = np.array([[float(q[i, j].im) for j in range(t.n)] for i in range(t.n)])
+        z = np.array([[complex(q[i, j]) for j in range(t.n)] for i in range(t.n)])
+        re, im = z.real.copy(), z.imag.copy()
         if np.any(re):
             out.append((f"Q{k}", re))
         if np.any(im):

@@ -448,7 +448,7 @@ def roots_in_gaussian_rationals(
     # clear denominators to land in Z[i]
     denom = 1
     for c in coeffs:
-        denom = lcm(denom, c.re.denominator, c.im.denominator)
+        denom = lcm(denom, c.denominator)
     zc = [c * gr(denom) for c in coeffs]
     candidates = []
     seen = set()

@@ -1,11 +1,14 @@
 """Exact scalar arithmetic over the Gaussian rationals Q(i).
 
 Every symbolic computation in this package is carried out over the field
-Q(i) = {a + b*i : a, b rational}, represented as a pair of
-``fractions.Fraction`` values.  The choice of Q(i) rather than plain Q is
-deliberate: the classification of extension tensors uses complex coordinate
-changes, and every one of them can be rescaled so that its entries lie in
-Q(i).
+Q(i) = {a + b*i : a, b rational}.  A scalar is stored as three integers
+(a, b, d) meaning (a + b*i)/d, with d > 0 and gcd(a, b, d) = 1, so that
+equal scalars have equal triples and the field operations are integer
+arithmetic followed by one gcd.  The real and imaginary parts are exposed
+as ``fractions.Fraction`` values.  The choice of Q(i) rather than plain Q
+is deliberate: the classification of extension tensors uses complex
+coordinate changes, and every one of them can be rescaled so that its
+entries lie in Q(i).
 
 The module also provides the small amount of Gaussian-integer number theory
 (divisor enumeration, exact square roots) needed by the eigenvalue search in
@@ -16,65 +19,86 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Iterator, Optional, Union
 
 Rat = Union[int, Fraction]
 
 
 class GaussianRational:
-    """An element a + b*i of Q(i), with exact Fraction components."""
+    """An element (a + b*i)/d of Q(i) in lowest terms: d > 0, gcd(a, b, d) = 1.
 
-    __slots__ = ("re", "im")
+    Immutable: ``re``, ``im`` and ``denominator`` are read-only properties,
+    and no operation changes the three integers of an existing scalar.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        # over d = lcm of the two reduced denominators, gcd(a, b, d) = 1 already
+        d = lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
 
-    @classmethod
-    def _raw(cls, re: Fraction, im: Fraction) -> "GaussianRational":
-        # fast path for arithmetic results: components are Fractions already
-        out = object.__new__(cls)
-        object.__setattr__(out, "re", re)
-        object.__setattr__(out, "im", im)
-        return out
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    @property
+    def denominator(self) -> int:
+        """The least common denominator of the real and imaginary parts."""
+        return self._d
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def is_one(self) -> bool:
-        return self.re == 1 and not self.im
+        return self._a == 1 and not self._b and self._d == 1
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self._b
 
     def is_gaussian_integer(self) -> bool:
-        return self.re.denominator == 1 and self.im.denominator == 1
+        return self._d == 1
 
     # -- field operations ---------------------------------------------------
 
     def __add__(self, other) -> "GaussianRational":
-        if isinstance(other, GaussianRational):
-            return GaussianRational._raw(self.re + other.re, self.im + other.im)
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational._raw(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, f = self._d, other._d
+        if d == f:
+            if d == 1:
+                return _make(self._a + other._a, self._b + other._b, 1)
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "GaussianRational":
-        if isinstance(other, GaussianRational):
-            return GaussianRational._raw(self.re - other.re, self.im - other.im)
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational._raw(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, f = self._d, other._d
+        if d == f:
+            if d == 1:
+                return _make(self._a - other._a, self._b - other._b, 1)
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other) -> "GaussianRational":
         other = _coerce(other)
@@ -83,34 +107,39 @@ class GaussianRational:
         return other - self
 
     def __mul__(self, other) -> "GaussianRational":
-        if isinstance(other, GaussianRational):
-            if not self.im and not other.im:
-                return GaussianRational._raw(self.re * other.re, _F_ZERO)
-            return GaussianRational._raw(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational._raw(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if not b and not e:
+            n, m = a * c, d * f
+            if m == 1:
+                return _make(n, 0, 1)
+            g = gcd(n, m)
+            return _make(n // g, 0, m // g)
+        if d == 1 and f == 1:
+            return _make(a * c - b * e, a * e + b * c, 1)
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "GaussianRational":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = other.re * other.re + other.im * other.im
-        if not n:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational._raw(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if not e:
+            if not c:
+                raise ZeroDivisionError("division by zero in Q(i)")
+            if c < 0:
+                a, b, c = -a, -b, -c
+            return _reduced(a * f, b * f, d * c)
+        # z / w = z * conj(w) * f / (c^2 + e^2) for w = (c + e*i)/f
+        return _reduced(f * (a * c + b * e), f * (b * c - a * e), d * (c * c + e * e))
 
     def __rtruediv__(self, other) -> "GaussianRational":
         other = _coerce(other)
@@ -119,7 +148,7 @@ class GaussianRational:
         return other / self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational._raw(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __pow__(self, k: int) -> "GaussianRational":
         if not isinstance(k, int):
@@ -138,22 +167,26 @@ class GaussianRational:
         return ONE / self
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
         """Field norm a^2 + b^2 (a nonnegative rational)."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     # -- comparisons / hashing ----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, GaussianRational):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, (int, Fraction)):
+            return not self._b and self._a == other.numerator and self._d == other.denominator
+        return NotImplemented
 
     def __hash__(self):
-        if not self.im:
+        # the hash of the Fraction pair: equal to hash(Fraction) for reals
+        if self._d == 1:
+            return hash(self._a) if not self._b else hash((self._a, self._b))
+        if not self._b:
             return hash(self.re)
         return hash((self.re, self.im))
 
@@ -162,54 +195,76 @@ class GaussianRational:
         return (self.re, self.im)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     # -- conversion / display -----------------------------------------------
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def __float__(self) -> float:
-        if self.im:
+        if self._b:
             raise ValueError(f"{self} has a nonzero imaginary part")
-        return float(self.re)
+        return self._a / self._d
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        sign = "+" if self.im >= 0 else "-"
-        mag = abs(self.im)
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        sign = "+" if im >= 0 else "-"
+        mag = abs(im)
         ims = "i" if mag == 1 else f"{mag}i"
-        if not self.re and sign == "+":
+        if not re and sign == "+":
             return ims if mag != 1 else "i"
-        if not self.re:
+        if not re:
             return f"-{ims}"
-        return f"{self.re}{sign}{ims}"
+        return f"{re}{sign}{ims}"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar (a + b*i)/d from a triple already in lowest terms."""
+    z = _new(GaussianRational)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar (a + b*i)/d for any d > 0, reduced by one gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _make(a, b, d)
 
 
 def _coerce(x) -> "GaussianRational":
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
+        return _make(x.numerator, 0, x.denominator)
     return NotImplemented
 
 
 def as_scalar(x) -> "GaussianRational":
     """A Q(i) scalar from a scalar, an int, a Fraction or its string form."""
-    if isinstance(x, GaussianRational):
+    if type(x) is GaussianRational:
         return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
+    if isinstance(x, (GaussianRational, int, Fraction)):
+        return _coerce(x)
     if isinstance(x, str):
         return parse_scalar(x)
     raise TypeError(f"cannot interpret {x!r} as a Q(i) scalar")
 
 
-_F_ZERO = Fraction(0)
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
@@ -233,21 +288,18 @@ _SCALAR_RE = _re.compile(
 def parse_scalar(text: str) -> GaussianRational:
     """Parse the string form produced by :func:`format_scalar`.
 
-    Accepts "p/q", "p/q+r/si", "i", "-i", "3i", "1/2-3/4i".
+    Accepts "p/q", "p/q+r/si", "i", "-i", "3i", "1/2-3/4i".  A malformed
+    string or a zero denominator raises ValueError.
     """
     m = _SCALAR_RE.match(text)
     if not m or (m.group("re") is None and m.group("im") is None):
         raise ValueError(f"not a Q(i) scalar: {text!r}")
-    re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
-    im_part = Fraction(0)
-    if m.group("im"):
-        body = m.group("im")[:-1].replace(" ", "")  # strip trailing 'i' and spaces
-        if body in ("", "+"):
-            im_part = Fraction(1)
-        elif body == "-":
-            im_part = Fraction(-1)
-        else:
-            im_part = Fraction(body)
+    body = m.group("im")[:-1].replace(" ", "") if m.group("im") else "0"  # strip 'i'
+    try:
+        re_part = Fraction(m.group("re") or 0)
+        im_part = Fraction({"": 1, "+": 1, "-": -1}.get(body, body))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in Q(i) scalar: {text!r}") from None
     return GaussianRational(re_part, im_part)
 
 

@@ -42,3 +42,20 @@ def test_witness_steps_expose_what_the_metrics_read():
             assert all(isinstance(x, GaussianRational) for x in b.m.entries)
             assert isinstance(b.scale, GaussianRational)
         assert workloads.witness_max_bits(chain) > 0
+
+
+def test_scalar_parts_are_fractions_and_scalars_hash_like_rationals():
+    # workloads.max_bits reads .numerator and .denominator off z.re and z.im
+    from fractions import Fraction
+
+    from liepoisson.scalars import gr
+
+    for z in (gr(0), gr(3), gr(Fraction(-5, 12)), gr(Fraction(1, 2), Fraction(-2, 3)), gr(0, 2 ** 70)):
+        for q in (z.re, z.im):
+            assert isinstance(q, Fraction)
+            assert isinstance(q.numerator, int) and isinstance(q.denominator, int)
+    assert workloads.max_bits([gr(Fraction(1, 2 ** 40), 2 ** 50)]) == 51
+    for q in (0, 1, -3, 2 ** 64 + 1, Fraction(1, 3), Fraction(-7, 2 ** 65), Fraction(2 ** 61 - 1, 3)):
+        assert gr(q) == q and q == gr(q)
+        assert hash(gr(q)) == hash(q)
+        assert {q: 1}[gr(q)] == 1

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from liepoisson.cli import EXIT_INVALID, main
+from liepoisson.cli import EXIT_INVALID, EXIT_PARSE, main
 from liepoisson.classify import catalog
 from liepoisson.dynamics import rigid_body_tensor
 from liepoisson.extension import ExtensionTensor, crmhd, leibniz
@@ -335,6 +335,18 @@ def test_document_round_trip_determinism(tmp_path, capsys):
     t = ExtensionTensor.from_json(doc)
     assert doc["beta"] == "5/2"
     assert json.dumps(t.to_json()["w"]) == json.dumps(doc["w"])
+
+
+@pytest.mark.parametrize("entry", ["1/0", "0/0", "1+1/0i"])
+def test_zero_denominator_is_a_parse_error(tmp_path, entry):
+    doc = tmp_path / "zero_denominator.json"
+    doc.write_text(json.dumps({"n": 1, "semidirect": False, "w": [[[entry]]]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run([sys.executable, "-m", "liepoisson.cli", "classify", str(doc)],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == EXIT_PARSE
+    assert "zero denominator" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_console_script_installed():

@@ -98,10 +98,11 @@ def test_rhs_rejects_complex_tensor():
 
 def test_rhs_of_zero_tensor_is_zero():
     rng = np.random.default_rng(4)
-    for n in (1, 3):
-        rhs = eom_rhs(abelian(n), random_hamiltonian(rng, n), FieldState(rng.normal(size=(n, 3))))
-        assert rhs.shape == (n, 3)
-        assert not np.any(rhs)
+    for t in (abelian(1), abelian(3), leibniz(1)):
+        n = t.n
+        rhs = eom_rhs(t, random_hamiltonian(rng, n), FieldState(rng.normal(size=(n, 3))))
+        assert rhs.shape == (n, 3) and rhs.dtype == np.float64
+        assert np.array_equal(rhs, np.zeros((n, 3)))
 
 
 def test_dimension_mismatch():

@@ -1,12 +1,17 @@
+import operator
 import random
 from fractions import Fraction
+from math import gcd, isqrt, lcm, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liepoisson.scalars import (
     I,
     ONE,
     ZERO,
+    GaussianRational,
+    _factor_int,
     format_scalar,
     gaussian_divisors,
     gr,
@@ -139,3 +144,262 @@ def test_sort_key_total_order():
     vals = [gr(1), gr(0, 1), gr(-1), gr(Fraction(1, 2), 3)]
     ordered = sorted(vals, key=lambda z: z.sort_key())
     assert ordered[0] == gr(-1)
+
+
+def test_parse_rejects_zero_denominators():
+    for text in ("1/0", "0/0", "-3/0", "1/0i", "2+1/0i", "1/0-i"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_scalar(text)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the Fraction-pair representation the integer triple replaced
+# ---------------------------------------------------------------------------
+
+class FractionPairGaussian:
+    """a + b*i stored as two Fractions, with the arithmetic written on them."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def is_zero(self):
+        return not self.re and not self.im
+
+    def is_one(self):
+        return self.re == 1 and not self.im
+
+    def is_real(self):
+        return not self.im
+
+    def is_gaussian_integer(self):
+        return self.re.denominator == 1 and self.im.denominator == 1
+
+    def __add__(self, other):
+        other = _ref(other)
+        return FractionPairGaussian(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _ref(other)
+        return FractionPairGaussian(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return _ref(other) - self
+
+    def __mul__(self, other):
+        other = _ref(other)
+        return FractionPairGaussian(self.re * other.re - self.im * other.im,
+                                    self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _ref(other)
+        n = other.re * other.re + other.im * other.im
+        if not n:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        return FractionPairGaussian((self.re * other.re + self.im * other.im) / n,
+                                    (self.im * other.re - self.re * other.im) / n)
+
+    def __rtruediv__(self, other):
+        return _ref(other) / self
+
+    def __neg__(self):
+        return FractionPairGaussian(-self.re, -self.im)
+
+    def __pow__(self, k):
+        if k < 0:
+            return (FractionPairGaussian(1) / self) ** (-k)
+        out, base = FractionPairGaussian(1), self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def conjugate(self):
+        return FractionPairGaussian(self.re, -self.im)
+
+    def norm(self):
+        return self.re * self.re + self.im * self.im
+
+    def __eq__(self, other):
+        other = _ref(other)
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash(self.re) if not self.im else hash((self.re, self.im))
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __str__(self):
+        if not self.im:
+            return str(self.re)
+        sign = "+" if self.im >= 0 else "-"
+        mag = abs(self.im)
+        ims = "i" if mag == 1 else f"{mag}i"
+        if not self.re and sign == "+":
+            return ims if mag != 1 else "i"
+        if not self.re:
+            return f"-{ims}"
+        return f"{self.re}{sign}{ims}"
+
+
+def _ref(x):
+    return x if isinstance(x, FractionPairGaussian) else FractionPairGaussian(x)
+
+
+def ref_sqrt_gaussian(z):
+    if z.is_zero():
+        return FractionPairGaussian()
+    if not z.im:
+        for sign, unit in ((1, (1, 0)), (-1, (0, 1))):
+            s = sqrt_fraction(sign * z.re)
+            if s is not None:
+                return FractionPairGaussian(unit[0] * s, unit[1] * s)
+        return None
+    r = sqrt_fraction(z.norm())
+    if r is None:
+        return None
+    x = sqrt_fraction((z.re + r) / 2)
+    if x is None or x == 0:
+        return None
+    return FractionPairGaussian(x, z.im / (2 * x))
+
+
+def ref_gaussian_factor(z):
+    out = []
+    for p in sorted(_factor_int(int(z.norm()))):
+        if p == 2:
+            candidates = [FractionPairGaussian(1, 1)]
+        elif p % 4 == 3:
+            candidates = [FractionPairGaussian(p)]
+        else:
+            c = next(c for c in range(1, p) if isqrt(p - c * c) ** 2 == p - c * c)
+            pi = FractionPairGaussian(c, isqrt(p - c * c))
+            candidates = [pi, pi.conjugate()]
+        for pi in candidates:
+            e = 0
+            while (z / pi).is_gaussian_integer():
+                z = z / pi
+                e += 1
+            if e:
+                out.append((pi, e))
+    return out
+
+
+def ref_square_free_part(z):
+    if z.is_zero():
+        return FractionPairGaussian(), FractionPairGaussian(1)
+    if z.is_real():
+        q = abs(z.re)
+        sf = prod(p for p, e in _factor_int(q.numerator * q.denominator).items() if e % 2)
+        return FractionPairGaussian(sf if z.re > 0 else -sf), FractionPairGaussian(sqrt_fraction(q / sf))
+    den = lcm(z.re.denominator, z.im.denominator)
+    rep = FractionPairGaussian(1)
+    for prime, exp in ref_gaussian_factor(z * (den * den)):
+        if exp % 2:
+            rep = rep * prime
+    s = ref_sqrt_gaussian(z / rep)
+    if s is None:
+        rep = rep * FractionPairGaussian(0, 1)
+        s = ref_sqrt_gaussian(z / rep)
+    return rep, s
+
+
+BIG = 2 ** 64
+
+
+def _components(bound):
+    big = st.builds(Fraction, st.integers(-bound, bound), st.integers(1, bound))
+    return st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction), big)
+
+
+def _pairs(bound):
+    return st.tuples(_components(bound), _components(bound))
+
+
+def _operands(bound):
+    """Gaussian rationals as (re, im) pairs, plain ints and plain Fractions."""
+    return st.one_of(_pairs(bound), st.integers(-bound, bound),
+                     st.builds(Fraction, st.integers(-bound, bound), st.integers(1, bound)))
+
+
+def _both(x):
+    """The operand as a scalar and as its reference (ints and Fractions stay as they are)."""
+    if isinstance(x, tuple):
+        return gr(*x), FractionPairGaussian(*x)
+    return x, x
+
+
+def assert_agrees(z, ref):
+    assert isinstance(z, GaussianRational)
+    assert (z.re, z.im) == (ref.re, ref.im)
+    assert isinstance(z.re, Fraction) and isinstance(z.im, Fraction)
+    a, b, d = z._a, z._b, z._d
+    assert d > 0 and gcd(a, b, d) == 1
+    assert z.denominator == lcm(ref.re.denominator, ref.im.denominator)
+    assert str(z) == str(ref)
+    assert parse_scalar(str(z)) == z
+    assert hash(z) == hash(ref)
+    assert bool(z) == bool(ref)
+    for pred in ("is_zero", "is_one", "is_real", "is_gaussian_integer"):
+        assert getattr(z, pred)() == getattr(ref, pred)(), pred
+    assert z.norm() == ref.norm()
+    assert_same_scalar(z.conjugate(), ref.conjugate())
+
+
+def assert_same_scalar(z, ref):
+    assert (z.re, z.im) == (ref.re, ref.im)
+    assert gcd(z._a, z._b, z._d) == 1 and z._d > 0
+
+
+BINARY = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(x=_pairs(BIG), y=_operands(BIG), k=st.integers(-3, 4))
+def test_arithmetic_matches_fraction_pair_reference(x, y, k):
+    z, zr = _both(x)
+    w, wr = _both(y)
+    assert_agrees(z, zr)
+    for op in BINARY:
+        for (p, p_ref), (q, q_ref) in (((z, zr), (w, wr)), ((w, wr), (z, zr))):
+            if op is operator.truediv and not q_ref:
+                with pytest.raises(ZeroDivisionError):
+                    op(p, q)
+                continue
+            assert_agrees(op(p, q), op(p_ref, q_ref))
+    assert (z == w) == (zr == wr) and (w == z) == (zr == wr)
+    assert (z != w) == (not zr == wr)
+    if zr or k >= 0:
+        assert_agrees(z ** k, zr ** k)
+    assert_agrees(-z, -zr)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(x=_pairs(BIG))
+def test_sqrt_gaussian_matches_fraction_pair_reference(x):
+    z, zr = _both(x)
+    for arg, ref in ((z, zr), (z * z, zr * zr), (-(z * z), -(zr * zr)), (z * z * I, zr * zr * FractionPairGaussian(0, 1))):
+        got, want = sqrt_gaussian(arg), ref_sqrt_gaussian(ref)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert_agrees(got, want)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(x=_pairs(2 ** 10))
+def test_square_free_part_matches_fraction_pair_reference(x):
+    # small operands: both sides factor by trial division
+    z, zr = _both(x)
+    (rep, s), (rep_r, s_r) = square_free_part(z), ref_square_free_part(zr)
+    assert_agrees(rep, rep_r)
+    assert_agrees(s, s_r)
+    assert rep * s * s == z
