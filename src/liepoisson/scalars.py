@@ -35,9 +35,6 @@ class GaussianRational:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
-        if type(re) is int and type(im) is int:
-            self._a, self._b, self._d = re, im, 1
-            return
         re, im = Fraction(re), Fraction(im)
         # over d = lcm of the two reduced denominators, gcd(a, b, d) = 1 already
         d = lcm(re.denominator, im.denominator)
@@ -80,10 +77,6 @@ class GaussianRational:
             if other is NotImplemented:
                 return NotImplemented
         d, f = self._d, other._d
-        if d == f:
-            if d == 1:
-                return _make(self._a + other._a, self._b + other._b, 1)
-            return _reduced(self._a + other._a, self._b + other._b, d)
         return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
@@ -94,10 +87,6 @@ class GaussianRational:
             if other is NotImplemented:
                 return NotImplemented
         d, f = self._d, other._d
-        if d == f:
-            if d == 1:
-                return _make(self._a - other._a, self._b - other._b, 1)
-            return _reduced(self._a - other._a, self._b - other._b, d)
         return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other) -> "GaussianRational":
@@ -114,13 +103,7 @@ class GaussianRational:
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
         if not b and not e:
-            n, m = a * c, d * f
-            if m == 1:
-                return _make(n, 0, 1)
-            g = gcd(n, m)
-            return _make(n // g, 0, m // g)
-        if d == 1 and f == 1:
-            return _make(a * c - b * e, a * e + b * c, 1)
+            return _reduced(a * c, 0, d * f)
         return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
@@ -132,12 +115,8 @@ class GaussianRational:
                 return NotImplemented
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
-        if not e:
-            if not c:
-                raise ZeroDivisionError("division by zero in Q(i)")
-            if c < 0:
-                a, b, c = -a, -b, -c
-            return _reduced(a * f, b * f, d * c)
+        if not c and not e:
+            raise ZeroDivisionError("division by zero in Q(i)")
         # z / w = z * conj(w) * f / (c^2 + e^2) for w = (c + e*i)/f
         return _reduced(f * (a * c + b * e), f * (b * c - a * e), d * (c * c + e * e))
 
@@ -184,8 +163,6 @@ class GaussianRational:
 
     def __hash__(self):
         # the hash of the Fraction pair: equal to hash(Fraction) for reals
-        if self._d == 1:
-            return hash(self._a) if not self._b else hash((self._a, self._b))
         if not self._b:
             return hash(self.re)
         return hash((self.re, self.im))
@@ -256,8 +233,6 @@ def _coerce(x) -> "GaussianRational":
 
 def as_scalar(x) -> "GaussianRational":
     """A Q(i) scalar from a scalar, an int, a Fraction or its string form."""
-    if type(x) is GaussianRational:
-        return x
     if isinstance(x, (GaussianRational, int, Fraction)):
         return _coerce(x)
     if isinstance(x, str):
@@ -380,7 +355,7 @@ def square_free_part_zi(z: GaussianRational):
     """
     if z.is_zero():
         return ZERO, ONE
-    den = lcm(z.re.denominator, z.im.denominator)
+    den = z.denominator
     g = z * GaussianRational(den * den)
     rep = ONE
     for prime, exp in gaussian_factor(g):
