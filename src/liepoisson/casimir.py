@@ -248,7 +248,7 @@ def _solvable_range(t: ExtensionTensor) -> Tuple[int, int]:
 
 
 def _require_identity_w0(t: ExtensionTensor) -> None:
-    if t.semidirect and not t.slice_upper(0).is_identity():
+    if t.semidirect and not t.slice_is_identity(0):
         raise CasimirError("semidirect tensor must have identity first slice")
 
 

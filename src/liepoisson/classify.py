@@ -169,7 +169,7 @@ def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
         t = apply(t, b, check=False)
         chain.append(b)
     _require_single_block(t)
-    ev = t.slice_upper(0).diagonal_values()[0]
+    ev = t.slice_diagonal(0)[0]
     semidirect = bool(ev)
     if semidirect:
         t, b = normalize_w0_to_identity(t)
@@ -199,13 +199,13 @@ def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
 
 def _require_single_block(t: ExtensionTensor) -> None:
     for nu in range(t.n):
-        diag = t.slice_upper(nu).diagonal_values()
+        diag = t.slice_diagonal(nu)
         if any(d != diag[0] for d in diag):
             raise NotSingleBlock(
                 "tensor has blocks with distinct eigenvalues; split it first"
             )
     for nu in range(1, t.n):
-        if t.slice_upper(nu).diagonal_values()[0]:
+        if t.slice_diagonal(nu)[0]:
             raise NotSingleBlock("slice past the first has a nonzero eigenvalue")
 
 

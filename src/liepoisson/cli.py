@@ -121,7 +121,7 @@ def cmd_classify(args) -> int:
 def _normalized_for_casimir(t: ExtensionTensor):
     """Classify when needed so synthesis sees a normalized tensor."""
     ready = t.is_lower_triangular() and (
-        not any(t.slice_upper(0).diagonal_values()) or t.slice_upper(0).is_identity()
+        not any(t.slice_diagonal(0)) or t.slice_is_identity(0)
     )
     if ready:
         return t, None

@@ -80,27 +80,36 @@ class ExtensionTensor:
 
     def slice_upper(self, nu: int) -> ExactMatrix:
         """W^(nu): rows lambda, columns mu."""
-        return ExactMatrix.from_rows(
-            [[self.w[lam][mu][nu] for mu in range(self.n)] for lam in range(self.n)]
-        )
+        return ExactMatrix._of(self.n, self.n, [row[nu] for plane in self.w for row in plane])
 
     def slice_lower(self, lam: int) -> ExactMatrix:
         """W_(lam): the symmetric matrix of entries with lower index lam."""
-        return ExactMatrix.from_rows([list(row) for row in self.w[lam]])
+        return ExactMatrix._of(self.n, self.n, [x for row in self.w[lam] for x in row])
 
     def slices_upper(self) -> List[ExactMatrix]:
         return [self.slice_upper(nu) for nu in range(self.n)]
 
+    # The predicates below read the stored entries: entry (lam, mu) of W^(nu)
+    # is w[lam][mu][nu], so every slice vanishes above its diagonal exactly
+    # when the rows w[lam][mu] with mu > lam are zero.
+
+    def slice_diagonal(self, nu: int) -> List[GaussianRational]:
+        """The diagonal of W^(nu)."""
+        return [self.w[lam][lam][nu] for lam in range(self.n)]
+
+    def slice_is_identity(self, nu: int) -> bool:
+        """Whether W^(nu) is the identity matrix."""
+        return all(
+            plane[mu][nu] == (ONE if lam == mu else ZERO)
+            for lam, plane in enumerate(self.w) for mu in range(self.n)
+        )
+
     def is_lower_triangular(self) -> bool:
-        return all(self.slice_upper(nu).is_lower_triangular() for nu in range(self.n))
+        return not any(any(row) for lam, plane in enumerate(self.w) for row in plane[lam + 1:])
 
     def is_solvable(self) -> bool:
         """All slice matrices triangular with zero diagonal (hence nilpotent)."""
-        for nu in range(self.n):
-            s = self.slice_upper(nu)
-            if not s.is_lower_triangular() or any(s.diagonal_values()):
-                return False
-        return True
+        return not any(any(row) for lam, plane in enumerate(self.w) for row in plane[lam:])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtensionTensor):

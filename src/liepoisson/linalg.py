@@ -8,10 +8,18 @@ eigenvalue search restricted to Q(i) by Gaussian-integer divisor enumeration.
 Matrices are dense :class:`ExactMatrix` values, but there is one elimination
 and it is sparse: :func:`_rref_rows` runs Gauss-Jordan on rows held as
 ``{column: value}`` dicts of their nonzero entries, touching only the rows
-that hold each pivot column.  :func:`rref` (and with it ``rank``, ``solve``,
-``inverse`` and ``pseudoinverse``) and :func:`null_space` convert to it;
-callers that build large sparse systems, such as the quadratic Casimir
-solver, pass their rows straight to :func:`null_space_rows`.
+that hold each pivot column.  :func:`rref` (and with it ``rank``, ``solve``
+and ``pseudoinverse``) and :func:`null_space` convert to it.  :func:`inverse`
+hands it the nonzeros of [A | I] directly, and callers that build large
+sparse systems, such as the quadratic Casimir solver, pass their rows to
+:func:`null_space_rows`.
+
+Only the public constructors coerce: ``ExactMatrix(rows, cols, entries)``,
+``from_rows``, ``column`` and ``diagonal`` accept ints, ``Fraction`` values
+and scalar strings.  Every matrix computed here (arithmetic, ``transpose``,
+``submatrix``, ``identity``, ``rref``, ``inverse``, ...) already holds
+:class:`GaussianRational` entries and goes through the trusted
+``ExactMatrix._of``, which checks and converts nothing.
 
 Two higher operations act on *families* of commuting matrices:
 
@@ -86,6 +94,15 @@ class ExactMatrix:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
+    def _of(rows: int, cols: int, entries: Iterable[GaussianRational]) -> "ExactMatrix":
+        """Trusted constructor: ``entries`` are already rows * cols scalars, in row-major order."""
+        m = object.__new__(ExactMatrix)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", tuple(entries))
+        return m
+
+    @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "ExactMatrix":
         r = len(rows)
         c = len(rows[0]) if r else 0
@@ -95,17 +112,17 @@ class ExactMatrix:
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+        return ExactMatrix._of(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix(rows, cols, [ZERO] * (rows * cols))
+        return ExactMatrix._of(rows, cols, [ZERO] * (rows * cols))
 
     @staticmethod
     def diagonal(values: Sequence) -> "ExactMatrix":
         vals = [as_scalar(v) for v in values]
         n = len(vals)
-        return ExactMatrix(n, n, [vals[i] if i == j else ZERO for i in range(n) for j in range(n)])
+        return ExactMatrix._of(n, n, [vals[i] if i == j else ZERO for i in range(n) for j in range(n)])
 
     @staticmethod
     def column(values: Sequence) -> "ExactMatrix":
@@ -130,10 +147,10 @@ class ExactMatrix:
     def with_entry(self, i: int, j: int, value) -> "ExactMatrix":
         e = list(self.entries)
         e[i * self.cols + j] = as_scalar(value)
-        return ExactMatrix(self.rows, self.cols, e)
+        return ExactMatrix._of(self.rows, self.cols, e)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "ExactMatrix":
-        return ExactMatrix(
+        return ExactMatrix._of(
             len(row_idx),
             len(col_idx),
             [self[i, j] for i in row_idx for j in col_idx],
@@ -143,18 +160,18 @@ class ExactMatrix:
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._same_shape(other)
-        return ExactMatrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
+        return ExactMatrix._of(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._same_shape(other)
-        return ExactMatrix(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
+        return ExactMatrix._of(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, [-a for a in self.entries])
+        return ExactMatrix._of(self.rows, self.cols, [-a for a in self.entries])
 
     def scale(self, c) -> "ExactMatrix":
         c = as_scalar(c)
-        return ExactMatrix(self.rows, self.cols, [c * a for a in self.entries])
+        return ExactMatrix._of(self.rows, self.cols, [c * a for a in self.entries])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -169,7 +186,7 @@ class ExactMatrix:
                     if a:
                         acc = acc + a * other.entries[k * other.cols + j]
                 out.append(acc)
-        return ExactMatrix(self.rows, other.cols, out)
+        return ExactMatrix._of(self.rows, other.cols, out)
 
     def __pow__(self, k: int) -> "ExactMatrix":
         if self.rows != self.cols:
@@ -184,10 +201,12 @@ class ExactMatrix:
         return out
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.cols, self.rows, [self[i, j] for j in range(self.cols) for i in range(self.rows)])
+        return ExactMatrix._of(
+            self.cols, self.rows, [self[i, j] for j in range(self.cols) for i in range(self.rows)]
+        )
 
     def conjugate_transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
+        return ExactMatrix._of(
             self.cols, self.rows,
             [self[i, j].conjugate() for j in range(self.cols) for i in range(self.rows)],
         )
@@ -294,7 +313,7 @@ def rref(a: ExactMatrix) -> Tuple[ExactMatrix, List[int]]:
     reduced, pivots = _rref_rows(dict(enumerate(a.row(i))) for i in range(a.rows))
     entries = [row.get(j, ZERO) for row in reduced for j in range(a.cols)]
     entries += [ZERO] * ((a.rows - len(reduced)) * a.cols)
-    return ExactMatrix(a.rows, a.cols, entries), pivots
+    return ExactMatrix._of(a.rows, a.cols, entries), pivots
 
 
 def rank(a: ExactMatrix) -> int:
@@ -326,7 +345,7 @@ def null_space_rows(rows: Iterable[Dict[int, object]], cols: int) -> List[ExactM
             x = row.get(f)
             if x:
                 v[p] = -x
-        basis.append(ExactMatrix.column(v))
+        basis.append(ExactMatrix._of(cols, 1, v))
     return basis
 
 
@@ -334,8 +353,8 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
     """One exact solution X of a @ X = b, or None when inconsistent."""
     if a.rows != b.rows:
         raise ValueError("incompatible shapes")
-    aug = ExactMatrix(a.rows, a.cols + b.cols, [
-        x for i in range(a.rows) for x in (list(a.row(i)) + list(b.row(i)))
+    aug = ExactMatrix._of(a.rows, a.cols + b.cols, [
+        x for i in range(a.rows) for x in a.row(i) + b.row(i)
     ])
     r, pivots = rref(aug)
     if any(p >= a.cols for p in pivots):
@@ -344,17 +363,28 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
     for i, p in enumerate(pivots):
         for j in range(b.cols):
             out[p][j] = r[i, a.cols + j]
-    return ExactMatrix.from_rows(out) if a.cols else ExactMatrix.zeros(0, b.cols)
+    return ExactMatrix._of(a.cols, b.cols, [x for row in out for x in row])
 
 
 def inverse(a: ExactMatrix) -> ExactMatrix:
-    """One row reduction of [a | I]: a X = I is solvable exactly when a is invertible."""
-    if a.rows != a.cols:
+    """One sparse row reduction of [a | I], held as rows of nonzeros.
+
+    [a | I] always has rank n; a is invertible exactly when the pivots are
+    the columns 0..n-1 of a, and then the right half of the RREF is a^-1.
+    A shear, a permutation or a diagonal matrix touches O(n) entries.
+    """
+    n = a.rows
+    if n != a.cols:
         raise ValueError("only square matrices are invertible")
-    x = solve(a, ExactMatrix.identity(a.rows))
-    if x is None:
+    rows = []
+    for i in range(n):
+        row = {j: x for j, x in enumerate(a.row(i)) if x}
+        row[n + i] = ONE
+        rows.append(row)
+    reduced, pivots = _rref_rows(rows)
+    if pivots != list(range(n)):
         raise LinalgError("matrix is singular")
-    return x
+    return ExactMatrix._of(n, n, [row.get(j, ZERO) for row in reduced for j in range(n, 2 * n)])
 
 
 def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
@@ -365,7 +395,7 @@ def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     for i in range(rows):
         for m in mats:
             out.extend(m.row(i))
-    return ExactMatrix(rows, sum(m.cols for m in mats), out)
+    return ExactMatrix._of(rows, sum(m.cols for m in mats), out)
 
 
 def pseudoinverse(a: ExactMatrix) -> ExactMatrix:
@@ -563,7 +593,7 @@ def _scale_last_column(m: ExactMatrix, c: GaussianRational) -> ExactMatrix:
     j = m.cols - 1
     for i in range(m.rows):
         e[i * m.cols + j] = e[i * m.cols + j] * c
-    return ExactMatrix(m.rows, m.cols, e)
+    return ExactMatrix._of(m.rows, m.cols, e)
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +607,23 @@ def _check_family(family: Sequence[ExactMatrix]) -> int:
     for a in family:
         if a.rows != a.cols or a.rows != n:
             raise ValueError("family matrices must be square and same size")
+    # row r of A_i A_j - A_j A_i, entry by entry over the nonzeros of each row
+    rows = [[[(k, x) for k, x in enumerate(a.row(r)) if x] for r in range(n)] for a in family]
     for i in range(len(family)):
         for j in range(i + 1, len(family)):
-            if family[i] @ family[j] != family[j] @ family[i]:
-                raise NotCommuting(i, j)
+            a, b = rows[i], rows[j]
+            for r in range(n):
+                acc: Dict[int, GaussianRational] = {}
+                for k, x in a[r]:
+                    for c, y in b[k]:
+                        z = acc.get(c)
+                        acc[c] = x * y if z is None else z + x * y
+                for k, x in b[r]:
+                    for c, y in a[k]:
+                        z = acc.get(c)
+                        acc[c] = -(x * y) if z is None else z - x * y
+                if any(acc.values()):
+                    raise NotCommuting(i, j)
     return n
 
 
@@ -605,7 +648,8 @@ def _kernel_flag(family: Sequence[ExactMatrix], n: int) -> Optional[ExactMatrix]
     free: List[int] = []
     columns: List[ExactMatrix] = []
     while len(free) < n:
-        r, pivots = rref(ExactMatrix.from_rows([row for s in shifted for row in (q @ s).to_rows()]))
+        stacked = [x for s in shifted for x in (q @ s).entries]
+        r, pivots = rref(ExactMatrix._of(q.rows * len(shifted), n, stacked))
         q = r.submatrix(range(len(pivots)), range(n))
         now = [f for f in range(n) if f not in pivots]
         new = [v for f, v in zip(now, null_space(q)) if f not in free]
@@ -613,7 +657,7 @@ def _kernel_flag(family: Sequence[ExactMatrix], n: int) -> Optional[ExactMatrix]
             return None
         columns[:0] = new
         free = now
-    return ExactMatrix(n, n, [v[i, 0] for i in range(n) for v in columns])
+    return ExactMatrix._of(n, n, [v[i, 0] for i in range(n) for v in columns])
 
 
 def simultaneous_triangularize(family: Sequence[ExactMatrix]) -> BasisChange:

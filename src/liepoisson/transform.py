@@ -110,34 +110,42 @@ def apply(t: ExtensionTensor, b: BasisChange, check: bool = True) -> ExtensionTe
     m_cols = [[(mu, m[mu * n + a]) for mu in span if m[mu * n + a]] for a in span]
     m_rows = [[(g, x) for g, x in enumerate(m[nu * n:nu * n + n]) if x] for nu in span]
     upper = [
-        [(mu, nu, x) for mu, row in enumerate(plane) for nu, x in enumerate(row) if nu >= mu and x]
+        [((mu, nu), x) for mu, row in enumerate(plane) for nu, x in enumerate(row[mu:], mu) if x]
         for plane in t.w
     ]
+    # T1, T2 and each output row are dicts of the entries a product touched;
+    # only those are tested for zero, so exact cancellations are dropped
     w = []
     for beta in span:
-        t1 = [[ZERO] * n for _ in span]
+        t1 = {}
         for lam, c in enumerate(m_inv[beta * n:beta * n + n]):
             if c:
-                for mu, nu, x in upper[lam]:
-                    t1[mu][nu] = t1[mu][nu] + c * x
-        for mu in span:
-            for nu in range(mu + 1, n):
-                t1[nu][mu] = t1[mu][nu]
-        t1_rows = [[(nu, x) for nu, x in enumerate(row) if x] for row in t1]
+                for key, x in upper[lam]:
+                    y = t1.get(key)
+                    t1[key] = c * x if y is None else y + c * x
+        t1_rows = [[] for _ in span]
+        for (mu, nu), x in t1.items():
+            if x:
+                t1_rows[mu].append((nu, x))
+                if nu != mu:
+                    t1_rows[nu].append((mu, x))
         plane = [[ZERO] * n for _ in span]
         for a in span:
-            t2 = [ZERO] * n
+            t2 = {}
             for mu, c in m_cols[a]:
                 for nu, x in t1_rows[mu]:
-                    t2[nu] = t2[nu] + c * x
-            row = [ZERO] * n
-            for nu, x in enumerate(t2):
+                    y = t2.get(nu)
+                    t2[nu] = c * x if y is None else y + c * x
+            row = {}
+            for nu, x in t2.items():
                 if x:
                     for g, c in m_rows[nu]:
                         if g >= a:
-                            row[g] = row[g] + x * c
-            for g in range(a, n):
-                plane[a][g] = plane[g][a] = row[g]
+                            y = row.get(g)
+                            row[g] = x * c if y is None else y + x * c
+            for g, y in row.items():
+                if y:
+                    plane[a][g] = plane[g][a] = y
         w.append(tuple(tuple(r) for r in plane))
     out = ExtensionTensor(n, t.semidirect, tuple(w))
     return validate(out) if check else out
@@ -166,7 +174,7 @@ def normalize_w0_to_identity(t: ExtensionTensor) -> Tuple[ExtensionTensor, Basis
     n = t.n
     if not t.is_lower_triangular():
         raise NotTriangular("tensor slices are not lower-triangular")
-    diag = t.slice_upper(0).diagonal_values()
+    diag = t.slice_diagonal(0)
     if any(d != diag[0] for d in diag):
         raise DegenerateEigenvalueMismatch("first slice eigenvalues are not all equal")
     ev = diag[0]
@@ -183,7 +191,7 @@ def normalize_w0_to_identity(t: ExtensionTensor) -> Tuple[ExtensionTensor, Basis
             m = ExactMatrix.identity(n).with_entry(lam, 0, -a)
             t = apply(t, BasisChange(m))
             total = total @ m
-    if not t.slice_upper(0).is_identity():
+    if not t.slice_is_identity(0):
         raise TransformError("internal error: W^(0) normalization did not reach the identity")
     t = ExtensionTensor(t.n, True, t.w)
     return t, BasisChange(total)

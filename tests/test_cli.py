@@ -240,6 +240,44 @@ def test_classify_triangularizes_without_an_eigenvalue_search(monkeypatch):
     assert moved == 2 * 15 - 3
 
 
+def test_basis_changes_invert_without_the_dense_path(monkeypatch):
+    """Witness steps are inverted by one sparse elimination, never through solve or rref."""
+    import random
+
+    from liepoisson import linalg
+    from liepoisson.classify import classify
+    from liepoisson.extension import append_semisimple
+
+    rng = random.Random(12)
+    counts = _count_calls(monkeypatch, linalg.solve, linalg.rref, linalg._rref_rows)
+    inside = {key: 0 for key in counts}
+    constructed = 0
+    init = linalg.BasisChange.__init__
+
+    def init_and_count(self, *args, **kwargs):
+        nonlocal constructed
+        constructed += 1
+        before = dict(counts)
+        init(self, *args, **kwargs)
+        for key in counts:
+            inside[key] += counts[key] - before[key]
+
+    monkeypatch.setattr(linalg.BasisChange, "__init__", init_and_count)
+    for order in (2, 3, 4):
+        for _, entry in catalog(order).entries:
+            for t in (entry, append_semisimple(entry)):
+                n = t.n
+                move = ExactMatrix.from_rows(
+                    [[rng.randint(-2, 2) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+                ) @ ExactMatrix.from_rows(
+                    [[rng.randint(-2, 2) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+                )
+                classify(apply_chain(t, [BasisChange(move)]))
+    # the wrappers are live: triangularization still row-reduces through rref
+    assert counts["rref"] > 0 and constructed > 100
+    assert inside == {"solve": 0, "rref": 0, "_rref_rows": constructed}
+
+
 def test_casimir_bare_base_bracket(tmp_path, capsys):
     doc = tmp_path / "rigid_body.json"
     doc.write_text(json.dumps(rigid_body_tensor().to_json()))

@@ -230,3 +230,34 @@ def test_json_round_trip():
         doc = t.to_json()
         assert ExtensionTensor.from_json(doc) == t
         assert doc["w"][0][0][0] in ("0", "1")
+
+
+def test_stored_entry_views_match_slice_matrices():
+    from liepoisson.linalg import BasisChange
+    from liepoisson.transform import apply
+
+    rng = random.Random(23)
+    entries = [entry for order in range(1, 5) for _, entry in catalog(order).entries]
+    pool = entries + [append_semisimple(t) for t in entries] + [leibniz(5), crmhd(Fraction(5, 2))]
+    tensors = []
+    for t in pool:
+        n = t.n
+        # unit-lower changes keep every slice lower-triangular, the others need not
+        lower = ExactMatrix(n, n, [int(i == j) or (rng.randint(-2, 2) if j < i else 0)
+                                   for i in range(n) for j in range(n)])
+        scaled = ExactMatrix.diagonal([gr(rng.choice([1, 2, -3]), rng.randint(0, 1)) for _ in range(n)])
+        flip = ExactMatrix(n, n, [int(i + j == n - 1) for i in range(n) for j in range(n)])
+        tensors += [t] + [apply(t, BasisChange(m)) for m in (lower, lower @ scaled, lower @ flip)]
+    outcomes = set()
+    for t in tensors:
+        slices = t.slices_upper()
+        triangular = all(s.is_lower_triangular() for s in slices)
+        solvable = triangular and not any(x for s in slices for x in s.diagonal_values())
+        assert t.is_lower_triangular() == triangular
+        assert t.is_solvable() == solvable
+        for nu, s in enumerate(slices):
+            assert t.slice_diagonal(nu) == s.diagonal_values()
+            assert t.slice_is_identity(nu) == s.is_identity()
+        outcomes.add((triangular, solvable, t.slice_is_identity(0)))
+    # every reachable combination occurs
+    assert outcomes == {(False, False, False), (True, False, False), (True, True, False), (True, False, True)}

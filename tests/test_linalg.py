@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liepoisson.linalg import (
+    _check_family,
     _kernel_flag,
     BasisChange,
     ExactMatrix,
@@ -27,7 +28,7 @@ from liepoisson.linalg import (
 )
 from liepoisson.classify import catalog
 from liepoisson.extension import append_semisimple, crmhd, leibniz
-from liepoisson.scalars import Fraction as F, I, ONE, ZERO, gr
+from liepoisson.scalars import Fraction as F, GaussianRational, I, ONE, ZERO, gr
 
 M = ExactMatrix.from_rows
 
@@ -237,6 +238,127 @@ def test_singular_matrix_has_no_inverse():
             inverse(a)
         with pytest.raises(LinalgError):
             BasisChange(a)
+
+
+def dense_inverse(a):
+    """a^-1 from the dense reference elimination of [a | I], or None when a is singular."""
+    n = a.rows
+    aug = ExactMatrix(n, 2 * n, [x for i in range(n) for x in a.row(i) + ExactMatrix.identity(n).row(i)])
+    r, pivots = dense_rref(aug)
+    if pivots != list(range(n)):
+        return None
+    return ExactMatrix(n, n, [r[i, n + j] for i in range(n) for j in range(n)])
+
+
+def elementary_and_random_square(seed):
+    """Shears, permutations, diagonals, their products, and the square oracle inputs."""
+    rng = random.Random(seed)
+    out = [a for a in random_oracle_inputs(seed) if a.rows == a.cols]
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        shear = ExactMatrix.identity(n).with_entry(i, j, gr(rng.randint(-3, 3), rng.randint(-1, 1)))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        perm = ExactMatrix(n, n, [ONE if perm[c] == r else ZERO for r in range(n) for c in range(n)])
+        diag = ExactMatrix.diagonal([gr(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)),
+                                        rng.randint(-1, 1)) for _ in range(n)])
+        out += [shear, perm, diag, perm @ shear @ diag, random_rank_deficient(rng, n, rng.randint(0, n))]
+    return out
+
+
+def test_inverse_matches_solve_and_dense_oracle():
+    inverted = singular = 0
+    for a in elementary_and_random_square(71):
+        x = solve(a, ExactMatrix.identity(a.rows))
+        assert dense_inverse(a) == x
+        if x is None:
+            singular += 1
+            with pytest.raises(LinalgError):
+                inverse(a)
+            continue
+        inverted += 1
+        assert inverse(a) == x
+        assert a @ x == ExactMatrix.identity(a.rows) == x @ a
+    assert inverted > 200 and singular > 40
+    assert inverse(ExactMatrix.zeros(0, 0)) == ExactMatrix.zeros(0, 0)
+    assert BasisChange(ExactMatrix.zeros(0, 0)).m_inv == ExactMatrix.zeros(0, 0)
+
+
+def dense_check_family(family):
+    """The dense-product commutation check that _check_family was: the reference."""
+    for i in range(len(family)):
+        for j in range(i + 1, len(family)):
+            if family[i] @ family[j] != family[j] @ family[i]:
+                return (i, j)
+    return None
+
+
+def test_check_family_matches_dense_products():
+    rng = random.Random(29)
+    families = [list(f) for f in SLICE_FAMILIES]
+    for family in SLICE_FAMILIES[::3]:
+        # the same slices in a dense basis
+        n = family[0].rows
+        m = random_matrix(rng, n, n, span=2, complex_prob=0)
+        if rank(m) == n:
+            families.append([inverse(m) @ a @ m for a in family])
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        base = random_matrix(rng, n, n, span=2)
+        sparse = ExactMatrix(n, n, [x if rng.random() < 0.3 else ZERO for x in base.entries])
+        for b in (base, sparse):
+            families.append([b, b @ b + b.scale(3), ExactMatrix.identity(n) + b.scale(gr(1, 1)), b @ b @ b])
+    # one entry of one member changed: most of these stop commuting, at varying pairs
+    for family in list(families):
+        n = family[0].rows
+        k = rng.randrange(len(family))
+        bumped = family[k].with_entry(rng.randrange(n), rng.randrange(n), gr(rng.randint(1, 3)))
+        families.append(family[:k] + [bumped] + family[k + 1:])
+    raised = 0
+    for family in families:
+        want = dense_check_family(family)
+        if want is None:
+            assert _check_family(family) == family[0].rows
+        else:
+            raised += 1
+            with pytest.raises(NotCommuting) as err:
+                _check_family(family)
+            assert err.value.pair == want
+    assert raised > 30 and len(families) - raised > 60
+
+
+def test_public_constructors_coerce():
+    want = [gr(3), gr(Fraction(-1, 2)), gr(Fraction(1, 3), 2), gr(0, 1)]
+    for m in (ExactMatrix(2, 2, [3, Fraction(-1, 2), "1/3+2i", "i"]),
+              ExactMatrix.from_rows([[3, Fraction(-1, 2)], ["1/3+2i", "i"]])):
+        assert list(m.entries) == want
+        assert all(type(x) is GaussianRational for x in m.entries)
+    for bad in (0.5, None, 1j, object()):
+        with pytest.raises(TypeError):
+            ExactMatrix(1, 1, [bad])
+        with pytest.raises(TypeError):
+            ExactMatrix.from_rows([[1, bad]])
+
+
+def test_computed_matrices_hold_only_scalars():
+    rng = random.Random(31)
+    a = M([[1, 2, 0], [0, 1, Fraction(1, 2)], [3, 0, 1]])
+    b = random_matrix(rng, 3, 3, complex_prob=0.5)
+    t = append_semisimple(catalog(3).lookup("n3-case4"))
+    results = [
+        a + b, a - b, -a, a @ b, a.scale(2), a.scale(gr(1, 1)), a.transpose(),
+        a.conjugate_transpose(), a.submatrix([0, 2], [1, 2]), a.with_entry(0, 1, 5),
+        ExactMatrix.identity(3), ExactMatrix.zeros(2, 3), ExactMatrix.diagonal([1, 2]),
+        rref(a)[0], rref(random_rank_deficient(rng, 4, 2))[0], inverse(a), solve(a, b),
+        pseudoinverse(random_rank_deficient(rng, 3, 2)), hstack([a, b]), a ** 3,
+        BasisChange(a, scale=gr(2)).matrix, BasisChange(a).m_inv,
+    ]
+    results += null_space(random_rank_deficient(rng, 4, 2))
+    results += [t.slice_upper(nu) for nu in range(t.n)] + [t.slice_lower(lam) for lam in range(t.n)]
+    for m in results:
+        assert len(m.entries) == m.rows * m.cols
+        assert all(type(x) is GaussianRational for x in m.entries), m
 
 
 # -- pseudoinverse -----------------------------------------------------------

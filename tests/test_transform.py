@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liepoisson.classify import catalog, classify
 from liepoisson.extension import (
@@ -124,6 +125,61 @@ def test_apply_matches_entrywise_contraction():
         assert checked.w == _contract(t, b.matrix)
         assert apply(t, b, check=False).w == checked.w
         assert checked.semidirect == t.semidirect
+
+
+SPARSE_POOL = (
+    [entry for order in range(1, 5) for _, entry in catalog(order).entries]
+    + [append_semisimple(entry) for order in range(1, 4) for _, entry in catalog(order).entries]
+    + [leibniz(k) for k in range(1, 6)] + [leibniz(k, semidirect=True) for k in range(1, 5)]
+    + [crmhd(1), crmhd(Fraction(-5, 3)), direct_sum(leibniz(2), leibniz(2))]
+)
+# small entries of both signs, so that many sums cancel exactly
+SPARSE_VALUES = [ONE, -ONE, gr(2), I, -I, gr(Fraction(1, 2)), gr(Fraction(-1, 3), 1)]
+
+
+@st.composite
+def sparse_changes(draw):
+    """A sparse catalog-type tensor and P L D: a permutation, a sparse unit-lower shear, a diagonal.
+
+    Half of the draws move the tensor by that change first and return the
+    moved tensor with the inverse change, which lands back on the sparse
+    tensor, so that most sums in T1, T2 and the output cancel exactly.
+    """
+    t = draw(st.sampled_from(SPARSE_POOL))
+    n = t.n
+    perm = draw(st.permutations(range(n)))
+    value = st.sampled_from(SPARSE_VALUES)
+    shear = [[(ONE if i == j else draw(st.one_of(st.just(ZERO), value)) if j < i else ZERO)
+              for j in range(n)] for i in range(n)]
+    diag = [draw(value) for _ in range(n)]
+    p = M([[ONE if perm[j] == i else ZERO for j in range(n)] for i in range(n)])
+    m = p @ M(shear) @ ExactMatrix.diagonal(diag)
+    b = BasisChange(m, scale=draw(st.sampled_from([ONE, -ONE, I, gr(Fraction(2, 3))])))
+    if draw(st.booleans()):
+        return apply(t, b), b.inverse()
+    return t, b
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(sparse_changes())
+def test_apply_matches_contraction_on_sparse_changes(case):
+    t, b = case
+    out = apply(t, b, check=False)
+    assert out.w == _contract(t, b.matrix)
+    assert apply(t, b).w == out.w
+
+
+def test_apply_drops_exact_cancellations():
+    # W_0^{00} = W_1^{00} = 1; row 0 of M^-1 is (1, -1), so T1's (0, 0) entry is 1 - 1
+    w = [[[ZERO] * 2 for _ in range(2)] for _ in range(2)]
+    w[0][0][0] = w[1][0][0] = ONE
+    t = validate(w)
+    b = BasisChange(M([[1, 1], [0, 1]]))
+    assert b.m_inv.row(0) == (ONE, -ONE)
+    out = apply(t, b)
+    assert out.w == _contract(t, b.matrix)
+    assert not any(x for row in out.w[0] for x in row)
+    assert out.w[1][0][0] == ONE
 
 
 def test_normalize_w0_already_identity():
