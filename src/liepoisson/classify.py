@@ -34,12 +34,11 @@ from .extension import (
 from .linalg import (
     BasisChange,
     ExactMatrix,
-    SplitFailure,
+    _kernel_flag,
     hstack,
     inverse,
     rank,
     rref,
-    simultaneous_triangularize,
 )
 from .scalars import GaussianRational, I, ONE, ZERO, gr, sqrt_gaussian
 from .transform import apply, apply_chain, congruence_move, normalize_w0_to_identity
@@ -58,7 +57,7 @@ class OrderTooHigh(ClassificationError):
 
 
 class NotSingleBlock(ClassificationError):
-    """Input splits into blocks with distinct eigenvalues.
+    """Input splits into blocks with distinct eigenvalues (the kernel flag stalls).
 
     Classification labels a single degenerate block; split such inputs
     first with simultaneous_block_split and classify each block.
@@ -155,18 +154,21 @@ def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
     Returns the case label and the witness chain; replaying the chain on the
     input reproduces the normal form (for semidirect inputs, the normal form
     with the identity slice appended) bit-exactly, which is verified before
-    returning.
+    returning.  Triangularizing is one kernel flag, with no eigenvalue search;
+    a stalled flag means more than one block and raises :class:`NotSingleBlock`.
     """
     t = validate(t)
     original = t
     chain: List[BasisChange] = []
     if not t.is_lower_triangular():
-        try:
-            b = simultaneous_triangularize(t.slices_upper())
-        except SplitFailure as err:
-            # a single block's only eigenvalue is trace / n, always in Q(i)
-            raise NotSingleBlock(f"tensor has more than one block: {err}") from None
+        m = _kernel_flag(t.slices_upper(), t.n)
+        if m is None:
+            raise NotSingleBlock("tensor has more than one block: a slice has two eigenvalues")
+        b = BasisChange(m)
         t = apply(t, b, check=False)
+        # each new slice is a combination of the M^-1 W^(nu) M
+        if not t.is_lower_triangular():
+            raise ClassificationError("internal error: triangularization postcondition failed")
         chain.append(b)
     _require_single_block(t)
     ev = t.slice_diagonal(0)[0]

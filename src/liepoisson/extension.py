@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, noncommuting_pair
 from .scalars import GaussianRational, ONE, ZERO, as_scalar
 
 
@@ -165,14 +165,10 @@ def validate(w_raw, semidirect: Optional[bool] = None) -> ExtensionTensor:
     :class:`SymmetryViolation` or :class:`CommutationViolation` with the
     offending indices (the first pair nu < sigma in lexicographic order).
 
-    Commutation is checked entry by entry on the stored rows, skipping zero
-    factors.  Once symmetry holds, row lam of W^(nu) is the stored row
-    ``w[lam][nu]``, so for each pair and each lam the row vector
-
-        sum_k w[lam][nu][k] w[k][sigma][.] - w[lam][sigma][k] w[k][nu][.]
-
-    must vanish.  ``semidirect`` defaults to the flag of a tensor passed in,
-    and to False (solvable form) for a raw array.
+    Commutation is checked by :func:`linalg.noncommuting_pair` on the stored
+    rows: once symmetry holds, row lam of W^(nu) is the stored row
+    ``w[lam][nu]``.  ``semidirect`` defaults to the flag of a tensor passed
+    in, and to False (solvable form) for a raw array.
     """
     if isinstance(w_raw, ExtensionTensor):
         w = w_raw.w
@@ -187,20 +183,9 @@ def validate(w_raw, semidirect: Optional[bool] = None) -> ExtensionTensor:
             for nu in range(mu + 1, n):
                 if w[lam][mu][nu] != w[lam][nu][mu]:
                     raise SymmetryViolation(lam, mu, nu)
-    # the nonzero entries of each stored row w[lam][mu], with their positions
-    rows = [[[(k, x) for k, x in enumerate(row) if x] for row in plane] for plane in w]
-    for nu in range(n):
-        for sigma in range(nu + 1, n):
-            for lam in range(n):
-                acc = [ZERO] * n
-                for k, x in rows[lam][nu]:
-                    for mu, y in rows[k][sigma]:
-                        acc[mu] = acc[mu] + x * y
-                for k, x in rows[lam][sigma]:
-                    for mu, y in rows[k][nu]:
-                        acc[mu] = acc[mu] - x * y
-                if any(acc):
-                    raise CommutationViolation(nu, sigma)
+    pair = noncommuting_pair([[[(k, x) for k, x in enumerate(w[lam][nu]) if x] for lam in range(n)] for nu in range(n)])
+    if pair:
+        raise CommutationViolation(*pair)
     return ExtensionTensor(n, bool(semidirect), w)
 
 

@@ -32,7 +32,9 @@ Two higher operations act on *families* of commuting matrices:
   joint eigenvalue tuple.
 
 Both return a :class:`BasisChange` witness so callers can replay and audit
-the transformation.
+the transformation.  The classifier uses the flag, :func:`_kernel_flag`,
+alone, so it reaches no eigenvalue search here.  Commutation has one sparse
+check, :func:`noncommuting_pair`, which ``extension.validate`` shares.
 """
 
 from __future__ import annotations
@@ -334,6 +336,11 @@ def null_space_rows(rows: Iterable[Dict[int, object]], cols: int) -> List[ExactM
     No rows means the zero map: every standard vector is returned.
     """
     reduced, pivots = _rref_rows({j: as_scalar(x) for j, x in row.items()} for row in rows)
+    return _kernel_vectors(reduced, pivots, cols)
+
+
+def _kernel_vectors(reduced: List[Dict[int, GaussianRational]], pivots: List[int], cols: int) -> List[ExactMatrix]:
+    """The kernel basis of :func:`null_space_rows`, read off an RREF's nonzero rows and pivots."""
     pivot_set = set(pivots)
     basis = []
     for f in range(cols):
@@ -600,19 +607,11 @@ def _scale_last_column(m: ExactMatrix, c: GaussianRational) -> ExactMatrix:
 # Simultaneous triangularization / block splitting of commuting families
 # ---------------------------------------------------------------------------
 
-def _check_family(family: Sequence[ExactMatrix]) -> int:
-    if not family:
-        raise ValueError("empty family")
-    n = family[0].rows
-    for a in family:
-        if a.rows != a.cols or a.rows != n:
-            raise ValueError("family matrices must be square and same size")
-    # row r of A_i A_j - A_j A_i, entry by entry over the nonzeros of each row
-    rows = [[[(k, x) for k, x in enumerate(a.row(r)) if x] for r in range(n)] for a in family]
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            a, b = rows[i], rows[j]
-            for r in range(n):
+def noncommuting_pair(family: Sequence[Sequence]) -> Optional[Tuple[int, int]]:
+    """The first pair i < j with A_i A_j != A_j A_i, each A given as the (column, value) nonzeros of its rows."""
+    for i, a in enumerate(family):
+        for j, b in enumerate(family[i + 1:], i + 1):
+            for r in range(len(a)):
                 acc: Dict[int, GaussianRational] = {}
                 for k, x in a[r]:
                     for c, y in b[k]:
@@ -623,7 +622,19 @@ def _check_family(family: Sequence[ExactMatrix]) -> int:
                         z = acc.get(c)
                         acc[c] = -(x * y) if z is None else z - x * y
                 if any(acc.values()):
-                    raise NotCommuting(i, j)
+                    return i, j
+    return None
+
+
+def _check_family(family: Sequence[ExactMatrix]) -> int:
+    if not family:
+        raise ValueError("empty family")
+    n = family[0].rows
+    if any(a.rows != a.cols or a.rows != n for a in family):
+        raise ValueError("family matrices must be square and same size")
+    pair = noncommuting_pair([[[(k, x) for k, x in enumerate(a.row(r)) if x] for r in range(n)] for a in family])
+    if pair:
+        raise NotCommuting(*pair)
     return n
 
 
@@ -638,10 +649,10 @@ def _restriction(v: ExactMatrix, a: ExactMatrix) -> ExactMatrix:
 def _kernel_flag(family: Sequence[ExactMatrix], n: int) -> Optional[ExactMatrix]:
     """M with every M^-1 A M lower-triangular, or None when some member has two eigenvalues.
 
-    With N = A - (tr A / n) I per member, K_1 = ker [N_0; N_1; ...] and
-    K_{j+1} = ker [Q_j N_0; Q_j N_1; ...], Q_j the RREF of level j.  Free
-    columns only grow; each level adds the null-space vectors of its newly
-    free columns, deepest level last.  It reaches dimension n iff every N is nilpotent.
+    With N = A - (tr A / n) I per member, K_1 = ker [N_0; N_1; ...] and K_{j+1} = ker [Q_j N_0;
+    Q_j N_1; ...], Q_j the RREF of level j, which also yields the kernel.  Free columns only
+    grow; each level adds the null-space vectors of its newly free columns, deepest level last.
+    It reaches dimension n iff every N is nilpotent.
     """
     shifted = [a - ExactMatrix.identity(n).scale(a.trace() / gr(n)) for a in family] if n else []
     q = ExactMatrix.identity(n)
@@ -651,8 +662,9 @@ def _kernel_flag(family: Sequence[ExactMatrix], n: int) -> Optional[ExactMatrix]
         stacked = [x for s in shifted for x in (q @ s).entries]
         r, pivots = rref(ExactMatrix._of(q.rows * len(shifted), n, stacked))
         q = r.submatrix(range(len(pivots)), range(n))
+        kernel = _kernel_vectors([dict(enumerate(q.row(i))) for i in range(q.rows)], pivots, n)
         now = [f for f in range(n) if f not in pivots]
-        new = [v for f, v in zip(now, null_space(q)) if f not in free]
+        new = [v for f, v in zip(now, kernel) if f not in free]
         if not new:
             return None
         columns[:0] = new
@@ -664,8 +676,8 @@ def simultaneous_triangularize(family: Sequence[ExactMatrix]) -> BasisChange:
     """Basis change M with M^-1 A M lower-triangular for every A in the family.
 
     One flag of common kernels (:func:`_kernel_flag`) when every member has a
-    single eigenvalue, the single-block case the classifier takes.  Otherwise
-    :func:`simultaneous_block_split` first, then one flag per block.
+    single eigenvalue.  Otherwise :func:`simultaneous_block_split` first,
+    then one flag per block.
     """
     n = _check_family(family)
     m = _kernel_flag(family, n)

@@ -1,4 +1,7 @@
 import random
+import signal
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -263,3 +266,74 @@ def test_classify_bare_base_bracket_clear_error():
 
     with pytest.raises(ClassificationError, match="no solvable part"):
         classify(pure_semidirect(0))
+
+
+@contextmanager
+def cpu_seconds_at_most(seconds):
+    """Fail instead of hanging: the body is stopped after ``seconds`` of CPU time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s of CPU time")
+
+    previous = signal.signal(signal.SIGVTALRM, expire)
+    signal.setitimer(signal.ITIMER_VIRTUAL, seconds)
+    start = time.process_time()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+        signal.signal(signal.SIGVTALRM, previous)
+    assert time.process_time() - start < seconds
+
+
+def two_blocks_2p61():
+    """W^(0) = diag(2^61 - 1, 0) moved by [[1, 1], [1, 2]]: two blocks, one eigenvalue a large prime."""
+    t = validate([[[2**61 - 1, 0], [0, 0]], [[0, 0], [0, 0]]])
+    return apply(t, BasisChange(M([[1, 1], [1, 2]])))
+
+
+def test_multi_block_with_a_large_prime_eigenvalue_is_rejected_at_once():
+    # an eigenvalue search would have to factor 2^61 - 1; the stalled kernel flag needs none
+    t = two_blocks_2p61()
+    assert not t.is_lower_triangular()
+    with cpu_seconds_at_most(0.5), pytest.raises(NotSingleBlock, match="more than one block"):
+        classify(t)
+
+
+def test_equivalence_check_distinct_orders():
+    v = equivalence_check(leibniz(2), leibniz(3))
+    assert v.kind == "distinct"
+    assert v.reason == "orders differ: 2 vs 3"
+
+
+def test_equivalence_check_distinct_labels_of_moved_inputs():
+    rng = random.Random(17)
+    a = apply(catalog(3).lookup("n3-case3"), random_transform(rng, 3))
+    b = apply(catalog(3).lookup("n3-case4"), random_transform(rng, 3))
+    v = equivalence_check(a, b)
+    assert v.kind == "distinct"
+    assert v.reason == "slice_ranks differs: [0, 1, 0] vs [0, 1, 2]"
+
+
+def test_equivalence_check_witness_replays_through_triangularization():
+    # dense moves: both inputs go through the kernel flag, the witness maps a onto b
+    entry = append_semisimple(catalog(4).lookup("n4-case3d"))
+    lower = M([[int(i == j) + (j < i) for j in range(5)] for i in range(5)])
+    upper = M([[int(i == j) + 2 * (j > i) for j in range(5)] for i in range(5)])
+    a = apply(entry, BasisChange(lower @ upper))
+    b = apply(entry, BasisChange(upper @ lower))
+    assert not a.is_lower_triangular() and not b.is_lower_triangular()
+    v = equivalence_check(a, b)
+    assert v.kind == "equivalent"
+    assert apply_chain(a, list(v.witness)).w == b.w
+
+
+def test_equivalence_check_unknown_when_classification_fails():
+    # the sqrt(2) obstruction: case-2 leading part with tail diag(1, 2)
+    w3 = M([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    obstruction = from_lower_slices([None, None, w3, ExactMatrix.diagonal([1, 2, 0, 0])], 4)
+    with cpu_seconds_at_most(0.5):
+        v = equivalence_check(obstruction, catalog(4).lookup("n4-case2"))
+        w = equivalence_check(two_blocks_2p61(), abelian(2))
+    assert v.kind == "unknown" and "not a square in Q(i)" in v.reason
+    assert w.kind == "unknown" and "more than one block" in w.reason

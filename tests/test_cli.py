@@ -102,6 +102,23 @@ def test_slices_without_q_i_eigenvalues_exit_invalid(tmp_path, command):
     assert "Traceback" not in result.stderr
 
 
+def test_multi_block_with_a_large_prime_eigenvalue_exits_invalid(tmp_path):
+    # W^(0) = diag(2^61 - 1, 0) moved by [[1, 1], [1, 2]]: rejected without factoring 2^61 - 1
+    from liepoisson.extension import validate
+    from liepoisson.transform import apply
+
+    t = validate([[[2**61 - 1, 0], [0, 0]], [[0, 0], [0, 0]]])
+    t = apply(t, BasisChange(ExactMatrix.from_rows([[1, 1], [1, 2]])))
+    doc = tmp_path / "two-blocks.json"
+    doc.write_text(json.dumps(t.to_json()))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run([sys.executable, "-m", "liepoisson.cli", "classify", str(doc)],
+                            capture_output=True, text=True, env=env, timeout=30)
+    assert result.returncode == EXIT_INVALID
+    assert "more than one block" in result.stdout
+    assert "Traceback" not in result.stderr
+
+
 def test_casimir_crmhd_verify(crmhd_doc, capsys):
     code, out = run(["casimir", str(crmhd_doc), "--verify"], capsys)
     assert code == 0
@@ -200,8 +217,8 @@ def test_classify_triangularizes_without_an_eigenvalue_search(monkeypatch):
     import random
 
     from liepoisson import linalg
-    from liepoisson.classify import classify
-    from liepoisson.extension import append_semisimple
+    from liepoisson.classify import NotSingleBlock, classify
+    from liepoisson.extension import append_semisimple, validate
 
     rng = random.Random(11)
 
@@ -217,7 +234,10 @@ def test_classify_triangularizes_without_an_eigenvalue_search(monkeypatch):
 
     counts = _count_calls(
         monkeypatch,
+        linalg._kernel_flag,
+        linalg._check_family,
         linalg.simultaneous_triangularize,
+        linalg.simultaneous_block_split,
         linalg.eigenvalues_gaussian,
         linalg.characteristic_polynomial,
     )
@@ -232,12 +252,16 @@ def test_classify_triangularizes_without_an_eigenvalue_search(monkeypatch):
                 # the three abelian entries stay zero under any move
                 triangularized = int(not t.is_lower_triangular())
                 moved += triangularized
-                assert counts == {
-                    "simultaneous_triangularize": triangularized,
-                    "eigenvalues_gaussian": 0,
-                    "characteristic_polynomial": 0,
-                }
+                assert counts == {key: 0 for key in counts} | {"_kernel_flag": triangularized}
     assert moved == 2 * 15 - 3
+
+    # two blocks, W^(0) = diag(3, 0) moved off the triangle: the stalled flag rejects it
+    for key in counts:
+        counts[key] = 0
+    two_blocks = apply_chain(validate([[[3, 0], [0, 0]], [[0, 0], [0, 0]]]), [dense_unimodular(2)])
+    with pytest.raises(NotSingleBlock, match="more than one block"):
+        classify(two_blocks)
+    assert counts == {key: 0 for key in counts} | {"_kernel_flag": 1}
 
 
 def test_basis_changes_invert_without_the_dense_path(monkeypatch):
