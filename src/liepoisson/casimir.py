@@ -5,7 +5,10 @@ A Casimir density C(xi^0, ..., xi^n) must satisfy the symmetry condition
     W_lam^{mu nu} C_{,mu sig}  symmetric under lam <-> sig,  for every nu,
 
 which :func:`casimir_condition_check` verifies symbolically, treating the
-formal derivatives of the arbitrary functions as independent symbols.
+formal derivatives of the arbitrary functions as independent symbols.  The
+check holds the Hessian of C as coefficient dicts keyed by (function
+derivative, monomial), contracts only the nonzero entries of W into them,
+and builds ``Poly`` objects only for the residual of a failing triple.
 
 Synthesis works through the coextension.  With Wn the symmetric matrix of
 the last slice restricted to the solvable indices (excluding the last), its
@@ -118,46 +121,48 @@ class CasimirFamily:
 # Condition checker
 # ---------------------------------------------------------------------------
 
-def _second_derivatives(fam: CasimirFamily):
-    """Hessian of the density as {(label, deriv): Poly} per index pair."""
-    n = fam.n
+def _hessian(fam: CasimirFamily) -> Dict[Tuple[int, int], Dict]:
+    """Hessian of the density as {(mu, sig): {((label, deriv), monomial): scalar}}.
+
+    Read off each term p(xi) F^(d)(u . xi) monomial by monomial: derivatives
+    of p keep the key (label, d), each chain-rule factor u^(a) raises d_a by one.
+    """
     hess: Dict[Tuple[int, int], Dict] = {}
 
-    def add(mu, sig, key, poly):
-        if poly.is_zero():
-            return
+    def add(mu, sig, key, c):
         cell = hess.setdefault((mu, sig), {})
-        cell[key] = cell.get(key, Poly.zero(n)) + poly
-        if cell[key].is_zero():
-            del cell[key]
+        acc = cell.pop(key, ZERO) + c
+        if acc:
+            cell[key] = acc
 
     for term in fam.terms:
-        key0 = (term.func.label if term.func else None, term.deriv)
-        args = term.func.args if term.func else ()
-        for mu in range(n):
-            p_mu = term.poly.diff(mu)
-            for sig in range(n):
-                add(mu, sig, key0, p_mu.diff(sig))
-                for a, u in enumerate(args):
-                    if u[sig]:
-                        bumped = list(term.deriv)
-                        bumped[a] += 1
-                        add(mu, sig, (term.func.label, tuple(bumped)),
-                            p_mu.scale(u[sig]))
-            for a, u in enumerate(args):
-                if not u[mu]:
+        label, d = term.func.label if term.func else None, term.deriv
+
+        def raised(*slots):
+            return (label, tuple(x + slots.count(a) for a, x in enumerate(d)))
+
+        args = [(a, [(m, c) for m, c in enumerate(u) if c])
+                for a, u in enumerate(term.func.args if term.func else ())]
+        for e, c in term.poly.terms.items():
+            for mu, k in enumerate(e):
+                if not k:
                     continue
-                bumped = list(term.deriv)
-                bumped[a] += 1
-                key1 = (term.func.label, tuple(bumped))
-                for sig in range(n):
-                    add(mu, sig, key1, term.poly.diff(sig).scale(u[mu]))
-                    for b, u2 in enumerate(args):
-                        if u2[sig]:
-                            bumped2 = list(bumped)
-                            bumped2[b] += 1
-                            add(mu, sig, (term.func.label, tuple(bumped2)),
-                                term.poly.scale(u[mu] * u2[sig]))
+                e1 = e[:mu] + (k - 1,) + e[mu + 1:]
+                c1 = c * k
+                for sig, k2 in enumerate(e1):
+                    if k2:
+                        add(mu, sig, ((label, d), e1[:sig] + (k2 - 1,) + e1[sig + 1:]), c1 * k2)
+                for a, support in args:
+                    key = (raised(a), e1)
+                    for sig, u in support:
+                        add(mu, sig, key, c1 * u)
+                        add(sig, mu, key, c1 * u)
+            for a, support in args:
+                for b, support2 in args:
+                    key = (raised(a, b), e)
+                    for mu, u in support:
+                        for sig, u2 in support2:
+                            add(mu, sig, key, c * u * u2)
     return hess
 
 
@@ -174,37 +179,36 @@ class ConditionReport:
 def casimir_condition_check(t: ExtensionTensor, fam: CasimirFamily) -> ConditionReport:
     """Verify the symmetry condition for a candidate Casimir family.
 
-    Forms W_lam^{mu nu} C_{,mu sig} symbolically and compares it with the
-    (lam <-> sig)-swapped contraction for every nu; the first failing triple
-    (lam, sig, nu) is reported with its residual.
+    The difference W_lam^{mu nu} C_{,mu sig} - W_sig^{mu nu} C_{,mu lam} is
+    accumulated for every (nu, lam, sig) with sig < lam as a coefficient dict
+    {((label, deriv), monomial): scalar}, visiting only the nonzero entries
+    of W against the Hessian of the density.  The first triple (lam, sig, nu)
+    with a nonzero difference, in the order nu, then lam, then sig, is
+    reported with its residual {(label, deriv): Poly}; no ``Poly`` is built
+    when the family passes.
     """
     if fam.n != t.n:
         raise CasimirError(f"family has {fam.n} variables, tensor has {t.n}")
-    n = t.n
-    hess = _second_derivatives(fam)
-
-    def contract(lam, sig, nu):
-        out: Dict = {}
-        for mu in range(n):
-            w = t.entry(lam, mu, nu)
-            if not w:
-                continue
-            for key, poly in hess.get((mu, sig), {}).items():
-                out[key] = out.get(key, Poly.zero(n)) + poly.scale(w)
-        return {k: p for k, p in out.items() if not p.is_zero()}
-
-    for nu in range(n):
-        for lam in range(n):
-            for sig in range(lam):
-                lhs = contract(lam, sig, nu)
-                rhs = contract(sig, lam, nu)
-                if lhs != rhs:
-                    residual = dict(lhs)
-                    for key, poly in rhs.items():
-                        residual[key] = residual.get(key, Poly.zero(n)) - poly
-                    residual = {k: p for k, p in residual.items() if not p.is_zero()}
-                    return ConditionReport(False, (lam, sig, nu), residual)
-    return ConditionReport(True)
+    hess = _hessian(fam)
+    diffs: Dict[Tuple[int, int, int], Dict] = {}
+    for lam, mu, nu, w in t.nonzeros():
+        for sig in range(t.n):
+            cell = hess.get((mu, sig))
+            if cell and sig != lam:
+                x, triple = (w, (nu, lam, sig)) if sig < lam else (-w, (nu, sig, lam))
+                acc = diffs.setdefault(triple, {})
+                for key, c in cell.items():
+                    total = acc.pop(key, ZERO) + x * c
+                    if total:
+                        acc[key] = total
+    first = min((triple for triple, acc in diffs.items() if acc), default=None)
+    if first is None:
+        return ConditionReport(True)
+    nu, lam, sig = first
+    residual: Dict = {}
+    for (fkey, e), c in diffs[first].items():
+        residual.setdefault(fkey, {})[e] = c
+    return ConditionReport(False, (lam, sig, nu), {k: Poly._of(t.n, v) for k, v in residual.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +379,10 @@ def _support_components(t: ExtensionTensor, lo: int, hi: int) -> List[List[int]]
     def union(i, j):
         parent[find(i)] = find(j)
 
-    for lam in range(lo, hi):
-        for mu in range(lo, hi):
-            for nu in range(lo, hi):
-                if t.entry(lam, mu, nu):
-                    union(lam, mu)
-                    union(mu, nu)
+    for lam, mu, nu, _ in t.nonzeros():
+        if lo <= lam < hi and lo <= mu < hi and lo <= nu < hi:
+            union(lam, mu)
+            union(mu, nu)
     groups: Dict[int, List[int]] = {}
     for i in range(lo, hi):
         groups.setdefault(find(i), []).append(i)
@@ -580,22 +582,18 @@ def quadratic_casimir_basis(t: ExtensionTensor) -> List[ExactMatrix]:
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     index = {p: k for k, p in enumerate(pairs)}
     equations: Dict[Tuple[int, int, int], Dict[int, GaussianRational]] = {}
-    for lam, plane in enumerate(t.w):
-        for mu, row in enumerate(plane):
-            for nu, w in enumerate(row):
-                if not w:
-                    continue
-                for sig in range(n):
-                    if sig == lam:
-                        continue
-                    key, x = ((nu, lam, sig), w) if sig < lam else ((nu, sig, lam), -w)
-                    eq = equations.setdefault(key, {})
-                    k = index[(mu, sig) if mu <= sig else (sig, mu)]
-                    x = eq.get(k, ZERO) + x
-                    if x:
-                        eq[k] = x
-                    else:
-                        del eq[k]
+    for lam, mu, nu, w in t.nonzeros():
+        for sig in range(n):
+            if sig == lam:
+                continue
+            key, x = ((nu, lam, sig), w) if sig < lam else ((nu, sig, lam), -w)
+            eq = equations.setdefault(key, {})
+            k = index[(mu, sig) if mu <= sig else (sig, mu)]
+            x = eq.get(k, ZERO) + x
+            if x:
+                eq[k] = x
+            else:
+                del eq[k]
     distinct = {frozenset(eq.items()): eq for eq in equations.values()}
     out = []
     for v in null_space_rows(distinct.values(), len(pairs)):

@@ -99,16 +99,13 @@ def _tensor_triples(t: ExtensionTensor) -> Tuple[np.ndarray, np.ndarray, np.ndar
     """The T nonzero entries W_lam^{a nu} as index arrays lam and nu (shape (T,))
     and an (n, T) scatter matrix holding w at row a."""
     lams, nus, rows, weights = [], [], [], []
-    for lam, plane in enumerate(t.w):
-        for a, row in enumerate(plane):
-            for nu, w in enumerate(row):
-                if w:
-                    if not w.is_real():
-                        raise DynamicsError("dynamics needs a real tensor")
-                    lams.append(lam)
-                    nus.append(nu)
-                    rows.append(a)
-                    weights.append(float(w))
+    for lam, a, nu, w in t.nonzeros():
+        if not w.is_real():
+            raise DynamicsError("dynamics needs a real tensor")
+        lams.append(lam)
+        nus.append(nu)
+        rows.append(a)
+        weights.append(float(w))
     scatter = np.zeros((t.n, len(weights)))
     scatter[rows, np.arange(len(weights))] = weights
     return np.array(lams, dtype=np.intp), np.array(nus, dtype=np.intp), scatter

@@ -63,12 +63,13 @@ class ExtensionTensor:
     hand always satisfies both bracket laws.
     """
 
-    __slots__ = ("n", "semidirect", "w")
+    __slots__ = ("n", "semidirect", "w", "_nonzeros")
 
     def __init__(self, n: int, semidirect: bool, w: Tuple[Tuple[Tuple[GaussianRational, ...], ...], ...]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "semidirect", bool(semidirect))
         object.__setattr__(self, "w", w)
+        object.__setattr__(self, "_nonzeros", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtensionTensor is immutable")
@@ -77,6 +78,14 @@ class ExtensionTensor:
 
     def entry(self, lam: int, mu: int, nu: int) -> GaussianRational:
         return self.w[lam][mu][nu]
+
+    def nonzeros(self) -> Tuple[Tuple[int, int, int, GaussianRational], ...]:
+        """The nonzero entries as (lam, mu, nu, w) in storage order, scanned once per tensor."""
+        if self._nonzeros is None:
+            object.__setattr__(self, "_nonzeros", tuple(
+                (lam, mu, nu, w) for lam, plane in enumerate(self.w)
+                for mu, row in enumerate(plane) for nu, w in enumerate(row) if w))
+        return self._nonzeros
 
     def slice_upper(self, nu: int) -> ExactMatrix:
         """W^(nu): rows lambda, columns mu."""

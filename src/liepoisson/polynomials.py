@@ -31,6 +31,14 @@ class Poly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 
+    @staticmethod
+    def _of(nvars: int, terms: Dict[Exponents, GaussianRational]) -> "Poly":
+        """Trusted constructor: ``terms`` has nvars-long tuple keys and nonzero scalar values."""
+        p = object.__new__(Poly)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
@@ -38,7 +46,7 @@ class Poly:
 
     @staticmethod
     def zero(nvars: int) -> "Poly":
-        return Poly(nvars, {})
+        return Poly._of(nvars, {})
 
     @staticmethod
     def constant(nvars: int, c) -> "Poly":
@@ -48,7 +56,7 @@ class Poly:
     def variable(nvars: int, idx: int) -> "Poly":
         e = [0] * nvars
         e[idx] = 1
-        return Poly(nvars, {tuple(e): ONE})
+        return Poly._of(nvars, {tuple(e): ONE})
 
     @staticmethod
     def monomial(nvars: int, exps: Sequence[int], c=1) -> "Poly":
@@ -65,13 +73,13 @@ class Poly:
                 terms[e] = acc
             else:
                 terms.pop(e, None)
-        return Poly(self.nvars, terms)
+        return Poly._of(self.nvars, terms)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
@@ -85,7 +93,7 @@ class Poly:
                         terms[e] = acc
                     else:
                         terms.pop(e, None)
-            return Poly(self.nvars, terms)
+            return Poly._of(self.nvars, terms)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -94,7 +102,7 @@ class Poly:
         c = as_scalar(c)
         if not c:
             return Poly.zero(self.nvars)
-        return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        return Poly._of(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def diff(self, var: int) -> "Poly":
         terms: Dict[Exponents, GaussianRational] = {}
@@ -102,8 +110,8 @@ class Poly:
             if e[var]:
                 e2 = list(e)
                 e2[var] -= 1
-                terms[tuple(e2)] = c * GaussianRational(e[var])
-        return Poly(self.nvars, terms)
+                terms[tuple(e2)] = c * e[var]
+        return Poly._of(self.nvars, terms)
 
     # -- queries --------------------------------------------------------------
 

@@ -1,10 +1,14 @@
 from fractions import Fraction
+from functools import lru_cache
+from typing import Dict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liepoisson import casimir
 from liepoisson.casimir import (
     CasimirError,
+    ConditionReport,
     CasimirFamily,
     CasimirTerm,
     FormalFunction,
@@ -76,6 +80,206 @@ def test_local_coordinate_family_passes_everywhere():
             f = FormalFunction("f", (unit(t.n, t.n - 1),))
             fam = CasimirFamily((CasimirTerm(Poly.constant(t.n, 1), f, (0,)),), t.n)
             assert casimir_condition_check(t, fam)
+
+
+# -- the Poly-based check, kept as the oracle of casimir_condition_check ----------
+
+def poly_second_derivatives(fam):
+    """Hessian of the density as {(label, deriv): Poly} per index pair, by Poly.diff and scale."""
+    n = fam.n
+    hess: Dict = {}
+
+    def add(mu, sig, key, poly):
+        if poly.is_zero():
+            return
+        cell = hess.setdefault((mu, sig), {})
+        cell[key] = cell.get(key, Poly.zero(n)) + poly
+        if cell[key].is_zero():
+            del cell[key]
+
+    for term in fam.terms:
+        key0 = (term.func.label if term.func else None, term.deriv)
+        args = term.func.args if term.func else ()
+        for mu in range(n):
+            p_mu = term.poly.diff(mu)
+            for sig in range(n):
+                add(mu, sig, key0, p_mu.diff(sig))
+                for a, u in enumerate(args):
+                    if u[sig]:
+                        bumped = list(term.deriv)
+                        bumped[a] += 1
+                        add(mu, sig, (term.func.label, tuple(bumped)), p_mu.scale(u[sig]))
+            for a, u in enumerate(args):
+                if not u[mu]:
+                    continue
+                bumped = list(term.deriv)
+                bumped[a] += 1
+                key1 = (term.func.label, tuple(bumped))
+                for sig in range(n):
+                    add(mu, sig, key1, term.poly.diff(sig).scale(u[mu]))
+                    for b, u2 in enumerate(args):
+                        if u2[sig]:
+                            bumped2 = list(bumped)
+                            bumped2[b] += 1
+                            add(mu, sig, (term.func.label, tuple(bumped2)),
+                                term.poly.scale(u[mu] * u2[sig]))
+    return hess
+
+
+def poly_condition_check(t, fam):
+    """The symmetry condition contracted over every mu with Poly arithmetic, triple by triple."""
+    n = t.n
+    hess = poly_second_derivatives(fam)
+
+    def contract(lam, sig, nu):
+        out: Dict = {}
+        for mu in range(n):
+            w = t.entry(lam, mu, nu)
+            if not w:
+                continue
+            for key, poly in hess.get((mu, sig), {}).items():
+                out[key] = out.get(key, Poly.zero(n)) + poly.scale(w)
+        return {k: p for k, p in out.items() if not p.is_zero()}
+
+    for nu in range(n):
+        for lam in range(n):
+            for sig in range(lam):
+                lhs = contract(lam, sig, nu)
+                rhs = contract(sig, lam, nu)
+                if lhs != rhs:
+                    residual = dict(lhs)
+                    for key, poly in rhs.items():
+                        residual[key] = residual.get(key, Poly.zero(n)) - poly
+                    residual = {k: p for k, p in residual.items() if not p.is_zero()}
+                    return ConditionReport(False, (lam, sig, nu), residual)
+    return ConditionReport(True)
+
+
+@lru_cache(maxsize=None)
+def synthesized_pool():
+    """(tensor, family) for every family synthesized on the catalog entries with and
+    without the semisimple slot, and on Leibniz 2-7 solvable and semidirect."""
+    tensors = []
+    for order in (1, 2, 3, 4):
+        for _, entry in catalog(order).entries:
+            tensors += [entry, append_semisimple(entry)]
+    tensors += [leibniz(k, semidirect=sd) for k in range(2, 8) for sd in (False, True)]
+    return tuple((t, fam) for t in tensors for fam in synthesize_casimirs(t))
+
+
+def with_terms(fam, terms):
+    return CasimirFamily(tuple(terms), fam.n, fam.semidirect)
+
+
+def mutants(fam, delta):
+    """Every single-coefficient (c -> c + delta), sign-flip and dropped-term mutant of fam,
+    and the family with each argument covector u scaled to (1 + delta) u."""
+    terms = list(fam.terms)
+    for a in range(len(terms[0].func.args) if terms and terms[0].func else 0):
+        args = list(terms[0].func.args)
+        args[a] = tuple((ONE + delta) * c for c in args[a])
+        func = FormalFunction(terms[0].func.label, args)
+        yield with_terms(fam, [CasimirTerm(term.poly, func, term.deriv) for term in terms])
+    for i, term in enumerate(terms):
+        for e, c in term.poly.terms.items():
+            changed = dict(term.poly.terms)
+            changed[e] = c + delta
+            yield with_terms(fam, terms[:i] + [CasimirTerm(Poly(fam.n, changed), term.func, term.deriv)] + terms[i + 1:])
+        yield with_terms(fam, terms[:i] + [CasimirTerm(-term.poly, term.func, term.deriv)] + terms[i + 1:])
+        yield with_terms(fam, terms[:i] + terms[i + 1:])
+
+
+def test_check_matches_poly_oracle_on_synthesized_families():
+    pool = synthesized_pool()
+    assert len(pool) > 140
+    for t, fam in pool:
+        report = casimir_condition_check(t, fam)
+        assert report == poly_condition_check(t, fam) == ConditionReport(True)
+
+
+def test_check_matches_poly_oracle_on_mutants():
+    failing = 0
+    for t, fam in synthesized_pool():
+        for bad in mutants(fam, ONE):
+            report = casimir_condition_check(t, bad)
+            assert report == poly_condition_check(t, bad)
+            failing += not report
+    assert failing > 300  # the residual path is exercised, not only the verdict
+
+
+BETAS = st.fractions(min_value=-12, max_value=12, max_denominator=12).filter(bool)
+DELTAS = st.builds(gr, st.fractions(-3, 3, max_denominator=4), st.integers(-1, 1)).filter(bool)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(BETAS, DELTAS, st.randoms(use_true_random=False))
+def test_check_matches_poly_oracle_on_crmhd(beta, delta, rng):
+    t = crmhd(beta)
+    for fam in synthesize_casimirs(t):
+        assert casimir_condition_check(t, fam) == poly_condition_check(t, fam) == ConditionReport(True)
+        bad = rng.choice(list(mutants(fam, delta)))
+        assert casimir_condition_check(t, bad) == poly_condition_check(t, bad)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.data(), DELTAS)
+def test_check_matches_poly_oracle_on_random_mutants(data, delta):
+    pool = synthesized_pool()
+    t, fam = pool[data.draw(st.integers(0, len(pool) - 1))]
+    kinds = list(mutants(fam, delta))
+    bad = kinds[data.draw(st.integers(0, len(kinds) - 1))]
+    assert casimir_condition_check(t, bad) == poly_condition_check(t, bad)
+
+
+SMALL = st.builds(gr, st.integers(-2, 2), st.integers(-1, 1))
+
+
+@st.composite
+def random_families(draw, n):
+    """A density of 1-3 terms p(xi) F^(d)(u . xi) with random small p, u and d, or with no F."""
+    args = tuple(tuple(draw(SMALL) for _ in range(n)) for _ in range(draw(st.integers(0, 2))))
+    func = FormalFunction("f", args) if args else None
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        poly = Poly(n, {tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))): draw(SMALL)
+                        for _ in range(draw(st.integers(1, 3)))})
+        terms.append(CasimirTerm(poly, func, tuple(draw(st.integers(0, 2)) for _ in args)))
+    return CasimirFamily(tuple(terms), n)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(st.data())
+def test_check_matches_poly_oracle_on_random_families(data):
+    tensors = list(dict.fromkeys(t for t, _ in synthesized_pool() if t.n <= 5))
+    t = tensors[data.draw(st.integers(0, len(tensors) - 1))]
+    fam = data.draw(random_families(t.n))
+    assert casimir_condition_check(t, fam) == poly_condition_check(t, fam)
+
+
+def test_passing_check_builds_no_poly(monkeypatch):
+    cases = [(t, fam) for t in (leibniz(5, semidirect=True), crmhd(Fraction(5, 2)))
+             for fam in synthesize_casimirs(t)]
+    built = []
+    init, trusted = Poly.__init__, Poly._of
+
+    def counting_init(self, *args, **kwargs):
+        built.append("init")
+        init(self, *args, **kwargs)
+
+    def counting_of(*args):
+        built.append("_of")
+        return trusted(*args)
+
+    monkeypatch.setattr(Poly, "__init__", counting_init)
+    monkeypatch.setattr(Poly, "_of", staticmethod(counting_of))
+    for t, fam in cases:
+        assert casimir_condition_check(t, fam)
+    assert built == []
+    # the counters are live: a failing family builds its residual
+    t, fam = cases[0]
+    bad = with_terms(fam, [CasimirTerm(-fam.terms[0].poly, fam.terms[0].func, fam.terms[0].deriv)] + list(fam.terms[1:]))
+    assert not casimir_condition_check(t, bad)
+    assert built
 
 
 # -- coextension ---------------------------------------------------------------

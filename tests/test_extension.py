@@ -261,3 +261,21 @@ def test_stored_entry_views_match_slice_matrices():
         outcomes.add((triangular, solvable, t.slice_is_identity(0)))
     # every reachable combination occurs
     assert outcomes == {(False, False, False), (True, False, False), (True, True, False), (True, False, True)}
+
+
+def test_nonzeros_match_a_full_scan_and_are_computed_once():
+    entries = [entry for order in range(1, 5) for _, entry in catalog(order).entries]
+    pool = entries + [leibniz(k) for k in range(1, 8)] + [leibniz(k, semidirect=True) for k in range(1, 7)]
+    pool += [crmhd(Fraction(5, 2)), crmhd(-3), direct_sum(leibniz(3), crmhd(1)), abelian(3)]
+    for t in pool:
+        scan = tuple((lam, mu, nu, t.entry(lam, mu, nu))
+                     for lam in range(t.n) for mu in range(t.n) for nu in range(t.n)
+                     if t.entry(lam, mu, nu))
+        first = t.nonzeros()
+        assert first == scan
+        assert t.nonzeros() is first
+        # the cached listing changes neither equality, hashing nor immutability
+        fresh = validate(t.w, semidirect=t.semidirect)
+        assert fresh == t and hash(fresh) == hash(t)
+        with pytest.raises(AttributeError):
+            t._nonzeros = ()
