@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .extension import ExtensionTensor, TensorError
-from .linalg import ExactMatrix, hstack, null_space, null_space_rows, pseudoinverse, rank
+from .linalg import ExactMatrix, hstack, null_space_rows, pseudoinverse, rank
 from .polynomials import Poly
 from .scalars import GaussianRational, ONE, ZERO, gr, parse_scalar
 
@@ -397,19 +397,24 @@ def _eigenvector_family(t: ExtensionTensor, label: str) -> Optional[CasimirFamil
     diagonals.
     """
     n = t.n
-    # row lam of W^(nu) is the stored row w[lam][nu]; its diagonal value is w[0][0][nu]
-    stacked_rows: List[List[GaussianRational]] = []
-    for nu in range(n):
+    # row (nu, lam) is row lam of W^(nu) - ev I, as {mu: value} over its
+    # nonzeros: entry (lam, mu) of W^(nu) is w[lam][mu][nu], and ev is w[0][0][nu]
+    rows = [[{} for _ in range(n)] for _ in range(n)]
+    for lam, mu, nu, x in t.nonzeros():
+        rows[nu][lam][mu] = x
+    for nu, plane in enumerate(rows):
         ev = t.w[0][0][nu]
-        for lam in range(n):
-            row = list(t.w[lam][nu])
-            row[lam] = row[lam] - ev
-            stacked_rows.append(row)
-    stacked = ExactMatrix.from_rows(stacked_rows) if stacked_rows else ExactMatrix.zeros(0, n)
-    kernel = null_space(stacked)
+        if ev:
+            for lam, row in enumerate(plane):
+                x = row.get(lam, ZERO) - ev
+                if x:
+                    row[lam] = x
+                else:
+                    del row[lam]
+    kernel = null_space_rows((row for plane in rows for row in plane), n)
     if not kernel:
         return None
-    args = tuple(tuple(v[i, 0] for i in range(n)) for v in kernel)
+    args = tuple(v.entries for v in kernel)
     func = FormalFunction(label, args)
     term = CasimirTerm(Poly.constant(n, 1), func, (0,) * len(args))
     return CasimirFamily((term,), n, t.semidirect)
@@ -595,14 +600,10 @@ def quadratic_casimir_basis(t: ExtensionTensor) -> List[ExactMatrix]:
             else:
                 del eq[k]
     distinct = {frozenset(eq.items()): eq for eq in equations.values()}
-    out = []
-    for v in null_space_rows(distinct.values(), len(pairs)):
-        q = [[ZERO] * n for _ in range(n)]
-        for (i, j), k in index.items():
-            q[i][j] = v[k, 0]
-            q[j][i] = v[k, 0]
-        out.append(ExactMatrix.from_rows(q))
-    return out
+    # Q_ij = Q_ji is coordinate k of the kernel vector, for (i, j) or (j, i) in pairs
+    coords = [index[(i, j) if i <= j else (j, i)] for i in range(n) for j in range(n)]
+    return [ExactMatrix._of(n, n, [v.entries[k] for k in coords])
+            for v in null_space_rows(distinct.values(), len(pairs))]
 
 
 def quadratic_family(t: ExtensionTensor, q: ExactMatrix) -> CasimirFamily:

@@ -16,11 +16,11 @@ vanishes identically, which the tests check to round-off.  Trajectories are
 integrated with classical fixed-step RK4, so conservation shows up as
 drift at the integrator's order, not exactness.
 
-The right-hand side is evaluated without a Python loop over the tensor: the
-T nonzero entries W_lam^{a nu} are laid out once as index arrays lam and nu
-and an (n x T) scatter matrix holding w at row a.  One evaluation gathers
-dH/dl^nu and l^lam for all entries, forms the T cross products component
-by component, and sums them into the n outputs with one ``scatter @ cross``.
+With x = l.reshape(3n) the right-hand side is one quadratic form in x:
+the bracket is linear in l and so is dH/dl.  :func:`_eom_operator` writes
+it once per run as a matrix R of shape (9n^2, 3n), built from the T
+nonzero entries of W and the blocks of H, and every evaluation is then
+``(R @ x).reshape(3n, 3n) @ x``, with no Python loop and no per-entry work.
 """
 
 from __future__ import annotations
@@ -95,34 +95,41 @@ class HamiltonianSpec:
         return 0.5 * float(np.einsum("mi,mnij,nj->", state, self.blocks, state))
 
 
-def _tensor_triples(t: ExtensionTensor) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The T nonzero entries W_lam^{a nu} as index arrays lam and nu (shape (T,))
-    and an (n, T) scatter matrix holding w at row a."""
-    lams, nus, rows, weights = [], [], [], []
-    for lam, a, nu, w in t.nonzeros():
-        if not w.is_real():
-            raise DynamicsError("dynamics needs a real tensor")
-        lams.append(lam)
-        nus.append(nu)
-        rows.append(a)
-        weights.append(float(w))
-    scatter = np.zeros((t.n, len(weights)))
-    scatter[rows, np.arange(len(weights))] = weights
-    return np.array(lams, dtype=np.intp), np.array(nus, dtype=np.intp), scatter
+# _EPS[i, j, k], the Levi-Civita symbol: (g x s)_i = sum_jk _EPS[i, j, k] g_j s_k
+_EPS = np.zeros((3, 3, 3))
+_EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
+_EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
 
 
-def _rhs(triples: Tuple[np.ndarray, np.ndarray, np.ndarray], h: HamiltonianSpec,
-         state: np.ndarray) -> np.ndarray:
-    lam, nu, scatter = triples
-    if not lam.size:
-        return np.zeros(state.shape)
-    g = h.gradient(state)[nu]
-    s = state[lam]
-    cross = np.empty_like(s)
-    cross[:, 0] = g[:, 1] * s[:, 2] - g[:, 2] * s[:, 1]
-    cross[:, 1] = g[:, 2] * s[:, 0] - g[:, 0] * s[:, 2]
-    cross[:, 2] = g[:, 0] * s[:, 1] - g[:, 1] * s[:, 0]
-    return scatter @ cross
+def _eom_operator(t: ExtensionTensor, h: HamiltonianSpec) -> np.ndarray:
+    """The equations of motion as one quadratic operator R of shape (9n^2, 3n).
+
+    With x = l.reshape(3n), dl/dt = (R @ x).reshape(3n, 3n) @ x, where
+
+        R[(a, i), (lam, k), (m, p)] = sum_{nu, j} W_lam^{a nu} eps_ijk A[nu, m]_{jp}
+
+    is the cross product (dH/dl^nu) x l^lam with dH/dl^nu = sum_m A[nu, m] l^m
+    folded in.  The sum over (nu, j) before the fold, B, is written from the
+    T nonzero entries by one indexed assignment, and R = B @ A is one matrix
+    product.  R and B each hold 27 n^3 floats whatever T (216 n^3 bytes,
+    0.9 MB at n = 16), B only while R is built.  Building costs O(T) Python
+    steps and 27 n^4 flops; one evaluation costs 27 n^3 + 9 n^2.
+    """
+    n = t.n
+    nonzeros = t.nonzeros()
+    if any(not w.is_real() for *_, w in nonzeros):
+        raise DynamicsError("dynamics needs a real tensor")
+    lam, a, nu = (np.array([e[k] for e in nonzeros], dtype=np.intp) for k in range(3))
+    w = np.array([float(e[3]) for e in nonzeros])
+    b = np.zeros((n, 3, n, 3, n, 3))  # [a, i, lam, k, nu, j]
+    b[a, :, lam, :, nu, :] = w[:, None, None, None] * _EPS.transpose(0, 2, 1)
+    return b.reshape(9 * n * n, 3 * n) @ h.blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+
+
+def _evaluate(r: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """dl/dt at ``state`` (shape (n, 3)) from the operator of :func:`_eom_operator`."""
+    x = state.reshape(-1)
+    return ((r @ x).reshape(x.size, x.size) @ x).reshape(state.shape)
 
 
 def eom_rhs(t: ExtensionTensor, h: HamiltonianSpec, s: FieldState) -> np.ndarray:
@@ -131,7 +138,7 @@ def eom_rhs(t: ExtensionTensor, h: HamiltonianSpec, s: FieldState) -> np.ndarray
         raise DynamicsError(
             f"dimension mismatch: tensor {t.n}, Hamiltonian {h.n}, state {s.tuples.shape[0]}"
         )
-    return _rhs(_tensor_triples(t), h, s.tuples)
+    return _evaluate(_eom_operator(t, h), s.tuples)
 
 
 def monitor_gradient(q: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -148,7 +155,7 @@ def exact_monitors(t: ExtensionTensor) -> List[Tuple[str, np.ndarray]]:
 
     out = []
     for k, q in enumerate(quadratic_casimir_basis(t)):
-        z = np.array([[complex(q[i, j]) for j in range(t.n)] for i in range(t.n)])
+        z = np.array([complex(x) for x in q.entries]).reshape(t.n, t.n)
         re, im = z.real.copy(), z.imag.copy()
         if np.any(re):
             out.append((f"Q{k}", re))
@@ -203,10 +210,7 @@ def simulate(
         raise DynamicsError("dt must be positive")
     if h.n != t.n or s0.tuples.shape[0] != t.n:
         raise DynamicsError("dimension mismatch between tensor, Hamiltonian, and state")
-    triples = _tensor_triples(t)
-
-    def rhs(state):
-        return _rhs(triples, h, state)
+    r = _eom_operator(t, h)
 
     mons = [("H", None)] + list(monitors or [])
     values: Dict[str, List[float]] = {name: [] for name, _ in mons}
@@ -223,12 +227,12 @@ def simulate(
     samples = [state.copy()]
     record(state)
     for k in range(steps):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * dt * k1)
-        k3 = rhs(state + 0.5 * dt * k2)
-        k4 = rhs(state + dt * k3)
+        k1 = _evaluate(r, state)
+        k2 = _evaluate(r, state + 0.5 * dt * k1)
+        k3 = _evaluate(r, state + 0.5 * dt * k2)
+        k4 = _evaluate(r, state + dt * k3)
         state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(state)):
+        if not np.isfinite(state).all():
             raise NonFinite(f"state became non-finite at step {k + 1}")
         if (k + 1) % sample_every == 0 or k + 1 == steps:
             times.append(s0.time + (k + 1) * dt)

@@ -162,7 +162,11 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
-        # the hash of the Fraction pair: equal to hash(Fraction) for reals
+        # the hash of the Fraction pair: equal to hash(Fraction) for reals.
+        # Python hashes an integral Fraction as its int, and a tuple by its
+        # items' hashes, so Gaussian integers need no Fraction
+        if self._d == 1:
+            return hash(self._a) if not self._b else hash((self._a, self._b))
         if not self._b:
             return hash(self.re)
         return hash((self.re, self.im))

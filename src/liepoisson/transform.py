@@ -180,21 +180,21 @@ def normalize_w0_to_identity(t: ExtensionTensor) -> Tuple[ExtensionTensor, Basis
     ev = diag[0]
     if not ev:
         raise DegenerateEigenvalueMismatch("first slice eigenvalue vanishes")
-    # the witness is the product of the moves, inverted once
+    # the witness is the product of the moves, inverted once; the moves are
+    # applied unchecked and the result validated once
     total = ExactMatrix.identity(n)
     if not ev.is_one():
         total = ExactMatrix.identity(n).scale(ONE / ev)
-        t = apply(t, BasisChange(total))
+        t = apply(t, BasisChange(total), check=False)
     for lam in range(1, n):
         a = t.entry(lam, 0, 0)
         if a:
             m = ExactMatrix.identity(n).with_entry(lam, 0, -a)
-            t = apply(t, BasisChange(m))
+            t = apply(t, BasisChange(m), check=False)
             total = total @ m
     if not t.slice_is_identity(0):
         raise TransformError("internal error: W^(0) normalization did not reach the identity")
-    t = ExtensionTensor(t.n, True, t.w)
-    return t, BasisChange(total)
+    return validate(t, semidirect=True), BasisChange(total)
 
 
 # ---------------------------------------------------------------------------

@@ -430,6 +430,36 @@ def test_bare_base_bracket_has_only_the_eigenvector_family():
         build_coextension(t)
 
 
+def dense_eigenvector_args(t):
+    """The joint eigenvectors from the n^2 dense rows of W^(nu) - ev I: the reference."""
+    from liepoisson.linalg import null_space
+
+    rows = []
+    for nu in range(t.n):
+        ev = t.entry(0, 0, nu)
+        for lam in range(t.n):
+            rows.append([t.entry(lam, mu, nu) - (ev if mu == lam else ZERO) for mu in range(t.n)])
+    return tuple(tuple(v[i, 0] for i in range(t.n)) for v in null_space(M(rows)))
+
+
+def test_eigenvector_family_matches_dense_rows():
+    tensors = [rigid_body_tensor(), crmhd(1), crmhd(Fraction(-7, 3)), abelian(3)]
+    tensors += [leibniz(k, semidirect=s) for k in range(1, 6) for s in (False, True)]
+    for order in (2, 3, 4):
+        for _, t in catalog(order).entries:
+            tensors += [t, append_semisimple(t)]
+    for t in tensors:
+        fam = casimir._eigenvector_family(t, "f")
+        want = dense_eigenvector_args(t)
+        if not want:
+            assert fam is None
+            continue
+        args = fam.terms[0].func.args
+        assert args == want
+        assert [tuple((x._a, x._b, x._d) for x in v) for v in args] == \
+            [tuple((x._a, x._b, x._d) for x in v) for v in want]
+
+
 def test_semidirect_gate_follows_tail_determinant():
     for order in (2, 3, 4):
         for label, t in catalog(order).entries:

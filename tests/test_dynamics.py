@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from liepoisson import dynamics
 from liepoisson.dynamics import (
     DynamicsError,
     FieldState,
@@ -76,7 +77,7 @@ def test_rhs_matches_loop_oracle():
     prng = random.Random(17)
     tensors = [rigid_body_tensor(), heavy_top_tensor(), crmhd(Fraction(5, 2)), crmhd(Fraction(1, 3))]
     tensors += [leibniz(k) for k in range(1, 9)] + [direct_sum(leibniz(8), leibniz(8))]
-    tensors += [random_real_tensor(prng, n) for n in (1, 2, 3, 5, 7) for _ in range(3)]
+    tensors += [random_real_tensor(prng, n) for n in range(1, 17)]
     rng = np.random.default_rng(17)
     for t in tensors:
         for _ in range(3):
@@ -86,6 +87,42 @@ def test_rhs_matches_loop_oracle():
             want = loop_rhs(t, h, state)
             assert got.shape == (t.n, 3)
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def loop_rk4(t, h, state, dt, steps):
+    """Classical RK4 driven by the loop oracle, in the same arithmetic order as simulate."""
+    for _ in range(steps):
+        k1 = loop_rhs(t, h, state)
+        k2 = loop_rhs(t, h, state + 0.5 * dt * k1)
+        k3 = loop_rhs(t, h, state + 0.5 * dt * k2)
+        k4 = loop_rhs(t, h, state + dt * k3)
+        state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return state
+
+
+def test_simulate_matches_loop_rk4():
+    rng = np.random.default_rng(29)
+    tensors = [rigid_body_tensor(), heavy_top_tensor(), crmhd(Fraction(5, 2)), leibniz(8),
+               direct_sum(leibniz(8), leibniz(8))]
+    for t in tensors:
+        # coupled blocks scaled so that 20 steps of 0.005 stay far from blow-up
+        h = HamiltonianSpec(random_hamiltonian(rng, t.n).blocks / (3 * t.n))
+        state = rng.normal(size=(t.n, 3)) / np.sqrt(3 * t.n)
+        record = simulate(t, h, FieldState(state), dt=0.005, steps=20, sample_every=5)
+        want = state
+        for k in range(1, 5):
+            want = loop_rk4(t, h, want, 0.005, 5)
+            got = record.states[k]
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_simulate_builds_the_operator_once(monkeypatch):
+    calls = []
+    build = dynamics._eom_operator
+    monkeypatch.setattr(dynamics, "_eom_operator", lambda t, h: calls.append(t) or build(t, h))
+    t = heavy_top_tensor()
+    simulate(t, HamiltonianSpec.isotropic(2), FieldState(np.ones((2, 3))), dt=0.01, steps=10)
+    assert len(calls) == 1
 
 
 def test_rhs_rejects_complex_tensor():

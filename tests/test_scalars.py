@@ -403,3 +403,18 @@ def test_square_free_part_matches_fraction_pair_reference(x):
     assert_agrees(rep, rep_r)
     assert_agrees(s, s_r)
     assert rep * s * s == z
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(x=_pairs(BIG))
+def test_hash_matches_fraction_hashes(x):
+    z = gr(*x)
+    re, im = x
+    assert hash(z) == (hash(re) if not im else hash((re, im)))
+    # dict keys mixing ints, Fractions and scalars find each other
+    keys = {z: "scalar"}
+    if not im:
+        assert keys[re] == "scalar"
+        assert {re: "fraction"}[z] == "fraction"
+        if re.denominator == 1:
+            assert keys[int(re)] == "scalar" and {int(re): "int"}[z] == "int"

@@ -212,6 +212,25 @@ def test_normalize_w0_rescales_eigenvalue():
     assert apply(scaled, witness).w == out.w
 
 
+def test_normalize_w0_validates_once(monkeypatch):
+    from liepoisson import transform
+
+    # a scaled unit-lower-triangular move leaves W^(0) = 2I + (lower terms):
+    # normalizing it takes the rescaling and one move per nonzero W_lam^{00}
+    t = leibniz(3, semidirect=True)
+    m = M([[2, 0, 0, 0], [1, 2, 0, 0], [-1, 3, 2, 0], [2, 1, -1, 2]])
+    moved = apply(t, BasisChange(m))
+    assert sum(1 for lam in range(1, 4) if moved.entry(lam, 0, 0)) >= 2
+    calls = []
+    check = transform.validate
+    monkeypatch.setattr(transform, "validate", lambda *a, **k: calls.append(a) or check(*a, **k))
+    out, witness = normalize_w0_to_identity(moved)
+    assert len(calls) <= 1
+    assert out.slice_upper(0).is_identity() and out.semidirect
+    assert out == validate(out)
+    assert apply(moved, witness).w == out.w
+
+
 def test_normalize_w0_errors():
     flipped = apply(pure_semidirect(1), BasisChange(M([[0, 1], [1, 0]])))
     with pytest.raises(NotTriangular):
