@@ -15,7 +15,6 @@ from .linalg import (
     eigenvalues_gaussian,
     null_space,
     pseudoinverse,
-    simultaneous_block_split,
     simultaneous_triangularize,
 )
 from .extension import (
@@ -88,7 +87,6 @@ __all__ = [
     "quadratic_casimir_basis",
     "remove_coboundary",
     "simulate",
-    "simultaneous_block_split",
     "simultaneous_triangularize",
     "strip_semisimple",
     "synthesize_casimirs",

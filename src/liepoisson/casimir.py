@@ -285,10 +285,10 @@ def _coextension(t: ExtensionTensor, idx: Sequence[int]) -> CoextensionResult:
     idx = tuple(idx)
     k = len(idx) - 1
     last = idx[-1]
-    wn = ExactMatrix(k, k, [t.entry(last, idx[mu], idx[nu]) for mu in range(k) for nu in range(k)])
+    wn = ExactMatrix._of(k, k, [t.entry(last, idx[mu], idx[nu]) for mu in range(k) for nu in range(k)])
     wn_pinv = pseudoinverse(wn)
     sub = tuple(
-        ExactMatrix(k, k, [t.entry(idx[sig], idx[rho], idx[nu]) for rho in range(k) for nu in range(k)])
+        ExactMatrix._of(k, k, [t.entry(idx[sig], idx[rho], idx[nu]) for rho in range(k) for nu in range(k)])
         for sig in range(k)
     )
     a = wn_pinv @ wn

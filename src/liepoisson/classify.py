@@ -59,8 +59,8 @@ class OrderTooHigh(ClassificationError):
 class NotSingleBlock(ClassificationError):
     """Input splits into blocks with distinct eigenvalues (the kernel flag stalls).
 
-    Classification labels a single degenerate block; split such inputs
-    first with simultaneous_block_split and classify each block.
+    Classification labels a single degenerate block; inputs with more than
+    one block are out of scope and raise this error.
     """
 
 

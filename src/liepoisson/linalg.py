@@ -8,8 +8,8 @@ eigenvalue search restricted to Q(i) by Gaussian-integer divisor enumeration.
 Matrices are dense :class:`ExactMatrix` values, but there is one elimination
 and it is sparse: :func:`_rref_rows` runs Gauss-Jordan on rows held as
 ``{column: value}`` dicts of their nonzero entries, touching only the rows
-that hold each pivot column.  :func:`rref` (and with it ``rank``, ``solve``
-and ``pseudoinverse``) and :func:`null_space` convert to it.  :func:`inverse`
+that hold each pivot column.  :func:`rref` (and with it ``rank`` and
+``pseudoinverse``) and :func:`null_space` convert to it.  :func:`inverse`
 hands it the nonzeros of [A | I] directly, and callers that build large
 sparse systems, such as the quadratic Casimir solver, pass their rows to
 :func:`null_space_rows`.
@@ -21,20 +21,14 @@ and scalar strings.  Every matrix computed here (arithmetic, ``transpose``,
 :class:`GaussianRational` entries and goes through the trusted
 ``ExactMatrix._of``, which checks and converts nothing.
 
-Two higher operations act on *families* of commuting matrices:
-
-* :func:`simultaneous_triangularize` returns an invertible M such that
-  M^-1 A M is lower-triangular for every member: one flag of common kernels,
-  with no eigenvalue search, when each member's one eigenvalue is trace / n,
-  and otherwise one such flag per block of the split below.
-* :func:`simultaneous_block_split` refines this to the joint generalized
-  eigenspaces, giving a simultaneous block-diagonal form with one block per
-  joint eigenvalue tuple.
-
-Both return a :class:`BasisChange` witness so callers can replay and audit
-the transformation.  The classifier uses the flag, :func:`_kernel_flag`,
-alone, so it reaches no eigenvalue search here.  Commutation has one sparse
-check, :func:`noncommuting_pair`, which ``extension.validate`` shares.
+Commuting families of matrices have one higher operation,
+:func:`simultaneous_triangularize`: an invertible M, returned as a
+:class:`BasisChange` witness, with M^-1 A M lower-triangular for every
+member.  It is one flag of common kernels, :func:`_kernel_flag`, which the
+classifier also calls directly, and it needs every member to have a single
+eigenvalue (trace / n); families with more than one block are out of scope
+and raise, with no eigenvalue search.  Commutation has one sparse check,
+:func:`noncommuting_pair`, which ``extension.validate`` shares.
 """
 
 from __future__ import annotations
@@ -190,18 +184,6 @@ class ExactMatrix:
                 out.append(acc)
         return ExactMatrix._of(self.rows, other.cols, out)
 
-    def __pow__(self, k: int) -> "ExactMatrix":
-        if self.rows != self.cols:
-            raise ValueError("matrix power needs a square matrix")
-        out = ExactMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base
-            k >>= 1
-        return out
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix._of(
             self.cols, self.rows, [self[i, j] for j in range(self.cols) for i in range(self.rows)]
@@ -354,23 +336,6 @@ def _kernel_vectors(reduced: List[Dict[int, GaussianRational]], pivots: List[int
                 v[p] = -x
         basis.append(ExactMatrix._of(cols, 1, v))
     return basis
-
-
-def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
-    """One exact solution X of a @ X = b, or None when inconsistent."""
-    if a.rows != b.rows:
-        raise ValueError("incompatible shapes")
-    aug = ExactMatrix._of(a.rows, a.cols + b.cols, [
-        x for i in range(a.rows) for x in a.row(i) + b.row(i)
-    ])
-    r, pivots = rref(aug)
-    if any(p >= a.cols for p in pivots):
-        return None
-    out = [[ZERO] * b.cols for _ in range(a.cols)]
-    for i, p in enumerate(pivots):
-        for j in range(b.cols):
-            out[p][j] = r[i, a.cols + j]
-    return ExactMatrix._of(a.cols, b.cols, [x for row in out for x in row])
 
 
 def inverse(a: ExactMatrix) -> ExactMatrix:
@@ -604,7 +569,7 @@ def _scale_last_column(m: ExactMatrix, c: GaussianRational) -> ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Simultaneous triangularization / block splitting of commuting families
+# Simultaneous triangularization of commuting families
 # ---------------------------------------------------------------------------
 
 def noncommuting_pair(family: Sequence[Sequence]) -> Optional[Tuple[int, int]]:
@@ -626,7 +591,59 @@ def noncommuting_pair(family: Sequence[Sequence]) -> Optional[Tuple[int, int]]:
     return None
 
 
-def _check_family(family: Sequence[ExactMatrix]) -> int:
+def _kernel_flag(family: Sequence[ExactMatrix], n: int) -> Optional[ExactMatrix]:
+    """M with every M^-1 A M lower-triangular, or None when some member has two eigenvalues.
+
+    With N = A - (tr A / n) I per member, K_1 = ker [N_0; N_1; ...] and K_{j+1} = ker [Q_j N_0;
+    Q_j N_1; ...], Q_j the nonzero RREF rows of level j, which also yield the kernel.  Each N and
+    each Q_j is held as ``{column: value}`` rows, so a level is one sparse row-times-rows product
+    and one :func:`_rref_rows`.  Free columns only grow; each level adds the null-space vectors of
+    its newly free columns, deepest level last.  It reaches dimension n iff every N is nilpotent.
+    """
+    shifted = []
+    for a in family:
+        shift = a.trace() / gr(n) if n else ZERO
+        rows = []
+        for i in range(n):
+            row = {j: x for j, x in enumerate(a.row(i)) if x}
+            y = row.pop(i, ZERO) - shift
+            if y:
+                row[i] = y
+            rows.append(list(row.items()))
+        shifted.append(rows)
+    q: List[Dict[int, GaussianRational]] = [{i: ONE} for i in range(n)]
+    free: List[int] = []
+    columns: List[ExactMatrix] = []
+    while len(free) < n:
+        stacked = []
+        for s in shifted:
+            for qrow in q:
+                acc: Dict[int, GaussianRational] = {}
+                for k, x in qrow.items():
+                    for c, y in s[k]:
+                        z = acc.get(c)
+                        acc[c] = x * y if z is None else z + x * y
+                stacked.append(acc)
+        q, pivots = _rref_rows(stacked)
+        kernel = _kernel_vectors(q, pivots, n)
+        pivot_set = set(pivots)
+        now = [f for f in range(n) if f not in pivot_set]
+        new = [v for f, v in zip(now, kernel) if f not in free]
+        if not new:
+            return None
+        columns[:0] = new
+        free = now
+    return ExactMatrix._of(n, n, [v.entries[i] for i in range(n) for v in columns])
+
+
+def simultaneous_triangularize(family: Sequence[ExactMatrix]) -> BasisChange:
+    """Basis change M with M^-1 A M lower-triangular for every A in the family.
+
+    The family must commute (else :class:`NotCommuting`) and form one block:
+    every member has a single eigenvalue.  M is the flag of common kernels of
+    :func:`_kernel_flag`; a family with more than one block stalls it and
+    raises :class:`LinalgError`, with no eigenvalue search.
+    """
     if not family:
         raise ValueError("empty family")
     n = family[0].rows
@@ -635,103 +652,11 @@ def _check_family(family: Sequence[ExactMatrix]) -> int:
     pair = noncommuting_pair([[[(k, x) for k, x in enumerate(a.row(r)) if x] for r in range(n)] for a in family])
     if pair:
         raise NotCommuting(*pair)
-    return n
-
-
-def _restriction(v: ExactMatrix, a: ExactMatrix) -> ExactMatrix:
-    """R with A V = V R, for V spanning an A-invariant space (full col rank)."""
-    r = solve(v, a @ v)
-    if r is None:
-        raise LinalgError("subspace is not invariant")
-    return r
-
-
-def _kernel_flag(family: Sequence[ExactMatrix], n: int) -> Optional[ExactMatrix]:
-    """M with every M^-1 A M lower-triangular, or None when some member has two eigenvalues.
-
-    With N = A - (tr A / n) I per member, K_1 = ker [N_0; N_1; ...] and K_{j+1} = ker [Q_j N_0;
-    Q_j N_1; ...], Q_j the RREF of level j, which also yields the kernel.  Free columns only
-    grow; each level adds the null-space vectors of its newly free columns, deepest level last.
-    It reaches dimension n iff every N is nilpotent.
-    """
-    shifted = [a - ExactMatrix.identity(n).scale(a.trace() / gr(n)) for a in family] if n else []
-    q = ExactMatrix.identity(n)
-    free: List[int] = []
-    columns: List[ExactMatrix] = []
-    while len(free) < n:
-        stacked = [x for s in shifted for x in (q @ s).entries]
-        r, pivots = rref(ExactMatrix._of(q.rows * len(shifted), n, stacked))
-        q = r.submatrix(range(len(pivots)), range(n))
-        kernel = _kernel_vectors([dict(enumerate(q.row(i))) for i in range(q.rows)], pivots, n)
-        now = [f for f in range(n) if f not in pivots]
-        new = [v for f, v in zip(now, kernel) if f not in free]
-        if not new:
-            return None
-        columns[:0] = new
-        free = now
-    return ExactMatrix._of(n, n, [v[i, 0] for i in range(n) for v in columns])
-
-
-def simultaneous_triangularize(family: Sequence[ExactMatrix]) -> BasisChange:
-    """Basis change M with M^-1 A M lower-triangular for every A in the family.
-
-    One flag of common kernels (:func:`_kernel_flag`) when every member has a
-    single eigenvalue.  Otherwise :func:`simultaneous_block_split` first,
-    then one flag per block.
-    """
-    n = _check_family(family)
     m = _kernel_flag(family, n)
     if m is None:
-        split, ranges = simultaneous_block_split(family)
-        moved = [split.m_inv @ a @ split.matrix for a in family]
-        m = hstack([
-            split.matrix.submatrix(range(n), range(s, e))
-            @ _kernel_flag([b.submatrix(range(s, e), range(s, e)) for b in moved], e - s)
-            for s, e in ranges
-        ])
+        raise LinalgError("family has more than one block: a member has two eigenvalues")
     bc = BasisChange(m)
     for a in family:
         if not (bc.m_inv @ a @ m).is_lower_triangular():
             raise LinalgError("internal error: triangularization postcondition failed")
     return bc
-
-
-def simultaneous_block_split(
-    family: Sequence[ExactMatrix],
-) -> Tuple[BasisChange, List[Tuple[int, int]]]:
-    """Joint generalized eigenspace decomposition of a commuting family.
-
-    Returns (M, ranges) with every M^-1 A M block-diagonal on the given
-    contiguous index ranges; each block carries a single (degenerate)
-    eigenvalue of every family member.  Blocks are ordered by size
-    (descending) then by their eigenvalue tuples.
-    """
-    n = _check_family(family)
-    subspaces: List[Tuple[ExactMatrix, tuple]] = [(ExactMatrix.identity(n), ())]
-    for a in family:
-        refined: List[Tuple[ExactMatrix, tuple]] = []
-        for v, evs in subspaces:
-            r = _restriction(v, a)
-            k = r.rows
-            for lam, _mult in eigenvalues_gaussian(r):
-                gen = (r - ExactMatrix.identity(k).scale(lam)) ** k
-                kern = null_space(gen)
-                if kern:
-                    refined.append((v @ hstack(kern), evs + (lam,)))
-        subspaces = refined
-    subspaces.sort(key=lambda se: (-se[0].cols, tuple(x.sort_key() for x in se[1])))
-    m = hstack([v for v, _ in subspaces])
-    bc = BasisChange(m)
-    ranges: List[Tuple[int, int]] = []
-    start = 0
-    for v, _ in subspaces:
-        ranges.append((start, start + v.cols))
-        start += v.cols
-    for a in family:
-        b = bc.m_inv @ a @ m
-        for (s1, e1) in ranges:
-            for i in range(s1, e1):
-                for j in range(n):
-                    if not (s1 <= j < e1) and b[i, j]:
-                        raise LinalgError("internal error: block split postcondition failed")
-    return bc, ranges

@@ -27,7 +27,7 @@ from liepoisson.extension import (
     strip_semisimple,
     validate,
 )
-from liepoisson.linalg import BasisChange, ExactMatrix
+from liepoisson.linalg import BasisChange, ExactMatrix, LinalgError, simultaneous_triangularize
 from liepoisson.scalars import I, ONE, ZERO, gr
 from liepoisson.transform import apply, apply_chain
 
@@ -298,6 +298,13 @@ def test_multi_block_with_a_large_prime_eigenvalue_is_rejected_at_once():
     assert not t.is_lower_triangular()
     with cpu_seconds_at_most(0.5), pytest.raises(NotSingleBlock, match="more than one block"):
         classify(t)
+
+
+def test_triangularize_rejects_the_large_prime_two_block_family_at_once():
+    # the same slices given to linalg: no divisor enumeration of 2^61 - 1 behind the stalled flag
+    family = two_blocks_2p61().slices_upper()
+    with cpu_seconds_at_most(1.0), pytest.raises(LinalgError, match="more than one block"):
+        simultaneous_triangularize(family)
 
 
 def test_equivalence_check_distinct_orders():

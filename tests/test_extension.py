@@ -90,9 +90,10 @@ def test_validate_keeps_the_semidirect_flag():
 def test_leibniz_slices_are_jordan_powers():
     for order in range(1, 9):
         t = leibniz(order)
-        n = t.slice_upper(0)
+        n = power = t.slice_upper(0)
         for nu in range(order):
-            assert t.slice_upper(nu) == n ** (nu + 1)
+            assert t.slice_upper(nu) == power
+            power = power @ n
         assert validate(t.w) == t
 
 

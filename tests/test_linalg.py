@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liepoisson.linalg import (
-    _check_family,
     _kernel_flag,
     BasisChange,
     ExactMatrix,
@@ -17,14 +16,13 @@ from liepoisson.linalg import (
     eigenvalues_gaussian,
     hstack,
     inverse,
+    noncommuting_pair,
     null_space,
     null_space_rows,
     pseudoinverse,
     rank,
     rref,
-    simultaneous_block_split,
     simultaneous_triangularize,
-    solve,
 )
 from liepoisson.classify import catalog
 from liepoisson.extension import append_semisimple, crmhd, leibniz
@@ -218,6 +216,20 @@ def test_quadratic_casimir_basis_matches_dense_oracle_at_n16():
     assert elapsed < 1.0
 
 
+def solve(a, b):
+    """One exact solution X of a @ X = b from rref([a | b]), or None when inconsistent: the reference."""
+    if a.rows != b.rows:
+        raise ValueError("incompatible shapes")
+    r, pivots = rref(ExactMatrix(a.rows, a.cols + b.cols, [x for i in range(a.rows) for x in a.row(i) + b.row(i)]))
+    if any(p >= a.cols for p in pivots):
+        return None
+    out = [[ZERO] * b.cols for _ in range(a.cols)]
+    for i, p in enumerate(pivots):
+        for j in range(b.cols):
+            out[p][j] = r[i, a.cols + j]
+    return ExactMatrix(a.cols, b.cols, [x for row in out for x in row])
+
+
 def test_solve_and_inverse():
     a = M([[1, 2], [3, 5]])
     x = solve(a, ExactMatrix.identity(2))
@@ -286,12 +298,16 @@ def test_inverse_matches_solve_and_dense_oracle():
 
 
 def dense_check_family(family):
-    """The dense-product commutation check that _check_family was: the reference."""
+    """The dense-product commutation check, the first noncommuting pair or None: the reference."""
     for i in range(len(family)):
         for j in range(i + 1, len(family)):
             if family[i] @ family[j] != family[j] @ family[i]:
                 return (i, j)
     return None
+
+
+def nonzero_rows(a):
+    return [[(k, x) for k, x in enumerate(a.row(r)) if x] for r in range(a.rows)]
 
 
 def test_check_family_matches_dense_products():
@@ -315,17 +331,24 @@ def test_check_family_matches_dense_products():
         k = rng.randrange(len(family))
         bumped = family[k].with_entry(rng.randrange(n), rng.randrange(n), gr(rng.randint(1, 3)))
         families.append(family[:k] + [bumped] + family[k + 1:])
-    raised = 0
+    raised = triangularized = 0
     for family in families:
         want = dense_check_family(family)
+        assert noncommuting_pair([nonzero_rows(a) for a in family]) == want
         if want is None:
-            assert _check_family(family) == family[0].rows
+            m = _kernel_flag(family, family[0].rows)
+            if m is None:
+                with pytest.raises(LinalgError, match="more than one block"):
+                    simultaneous_triangularize(family)
+            else:
+                triangularized += 1
+                assert simultaneous_triangularize(family).matrix == m
         else:
             raised += 1
             with pytest.raises(NotCommuting) as err:
-                _check_family(family)
+                simultaneous_triangularize(family)
             assert err.value.pair == want
-    assert raised > 30 and len(families) - raised > 60
+    assert raised > 30 and len(families) - raised > 60 and triangularized > 30
 
 
 def test_public_constructors_coerce():
@@ -350,8 +373,8 @@ def test_computed_matrices_hold_only_scalars():
         a + b, a - b, -a, a @ b, a.scale(2), a.scale(gr(1, 1)), a.transpose(),
         a.conjugate_transpose(), a.submatrix([0, 2], [1, 2]), a.with_entry(0, 1, 5),
         ExactMatrix.identity(3), ExactMatrix.zeros(2, 3), ExactMatrix.diagonal([1, 2]),
-        rref(a)[0], rref(random_rank_deficient(rng, 4, 2))[0], inverse(a), solve(a, b),
-        pseudoinverse(random_rank_deficient(rng, 3, 2)), hstack([a, b]), a ** 3,
+        rref(a)[0], rref(random_rank_deficient(rng, 4, 2))[0], inverse(a),
+        pseudoinverse(random_rank_deficient(rng, 3, 2)), hstack([a, b]), a @ a @ a,
         BasisChange(a, scale=gr(2)).matrix, BasisChange(a).m_inv,
     ]
     results += null_space(random_rank_deficient(rng, 4, 2))
@@ -449,7 +472,7 @@ def test_eigenvalues_rational_and_gaussian_mix():
     assert eigenvalues_gaussian(a) == [(gr(F(1, 2)), 2)]
 
 
-# -- simultaneous triangularization / block split -----------------------------
+# -- simultaneous triangularization -------------------------------------------
 
 def test_triangularize_jordan_flip():
     fam = [M([[0, 1], [0, 0]])]
@@ -469,6 +492,7 @@ def test_triangularize_identity_plus_nilpotent():
 
 def test_triangularize_commuting_random_family():
     rng = random.Random(13)
+    rejected = 0
     for _ in range(15):
         n = rng.randint(2, 4)
         base = random_matrix(rng, n, n, span=2, complex_prob=0)
@@ -478,11 +502,20 @@ def test_triangularize_commuting_random_family():
         for i in range(n):
             for j in range(i + 1, n):
                 rows[i][j] = ZERO
-        base = ExactMatrix.from_rows(rows)
-        fam = [base, base @ base + base.scale(3), ExactMatrix.identity(n) + base.scale(2)]
-        bc = simultaneous_triangularize(fam)
-        for a in fam:
-            assert (bc.m_inv @ a @ bc.matrix).is_lower_triangular()
+        # a constant diagonal is one block and is triangularized; distinct
+        # diagonal entries are more than one block and are rejected
+        one_block = [[rows[0][0] if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        for base in (ExactMatrix.from_rows(rows), ExactMatrix.from_rows(one_block)):
+            fam = [base, base @ base + base.scale(3), ExactMatrix.identity(n) + base.scale(2)]
+            if len(set(base.diagonal_values())) > 1:
+                rejected += 1
+                with pytest.raises(LinalgError, match="more than one block"):
+                    simultaneous_triangularize(fam)
+                continue
+            bc = simultaneous_triangularize(fam)
+            for a in fam:
+                assert (bc.m_inv @ a @ bc.matrix).is_lower_triangular()
+    assert rejected > 5
 
 
 def test_triangularize_rejects_noncommuting():
@@ -594,8 +627,24 @@ def diagonals(m, family):
     return out
 
 
-def joint_spectrum(diags):
-    return sorted(zip(*diags), key=lambda tup: [x.sort_key() for x in tup])
+def dense_kernel_flag(family, n):
+    """The flag of common kernels on dense matrices, one rref and one matmul per member and level: the reference."""
+    shifted = [a - ExactMatrix.identity(n).scale(a.trace() / gr(n)) for a in family] if n else []
+    q = ExactMatrix.identity(n)
+    free = []
+    columns = []
+    while len(free) < n:
+        stacked = [x for s in shifted for x in (q @ s).entries]
+        r, pivots = rref(ExactMatrix(q.rows * len(shifted), n, stacked))
+        q = r.submatrix(range(len(pivots)), range(n))
+        kernel = null_space(q)
+        now = [f for f in range(n) if f not in pivots]
+        new = [v for f, v in zip(now, kernel) if f not in free]
+        if not new:
+            return None
+        columns[:0] = new
+        free = now
+    return ExactMatrix(n, n, [v[i, 0] for i in range(n) for v in columns])
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -603,40 +652,18 @@ def joint_spectrum(diags):
 def test_kernel_flag_matches_recursion_on_single_blocks(family):
     n = family[0].rows
     m = _kernel_flag(family, n)
-    assert m is not None
+    assert m is not None and m == dense_kernel_flag(family, n)
     assert simultaneous_triangularize(family).matrix == m
     assert diagonals(m, family) == diagonals(recursive_triangularize(family), family)
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
 @given(split_families())
-def test_block_split_fallback_matches_recursion(family):
-    # the blocks come out in the order simultaneous_block_split sorts them,
-    # the recursion's eigenvectors in its own order: the joint spectra agree
+def test_split_families_raise_more_than_one_block(family):
     assert _kernel_flag(family, family[0].rows) is None
-    ours = diagonals(simultaneous_triangularize(family).matrix, family)
-    assert joint_spectrum(ours) == joint_spectrum(diagonals(recursive_triangularize(family), family))
-
-
-def test_block_split_examples():
-    bc, ranges = simultaneous_block_split([ExactMatrix.diagonal([1, 1, 0])])
-    assert [e - s for s, e in ranges] == [2, 1]
-    bc, ranges = simultaneous_block_split([ExactMatrix.identity(2)])
-    assert ranges == [(0, 2)]
-    # second matrix separates what the first leaves degenerate
-    bc, ranges = simultaneous_block_split(
-        [ExactMatrix.diagonal([2, 3]), ExactMatrix.diagonal([5, 5])]
-    )
-    assert [e - s for s, e in ranges] == [1, 1]
-
-
-def test_block_split_block_diagonalizes():
-    a = M([[1, 0, 0], [1, 1, 0], [0, 0, 2]])
-    b = M([[3, 0, 0], [0, 3, 0], [0, 0, 3]])
-    bc, ranges = simultaneous_block_split([a, b])
-    out = bc.m_inv @ a @ bc.matrix
-    sizes = sorted(e - s for s, e in ranges)
-    assert sizes == [1, 2]
+    assert dense_kernel_flag(family, family[0].rows) is None
+    with pytest.raises(LinalgError, match="more than one block"):
+        simultaneous_triangularize(family)
 
 
 def test_basis_change_roundtrip_json():
