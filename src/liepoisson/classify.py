@@ -25,9 +25,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .extension import (
     ExtensionTensor,
     TensorError,
+    _cube,
+    _empty,
     abelian,
     append_semisimple,
-    from_lower_slices,
     strip_semisimple,
     validate,
 )
@@ -89,19 +90,17 @@ class Catalog:
         return len(self.entries)
 
 
-def _slice_matrix(n: int, pairs: Dict[Tuple[int, int], int]) -> ExactMatrix:
-    rows = [[ZERO] * n for _ in range(n)]
-    for (i, j), v in pairs.items():
-        rows[i][j] = gr(v)
-        rows[j][i] = gr(v)
-    return ExactMatrix.from_rows(rows)
-
-
 def _normal_form(n: int, slices: Dict[int, Dict[Tuple[int, int], int]]) -> ExtensionTensor:
-    mats: List[Optional[ExactMatrix]] = [None] * n
+    """A catalog entry from its nonzero lower-index entries {lam: {(mu, nu): value}}.
+
+    The normal forms satisfy both bracket laws (the tests check each entry),
+    so the tensor is built by the trusted constructor.
+    """
+    w = _empty(n)
     for lam, pairs in slices.items():
-        mats[lam] = _slice_matrix(n, pairs)
-    return from_lower_slices(mats, n)
+        for (mu, nu), v in pairs.items():
+            w[lam][mu][nu] = w[lam][nu][mu] = gr(v)
+    return ExtensionTensor._of(n, False, _cube(w))
 
 
 _CATALOGS: Dict[int, Catalog] = {}
@@ -156,8 +155,12 @@ def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
     with the identity slice appended) bit-exactly, which is verified before
     returning.  Triangularizing is one kernel flag, with no eigenvalue search;
     a stalled flag means more than one block and raises :class:`NotSingleBlock`.
+
+    A tensor in hand is certified and is not checked again; a raw array goes
+    through :func:`validate` first.
     """
-    t = validate(t)
+    if not isinstance(t, ExtensionTensor):
+        t = validate(t)
     original = t
     chain: List[BasisChange] = []
     if not t.is_lower_triangular():
@@ -174,14 +177,14 @@ def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
     ev = t.slice_diagonal(0)[0]
     semidirect = bool(ev)
     if semidirect:
+        if t.n == 1:
+            raise ClassificationError(
+                "bare base bracket: the semisimple slot has no solvable part to classify"
+            )
         t, b = normalize_w0_to_identity(t)
         if not b.matrix.is_identity():
             chain.append(b)
         solvable = strip_semisimple(t)
-        if solvable.n == 0:
-            raise ClassificationError(
-                "bare base bracket: the semisimple slot has no solvable part to classify"
-            )
         sol_normal, sol_chain = _classify_solvable(solvable)
         chain.extend(_embed(b, t.n) for b in sol_chain)
         expected = append_semisimple(sol_normal)

@@ -135,7 +135,7 @@ def _normal_form(t: ExtensionTensor, label: CaseLabel) -> ExtensionTensor:
     ``classify`` has already replayed its witness chain on ``t`` and checked
     that it reproduces this entry bit-exactly, so it is not replayed again.
     """
-    return ExtensionTensor(t.n, t.semidirect, catalog_entry(label).w)
+    return ExtensionTensor._of(t.n, t.semidirect, catalog_entry(label).w)
 
 
 def cmd_casimir(args) -> int:

@@ -8,10 +8,18 @@ beta_nu].  It is a Lie bracket exactly when
 * the slice matrices W^(nu), defined by [W^(nu)]_lam^mu = W_lam^{mu nu},
   pairwise commute.
 
-:func:`validate` certifies both laws.  Constructors are provided for the
-brackets used throughout: Leibniz extensions (solvable and semidirect),
-compressible reduced MHD, abelian and pure-semidirect tensors, direct sums,
-and appending a semisimple part to a solvable extension.
+A tensor is certified once, at a public door, and trusted from then on.  The
+doors are the constructor ``ExtensionTensor(n, semidirect, w)``,
+:func:`validate` on a raw array, :meth:`ExtensionTensor.from_json` and
+:func:`from_lower_slices`: each freezes the entries to Q(i) scalars, rejects
+anything but an n-cube with n >= 1, and checks both laws.  Tensors built
+where the laws hold by construction go through the trusted
+``ExtensionTensor._of``, which checks nothing: the named constructors below
+(Leibniz extensions, compressible reduced MHD, abelian and pure-semidirect
+tensors), direct sums and appending a semisimple part to certified operands,
+stripping that part when slot 0 is decoupled, the classifier's catalog, and
+``transform.apply`` and ``transform.normalize_w0_to_identity`` on a
+certified tensor.  :func:`validate` returns a tensor in hand as it is.
 
 Index convention: storage is always 0-based.  A tensor with the semidirect
 flag set uses slot 0 as the semisimple direction (printed labels 0..n); a
@@ -58,18 +66,39 @@ class ExtensionTensor:
     """A certified extension 3-tensor W_lam^{mu nu}.
 
     ``n`` counts the fields (the common size of all three indices, including
-    the semisimple slot when the semidirect flag is set).  Instances are
-    produced by :func:`validate` or by the constructors below, so a tensor in
-    hand always satisfies both bracket laws.
+    the semisimple slot when the semidirect flag is set).  The constructor is
+    a door: it coerces ``w`` (an n x n x n array of scalars, ints, fractions
+    or scalar strings), raises :class:`TensorError` unless it is a cube of
+    order n >= 1, and raises :class:`SymmetryViolation` or
+    :class:`CommutationViolation` at the first offending indices.  The
+    trusted ``ExtensionTensor._of`` checks nothing and is used only where
+    both laws hold by construction, so a tensor in hand always satisfies
+    them.
     """
 
     __slots__ = ("n", "semidirect", "w", "_nonzeros")
 
-    def __init__(self, n: int, semidirect: bool, w: Tuple[Tuple[Tuple[GaussianRational, ...], ...], ...]):
+    def __init__(self, n: int, semidirect: bool, w: Sequence[Sequence[Sequence]]):
+        w = _freeze(w)
+        if len(w) != n:
+            raise TensorError(f"declared order {n} does not match array size {len(w)}")
+        if n < 1:
+            raise TensorError("a tensor needs at least one field")
+        _check_laws(w)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "semidirect", bool(semidirect))
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "_nonzeros", None)
+
+    @staticmethod
+    def _of(n: int, semidirect: bool, w: Tuple) -> "ExtensionTensor":
+        """Trusted constructor: ``w`` is a tuple n-cube of scalars obeying both laws."""
+        t = object.__new__(ExtensionTensor)
+        object.__setattr__(t, "n", n)
+        object.__setattr__(t, "semidirect", semidirect)
+        object.__setattr__(t, "w", w)
+        object.__setattr__(t, "_nonzeros", None)
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtensionTensor is immutable")
@@ -143,8 +172,7 @@ class ExtensionTensor:
 
     @staticmethod
     def from_json(doc: dict) -> "ExtensionTensor":
-        w = doc["w"]
-        t = validate(w, semidirect=bool(doc.get("semidirect", False)))
+        t = validate(doc["w"], semidirect=bool(doc.get("semidirect", False)))
         if t.n != int(doc["n"]):
             raise TensorError(f"declared order {doc['n']} does not match array size {t.n}")
         return t
@@ -165,28 +193,16 @@ def _freeze(w_raw: Sequence[Sequence[Sequence]]) -> Tuple:
     return tuple(out)
 
 
-def validate(w_raw, semidirect: Optional[bool] = None) -> ExtensionTensor:
-    """Certify a raw cubic array as an extension tensor.
+def _check_laws(w: Tuple) -> None:
+    """Raise at the first violation of either bracket law on a frozen cube.
 
-    Checks upper-index symmetry entry by entry, then pairwise commutation of
-    the slice matrices; together these are necessary and sufficient for the
-    Jacobi identity of the induced bracket.  Raises
-    :class:`SymmetryViolation` or :class:`CommutationViolation` with the
-    offending indices (the first pair nu < sigma in lexicographic order).
-
-    Commutation is checked by :func:`linalg.noncommuting_pair` on the stored
+    Upper-index symmetry is checked entry by entry, then pairwise commutation
+    of the slice matrices by :func:`linalg.noncommuting_pair` on the stored
     rows: once symmetry holds, row lam of W^(nu) is the stored row
-    ``w[lam][nu]``.  ``semidirect`` defaults to the flag of a tensor passed
-    in, and to False (solvable form) for a raw array.
+    ``w[lam][nu]``.  Together the two laws are necessary and sufficient for
+    the Jacobi identity of the induced bracket.
     """
-    if isinstance(w_raw, ExtensionTensor):
-        w = w_raw.w
-        n = w_raw.n
-        if semidirect is None:
-            semidirect = w_raw.semidirect
-    else:
-        w = _freeze(w_raw)
-        n = len(w)
+    n = len(w)
     for lam in range(n):
         for mu in range(n):
             for nu in range(mu + 1, n):
@@ -195,11 +211,33 @@ def validate(w_raw, semidirect: Optional[bool] = None) -> ExtensionTensor:
     pair = noncommuting_pair([[[(k, x) for k, x in enumerate(w[lam][nu]) if x] for lam in range(n)] for nu in range(n)])
     if pair:
         raise CommutationViolation(*pair)
-    return ExtensionTensor(n, bool(semidirect), w)
+
+
+def validate(w_raw, semidirect: Optional[bool] = None) -> ExtensionTensor:
+    """Certify a raw cubic array as an extension tensor.
+
+    A raw array goes through the constructor, which raises
+    :class:`SymmetryViolation` or :class:`CommutationViolation` with the
+    offending indices (the first pair nu < sigma in lexicographic order).  A
+    tensor in hand is already certified and is returned as it is, or as a
+    copy with the flag changed when ``semidirect`` differs from its own.
+    ``semidirect`` defaults to the flag of a tensor passed in, and to False
+    (solvable form) for a raw array.
+    """
+    if isinstance(w_raw, ExtensionTensor):
+        if semidirect is None or bool(semidirect) == w_raw.semidirect:
+            return w_raw
+        return ExtensionTensor._of(w_raw.n, bool(semidirect), w_raw.w)
+    return ExtensionTensor(len(w_raw), bool(semidirect), w_raw)
 
 
 def _empty(n: int) -> List[List[List[GaussianRational]]]:
     return [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+
+
+def _cube(w: List[List[List[GaussianRational]]]) -> Tuple:
+    """Nested lists of scalars as the nested tuples a tensor stores."""
+    return tuple(tuple(tuple(row) for row in plane) for plane in w)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +248,7 @@ def abelian(order: int) -> ExtensionTensor:
     """The zero bracket on ``order`` fields."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    return ExtensionTensor(order, False, _freeze(_empty(order)))
+    return ExtensionTensor._of(order, False, _cube(_empty(order)))
 
 
 def leibniz(order: int, semidirect: bool = False) -> ExtensionTensor:
@@ -229,7 +267,7 @@ def leibniz(order: int, semidirect: bool = False) -> ExtensionTensor:
     for mu in range(n):
         for nu in range(n - mu - shift):
             w[mu + nu + shift][mu][nu] = ONE
-    return ExtensionTensor(n, semidirect, _freeze(w))
+    return ExtensionTensor._of(n, bool(semidirect), _cube(w))
 
 
 def pure_semidirect(order: int) -> ExtensionTensor:
@@ -246,7 +284,7 @@ def pure_semidirect(order: int) -> ExtensionTensor:
         w[lam][lam][0] = ONE
         w[lam][0][lam] = ONE
     w[0][0][0] = ONE
-    return ExtensionTensor(n, True, _freeze(w))
+    return ExtensionTensor._of(n, True, _cube(w))
 
 
 def crmhd(beta) -> ExtensionTensor:
@@ -267,7 +305,7 @@ def crmhd(beta) -> ExtensionTensor:
         w[lam][0][lam] = ONE
     w[3][2][1] = -beta
     w[3][1][2] = -beta
-    return ExtensionTensor(4, True, _freeze(w))
+    return ExtensionTensor._of(4, True, _cube(w))
 
 
 def low_beta_rmhd() -> ExtensionTensor:
@@ -280,7 +318,9 @@ def direct_sum(a: ExtensionTensor, b: ExtensionTensor) -> ExtensionTensor:
 
     The summands are treated as independent blocks, so the result is stored
     without a semidirect flag even if an operand carries one (its identity
-    slice is no longer global).
+    slice is no longer global).  Each slice of the sum is block-diagonal with
+    blocks that are slices of a certified operand, or zero, so both laws
+    hold by construction.
     """
     n = a.n + b.n
     w = _empty(n)
@@ -292,7 +332,7 @@ def direct_sum(a: ExtensionTensor, b: ExtensionTensor) -> ExtensionTensor:
         for mu in range(b.n):
             for nu in range(b.n):
                 w[a.n + lam][a.n + mu][a.n + nu] = b.w[lam][mu][nu]
-    return validate(w, semidirect=False)
+    return ExtensionTensor._of(n, False, _cube(w))
 
 
 def append_semisimple(a: ExtensionTensor) -> ExtensionTensor:
@@ -300,7 +340,11 @@ def append_semisimple(a: ExtensionTensor) -> ExtensionTensor:
 
     The solvable matrices are embedded at indices 1..n padded by a zero row
     and column, slot 0 gets W^(0) = I, and the upper-index symmetry fills in
-    the first column of each solvable slice.
+    the first column of each solvable slice.  For a certified input both laws
+    hold by construction: slice nu >= 1 is [[0, 0], [e_nu, S^(nu)]] in block
+    form, so in a product of two of them the trailing blocks S^(nu) S^(sigma)
+    commute because the input's slices do, and the first columns
+    S^(nu) e_sigma and S^(sigma) e_nu are equal by upper-index symmetry.
     """
     if not a.is_solvable():
         raise NotSolvable("input has a slice with a nonzero eigenvalue")
@@ -313,16 +357,28 @@ def append_semisimple(a: ExtensionTensor) -> ExtensionTensor:
         for mu in range(a.n):
             for nu in range(a.n):
                 w[lam + 1][mu + 1][nu + 1] = a.w[lam][mu][nu]
-    return validate(w, semidirect=True)
+    return ExtensionTensor._of(n, True, _cube(w))
 
 
 def strip_semisimple(a: ExtensionTensor) -> ExtensionTensor:
-    """The solvable part of a semidirect tensor (drop slot 0)."""
+    """The solvable part of a semidirect tensor (drop slot 0).
+
+    When slot 0 is decoupled, W_0^{mu nu} = 0 for mu, nu >= 1 (as for every
+    lower-triangular tensor, for instance after
+    ``transform.normalize_w0_to_identity``), row 0 of each slice W^(nu) with
+    nu >= 1 vanishes, so the trailing block of W^(nu) W^(sigma) is
+    S^(nu) S^(sigma) and the dropped slices commute because the full ones
+    do: the result is trusted.  Otherwise it goes through the checking
+    constructor.
+    """
     if not a.semidirect:
         raise TensorError("tensor has no semisimple slot")
-    n = a.n - 1
-    w = [[[a.w[lam + 1][mu + 1][nu + 1] for nu in range(n)] for mu in range(n)] for lam in range(n)]
-    return validate(w, semidirect=False)
+    if a.n == 1:
+        raise TensorError("tensor has no solvable part: the semisimple slot is its only field")
+    w = tuple(tuple(row[1:] for row in plane[1:]) for plane in a.w[1:])
+    if any(any(row[1:]) for row in a.w[0][1:]):
+        return ExtensionTensor(a.n - 1, False, w)
+    return ExtensionTensor._of(a.n - 1, False, w)
 
 
 def from_lower_slices(slices: Sequence[Optional[ExactMatrix]], n: int,
@@ -342,4 +398,4 @@ def from_lower_slices(slices: Sequence[Optional[ExactMatrix]], n: int,
         for mu in range(n):
             for nu in range(n):
                 w[lam][mu][nu] = s[mu, nu]
-    return validate(w, semidirect=semidirect)
+    return ExtensionTensor(n, bool(semidirect), w)

@@ -1,9 +1,13 @@
 """Exact linear algebra over Q(i).
 
 Everything here is computed without rounding: row reduction, null spaces,
-inverses, the Moore-Penrose pseudoinverse (via rank factorization, so it is
-exact for any rank), characteristic polynomials (Faddeev-LeVerrier), and
-eigenvalue search restricted to Q(i) by Gaussian-integer divisor enumeration.
+inverses and the Moore-Penrose pseudoinverse (via rank factorization, so it
+is exact for any rank).  No package code searches for eigenvalues.  The
+search over Q(i) (:func:`eigenvalues_gaussian`, with
+:func:`characteristic_polynomial` by Faddeev-LeVerrier and
+:func:`roots_in_gaussian_rationals` by Gaussian-integer divisor enumeration)
+is kept only because the benchmark's traced set (``bench/run.py``, ``TRACED``)
+names ``linalg.eigenvalues_gaussian``.
 
 Matrices are dense :class:`ExactMatrix` values, but there is one elimination
 and it is sparse: :func:`_rref_rows` runs Gauss-Jordan on rows held as
@@ -28,7 +32,8 @@ member.  It is one flag of common kernels, :func:`_kernel_flag`, which the
 classifier also calls directly, and it needs every member to have a single
 eigenvalue (trace / n); families with more than one block are out of scope
 and raise, with no eigenvalue search.  Commutation has one sparse check,
-:func:`noncommuting_pair`, which ``extension.validate`` shares.
+:func:`noncommuting_pair`, which the tensor check in :mod:`liepoisson.extension`
+shares.
 """
 
 from __future__ import annotations

@@ -10,9 +10,11 @@ is deliberate: the classification of extension tensors uses complex
 coordinate changes, and every one of them can be rescaled so that its
 entries lie in Q(i).
 
-The module also provides the small amount of Gaussian-integer number theory
-(divisor enumeration, exact square roots) needed by the eigenvalue search in
-:mod:`liepoisson.linalg`.
+The module also provides the Gaussian-integer number theory that the
+classifier's rescalings and conic points use: exact square roots, square-free
+parts and factorization.  :func:`gaussian_divisors` has no package caller; it
+is kept, with the eigenvalue search in :mod:`liepoisson.linalg`, only because
+the benchmark's traced set names ``linalg.eigenvalues_gaussian``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ products over the stored entries (one per index, zero factors skipped, no
 intermediate matrices).  It relies on the upper-index symmetry that every
 :class:`ExtensionTensor` carries and that the law preserves: only the upper
 triangles are computed, then mirrored.  Validity of the bracket is preserved
-by construction (and re-checked).  On top of it sit three normalizations:
+by construction, so the result is built by the trusted ``ExtensionTensor._of``;
+``apply(check=True)``, the default, still checks both laws on it.  On top of
+it sit three normalizations:
 
 * :func:`normalize_w0_to_identity` drives the first slice matrix to the
   identity by a scalar rescale followed by unit-lower-triangular moves that
@@ -38,7 +40,7 @@ from __future__ import annotations
 from math import prod
 from typing import List, Optional, Tuple
 
-from .extension import ExtensionTensor, TensorError, validate
+from .extension import ExtensionTensor, TensorError, _check_laws
 from .linalg import BasisChange, ExactMatrix
 from .scalars import (
     Fraction,
@@ -96,9 +98,9 @@ def apply(t: ExtensionTensor, b: BasisChange, check: bool = True) -> ExtensionTe
 
     Every extension tensor is symmetric in its upper indices and the law
     keeps it so, hence T1 and the result are computed for mu <= nu and
-    a <= g only and mirrored.  ``check=False`` skips the re-validation for
-    hot internal loops (the classifier's final bit-exact comparison against
-    the catalog is the real gate there).
+    a <= g only and mirrored.  ``check=False`` skips the check of both laws
+    on the result for hot internal loops (the classifier's final bit-exact
+    comparison against the catalog is the real gate there).
     """
     n = t.n
     if b.n != n:
@@ -147,8 +149,10 @@ def apply(t: ExtensionTensor, b: BasisChange, check: bool = True) -> ExtensionTe
                 if y:
                     plane[a][g] = plane[g][a] = y
         w.append(tuple(tuple(r) for r in plane))
-    out = ExtensionTensor(n, t.semidirect, tuple(w))
-    return validate(out) if check else out
+    w = tuple(w)
+    if check:
+        _check_laws(w)
+    return ExtensionTensor._of(n, t.semidirect, w)
 
 
 def apply_chain(t: ExtensionTensor, chain: List[BasisChange], check: bool = True) -> ExtensionTensor:
@@ -181,7 +185,7 @@ def normalize_w0_to_identity(t: ExtensionTensor) -> Tuple[ExtensionTensor, Basis
     if not ev:
         raise DegenerateEigenvalueMismatch("first slice eigenvalue vanishes")
     # the witness is the product of the moves, inverted once; the moves are
-    # applied unchecked and the result validated once
+    # invertible changes of a certified tensor, applied unchecked
     total = ExactMatrix.identity(n)
     if not ev.is_one():
         total = ExactMatrix.identity(n).scale(ONE / ev)
@@ -194,7 +198,7 @@ def normalize_w0_to_identity(t: ExtensionTensor) -> Tuple[ExtensionTensor, Basis
             total = total @ m
     if not t.slice_is_identity(0):
         raise TransformError("internal error: W^(0) normalization did not reach the identity")
-    return validate(t, semidirect=True), BasisChange(total)
+    return ExtensionTensor._of(n, True, t.w), BasisChange(total)
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ def _count_calls(monkeypatch, *functions):
 
 def test_casimir_does_not_replay_the_witness(tmp_path, capsys, monkeypatch):
     from liepoisson.classify import classify
-    from liepoisson.extension import validate
+    from liepoisson.extension import _check_laws, validate
     from liepoisson.transform import apply
 
     moved = apply_chain(
@@ -199,10 +199,11 @@ def test_casimir_does_not_replay_the_witness(tmp_path, capsys, monkeypatch):
     doc.write_text(json.dumps(moved.to_json()))
     parsed = ExtensionTensor.from_json(json.loads(doc.read_text()))
 
-    counts = _count_calls(monkeypatch, apply, validate)
+    counts = _count_calls(monkeypatch, apply, validate, _check_laws)
     classify(parsed)
     alone = dict(counts)
-    assert alone["apply"] > 0 and alone["validate"] > 0
+    # a parsed tensor is certified: classify checks neither law again
+    assert alone["apply"] > 0 and alone["validate"] == 0 and alone["_check_laws"] == 0
 
     for key in counts:
         counts[key] = 0
@@ -210,7 +211,37 @@ def test_casimir_does_not_replay_the_witness(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert "table fixtures: match" in out
     # reading the document validates it once; the rest is classify's own work
-    assert counts == {"apply": alone["apply"], "validate": alone["validate"] + 1}
+    assert counts == {"apply": alone["apply"], "validate": 1, "_check_laws": 1}
+
+
+def test_classifying_a_certified_tensor_checks_no_law(monkeypatch):
+    from fractions import Fraction
+
+    from liepoisson.classify import classify
+    from liepoisson.extension import _check_laws, append_semisimple, validate
+    from liepoisson.linalg import noncommuting_pair
+    from liepoisson.transform import apply
+
+    move = BasisChange(ExactMatrix.from_rows([[1, 2, 0, 0], [0, 1, 3, 0], [1, 0, 1, 0], [0, 0, 1, 2]]))
+    inputs = [apply(t, move) for _, t in catalog(4).entries]
+    inputs += [apply(append_semisimple(t), move) for _, t in catalog(3).entries]
+    inputs += [crmhd(Fraction(5, 2)), leibniz(3, semidirect=True), leibniz(4)]
+    counts = _count_calls(monkeypatch, validate, noncommuting_pair, _check_laws)
+    for t in inputs:
+        classify(t)
+    assert counts == {"validate": 0, "noncommuting_pair": 0, "_check_laws": 0}
+    # a raw array still goes through the door
+    classify([[list(row) for row in plane] for plane in inputs[0].w])
+    assert counts == {"validate": 1, "noncommuting_pair": 1, "_check_laws": 1}
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "casimir"])
+def test_order_zero_document_exits_invalid(tmp_path, capsys, command):
+    path = tmp_path / "no-fields.json"
+    path.write_text(json.dumps({"n": 0, "semidirect": True, "w": []}))
+    code, out = run([command, str(path)], capsys)
+    assert code == EXIT_INVALID
+    assert "at least one field" in out
 
 
 def test_classify_triangularizes_without_an_eigenvalue_search(monkeypatch):

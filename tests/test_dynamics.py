@@ -61,10 +61,14 @@ def loop_rhs(t, h, state):
 
 
 def random_real_tensor(rng, n):
-    """Real entries with unsymmetric slices; the RHS needs no bracket law."""
+    """Real entries with unsymmetric slices; the RHS needs no bracket law.
+
+    Such a tensor is not a valid bracket, so the checking constructor would
+    reject it; the trusted one builds it for the RHS oracle only.
+    """
     w = tuple(tuple(tuple(gr(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) if rng.random() < 0.4 else ZERO
                           for _ in range(n)) for _ in range(n)) for _ in range(n))
-    return ExtensionTensor(n, False, w)
+    return ExtensionTensor._of(n, False, w)
 
 
 def random_hamiltonian(rng, n):

@@ -1,13 +1,16 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liepoisson.extension import (
     CommutationViolation,
     ExtensionTensor,
     NotSolvable,
     SymmetryViolation,
+    TensorError,
     ZeroParameter,
     abelian,
     append_semisimple,
@@ -19,9 +22,11 @@ from liepoisson.extension import (
     strip_semisimple,
     validate,
 )
-from liepoisson.classify import catalog
-from liepoisson.linalg import ExactMatrix
-from liepoisson.scalars import ONE, ZERO, gr
+from liepoisson.classify import catalog, classify
+from liepoisson.cli import EXIT_INVALID, _normal_form, main
+from liepoisson.linalg import BasisChange, ExactMatrix
+from liepoisson.scalars import GaussianRational, I, ONE, ZERO, gr
+from liepoisson.transform import apply, normalize_w0_to_identity
 
 
 def test_crmhd_slice_matrices():
@@ -200,10 +205,13 @@ def test_validate_reports_the_reference_violation():
                 assert validate(w).w == frozen
                 continue
             broken += 1
-            for raw in (w, ExtensionTensor(n, t.semidirect, frozen)):
-                with pytest.raises(CommutationViolation) as err:
-                    validate(raw)
-                assert err.value.pair == pair
+            with pytest.raises(CommutationViolation) as err:
+                validate(w)
+            assert err.value.pair == pair
+            # the public constructor is a door too and reports the same pair
+            with pytest.raises(CommutationViolation) as err:
+                ExtensionTensor(n, t.semidirect, frozen)
+            assert err.value.pair == pair
     assert broken > len(pool)
 
 
@@ -280,3 +288,152 @@ def test_nonzeros_match_a_full_scan_and_are_computed_once():
         assert fresh == t and hash(fresh) == hash(t)
         with pytest.raises(AttributeError):
             t._nonzeros = ()
+
+
+# ---------------------------------------------------------------------------
+# Where tensors are checked: every public door checks both laws, and every
+# trusted construction yields a tensor that passes them
+# ---------------------------------------------------------------------------
+
+def test_order_zero_is_rejected_at_every_door():
+    for door in (lambda: validate([]), lambda: ExtensionTensor(0, False, ()),
+                 lambda: ExtensionTensor.from_json({"n": 0, "w": []})):
+        with pytest.raises(TensorError, match="at least one field"):
+            door()
+    # the bare base bracket has no solvable part to strip
+    with pytest.raises(TensorError, match="no solvable part"):
+        strip_semisimple(pure_semidirect(0))
+
+
+def test_constructor_coerces_and_checks_the_declared_order():
+    raw = [[[0, 0], [0, 0]], [["1", 0], [0, Fraction(0)]]]
+    assert ExtensionTensor(2, False, raw) == leibniz(2)
+    with pytest.raises(TensorError, match="declared order 3"):
+        ExtensionTensor(3, False, raw)
+    with pytest.raises(TensorError, match="not cubic"):
+        ExtensionTensor(2, False, [[[0, 0], [0]], [[0, 0], [0, 0]]])
+
+
+def _assert_certified(t):
+    """Both laws by the dense reference, and the checking constructor accepts the stored cube."""
+    n = t.n
+    assert n >= 1 and isinstance(t.w, tuple) and len(t.w) == n
+    for plane in t.w:
+        assert isinstance(plane, tuple) and len(plane) == n
+        for row in plane:
+            assert isinstance(row, tuple) and len(row) == n
+            assert all(isinstance(x, GaussianRational) for x in row)
+    assert all(t.w[lam][mu][nu] == t.w[lam][nu][mu] for lam in range(n) for mu in range(n) for nu in range(n))
+    assert _first_noncommuting_pair(t.w) is None
+    assert ExtensionTensor(n, t.semidirect, t.w) == t
+
+
+CATALOG = [entry for order in range(1, 5) for _, entry in catalog(order).entries]
+
+
+def test_named_and_catalog_constructions_pass_the_full_check():
+    pool = CATALOG + [append_semisimple(e) for e in CATALOG]
+    pool += [leibniz(k) for k in range(1, 9)] + [leibniz(k, semidirect=True) for k in range(1, 9)]
+    pool += [abelian(k) for k in (1, 2, 4)] + [pure_semidirect(k) for k in range(4)] + [low_beta_rmhd()]
+    for t in pool:
+        _assert_certified(t)
+
+
+# small certified tensors (n <= 5) for the drawn constructions
+SMALL_POOL = CATALOG + [append_semisimple(e) for e in CATALOG if e.n < 4]
+SMALL_POOL += [leibniz(k) for k in range(1, 5)] + [leibniz(k, semidirect=True) for k in range(1, 5)]
+SMALL_POOL += [crmhd(1), crmhd(Fraction(-7, 3)), pure_semidirect(2)]
+BETAS = st.fractions(min_value=-12, max_value=12, max_denominator=12).filter(bool)
+UNITS_AND_SMALL = st.builds(gr, st.integers(-3, 3), st.integers(-1, 1)).filter(bool)
+
+
+def _dense_change(data, n):
+    """L D U with random unit-triangular L, U and a nonzero diagonal D: invertible and mostly dense."""
+    entry = st.builds(gr, st.fractions(-2, 2, max_denominator=2), st.integers(-1, 1))
+    lower = [[data.draw(entry) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[data.draw(entry) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    diag = [data.draw(UNITS_AND_SMALL) for _ in range(n)]
+    return ExactMatrix.from_rows(lower) @ ExactMatrix.diagonal(diag) @ ExactMatrix.from_rows(upper)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.data(), BETAS)
+def test_trusted_results_pass_the_full_check(data, beta):
+    t = crmhd(beta)
+    _assert_certified(t)
+    _assert_certified(strip_semisimple(t))
+    a = data.draw(st.sampled_from(SMALL_POOL))
+    b = data.draw(st.sampled_from(SMALL_POOL))
+    _assert_certified(direct_sum(a, b))
+    moved = apply(a, BasisChange(_dense_change(data, a.n)), check=False)
+    _assert_certified(moved)
+    _assert_certified(validate(moved, semidirect=not moved.semidirect))
+    # a scaled unit-lower change keeps a semidirect tensor lower-triangular with
+    # one eigenvalue in W^(0): the input normalize_w0_to_identity expects
+    s = data.draw(st.sampled_from([x for x in SMALL_POOL if x.semidirect]))
+    c = data.draw(UNITS_AND_SMALL)
+    lower = [[c if i == j else (data.draw(st.integers(-2, 2)) if j < i else 0) for j in range(s.n)]
+             for i in range(s.n)]
+    shifted = apply(s, BasisChange(ExactMatrix.from_rows(lower)), check=False)
+    normal, _ = normalize_w0_to_identity(shifted)
+    _assert_certified(normal)
+    if s.n > 1:
+        _assert_certified(strip_semisimple(normal))
+        _assert_certified(_normal_form(shifted, classify(shifted)[0]))
+
+
+def _violation(door):
+    """What a door makes of an array: ("valid",) or the violation with its indices."""
+    try:
+        door()
+    except SymmetryViolation as err:
+        return ("symmetry", err.indices)
+    except CommutationViolation as err:
+        return ("commutation", err.pair)
+    return ("valid",)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([gr(1), gr(-2), gr(Fraction(1, 3), 1), I]))
+def test_one_entry_perturbation_is_rejected_at_every_door(tmp_path_factory, data, delta):
+    t = data.draw(st.sampled_from(SMALL_POOL))
+    n = t.n
+    lam, mu, nu = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    mirrored = data.draw(st.booleans())
+    w = [[list(row) for row in plane] for plane in t.w]
+    w[lam][mu][nu] += delta
+    if mirrored and mu != nu:
+        w[lam][nu][mu] += delta
+    if mu != nu and not mirrored:
+        expected = ("symmetry", (lam, min(mu, nu), max(mu, nu)))
+    else:
+        pair = _first_noncommuting_pair(w)
+        expected = ("commutation", pair) if pair else ("valid",)
+    doc = {"n": n, "semidirect": t.semidirect, "w": [[[str(x) for x in row] for row in plane] for plane in w]}
+    path = tmp_path_factory.getbasetemp() / "perturbed.json"
+    path.write_text(json.dumps(doc))
+    assert _violation(lambda: ExtensionTensor(n, t.semidirect, w)) == expected
+    assert _violation(lambda: validate(w, semidirect=t.semidirect)) == expected
+    assert _violation(lambda: ExtensionTensor.from_json(json.loads(path.read_text()))) == expected
+    assert main(["validate", str(path)]) == (0 if expected == ("valid",) else EXIT_INVALID)
+
+
+def test_strip_semisimple_checks_unless_slot_zero_is_decoupled(monkeypatch):
+    from liepoisson import extension
+
+    calls = []
+    check = extension._check_laws
+    monkeypatch.setattr(extension, "_check_laws", lambda w: calls.append(w) or check(w))
+    for t in (crmhd(2), leibniz(3, semidirect=True), pure_semidirect(2)):
+        strip_semisimple(t)
+    assert calls == []
+    # a dense change couples slot 0 to the rest, and the dropped slices need not commute
+    moved = apply(crmhd(2), BasisChange(ExactMatrix.from_rows(
+        [[1, 2, 0, 1], [0, 1, -1, 0], [1, 0, 1, 2], [0, 1, 0, 1]])))
+    assert any(any(row[1:]) for row in moved.w[0][1:])
+    sub = [[list(row[1:]) for row in plane[1:]] for plane in moved.w[1:]]
+    expected = _violation(lambda: validate(sub))
+    assert expected[0] == "commutation"
+    calls.clear()
+    assert _violation(lambda: strip_semisimple(moved)) == expected
+    assert len(calls) == 1
