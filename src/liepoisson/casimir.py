@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .extension import ExtensionTensor, TensorError
-from .linalg import ExactMatrix, hstack, null_space_rows, pseudoinverse, rank
+from .linalg import ExactMatrix, hstack, null_space, pseudoinverse, rank
 from .polynomials import Poly
 from .scalars import GaussianRational, ONE, ZERO, gr, parse_scalar
 
@@ -285,17 +285,17 @@ def _coextension(t: ExtensionTensor, idx: Sequence[int]) -> CoextensionResult:
     idx = tuple(idx)
     k = len(idx) - 1
     last = idx[-1]
-    wn = ExactMatrix._of(k, k, [t.entry(last, idx[mu], idx[nu]) for mu in range(k) for nu in range(k)])
+    wn = ExactMatrix._of(k, k, [[t.entry(last, idx[mu], idx[nu]) for nu in range(k)] for mu in range(k)])
     wn_pinv = pseudoinverse(wn)
     sub = tuple(
-        ExactMatrix._of(k, k, [t.entry(idx[sig], idx[rho], idx[nu]) for rho in range(k) for nu in range(k)])
+        ExactMatrix._of(k, k, [[t.entry(idx[sig], idx[rho], idx[nu]) for nu in range(k)] for rho in range(k)])
         for sig in range(k)
     )
     a = wn_pinv @ wn
     b = [wn_pinv @ m for m in sub]
     cow = [[[ZERO] * k for _ in range(k)] for _ in range(k)]
     for lam in range(k):
-        a_row = [(mu, c) for mu, c in enumerate(a.row(lam)) if c]
+        a_row = a.nz[lam].items()
         for sig in range(k):
             for nu in range(k):
                 acc = b[lam][sig, nu] + b[sig][lam, nu]
@@ -411,10 +411,10 @@ def _eigenvector_family(t: ExtensionTensor, label: str) -> Optional[CasimirFamil
                     row[lam] = x
                 else:
                     del row[lam]
-    kernel = null_space_rows((row for plane in rows for row in plane), n)
+    kernel = null_space(ExactMatrix._of(n * n, n, [row for plane in rows for row in plane]))
     if not kernel:
         return None
-    args = tuple(v.entries for v in kernel)
+    args = tuple(v.col(0) for v in kernel)
     func = FormalFunction(label, args)
     term = CasimirTerm(Poly.constant(n, 1), func, (0,) * len(args))
     return CasimirFamily((term,), n, t.semidirect)
@@ -599,11 +599,16 @@ def quadratic_casimir_basis(t: ExtensionTensor) -> List[ExactMatrix]:
                 eq[k] = x
             else:
                 del eq[k]
-    distinct = {frozenset(eq.items()): eq for eq in equations.values()}
-    # Q_ij = Q_ji is coordinate k of the kernel vector, for (i, j) or (j, i) in pairs
-    coords = [index[(i, j) if i <= j else (j, i)] for i in range(n) for j in range(n)]
-    return [ExactMatrix._of(n, n, [v.entries[k] for k in coords])
-            for v in null_space_rows(distinct.values(), len(pairs))]
+    distinct = list({frozenset(eq.items()): eq for eq in equations.values()}.values())
+    basis = []
+    for v in null_space(ExactMatrix._of(len(distinct), len(pairs), distinct)):
+        # Q_ij = Q_ji is coordinate k of the kernel vector, for (i, j) = pairs[k]
+        q: List[Dict[int, GaussianRational]] = [{} for _ in range(n)]
+        for (i, j), r in zip(pairs, v.nz):
+            if r:
+                q[i][j] = q[j][i] = r[0]
+        basis.append(ExactMatrix._of(n, n, q))
+    return basis
 
 
 def quadratic_family(t: ExtensionTensor, q: ExactMatrix) -> CasimirFamily:

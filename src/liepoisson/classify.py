@@ -44,9 +44,6 @@ from .linalg import (
 from .scalars import GaussianRational, I, ONE, ZERO, gr, sqrt_gaussian
 from .transform import apply, apply_chain, congruence_move, normalize_w0_to_identity
 
-M = ExactMatrix.from_rows
-
-
 class ClassificationError(TensorError):
     pass
 
@@ -227,7 +224,7 @@ def _embed(b: BasisChange, n: int) -> BasisChange:
     rows = [[ONE] + [ZERO] * (n - 1)]
     for i in range(small.rows):
         rows.append([ZERO] + list(small.row(i)))
-    return BasisChange(ExactMatrix.from_rows(rows))
+    return BasisChange(ExactMatrix._of(n, n, rows))
 
 
 def _apply_step(t: ExtensionTensor, chain: List[BasisChange], m: ExactMatrix) -> ExtensionTensor:
@@ -238,9 +235,7 @@ def _apply_step(t: ExtensionTensor, chain: List[BasisChange], m: ExactMatrix) ->
 
 def _perm_columns(n: int, cols: Sequence[int]) -> ExactMatrix:
     """Matrix whose new basis vectors are the old ones listed in ``cols``."""
-    return ExactMatrix.from_rows(
-        [[ONE if cols[j] == i else ZERO for j in range(n)] for i in range(n)]
-    )
+    return ExactMatrix._of(n, n, [[ONE if cols[j] == i else ZERO for j in range(n)] for i in range(n)])
 
 
 def _classify_solvable(t: ExtensionTensor) -> Tuple[ExtensionTensor, List[BasisChange]]:
@@ -355,7 +350,7 @@ def _pencil_reduce(
         g2 = a.scale(s2) + b.scale(t2)
         _, w1 = _rank1_decompose(g1)
         _, w2 = _rank1_decompose(g2)
-        wmat = ExactMatrix.from_rows([[w1[0, 0], w1[1, 0]], [w2[0, 0], w2[1, 0]]])
+        wmat = ExactMatrix._of(2, 2, [[w1[0, 0], w1[1, 0]], [w2[0, 0], w2[1, 0]]])
         p = inverse(wmat)
         y0 = ExactMatrix.column([p[0, 0], p[1, 0]])
         y1 = ExactMatrix.column([p[0, 1], p[1, 1]])
@@ -369,9 +364,7 @@ def _pencil_reduce(
             [y1[0, 0], y1[1, 0], ZERO, ZERO],
             f4,
         ]
-    move = ExactMatrix.from_rows(
-        [[cols[j][i] for j in range(4)] for i in range(4)]
-    )
+    move = ExactMatrix._of(4, 4, [[cols[j][i] for j in range(4)] for i in range(4)])
     t = _apply_step(t, chain, move)
     return t, True
 
@@ -480,7 +473,7 @@ def _complex_pair_map(n: int, imaginary: bool) -> ExactMatrix:
     rows = [[ONE, ONE] + [ZERO] * (n - 2), second + [ZERO] * (n - 2)]
     for i in range(2, n):
         rows.append([ZERO] * i + [gr(2) if i == 2 else ONE] + [ZERO] * (n - i - 1))
-    return ExactMatrix.from_rows(rows)
+    return ExactMatrix._of(n, n, rows)
 
 
 def _window_congruence(
@@ -511,7 +504,7 @@ def _stage4_leading_abelian(t: ExtensionTensor, chain: List[BasisChange]) -> Ext
     if pattern == (1, 1, -1):
         # congruence with m^T diag(1,1,-1) m = the (0,2)+(1,1) normal tail
         half = gr(1) / gr(2)
-        return _apply_step(t, chain, M([
+        return _apply_step(t, chain, ExactMatrix._of(4, 4, [
             [ONE, ZERO, half, ZERO],
             [ZERO, ONE, ZERO, ZERO],
             [ONE, ZERO, -half, ZERO],
@@ -552,7 +545,7 @@ def _stage4_leading_case2(t: ExtensionTensor, chain: List[BasisChange]) -> Exten
         t, chain, ExactMatrix.diagonal([ONE, ONE / root, ONE / root, w11])
     )
     # diag(1,1) tail joins case 3b: split into the two inert square directions
-    return _apply_step(t, chain, M([
+    return _apply_step(t, chain, ExactMatrix._of(4, 4, [
         [ONE, ZERO, ONE, ZERO],
         [-ONE, ZERO, ONE, ZERO],
         [ZERO, gr(-2), ZERO, gr(2)],
@@ -584,7 +577,7 @@ def _stage4_leading_case3(t: ExtensionTensor, chain: List[BasisChange]) -> Exten
     if b:
         if d:
             # joins case 3b: x1 = -d u0 + b u2 and x3 = u2 have inert squares
-            return _apply_step(t, chain, M([
+            return _apply_step(t, chain, ExactMatrix._of(4, 4, [
                 [-d, ZERO, ZERO, ZERO],
                 [ZERO, d * d, ZERO, ZERO],
                 [b, ZERO, ONE, ZERO],

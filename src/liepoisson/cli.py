@@ -24,6 +24,8 @@ import time
 from fractions import Fraction
 from typing import List, Optional
 
+import numpy as np
+
 from . import casimir as casimir_mod
 from . import tables
 from .classify import CaseLabel, ClassificationError, OrderTooHigh, catalog, catalog_entry, classify
@@ -236,42 +238,48 @@ def _verify_families(normal, families, label: Optional[CaseLabel]) -> int:
 
 
 def _parse_inertia(text: str):
-    parts = [Fraction(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise ParseFailure("inertia needs three comma-separated values")
+    try:
+        parts = [Fraction(p) for p in text.split(",")]
+    except (ValueError, ZeroDivisionError) as err:
+        raise ParseFailure(f"bad inertia {text!r}: {err}")
+    if len(parts) != 3 or not all(parts):
+        raise ParseFailure("inertia needs three nonzero comma-separated values")
     return [float(p) for p in parts]
 
 
-def cmd_simulate(args) -> int:
-    if args.preset == "rigid-body":
-        t = rigid_body_tensor()
-        h = HamiltonianSpec.rigid_body(_parse_inertia(args.inertia))
-        s0 = FieldState.from_vectors([[1.0, 1.0, 1.0]])
-    elif args.preset == "heavy-top":
-        t = heavy_top_tensor()
-        h = HamiltonianSpec.isotropic(2)
-        s0 = FieldState.from_vectors([[0.3, -0.2, 0.9], [0.5, 0.1, -0.4]])
-    else:
-        if not args.path:
-            raise ParseFailure("either a tensor document or --preset is required")
-        t = tensor_from_document(load_document(args.path))
-        if args.hamiltonian:
-            with open(args.hamiltonian) as fh:
-                hdoc = json.load(fh)
-            import numpy as np
-
-            h = HamiltonianSpec(np.array(hdoc["blocks"], dtype=float))
-        else:
-            h = HamiltonianSpec.isotropic(t.n)
-        if args.state:
-            with open(args.state) as fh:
-                s0 = FieldState.from_vectors(json.load(fh))
-        else:
-            import numpy as np
-
-            rng = np.random.default_rng(0)
-            s0 = FieldState(rng.normal(size=(t.n, 3)))
+def _read_array(path: str, what: str, key: Optional[str] = None) -> np.ndarray:
+    """The float array in the JSON file ``path``, under ``key`` if given; ParseFailure if unreadable or malformed."""
     try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        return np.array(doc if key is None else doc[key], dtype=float)
+    except (OSError, ValueError, KeyError, TypeError) as err:
+        raise ParseFailure(f"cannot read {what} {path}: {err}")
+
+
+def cmd_simulate(args) -> int:
+    try:
+        if args.preset == "rigid-body":
+            t = rigid_body_tensor()
+            h = HamiltonianSpec.rigid_body(_parse_inertia(args.inertia))
+            s0 = FieldState.from_vectors([[1.0, 1.0, 1.0]])
+        elif args.preset == "heavy-top":
+            t = heavy_top_tensor()
+            h = HamiltonianSpec.isotropic(2)
+            s0 = FieldState.from_vectors([[0.3, -0.2, 0.9], [0.5, 0.1, -0.4]])
+        else:
+            if not args.path:
+                raise ParseFailure("either a tensor document or --preset is required")
+            t = tensor_from_document(load_document(args.path))
+            if args.hamiltonian:
+                h = HamiltonianSpec(_read_array(args.hamiltonian, "Hamiltonian", "blocks"))
+            else:
+                h = HamiltonianSpec.isotropic(t.n)
+            if args.state:
+                s0 = FieldState.from_vectors(_read_array(args.state, "state"))
+            else:
+                rng = np.random.default_rng(0)
+                s0 = FieldState(rng.normal(size=(t.n, 3)))
         start = time.perf_counter()
         monitors = exact_monitors(t)
         monitor_ms = (time.perf_counter() - start) * 1e3

@@ -155,7 +155,10 @@ def exact_monitors(t: ExtensionTensor) -> List[Tuple[str, np.ndarray]]:
 
     out = []
     for k, q in enumerate(quadratic_casimir_basis(t)):
-        z = np.array([complex(x) for x in q.entries]).reshape(t.n, t.n)
+        z = np.zeros((t.n, t.n), dtype=complex)
+        for i, row in enumerate(q.nz):
+            for j, x in row.items():
+                z[i, j] = complex(x)
         re, im = z.real.copy(), z.imag.copy()
         if np.any(re):
             out.append((f"Q{k}", re))

@@ -118,11 +118,11 @@ class ExtensionTensor:
 
     def slice_upper(self, nu: int) -> ExactMatrix:
         """W^(nu): rows lambda, columns mu."""
-        return ExactMatrix._of(self.n, self.n, [row[nu] for plane in self.w for row in plane])
+        return ExactMatrix._of(self.n, self.n, [[row[nu] for row in plane] for plane in self.w])
 
     def slice_lower(self, lam: int) -> ExactMatrix:
         """W_(lam): the symmetric matrix of entries with lower index lam."""
-        return ExactMatrix._of(self.n, self.n, [x for row in self.w[lam] for x in row])
+        return ExactMatrix._of(self.n, self.n, self.w[lam])
 
     def slices_upper(self) -> List[ExactMatrix]:
         return [self.slice_upper(nu) for nu in range(self.n)]
@@ -197,10 +197,10 @@ def _check_laws(w: Tuple) -> None:
     """Raise at the first violation of either bracket law on a frozen cube.
 
     Upper-index symmetry is checked entry by entry, then pairwise commutation
-    of the slice matrices by :func:`linalg.noncommuting_pair` on the stored
-    rows: once symmetry holds, row lam of W^(nu) is the stored row
-    ``w[lam][nu]``.  Together the two laws are necessary and sufficient for
-    the Jacobi identity of the induced bracket.
+    of the slice matrices by :func:`linalg.noncommuting_pair`: once symmetry
+    holds, row lam of W^(nu) is the stored row ``w[lam][nu]``.  Together the
+    two laws are necessary and sufficient for the Jacobi identity of the
+    induced bracket.
     """
     n = len(w)
     for lam in range(n):
@@ -208,7 +208,7 @@ def _check_laws(w: Tuple) -> None:
             for nu in range(mu + 1, n):
                 if w[lam][mu][nu] != w[lam][nu][mu]:
                     raise SymmetryViolation(lam, mu, nu)
-    pair = noncommuting_pair([[[(k, x) for k, x in enumerate(w[lam][nu]) if x] for lam in range(n)] for nu in range(n)])
+    pair = noncommuting_pair([ExactMatrix._of(n, n, [plane[nu] for plane in w]) for nu in range(n)])
     if pair:
         raise CommutationViolation(*pair)
 
@@ -363,22 +363,21 @@ def append_semisimple(a: ExtensionTensor) -> ExtensionTensor:
 def strip_semisimple(a: ExtensionTensor) -> ExtensionTensor:
     """The solvable part of a semidirect tensor (drop slot 0).
 
-    When slot 0 is decoupled, W_0^{mu nu} = 0 for mu, nu >= 1 (as for every
+    Slot 0 must be decoupled: W_0^{mu nu} = 0 for mu, nu >= 1, as for every
     lower-triangular tensor, for instance after
-    ``transform.normalize_w0_to_identity``), row 0 of each slice W^(nu) with
-    nu >= 1 vanishes, so the trailing block of W^(nu) W^(sigma) is
+    ``transform.normalize_w0_to_identity``.  Then row 0 of each slice W^(nu)
+    with nu >= 1 vanishes, so the trailing block of W^(nu) W^(sigma) is
     S^(nu) S^(sigma) and the dropped slices commute because the full ones
-    do: the result is trusted.  Otherwise it goes through the checking
-    constructor.
+    do: the result is trusted.  A coupled slot 0 raises :class:`TensorError`,
+    since the part left after dropping it depends on the basis.
     """
     if not a.semidirect:
         raise TensorError("tensor has no semisimple slot")
     if a.n == 1:
         raise TensorError("tensor has no solvable part: the semisimple slot is its only field")
-    w = tuple(tuple(row[1:] for row in plane[1:]) for plane in a.w[1:])
     if any(any(row[1:]) for row in a.w[0][1:]):
-        return ExtensionTensor(a.n - 1, False, w)
-    return ExtensionTensor._of(a.n - 1, False, w)
+        raise TensorError("slot 0 is coupled; normalize W^(0) first")
+    return ExtensionTensor._of(a.n - 1, False, tuple(tuple(row[1:] for row in plane[1:]) for plane in a.w[1:]))
 
 
 def from_lower_slices(slices: Sequence[Optional[ExactMatrix]], n: int,

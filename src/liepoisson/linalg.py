@@ -9,21 +9,24 @@ search over Q(i) (:func:`eigenvalues_gaussian`, with
 is kept only because the benchmark's traced set (``bench/run.py``, ``TRACED``)
 names ``linalg.eigenvalues_gaussian``.
 
-Matrices are dense :class:`ExactMatrix` values, but there is one elimination
-and it is sparse: :func:`_rref_rows` runs Gauss-Jordan on rows held as
-``{column: value}`` dicts of their nonzero entries, touching only the rows
-that hold each pivot column.  :func:`rref` (and with it ``rank`` and
-``pseudoinverse``) and :func:`null_space` convert to it.  :func:`inverse`
-hands it the nonzeros of [A | I] directly, and callers that build large
-sparse systems, such as the quadratic Casimir solver, pass their rows to
-:func:`null_space_rows`.
+An :class:`ExactMatrix` stores its rows as ``{column: value}`` dicts of
+their nonzero entries, and this module is the only one that converts
+between them and dense entries.  Every algorithm reads the rows directly:
+the product is one sparse row-times-rows accumulation
+(:func:`_row_product`), and there is one elimination, :func:`_rref_rows`, a
+Gauss-Jordan on rows that touches only the rows holding each pivot column.
+:func:`rref`, :func:`rank`, :func:`null_space`, :func:`inverse` (on the
+rows of [A | I]) and :func:`pseudoinverse` hand it a matrix's rows as they
+are.
 
 Only the public constructors coerce: ``ExactMatrix(rows, cols, entries)``,
 ``from_rows``, ``column`` and ``diagonal`` accept ints, ``Fraction`` values
-and scalar strings.  Every matrix computed here (arithmetic, ``transpose``,
-``submatrix``, ``identity``, ``rref``, ``inverse``, ...) already holds
+and scalar strings.  Every matrix computed here or elsewhere in the package
+(arithmetic, ``transpose``, ``submatrix``, ``identity``, ``rref``,
+``inverse``, tensor slices, basis changes, ...) already holds
 :class:`GaussianRational` entries and goes through the trusted
-``ExactMatrix._of``, which checks and converts nothing.
+``ExactMatrix._of``, which takes dense rows of scalars (dropping their
+zeros) or ``{column: value}`` rows (kept as they are) and checks nothing.
 
 Commuting families of matrices have one higher operation,
 :func:`simultaneous_triangularize`: an invertible M, returned as a
@@ -31,13 +34,14 @@ Commuting families of matrices have one higher operation,
 member.  It is one flag of common kernels, :func:`_kernel_flag`, which the
 classifier also calls directly, and it needs every member to have a single
 eigenvalue (trace / n); families with more than one block are out of scope
-and raise, with no eigenvalue search.  Commutation has one sparse check,
-:func:`noncommuting_pair`, which the tensor check in :mod:`liepoisson.extension`
-shares.
+and raise, with no eigenvalue search.  Commutation has one check,
+:func:`noncommuting_pair`, row by row on the same sparse product, which the
+tensor check in :mod:`liepoisson.extension` shares.
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -77,17 +81,21 @@ class NotCommuting(LinalgError):
 
 
 class ExactMatrix:
-    """Dense matrix with GaussianRational entries, stored row-major."""
+    """Matrix over Q(i), stored as one ``{column: value}`` dict of nonzeros per row.
 
-    __slots__ = ("rows", "cols", "entries")
+    ``nz[i]`` is row i; no zero is ever stored, and the dicts are never
+    changed once a matrix holds them.  ``entries`` (row-major, computed on
+    first use and kept), ``row``, ``col`` and ``[i, j]`` are read-only dense
+    views.
+    """
+
+    __slots__ = ("rows", "cols", "nz", "_entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        entries = tuple(as_scalar(x) for x in entries)
+        entries = [as_scalar(x) for x in entries]
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        _init(self, rows, cols, [entries[i * cols:(i + 1) * cols] for i in range(rows)])
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -95,13 +103,10 @@ class ExactMatrix:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def _of(rows: int, cols: int, entries: Iterable[GaussianRational]) -> "ExactMatrix":
-        """Trusted constructor: ``entries`` are already rows * cols scalars, in row-major order."""
-        m = object.__new__(ExactMatrix)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", tuple(entries))
-        return m
+    def _of(rows: int, cols: int, data: Iterable) -> "ExactMatrix":
+        """Trusted constructor: ``rows`` rows of scalars, each a dense sequence of ``cols`` values
+        or a ``{column: value}`` dict holding no zero, which the matrix keeps as it is."""
+        return _init(object.__new__(ExactMatrix), rows, cols, data)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "ExactMatrix":
@@ -113,17 +118,16 @@ class ExactMatrix:
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix._of(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+        return ExactMatrix._of(n, n, [{i: ONE} for i in range(n)])
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix._of(rows, cols, [ZERO] * (rows * cols))
+        return ExactMatrix._of(rows, cols, [{} for _ in range(rows)])
 
     @staticmethod
     def diagonal(values: Sequence) -> "ExactMatrix":
         vals = [as_scalar(v) for v in values]
-        n = len(vals)
-        return ExactMatrix._of(n, n, [vals[i] if i == j else ZERO for i in range(n) for j in range(n)])
+        return ExactMatrix._of(len(vals), len(vals), [{i: x} if x else {} for i, x in enumerate(vals)])
 
     @staticmethod
     def column(values: Sequence) -> "ExactMatrix":
@@ -134,71 +138,73 @@ class ExactMatrix:
 
     def __getitem__(self, ij: Tuple[int, int]) -> GaussianRational:
         i, j = ij
-        return self.entries[i * self.cols + j]
+        return self.nz[i].get(j, ZERO)
+
+    @property
+    def entries(self) -> Tuple[GaussianRational, ...]:
+        if self._entries is None:
+            object.__setattr__(self, "_entries", tuple(chain.from_iterable(map(self.row, range(self.rows)))))
+        return self._entries
 
     def row(self, i: int) -> Tuple[GaussianRational, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return tuple(map(self.nz[i].get, range(self.cols), repeat(ZERO, self.cols)))
 
     def col(self, j: int) -> Tuple[GaussianRational, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return tuple(r.get(j, ZERO) for r in self.nz)
 
     def to_rows(self) -> List[List[GaussianRational]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def with_entry(self, i: int, j: int, value) -> "ExactMatrix":
-        e = list(self.entries)
-        e[i * self.cols + j] = as_scalar(value)
-        return ExactMatrix._of(self.rows, self.cols, e)
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) is outside a {self.rows}x{self.cols} matrix")
+        value = as_scalar(value)
+        rows = list(self.nz)
+        rows[i] = {k: x for k, x in rows[i].items() if k != j}
+        if value:
+            rows[i][j] = value
+        return ExactMatrix._of(self.rows, self.cols, rows)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "ExactMatrix":
+        col_idx = list(col_idx)
+        rows = [self.nz[i] for i in row_idx]
         return ExactMatrix._of(
-            len(row_idx),
-            len(col_idx),
-            [self[i, j] for i in row_idx for j in col_idx],
+            len(rows), len(col_idx), [{k: r[j] for k, j in enumerate(col_idx) if j in r} for r in rows]
         )
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._same_shape(other)
-        return ExactMatrix._of(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
+        return ExactMatrix._of(self.rows, self.cols, [
+            {j: z for j in {**a, **b} if (z := a.get(j, ZERO) + b.get(j, ZERO))}
+            for a, b in zip(self.nz, other.nz)
+        ])
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._same_shape(other)
-        return ExactMatrix._of(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
+        return self + -other
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix._of(self.rows, self.cols, [-a for a in self.entries])
+        return ExactMatrix._of(self.rows, self.cols, [{j: -x for j, x in r.items()} for r in self.nz])
 
     def scale(self, c) -> "ExactMatrix":
         c = as_scalar(c)
-        return ExactMatrix._of(self.rows, self.cols, [c * a for a in self.entries])
+        return ExactMatrix._of(self.rows, self.cols, [{j: c * x for j, x in r.items()} if c else {} for r in self.nz])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = ZERO
-                for k in range(self.cols):
-                    a = ri[k]
-                    if a:
-                        acc = acc + a * other.entries[k * other.cols + j]
-                out.append(acc)
-        return ExactMatrix._of(self.rows, other.cols, out)
+        return ExactMatrix._of(self.rows, other.cols, [_row_product(r, other.nz) for r in self.nz])
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix._of(
-            self.cols, self.rows, [self[i, j] for j in range(self.cols) for i in range(self.rows)]
-        )
+        out: List[Dict[int, GaussianRational]] = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.nz):
+            for j, x in r.items():
+                out[j][i] = x
+        return ExactMatrix._of(self.cols, self.rows, out)
 
     def conjugate_transpose(self) -> "ExactMatrix":
-        return ExactMatrix._of(
-            self.cols, self.rows,
-            [self[i, j].conjugate() for j in range(self.cols) for i in range(self.rows)],
-        )
+        return ExactMatrix._of(self.cols, self.rows, [{j: x.conjugate() for j, x in r.items()} for r in self.transpose().nz])
 
     def trace(self) -> GaussianRational:
         return sum((self[i, i] for i in range(min(self.rows, self.cols))), ZERO)
@@ -212,31 +218,29 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self.entries == other.entries
+        return self.rows == other.rows and self.cols == other.cols and self.nz == other.nz
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.entries))
 
     def is_zero(self) -> bool:
-        return all(not a for a in self.entries)
+        return not any(self.nz)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == ExactMatrix.identity(self.rows)
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
-            self[i, j] == self[j, i] for i in range(self.rows) for j in range(i)
+            self.nz[j].get(i) == x for i, r in enumerate(self.nz) for j, x in r.items()
         )
 
     def is_hermitian(self) -> bool:
         return self.rows == self.cols and all(
-            self[i, j] == self[j, i].conjugate() for i in range(self.rows) for j in range(i + 1)
+            self.nz[j].get(i) == x.conjugate() for i, r in enumerate(self.nz) for j, x in r.items()
         )
 
     def is_lower_triangular(self) -> bool:
-        return all(
-            not self[i, j] for i in range(self.rows) for j in range(i + 1, self.cols)
-        )
+        return all(j <= i for i, r in enumerate(self.nz) for j in r)
 
     def diagonal_values(self) -> List[GaussianRational]:
         return [self[i, i] for i in range(min(self.rows, self.cols))]
@@ -249,6 +253,26 @@ class ExactMatrix:
     __repr__ = __str__
 
 
+def _init(m: ExactMatrix, rows: int, cols: int, data: Iterable) -> ExactMatrix:
+    """Fill the slots of ``m``: dense rows lose their zeros, dict rows are kept."""
+    nz = tuple(r if type(r) is dict else {j: x for j, x in enumerate(r) if x} for r in data)
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "nz", nz)
+    object.__setattr__(m, "_entries", None)
+    return m
+
+
+def _row_product(row: Dict[int, GaussianRational], rows: Sequence[Dict[int, GaussianRational]]) -> Dict[int, GaussianRational]:
+    """Row ``row`` times the matrix whose rows are ``rows``: only nonzero factors meet, zero sums are dropped."""
+    acc: Dict[int, GaussianRational] = {}
+    for k, x in row.items():
+        for c, y in rows[k].items():
+            z = acc.get(c)
+            acc[c] = x * y if z is None else z + x * y
+    return {c: z for c, z in acc.items() if z}
+
+
 # ---------------------------------------------------------------------------
 # Row reduction and everything built on it
 # ---------------------------------------------------------------------------
@@ -258,14 +282,14 @@ def _rref_rows(
 ) -> Tuple[List[Dict[int, GaussianRational]], List[int]]:
     """Sparse Gauss-Jordan elimination: the nonzero rows of the RREF and its pivots.
 
-    Each row is a ``{column: value}`` dict of its nonzero entries (zeros are
-    dropped on the way in).  Columns are taken in increasing order; the pivot
+    Each row is a ``{column: value}`` dict holding no zero; the rows are
+    copied, never changed.  Columns are taken in increasing order; the pivot
     is the shortest remaining row holding the column, its normalization is
     skipped when the pivot entry is already one, and only the rows holding
     the pivot column are updated.  The reduced row echelon form is unique,
     so the result is the same as any dense elimination's.
     """
-    m = [d for d in ({j: x for j, x in row.items() if x} for row in rows) if d]
+    m = [dict(row) for row in rows if row]
     pivots: List[int] = []
     r = 0
     for c in sorted({j for row in m for j in row}):
@@ -299,47 +323,39 @@ def _rref_rows(
 
 def rref(a: ExactMatrix) -> Tuple[ExactMatrix, List[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    reduced, pivots = _rref_rows(dict(enumerate(a.row(i))) for i in range(a.rows))
-    entries = [row.get(j, ZERO) for row in reduced for j in range(a.cols)]
-    entries += [ZERO] * ((a.rows - len(reduced)) * a.cols)
-    return ExactMatrix._of(a.rows, a.cols, entries), pivots
+    reduced, pivots = _rref_rows(a.nz)
+    return ExactMatrix._of(a.rows, a.cols, reduced + [{} for _ in range(a.rows - len(reduced))]), pivots
 
 
 def rank(a: ExactMatrix) -> int:
-    return len(rref(a)[1])
+    return len(_rref_rows(a.nz)[1])
 
 
 def null_space(a: ExactMatrix) -> List[ExactMatrix]:
-    """Basis of the right kernel of ``a`` as column vectors (see :func:`null_space_rows`)."""
-    return null_space_rows((dict(enumerate(a.row(i))) for i in range(a.rows)), a.cols)
-
-
-def null_space_rows(rows: Iterable[Dict[int, object]], cols: int) -> List[ExactMatrix]:
-    """Right kernel of the matrix whose rows are the sparse ``{column: value}`` dicts.
+    """Basis of the right kernel of ``a`` as column vectors.
 
     The free variable corresponding to each returned vector is set to one and
     the pivots solved by back-substitution, so the count is always
     cols - rank and the vectors are linearly independent by construction.
     No rows means the zero map: every standard vector is returned.
     """
-    reduced, pivots = _rref_rows({j: as_scalar(x) for j, x in row.items()} for row in rows)
-    return _kernel_vectors(reduced, pivots, cols)
+    return [ExactMatrix._of(a.cols, 1, [{0: v[i]} if i in v else {} for i in range(a.cols)])
+            for v in _kernel_vectors(*_rref_rows(a.nz), a.cols)]
 
 
-def _kernel_vectors(reduced: List[Dict[int, GaussianRational]], pivots: List[int], cols: int) -> List[ExactMatrix]:
-    """The kernel basis of :func:`null_space_rows`, read off an RREF's nonzero rows and pivots."""
+def _kernel_vectors(reduced: List[Dict[int, GaussianRational]], pivots: List[int], cols: int) -> List[Dict[int, GaussianRational]]:
+    """The kernel basis of :func:`null_space` as ``{index: value}`` nonzeros, read off an RREF's rows and pivots."""
     pivot_set = set(pivots)
     basis = []
     for f in range(cols):
         if f in pivot_set:
             continue
-        v = [ZERO] * cols
-        v[f] = ONE
+        v = {f: ONE}
         for row, p in zip(reduced, pivots):
             x = row.get(f)
-            if x:
+            if x is not None:
                 v[p] = -x
-        basis.append(ExactMatrix._of(cols, 1, v))
+        basis.append(v)
     return basis
 
 
@@ -353,26 +369,23 @@ def inverse(a: ExactMatrix) -> ExactMatrix:
     n = a.rows
     if n != a.cols:
         raise ValueError("only square matrices are invertible")
-    rows = []
-    for i in range(n):
-        row = {j: x for j, x in enumerate(a.row(i)) if x}
-        row[n + i] = ONE
-        rows.append(row)
-    reduced, pivots = _rref_rows(rows)
+    reduced, pivots = _rref_rows({**r, n + i: ONE} for i, r in enumerate(a.nz))
     if pivots != list(range(n)):
         raise LinalgError("matrix is singular")
-    return ExactMatrix._of(n, n, [row.get(j, ZERO) for row in reduced for j in range(n, 2 * n)])
+    return ExactMatrix._of(n, n, [{j - n: x for j, x in r.items() if j >= n} for r in reduced])
 
 
 def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ValueError("row count mismatch")
-    out = []
-    for i in range(rows):
-        for m in mats:
-            out.extend(m.row(i))
-    return ExactMatrix._of(rows, sum(m.cols for m in mats), out)
+    out: List[Dict[int, GaussianRational]] = [{} for _ in range(rows)]
+    offset = 0
+    for m in mats:
+        for r, row in zip(out, m.nz):
+            r.update((offset + j, x) for j, x in row.items())
+        offset += m.cols
+    return ExactMatrix._of(rows, offset, out)
 
 
 def pseudoinverse(a: ExactMatrix) -> ExactMatrix:
@@ -383,12 +396,11 @@ def pseudoinverse(a: ExactMatrix) -> ExactMatrix:
     conjugate transpose so complex entries are handled.  Satisfies all four
     Moore-Penrose identities exactly, for any rank.
     """
-    r, pivots = rref(a)
-    k = len(pivots)
-    if k == 0:
+    reduced, pivots = _rref_rows(a.nz)
+    if not pivots:
         return ExactMatrix.zeros(a.cols, a.rows)
     b = a.submatrix(range(a.rows), pivots)
-    c = r.submatrix(range(k), range(a.cols))
+    c = ExactMatrix._of(len(pivots), a.cols, reduced)
     ch = c.conjugate_transpose()
     bh = b.conjugate_transpose()
     return ch @ inverse(c @ ch) @ inverse(bh @ b) @ bh
@@ -566,32 +578,20 @@ class BasisChange:
 
 
 def _scale_last_column(m: ExactMatrix, c: GaussianRational) -> ExactMatrix:
-    e = list(m.entries)
     j = m.cols - 1
-    for i in range(m.rows):
-        e[i * m.cols + j] = e[i * m.cols + j] * c
-    return ExactMatrix._of(m.rows, m.cols, e)
+    return ExactMatrix._of(m.rows, m.cols, [{k: x * c if k == j else x for k, x in r.items()} for r in m.nz])
 
 
 # ---------------------------------------------------------------------------
 # Simultaneous triangularization of commuting families
 # ---------------------------------------------------------------------------
 
-def noncommuting_pair(family: Sequence[Sequence]) -> Optional[Tuple[int, int]]:
-    """The first pair i < j with A_i A_j != A_j A_i, each A given as the (column, value) nonzeros of its rows."""
+def noncommuting_pair(family: Sequence[ExactMatrix]) -> Optional[Tuple[int, int]]:
+    """The first pair i < j with A_i A_j != A_j A_i, compared row by row as sparse products."""
     for i, a in enumerate(family):
         for j, b in enumerate(family[i + 1:], i + 1):
-            for r in range(len(a)):
-                acc: Dict[int, GaussianRational] = {}
-                for k, x in a[r]:
-                    for c, y in b[k]:
-                        z = acc.get(c)
-                        acc[c] = x * y if z is None else z + x * y
-                for k, x in b[r]:
-                    for c, y in a[k]:
-                        z = acc.get(c)
-                        acc[c] = -(x * y) if z is None else z - x * y
-                if any(acc.values()):
+            for ra, rb in zip(a.nz, b.nz):
+                if _row_product(ra, b.nz) != _row_product(rb, a.nz):
                     return i, j
     return None
 
@@ -600,36 +600,27 @@ def _kernel_flag(family: Sequence[ExactMatrix], n: int) -> Optional[ExactMatrix]
     """M with every M^-1 A M lower-triangular, or None when some member has two eigenvalues.
 
     With N = A - (tr A / n) I per member, K_1 = ker [N_0; N_1; ...] and K_{j+1} = ker [Q_j N_0;
-    Q_j N_1; ...], Q_j the nonzero RREF rows of level j, which also yield the kernel.  Each N and
-    each Q_j is held as ``{column: value}`` rows, so a level is one sparse row-times-rows product
-    and one :func:`_rref_rows`.  Free columns only grow; each level adds the null-space vectors of
-    its newly free columns, deepest level last.  It reaches dimension n iff every N is nilpotent.
+    Q_j N_1; ...], Q_j the nonzero RREF rows of level j, which also yield the kernel.  A level is
+    one sparse product per member (:func:`_row_product` on each row of Q_j) and one
+    :func:`_rref_rows`.  Free columns only grow; each level adds the null-space vectors of its
+    newly free columns, deepest level last.  It reaches dimension n iff every N is nilpotent.
     """
     shifted = []
     for a in family:
         shift = a.trace() / gr(n) if n else ZERO
         rows = []
-        for i in range(n):
-            row = {j: x for j, x in enumerate(a.row(i)) if x}
+        for i, r in enumerate(a.nz):
+            row = dict(r)
             y = row.pop(i, ZERO) - shift
             if y:
                 row[i] = y
-            rows.append(list(row.items()))
+            rows.append(row)
         shifted.append(rows)
     q: List[Dict[int, GaussianRational]] = [{i: ONE} for i in range(n)]
     free: List[int] = []
-    columns: List[ExactMatrix] = []
+    columns: List[Dict[int, GaussianRational]] = []
     while len(free) < n:
-        stacked = []
-        for s in shifted:
-            for qrow in q:
-                acc: Dict[int, GaussianRational] = {}
-                for k, x in qrow.items():
-                    for c, y in s[k]:
-                        z = acc.get(c)
-                        acc[c] = x * y if z is None else z + x * y
-                stacked.append(acc)
-        q, pivots = _rref_rows(stacked)
+        q, pivots = _rref_rows(_row_product(qrow, s) for s in shifted for qrow in q)
         kernel = _kernel_vectors(q, pivots, n)
         pivot_set = set(pivots)
         now = [f for f in range(n) if f not in pivot_set]
@@ -638,7 +629,7 @@ def _kernel_flag(family: Sequence[ExactMatrix], n: int) -> Optional[ExactMatrix]
             return None
         columns[:0] = new
         free = now
-    return ExactMatrix._of(n, n, [v.entries[i] for i in range(n) for v in columns])
+    return ExactMatrix._of(n, n, columns).transpose()
 
 
 def simultaneous_triangularize(family: Sequence[ExactMatrix]) -> BasisChange:
@@ -654,7 +645,7 @@ def simultaneous_triangularize(family: Sequence[ExactMatrix]) -> BasisChange:
     n = family[0].rows
     if any(a.rows != a.cols or a.rows != n for a in family):
         raise ValueError("family matrices must be square and same size")
-    pair = noncommuting_pair([[[(k, x) for k, x in enumerate(a.row(r)) if x] for r in range(n)] for a in family])
+    pair = noncommuting_pair(family)
     if pair:
         raise NotCommuting(*pair)
     m = _kernel_flag(family, n)

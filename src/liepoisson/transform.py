@@ -89,8 +89,8 @@ def apply(t: ExtensionTensor, b: BasisChange, check: bool = True) -> ExtensionTe
     """Transform a tensor by a basis change (all three indices).
 
     The transformation law is evaluated as three mode products over the
-    stored entries ``t.w`` and the entries of M and M^-1, each skipping zero
-    factors and building no intermediate matrix:
+    stored entries ``t.w`` and the stored nonzero rows of M and M^-1, each
+    skipping zero factors and building no intermediate matrix:
 
         T1[b][mu][nu] = sum_lam (M^-1)[b][lam] W[lam][mu][nu]
         T2[b][a][nu]  = sum_mu  M[mu][a] T1[b][mu][nu]
@@ -105,12 +105,14 @@ def apply(t: ExtensionTensor, b: BasisChange, check: bool = True) -> ExtensionTe
     n = t.n
     if b.n != n:
         raise TransformError(f"basis change is {b.n}x{b.n} but tensor has {t.n} indices")
-    m = b.matrix.entries
-    m_inv = b.m_inv.entries
+    m_rows = b.matrix.nz
+    m_inv = b.m_inv.nz
     span = range(n)
-    # nonzero entries: columns and rows of M, upper triangle of each W_(lam)
-    m_cols = [[(mu, m[mu * n + a]) for mu in span if m[mu * n + a]] for a in span]
-    m_rows = [[(g, x) for g, x in enumerate(m[nu * n:nu * n + n]) if x] for nu in span]
+    # nonzero entries: columns of M (gathered from its stored rows), upper triangle of each W_(lam)
+    m_cols = [[] for _ in span]
+    for mu, row in enumerate(m_rows):
+        for a, x in row.items():
+            m_cols[a].append((mu, x))
     upper = [
         [((mu, nu), x) for mu, row in enumerate(plane) for nu, x in enumerate(row[mu:], mu) if x]
         for plane in t.w
@@ -120,11 +122,10 @@ def apply(t: ExtensionTensor, b: BasisChange, check: bool = True) -> ExtensionTe
     w = []
     for beta in span:
         t1 = {}
-        for lam, c in enumerate(m_inv[beta * n:beta * n + n]):
-            if c:
-                for key, x in upper[lam]:
-                    y = t1.get(key)
-                    t1[key] = c * x if y is None else y + c * x
+        for lam, c in m_inv[beta].items():
+            for key, x in upper[lam]:
+                y = t1.get(key)
+                t1[key] = c * x if y is None else y + c * x
         t1_rows = [[] for _ in span]
         for (mu, nu), x in t1.items():
             if x:
@@ -141,7 +142,7 @@ def apply(t: ExtensionTensor, b: BasisChange, check: bool = True) -> ExtensionTe
             row = {}
             for nu, x in t2.items():
                 if x:
-                    for g, c in m_rows[nu]:
+                    for g, c in m_rows[nu].items():
                         if g >= a:
                             y = row.get(g)
                             row[g] = x * c if y is None else y + x * c
@@ -223,7 +224,7 @@ def coboundary_change(n: int, k: ExactMatrix, scale=ONE) -> BasisChange:
         row = [k[i, j] for j in range(head)]
         row += [scale if j == i else ZERO for j in range(tail)]
         rows.append(row)
-    return BasisChange(ExactMatrix.from_rows(rows))
+    return BasisChange(ExactMatrix._of(n, n, rows))
 
 
 def remove_coboundary(t: ExtensionTensor, k: ExactMatrix, scale=ONE) -> ExtensionTensor:
@@ -306,7 +307,7 @@ def congruence_diagonalize(w: ExactMatrix) -> Tuple[ExactMatrix, List[GaussianRa
         for i in range(p + 1, k):
             if a[i][p]:
                 col_op(i, p, -a[i][p] / a[p][p])
-    cm = ExactMatrix.from_rows(c)
+    cm = ExactMatrix._of(k, k, c)
     diag = [a[i][i] for i in range(k)]
     return cm, diag
 
@@ -461,9 +462,7 @@ def congruence_normalize(block: ExactMatrix):
         + [i for i, s in enumerate(signs) if s == -1]
         + [i for i, s in enumerate(signs) if s == 0]
     )
-    final = ExactMatrix.from_rows(
-        [[scaled[r][order[j]] for j in range(k)] for r in range(k)]
-    )
+    final = ExactMatrix._of(k, k, [[scaled[r][order[j]] for j in range(k)] for r in range(k)])
     ordered_signs = sorted(signs, key=lambda s: (s != 1, s != -1))
     return final, ordered_signs, c
 
@@ -566,7 +565,7 @@ def congruence_move(t: ExtensionTensor, s: int) -> Optional[Tuple[ExactMatrix, L
             rows.append(list(blk.row(i)) + [ZERO] * (n - s))
         else:
             rows.append([ZERO] * i + [c if i == s else ONE] + [ZERO] * (n - i - 1))
-    return ExactMatrix.from_rows(rows), signs
+    return ExactMatrix._of(n, n, rows), signs
 
 
 def congruence_reduce_tail(t: ExtensionTensor) -> Tuple[ExtensionTensor, BasisChange]:

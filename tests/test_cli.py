@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from liepoisson.cli import EXIT_INVALID, EXIT_PARSE, main
+from liepoisson.cli import EXIT_DIMENSION, EXIT_INVALID, EXIT_PARSE, main
 from liepoisson.classify import catalog
 from liepoisson.dynamics import rigid_body_tensor
 from liepoisson.extension import ExtensionTensor, crmhd, leibniz
@@ -294,7 +294,8 @@ def test_classify_triangularizes_without_an_eigenvalue_search(monkeypatch):
 
 
 def test_basis_changes_invert_without_the_dense_path(monkeypatch):
-    """Witness steps are inverted by one sparse elimination, never through the dense rref."""
+    """Witness steps are inverted by one sparse elimination, never through rref, and no
+    matrix on the classify path builds its dense ``entries`` view: every step reads rows."""
     import random
 
     from liepoisson import linalg
@@ -316,6 +317,15 @@ def test_basis_changes_invert_without_the_dense_path(monkeypatch):
             inside[key] += counts[key] - before[key]
 
     monkeypatch.setattr(linalg.BasisChange, "__init__", init_and_count)
+    dense_views = 0
+    entries = linalg.ExactMatrix.entries
+
+    def count_entries(self):
+        nonlocal dense_views
+        dense_views += 1
+        return entries.fget(self)
+
+    monkeypatch.setattr(linalg.ExactMatrix, "entries", property(count_entries))
     for order in (2, 3, 4):
         for _, entry in catalog(order).entries:
             for t in (entry, append_semisimple(entry)):
@@ -329,6 +339,7 @@ def test_basis_changes_invert_without_the_dense_path(monkeypatch):
     # the wrappers are live: the kernel flag row-reduces through _rref_rows outside BasisChange
     assert counts["_rref_rows"] > inside["_rref_rows"] and constructed > 100
     assert inside == {"rref": 0, "_rref_rows": constructed}
+    assert dense_views == 0
 
 
 def test_casimir_bare_base_bracket(tmp_path, capsys):
@@ -488,3 +499,29 @@ def test_simulate_dimension_mismatch_exit_code(tmp_path, capsys):
     code, out = run(["simulate", str(doc), "--hamiltonian", str(ham),
                      "--dt", "0.01", "--steps", "5"], capsys)
     assert code == 5
+
+
+@pytest.mark.parametrize("flags, files, code", [
+    (["--preset", "rigid-body", "--inertia", "1,2,x"], {}, EXIT_PARSE),
+    (["--preset", "rigid-body", "--inertia", "1,0,3"], {}, EXIT_PARSE),
+    (["--hamiltonian", "missing.json"], {}, EXIT_PARSE),
+    (["--hamiltonian", "h.json"], {"h.json": "{not json"}, EXIT_PARSE),
+    (["--hamiltonian", "h.json"], {"h.json": {"x": 1}}, EXIT_PARSE),
+    (["--hamiltonian", "h.json"], {"h.json": {"blocks": [["a"]]}}, EXIT_PARSE),
+    (["--hamiltonian", "h.json"], {"h.json": {"blocks": [[1]]}}, EXIT_DIMENSION),
+    (["--state", "s.json"], {"s.json": [[1, 2]]}, EXIT_DIMENSION),
+    (["--state", "s.json"], {"s.json": {"x": 1}}, EXIT_PARSE),
+    (["--state", "missing.json"], {}, EXIT_PARSE),
+], ids=["inertia-not-a-number", "inertia-zero", "hamiltonian-missing", "hamiltonian-not-json",
+        "hamiltonian-no-blocks", "hamiltonian-not-numbers", "hamiltonian-wrong-shape",
+        "state-wrong-shape", "state-not-a-list", "state-missing"])
+def test_simulate_bad_inputs_exit_without_a_traceback(tmp_path, capfd, monkeypatch, flags, files, code):
+    monkeypatch.chdir(tmp_path)
+    Path("t.json").write_text(json.dumps(leibniz(2).to_json()))
+    for name, content in files.items():
+        Path(name).write_text(content if isinstance(content, str) else json.dumps(content))
+    args = flags if "--preset" in flags else ["t.json"] + flags
+    assert main(["simulate", *args, "--dt", "0.01", "--steps", "5"]) == code
+    out = capfd.readouterr()
+    lines = (out.out + out.err).strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines

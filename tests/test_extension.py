@@ -418,7 +418,7 @@ def test_one_entry_perturbation_is_rejected_at_every_door(tmp_path_factory, data
     assert main(["validate", str(path)]) == (0 if expected == ("valid",) else EXIT_INVALID)
 
 
-def test_strip_semisimple_checks_unless_slot_zero_is_decoupled(monkeypatch):
+def test_strip_semisimple_requires_a_decoupled_slot_zero(monkeypatch):
     from liepoisson import extension
 
     calls = []
@@ -427,13 +427,15 @@ def test_strip_semisimple_checks_unless_slot_zero_is_decoupled(monkeypatch):
     for t in (crmhd(2), leibniz(3, semidirect=True), pure_semidirect(2)):
         strip_semisimple(t)
     assert calls == []
-    # a dense change couples slot 0 to the rest, and the dropped slices need not commute
+    # a dense change of a valid tensor couples slot 0 to the rest, and the
+    # dropped slices need not commute: that is a precondition, not a law
     moved = apply(crmhd(2), BasisChange(ExactMatrix.from_rows(
         [[1, 2, 0, 1], [0, 1, -1, 0], [1, 0, 1, 2], [0, 1, 0, 1]])))
     assert any(any(row[1:]) for row in moved.w[0][1:])
     sub = [[list(row[1:]) for row in plane[1:]] for plane in moved.w[1:]]
-    expected = _violation(lambda: validate(sub))
-    assert expected[0] == "commutation"
+    assert _violation(lambda: validate(sub))[0] == "commutation"
     calls.clear()
-    assert _violation(lambda: strip_semisimple(moved)) == expected
-    assert len(calls) == 1
+    with pytest.raises(TensorError, match="slot 0 is coupled; normalize W\\^\\(0\\) first") as err:
+        strip_semisimple(moved)
+    assert type(err.value) is TensorError
+    assert calls == []

@@ -18,7 +18,6 @@ from liepoisson.linalg import (
     inverse,
     noncommuting_pair,
     null_space,
-    null_space_rows,
     pseudoinverse,
     rank,
     rref,
@@ -26,7 +25,7 @@ from liepoisson.linalg import (
 )
 from liepoisson.classify import catalog
 from liepoisson.extension import append_semisimple, crmhd, leibniz
-from liepoisson.scalars import Fraction as F, GaussianRational, I, ONE, ZERO, gr
+from liepoisson.scalars import Fraction as F, GaussianRational, I, ONE, ZERO, as_scalar, gr
 
 M = ExactMatrix.from_rows
 
@@ -84,6 +83,80 @@ def test_null_space_properties_random():
             assert rank(hstack(basis)) == len(basis)
 
 
+class DenseMatrix:
+    """The dense ExactMatrix that the sparse rows replaced, entries stored row-major: the reference."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows, cols, entries):
+        entries = tuple(as_scalar(x) for x in entries)
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        self.rows, self.cols, self.entries = rows, cols, entries
+
+    @staticmethod
+    def from_rows(rows):
+        return DenseMatrix(len(rows), len(rows[0]) if rows else 0, [x for row in rows for x in row])
+
+    @staticmethod
+    def identity(n):
+        return DenseMatrix(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.entries[i * self.cols + j]
+
+    def row(self, i):
+        return self.entries[i * self.cols:(i + 1) * self.cols]
+
+    def to_rows(self):
+        return [list(self.row(i)) for i in range(self.rows)]
+
+    def submatrix(self, row_idx, col_idx):
+        return DenseMatrix(len(row_idx), len(col_idx), [self[i, j] for i in row_idx for j in col_idx])
+
+    def __matmul__(self, other):
+        out = []
+        for i in range(self.rows):
+            ri = self.row(i)
+            for j in range(other.cols):
+                acc = ZERO
+                for k in range(self.cols):
+                    if ri[k]:
+                        acc = acc + ri[k] * other.entries[k * other.cols + j]
+                out.append(acc)
+        return DenseMatrix(self.rows, other.cols, out)
+
+    def conjugate_transpose(self):
+        return DenseMatrix(self.cols, self.rows,
+                           [self[i, j].conjugate() for j in range(self.cols) for i in range(self.rows)])
+
+    def __eq__(self, other):
+        return self.rows == other.rows and self.cols == other.cols and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
+
+
+def dense(a):
+    return DenseMatrix(a.rows, a.cols, a.entries)
+
+
+def same(a, d):
+    """Whether the sparse matrix ``a`` and the dense ``d`` hold the same entries (None matches None)."""
+    if a is None or d is None:
+        return a is None and d is None
+    return (a.rows, a.cols, a.entries) == (d.rows, d.cols, d.entries)
+
+
+def stores_no_zero(m):
+    """One zero-free ``{column: value}`` dict of scalars per row, columns in range."""
+    return len(m.nz) == m.rows and all(
+        type(r) is dict and all(type(x) is GaussianRational and x and 0 <= j < m.cols for j, x in r.items())
+        for r in m.nz
+    )
+
+
 def dense_rref(a):
     """The dense Gauss-Jordan loop that rref was before the sparse core: the reference."""
     m = a.to_rows()
@@ -105,7 +178,7 @@ def dense_rref(a):
         r += 1
         if r == rows:
             break
-    return (ExactMatrix(rows, cols, [x for row in m for x in row]), pivots)
+    return (DenseMatrix(rows, cols, [x for row in m for x in row]), pivots)
 
 
 def dense_null_space(a):
@@ -117,7 +190,7 @@ def dense_null_space(a):
             v[f] = ONE
             for i, p in enumerate(pivots):
                 v[p] = -r[i, f]
-            basis.append(ExactMatrix.column(v))
+            basis.append(DenseMatrix(a.cols, 1, v))
     return basis
 
 
@@ -153,23 +226,28 @@ def random_oracle_inputs(seed):
 def test_rref_matches_dense_oracle():
     for a in random_oracle_inputs(61):
         r, pivots = rref(a)
-        assert (r, pivots) == dense_rref(a)
+        want, want_pivots = dense_rref(dense(a))
+        assert same(r, want) and pivots == want_pivots
         assert rank(a) == len(pivots)
 
 
-def test_null_space_rows_matches_dense_matrix():
+def same_basis(basis, dense_basis):
+    return len(basis) == len(dense_basis) and all(map(same, basis, dense_basis))
+
+
+def test_null_space_matches_dense_matrix():
     rng = random.Random(62)
     for a in random_oracle_inputs(62):
-        rows = [{j: x for j, x in enumerate(a.row(i)) if x} for i in range(a.rows)]
-        rows += [{}] + [dict(rows[rng.randrange(len(rows))]) for _ in range(2) if rows]
+        # the same system with an empty row and repeated rows, shuffled, as a trusted sparse matrix
+        rows = list(a.nz) + [{}] + [a.nz[rng.randrange(a.rows)] for _ in range(2) if a.rows]
         rng.shuffle(rows)
-        expected = dense_null_space(a)
-        assert null_space(a) == expected
-        assert null_space_rows(rows, a.cols) == expected
-    assert null_space_rows([], 3) == [ExactMatrix.column([ONE if i == j else ZERO for i in range(3)])
-                                      for j in range(3)]
-    # plain integers and explicit zeros are accepted
-    assert null_space_rows([{0: 1, 1: -1, 2: 0}], 2) == null_space(M([[1, -1]]))
+        expected = dense_null_space(dense(a))
+        assert same_basis(null_space(a), expected)
+        assert same_basis(null_space(ExactMatrix._of(len(rows), a.cols, rows)), expected)
+    assert null_space(ExactMatrix.zeros(0, 3)) == [ExactMatrix.column([ONE if i == j else ZERO for i in range(3)])
+                                                   for j in range(3)]
+    # plain integers and explicit zeros through the public constructor
+    assert null_space(ExactMatrix(1, 3, [1, -1, 0])) == null_space(ExactMatrix._of(1, 3, [{0: ONE, 1: -ONE}]))
 
 
 def dense_quadratic_casimir_system(t):
@@ -205,6 +283,7 @@ def test_quadratic_casimir_basis_matches_dense_oracle_at_n16():
     basis = quadratic_casimir_basis(t)
     elapsed = time.thread_time() - start
     system, index = dense_quadratic_casimir_system(t)
+    system = dense(system)
     assert system.rows == 728 and system.cols == 136
     expected = []
     for v in dense_null_space(system):
@@ -255,11 +334,22 @@ def test_singular_matrix_has_no_inverse():
 def dense_inverse(a):
     """a^-1 from the dense reference elimination of [a | I], or None when a is singular."""
     n = a.rows
-    aug = ExactMatrix(n, 2 * n, [x for i in range(n) for x in a.row(i) + ExactMatrix.identity(n).row(i)])
+    aug = DenseMatrix(n, 2 * n, [x for i in range(n) for x in a.row(i) + DenseMatrix.identity(n).row(i)])
     r, pivots = dense_rref(aug)
     if pivots != list(range(n)):
         return None
-    return ExactMatrix(n, n, [r[i, n + j] for i in range(n) for j in range(n)])
+    return r.submatrix(range(n), range(n, 2 * n))
+
+
+def dense_pseudoinverse(a):
+    """C* (C C*)^-1 (B* B)^-1 B* on dense matrices, from the dense rref: the reference."""
+    r, pivots = dense_rref(a)
+    if not pivots:
+        return DenseMatrix(a.cols, a.rows, [ZERO] * (a.rows * a.cols))
+    b = a.submatrix(range(a.rows), pivots)
+    c = r.submatrix(range(len(pivots)), range(a.cols))
+    ch, bh = c.conjugate_transpose(), b.conjugate_transpose()
+    return ch @ dense_inverse(c @ ch) @ dense_inverse(bh @ b) @ bh
 
 
 def elementary_and_random_square(seed):
@@ -283,7 +373,7 @@ def test_inverse_matches_solve_and_dense_oracle():
     inverted = singular = 0
     for a in elementary_and_random_square(71):
         x = solve(a, ExactMatrix.identity(a.rows))
-        assert dense_inverse(a) == x
+        assert same(x, dense_inverse(dense(a)))
         if x is None:
             singular += 1
             with pytest.raises(LinalgError):
@@ -299,15 +389,12 @@ def test_inverse_matches_solve_and_dense_oracle():
 
 def dense_check_family(family):
     """The dense-product commutation check, the first noncommuting pair or None: the reference."""
+    family = [dense(a) for a in family]
     for i in range(len(family)):
         for j in range(i + 1, len(family)):
             if family[i] @ family[j] != family[j] @ family[i]:
                 return (i, j)
     return None
-
-
-def nonzero_rows(a):
-    return [[(k, x) for k, x in enumerate(a.row(r)) if x] for r in range(a.rows)]
 
 
 def test_check_family_matches_dense_products():
@@ -334,7 +421,7 @@ def test_check_family_matches_dense_products():
     raised = triangularized = 0
     for family in families:
         want = dense_check_family(family)
-        assert noncommuting_pair([nonzero_rows(a) for a in family]) == want
+        assert noncommuting_pair(family) == want
         if want is None:
             m = _kernel_flag(family, family[0].rows)
             if m is None:
@@ -357,6 +444,9 @@ def test_public_constructors_coerce():
               ExactMatrix.from_rows([[3, Fraction(-1, 2)], ["1/3+2i", "i"]])):
         assert list(m.entries) == want
         assert all(type(x) is GaussianRational for x in m.entries)
+    for i, j in ((0, 2), (0, 5), (2, 0), (-1, 0)):
+        with pytest.raises(IndexError):
+            ExactMatrix.identity(2).with_entry(i, j, 1)
     for bad in (0.5, None, 1j, object()):
         with pytest.raises(TypeError):
             ExactMatrix(1, 1, [bad])
@@ -380,8 +470,93 @@ def test_computed_matrices_hold_only_scalars():
     results += null_space(random_rank_deficient(rng, 4, 2))
     results += [t.slice_upper(nu) for nu in range(t.n)] + [t.slice_lower(lam) for lam in range(t.n)]
     for m in results:
+        assert stores_no_zero(m), m
         assert len(m.entries) == m.rows * m.cols
         assert all(type(x) is GaussianRational for x in m.entries), m
+
+
+# -- the sparse rows against the dense oracle ----------------------------------
+
+SMALL_GAUSSIANS = st.builds(
+    gr,
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.one_of(st.just(0), st.fractions(min_value=-2, max_value=2, max_denominator=2)),
+)
+
+
+@st.composite
+def raw_entries(draw, rows, cols):
+    """rows * cols scalars, either dense or mostly zero."""
+    value = SMALL_GAUSSIANS if draw(st.booleans()) else st.one_of(st.just(ZERO), st.just(ZERO), SMALL_GAUSSIANS)
+    return draw(st.lists(value, min_size=rows * cols, max_size=rows * cols))
+
+
+@st.composite
+def matrix_pairs(draw, rows, cols):
+    """The same random Q(i) matrix as an ExactMatrix and as the dense oracle."""
+    entries = draw(raw_entries(rows, cols))
+    return ExactMatrix(rows, cols, entries), DenseMatrix(rows, cols, entries)
+
+
+@st.composite
+def oracle_cases(draw):
+    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+    a, da = draw(matrix_pairs(r, k))
+    b, db = draw(matrix_pairs(k, c))
+    # a second matrix of a's shape, equal to a unless one entry is redrawn
+    entries = list(da.entries)
+    if entries and draw(st.booleans()):
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(SMALL_GAUSSIANS)
+    n = draw(st.integers(0, 5))
+    return (a, da), (b, db), (ExactMatrix(r, k, entries), DenseMatrix(r, k, entries)), draw(matrix_pairs(n, n))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(oracle_cases())
+def test_sparse_rows_agree_with_the_dense_oracle(case):
+    (a, da), (b, db), (a2, da2), (s, ds) = case
+    assert same(a, da) and hash(a) == hash(da)
+    assert same(a @ b, da @ db)
+    r, pivots = rref(a)
+    want, want_pivots = dense_rref(da)
+    assert same(r, want) and pivots == want_pivots
+    assert same_basis(null_space(a), dense_null_space(da))
+    assert same(pseudoinverse(a), dense_pseudoinverse(da))
+    want = dense_inverse(ds)
+    if want is None:
+        with pytest.raises(LinalgError):
+            inverse(s)
+    else:
+        assert same(inverse(s), want)
+    assert (a == a2) == (da == da2)
+    if a == a2:
+        assert hash(a) == hash(a2) == hash(da2)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(oracle_cases(), st.data())
+def test_no_operation_stores_a_zero(case, data):
+    (a, _), (b, _), (a2, _), (s, _) = case
+    r, k = a.rows, a.cols
+    x = data.draw(st.one_of(st.just(ZERO), SMALL_GAUSSIANS))
+    zero_row = data.draw(st.lists(st.sampled_from([0, ZERO, Fraction(0), "0"]), min_size=3, max_size=3))
+    results = [
+        a, b, a2, s, a + a2, a - a2, a - a, a + -a, -a, a.scale(x), a.scale(0), a @ b, (a - a) @ b,
+        a.transpose(), a.conjugate_transpose(), rref(a)[0], pseudoinverse(a), hstack([a, a2]),
+        ExactMatrix.identity(k), ExactMatrix.zeros(r, k), ExactMatrix.diagonal([x, 0, 1]),
+        ExactMatrix.column(zero_row), ExactMatrix.from_rows([zero_row, [1, 0, x]]),
+        ExactMatrix(1, 3, zero_row),
+    ]
+    if r and k:
+        i, j = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, k - 1))
+        results += [a.with_entry(i, j, x), a.with_entry(i, j, 0), a.submatrix([i, 0], [j, k - 1])]
+    results += null_space(a)
+    try:
+        results += [inverse(s), BasisChange(s, scale=gr(2)).matrix, BasisChange(s).m_inv]
+    except LinalgError:
+        pass
+    for m in results:
+        assert stores_no_zero(m), m
 
 
 # -- pseudoinverse -----------------------------------------------------------
@@ -414,6 +589,24 @@ def test_pseudoinverse_known_values():
 def test_pseudoinverse_of_invertible_is_inverse():
     a = M([[1, 2, 0], [0, 1, 4], [1, 0, 1]])
     assert pseudoinverse(a) == inverse(a)
+
+
+@st.composite
+def rank_deficient(draw):
+    """B C with B n x r and C r x m, r < min(n, m): rank at most r, short of full."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    r = draw(st.integers(0, min(n, m) - 1))
+    return ExactMatrix(n, r, draw(raw_entries(n, r))) @ ExactMatrix(r, m, draw(raw_entries(r, m)))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(rank_deficient())
+def test_moore_penrose_identities_on_rank_deficient_matrices(a):
+    assert rank(a) < min(a.rows, a.cols)
+    p = pseudoinverse(a)
+    assert (p.rows, p.cols) == (a.cols, a.rows)
+    assert mp_identities_hold(a, p)
+    assert same(p, dense_pseudoinverse(dense(a)))
 
 
 def test_pseudoinverse_property_suite():
