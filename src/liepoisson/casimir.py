@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .extension import ExtensionTensor, TensorError
-from .linalg import ExactMatrix, hstack, null_space, pseudoinverse, rank
+from .linalg import ExactMatrix, null_space, pseudoinverse, rank
 from .polynomials import Poly
 from .scalars import GaussianRational, ONE, ZERO, gr, parse_scalar
 
@@ -412,9 +412,9 @@ def _eigenvector_family(t: ExtensionTensor, label: str) -> Optional[CasimirFamil
                 else:
                     del row[lam]
     kernel = null_space(ExactMatrix._of(n * n, n, [row for plane in rows for row in plane]))
-    if not kernel:
+    if not kernel.rows:
         return None
-    args = tuple(v.col(0) for v in kernel)
+    args = tuple(map(kernel.row, range(kernel.rows)))
     func = FormalFunction(label, args)
     term = CasimirTerm(Poly.constant(n, 1), func, (0,) * len(args))
     return CasimirFamily((term,), n, t.semidirect)
@@ -485,18 +485,14 @@ def _component_families(t: ExtensionTensor, co: CoextensionResult) -> List[Casim
             "solvability/coextension condition fails on an indecomposable block"
         )
     families = []
-    kept_rows: List[ExactMatrix] = []
-    for nu in range(k):
-        row = ExactMatrix.column(list(co.projector.row(nu)))
-        if row.is_zero():
+    kept: List[Dict[int, GaussianRational]] = []
+    for row in co.projector.nz:
+        if not row or (kept and rank(ExactMatrix._of(len(kept) + 1, k, kept + [row])) == len(kept)):
             continue
-        if kept_rows and rank(hstack(kept_rows + [row])) == len(kept_rows):
-            continue
-        kept_rows.append(row)
+        kept.append(row)
         g0 = Poly.zero(n)
-        for rho in range(k):
-            if co.projector[nu, rho]:
-                g0 = g0 + Poly.variable(n, idx[rho]).scale(co.projector[nu, rho])
+        for rho, x in row.items():
+            g0 = g0 + Poly.variable(n, idx[rho]).scale(x)
         series = _series_from_hessian_recursion(n, g0, co.cow, idx[:k])
         families.append(_family_from_series(n, series, idx[-1], "f", t.semidirect))
     return families
@@ -601,12 +597,12 @@ def quadratic_casimir_basis(t: ExtensionTensor) -> List[ExactMatrix]:
                 del eq[k]
     distinct = list({frozenset(eq.items()): eq for eq in equations.values()}.values())
     basis = []
-    for v in null_space(ExactMatrix._of(len(distinct), len(pairs), distinct)):
+    for v in null_space(ExactMatrix._of(len(distinct), len(pairs), distinct)).nz:
         # Q_ij = Q_ji is coordinate k of the kernel vector, for (i, j) = pairs[k]
         q: List[Dict[int, GaussianRational]] = [{} for _ in range(n)]
-        for (i, j), r in zip(pairs, v.nz):
-            if r:
-                q[i][j] = q[j][i] = r[0]
+        for k, x in v.items():
+            i, j = pairs[k]
+            q[i][j] = q[j][i] = x
         basis.append(ExactMatrix._of(n, n, q))
     return basis
 

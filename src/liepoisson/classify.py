@@ -36,7 +36,6 @@ from .linalg import (
     BasisChange,
     ExactMatrix,
     _kernel_flag,
-    hstack,
     inverse,
     rank,
     rref,
@@ -272,26 +271,21 @@ def _tail_head_supported(t: ExtensionTensor) -> bool:
     return True
 
 
-def _product(t: ExtensionTensor, x: ExactMatrix, y: ExactMatrix) -> List[GaussianRational]:
-    """x * y = sum W_lam^{mu nu} x_mu y_nu; shorter vectors fill the leading slots."""
-    out = []
-    for lam in range(t.n):
-        acc = ZERO
-        for mu in range(x.rows):
-            for nu in range(y.rows):
-                c = t.entry(lam, mu, nu)
-                if c:
-                    acc = acc + c * x[mu, 0] * y[nu, 0]
-        out.append(acc)
+def _product(t: ExtensionTensor, x: Sequence[GaussianRational], y: Sequence[GaussianRational]) -> List[GaussianRational]:
+    """x * y = sum W_lam^{mu nu} x_mu y_nu over the nonzeros of W; shorter vectors fill the leading slots."""
+    out = [ZERO] * t.n
+    for lam, mu, nu, c in t.nonzeros():
+        if mu < len(x) and nu < len(y):
+            out[lam] = out[lam] + c * x[mu] * y[nu]
     return out
 
 
-def _rank1_decompose(g: ExactMatrix):
-    """lam, w with g = lam * w w^T for a rank-one symmetric 2x2 form."""
+def _rank1_decompose(g: ExactMatrix) -> Tuple[GaussianRational, GaussianRational]:
+    """w with g proportional to w w^T, for a rank-one symmetric 2x2 form."""
     if g[0, 0]:
-        return ONE / g[0, 0], ExactMatrix.column([g[0, 0], g[0, 1]])
+        return g[0, 0], g[0, 1]
     if g[1, 1]:
-        return ONE / g[1, 1], ExactMatrix.column([g[0, 1], g[1, 1]])
+        return g[0, 1], g[1, 1]
     raise ClassificationError("internal error: form is not rank one")
 
 
@@ -330,40 +324,24 @@ def _pencil_reduce(
     (s1, t1), (s2, t2), double = roots
     g1 = a.scale(s1) + b.scale(t1)
     if double:
-        lam1, w1 = _rank1_decompose(g1)
-        kern = ExactMatrix.column([-w1[1, 0], w1[0, 0]])
-        y0 = next(
-            v for v in (ExactMatrix.column([ONE, ZERO]), ExactMatrix.column([ZERO, ONE]))
-            if (w1.transpose() @ v)[0, 0]
-        )
+        w1 = _rank1_decompose(g1)
+        kern = (-w1[1], w1[0])
+        y0 = (ONE, ZERO) if w1[0] else (ZERO, ONE)
         f2 = _product(t, y0, y0)
         f3 = _product(t, y0, kern)
         if all(not x for x in f3) or any(_product(t, kern, kern)):
             raise ClassificationError("internal error: double-root pencil structure")
-        cols = [
-            [y0[0, 0], y0[1, 0], ZERO, ZERO],
-            f2,
-            [kern[0, 0], kern[1, 0], ZERO, ZERO],
-            f3,
-        ]
+        cols = [[*y0, ZERO, ZERO], f2, [*kern, ZERO, ZERO], f3]
     else:
         g2 = a.scale(s2) + b.scale(t2)
-        _, w1 = _rank1_decompose(g1)
-        _, w2 = _rank1_decompose(g2)
-        wmat = ExactMatrix._of(2, 2, [[w1[0, 0], w1[1, 0]], [w2[0, 0], w2[1, 0]]])
-        p = inverse(wmat)
-        y0 = ExactMatrix.column([p[0, 0], p[1, 0]])
-        y1 = ExactMatrix.column([p[0, 1], p[1, 1]])
+        # y0, y1 are the columns of [w1; w2]^-1, the rows of its transpose
+        p = inverse(ExactMatrix._of(2, 2, [_rank1_decompose(g1), _rank1_decompose(g2)])).transpose()
+        y0, y1 = p.row(0), p.row(1)
         f2 = _product(t, y0, y0)
         f4 = _product(t, y1, y1)
         if any(_product(t, y0, y1)):
             raise ClassificationError("internal error: distinct-root pencil structure")
-        cols = [
-            [y0[0, 0], y0[1, 0], ZERO, ZERO],
-            f2,
-            [y1[0, 0], y1[1, 0], ZERO, ZERO],
-            f4,
-        ]
+        cols = [[*y0, ZERO, ZERO], f2, [*y1, ZERO, ZERO], f4]
     move = ExactMatrix._of(4, 4, [[cols[j][i] for j in range(4)] for i in range(4)])
     t = _apply_step(t, chain, move)
     return t, True
@@ -645,20 +623,15 @@ def fingerprint(t: ExtensionTensor) -> dict:
 def derived_series_dims(t: ExtensionTensor) -> List[int]:
     """Dimensions of span{x * y : x, y in D_k}, a basis-free invariant."""
     n = t.n
-    current = [ExactMatrix.column([ONE if i == j else ZERO for i in range(n)]) for j in range(n)]
+    span = [ExactMatrix.identity(n).row(i) for i in range(n)]
     dims: List[int] = []
     while True:
-        prods = []
-        for x in current:
-            for y in current:
-                vec = _product(t, x, y)
-                if any(vec):
-                    prods.append(ExactMatrix.column(vec))
-        pivots = rref(hstack(prods))[1] if prods else []
+        # D_{k+1} is spanned by the nonzero rows of the RREF of all products of D_k's basis
+        reduced, pivots = rref(ExactMatrix._of(len(span) ** 2, n, [_product(t, x, y) for x in span for y in span]))
         dims.append(len(pivots))
         if not pivots or (len(dims) >= 2 and dims[-1] == dims[-2]):
             break
-        current = [prods[p] for p in pivots]
+        span = [reduced.row(i) for i in range(len(pivots))]
     return dims
 
 

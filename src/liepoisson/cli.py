@@ -174,11 +174,13 @@ def _fixture_families(label: CaseLabel) -> Optional[List[casimir_mod.CasimirFami
     override = os.environ.get("LIEX_FIXTURES")
     if override:
         path = os.path.join(override, f"{label.name}{'-sd' if label.semidirect else ''}.json")
-        if os.path.exists(path):
+        if not os.path.exists(path):
+            return None
+        try:
             with open(path) as fh:
-                docs = json.load(fh)
-            return [casimir_mod.CasimirFamily.from_json(d) for d in docs]
-        return None
+                return [casimir_mod.CasimirFamily.from_json(d) for d in json.load(fh)]
+        except (OSError, ValueError, KeyError, TypeError) as err:
+            raise ParseFailure(f"cannot read fixture file {path}: {err}")
     table = tables.solvable_table()
     if label.name not in table:
         return None

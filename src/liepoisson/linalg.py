@@ -11,16 +11,17 @@ names ``linalg.eigenvalues_gaussian``.
 
 An :class:`ExactMatrix` stores its rows as ``{column: value}`` dicts of
 their nonzero entries, and this module is the only one that converts
-between them and dense entries.  Every algorithm reads the rows directly:
-the product is one sparse row-times-rows accumulation
-(:func:`_row_product`), and there is one elimination, :func:`_rref_rows`, a
-Gauss-Jordan on rows that touches only the rows holding each pivot column.
-:func:`rref`, :func:`rank`, :func:`null_space`, :func:`inverse` (on the
-rows of [A | I]) and :func:`pseudoinverse` hand it a matrix's rows as they
-are.
+between them and dense entries.  A vector is a row: :func:`null_space`
+returns its kernel basis as the rows of one matrix, and there is no column
+vector type.  Every algorithm reads the rows directly: the product is one
+sparse row-times-rows accumulation (:func:`_row_product`), and there is one
+elimination, :func:`_rref_rows`, a Gauss-Jordan on rows that touches only
+the rows holding each pivot column.  :func:`rref`, :func:`rank`,
+:func:`null_space`, :func:`inverse` (on the rows of [A | I]) and
+:func:`pseudoinverse` hand it a matrix's rows as they are.
 
 Only the public constructors coerce: ``ExactMatrix(rows, cols, entries)``,
-``from_rows``, ``column`` and ``diagonal`` accept ints, ``Fraction`` values
+``from_rows`` and ``diagonal`` accept ints, ``Fraction`` values
 and scalar strings.  Every matrix computed here or elsewhere in the package
 (arithmetic, ``transpose``, ``submatrix``, ``identity``, ``rref``,
 ``inverse``, tensor slices, basis changes, ...) already holds
@@ -129,16 +130,13 @@ class ExactMatrix:
         vals = [as_scalar(v) for v in values]
         return ExactMatrix._of(len(vals), len(vals), [{i: x} if x else {} for i, x in enumerate(vals)])
 
-    @staticmethod
-    def column(values: Sequence) -> "ExactMatrix":
-        vals = list(values)
-        return ExactMatrix(len(vals), 1, vals)
-
     # -- element access ---------------------------------------------------
 
     def __getitem__(self, ij: Tuple[int, int]) -> GaussianRational:
         i, j = ij
-        return self.nz[i].get(j, ZERO)
+        if 0 <= i < self.rows and 0 <= j < self.cols:
+            return self.nz[i].get(j, ZERO)
+        raise IndexError(f"entry ({i}, {j}) is outside a {self.rows}x{self.cols} matrix")
 
     @property
     def entries(self) -> Tuple[GaussianRational, ...]:
@@ -331,16 +329,16 @@ def rank(a: ExactMatrix) -> int:
     return len(_rref_rows(a.nz)[1])
 
 
-def null_space(a: ExactMatrix) -> List[ExactMatrix]:
-    """Basis of the right kernel of ``a`` as column vectors.
+def null_space(a: ExactMatrix) -> ExactMatrix:
+    """Basis of the right kernel of ``a``, as the rows of a (cols - rank) x cols matrix.
 
-    The free variable corresponding to each returned vector is set to one and
-    the pivots solved by back-substitution, so the count is always
-    cols - rank and the vectors are linearly independent by construction.
-    No rows means the zero map: every standard vector is returned.
+    The free variable corresponding to each basis row is set to one and the
+    pivots solved by back-substitution, so the rows are linearly independent
+    by construction and ``a @ null_space(a).transpose()`` is zero.  No rows
+    means the zero map: the basis is the identity.
     """
-    return [ExactMatrix._of(a.cols, 1, [{0: v[i]} if i in v else {} for i in range(a.cols)])
-            for v in _kernel_vectors(*_rref_rows(a.nz), a.cols)]
+    basis = _kernel_vectors(*_rref_rows(a.nz), a.cols)
+    return ExactMatrix._of(len(basis), a.cols, basis)
 
 
 def _kernel_vectors(reduced: List[Dict[int, GaussianRational]], pivots: List[int], cols: int) -> List[Dict[int, GaussianRational]]:
@@ -373,19 +371,6 @@ def inverse(a: ExactMatrix) -> ExactMatrix:
     if pivots != list(range(n)):
         raise LinalgError("matrix is singular")
     return ExactMatrix._of(n, n, [{j - n: x for j, x in r.items() if j >= n} for r in reduced])
-
-
-def hstack(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise ValueError("row count mismatch")
-    out: List[Dict[int, GaussianRational]] = [{} for _ in range(rows)]
-    offset = 0
-    for m in mats:
-        for r, row in zip(out, m.nz):
-            r.update((offset + j, x) for j, x in row.items())
-        offset += m.cols
-    return ExactMatrix._of(rows, offset, out)
 
 
 def pseudoinverse(a: ExactMatrix) -> ExactMatrix:

@@ -33,7 +33,7 @@ from liepoisson.extension import (
     from_lower_slices,
     leibniz,
 )
-from liepoisson.linalg import BasisChange, ExactMatrix, hstack, pseudoinverse, rank
+from liepoisson.linalg import BasisChange, ExactMatrix, pseudoinverse, rank
 from liepoisson.polynomials import Poly
 from liepoisson.scalars import ONE, ZERO, gr
 from liepoisson.tables import (
@@ -439,7 +439,8 @@ def dense_eigenvector_args(t):
         ev = t.entry(0, 0, nu)
         for lam in range(t.n):
             rows.append([t.entry(lam, mu, nu) - (ev if mu == lam else ZERO) for mu in range(t.n)])
-    return tuple(tuple(v[i, 0] for i in range(t.n)) for v in null_space(M(rows)))
+    kernel = null_space(M(rows))
+    return tuple(map(kernel.row, range(kernel.rows)))
 
 
 def test_eigenvector_family_matches_dense_rows():
@@ -523,9 +524,8 @@ def test_synthesis_obstruction_on_unnormalized_tensor():
 def span_contains(basis, q):
     if not basis:
         return q.is_zero()
-    cols = [ExactMatrix.column(list(m.entries)) for m in basis]
-    target = ExactMatrix.column(list(q.entries))
-    return rank(hstack(cols)) == rank(hstack(cols + [target]))
+    rows = [m.entries for m in basis]
+    return rank(M(rows)) == rank(M(rows + [q.entries]))
 
 
 def test_quadratic_basis_heavy_top():

@@ -488,6 +488,13 @@ def test_fixture_directory_override(tmp_path, capsys, monkeypatch):
     code, out = run(["casimir", str(doc), "--verify"], capsys)
     assert code == 0
     assert "table fixtures: match" in out
+    # a malformed fixture file is a parse failure with one error line, not a traceback
+    no_terms = [{k: v for k, v in f.to_json().items() if k != "terms"} for f in fams]
+    for text in ("[{not json", json.dumps(no_terms)):
+        (fixdir / "n3-case4.json").write_text(text)
+        assert main(["casimir", str(doc), "--verify"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read fixture file") and err.count("\n") == 1
 
 
 def test_simulate_dimension_mismatch_exit_code(tmp_path, capsys):

@@ -14,7 +14,6 @@ from liepoisson.linalg import (
     SplitFailure,
     characteristic_polynomial,
     eigenvalues_gaussian,
-    hstack,
     inverse,
     noncommuting_pair,
     null_space,
@@ -56,17 +55,16 @@ def test_rref_and_rank():
 
 
 def test_null_space_examples():
-    # full rank -> empty
-    assert null_space(ExactMatrix.identity(2)) == []
-    # zero map -> two independent vectors spanning the plane
+    # full rank -> no basis rows
+    assert null_space(ExactMatrix.identity(2)) == ExactMatrix.zeros(0, 2)
+    # zero map -> two independent rows spanning the plane
     basis = null_space(ExactMatrix.zeros(2, 2))
-    assert len(basis) == 2
-    assert rank(hstack(basis)) == 2
-    # hand row-reduction: kernel of [[1,1],[2,2]] is spanned by (1,-1)
+    assert basis.rows == 2 and rank(basis) == 2
+    # hand row-reduction: kernel of [[1,1],[2,2]] is spanned by (-1, 1)
     basis = null_space(M([[1, 1], [2, 2]]))
-    assert len(basis) == 1
-    v = basis[0]
-    assert v[0, 0] * gr(-1) == v[1, 0]
+    assert basis.rows == 1
+    assert basis[0, 0] * gr(-1) == basis[0, 1]
+    assert basis == M([[-1, 1]])
 
 
 def test_null_space_properties_random():
@@ -76,11 +74,9 @@ def test_null_space_properties_random():
         r = rng.randint(0, n)
         a = random_rank_deficient(rng, n, r)
         basis = null_space(a)
-        assert len(basis) == n - rank(a)
-        for v in basis:
-            assert (a @ v).is_zero()
-        if basis:
-            assert rank(hstack(basis)) == len(basis)
+        assert basis.rows == n - rank(a) and basis.cols == n
+        assert (a @ basis.transpose()).is_zero()
+        assert rank(basis) == basis.rows
 
 
 class DenseMatrix:
@@ -182,6 +178,7 @@ def dense_rref(a):
 
 
 def dense_null_space(a):
+    """The kernel basis as the rows of a dense matrix, one per free column: the reference."""
     r, pivots = dense_rref(a)
     basis = []
     for f in range(a.cols):
@@ -190,8 +187,8 @@ def dense_null_space(a):
             v[f] = ONE
             for i, p in enumerate(pivots):
                 v[p] = -r[i, f]
-            basis.append(DenseMatrix(a.cols, 1, v))
-    return basis
+            basis.append(v)
+    return DenseMatrix(len(basis), a.cols, [x for v in basis for x in v])
 
 
 def random_oracle_inputs(seed):
@@ -231,10 +228,6 @@ def test_rref_matches_dense_oracle():
         assert rank(a) == len(pivots)
 
 
-def same_basis(basis, dense_basis):
-    return len(basis) == len(dense_basis) and all(map(same, basis, dense_basis))
-
-
 def test_null_space_matches_dense_matrix():
     rng = random.Random(62)
     for a in random_oracle_inputs(62):
@@ -242,10 +235,9 @@ def test_null_space_matches_dense_matrix():
         rows = list(a.nz) + [{}] + [a.nz[rng.randrange(a.rows)] for _ in range(2) if a.rows]
         rng.shuffle(rows)
         expected = dense_null_space(dense(a))
-        assert same_basis(null_space(a), expected)
-        assert same_basis(null_space(ExactMatrix._of(len(rows), a.cols, rows)), expected)
-    assert null_space(ExactMatrix.zeros(0, 3)) == [ExactMatrix.column([ONE if i == j else ZERO for i in range(3)])
-                                                   for j in range(3)]
+        assert same(null_space(a), expected)
+        assert same(null_space(ExactMatrix._of(len(rows), a.cols, rows)), expected)
+    assert null_space(ExactMatrix.zeros(0, 3)) == ExactMatrix.identity(3)
     # plain integers and explicit zeros through the public constructor
     assert null_space(ExactMatrix(1, 3, [1, -1, 0])) == null_space(ExactMatrix._of(1, 3, [{0: ONE, 1: -ONE}]))
 
@@ -285,11 +277,12 @@ def test_quadratic_casimir_basis_matches_dense_oracle_at_n16():
     system, index = dense_quadratic_casimir_system(t)
     system = dense(system)
     assert system.rows == 728 and system.cols == 136
+    kernel = dense_null_space(system)
     expected = []
-    for v in dense_null_space(system):
+    for v in map(kernel.row, range(kernel.rows)):
         q = [[ZERO] * t.n for _ in range(t.n)]
         for (i, j), k in index.items():
-            q[i][j] = q[j][i] = v[k, 0]
+            q[i][j] = q[j][i] = v[k]
         expected.append(M(q))
     assert basis == expected
     assert elapsed < 1.0
@@ -444,9 +437,11 @@ def test_public_constructors_coerce():
               ExactMatrix.from_rows([[3, Fraction(-1, 2)], ["1/3+2i", "i"]])):
         assert list(m.entries) == want
         assert all(type(x) is GaussianRational for x in m.entries)
-    for i, j in ((0, 2), (0, 5), (2, 0), (-1, 0)):
+    for i, j in ((0, 2), (0, 5), (2, 0), (-1, 0), (0, -1)):
         with pytest.raises(IndexError):
             ExactMatrix.identity(2).with_entry(i, j, 1)
+        with pytest.raises(IndexError):
+            ExactMatrix.identity(2)[i, j]
     for bad in (0.5, None, 1j, object()):
         with pytest.raises(TypeError):
             ExactMatrix(1, 1, [bad])
@@ -464,10 +459,9 @@ def test_computed_matrices_hold_only_scalars():
         a.conjugate_transpose(), a.submatrix([0, 2], [1, 2]), a.with_entry(0, 1, 5),
         ExactMatrix.identity(3), ExactMatrix.zeros(2, 3), ExactMatrix.diagonal([1, 2]),
         rref(a)[0], rref(random_rank_deficient(rng, 4, 2))[0], inverse(a),
-        pseudoinverse(random_rank_deficient(rng, 3, 2)), hstack([a, b]), a @ a @ a,
-        BasisChange(a, scale=gr(2)).matrix, BasisChange(a).m_inv,
+        pseudoinverse(random_rank_deficient(rng, 3, 2)), null_space(random_rank_deficient(rng, 4, 2)),
+        a @ a @ a, BasisChange(a, scale=gr(2)).matrix, BasisChange(a).m_inv,
     ]
-    results += null_space(random_rank_deficient(rng, 4, 2))
     results += [t.slice_upper(nu) for nu in range(t.n)] + [t.slice_lower(lam) for lam in range(t.n)]
     for m in results:
         assert stores_no_zero(m), m
@@ -520,7 +514,7 @@ def test_sparse_rows_agree_with_the_dense_oracle(case):
     r, pivots = rref(a)
     want, want_pivots = dense_rref(da)
     assert same(r, want) and pivots == want_pivots
-    assert same_basis(null_space(a), dense_null_space(da))
+    assert same(null_space(a), dense_null_space(da))
     assert same(pseudoinverse(a), dense_pseudoinverse(da))
     want = dense_inverse(ds)
     if want is None:
@@ -534,6 +528,17 @@ def test_sparse_rows_agree_with_the_dense_oracle(case):
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(oracle_cases())
+def test_null_space_rows_are_a_kernel_basis(case):
+    for a, da in case:
+        basis = null_space(a)
+        assert (a @ basis.transpose()).is_zero()
+        assert basis.rows == a.cols - rank(a) and basis.cols == a.cols
+        assert rank(basis) == basis.rows
+        assert same(basis, dense_null_space(da))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(oracle_cases(), st.data())
 def test_no_operation_stores_a_zero(case, data):
     (a, _), (b, _), (a2, _), (s, _) = case
@@ -542,15 +547,14 @@ def test_no_operation_stores_a_zero(case, data):
     zero_row = data.draw(st.lists(st.sampled_from([0, ZERO, Fraction(0), "0"]), min_size=3, max_size=3))
     results = [
         a, b, a2, s, a + a2, a - a2, a - a, a + -a, -a, a.scale(x), a.scale(0), a @ b, (a - a) @ b,
-        a.transpose(), a.conjugate_transpose(), rref(a)[0], pseudoinverse(a), hstack([a, a2]),
+        a.transpose(), a.conjugate_transpose(), rref(a)[0], pseudoinverse(a), null_space(a),
         ExactMatrix.identity(k), ExactMatrix.zeros(r, k), ExactMatrix.diagonal([x, 0, 1]),
-        ExactMatrix.column(zero_row), ExactMatrix.from_rows([zero_row, [1, 0, x]]),
+        ExactMatrix(3, 1, zero_row), ExactMatrix.from_rows([zero_row, [1, 0, x]]),
         ExactMatrix(1, 3, zero_row),
     ]
     if r and k:
         i, j = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, k - 1))
         results += [a.with_entry(i, j, x), a.with_entry(i, j, 0), a.submatrix([i, 0], [j, k - 1])]
-    results += null_space(a)
     try:
         results += [inverse(s), BasisChange(s, scale=gr(2)).matrix, BasisChange(s).m_inv]
     except LinalgError:
@@ -724,17 +728,17 @@ def common_eigenvector(family, n):
     for a in family:
         r = solve(v, a @ v)
         lam = eigenvalues_gaussian(r)[0][0]
-        v = v @ hstack(null_space(r - ExactMatrix.identity(r.rows).scale(lam)))
-    vec = list(v.col(0))
+        v = v @ null_space(r - ExactMatrix.identity(r.rows).scale(lam)).transpose()
+    vec = v.col(0)
     lead = next(x for x in vec if x)
-    return ExactMatrix.column([x / lead for x in vec])
+    return [x / lead for x in vec]
 
 
 def complete_basis(v, n):
     """Every standard vector except the one at v's last nonzero index, then v last."""
-    last = max(i for i in range(n) if v[i, 0])
+    last = max(i for i in range(n) if v[i])
     return ExactMatrix.from_rows(
-        [[ONE if i == j else ZERO for j in range(n) if j != last] + [v[i, 0]] for i in range(n)]
+        [[ONE if i == j else ZERO for j in range(n) if j != last] + [v[i]] for i in range(n)]
     )
 
 
@@ -832,12 +836,12 @@ def dense_kernel_flag(family, n):
         q = r.submatrix(range(len(pivots)), range(n))
         kernel = null_space(q)
         now = [f for f in range(n) if f not in pivots]
-        new = [v for f, v in zip(now, kernel) if f not in free]
+        new = [kernel.row(x) for x, f in enumerate(now) if f not in free]
         if not new:
             return None
         columns[:0] = new
         free = now
-    return ExactMatrix(n, n, [v[i, 0] for i in range(n) for v in columns])
+    return ExactMatrix(n, n, [v[i] for i in range(n) for v in columns])
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
