@@ -48,9 +48,12 @@ class ClassificationError(TensorError):
 
 
 class OrderTooHigh(ClassificationError):
+    """The catalog covers solvable orders 1..4 only."""
+
     def __init__(self, order: int):
         self.order = order
-        super().__init__(f"no catalog for solvable order {order} > 4")
+        super().__init__(f"no catalog for solvable order {order} > 4" if order > 4
+                         else f"solvable order must be 1..4, got {order}")
 
 
 class NotSingleBlock(ClassificationError):

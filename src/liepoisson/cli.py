@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -260,6 +261,10 @@ def _read_array(path: str, what: str, key: Optional[str] = None) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
+    if not 0 < args.dt < math.inf:
+        raise ParseFailure(f"--dt must be a positive finite step, got {args.dt}")
+    if args.steps < 1:
+        raise ParseFailure(f"--steps must be at least 1, got {args.steps}")
     try:
         if args.preset == "rigid-body":
             t = rigid_body_tensor()
@@ -288,7 +293,7 @@ def cmd_simulate(args) -> int:
         start = time.perf_counter()
         record = simulate(t, h, s0, args.dt, args.steps, monitors,
                           sample_every=max(1, args.steps // 200))
-        step_us = (time.perf_counter() - start) * 1e6 / max(1, args.steps)
+        step_us = (time.perf_counter() - start) * 1e6 / args.steps
     except DynamicsError as err:
         print(f"error: {err}")
         return EXIT_DIMENSION

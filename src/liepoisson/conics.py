@@ -1,9 +1,12 @@
 """Exact solution of conics over Q(i).
 
 The tail normalizations in the classifier repeatedly need rational points
-on conics a x^2 + b y^2 = v with a, b, v in Q(i), equivalently isotropic
-vectors of ternary forms.  These are found by Lagrange reduction carried
-out in the Euclidean ring Z[i]:
+on conics a x^2 + b y^2 = v with a, b, v in Q(i); :func:`represent_binary`
+is the one place they come from.  When b/a is a square (over Q(i) -1 = i^2
+is a square, so this is also the case -b/a square) the form is isotropic
+and a closed form gives the point.  Otherwise the point comes from an
+isotropic vector of the ternary form (a, b, -v), found by Lagrange
+reduction carried out in the Euclidean ring Z[i]:
 
 * the three coefficients are kept square-free, with shared prime factors
   moved onto the third coefficient (a x^2 + b y^2 + c z^2 with g dividing
@@ -28,6 +31,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from .scalars import (
+    Fraction,
     GaussianRational,
     I,
     ONE,
@@ -35,6 +39,7 @@ from .scalars import (
     _gi_divmod,
     gaussian_factor,
     gr,
+    sqrt_fraction,
     sqrt_gaussian,
     square_free_part_zi,
 )
@@ -285,20 +290,17 @@ def _unwind(stack, sol: Triple) -> Optional[Triple]:
     return tuple(x)
 
 
-def isotropic_binary(a: GaussianRational, b: GaussianRational) -> Optional[Point]:
-    """(x, y) != 0 with a x^2 + b y^2 = 0, or None (needs -b/a square)."""
-    s = sqrt_gaussian(-b / a)
-    if s is None:
-        return None
-    return s, ONE
-
-
 def represent_binary(
     a: GaussianRational, b: GaussianRational, v: GaussianRational
 ) -> Optional[Point]:
     """A point (x, y) with a x^2 + b y^2 = v over Q(i), preferring x != 0.
 
-    Returns None when the conic has no Q(i)-rational point.
+    An isotropic form (b/a a square; since -1 = i^2, the same as -b/a a
+    square) takes a closed form: a real hyperbolic pair factors as a
+    difference of squares, and a sum of two squares represents everything,
+    with a real point preferred for real data.  Any other form goes through
+    :func:`isotropic_ternary`.  Returns None when the conic has no
+    Q(i)-rational point.
     """
     if not v:
         raise ValueError("v must be nonzero")
@@ -310,11 +312,36 @@ def represent_binary(
     if not b:
         x = sqrt_gaussian(v / a)
         return None if x is None else (x, ZERO)
-    iso = isotropic_binary(a, b)
-    if iso is not None:
-        pt = _isotropic_shift(a, b, iso[0], iso[1], v)
-        if pt is not None:
-            return pt
+    z = v / a
+    real = a.is_real() and b.is_real() and v.is_real()
+    if real and (b / a).re < 0:
+        s = sqrt_fraction(-(b / a).re)
+        if s is not None:
+            # x^2 - (s y)^2 = z factors as a difference of squares
+            for t in (ONE, gr(2), gr(Fraction(1, 2)), gr(3)):
+                x = (t + z / t) / gr(2)
+                if x:
+                    y = ((z / t - t) / gr(2)) / gr(s)
+                    return x, y
+    s = sqrt_gaussian(b / a)
+    if s is not None:
+        if real and z.re >= 0:
+            # prefer a real point when z is a sum of two rational squares
+            for q in (1, 2, 3, 4, 5):
+                for p in range(0, 4 * q + 1):
+                    x = gr(Fraction(p, q))
+                    rest = z - x * x
+                    if rest.re < 0:
+                        break
+                    root = sqrt_fraction(rest.re)
+                    if root is not None and x:
+                        return x, gr(root) / s
+        # x^2 + (s y)^2 = (x + i s y)(x - i s y) = z with factors z and 1
+        x = (z + ONE) / gr(2)
+        if not x:
+            return I, ZERO
+        y = (z - ONE) / gr(0, 2)
+        return x, y / s
     sol = isotropic_ternary(a, b, -v)
     if sol is None:
         return None
@@ -325,20 +352,6 @@ def represent_binary(
     if a * x * x + b * y * y != v:
         return None
     return _ensure_x_nonzero(a, b, v, x, y)
-
-
-def _isotropic_shift(a, b, x0, y0, v) -> Optional[Point]:
-    """Point with value v on an isotropic binary form ((x0, y0) isotropic)."""
-    if not x0 or not y0:
-        return None
-    # with x = x0(t + s), y = y0(t - s): a x^2 + b y^2 = 4 a x0^2 t s
-    for t in (ONE, gr(2), gr(3)):
-        s = v / (gr(4) * a * x0 * x0 * t)
-        x = x0 * (t + s)
-        y = y0 * (t - s)
-        if x and a * x * x + b * y * y == v:
-            return x, y
-    return None
 
 
 def _ensure_x_nonzero(a, b, v, x, y) -> Point:

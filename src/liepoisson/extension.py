@@ -172,9 +172,16 @@ class ExtensionTensor:
 
     @staticmethod
     def from_json(doc: dict) -> "ExtensionTensor":
-        t = validate(doc["w"], semidirect=bool(doc.get("semidirect", False)))
-        if t.n != int(doc["n"]):
-            raise TensorError(f"declared order {doc['n']} does not match array size {t.n}")
+        """The tensor of a document: ``n`` a JSON integer, ``semidirect`` a JSON
+        boolean (absent means False), ``w`` the cube.  A wrong type raises TypeError."""
+        n, semidirect = doc["n"], doc.get("semidirect", False)
+        if type(n) is not int:  # a JSON true would pass isinstance(n, int)
+            raise TypeError(f"declared order must be an integer, not {n!r}")
+        if type(semidirect) is not bool:
+            raise TypeError(f"semidirect must be true or false, not {semidirect!r}")
+        t = validate(doc["w"], semidirect=semidirect)
+        if t.n != n:
+            raise TensorError(f"declared order {n} does not match array size {t.n}")
         return t
 
 

@@ -22,7 +22,10 @@ it sit three normalizations:
   matrix [[I, 0], [k, c I]] so validity is automatic.
 * :func:`congruence_reduce_tail` diagonalizes a terminal cocycle by exact
   symmetric congruence and rescales its entries to {0, +1, -1}, ordered with
-  the +1s first.
+  the +1s first.  Entries in different square classes are first moved into
+  one class by pair moves whose conic points come from
+  :func:`liepoisson.conics.represent_binary`; since -1 = i^2 is a square
+  over Q(i), d and -d are in the same class.
 
 The classifier uses :func:`normalize_w0_to_identity` and
 :func:`congruence_move` (the move behind :func:`congruence_reduce_tail`);
@@ -40,18 +43,10 @@ from __future__ import annotations
 from math import prod
 from typing import List, Optional, Tuple
 
+from .conics import represent_binary
 from .extension import ExtensionTensor, TensorError, _check_laws
 from .linalg import BasisChange, ExactMatrix
-from .scalars import (
-    Fraction,
-    GaussianRational,
-    ONE,
-    ZERO,
-    gr,
-    sqrt_fraction,
-    sqrt_gaussian,
-    square_free_part,
-)
+from .scalars import GaussianRational, ONE, ZERO, gr, sqrt_gaussian, square_free_part
 
 __all__ = [
     "BasisChange",
@@ -316,95 +311,32 @@ def _normalize_diagonal(diag: List[GaussianRational]) -> Optional[Tuple[List[Gau
     """Column scalings and sign pattern turning diag into {0, +1, -1} / c.
 
     Returns (scalings t_i, signs, c) with t_i^2 * d_i / c = signs_i, or None
-    when no admissible global factor exists over Q(i).  Real diagonals use
-    real scalings so the classical signature survives; the overall sign of c
-    is chosen to put at least as many +1s as -1s.
+    when no admissible global factor exists over Q(i).  Each nonzero entry
+    is tried as c.  Real diagonals use c > 0 and real scalings so the
+    classical signature survives, and the overall sign of c is chosen to
+    put at least as many +1s as -1s; other diagonals scale every entry to
+    +1.  A real diagonal has a real solution whenever it has a complex one.
     """
     nonzero = [(i, d) for i, d in enumerate(diag) if d]
     if not nonzero:
         return [ONE] * len(diag), [0] * len(diag), ONE
-    all_real = all(d.is_real() for _, d in nonzero)
-    if all_real:
-        for _, cand in nonzero:
-            for c in (cand, -cand):
-                if c.re < 0:
-                    continue
-                ok = True
-                ts: List[GaussianRational] = [ONE] * len(diag)
-                signs = [0] * len(diag)
-                for i, d in nonzero:
-                    ratio = abs(c.re) / abs(d.re)
-                    root = sqrt_fraction(ratio)
-                    if root is None:
-                        ok = False
-                        break
-                    ts[i] = gr(root)
-                    signs[i] = 1 if (d.re > 0) == (c.re > 0) else -1
-                if ok:
-                    pos = sum(1 for s in signs if s == 1)
-                    neg = sum(1 for s in signs if s == -1)
-                    if neg > pos:
-                        c, signs = -c, [-s for s in signs]
-                    return ts, signs, c
+    real = all(d.is_real() for _, d in nonzero)
     for _, c in nonzero:
-        ok = True
-        ts = [ONE] * len(diag)
+        if real and c.re < 0:
+            c = -c
+        ts: List[GaussianRational] = [ONE] * len(diag)
         signs = [0] * len(diag)
         for i, d in nonzero:
-            root = sqrt_gaussian(c / d)
+            signs[i] = -1 if real and d.re < 0 else 1
+            root = sqrt_gaussian(c / d if signs[i] == 1 else -c / d)
             if root is None:
-                ok = False
                 break
             ts[i] = root
-            signs[i] = 1
-        if ok:
+        else:
+            if signs.count(-1) > signs.count(1):
+                c, signs = -c, [-s for s in signs]
             return ts, signs, c
     return None
-
-
-def _conic_point(a: GaussianRational, b: GaussianRational, v: GaussianRational):
-    """A point (x, y), x != 0, on a x^2 + b y^2 = v over Q(i).
-
-    Real hyperbolic pairs and same-class pairs have direct constructions (a
-    sum of two squares represents everything in Q(i)); anything else goes
-    through the Lagrange descent in :mod:`liepoisson.conics`.  Returns None
-    when the conic has no rational point.
-    """
-    z = v / a
-    real = a.is_real() and b.is_real() and v.is_real()
-    if real and (b / a).re < 0:
-        s = sqrt_fraction(-(b / a).re)
-        if s is not None:
-            # x^2 - (s y)^2 = z factors as a difference of squares
-            for t in (ONE, gr(2), gr(Fraction(1, 2)), gr(3)):
-                x = (t + z / t) / gr(2)
-                if x:
-                    y = ((z / t - t) / gr(2)) / gr(s)
-                    return x, y
-    s = sqrt_gaussian(b / a)
-    if s is not None:
-        if real and z.re >= 0:
-            # prefer a real point when z is a sum of two rational squares
-            for q in (1, 2, 3, 4, 5):
-                for p in range(0, 4 * q + 1):
-                    x = gr(Fraction(p, q))
-                    rest = z - x * x
-                    if rest.re < 0:
-                        break
-                    root = sqrt_fraction(rest.re)
-                    if root is not None and x:
-                        return x, gr(root) / s
-        x = (z + ONE) / gr(2)
-        if not x:
-            return gr(0, 1), ZERO
-        y = (z - ONE) / gr(0, 2)
-        return x, y / s
-    from .conics import represent_binary
-
-    pt = represent_binary(a, b, v)
-    if pt is None or not pt[0]:
-        return None
-    return pt
 
 
 def congruence_normalize(block: ExactMatrix):
@@ -428,63 +360,61 @@ def congruence_normalize(block: ExactMatrix):
                 inv = ONE / s
                 cols[i] = [x * inv for x in cols[i]]
                 diag[i] = rep
-
-    def pair_op(i, j, x, y, v):
-        # f_i = x c_i + y c_j ; f_j = c_j - (y d_j / v) f_i
-        ci, cj = cols[i], cols[j]
-        f = [x * p + y * q for p, q in zip(ci, cj)]
-        coef = y * diag[j] / v
-        g = [wq - coef * fp for wq, fp in zip(cj, f)]
-        cols[i], cols[j] = f, g
-        dj = x * x * diag[i] * diag[j] / v
-        diag[i], diag[j] = v, dj
-
-    def snapshot():
-        return [list(c) for c in cols], list(diag)
-
-    def restore(state):
-        saved_cols, saved_diag = state
-        for idx in range(k):
-            cols[idx] = list(saved_cols[idx])
-            diag[idx] = saved_diag[idx]
-
-    if _normalize_diagonal(diag) is None and not _repair_classes(
-        diag, pair_op, snapshot, restore
-    ):
-        return None
     norm = _normalize_diagonal(diag)
     if norm is None:
-        return None
+        repaired = _repair_classes(cols, diag)
+        if repaired is None:
+            return None
+        cols, diag = repaired
+        norm = _normalize_diagonal(diag)
+        if norm is None:
+            return None
     ts, signs, c = norm
-    scaled = [[cols[j][r] * ts[j] for j in range(k)] for r in range(k)]
-    order = (
-        [i for i, s in enumerate(signs) if s == 1]
-        + [i for i, s in enumerate(signs) if s == -1]
-        + [i for i, s in enumerate(signs) if s == 0]
-    )
-    final = ExactMatrix._of(k, k, [[scaled[r][order[j]] for j in range(k)] for r in range(k)])
-    ordered_signs = sorted(signs, key=lambda s: (s != 1, s != -1))
-    return final, ordered_signs, c
+    order = sorted(range(k), key=lambda j: (signs[j] != 1, signs[j] != -1))
+    final = ExactMatrix._of(k, k, [[cols[j][r] * ts[j] for j in order] for r in range(k)])
+    return final, [signs[j] for j in order], c
 
 
-def _repair_classes(diag, pair_op, snapshot, restore) -> bool:
+def _pair_move(cols, diag, i, j, values) -> bool:
+    """Move entry i into the first class v of ``values`` whose conic has a point.
+
+    With (x, y), x != 0, on d_i x^2 + d_j y^2 = v, the columns become
+    f_i = x c_i + y c_j and f_j = c_j - (y d_j / v) f_i, and the entries
+    (v, x^2 d_i d_j / v).  Columns are replaced, never changed in place, so
+    a shallow copy of ``cols`` is a snapshot.  Returns False, changing
+    nothing, when no v has such a point.
+    """
+    for v in values:
+        pt = represent_binary(diag[i], diag[j], v)
+        if pt is not None and pt[0]:
+            x, y = pt
+            f = [x * p + y * q for p, q in zip(cols[i], cols[j])]
+            coef = y * diag[j] / v
+            cols[i], cols[j] = f, [q - coef * p for q, p in zip(cols[j], f)]
+            diag[i], diag[j] = v, x * x * diag[i] * diag[j] / v
+            return True
+    return False
+
+
+def _repair_classes(cols, diag):
     """Unify the square classes of the nonzero diagonal entries.
 
-    Same-class pairs are moved together into the target class by the
-    constructive conic point (their ratio is a square, so the conic is a
-    sum of two squares, which is universal over Q(i)).  Leftover singletons
-    from odd groups are merged chainwise with a grid search.
+    Each candidate class tau is tried on copies of ``cols`` and ``diag``;
+    returns the repaired pair, or None when no candidate succeeds.  Same-
+    class pairs are moved together into the target class (their ratio is a
+    square, so the conic is a sum of two squares, which is universal over
+    Q(i)).  Leftover singletons from odd groups are merged pairwise.
     """
     nonzero = [i for i, d in enumerate(diag) if d]
     if len(nonzero) < 2:
-        return False
+        return None
     disc = prod((diag[i] for i in nonzero), start=ONE)
     disc_rep, _ = square_free_part(disc)
     if len(nonzero) % 2:
         taus = [disc_rep]
     else:
         if sqrt_gaussian(disc) is None:
-            return False
+            return None
         taus = []
         for i in nonzero:
             rep, _ = square_free_part(diag[i])
@@ -494,54 +424,32 @@ def _repair_classes(diag, pair_op, snapshot, restore) -> bool:
             if not any(sqrt_gaussian(rep / t) is not None for t in taus):
                 taus.append(rep)
     for tau in taus:
-        state = snapshot()
-        if _execute_repair(diag, pair_op, nonzero, tau):
-            return True
-        restore(state)
-    return False
+        trial_cols, trial_diag = list(cols), list(diag)
+        if _execute_repair(trial_cols, trial_diag, nonzero, tau):
+            return trial_cols, trial_diag
+    return None
 
 
-def _execute_repair(diag, pair_op, nonzero, tau) -> bool:
-    def is_tau(d):
-        return sqrt_gaussian(d / tau) is not None or sqrt_gaussian(-d / tau) is not None
-
+def _execute_repair(cols, diag, nonzero, tau) -> bool:
+    # over Q(i) -d is a square exactly when d is (-1 = i^2), so one test decides a class
     for _ in range(2 * len(nonzero) + 2):
-        wrong = [i for i in nonzero if not is_tau(diag[i])]
+        wrong = [i for i in nonzero if sqrt_gaussian(diag[i] / tau) is None]
         if not wrong:
             return True
-        # same-class pair: constructive
-        done = False
-        for a_pos in range(len(wrong)):
-            for b_pos in range(a_pos + 1, len(wrong)):
-                i, j = wrong[a_pos], wrong[b_pos]
-                ratio_sq = sqrt_gaussian(diag[j] / diag[i]) is not None or \
-                    sqrt_gaussian(-diag[j] / diag[i]) is not None
-                if not ratio_sq:
-                    continue
-                for v in (tau, -tau):
-                    pt = _conic_point(diag[i], diag[j], v)
-                    if pt is not None and pt[0]:
-                        pair_op(i, j, pt[0], pt[1], v)
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
-        if done:
+        # a same-class pair: its ratio is a square, so its conic is isotropic
+        same = (
+            (i, j)
+            for pos, i in enumerate(wrong)
+            for j in wrong[pos + 1:]
+            if sqrt_gaussian(diag[j] / diag[i]) is not None
+        )
+        if any(_pair_move(cols, diag, i, j, (tau, -tau)) for i, j in same):
             continue
         # merge two distinct wrong classes; the partner lands in tau
         if len(wrong) >= 2:
             i, j = wrong[0], wrong[1]
             target, _ = square_free_part(diag[i] * diag[j] * tau)
-            moved = False
-            for v in (target, -target):
-                pt = _conic_point(diag[i], diag[j], v)
-                if pt is not None and pt[0]:
-                    pair_op(i, j, pt[0], pt[1], v)
-                    moved = True
-                    break
-            if moved:
+            if _pair_move(cols, diag, i, j, (target, -target)):
                 continue
         return False
     return False

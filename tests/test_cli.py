@@ -417,6 +417,12 @@ def test_catalog_out_of_range(capsys):
     assert code == 3
 
 
+def test_catalog_order_below_one(capsys):
+    code, out = run(["catalog", "--order", "0"], capsys)
+    assert code == 3
+    assert out.strip() == "error: solvable order must be 1..4, got 0"
+
+
 def test_leibniz_emission(tmp_path, capsys):
     out_path = tmp_path / "l5sd.json"
     code, _ = run(["leibniz", "--order", "5", "--semidirect", "--out", str(out_path)], capsys)
@@ -532,3 +538,29 @@ def test_simulate_bad_inputs_exit_without_a_traceback(tmp_path, capfd, monkeypat
     out = capfd.readouterr()
     lines = (out.out + out.err).strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("flags", [["--dt", "0"], ["--dt", "-1"], ["--dt", "nan"],
+                                   ["--steps", "0"], ["--steps", "-3"]],
+                         ids=["dt-zero", "dt-negative", "dt-nan", "steps-zero", "steps-negative"])
+def test_simulate_rejects_a_step_that_integrates_nothing(capfd, monkeypatch, flags):
+    import liepoisson.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "simulate", lambda *a, **k: pytest.fail("integrated"))
+    assert main(["simulate", "--preset", "rigid-body", "--dt", "0.01", "--steps", "5", *flags]) == EXIT_PARSE
+    out = capfd.readouterr()
+    lines = (out.out + out.err).strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --"), lines
+
+
+@pytest.mark.parametrize("field, value", [("semidirect", "false"), ("semidirect", 0),
+                                          ("n", 2.7), ("n", 2.0), ("n", True), ("n", "2")])
+def test_tensor_document_with_a_wrong_json_type_is_a_parse_error(tmp_path, capfd, field, value):
+    doc = leibniz(2).to_json()
+    doc[field] = value
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == EXIT_PARSE
+    out = capfd.readouterr()
+    lines = (out.out + out.err).strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: malformed tensor document"), lines

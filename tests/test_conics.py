@@ -120,6 +120,38 @@ def test_represent_binary_detects_obstruction():
         assert pt[0] ** 2 - gr(2) * pt[1] ** 2 == I
 
 
+GRID = [gr(re, im) for re in range(-2, 3) for im in range(-2, 3) if re or im]
+
+
+def test_represent_binary_isotropic_grid():
+    # b = a s^2 or -a s^2: b/a is a square either way, since -1 = i^2 over Q(i)
+    roots = [ONE, gr(2), I, gr(1, 1), gr(2, -1)]
+    for a in GRID[::3]:
+        for s in roots:
+            for b in (a * s * s, -a * s * s):
+                for v in GRID[1::4]:
+                    pt = represent_binary(a, b, v)
+                    assert pt is not None, (a, b, v)
+                    x, y = pt
+                    assert x and a * x * x + b * y * y == v, (a, b, v)
+
+
+def test_represent_binary_real_hyperbolic_pair_gives_a_real_point():
+    for a in (1, -2, 3, Fraction(1, 2)):
+        for s in (1, 2, Fraction(2, 3)):
+            for v in (1, -1, 4, -7, Fraction(5, 3)):
+                a_, b_, v_ = gr(a), gr(-a * s * s), gr(v)
+                x, y = represent_binary(a_, b_, v_)
+                assert x and x.is_real() and y.is_real()
+                assert a_ * x * x + b_ * y * y == v_
+
+
+def test_represent_binary_z_minus_one():
+    # v / a = -1 on x^2 + y^2: the factor point (z + 1) / 2 vanishes
+    x, y = represent_binary(ONE, ONE, -ONE)
+    assert x and x * x + y * y == -ONE
+
+
 def test_isotropic_ternary_known_cases():
     # x^2 + y^2 + z^2 = 0 has the point (1, i, 0) family over Q(i)
     sol = isotropic_ternary(ONE, ONE, ONE)

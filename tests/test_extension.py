@@ -305,6 +305,16 @@ def test_order_zero_is_rejected_at_every_door():
         strip_semisimple(pure_semidirect(0))
 
 
+def test_from_json_requires_json_types():
+    doc = leibniz(2).to_json()
+    del doc["semidirect"]
+    assert ExtensionTensor.from_json(doc) == leibniz(2)
+    for field, value in (("semidirect", "false"), ("semidirect", 1), ("semidirect", None),
+                         ("n", 2.7), ("n", 2.0), ("n", True), ("n", "2")):
+        with pytest.raises(TypeError):
+            ExtensionTensor.from_json({**doc, field: value})
+
+
 def test_constructor_coerces_and_checks_the_declared_order():
     raw = [[[0, 0], [0, 0]], [["1", 0], [0, Fraction(0)]]]
     assert ExtensionTensor(2, False, raw) == leibniz(2)

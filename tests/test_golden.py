@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from liepoisson.casimir import quadratic_casimir_basis, synthesize_casimirs
 from liepoisson.classify import catalog, classify, derived_series_dims
-from liepoisson.extension import append_semisimple, crmhd, direct_sum, leibniz
+from liepoisson.extension import append_semisimple, crmhd, direct_sum, from_lower_slices, leibniz
 from liepoisson.linalg import BasisChange, ExactMatrix
 from liepoisson.transform import apply
 
@@ -52,6 +52,18 @@ def _classify_doc():
     return doc
 
 
+def _conic_classify_doc():
+    """Order-4 terminal cocycles whose congruence repair needs a real conic point: diag(6, 6, 6)
+    takes the real point of a sum of two squares, diag(1, -1, 3) the real hyperbolic pair."""
+    doc = []
+    for diag in ([6, 6, 6, 0], [1, -1, 3, 0]):
+        t = from_lower_slices([None, None, None, ExactMatrix.diagonal(diag)], 4)
+        for m in _moves(4):
+            label, chain = classify(apply(t, BasisChange(m)))
+            doc.append([label.order, label.name, label.semidirect, [b.to_json() for b in chain]])
+    return doc
+
+
 def _synthesis_inputs():
     yield from (entry for _, entry in _catalog_entries((1, 2, 3, 4)))
     yield from (leibniz(order) for order in range(2, 9))
@@ -62,6 +74,7 @@ def _synthesis_inputs():
 # SHA-256 over the sorted-key JSON of each output list below
 GOLDEN = {
     "classify": "a420b6c45472d7fdf56d547934352853a544d801322882402087894feab76550",
+    "classify-conic": "24a8747b7b31ece855ae9885d701ffde5b56f5c03738451ed57492a6f0a80a4f",
     "synthesis": "c8e8b8b4bfe111322ff6da95bfb0153394fd5219c945287aff4f8e04b678a2eb",
     "quadratic": "d05a3d14f74038df7b2e3e74f62e3a88294e4962d99421e90bede1cb13174cf1",
 }
@@ -89,6 +102,12 @@ def test_classify_labels_and_witnesses_are_golden(monkeypatch):
     # the moved order-4 entries reach both branches of the pencil reduction
     assert {r[2] for r in roots if r} == {False, True}
     assert _digest(doc) == GOLDEN["classify"]
+
+
+def test_classify_through_real_conic_points_is_golden():
+    doc = _conic_classify_doc()
+    assert {row[1] for row in doc} == {"n4-case1b"}
+    assert _digest(doc) == GOLDEN["classify-conic"]
 
 
 def test_synthesized_families_are_golden():
