@@ -403,7 +403,7 @@ def _eigenvector_family(t: ExtensionTensor, label: str) -> Optional[CasimirFamil
     for lam, mu, nu, x in t.nonzeros():
         rows[nu][lam][mu] = x
     for nu, plane in enumerate(rows):
-        ev = t.w[0][0][nu]
+        ev = t.entry(0, 0, nu)
         if ev:
             for lam, row in enumerate(plane):
                 x = row.get(lam, ZERO) - ev

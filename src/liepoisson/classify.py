@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .extension import (
     ExtensionTensor,
     TensorError,
-    _cube,
     _empty,
     abelian,
     append_semisimple,
@@ -99,7 +98,7 @@ def _normal_form(n: int, slices: Dict[int, Dict[Tuple[int, int], int]]) -> Exten
     for lam, pairs in slices.items():
         for (mu, nu), v in pairs.items():
             w[lam][mu][nu] = w[lam][nu][mu] = gr(v)
-    return ExtensionTensor._of(n, False, _cube(w))
+    return ExtensionTensor._of(n, False, w)
 
 
 _CATALOGS: Dict[int, Catalog] = {}
@@ -193,10 +192,10 @@ def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
         chain.extend(sol_chain)
         expected = sol_normal
         order = sol_normal.n
-    name = _match_catalog(sol_normal.w, order)
+    name = _match_catalog(sol_normal.nz, order)
     label = CaseLabel(order, name, semidirect)
     replay = apply_chain(original, chain, check=False)
-    if replay.w != expected.w:
+    if replay.nz != expected.nz:
         raise ClassificationError("internal error: witness chain does not reproduce the normal form")
     return label, chain
 
@@ -213,9 +212,10 @@ def _require_single_block(t: ExtensionTensor) -> None:
             raise NotSingleBlock("slice past the first has a nonzero eigenvalue")
 
 
-def _match_catalog(w: tuple, order: int) -> str:
+def _match_catalog(nz: tuple, order: int) -> str:
+    """The catalog entry of ``order`` whose stored rows are ``nz``."""
     for label, entry in catalog(order).entries:
-        if entry.w == w:
+        if entry.nz == nz:
             return label.name
     raise ClassificationError("internal error: reduced tensor is not a catalog entry")
 
@@ -389,10 +389,12 @@ def _leading_case(t: ExtensionTensor, m: int) -> str:
     """Name of the (already normalized) leading m-window, m <= 3.
 
     The window of a lower-triangular solvable tensor is closed under the
-    bracket, so matching its stored entries against the catalog suffices.
+    bracket, so matching its stored rows against the catalog suffices.  A
+    row (lam, mu) with mu <= lam holds no index nu > lam (W_lam^{mu nu} =
+    W_lam^{nu mu} sits in the empty row (lam, nu)), so the leading rows are
+    the window's rows as they are.
     """
-    window = tuple(tuple(row[:m] for row in plane[:m]) for plane in t.w[:m])
-    return _match_catalog(window, m)
+    return _match_catalog(tuple(plane[:m] for plane in t.nz[:m]), m)
 
 
 def _stage(t: ExtensionTensor, m: int, chain: List[BasisChange]) -> ExtensionTensor:
@@ -647,7 +649,7 @@ def equivalence_check(a: ExtensionTensor, b: ExtensionTensor):
     """
     if a.n != b.n:
         return Distinct(f"orders differ: {a.n} vs {b.n}")
-    if a.w == b.w:
+    if a.nz == b.nz:
         return Equivalent(())
     try:
         la, ca = classify(a)

@@ -10,8 +10,9 @@ with the lower index outermost and scalars as exact strings ("p/q" or
 "p/q+r/si"); optional metadata keys (name, beta, provenance) ride along and
 round-trip untouched.
 
-Exit codes: 0 success, 1 validation failure, 2 parse error, 3 order out of
-range, 4 Casimir synthesis obstruction, 5 dimension mismatch.
+Exit codes: 0 success, 1 validation failure, 2 parse error or an output
+file that cannot be written, 3 order out of range, 4 Casimir synthesis
+obstruction, 5 dimension mismatch.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import List, Optional
 
@@ -80,8 +82,17 @@ def dump_document(t: ExtensionTensor, metadata: Optional[dict] = None) -> dict:
 
 def _write_json(path: str, payload) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         fh.write(text + "\n")
+
+
+@contextmanager
+def _writing(path: str):
+    """Turn an OSError raised while writing ``path`` into a ParseFailure (exit 2, one stderr line)."""
+    try:
+        yield
+    except OSError as err:
+        raise ParseFailure(f"cannot write {path}: {err.strerror or err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +149,7 @@ def _normal_form(t: ExtensionTensor, label: CaseLabel) -> ExtensionTensor:
     ``classify`` has already replayed its witness chain on ``t`` and checked
     that it reproduces this entry bit-exactly, so it is not replayed again.
     """
-    return ExtensionTensor._of(t.n, t.semidirect, catalog_entry(label).w)
+    return ExtensionTensor._of(t.n, t.semidirect, catalog_entry(label).nz)
 
 
 def cmd_casimir(args) -> int:
@@ -222,7 +233,7 @@ def _verify_families(normal, families, label: Optional[CaseLabel]) -> int:
     to_check = [(normal, fam) for fam in families]
     if fixtures is not None:
         fixture_tensor = catalog_entry(label)
-        if fixture_tensor.w == normal.w:
+        if fixture_tensor.nz == normal.nz:
             fixture_families = families
         else:
             fixture_families = casimir_mod.synthesize_casimirs(fixture_tensor)
@@ -298,7 +309,8 @@ def cmd_simulate(args) -> int:
         print(f"error: {err}")
         return EXIT_DIMENSION
     if args.out:
-        record.to_csv(args.out)
+        with _writing(args.out):
+            record.to_csv(args.out)
     print("monitor            drift")
     for name in sorted(record.drifts):
         print(f"{name:<18} {record.drifts[name]:.3e}")

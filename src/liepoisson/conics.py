@@ -170,23 +170,25 @@ def _sqrt_mod_squarefree_all(a: GaussianRational, m: GaussianRational, limit: in
 # ---------------------------------------------------------------------------
 
 def _small_ternary_search(coeffs, bounds=(3, 8)) -> Optional[Triple]:
-    """Bounded search for a x^2 + b y^2 + c z^2 = 0 over small Gaussian x, y."""
+    """Bounded search for a x^2 + b y^2 + c z^2 = 0 over small Gaussian x, y.
+
+    Each bound's box of Gaussian integers, and b y^2 for each of them, is
+    built once; x and y run over it by real part, then imaginary part, so
+    the first point found is the first in that order.
+    """
     a, b, c = coeffs
     for bound in bounds:
-        box = range(-bound, bound + 1)
-        for xr in box:
-            for xi in box:
-                x = gr(xr, xi)
-                ax2 = a * x * x
-                for yr in box:
-                    for yi in box:
-                        if xr == xi == yr == yi == 0:
-                            continue
-                        y = gr(yr, yi)
-                        w = -(ax2 + b * y * y) / c
-                        z = sqrt_gaussian(w)
-                        if z is not None:
-                            return x, y, z
+        side = range(-bound, bound + 1)
+        box = [gr(re, im) for re in side for im in side]
+        by2 = [(y, b * y * y) for y in box]
+        for x in box:
+            ax2 = a * x * x
+            for y, by in by2:
+                if not (x or y):
+                    continue
+                z = sqrt_gaussian(-(ax2 + by) / c)
+                if z is not None:
+                    return x, y, z
     return None
 
 

@@ -21,6 +21,15 @@ stripping that part when slot 0 is decoupled, the classifier's catalog, and
 ``transform.apply`` and ``transform.normalize_w0_to_identity`` on a
 certified tensor.  :func:`validate` returns a tensor in hand as it is.
 
+A tensor is stored as sparse rows, the way :class:`linalg.ExactMatrix`
+stores a matrix: ``nz[lam][mu]`` is one ``{nu: value}`` dict of the nonzero
+entries of row (lam, mu), kept as given.  Both entries of each symmetric
+pair (mu, nu) and (nu, mu) are stored, so every row is complete on its own.
+The dense cube ``w`` is a read-only view, built on first use and kept; the
+slices, predicates, equality and ``transform.apply`` read the rows.  Row
+lam of a tensor is row for row the symmetric matrix W_(lam), which
+:meth:`ExtensionTensor.slice_lower` hands over with no copy.
+
 Index convention: storage is always 0-based.  A tensor with the semidirect
 flag set uses slot 0 as the semisimple direction (printed labels 0..n); a
 solvable tensor's storage slots 0..n-1 carry printed labels 1..n.
@@ -28,7 +37,8 @@ solvable tensor's storage slots 0..n-1 carry printed labels 1..n.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import ExactMatrix, noncommuting_pair
 from .scalars import GaussianRational, ONE, ZERO, as_scalar
@@ -63,99 +73,112 @@ class NotSolvable(TensorError):
 
 
 class ExtensionTensor:
-    """A certified extension 3-tensor W_lam^{mu nu}.
+    """A certified extension 3-tensor W_lam^{mu nu}, stored as sparse rows.
 
     ``n`` counts the fields (the common size of all three indices, including
-    the semisimple slot when the semidirect flag is set).  The constructor is
-    a door: it coerces ``w`` (an n x n x n array of scalars, ints, fractions
-    or scalar strings), raises :class:`TensorError` unless it is a cube of
-    order n >= 1, and raises :class:`SymmetryViolation` or
-    :class:`CommutationViolation` at the first offending indices.  The
-    trusted ``ExtensionTensor._of`` checks nothing and is used only where
-    both laws hold by construction, so a tensor in hand always satisfies
-    them.
+    the semisimple slot when the semidirect flag is set).  ``nz[lam][mu]`` is
+    the row (lam, mu) as a ``{nu: value}`` dict of its nonzero entries; no
+    zero is ever stored, and the dicts are never changed once a tensor holds
+    them.  ``w`` (the n x n x n nested tuples of scalars, computed on first
+    use and kept) and ``entry`` are read-only dense views.
+
+    The constructor is a door: it coerces ``w`` (an n x n x n array of
+    scalars, ints, fractions or scalar strings), raises :class:`TensorError`
+    unless it is a cube of order n >= 1, and raises
+    :class:`SymmetryViolation` or :class:`CommutationViolation` at the first
+    offending indices.  The trusted ``ExtensionTensor._of`` checks nothing
+    and is used only where both laws hold by construction, so a tensor in
+    hand always satisfies them.
     """
 
-    __slots__ = ("n", "semidirect", "w", "_nonzeros")
+    __slots__ = ("n", "semidirect", "nz", "_w", "_nonzeros")
 
     def __init__(self, n: int, semidirect: bool, w: Sequence[Sequence[Sequence]]):
-        w = _freeze(w)
-        if len(w) != n:
-            raise TensorError(f"declared order {n} does not match array size {len(w)}")
+        nz = _freeze(w)
+        if len(nz) != n:
+            raise TensorError(f"declared order {n} does not match array size {len(nz)}")
         if n < 1:
             raise TensorError("a tensor needs at least one field")
-        _check_laws(w)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "semidirect", bool(semidirect))
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "_nonzeros", None)
+        _check_laws(nz)
+        _init(self, n, bool(semidirect), nz)
 
     @staticmethod
-    def _of(n: int, semidirect: bool, w: Tuple) -> "ExtensionTensor":
-        """Trusted constructor: ``w`` is a tuple n-cube of scalars obeying both laws."""
-        t = object.__new__(ExtensionTensor)
-        object.__setattr__(t, "n", n)
-        object.__setattr__(t, "semidirect", semidirect)
-        object.__setattr__(t, "w", w)
-        object.__setattr__(t, "_nonzeros", None)
-        return t
+    def _of(n: int, semidirect: bool, data: Sequence[Sequence]) -> "ExtensionTensor":
+        """Trusted constructor: n planes of n rows of scalars obeying both laws, either a dense
+        cube (its zeros dropped) or, read off the first row, ``{nu: value}`` dicts holding no
+        zero, which the tensor keeps as they are."""
+        if n and type(data[0][0]) is dict:
+            nz = tuple(map(tuple, data))
+        else:
+            nz = tuple(tuple({nu: x for nu, x in enumerate(r) if x} for r in plane) for plane in data)
+        return _init(object.__new__(ExtensionTensor), n, semidirect, nz)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtensionTensor is immutable")
 
     # -- views -----------------------------------------------------------------
 
+    @property
+    def w(self) -> Tuple:
+        """The dense cube: w[lam][mu][nu] as nested tuples of scalars."""
+        if self._w is None:
+            span = range(self.n)
+            object.__setattr__(self, "_w", tuple(
+                tuple(tuple(map(row.get, span, repeat(ZERO, self.n))) for row in plane) for plane in self.nz))
+        return self._w
+
     def entry(self, lam: int, mu: int, nu: int) -> GaussianRational:
-        return self.w[lam][mu][nu]
+        return self.nz[lam][mu].get(nu, ZERO)
 
     def nonzeros(self) -> Tuple[Tuple[int, int, int, GaussianRational], ...]:
-        """The nonzero entries as (lam, mu, nu, w) in storage order, scanned once per tensor."""
+        """The nonzero entries as (lam, mu, nu, w) in storage order, gathered once per tensor."""
         if self._nonzeros is None:
             object.__setattr__(self, "_nonzeros", tuple(
-                (lam, mu, nu, w) for lam, plane in enumerate(self.w)
-                for mu, row in enumerate(plane) for nu, w in enumerate(row) if w))
+                (lam, mu, nu, row[nu]) for lam, plane in enumerate(self.nz)
+                for mu, row in enumerate(plane) for nu in sorted(row)))
         return self._nonzeros
 
     def slice_upper(self, nu: int) -> ExactMatrix:
         """W^(nu): rows lambda, columns mu."""
-        return ExactMatrix._of(self.n, self.n, [[row[nu] for row in plane] for plane in self.w])
+        return ExactMatrix._of(self.n, self.n, [
+            {mu: row[nu] for mu, row in enumerate(plane) if nu in row} for plane in self.nz])
 
     def slice_lower(self, lam: int) -> ExactMatrix:
-        """W_(lam): the symmetric matrix of entries with lower index lam."""
-        return ExactMatrix._of(self.n, self.n, self.w[lam])
+        """W_(lam): the symmetric matrix of entries with lower index lam, sharing the stored rows."""
+        return ExactMatrix._of(self.n, self.n, self.nz[lam])
 
     def slices_upper(self) -> List[ExactMatrix]:
         return [self.slice_upper(nu) for nu in range(self.n)]
 
-    # The predicates below read the stored entries: entry (lam, mu) of W^(nu)
-    # is w[lam][mu][nu], so every slice vanishes above its diagonal exactly
-    # when the rows w[lam][mu] with mu > lam are zero.
+    # The predicates below read the stored rows: entry (lam, mu) of W^(nu)
+    # is nz[lam][mu][nu], so every slice vanishes above its diagonal exactly
+    # when the rows nz[lam][mu] with mu > lam are empty.
 
     def slice_diagonal(self, nu: int) -> List[GaussianRational]:
         """The diagonal of W^(nu)."""
-        return [self.w[lam][lam][nu] for lam in range(self.n)]
+        return [plane[lam].get(nu, ZERO) for lam, plane in enumerate(self.nz)]
 
     def slice_is_identity(self, nu: int) -> bool:
         """Whether W^(nu) is the identity matrix."""
         return all(
-            plane[mu][nu] == (ONE if lam == mu else ZERO)
-            for lam, plane in enumerate(self.w) for mu in range(self.n)
+            row.get(nu, ZERO) == ONE if lam == mu else nu not in row
+            for lam, plane in enumerate(self.nz) for mu, row in enumerate(plane)
         )
 
     def is_lower_triangular(self) -> bool:
-        return not any(any(row) for lam, plane in enumerate(self.w) for row in plane[lam + 1:])
+        return not any(any(plane[lam + 1:]) for lam, plane in enumerate(self.nz))
 
     def is_solvable(self) -> bool:
         """All slice matrices triangular with zero diagonal (hence nilpotent)."""
-        return not any(any(row) for lam, plane in enumerate(self.w) for row in plane[lam:])
+        return not any(any(plane[lam:]) for lam, plane in enumerate(self.nz))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtensionTensor):
             return NotImplemented
-        return self.n == other.n and self.semidirect == other.semidirect and self.w == other.w
+        return self.n == other.n and self.semidirect == other.semidirect and self.nz == other.nz
 
     def __hash__(self):
-        return hash((self.n, self.semidirect, self.w))
+        return hash((self.n, self.semidirect, self.nonzeros()))
 
     def __repr__(self):
         flag = "semidirect" if self.semidirect else "solvable-form"
@@ -185,7 +208,18 @@ class ExtensionTensor:
         return t
 
 
+def _init(t: ExtensionTensor, n: int, semidirect: bool, nz: Tuple) -> ExtensionTensor:
+    """Fill the slots of ``t`` with rows already in stored form."""
+    object.__setattr__(t, "n", n)
+    object.__setattr__(t, "semidirect", semidirect)
+    object.__setattr__(t, "nz", nz)
+    object.__setattr__(t, "_w", None)
+    object.__setattr__(t, "_nonzeros", None)
+    return t
+
+
 def _freeze(w_raw: Sequence[Sequence[Sequence]]) -> Tuple:
+    """The stored rows of a raw cube, its entries coerced to Q(i) scalars."""
     n = len(w_raw)
     out = []
     for lam in range(n):
@@ -195,27 +229,27 @@ def _freeze(w_raw: Sequence[Sequence[Sequence]]) -> Tuple:
         for mu in range(n):
             if len(w_raw[lam][mu]) != n:
                 raise TensorError("tensor array is not cubic")
-            plane.append(tuple(as_scalar(x) for x in w_raw[lam][mu]))
+            plane.append({nu: x for nu, x in enumerate(map(as_scalar, w_raw[lam][mu])) if x})
         out.append(tuple(plane))
     return tuple(out)
 
 
-def _check_laws(w: Tuple) -> None:
-    """Raise at the first violation of either bracket law on a frozen cube.
+def _check_laws(nz: Tuple) -> None:
+    """Raise at the first violation of either bracket law on stored rows.
 
     Upper-index symmetry is checked entry by entry, then pairwise commutation
     of the slice matrices by :func:`linalg.noncommuting_pair`: once symmetry
-    holds, row lam of W^(nu) is the stored row ``w[lam][nu]``.  Together the
+    holds, row lam of W^(nu) is the stored row ``nz[lam][nu]``.  Together the
     two laws are necessary and sufficient for the Jacobi identity of the
     induced bracket.
     """
-    n = len(w)
-    for lam in range(n):
-        for mu in range(n):
+    n = len(nz)
+    for lam, plane in enumerate(nz):
+        for mu, row in enumerate(plane):
             for nu in range(mu + 1, n):
-                if w[lam][mu][nu] != w[lam][nu][mu]:
+                if row.get(nu) != plane[nu].get(mu):
                     raise SymmetryViolation(lam, mu, nu)
-    pair = noncommuting_pair([ExactMatrix._of(n, n, [plane[nu] for plane in w]) for nu in range(n)])
+    pair = noncommuting_pair([ExactMatrix._of(n, n, [plane[nu] for plane in nz]) for nu in range(n)])
     if pair:
         raise CommutationViolation(*pair)
 
@@ -234,17 +268,13 @@ def validate(w_raw, semidirect: Optional[bool] = None) -> ExtensionTensor:
     if isinstance(w_raw, ExtensionTensor):
         if semidirect is None or bool(semidirect) == w_raw.semidirect:
             return w_raw
-        return ExtensionTensor._of(w_raw.n, bool(semidirect), w_raw.w)
+        return ExtensionTensor._of(w_raw.n, bool(semidirect), w_raw.nz)
     return ExtensionTensor(len(w_raw), bool(semidirect), w_raw)
 
 
-def _empty(n: int) -> List[List[List[GaussianRational]]]:
-    return [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-
-
-def _cube(w: List[List[List[GaussianRational]]]) -> Tuple:
-    """Nested lists of scalars as the nested tuples a tensor stores."""
-    return tuple(tuple(tuple(row) for row in plane) for plane in w)
+def _empty(n: int) -> List[List[Dict[int, GaussianRational]]]:
+    """n planes of n empty rows, for the trusted constructors to fill."""
+    return [[{} for _ in range(n)] for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +285,7 @@ def abelian(order: int) -> ExtensionTensor:
     """The zero bracket on ``order`` fields."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    return ExtensionTensor._of(order, False, _cube(_empty(order)))
+    return ExtensionTensor._of(order, False, _empty(order))
 
 
 def leibniz(order: int, semidirect: bool = False) -> ExtensionTensor:
@@ -274,7 +304,7 @@ def leibniz(order: int, semidirect: bool = False) -> ExtensionTensor:
     for mu in range(n):
         for nu in range(n - mu - shift):
             w[mu + nu + shift][mu][nu] = ONE
-    return ExtensionTensor._of(n, bool(semidirect), _cube(w))
+    return ExtensionTensor._of(n, bool(semidirect), w)
 
 
 def pure_semidirect(order: int) -> ExtensionTensor:
@@ -291,7 +321,7 @@ def pure_semidirect(order: int) -> ExtensionTensor:
         w[lam][lam][0] = ONE
         w[lam][0][lam] = ONE
     w[0][0][0] = ONE
-    return ExtensionTensor._of(n, True, _cube(w))
+    return ExtensionTensor._of(n, True, w)
 
 
 def crmhd(beta) -> ExtensionTensor:
@@ -312,7 +342,7 @@ def crmhd(beta) -> ExtensionTensor:
         w[lam][0][lam] = ONE
     w[3][2][1] = -beta
     w[3][1][2] = -beta
-    return ExtensionTensor._of(4, True, _cube(w))
+    return ExtensionTensor._of(4, True, w)
 
 
 def low_beta_rmhd() -> ExtensionTensor:
@@ -329,17 +359,10 @@ def direct_sum(a: ExtensionTensor, b: ExtensionTensor) -> ExtensionTensor:
     blocks that are slices of a certified operand, or zero, so both laws
     hold by construction.
     """
-    n = a.n + b.n
-    w = _empty(n)
-    for lam in range(a.n):
-        for mu in range(a.n):
-            for nu in range(a.n):
-                w[lam][mu][nu] = a.w[lam][mu][nu]
-    for lam in range(b.n):
-        for mu in range(b.n):
-            for nu in range(b.n):
-                w[a.n + lam][a.n + mu][a.n + nu] = b.w[lam][mu][nu]
-    return ExtensionTensor._of(n, False, _cube(w))
+    pad = [{} for _ in range(b.n)]
+    shifted = [[{a.n + nu: x for nu, x in row.items()} for row in plane] for plane in b.nz]
+    w = [list(plane) + pad for plane in a.nz] + [[{} for _ in range(a.n)] + plane for plane in shifted]
+    return ExtensionTensor._of(a.n + b.n, False, w)
 
 
 def append_semisimple(a: ExtensionTensor) -> ExtensionTensor:
@@ -360,11 +383,9 @@ def append_semisimple(a: ExtensionTensor) -> ExtensionTensor:
     for lam in range(n):
         w[lam][lam][0] = ONE
         w[lam][0][lam] = ONE
-    for lam in range(a.n):
-        for mu in range(a.n):
-            for nu in range(a.n):
-                w[lam + 1][mu + 1][nu + 1] = a.w[lam][mu][nu]
-    return ExtensionTensor._of(n, True, _cube(w))
+    for lam, mu, nu, x in a.nonzeros():
+        w[lam + 1][mu + 1][nu + 1] = x
+    return ExtensionTensor._of(n, True, w)
 
 
 def strip_semisimple(a: ExtensionTensor) -> ExtensionTensor:
@@ -382,9 +403,10 @@ def strip_semisimple(a: ExtensionTensor) -> ExtensionTensor:
         raise TensorError("tensor has no semisimple slot")
     if a.n == 1:
         raise TensorError("tensor has no solvable part: the semisimple slot is its only field")
-    if any(any(row[1:]) for row in a.w[0][1:]):
+    if any(nu for row in a.nz[0][1:] for nu in row):
         raise TensorError("slot 0 is coupled; normalize W^(0) first")
-    return ExtensionTensor._of(a.n - 1, False, tuple(tuple(row[1:] for row in plane[1:]) for plane in a.w[1:]))
+    return ExtensionTensor._of(a.n - 1, False, [
+        [{nu - 1: x for nu, x in row.items() if nu} for row in plane[1:]] for plane in a.nz[1:]])
 
 
 def from_lower_slices(slices: Sequence[Optional[ExactMatrix]], n: int,
@@ -394,14 +416,10 @@ def from_lower_slices(slices: Sequence[Optional[ExactMatrix]], n: int,
     ``slices[lam]`` may be None for a zero slice.  Mostly used to state
     catalog normal forms compactly.
     """
-    w = _empty(n)
+    w = []
     for lam in range(n):
         s = slices[lam]
-        if s is None:
-            continue
-        if s.rows != n or s.cols != n:
+        if s is not None and (s.rows != n or s.cols != n):
             raise ValueError("slice size mismatch")
-        for mu in range(n):
-            for nu in range(n):
-                w[lam][mu][nu] = s[mu, nu]
+        w.append([[ZERO] * n] * n if s is None else s.to_rows())
     return ExtensionTensor(n, bool(semidirect), w)

@@ -306,27 +306,32 @@ def sqrt_fraction(q: Fraction) -> Optional[Fraction]:
 def sqrt_gaussian(z: GaussianRational) -> Optional[GaussianRational]:
     """Exact square root in Q(i), or None when z is not a square there.
 
-    With w = x + y*i and w^2 = z: x^2 - y^2 = Re z and 2xy = Im z, so
-    x^2 = (Re z + |z|)/2 where |z| is the rational square root of the norm.
+    For z = (a + b*i)/d, z = g / d^2 with the Gaussian integer g = (a + b*i) d,
+    and Z[i] is integrally closed, so z is a square in Q(i) exactly when g
+    is one in Z[i].  With (x + y*i)^2 = g: x^2 - y^2 = Re g, 2xy = Im g and
+    x^2 + y^2 = r, the integer square root of the norm of g, so
+    x^2 = (Re g + r)/2; every test is an integer one.  The root returned has
+    a positive real part, or is i*s with s > 0 for a negative real z.
     """
-    if z.is_zero():
+    a, b, d = z._a, z._b, z._d
+    if not a and not b:
         return ZERO
-    if not z.im:
-        s = sqrt_fraction(z.re)
-        if s is not None:
-            return GaussianRational(s)
-        s = sqrt_fraction(-z.re)
-        if s is not None:
-            return GaussianRational(0, s)
+    ga, gb = a * d, b * d
+    norm = ga * ga + gb * gb
+    r = isqrt(norm)
+    if r * r != norm:
         return None
-    r = sqrt_fraction(z.norm())
-    if r is None:
+    x2, odd = divmod(ga + r, 2)
+    if odd:
         return None
-    x = sqrt_fraction((z.re + r) / 2)
-    if x is None or x == 0:
+    x = isqrt(x2)
+    if x * x != x2:
         return None
-    y = z.im / (2 * x)
-    return GaussianRational(x, y)
+    if not x:  # Re g + r = 0: g = ga < 0 is a negative integer, and y^2 = -ga
+        y = isqrt(-ga)
+        return _reduced(0, y, d) if y * y == -ga else None
+    # (r - Re g)/2 is an integer and equals (Im g / 2x)^2, so 2x divides Im g
+    return _reduced(x, gb // (2 * x), d)
 
 
 def is_square(z: GaussianRational) -> bool:

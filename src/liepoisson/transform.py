@@ -5,13 +5,15 @@ A basis change M acts on all three indices of an extension tensor:
     Wbar_b^{a c} = (M^-1)_b^lam  W_lam^{mu nu}  M_mu^a  M_nu^c
 
 :func:`apply` implements this transformation law as three fused mode
-products over the stored entries (one per index, zero factors skipped, no
-intermediate matrices).  It relies on the upper-index symmetry that every
-:class:`ExtensionTensor` carries and that the law preserves: only the upper
-triangles are computed, then mirrored.  Validity of the bracket is preserved
-by construction, so the result is built by the trusted ``ExtensionTensor._of``;
-``apply(check=True)``, the default, still checks both laws on it.  On top of
-it sit three normalizations:
+products over the tensor's stored sparse rows (one per index, zero factors
+skipped, no intermediate matrices) and writes the output rows directly; it
+never reads the dense view ``ExtensionTensor.w``.  It relies on the
+upper-index symmetry that every :class:`ExtensionTensor` carries and that
+the law preserves: only the upper triangles are computed, then mirrored.
+Validity of the bracket is preserved by construction, so the result is
+built by the trusted ``ExtensionTensor._of``; ``apply(check=True)``, the
+default, still checks both laws on it.  On top of it sit three
+normalizations:
 
 * :func:`normalize_w0_to_identity` drives the first slice matrix to the
   identity by a scalar rescale followed by unit-lower-triangular moves that
@@ -84,8 +86,8 @@ def apply(t: ExtensionTensor, b: BasisChange, check: bool = True) -> ExtensionTe
     """Transform a tensor by a basis change (all three indices).
 
     The transformation law is evaluated as three mode products over the
-    stored entries ``t.w`` and the stored nonzero rows of M and M^-1, each
-    skipping zero factors and building no intermediate matrix:
+    stored rows of the tensor and the stored nonzero rows of M and M^-1,
+    each skipping zero factors and building no intermediate matrix:
 
         T1[b][mu][nu] = sum_lam (M^-1)[b][lam] W[lam][mu][nu]
         T2[b][a][nu]  = sum_mu  M[mu][a] T1[b][mu][nu]
@@ -93,7 +95,8 @@ def apply(t: ExtensionTensor, b: BasisChange, check: bool = True) -> ExtensionTe
 
     Every extension tensor is symmetric in its upper indices and the law
     keeps it so, hence T1 and the result are computed for mu <= nu and
-    a <= g only and mirrored.  ``check=False`` skips the check of both laws
+    a <= g only and mirrored: each nonzero output entry is written into
+    both of its output rows.  ``check=False`` skips the check of both laws
     on the result for hot internal loops (the classifier's final bit-exact
     comparison against the catalog is the real gate there).
     """
@@ -103,39 +106,36 @@ def apply(t: ExtensionTensor, b: BasisChange, check: bool = True) -> ExtensionTe
     m_rows = b.matrix.nz
     m_inv = b.m_inv.nz
     span = range(n)
-    # nonzero entries: columns of M (gathered from its stored rows), upper triangle of each W_(lam)
-    m_cols = [[] for _ in span]
-    for mu, row in enumerate(m_rows):
-        for a, x in row.items():
-            m_cols[a].append((mu, x))
+    # nonzero entries of the upper triangle of each W_(lam)
     upper = [
-        [((mu, nu), x) for mu, row in enumerate(plane) for nu, x in enumerate(row[mu:], mu) if x]
-        for plane in t.w
+        [((mu, nu), x) for mu, row in enumerate(plane) if row for nu, x in row.items() if nu >= mu]
+        for plane in t.nz
     ]
     # T1, T2 and each output row are dicts of the entries a product touched;
     # only those are tested for zero, so exact cancellations are dropped
-    w = []
+    out = []
     for beta in span:
         t1 = {}
         for lam, c in m_inv[beta].items():
             for key, x in upper[lam]:
                 y = t1.get(key)
                 t1[key] = c * x if y is None else y + c * x
-        t1_rows = [[] for _ in span]
+        # T2 row a gathers M[mu][a] T1[mu][nu] from row mu of M, for both mirrored T1 entries
+        t2 = {}
         for (mu, nu), x in t1.items():
             if x:
-                t1_rows[mu].append((nu, x))
-                if nu != mu:
-                    t1_rows[nu].append((mu, x))
-        plane = [[ZERO] * n for _ in span]
-        for a in span:
-            t2 = {}
-            for mu, c in m_cols[a]:
-                for nu, x in t1_rows[mu]:
-                    y = t2.get(nu)
-                    t2[nu] = c * x if y is None else y + c * x
+                for p, q in ((mu, nu), (nu, mu)) if nu != mu else ((mu, nu),):
+                    for a, c in m_rows[p].items():
+                        r = t2.get(a)
+                        if r is None:
+                            t2[a] = {q: c * x}
+                        else:
+                            y = r.get(q)
+                            r[q] = c * x if y is None else y + c * x
+        plane = [{} for _ in span]
+        for a, r in t2.items():
             row = {}
-            for nu, x in t2.items():
+            for nu, x in r.items():
                 if x:
                     for g, c in m_rows[nu].items():
                         if g >= a:
@@ -144,11 +144,10 @@ def apply(t: ExtensionTensor, b: BasisChange, check: bool = True) -> ExtensionTe
             for g, y in row.items():
                 if y:
                     plane[a][g] = plane[g][a] = y
-        w.append(tuple(tuple(r) for r in plane))
-    w = tuple(w)
+        out.append(plane)
     if check:
-        _check_laws(w)
-    return ExtensionTensor._of(n, t.semidirect, w)
+        _check_laws(out)
+    return ExtensionTensor._of(n, t.semidirect, out)
 
 
 def apply_chain(t: ExtensionTensor, chain: List[BasisChange], check: bool = True) -> ExtensionTensor:
@@ -194,7 +193,7 @@ def normalize_w0_to_identity(t: ExtensionTensor) -> Tuple[ExtensionTensor, Basis
             total = total @ m
     if not t.slice_is_identity(0):
         raise TransformError("internal error: W^(0) normalization did not reach the identity")
-    return ExtensionTensor._of(n, True, t.w), BasisChange(total)
+    return ExtensionTensor._of(n, True, t.nz), BasisChange(total)
 
 
 # ---------------------------------------------------------------------------

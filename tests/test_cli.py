@@ -564,3 +564,31 @@ def test_tensor_document_with_a_wrong_json_type_is_a_parse_error(tmp_path, capfd
     out = capfd.readouterr()
     lines = (out.out + out.err).strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: malformed tensor document"), lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "t.json", "--witness", "{out}"],
+    ["catalog", "--order", "2", "--out", "{out}"],
+    ["leibniz", "--order", "2", "--out", "{out}"],
+    ["crmhd", "--out", "{out}"],
+    ["simulate", "--preset", "rigid-body", "--steps", "5", "--summary", "{out}"],
+    ["simulate", "--preset", "rigid-body", "--steps", "5", "--out", "{out}"],
+], ids=["classify-witness", "catalog", "leibniz", "crmhd", "simulate-summary", "simulate-csv"])
+def test_unwritable_output_path_is_one_error_line(tmp_path, capfd, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("t.json").write_text(json.dumps(leibniz(2).to_json()))
+    out_path = str(tmp_path / "no-such-directory" / "out.json")
+    assert main([a.format(out=out_path) for a in argv]) == EXIT_PARSE
+    err = capfd.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out_path}: "), err
+    assert "No such file or directory" in err[0]
+    assert not (tmp_path / "no-such-directory").exists()
+
+
+def test_unwritable_output_path_prints_no_traceback(tmp_path):
+    out_path = tmp_path / "no-such-directory" / "x.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run([sys.executable, "-m", "liepoisson.cli", "catalog", "--order", "2", "--out", str(out_path)],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == EXIT_PARSE
+    assert result.stderr == f"error: cannot write {out_path}: No such file or directory\n"

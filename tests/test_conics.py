@@ -9,6 +9,7 @@ from liepoisson.conics import (
     _gi_mod,
     _gf2_mul,
     _gf2_pow,
+    _small_ternary_search,
     _sqrt_mod_squarefree_all,
     _tonelli_shanks,
     isotropic_ternary,
@@ -198,3 +199,42 @@ def test_square_free_part_zi():
         from liepoisson.scalars import gaussian_factor
 
         assert all(e == 1 for _, e in gaussian_factor(rep)) or rep.norm() == 1
+
+
+def loop_small_ternary_search(coeffs, bounds):
+    """The box search with every Gaussian integer and b y^2 rebuilt inside the x loop."""
+    a, b, c = coeffs
+    for bound in bounds:
+        box = range(-bound, bound + 1)
+        for xr in box:
+            for xi in box:
+                x = gr(xr, xi)
+                ax2 = a * x * x
+                for yr in box:
+                    for yi in box:
+                        if xr == xi == yr == yi == 0:
+                            continue
+                        y = gr(yr, yi)
+                        z = sqrt_gaussian(-(ax2 + b * y * y) / c)
+                        if z is not None:
+                            return x, y, z
+    return None
+
+
+@pytest.mark.parametrize("coeffs, bounds", [
+    ((gr(11), gr(-66), gr(3)), (3, 8)),
+    ((gr(1), gr(1), gr(-2)), (3, 8)),
+    ((gr(3), gr(5), gr(-7)), (3, 8)),
+    ((gr(1, 1), gr(3), gr(-2, 1)), (3, 8)),
+    ((gr(1), gr(1), gr(3)), (1, 2)),
+    ((gr(1), gr(0, 1), gr(5, 2)), (1, 2)),  # no point in either box
+    ((gr(2), gr(3), gr(-7)), (1, 2)),
+    ((gr(7), gr(1), gr(-1)), (1, 2)),  # the first point has x = 0
+])
+def test_small_ternary_search_finds_the_first_point_of_the_loop(coeffs, bounds):
+    got = _small_ternary_search(coeffs, bounds)
+    assert got == loop_small_ternary_search(coeffs, bounds)
+    if got is not None:
+        x, y, z = got
+        a, b, c = coeffs
+        assert a * x * x + b * y * y + c * z * z == ZERO and (x or y)

@@ -449,3 +449,17 @@ def test_strip_semisimple_requires_a_decoupled_slot_zero(monkeypatch):
         strip_semisimple(moved)
     assert type(err.value) is TensorError
     assert calls == []
+
+
+def test_strip_semisimple_reads_every_coupling_entry():
+    # one coupling entry W_0^{mu nu} = W_0^{nu mu} (mu, nu >= 1) on top of pure_semidirect(2)
+    # is enough to refuse; the rows are given to the trusted constructor, since only the
+    # precondition is under test
+    base = pure_semidirect(2)
+    for mu in range(1, 3):
+        for nu in range(mu, 3):
+            w = [[list(row) for row in plane] for plane in base.w]
+            w[0][mu][nu] = w[0][nu][mu] = gr(3)
+            with pytest.raises(TensorError, match="slot 0 is coupled"):
+                strip_semisimple(ExtensionTensor._of(3, True, w))
+    assert strip_semisimple(base) == abelian(2)

@@ -394,6 +394,47 @@ def test_sqrt_gaussian_matches_fraction_pair_reference(x):
             assert_agrees(got, want)
 
 
+def fraction_sqrt_gaussian(z):
+    """The rational-arithmetic square root that ``sqrt_gaussian`` replaced, kept as its oracle."""
+    if z.is_zero():
+        return ZERO
+    if not z.im:
+        s = sqrt_fraction(z.re)
+        if s is not None:
+            return GaussianRational(s)
+        s = sqrt_fraction(-z.re)
+        if s is not None:
+            return GaussianRational(0, s)
+        return None
+    r = sqrt_fraction(z.norm())
+    if r is None:
+        return None
+    x = sqrt_fraction((z.re + r) / 2)
+    if x is None or x == 0:
+        return None
+    y = z.im / (2 * x)
+    return GaussianRational(x, y)
+
+
+HEIGHT60 = 2 ** 60
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(x=_pairs(HEIGHT60), factor=st.sampled_from([ONE, -ONE, I, -I, gr(2), gr(-3), gr(1, 1), gr(1, 2), gr(5, 12)]))
+def test_integer_sqrt_gaussian_matches_the_fraction_version(x, factor):
+    # squares z^2 times a unit or a (non-)square factor, z itself, and zero, with 60-bit heights
+    z = gr(*x)
+    for arg in (ZERO, z, z * z, z * z * factor, z * factor, z + factor):
+        got, want = sqrt_gaussian(arg), fraction_sqrt_gaussian(arg)
+        assert (got is None) == (want is None), arg
+        if got is not None:
+            assert_same_scalar(got, want)
+            assert got * got == arg
+            assert got.re > 0 or (not got.re and got.im >= 0)
+    if z:
+        assert sqrt_gaussian(z * z) is not None
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(x=_pairs(2 ** 10))
 def test_square_free_part_matches_fraction_pair_reference(x):

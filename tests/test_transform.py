@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from liepoisson.classify import catalog, classify
 from liepoisson.extension import (
+    ExtensionTensor,
     append_semisimple,
     crmhd,
     direct_sum,
@@ -182,6 +183,90 @@ def test_apply_drops_exact_cancellations():
     assert out.w[1][0][0] == ONE
 
 
+# ---------------------------------------------------------------------------
+# The stored rows against dense definitions, on random cubes (unsymmetric
+# ones included, built through the trusted constructor) and on chains of
+# transformed tensors
+# ---------------------------------------------------------------------------
+
+def assert_views_match_the_cube(t, cube, semidirect):
+    """Every view of ``t`` equals its dense definition on the nested-tuple cube ``cube``."""
+    n = len(cube)
+    span = range(n)
+    assert t.n == n and t.semidirect == semidirect
+    assert all(x and nu in span for plane in t.nz for row in plane for nu, x in row.items())
+    assert t.w == cube
+    assert all(type(plane) is tuple and all(type(row) is tuple for row in plane) for plane in t.w)
+    assert all(t.entry(lam, mu, nu) == cube[lam][mu][nu] for lam in span for mu in span for nu in span)
+    assert t.nonzeros() == tuple((lam, mu, nu, cube[lam][mu][nu])
+                                 for lam in span for mu in span for nu in span if cube[lam][mu][nu])
+    for k in span:
+        assert t.slice_upper(k) == M([[cube[lam][mu][k] for mu in span] for lam in span])
+        assert t.slice_lower(k) == M([list(row) for row in cube[k]])
+        assert t.slice_diagonal(k) == [cube[lam][lam][k] for lam in span]
+        assert t.slice_is_identity(k) == all(cube[lam][mu][k] == (ONE if lam == mu else ZERO)
+                                             for lam in span for mu in span)
+    assert t.is_lower_triangular() == all(not x for lam in span for mu in span if mu > lam for x in cube[lam][mu])
+    assert t.is_solvable() == all(not x for lam in span for mu in span if mu >= lam for x in cube[lam][mu])
+    dense = ExtensionTensor._of(n, semidirect, cube)
+    assert t == dense and hash(t) == hash(dense)
+    assert t != ExtensionTensor._of(n, not semidirect, cube)
+    lam, mu, nu = n - 1, 0, n // 2
+    bumped = [[list(row) for row in plane] for plane in cube]
+    bumped[lam][mu][nu] += ONE
+    assert t != ExtensionTensor._of(n, semidirect, bumped)
+
+
+CUBE_VALUES = st.sampled_from([ONE, -ONE, gr(2), I, gr(Fraction(-1, 3), 1), gr(Fraction(5, 2))])
+
+
+@st.composite
+def random_cubes(draw):
+    """An n-cube, n = 1..4, mostly zeros and with no symmetry, optionally cut to a predicate's shape."""
+    n = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["any", "lower", "solvable", "identity0", "diagonal0"]))
+    cube = [[[draw(st.one_of(st.just(ZERO), st.just(ZERO), CUBE_VALUES)) for _ in range(n)]
+             for _ in range(n)] for _ in range(n)]
+    for lam in range(n):
+        for mu in range(n):
+            if shape == "lower" and mu > lam or shape == "solvable" and mu >= lam:
+                cube[lam][mu] = [ZERO] * n
+            elif shape == "identity0" or shape == "diagonal0" and lam == mu:
+                cube[lam][mu][0] = ONE if lam == mu else ZERO
+    return tuple(tuple(tuple(row) for row in plane) for plane in cube), draw(st.booleans())
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(random_cubes())
+def test_stored_rows_of_a_random_cube_match_its_dense_definitions(case):
+    cube, semidirect = case
+    assert_views_match_the_cube(ExtensionTensor._of(len(cube), semidirect, cube), cube, semidirect)
+    rows = [[{nu: x for nu, x in enumerate(row) if x} for row in plane] for plane in cube]
+    assert_views_match_the_cube(ExtensionTensor._of(len(cube), semidirect, rows), cube, semidirect)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.data())
+def test_chained_apply_rows_match_the_dense_contraction(data):
+    t = data.draw(st.sampled_from(SPARSE_POOL))
+    cube = t.w
+    for _ in range(data.draw(st.integers(1, 3))):
+        n = t.n
+        if data.draw(st.booleans()):
+            m = dense_gaussian(random.Random(data.draw(st.integers(0, 2 ** 16))), n)
+        else:  # a permutation times a sparse unit-lower shear times a diagonal
+            perm = data.draw(st.permutations(range(n)))
+            value = st.sampled_from(SPARSE_VALUES)
+            m = M([[ONE if perm[j] == i else ZERO for j in range(n)] for i in range(n)]) @ M(
+                [[(ONE if i == j else data.draw(st.one_of(st.just(ZERO), value)) if j < i else ZERO)
+                  for j in range(n)] for i in range(n)]) @ ExactMatrix.diagonal([data.draw(value) for _ in range(n)])
+        b = BasisChange(m, scale=data.draw(st.sampled_from([ONE, gr(Fraction(2, 3), 1)])))
+        # the oracle contracts a tensor backed by the previous dense cube, never by apply's rows
+        cube = _contract(ExtensionTensor._of(t.n, t.semidirect, cube), b.matrix)
+        t = apply(t, b, check=data.draw(st.booleans()))
+        assert_views_match_the_cube(t, cube, t.semidirect)
+
+
 def test_normalize_w0_already_identity():
     t = crmhd(1)
     out, witness = normalize_w0_to_identity(t)
@@ -337,3 +422,22 @@ def test_apply_chain_replay():
     for b in chain:
         step = apply(step, b)
     assert apply_chain(t, chain) == step
+
+
+def test_apply_and_classify_never_read_the_dense_view(monkeypatch):
+    rng = random.Random(18)
+    inputs = []
+    for order in range(2, 5):
+        for _, entry in catalog(order).entries:
+            for t in (entry, append_semisimple(entry)):
+                # a dense unimodular L U, so that classify triangularizes first
+                inputs.append(apply(t, BasisChange(unit_lower(rng, t.n) @ unit_lower(rng, t.n).transpose())))
+    reads = []
+    dense = ExtensionTensor.w
+    monkeypatch.setattr(ExtensionTensor, "w", property(lambda t: reads.append(t) or dense.fget(t)))
+    for t in inputs:
+        label, chain = classify(t)
+        apply_chain(t, chain)
+    assert reads == []
+    # the counter is live
+    assert inputs[0].w and len(reads) == 1
