@@ -7,9 +7,11 @@ it to one and normalizing the first slice to the identity), then reduce the
 solvable part stage by stage.  Stage m normalizes slice m given a leading
 part already in normal form, by removing coboundaries, rescaling, reducing
 terminal cocycles by congruence, and applying the fixed inter-case maps
-(some complex).  Every move is an explicit invertible matrix, so classify
-returns a replayable witness chain along with the case label; the chain is
-replayed and checked against the catalog normal form before returning.
+(some complex).  Classification is one pass: every move is an explicit
+invertible matrix, recorded as a witness step and applied once to the input
+(lifted to diag(1, m) past the semisimple slot), so the running tensor is
+the input moved by the chain.  It is compared bit-exactly with the catalog
+normal form before classify returns the case label and the witness chain.
 
 Over Q(i) a few tensors outside the catalog orbits hit a genuine
 obstruction: a rescaling would need a square root that Q(i) lacks (the
@@ -40,7 +42,7 @@ from .linalg import (
     rref,
 )
 from .scalars import GaussianRational, I, ONE, ZERO, gr, sqrt_gaussian
-from .transform import apply, apply_chain, congruence_move, normalize_w0_to_identity
+from .transform import apply, congruence_move, normalize_w0_to_identity
 
 class ClassificationError(TensorError):
     pass
@@ -148,56 +150,72 @@ def catalog(order: int) -> Catalog:
 def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
     """Reduce a valid tensor to its catalog normal form.
 
-    Returns the case label and the witness chain; replaying the chain on the
-    input reproduces the normal form (for semidirect inputs, the normal form
-    with the identity slice appended) bit-exactly, which is verified before
-    returning.  Triangularizing is one kernel flag, with no eigenvalue search;
-    a stalled flag means more than one block and raises :class:`NotSingleBlock`.
+    Returns the case label and the witness chain.  Each step of the chain is
+    applied once, to the input in its own coordinates, so the tensor the
+    reduction ends on is the input moved by the chain; it must equal the
+    normal form (for semidirect inputs, the normal form with the identity
+    slice appended) bit-exactly, which is checked before returning.
+    Triangularizing is one kernel flag, with no eigenvalue search; a stalled
+    flag means more than one block and raises :class:`NotSingleBlock`.
 
     A tensor in hand is certified and is not checked again; a raw array goes
     through :func:`validate` first.
     """
     if not isinstance(t, ExtensionTensor):
         t = validate(t)
-    original = t
-    chain: List[BasisChange] = []
+    r = _Reduction(t)
     if not t.is_lower_triangular():
         m = _kernel_flag(t.slices_upper(), t.n)
         if m is None:
             raise NotSingleBlock("tensor has more than one block: a slice has two eigenvalues")
-        b = BasisChange(m)
-        t = apply(t, b, check=False)
+        t = r.step(m)
         # each new slice is a combination of the M^-1 W^(nu) M
         if not t.is_lower_triangular():
             raise ClassificationError("internal error: triangularization postcondition failed")
-        chain.append(b)
     _require_single_block(t)
-    ev = t.slice_diagonal(0)[0]
-    semidirect = bool(ev)
+    semidirect = bool(t.slice_diagonal(0)[0])
     if semidirect:
         if t.n == 1:
             raise ClassificationError(
                 "bare base bracket: the semisimple slot has no solvable part to classify"
             )
-        t, b = normalize_w0_to_identity(t)
+        _, b = normalize_w0_to_identity(t)
         if not b.matrix.is_identity():
-            chain.append(b)
-        solvable = strip_semisimple(t)
-        sol_normal, sol_chain = _classify_solvable(solvable)
-        chain.extend(_embed(b, t.n) for b in sol_chain)
-        expected = append_semisimple(sol_normal)
-        order = sol_normal.n
-    else:
-        sol_normal, sol_chain = _classify_solvable(t)
-        chain.extend(sol_chain)
-        expected = sol_normal
-        order = sol_normal.n
-    name = _match_catalog(sol_normal.nz, order)
-    label = CaseLabel(order, name, semidirect)
-    replay = apply_chain(original, chain, check=False)
-    if replay.nz != expected.nz:
+            r.record(b)
+        t = r.split_semisimple()
+    normal = _classify_solvable(t, r)
+    label = CaseLabel(normal.n, _match_catalog(normal.nz, normal.n), semidirect)
+    expected = append_semisimple(normal) if semidirect else normal
+    if r.full.nz != expected.nz:
         raise ClassificationError("internal error: witness chain does not reproduce the normal form")
-    return label, chain
+    return label, r.chain
+
+
+class _Reduction:
+    """The input in its own coordinates and the witness steps applied to it.
+
+    A move enters ``full`` only as a recorded step applied once, so ``full``
+    is the input moved by ``chain``.  Past a split-off semisimple slot, a
+    move m of the solvable part is recorded as diag(1, m).
+    """
+
+    def __init__(self, t: ExtensionTensor):
+        self.full, self.chain, self.semidirect = t, [], False
+
+    def record(self, b: BasisChange) -> ExtensionTensor:
+        """Apply a step of the full tensor; return the moved solvable part."""
+        self.chain.append(b)
+        self.full = apply(self.full, b)
+        return strip_semisimple(self.full) if self.semidirect else self.full
+
+    def step(self, m: ExactMatrix) -> ExtensionTensor:
+        return self.record(BasisChange(_lift(m) if self.semidirect else m))
+
+    def split_semisimple(self) -> ExtensionTensor:
+        """Lift the later moves past slot 0, where W^(0) = I by now; return the solvable part."""
+        self.semidirect = True
+        self.full = ExtensionTensor._of(self.full.n, True, self.full.nz)
+        return strip_semisimple(self.full)
 
 
 def _require_single_block(t: ExtensionTensor) -> None:
@@ -220,19 +238,10 @@ def _match_catalog(nz: tuple, order: int) -> str:
     raise ClassificationError("internal error: reduced tensor is not a catalog entry")
 
 
-def _embed(b: BasisChange, n: int) -> BasisChange:
-    """Lift a solvable-part basis change to the full semidirect tensor."""
-    small = b.matrix
-    rows = [[ONE] + [ZERO] * (n - 1)]
-    for i in range(small.rows):
-        rows.append([ZERO] + list(small.row(i)))
-    return BasisChange(ExactMatrix._of(n, n, rows))
-
-
-def _apply_step(t: ExtensionTensor, chain: List[BasisChange], m: ExactMatrix) -> ExtensionTensor:
-    b = BasisChange(m)
-    chain.append(b)
-    return apply(t, b, check=False)
+def _lift(m: ExactMatrix) -> ExactMatrix:
+    """diag(1, m): a move of the solvable part acting on the semidirect tensor."""
+    n = m.rows + 1
+    return ExactMatrix._of(n, n, [{0: ONE}] + [{j + 1: x for j, x in row.items()} for row in m.nz])
 
 
 def _perm_columns(n: int, cols: Sequence[int]) -> ExactMatrix:
@@ -240,27 +249,25 @@ def _perm_columns(n: int, cols: Sequence[int]) -> ExactMatrix:
     return ExactMatrix._of(n, n, [[ONE if cols[j] == i else ZERO for j in range(n)] for i in range(n)])
 
 
-def _classify_solvable(t: ExtensionTensor) -> Tuple[ExtensionTensor, List[BasisChange]]:
+def _classify_solvable(t: ExtensionTensor, r: _Reduction) -> ExtensionTensor:
     n = t.n
     if n > 4:
         raise OrderTooHigh(n)
     if not t.is_solvable():
         raise ClassificationError("internal error: expected a solvable tensor")
-    chain: List[BasisChange] = []
     if n < 4:
         for stage in range(2, n + 1):
-            t = _stage(t, stage, chain)
-        return t, chain
-    t = _stage(t, 2, chain)
+            t = _stage(t, stage, r)
+        return t
+    t = _stage(t, 2, r)
     if not t.entry(1, 0, 0) and _tail_head_supported(t):
         # both trailing slices are cocycles on the abelian head: treat them
         # as a pencil of binary quadratic forms
-        t, finished = _pencil_reduce(t, chain)
+        t, finished = _pencil_reduce(t, r)
         if finished:
-            return t, chain
-    t = _stage(t, 3, chain)
-    t = _stage(t, 4, chain)
-    return t, chain
+            return t
+    t = _stage(t, 3, r)
+    return _stage(t, 4, r)
 
 
 def _tail_head_supported(t: ExtensionTensor) -> bool:
@@ -292,9 +299,7 @@ def _rank1_decompose(g: ExactMatrix) -> Tuple[GaussianRational, GaussianRational
     raise ClassificationError("internal error: form is not rank one")
 
 
-def _pencil_reduce(
-    t: ExtensionTensor, chain: List[BasisChange]
-) -> Tuple[ExtensionTensor, bool]:
+def _pencil_reduce(t: ExtensionTensor, r: _Reduction) -> Tuple[ExtensionTensor, bool]:
     """Normalize the head pencil (slice 2, slice 3) of an order-4 tensor.
 
     Proportional slices are merged into slice 2 and handed back to the
@@ -310,12 +315,12 @@ def _pencil_reduce(
     if a.is_zero() and b.is_zero():
         return t, False
     if a.is_zero():
-        t = _apply_step(t, chain, _perm_columns(n, [0, 1, 3, 2]))
+        t = r.step(_perm_columns(n, [0, 1, 3, 2]))
         a, b = b, a
     ratio = _proportional(b, a)
     if ratio is not None:
         if ratio:
-            t = _apply_step(t, chain, ExactMatrix.identity(n).with_entry(3, 2, ratio))
+            t = r.step(ExactMatrix.identity(n).with_entry(3, 2, ratio))
         return t, False
     det_a, det_b = _det2(a), _det2(b)
     mix = a[0, 0] * b[1, 1] + a[1, 1] * b[0, 0] - gr(2) * a[0, 1] * b[0, 1]
@@ -346,7 +351,7 @@ def _pencil_reduce(
             raise ClassificationError("internal error: distinct-root pencil structure")
         cols = [[*y0, ZERO, ZERO], f2, [*y1, ZERO, ZERO], f4]
     move = ExactMatrix._of(4, 4, [[cols[j][i] for j in range(4)] for i in range(4)])
-    t = _apply_step(t, chain, move)
+    t = r.step(move)
     return t, True
 
 
@@ -397,14 +402,14 @@ def _leading_case(t: ExtensionTensor, m: int) -> str:
     return _match_catalog(tuple(plane[:m] for plane in t.nz[:m]), m)
 
 
-def _stage(t: ExtensionTensor, m: int, chain: List[BasisChange]) -> ExtensionTensor:
+def _stage(t: ExtensionTensor, m: int, r: _Reduction) -> ExtensionTensor:
     """Bring slice m-1 (storage) to normal form, leading window already done."""
     n = t.n
     s = m - 1  # storage index of the slice being normalized
     if m == 2:
         a = t.entry(1, 0, 0)
         if a:
-            t = _apply_step(t, chain, ExactMatrix.diagonal([ONE, a] + [ONE] * (n - 2)))
+            t = r.step(ExactMatrix.diagonal([ONE, a] + [ONE] * (n - 2)))
         return t
     if m == 3:
         leading = _leading_case(t, 2)
@@ -412,29 +417,29 @@ def _stage(t: ExtensionTensor, m: int, chain: List[BasisChange]) -> ExtensionTen
             _expect_zero(t, (2, 1, 1))
             a = t.entry(2, 0, 0)
             if a:
-                t = _apply_step(t, chain, ExactMatrix.identity(n).with_entry(2, 1, a))
+                t = r.step(ExactMatrix.identity(n).with_entry(2, 1, a))
             b = t.entry(2, 0, 1)
             if b:
-                t = _apply_step(t, chain, ExactMatrix.diagonal([ONE, ONE, b] + [ONE] * (n - 3)))
+                t = r.step(ExactMatrix.diagonal([ONE, ONE, b] + [ONE] * (n - 3)))
             return t
         # abelian leading part: reduce the terminal cocycle on the 2x2 block
-        pattern, t = _window_congruence(t, s, chain)
+        pattern, t = _window_congruence(t, s, r)
         if pattern == (1, 0):
-            t = _apply_step(t, chain, _perm_columns(n, [0, 2, 1] + list(range(3, n))))
+            t = r.step(_perm_columns(n, [0, 2, 1] + list(range(3, n))))
         elif pattern == (1, 1):
-            t = _apply_step(t, chain, _complex_pair_map(n, imaginary=True))
+            t = r.step(_complex_pair_map(n, imaginary=True))
         elif pattern == (1, -1):
-            t = _apply_step(t, chain, _complex_pair_map(n, imaginary=False))
+            t = r.step(_complex_pair_map(n, imaginary=False))
         return t
     if m == 4:
         leading = _leading_case(t, 3)
         if leading == "n3-case1":
-            return _stage4_leading_abelian(t, chain)
+            return _stage4_leading_abelian(t, r)
         if leading == "n3-case2":
-            return _stage4_leading_case2(t, chain)
+            return _stage4_leading_case2(t, r)
         if leading == "n3-case3":
-            return _stage4_leading_case3(t, chain)
-        return _stage4_leading_case4(t, chain)
+            return _stage4_leading_case3(t, r)
+        return _stage4_leading_case4(t, r)
     raise OrderTooHigh(m)
 
 
@@ -459,9 +464,7 @@ def _complex_pair_map(n: int, imaginary: bool) -> ExactMatrix:
     return ExactMatrix._of(n, n, rows)
 
 
-def _window_congruence(
-    t: ExtensionTensor, s: int, chain: List[BasisChange]
-) -> Tuple[tuple, ExtensionTensor]:
+def _window_congruence(t: ExtensionTensor, s: int, r: _Reduction) -> Tuple[tuple, ExtensionTensor]:
     """Congruence-diagonalize the s x s block of slice ``s`` in place.
 
     Returns the sign pattern (+1/-1/0 per slot, +1s first) and the reduced
@@ -473,62 +476,60 @@ def _window_congruence(
             "tail cannot be scaled to {0,+1,-1} entries over Q(i)"
         )
     m, signs = move
-    return tuple(signs), _apply_step(t, chain, m)
+    return tuple(signs), r.step(m)
 
 
-def _stage4_leading_abelian(t: ExtensionTensor, chain: List[BasisChange]) -> ExtensionTensor:
+def _stage4_leading_abelian(t: ExtensionTensor, r: _Reduction) -> ExtensionTensor:
     n = t.n
-    pattern, t = _window_congruence(t, 3, chain)
+    pattern, t = _window_congruence(t, 3, r)
     if pattern == (0, 0, 0):
         return t
     if pattern == (1, 1, 1):
-        t = _apply_step(t, chain, ExactMatrix.diagonal([ONE, ONE, I, ONE]))
+        t = r.step(ExactMatrix.diagonal([ONE, ONE, I, ONE]))
         pattern = (1, 1, -1)
     if pattern == (1, 1, -1):
         # congruence with m^T diag(1,1,-1) m = the (0,2)+(1,1) normal tail
         half = gr(1) / gr(2)
-        return _apply_step(t, chain, ExactMatrix._of(4, 4, [
+        return r.step(ExactMatrix._of(4, 4, [
             [ONE, ZERO, half, ZERO],
             [ZERO, ONE, ZERO, ZERO],
             [ONE, ZERO, -half, ZERO],
             [ZERO, ZERO, ZERO, ONE],
         ]))
     if pattern in ((1, 1, 0), (1, -1, 0)):
-        t = _apply_step(t, chain, _perm_columns(n, [0, 1, 3, 2]))
-        return _apply_step(t, chain, _complex_pair_map(n, imaginary=(pattern == (1, 1, 0))))
+        t = r.step(_perm_columns(n, [0, 1, 3, 2]))
+        return r.step(_complex_pair_map(n, imaginary=(pattern == (1, 1, 0))))
     if pattern == (1, 0, 0):
-        return _apply_step(t, chain, _perm_columns(n, [0, 3, 2, 1]))
+        return r.step(_perm_columns(n, [0, 3, 2, 1]))
     raise ClassificationError(f"internal error: unexpected tail pattern {pattern}")
 
 
-def _stage4_leading_case2(t: ExtensionTensor, chain: List[BasisChange]) -> ExtensionTensor:
+def _stage4_leading_case2(t: ExtensionTensor, r: _Reduction) -> ExtensionTensor:
     n = t.n
     for idx in ((3, 2, 0), (3, 2, 1), (3, 2, 2)):
         _expect_zero(t, idx)
     q = t.entry(3, 0, 1)
     if q:
-        t = _apply_step(t, chain, ExactMatrix.identity(n).with_entry(3, 2, q))
+        t = r.step(ExactMatrix.identity(n).with_entry(3, 2, q))
     w11, w22 = t.entry(3, 0, 0), t.entry(3, 1, 1)
     if not w11 and not w22:
         return t
     if not w11:
-        t = _apply_step(t, chain, _perm_columns(n, [1, 0, 2, 3]))
+        t = r.step(_perm_columns(n, [1, 0, 2, 3]))
         w11, w22 = w22, w11
     if not w22:
         # (1, 0) tail joins case 3c: relabel (x1, x4, x2, x3)
-        t = _apply_step(t, chain, ExactMatrix.diagonal([ONE, ONE, ONE, w11]))
-        return _apply_step(t, chain, _perm_columns(n, [0, 3, 1, 2]))
+        t = r.step(ExactMatrix.diagonal([ONE, ONE, ONE, w11]))
+        return r.step(_perm_columns(n, [0, 3, 1, 2]))
     ratio = w22 / w11
     root = sqrt_gaussian(ratio)
     if root is None:
         raise ClassificationError(
             f"tail ratio {ratio} is not a square in Q(i); tensor is outside the catalog orbits"
         )
-    t = _apply_step(
-        t, chain, ExactMatrix.diagonal([ONE, ONE / root, ONE / root, w11])
-    )
+    t = r.step(ExactMatrix.diagonal([ONE, ONE / root, ONE / root, w11]))
     # diag(1,1) tail joins case 3b: split into the two inert square directions
-    return _apply_step(t, chain, ExactMatrix._of(4, 4, [
+    return r.step(ExactMatrix._of(4, 4, [
         [ONE, ZERO, ONE, ZERO],
         [-ONE, ZERO, ONE, ZERO],
         [ZERO, gr(-2), ZERO, gr(2)],
@@ -536,43 +537,40 @@ def _stage4_leading_case2(t: ExtensionTensor, chain: List[BasisChange]) -> Exten
     ]))
 
 
-def _stage4_leading_case3(t: ExtensionTensor, chain: List[BasisChange]) -> ExtensionTensor:
+def _stage4_leading_case3(t: ExtensionTensor, r: _Reduction) -> ExtensionTensor:
     n = t.n
     for idx in ((3, 1, 1), (3, 2, 1)):
         _expect_zero(t, idx)
     p = t.entry(3, 0, 0)
     if p:
-        t = _apply_step(t, chain, ExactMatrix.identity(n).with_entry(3, 1, p))
+        t = r.step(ExactMatrix.identity(n).with_entry(3, 1, p))
     a = t.entry(3, 0, 1)
     b = t.entry(3, 0, 2)
     d = t.entry(3, 2, 2)
     if a:
         if b:
-            t = _apply_step(t, chain, ExactMatrix.identity(n).with_entry(1, 2, -b / a))
+            t = r.step(ExactMatrix.identity(n).with_entry(1, 2, -b / a))
             d = t.entry(3, 2, 2)
         if d:
-            return _apply_step(
-                t, chain,
-                ExactMatrix.diagonal([a * d, a * a * d * d, a * a * d, a ** 4 * d ** 3]),
-            )
-        t = _apply_step(t, chain, ExactMatrix.diagonal([ONE, ONE, ONE, a]))
-        return _apply_step(t, chain, _perm_columns(n, [0, 1, 3, 2]))
+            return r.step(ExactMatrix.diagonal([a * d, a * a * d * d, a * a * d, a ** 4 * d ** 3]))
+        t = r.step(ExactMatrix.diagonal([ONE, ONE, ONE, a]))
+        return r.step(_perm_columns(n, [0, 1, 3, 2]))
     if b:
         if d:
             # joins case 3b: x1 = -d u0 + b u2 and x3 = u2 have inert squares
-            return _apply_step(t, chain, ExactMatrix._of(4, 4, [
+            return r.step(ExactMatrix._of(4, 4, [
                 [-d, ZERO, ZERO, ZERO],
                 [ZERO, d * d, ZERO, ZERO],
                 [b, ZERO, ONE, ZERO],
                 [ZERO, -d * b * b, ZERO, d],
             ]))
-        return _apply_step(t, chain, ExactMatrix.diagonal([ONE, ONE, ONE, b]))
+        return r.step(ExactMatrix.diagonal([ONE, ONE, ONE, b]))
     if d:
-        return _apply_step(t, chain, ExactMatrix.diagonal([ONE, ONE, ONE, d]))
+        return r.step(ExactMatrix.diagonal([ONE, ONE, ONE, d]))
     return t
 
 
-def _stage4_leading_case4(t: ExtensionTensor, chain: List[BasisChange]) -> ExtensionTensor:
+def _stage4_leading_case4(t: ExtensionTensor, r: _Reduction) -> ExtensionTensor:
     n = t.n
     for idx in ((3, 2, 2), (3, 2, 1)):
         _expect_zero(t, idx)
@@ -581,10 +579,10 @@ def _stage4_leading_case4(t: ExtensionTensor, chain: List[BasisChange]) -> Exten
     p, q = t.entry(3, 0, 0), t.entry(3, 0, 1)
     if p or q:
         move = ExactMatrix.identity(n).with_entry(3, 1, p).with_entry(3, 2, q)
-        t = _apply_step(t, chain, move)
+        t = r.step(move)
     z = t.entry(3, 1, 1)
     if z:
-        t = _apply_step(t, chain, ExactMatrix.diagonal([ONE, ONE, ONE, z]))
+        t = r.step(ExactMatrix.diagonal([ONE, ONE, ONE, z]))
     return t
 
 

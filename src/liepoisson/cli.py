@@ -1,7 +1,7 @@
 """Command-line front end (installed as ``liex``).
 
 Subcommands wrap the library: validate tensor documents, classify them with
-replay-verified witnesses, synthesize and verify Casimir families, emit the
+bit-exactly checked witnesses, synthesize and verify Casimir families, emit the
 catalog and Leibniz tensors, and integrate the finite-dimensional so(3)*
 realization while monitoring conservation.
 
@@ -146,8 +146,9 @@ def _normalized_for_casimir(t: ExtensionTensor):
 def _normal_form(t: ExtensionTensor, label: CaseLabel) -> ExtensionTensor:
     """The catalog form of ``label`` with the input's semidirect flag.
 
-    ``classify`` has already replayed its witness chain on ``t`` and checked
-    that it reproduces this entry bit-exactly, so it is not replayed again.
+    ``classify`` applied each step of its witness chain to ``t`` once and
+    checked that the result is this entry bit-exactly, so nothing is
+    replayed here.
     """
     return ExtensionTensor._of(t.n, t.semidirect, catalog_entry(label).nz)
 

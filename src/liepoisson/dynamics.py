@@ -25,6 +25,7 @@ nonzero entries of W and the blocks of H, and every evaluation is then
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -209,8 +210,12 @@ def simulate(
     The drift of each monitor is |C(T) - C(0)| / max(|C(0)|, eps); the
     Hamiltonian itself is always monitored under the name "H".
     """
-    if dt <= 0:
-        raise DynamicsError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise DynamicsError(f"dt must be a positive finite step, got {dt}")
+    if steps < 0:
+        raise DynamicsError(f"steps must be at least 0, got {steps}")
+    if sample_every < 1:
+        raise DynamicsError(f"sample_every must be at least 1, got {sample_every}")
     if h.n != t.n or s0.tuples.shape[0] != t.n:
         raise DynamicsError("dimension mismatch between tensor, Hamiltonian, and state")
     r = _eom_operator(t, h)

@@ -11,9 +11,8 @@ never reads the dense view ``ExtensionTensor.w``.  It relies on the
 upper-index symmetry that every :class:`ExtensionTensor` carries and that
 the law preserves: only the upper triangles are computed, then mirrored.
 Validity of the bracket is preserved by construction, so the result is
-built by the trusted ``ExtensionTensor._of``; ``apply(check=True)``, the
-default, still checks both laws on it.  On top of it sit three
-normalizations:
+built by the trusted ``ExtensionTensor._of`` and is not checked again.  On
+top of it sit three normalizations:
 
 * :func:`normalize_w0_to_identity` drives the first slice matrix to the
   identity by a scalar rescale followed by unit-lower-triangular moves that
@@ -34,7 +33,8 @@ The classifier uses :func:`normalize_w0_to_identity` and
 its coboundary moves are single-entry shears, shorter than going through
 :func:`coboundary_change`.  :func:`remove_coboundary` and
 :func:`congruence_reduce_tail` check their pre- and postconditions for
-other callers, where the classifier relies on its final catalog replay.
+other callers, where the classifier relies on its bit-exact comparison of
+the reduced tensor with the catalog normal form.
 
 Every normalization returns the witness :class:`BasisChange` so reductions
 can be replayed and audited.
@@ -46,9 +46,9 @@ from math import prod
 from typing import List, Optional, Tuple
 
 from .conics import represent_binary
-from .extension import ExtensionTensor, TensorError, _check_laws
+from .extension import ExtensionTensor, TensorError
 from .linalg import BasisChange, ExactMatrix
-from .scalars import GaussianRational, ONE, ZERO, gr, sqrt_gaussian, square_free_part
+from .scalars import GaussianRational, ONE, ZERO, as_scalar, sqrt_gaussian, square_free_part
 
 __all__ = [
     "BasisChange",
@@ -82,7 +82,7 @@ class ReductionObstruction(TransformError):
     """The tail cannot be scaled to {0, +1, -1} entries over Q(i)."""
 
 
-def apply(t: ExtensionTensor, b: BasisChange, check: bool = True) -> ExtensionTensor:
+def apply(t: ExtensionTensor, b: BasisChange) -> ExtensionTensor:
     """Transform a tensor by a basis change (all three indices).
 
     The transformation law is evaluated as three mode products over the
@@ -96,9 +96,8 @@ def apply(t: ExtensionTensor, b: BasisChange, check: bool = True) -> ExtensionTe
     Every extension tensor is symmetric in its upper indices and the law
     keeps it so, hence T1 and the result are computed for mu <= nu and
     a <= g only and mirrored: each nonzero output entry is written into
-    both of its output rows.  ``check=False`` skips the check of both laws
-    on the result for hot internal loops (the classifier's final bit-exact
-    comparison against the catalog is the real gate there).
+    both of its output rows.  An invertible change of a certified tensor
+    satisfies both laws, so the result is not checked again.
     """
     n = t.n
     if b.n != n:
@@ -145,15 +144,13 @@ def apply(t: ExtensionTensor, b: BasisChange, check: bool = True) -> ExtensionTe
                 if y:
                     plane[a][g] = plane[g][a] = y
         out.append(plane)
-    if check:
-        _check_laws(out)
     return ExtensionTensor._of(n, t.semidirect, out)
 
 
-def apply_chain(t: ExtensionTensor, chain: List[BasisChange], check: bool = True) -> ExtensionTensor:
+def apply_chain(t: ExtensionTensor, chain: List[BasisChange]) -> ExtensionTensor:
     """Replay a witness chain in application order."""
     for b in chain:
-        t = apply(t, b, check=check)
+        t = apply(t, b)
     return t
 
 
@@ -179,17 +176,16 @@ def normalize_w0_to_identity(t: ExtensionTensor) -> Tuple[ExtensionTensor, Basis
     ev = diag[0]
     if not ev:
         raise DegenerateEigenvalueMismatch("first slice eigenvalue vanishes")
-    # the witness is the product of the moves, inverted once; the moves are
-    # invertible changes of a certified tensor, applied unchecked
+    # the witness is the product of the moves, inverted once
     total = ExactMatrix.identity(n)
     if not ev.is_one():
         total = ExactMatrix.identity(n).scale(ONE / ev)
-        t = apply(t, BasisChange(total), check=False)
+        t = apply(t, BasisChange(total))
     for lam in range(1, n):
         a = t.entry(lam, 0, 0)
         if a:
             m = ExactMatrix.identity(n).with_entry(lam, 0, -a)
-            t = apply(t, BasisChange(m), check=False)
+            t = apply(t, BasisChange(m))
             total = total @ m
     if not t.slice_is_identity(0):
         raise TransformError("internal error: W^(0) normalization did not reach the identity")
@@ -210,7 +206,7 @@ def coboundary_change(n: int, k: ExactMatrix, scale=ONE) -> BasisChange:
     tail = k.rows
     if head + tail != n:
         raise TransformError(f"coefficient matrix {tail}x{head} does not split {n} indices")
-    scale = scale if isinstance(scale, GaussianRational) else gr(scale)
+    scale = as_scalar(scale)
     rows = []
     for i in range(head):
         rows.append([ONE if j == i else ZERO for j in range(n)])

@@ -1,6 +1,8 @@
+import importlib
 import random
 import signal
 import time
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -32,6 +34,8 @@ from liepoisson.scalars import I, ONE, ZERO, gr
 from liepoisson.transform import apply, apply_chain
 
 M = ExactMatrix.from_rows
+classify_mod = importlib.import_module("liepoisson.classify")
+transform_mod = importlib.import_module("liepoisson.transform")
 
 
 def test_catalog_counts_and_validity():
@@ -173,6 +177,48 @@ def test_round_trip_semidirect():
                 got, chain = classify(moved)
                 assert got == CaseLabel(order, label.name, True)
                 assert apply_chain(moved, chain).w == sd.w
+
+
+def dense_unimodular(n):
+    """A fixed dense unimodular change L U of order n, so that classify triangularizes first."""
+    lower = M([[(i + 2 * j) % 3 + 1 if j < i else int(i == j) for j in range(n)] for i in range(n)])
+    upper = M([[(2 * i + j) % 3 - 1 if j > i else int(i == j) for j in range(n)] for i in range(n)])
+    return BasisChange(lower @ upper)
+
+
+def test_each_witness_step_is_applied_once(monkeypatch):
+    inputs = [crmhd(Fraction(5, 2))]
+    for order in (2, 3, 4):
+        for _, entry in catalog(order).entries:
+            sd = append_semisimple(entry)
+            inputs += [apply(entry, dense_unimodular(entry.n)), apply(sd, dense_unimodular(sd.n))]
+    reached = []
+    for module in (classify_mod, transform_mod):
+        real = module.apply
+        monkeypatch.setattr(module, "apply", lambda t, b, real=real: reached.append(b) or real(t, b))
+    steps = 0
+    for t in inputs:
+        reached.clear()
+        label, chain = classify(t)
+        counts = Counter(map(id, reached))
+        # no step is applied a second time: the reduced tensor is the input moved by the chain
+        assert [counts[id(b)] for b in chain] == [1] * len(chain), label
+        steps += len(chain)
+    assert steps > len(inputs)
+    reached.clear()
+    assert classify_mod.apply(inputs[0], dense_unimodular(inputs[0].n)) and len(reached) == 1
+
+
+def test_a_wrong_semidirect_lift_fails_the_bit_exact_gate(monkeypatch):
+    lift = classify_mod._lift
+    # 2 in slot 0 leaves the solvable part as it was but makes W^(0) = 2 I
+    monkeypatch.setattr(classify_mod, "_lift", lambda m: lift(m).with_entry(0, 0, 2))
+    inputs = [apply(append_semisimple(entry), dense_unimodular(4)) for _, entry in catalog(3).entries]
+    for t in inputs + [crmhd(1)]:
+        with pytest.raises(ClassificationError, match="does not reproduce the normal form"):
+            classify(t)
+    # solvable inputs lift nothing and still classify
+    assert classify(strip_semisimple(crmhd(1)))[0].name == "n3-case2"
 
 
 def test_classification_is_class_function():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -150,6 +151,16 @@ def test_dimension_mismatch():
     with pytest.raises(DynamicsError):
         eom_rhs(rigid_body_tensor(), HamiltonianSpec.isotropic(2),
                 FieldState.from_vectors([[1, 0, 0], [0, 1, 0]]))
+
+
+@pytest.mark.parametrize("bad", [
+    {"sample_every": 0}, {"sample_every": -3}, {"steps": -1},
+    {"dt": 0.0}, {"dt": -0.01}, {"dt": math.nan}, {"dt": math.inf},
+])
+def test_simulate_rejects_bad_run_parameters(bad):
+    args = {"dt": 0.01, "steps": 4, "sample_every": 1, **bad}
+    with pytest.raises(DynamicsError):
+        simulate(heavy_top_tensor(), HamiltonianSpec.isotropic(2), FieldState(np.ones((2, 3))), **args)
 
 
 def test_analytic_conservation_random_states():

@@ -375,7 +375,7 @@ def test_trusted_results_pass_the_full_check(data, beta):
     a = data.draw(st.sampled_from(SMALL_POOL))
     b = data.draw(st.sampled_from(SMALL_POOL))
     _assert_certified(direct_sum(a, b))
-    moved = apply(a, BasisChange(_dense_change(data, a.n)), check=False)
+    moved = apply(a, BasisChange(_dense_change(data, a.n)))
     _assert_certified(moved)
     _assert_certified(validate(moved, semidirect=not moved.semidirect))
     # a scaled unit-lower change keeps a semidirect tensor lower-triangular with
@@ -384,7 +384,7 @@ def test_trusted_results_pass_the_full_check(data, beta):
     c = data.draw(UNITS_AND_SMALL)
     lower = [[c if i == j else (data.draw(st.integers(-2, 2)) if j < i else 0) for j in range(s.n)]
              for i in range(s.n)]
-    shifted = apply(s, BasisChange(ExactMatrix.from_rows(lower)), check=False)
+    shifted = apply(s, BasisChange(ExactMatrix.from_rows(lower)))
     normal, _ = normalize_w0_to_identity(shifted)
     _assert_certified(normal)
     if s.n > 1:
