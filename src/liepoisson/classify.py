@@ -179,9 +179,9 @@ def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
             raise ClassificationError(
                 "bare base bracket: the semisimple slot has no solvable part to classify"
             )
-        _, b = normalize_w0_to_identity(t)
+        moved, b = normalize_w0_to_identity(t)
         if not b.matrix.is_identity():
-            r.record(b)
+            r.record(b, moved)
         t = r.split_semisimple()
     normal = _classify_solvable(t, r)
     label = CaseLabel(normal.n, _match_catalog(normal.nz, normal.n), semidirect)
@@ -202,10 +202,13 @@ class _Reduction:
     def __init__(self, t: ExtensionTensor):
         self.full, self.chain, self.semidirect = t, [], False
 
-    def record(self, b: BasisChange) -> ExtensionTensor:
-        """Apply a step of the full tensor; return the moved solvable part."""
+    def record(self, b: BasisChange, moved: Optional[ExtensionTensor] = None) -> ExtensionTensor:
+        """Apply a step of the full tensor; return the moved solvable part.
+
+        ``moved`` is ``full`` already moved by ``b``, when the caller has it.
+        """
         self.chain.append(b)
-        self.full = apply(self.full, b)
+        self.full = apply(self.full, b) if moved is None else moved
         return strip_semisimple(self.full) if self.semidirect else self.full
 
     def step(self, m: ExactMatrix) -> ExtensionTensor:

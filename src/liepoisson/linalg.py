@@ -18,7 +18,11 @@ sparse row-times-rows accumulation (:func:`_row_product`), and there is one
 elimination, :func:`_rref_rows`, a Gauss-Jordan on rows that touches only
 the rows holding each pivot column.  :func:`rref`, :func:`rank`,
 :func:`null_space`, :func:`inverse` (on the rows of [A | I]) and
-:func:`pseudoinverse` hand it a matrix's rows as they are.
+:func:`pseudoinverse` hand it a matrix's rows as they are.  The one
+exception is a triangular matrix, which :func:`inverse` inverts by
+substitution (:func:`_substitute`) instead: every rescaling and shear of a
+witness chain is one, and :class:`BasisChange` and :func:`pseudoinverse`
+reach it through :func:`inverse`.
 
 Only the public constructors coerce: ``ExactMatrix(rows, cols, entries)``,
 ``from_rows`` and ``diagonal`` accept ints, ``Fraction`` values
@@ -358,19 +362,60 @@ def _kernel_vectors(reduced: List[Dict[int, GaussianRational]], pivots: List[int
 
 
 def inverse(a: ExactMatrix) -> ExactMatrix:
-    """One sparse row reduction of [a | I], held as rows of nonzeros.
+    """a^-1 by substitution when a is triangular, else by one sparse row reduction of [a | I].
 
-    [a | I] always has rank n; a is invertible exactly when the pivots are
-    the columns 0..n-1 of a, and then the right half of the RREF is a^-1.
-    A shear, a permutation or a diagonal matrix touches O(n) entries.
+    A lower or upper triangular matrix (so every diagonal matrix and shear)
+    is inverted row by row in :func:`_substitute`; a zero diagonal entry
+    makes it singular.  Any other matrix goes through :func:`_rref_rows` on
+    the rows of [a | I], which always has rank n: a is invertible exactly
+    when the pivots are the columns 0..n-1 of a, and then the right half of
+    the RREF is a^-1.  The inverse is unique, so both paths give the same
+    matrix; the shape alone picks the path.
     """
     n = a.rows
     if n != a.cols:
         raise ValueError("only square matrices are invertible")
+    if a.is_lower_triangular():
+        return ExactMatrix._of(n, n, _substitute(a.nz, range(n)))
+    if all(j >= i for i, r in enumerate(a.nz) for j in r):
+        return ExactMatrix._of(n, n, _substitute(a.nz, range(n - 1, -1, -1)))
     reduced, pivots = _rref_rows({**r, n + i: ONE} for i, r in enumerate(a.nz))
     if pivots != list(range(n)):
         raise LinalgError("matrix is singular")
     return ExactMatrix._of(n, n, [{j - n: x for j, x in r.items() if j >= n} for r in reduced])
+
+
+def _substitute(
+    rows: Sequence[Dict[int, GaussianRational]], order: Iterable[int],
+) -> List[Dict[int, GaussianRational]]:
+    """The rows of T^-1 for a triangular T, by substitution over T's nonzeros.
+
+    ``order`` visits every row after the rows its off-diagonal entries
+    point at (increasing for lower, decreasing for upper triangular), so
+    row i of T^-1 is (e_i - sum_{j != i} T_ij (row j of T^-1)) / T_ii with
+    every row j already known.  The division is skipped when T_ii is one.
+    """
+    inv: List[Dict[int, GaussianRational]] = [{} for _ in rows]
+    for i in order:
+        row = rows[i]
+        d = row.get(i)
+        if d is None:
+            raise LinalgError("matrix is singular")
+        if len(row) == 1:
+            inv[i] = {i: d if d.is_one() else ONE / d}
+            continue
+        acc = {i: ONE}
+        for j, x in row.items():
+            if j != i:
+                for c, y in inv[j].items():
+                    z = acc.get(c)
+                    acc[c] = -(x * y) if z is None else z - x * y
+        if not d.is_one():
+            f = ONE / d
+            inv[i] = {c: f * z for c, z in acc.items() if z}
+        else:
+            inv[i] = {c: z for c, z in acc.items() if z}
+    return inv
 
 
 def pseudoinverse(a: ExactMatrix) -> ExactMatrix:
@@ -503,7 +548,9 @@ class BasisChange:
 
     The effective matrix is ``m`` with its last column multiplied by
     ``scale`` (the block form diag(m, c) used when reducing a terminal
-    cocycle).  The inverse of the effective matrix is cached.
+    cocycle).  The inverse of the effective matrix is computed once, by
+    :func:`inverse`: by substitution for a triangular step (a rescaling or
+    a shear), by one sparse row reduction for any other.
     """
 
     __slots__ = ("m", "scale", "m_inv")

@@ -104,8 +104,14 @@ class GaussianRational:
                 return NotImplemented
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
-        if not b and not e:
-            return _reduced(a * c, 0, d * f)
+        # a factor that is exactly one returns the other, which is immutable
+        if not b:
+            if a == 1 and d == 1:
+                return other
+            if not e:
+                return self if c == 1 and f == 1 else _reduced(a * c, 0, d * f)
+        elif not e and c == 1 and f == 1:
+            return self
         return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
@@ -238,8 +244,11 @@ def _coerce(x) -> "GaussianRational":
 
 
 def as_scalar(x) -> "GaussianRational":
-    """A Q(i) scalar from a scalar, an int, a Fraction or its string form."""
-    if isinstance(x, (GaussianRational, int, Fraction)):
+    """A Q(i) scalar from a scalar, an int, a Fraction or its string form.
+
+    A bool is refused although it is an int: a JSON ``true`` is not the number 1.
+    """
+    if isinstance(x, (GaussianRational, int, Fraction)) and not isinstance(x, bool):
         return _coerce(x)
     if isinstance(x, str):
         return parse_scalar(x)

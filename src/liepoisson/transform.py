@@ -17,7 +17,8 @@ top of it sit three normalizations:
 * :func:`normalize_w0_to_identity` drives the first slice matrix to the
   identity by a scalar rescale followed by unit-lower-triangular moves that
   clear the entries W_lam^{00} one row at a time; the Jacobi identity then
-  forces the whole slice to be the identity.
+  forces the whole slice to be the identity.  The moves are read off the
+  input and applied as one composed step.
 * :func:`remove_coboundary` subtracts a 2-coboundary from the trailing
   slices of a solvable tensor with an abelian tail, realized as the block
   matrix [[I, 0], [k, c I]] so validity is automatic.
@@ -166,6 +167,13 @@ def normalize_w0_to_identity(t: ExtensionTensor) -> Tuple[ExtensionTensor, Basis
     one, then unit-lower-triangular moves clear W_lam^{00} for lam > 0 in
     increasing order; the induction from the Jacobi identity then gives
     W^(0) = I exactly, which is asserted.
+
+    The moves are composed, not applied one by one.  The scale c = 1/ev and
+    the shears I - a_k e_k e_0^T compose to P = c (I - sum_k a_k e_k e_0^T),
+    and row lam of P^-1 is e_lam / c until a_lam is chosen, so the tensor
+    moved by the moves so far has W_lam^{00} = c W_lam(u, u), with u the
+    column e_0 - sum_{k<lam} a_k e_k.  Each a_lam is read off the input that
+    way, and P is applied once.
     """
     n = t.n
     if not t.is_lower_triangular():
@@ -176,20 +184,24 @@ def normalize_w0_to_identity(t: ExtensionTensor) -> Tuple[ExtensionTensor, Basis
     ev = diag[0]
     if not ev:
         raise DegenerateEigenvalueMismatch("first slice eigenvalue vanishes")
-    # the witness is the product of the moves, inverted once
-    total = ExactMatrix.identity(n)
-    if not ev.is_one():
-        total = ExactMatrix.identity(n).scale(ONE / ev)
-        t = apply(t, BasisChange(total))
+    c = ONE / ev
+    u = {0: ONE}
     for lam in range(1, n):
-        a = t.entry(lam, 0, 0)
+        plane = t.nz[lam]
+        a = c * sum((x * y * plane[mu][nu] for mu, x in u.items() for nu, y in u.items()
+                     if nu in plane[mu]), ZERO)
         if a:
-            m = ExactMatrix.identity(n).with_entry(lam, 0, -a)
-            t = apply(t, BasisChange(m))
-            total = total @ m
+            u[lam] = -a
+    rows = [{k: c} for k in range(n)]
+    for k, x in u.items():
+        if k:
+            rows[k][0] = c * x
+    witness = BasisChange(ExactMatrix._of(n, n, rows))
+    if len(u) > 1 or not c.is_one():
+        t = apply(t, witness)
     if not t.slice_is_identity(0):
         raise TransformError("internal error: W^(0) normalization did not reach the identity")
-    return ExtensionTensor._of(n, True, t.nz), BasisChange(total)
+    return ExtensionTensor._of(n, True, t.nz), witness
 
 
 # ---------------------------------------------------------------------------

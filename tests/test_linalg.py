@@ -362,20 +362,50 @@ def elementary_and_random_square(seed):
     return out
 
 
+def triangular_square(seed):
+    """Triangular matrices, lower and upper: diagonals, single- and multi-entry shears,
+    dense triangular matrices, and triangular matrices with one zero diagonal entry."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        below = [(i, j) for i in range(n) for j in range(i)]
+
+        def value():
+            return gr(Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)), rng.randint(-1, 1))
+
+        def lower(cells, diag):
+            return ExactMatrix(n, n, [diag[i] if i == j else (value() if (i, j) in cells else ZERO)
+                                      for i in range(n) for j in range(n)])
+
+        unit, scaled = [ONE] * n, [value() for _ in range(n)]
+        zero_at = list(scaled)
+        zero_at[rng.randrange(n)] = ZERO
+        shear = set(rng.sample(below, 1)) if below else set()
+        several = set(rng.sample(below, rng.randint(1, len(below)))) if below else set()
+        for a in (lower(set(), scaled), lower(shear, unit), lower(several, unit),
+                  lower(set(below), scaled), lower(set(below), zero_at)):
+            out += [a, a.transpose()]
+    return out
+
+
 def test_inverse_matches_solve_and_dense_oracle():
-    inverted = singular = 0
-    for a in elementary_and_random_square(71):
+    counts = {False: [0, 0], True: [0, 0]}  # triangular? -> [inverted, singular]
+    cases = [(a, False) for a in elementary_and_random_square(71)]
+    for a, tri in cases + [(a, True) for a in triangular_square(73)]:
         x = solve(a, ExactMatrix.identity(a.rows))
         assert same(x, dense_inverse(dense(a)))
         if x is None:
-            singular += 1
+            counts[tri][1] += 1
             with pytest.raises(LinalgError):
                 inverse(a)
             continue
-        inverted += 1
-        assert inverse(a) == x
+        counts[tri][0] += 1
+        assert inverse(a) == x and stores_no_zero(inverse(a))
         assert a @ x == ExactMatrix.identity(a.rows) == x @ a
-    assert inverted > 200 and singular > 40
+    assert counts[False][0] > 200 and counts[False][1] > 40
+    # four invertible kinds and one singular kind, each lower and upper
+    assert counts[True] == [240, 60]
     assert inverse(ExactMatrix.zeros(0, 0)) == ExactMatrix.zeros(0, 0)
     assert BasisChange(ExactMatrix.zeros(0, 0)).m_inv == ExactMatrix.zeros(0, 0)
 
@@ -525,6 +555,26 @@ def test_sparse_rows_agree_with_the_dense_oracle(case):
     assert (a == a2) == (da == da2)
     if a == a2:
         assert hash(a) == hash(a2) == hash(da2)
+
+
+@st.composite
+def invertible_triangular(draw):
+    """A random lower or upper triangular Q(i) matrix of size 0..5 with a nonzero diagonal."""
+    n = draw(st.integers(0, 5))
+    diag = draw(st.lists(SMALL_GAUSSIANS.filter(bool) | st.just(ONE), min_size=n, max_size=n))
+    below = draw(raw_entries(n, n))
+    a = ExactMatrix(n, n, [diag[i] if i == j else below[i * n + j] if j < i else ZERO
+                           for i in range(n) for j in range(n)])
+    return a.transpose() if draw(st.booleans()) else a
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(invertible_triangular())
+def test_triangular_inverse_is_the_row_reduction_inverse(a):
+    x = inverse(a)
+    assert a @ x == ExactMatrix.identity(a.rows)
+    assert x == solve(a, ExactMatrix.identity(a.rows))
+    assert stores_no_zero(x)
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)

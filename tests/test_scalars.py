@@ -383,6 +383,16 @@ def test_arithmetic_matches_fraction_pair_reference(x, y, k):
     assert_agrees(-z, -zr)
 
 
+@pytest.mark.parametrize("x", [gr(3), gr(-2), gr(Fraction(-5, 6)), gr(1, 2), gr(Fraction(1, 2), Fraction(-3, 4)),
+                               I, ZERO, ONE])
+def test_a_factor_of_one_gives_the_reduced_product(x):
+    ref = FractionPairGaussian(x.re, x.im) * FractionPairGaussian(1)
+    one = gr(2) / gr(2)  # equal to ONE, but another object
+    for product in (x * ONE, ONE * x, x * one, one * x, x * 1, 1 * x):
+        assert product == x
+        assert_same_scalar(product, ref)
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(x=_pairs(BIG))
 def test_sqrt_gaussian_matches_fraction_pair_reference(x):

@@ -321,6 +321,46 @@ def test_normalize_w0_runs_no_check(monkeypatch):
     assert apply(moved, witness).w == out.w
 
 
+def stepwise_w0(t):
+    """The rescale, then each shear applied to the tensor before the next W_lam^{00} is read:
+    the reference for normalize_w0_to_identity's composed step."""
+    n, total = t.n, ExactMatrix.identity(t.n)
+    ev = t.entry(0, 0, 0)
+    if not ev.is_one():
+        total = ExactMatrix.identity(n).scale(ONE / ev)
+        t = apply(t, BasisChange(total))
+    for lam in range(1, n):
+        a = t.entry(lam, 0, 0)
+        if a:
+            m = ExactMatrix.identity(n).with_entry(lam, 0, -a)
+            t, total = apply(t, BasisChange(m)), total @ m
+    return t, total
+
+
+def test_normalize_w0_is_the_stepwise_reduction_applied_once(monkeypatch):
+    from liepoisson import transform
+
+    rng = random.Random(20)
+    cases = [crmhd(1)]
+    for order in (2, 3, 4):
+        for _, entry in catalog(order).entries:
+            t = append_semisimple(entry)
+            scale = ExactMatrix.identity(t.n).scale(gr(rng.choice([1, 2, -3]), rng.choice([0, 1])))
+            cases.append(apply(t, BasisChange(scale @ unit_lower(rng, t.n))))
+    applied = []
+    inner = transform.apply
+    monkeypatch.setattr(transform, "apply", lambda t, b: applied.append(b) or inner(t, b))
+    moves = 0
+    for t in cases:
+        want, total = stepwise_w0(t)
+        del applied[:]
+        out, witness = normalize_w0_to_identity(t)
+        assert witness.matrix == total and out.nz == want.nz and out.semidirect
+        assert applied == ([] if total.is_identity() else [witness])
+        moves += sum(1 for lam in range(1, t.n) if total[lam, 0])
+    assert moves > 2 * len(cases)
+
+
 def test_normalize_w0_errors():
     flipped = apply(pure_semidirect(1), BasisChange(M([[0, 1], [1, 0]])))
     with pytest.raises(NotTriangular):
