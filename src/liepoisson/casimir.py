@@ -18,14 +18,21 @@ C = sum_i g^(i) f_i(xi^n) whose coefficients obey
 
     g^(0) = P xi,   g^(1)_,ts = omega^nu_ts,   g^(i)_,ts = omega^mu_ts g^(i-1)_,mu.
 
-Nilpotency terminates the series; each g^(i) is recovered from its Hessian
-by Euler's homogeneous-function identity.  Singular Wn requires two
-conditions (the projector commuting with the subextension slices and the
-coextension product symmetry); when they fail the tensor splits as a direct
-sum on the support of its slices and the blocks are synthesized separately,
-with the simultaneous-eigenvector directions merged into one arbitrary
-function of several arguments.  A semidirect tensor contributes one extra
-family in the semisimple direction exactly when Wn is nonsingular.
+Both layers stay sparse.  The coextension reads Wn and the subextension
+slices off one pass over the tensor's nonzeros and keeps omega as its
+nonzeros, one tuple (lam, sig, value) per upper index.  Each g^(i) is one
+{exponent: coefficient} dict, built from the nonzeros of omega and the terms
+of g^(i-1) by Euler's homogeneous-function identity and scaled once; a
+``Poly`` is made only of the finished series.  Nilpotency terminates the
+series.
+
+Singular Wn requires two conditions (the projector commuting with the
+subextension slices and the coextension product symmetry); when they fail
+the tensor splits as a direct sum on the support of its slices and the
+blocks are synthesized separately, with the simultaneous-eigenvector
+directions merged into one arbitrary function of several arguments.  A
+semidirect tensor contributes one extra family in the semisimple direction
+exactly when Wn is nonsingular, that is when P is the identity.
 """
 
 from __future__ import annotations
@@ -220,22 +227,28 @@ class CoextensionResult:
     """Wn, its pseudoinverse, the projector P = Wn Wn^+ and omega on slots idx.
 
     ``idx`` lists storage slots; the last one carries Wn, the others are the
-    solvable-local indices of ``sub`` and ``cow``.  The solvability and
-    symmetry conditions are evaluated on first access.
+    solvable-local indices of ``sub`` and ``omega``.  ``omega[nu]`` holds the
+    nonzeros omega^nu_{lam sig} as (lam, sig, value), in increasing (lam,
+    sig); ``cow`` is the dense view cow[nu][lam][sig], built on first use.
+    The solvability and symmetry conditions are evaluated on first access.
     """
 
     wn: ExactMatrix
     wn_pinv: ExactMatrix
     projector: ExactMatrix
     sub: tuple                      # sub[sig][rho, nu] = W_sig^{rho nu}, local indices
-    cow: tuple                      # cow[mu][tau][sig], solvable-local indices
+    omega: tuple                    # omega[nu] = ((lam, sig, value), ...), nonzeros only
     nonsingular: bool
     idx: Tuple[int, ...]
 
-    @property
-    def offset(self) -> int:
-        """Storage index of the first solvable slot."""
-        return self.idx[0]
+    @cached_property
+    def cow(self) -> tuple:
+        k = len(self.omega)
+        dense = [[[ZERO] * k for _ in range(k)] for _ in range(k)]
+        for nu, plane in enumerate(self.omega):
+            for lam, sig, x in plane:
+                dense[nu][lam][sig] = x
+        return tuple(tuple(tuple(row) for row in plane) for plane in dense)
 
     @cached_property
     def solvable_ok(self) -> bool:
@@ -280,30 +293,48 @@ def _coextension(t: ExtensionTensor, idx: Sequence[int]) -> CoextensionResult:
                          - sum_{rho kap mu} Wn^+_{lam rho} Wn^+_{sig kap} Wn_{rho mu} W_mu^{kap nu}
     is evaluated in the factorized form B_lam[sig, nu] + B_sig[lam, nu]
     - sum_mu A[lam, mu] B_mu[sig, nu], with A = Wn^+ Wn and B_mu = Wn^+ W_(mu),
-    in O(k^4) rather than O(k^6).
+    in O(k^4) rather than O(k^6).  Wn and the slices W_(mu) are read off one
+    pass over the tensor's nonzeros, and each (lam, sig) combines the stored
+    rows of the B_mu, so only nonzeros are touched.  Wn is nonsingular
+    exactly when the projector Wn Wn^+ is the identity.
     """
     idx = tuple(idx)
     k = len(idx) - 1
     last = idx[-1]
-    wn = ExactMatrix._of(k, k, [[t.entry(last, idx[mu], idx[nu]) for nu in range(k)] for mu in range(k)])
+    local = {slot: i for i, slot in enumerate(idx[:k])}
+    wn_rows: List[Dict[int, GaussianRational]] = [{} for _ in range(k)]
+    sub_rows = [[{} for _ in range(k)] for _ in range(k)]
+    for lam, mu, nu, x in t.nonzeros():
+        rho, col = local.get(mu), local.get(nu)
+        if rho is None or col is None:
+            continue
+        if lam == last:
+            wn_rows[rho][col] = x
+        elif lam in local:
+            sub_rows[local[lam]][rho][col] = x
+    wn = ExactMatrix._of(k, k, wn_rows)
     wn_pinv = pseudoinverse(wn)
-    sub = tuple(
-        ExactMatrix._of(k, k, [[t.entry(idx[sig], idx[rho], idx[nu]) for nu in range(k)] for rho in range(k)])
-        for sig in range(k)
-    )
+    sub = tuple(ExactMatrix._of(k, k, rows) for rows in sub_rows)
     a = wn_pinv @ wn
-    b = [wn_pinv @ m for m in sub]
-    cow = [[[ZERO] * k for _ in range(k)] for _ in range(k)]
+    b = [(wn_pinv @ m).nz for m in sub]
+    omega: List[List[Tuple[int, int, GaussianRational]]] = [[] for _ in range(k)]
     for lam in range(k):
         a_row = a.nz[lam].items()
         for sig in range(k):
-            for nu in range(k):
-                acc = b[lam][sig, nu] + b[sig][lam, nu]
-                for mu, c in a_row:
-                    acc = acc - c * b[mu][sig, nu]
-                cow[nu][lam][sig] = acc
-    freeze = tuple(tuple(tuple(row) for row in plane) for plane in cow)
-    return CoextensionResult(wn, wn_pinv, wn @ wn_pinv, sub, freeze, rank(wn) == k, idx)
+            acc = dict(b[lam][sig])
+            for nu, x in b[sig][lam].items():
+                y = acc.get(nu)
+                acc[nu] = x if y is None else y + x
+            for mu, c in a_row:
+                for nu, x in b[mu][sig].items():
+                    y = acc.get(nu)
+                    acc[nu] = -(c * x) if y is None else y - c * x
+            for nu, x in acc.items():
+                if x:
+                    omega[nu].append((lam, sig, x))
+    projector = wn @ wn_pinv
+    return CoextensionResult(wn, wn_pinv, projector, sub, tuple(map(tuple, omega)),
+                             projector.is_identity(), idx)
 
 
 def _coextension_symmetric(cow, k: int) -> bool:
@@ -322,40 +353,72 @@ def _coextension_symmetric(cow, k: int) -> bool:
 # Synthesis
 # ---------------------------------------------------------------------------
 
+Terms = Dict[Tuple[int, ...], GaussianRational]
+
+
+def _exponent(n: int, *slots: int) -> Tuple[int, ...]:
+    """The exponent tuple of the monomial prod xi_slot over ``slots``."""
+    e = [0] * n
+    for v in slots:
+        e[v] += 1
+    return tuple(e)
+
+
 def _series_from_hessian_recursion(
-    n: int, start: Poly, cow, local_vars: Sequence[int]
+    n: int, start: Terms, omega, local_vars: Sequence[int]
 ) -> List[Poly]:
     """Iterate g^(i)_,ts = omega^mu_ts g^(i-1)_,mu from the given start.
 
-    Each g^(i) is homogeneous, and is rebuilt from its Hessian by Euler's
-    identity g = sum xi_t xi_s H_ts / (d (d-1)) at degree d.
+    Each g^(i) is homogeneous of degree d, so Euler's identity gives
+    g^(i) = sum_{mu t s} omega^mu_ts xi_t xi_s g^(i-1)_,mu / (d (d-1)).  It is
+    accumulated in one {exponent: coefficient} dict: every term of g^(i-1)
+    that holds variable mu meets the nonzeros of omega^mu, with omega^mu_ts
+    and omega^mu_st merged on their common monomial, and the sum is scaled
+    once.  ``start`` is g^(0) in the same form; ``local_vars`` maps omega's
+    indices to storage variables.
     """
+    planes = []
+    for mu, plane in enumerate(omega):
+        pairs: Terms = {}
+        for tau, sig, c in plane:
+            key = tuple(sorted((local_vars[tau], local_vars[sig])))
+            y = pairs.get(key)
+            pairs[key] = c if y is None else y + c
+        pairs = {key: c for key, c in pairs.items() if c}
+        if pairs:
+            planes.append((local_vars[mu], tuple((vt, vs, c) for (vt, vs), c in pairs.items())))
     series = [start]
-    k = len(local_vars)
     for _ in range(4 * n + 4):
         prev = series[-1]
-        if prev.is_zero():
+        if not prev:
             series.pop()
             break
-        partials = [prev.diff(v) for v in local_vars]
-        acc = Poly.zero(n)
-        for tau in range(k):
-            for sig in range(k):
-                coeff_poly = Poly.zero(n)
-                for mu in range(k):
-                    c = cow[mu][tau][sig]
-                    if c and not partials[mu].is_zero():
-                        coeff_poly = coeff_poly + partials[mu].scale(c)
-                if not coeff_poly.is_zero():
-                    mono = Poly.variable(n, local_vars[tau]) * Poly.variable(n, local_vars[sig])
-                    acc = acc + mono * coeff_poly
-        if acc.is_zero():
+        acc: Terms = {}
+        for e, c in prev.items():
+            for v, pairs in planes:
+                k = e[v]
+                if not k:
+                    continue
+                base = list(e)
+                base[v] -= 1
+                ck = c * k
+                for vt, vs, w in pairs:
+                    base[vt] += 1
+                    base[vs] += 1
+                    key = tuple(base)
+                    base[vt] -= 1
+                    base[vs] -= 1
+                    y = acc.get(key)
+                    acc[key] = ck * w if y is None else y + ck * w
+        degree = max(map(sum, prev)) + 1
+        scale = ONE / gr(degree * (degree - 1))
+        nxt = {e: scale * x for e, x in acc.items() if x}
+        if not nxt:
             break
-        degree = prev.degree() + 1
-        series.append(acc.scale(gr(1) / gr(degree * (degree - 1))))
+        series.append(nxt)
     else:
         raise CasimirError("coextension series failed to terminate")
-    return series
+    return [Poly._of(n, g) for g in series]
 
 
 def _family_from_series(n: int, series: List[Poly], arg_index: int,
@@ -490,10 +553,8 @@ def _component_families(t: ExtensionTensor, co: CoextensionResult) -> List[Casim
         if not row or (kept and rank(ExactMatrix._of(len(kept) + 1, k, kept + [row])) == len(kept)):
             continue
         kept.append(row)
-        g0 = Poly.zero(n)
-        for rho, x in row.items():
-            g0 = g0 + Poly.variable(n, idx[rho]).scale(x)
-        series = _series_from_hessian_recursion(n, g0, co.cow, idx[:k])
+        g0 = {_exponent(n, idx[rho]): x for rho, x in row.items()}
+        series = _series_from_hessian_recursion(n, g0, co.omega, idx[:k])
         families.append(_family_from_series(n, series, idx[-1], "f", t.semidirect))
     return families
 
@@ -501,19 +562,17 @@ def _component_families(t: ExtensionTensor, co: CoextensionResult) -> List[Casim
 def _semidirect_family(t: ExtensionTensor, co: CoextensionResult, label: str) -> CasimirFamily:
     """The extra family in the semisimple direction (nonsingular Wn only)."""
     n = t.n
-    s = co.offset
-    k = co.wn.rows
-    g0 = Poly.variable(n, 0)
-    g1 = Poly.zero(n)
-    for tau in range(k):
-        for sig in range(k):
-            c = co.wn_pinv[tau, sig]
-            if c:
-                g1 = g1 + (Poly.variable(n, s + tau) * Poly.variable(n, s + sig)).scale(c / gr(2))
-    series = [g0]
-    if not g1.is_zero():
-        local = [s + m for m in range(k)]
-        series += _series_from_hessian_recursion(n, g1, co.cow, local)
+    local = co.idx[:-1]
+    g1: Terms = {}
+    for tau, row in enumerate(co.wn_pinv.nz):
+        for sig, c in row.items():
+            e = _exponent(n, local[tau], local[sig])
+            y = g1.get(e)
+            g1[e] = c / gr(2) if y is None else y + c / gr(2)
+    g1 = {e: c for e, c in g1.items() if c}
+    series = [Poly.variable(n, 0)]
+    if g1:
+        series += _series_from_hessian_recursion(n, g1, co.omega, local)
     return _family_from_series(n, series, t.n - 1, label, True)
 
 

@@ -12,7 +12,8 @@ round-trip untouched.
 
 Exit codes: 0 success, 1 validation failure, 2 parse error or an output
 file that cannot be written, 3 order out of range, 4 Casimir synthesis
-obstruction, 5 dimension mismatch.
+obstruction, 5 dimension mismatch, 6 a valid bracket that ``classify``
+cannot bring to a catalog normal form over Q(i).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ EXIT_PARSE = 2
 EXIT_ORDER = 3
 EXIT_OBSTRUCTION = 4
 EXIT_DIMENSION = 5
+EXIT_UNCLASSIFIED = 6
 
 
 class ParseFailure(Exception):
@@ -59,7 +61,9 @@ def load_document(path: str) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, RecursionError) as err:
+        # ValueError covers malformed JSON, invalid UTF-8 and integer literals
+        # past Python's digit limit; RecursionError, arrays nested too deep
         raise ParseFailure(f"cannot read tensor document {path}: {err}")
     if not isinstance(doc, dict) or "w" not in doc:
         raise ParseFailure(f"{path}: not a tensor document (missing 'w')")
@@ -123,7 +127,7 @@ def cmd_classify(args) -> int:
         return EXIT_ORDER
     except ClassificationError as err:
         print(f"error: {err}")
-        return EXIT_INVALID
+        return EXIT_UNCLASSIFIED
     flag = " (semidirect)" if label.semidirect else ""
     print(f"{label.name}{flag}")
     if args.witness:
@@ -170,6 +174,9 @@ def cmd_casimir(args) -> int:
     except OrderTooHigh as err:
         print(f"error: {err}")
         return EXIT_ORDER
+    except ClassificationError as err:
+        print(f"error: {err}")
+        return EXIT_UNCLASSIFIED
     except casimir_mod.SynthesisObstruction as err:
         print(f"obstruction: {err}")
         return EXIT_OBSTRUCTION
@@ -192,7 +199,7 @@ def _fixture_families(label: CaseLabel) -> Optional[List[casimir_mod.CasimirFami
         try:
             with open(path) as fh:
                 return [casimir_mod.CasimirFamily.from_json(d) for d in json.load(fh)]
-        except (OSError, ValueError, KeyError, TypeError) as err:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as err:
             raise ParseFailure(f"cannot read fixture file {path}: {err}")
     table = tables.solvable_table()
     if label.name not in table:
@@ -268,7 +275,7 @@ def _read_array(path: str, what: str, key: Optional[str] = None) -> np.ndarray:
         with open(path) as fh:
             doc = json.load(fh)
         return np.array(doc if key is None else doc[key], dtype=float)
-    except (OSError, ValueError, KeyError, TypeError) as err:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as err:
         raise ParseFailure(f"cannot read {what} {path}: {err}")
 
 

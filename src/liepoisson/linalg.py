@@ -1,9 +1,10 @@
 """Exact linear algebra over Q(i).
 
 Everything here is computed without rounding: row reduction, null spaces,
-inverses and the Moore-Penrose pseudoinverse (via rank factorization, so it
-is exact for any rank).  No package code searches for eigenvalues.  The
-search over Q(i) (:func:`eigenvalues_gaussian`, with
+inverses and the Moore-Penrose pseudoinverse (the inverse of an invertible
+matrix, and via rank factorization otherwise, so it is exact for any
+rank).  No package code searches for eigenvalues.  The search over Q(i)
+(:func:`eigenvalues_gaussian`, with
 :func:`characteristic_polynomial` by Faddeev-LeVerrier and
 :func:`roots_in_gaussian_rationals` by Gaussian-integer divisor enumeration)
 is kept only because the benchmark's traced set (``bench/run.py``, ``TRACED``)
@@ -419,16 +420,20 @@ def _substitute(
 
 
 def pseudoinverse(a: ExactMatrix) -> ExactMatrix:
-    """Exact Moore-Penrose pseudoinverse via rank factorization.
+    """Exact Moore-Penrose pseudoinverse: the inverse when A is invertible, else via rank factorization.
 
-    Writing A = B C with B the pivot columns of A and C the nonzero rows of
-    rref(A), the pseudoinverse is C* (C C*)^-1 (B* B)^-1 B*, with * the
-    conjugate transpose so complex entries are handled.  Satisfies all four
-    Moore-Penrose identities exactly, for any rank.
+    A square A whose rref has full rank is invertible, and then A^+ = A^-1
+    from :func:`inverse`.  Otherwise, writing A = B C with B the pivot
+    columns of A and C the nonzero rows of rref(A), the pseudoinverse is
+    C* (C C*)^-1 (B* B)^-1 B*, with * the conjugate transpose so complex
+    entries are handled.  Satisfies all four Moore-Penrose identities
+    exactly, for any rank.
     """
     reduced, pivots = _rref_rows(a.nz)
     if not pivots:
         return ExactMatrix.zeros(a.cols, a.rows)
+    if len(pivots) == a.rows == a.cols:
+        return inverse(a)
     b = a.submatrix(range(a.rows), pivots)
     c = ExactMatrix._of(len(pivots), a.cols, reduced)
     ch = c.conjugate_transpose()

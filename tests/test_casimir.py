@@ -3,7 +3,7 @@ from functools import lru_cache
 from typing import Dict
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liepoisson import casimir
 from liepoisson.casimir import (
@@ -33,7 +33,7 @@ from liepoisson.extension import (
     from_lower_slices,
     leibniz,
 )
-from liepoisson.linalg import BasisChange, ExactMatrix, pseudoinverse, rank
+from liepoisson.linalg import BasisChange, ExactMatrix, inverse, pseudoinverse, rank, rref
 from liepoisson.polynomials import Poly
 from liepoisson.scalars import ONE, ZERO, gr
 from liepoisson.tables import (
@@ -380,6 +380,138 @@ def test_coextension_symmetry_invariant():
                 for tau in range(k):
                     for sig in range(k):
                         assert co.cow[mu][tau][sig] == co.cow[mu][sig][tau]
+
+
+# -- the entry-indexed coextension and the Poly recursion, kept as oracles ------
+
+def rank_factorization_pseudoinverse(a):
+    """C* (C C*)^-1 (B* B)^-1 B* for A = B C at every rank, with no shortcut for invertible A."""
+    reduced, pivots = rref(a)
+    if not pivots:
+        return ExactMatrix.zeros(a.cols, a.rows)
+    b = a.submatrix(range(a.rows), pivots)
+    c = reduced.submatrix(range(len(pivots)), range(a.cols))
+    ch, bh = c.conjugate_transpose(), b.conjugate_transpose()
+    return ch @ inverse(c @ ch) @ inverse(bh @ b) @ bh
+
+
+def entry_indexed_coextension(t, idx):
+    """(Wn, Wn^+, P, cow, nonsingular) of the slots idx, read entry by entry.
+
+    Wn and the slices come from k^2 + k^3 ``t.entry`` calls, cow[nu][lam][sig]
+    from index reads B_mu[sig, nu] of B_mu = Wn^+ W_(mu), and the flag from
+    the rank of Wn.
+    """
+    idx = tuple(idx)
+    k = len(idx) - 1
+    last = idx[-1]
+    wn = ExactMatrix(k, k, [t.entry(last, idx[mu], idx[nu]) for mu in range(k) for nu in range(k)])
+    wn_pinv = rank_factorization_pseudoinverse(wn)
+    sub = [ExactMatrix(k, k, [t.entry(idx[sig], idx[rho], idx[nu]) for rho in range(k) for nu in range(k)])
+           for sig in range(k)]
+    a = wn_pinv @ wn
+    b = [wn_pinv @ m for m in sub]
+    cow = [[[ZERO] * k for _ in range(k)] for _ in range(k)]
+    for lam in range(k):
+        for sig in range(k):
+            for nu in range(k):
+                acc = b[lam][sig, nu] + b[sig][lam, nu]
+                for mu in range(k):
+                    acc = acc - a[lam, mu] * b[mu][sig, nu]
+                cow[nu][lam][sig] = acc
+    frozen = tuple(tuple(tuple(row) for row in plane) for plane in cow)
+    return wn, wn_pinv, wn @ wn_pinv, frozen, rank(wn) == k
+
+
+def poly_hessian_recursion(n, start, cow, local_vars):
+    """g^(i) = sum_{t s} xi_t xi_s (sum_mu cow[mu][t][s] g^(i-1)_,mu) / (d (d-1)) in Poly arithmetic."""
+    series = [start]
+    k = len(local_vars)
+    for _ in range(4 * n + 4):
+        prev = series[-1]
+        if prev.is_zero():
+            series.pop()
+            break
+        partials = [prev.diff(v) for v in local_vars]
+        acc = Poly.zero(n)
+        for tau in range(k):
+            for sig in range(k):
+                coeff_poly = Poly.zero(n)
+                for mu in range(k):
+                    if cow[mu][tau][sig]:
+                        coeff_poly = coeff_poly + partials[mu].scale(cow[mu][tau][sig])
+                mono = Poly.variable(n, local_vars[tau]) * Poly.variable(n, local_vars[sig])
+                acc = acc + mono * coeff_poly
+        if acc.is_zero():
+            break
+        degree = prev.degree() + 1
+        series.append(acc.scale(gr(1) / gr(degree * (degree - 1))))
+    else:
+        raise AssertionError("series failed to terminate")
+    return series
+
+
+CATALOG = {label.name: t for order in (1, 2, 3, 4) for label, t in catalog(order).entries}
+
+
+def build_recipe(recipe):
+    """The tensor a recipe of RECIPES names: a catalog entry, Leibniz, CRMHD or a direct sum."""
+    kind = recipe[0]
+    if kind == "catalog":
+        entry = CATALOG[recipe[1]]
+        return append_semisimple(entry) if recipe[2] else entry
+    if kind == "leibniz":
+        return leibniz(recipe[1], semidirect=recipe[2])
+    if kind == "crmhd":
+        return crmhd(recipe[1])
+    return direct_sum(build_recipe(recipe[1]), build_recipe(recipe[2]))
+
+
+CATALOG_NAMES = st.sampled_from(list(CATALOG))
+BLOCKS = st.one_of(
+    st.tuples(st.just("catalog"), CATALOG_NAMES.filter(lambda name: CATALOG[name].n < 4), st.just(False)),
+    st.tuples(st.just("leibniz"), st.integers(1, 3), st.just(False)),
+)
+RECIPES = st.one_of(
+    st.tuples(st.just("catalog"), CATALOG_NAMES, st.booleans()),
+    st.tuples(st.just("leibniz"), st.integers(2, 8), st.booleans()).filter(lambda r: r[1] < 8 or not r[2]),
+    st.tuples(st.just("crmhd"), BETAS),
+    st.tuples(st.just("sum"), BLOCKS, BLOCKS),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(RECIPES)
+@example(("catalog", "n4-case3c", False))
+@example(("catalog", "n4-case3c", True))
+@example(("sum", ("leibniz", 2, False), ("leibniz", 3, False)))
+@example(("leibniz", 8, False))
+@example(("leibniz", 7, True))
+def test_synthesis_layers_match_the_replaced_algorithms(recipe):
+    t = build_recipe(recipe)
+    s = 1 if t.semidirect else 0
+    slots = [list(range(s, t.n))] + casimir._support_components(t, s, t.n)
+    for idx in (comp for comp in slots if len(comp) > 1):
+        co = casimir._coextension(t, idx)
+        wn, wn_pinv, projector, cow, nonsingular = entry_indexed_coextension(t, idx)
+        assert (co.wn, co.wn_pinv, co.projector, co.cow, co.nonsingular) == \
+            (wn, wn_pinv, projector, cow, nonsingular)
+        for plane in co.omega:
+            keys = [(lam, sig) for lam, sig, x in plane if x]
+            assert keys == sorted(set(keys)) and len(keys) == len(plane)
+        k = len(idx) - 1
+        local = idx[:k]
+        starts = [{tuple(int(m == idx[rho]) for m in range(t.n)): x for rho, x in row.items()}
+                  for row in co.projector.nz if row]
+        quadratic: Dict = {}
+        for tau, row in enumerate(wn_pinv.nz):
+            for sig, c in row.items():
+                e = tuple((m == local[tau]) + (m == local[sig]) for m in range(t.n))
+                quadratic[e] = quadratic.get(e, ZERO) + c / gr(2)
+        starts.append({e: c for e, c in quadratic.items() if c})
+        for start in starts:
+            got = casimir._series_from_hessian_recursion(t.n, start, co.omega, local)
+            assert got == poly_hessian_recursion(t.n, Poly(t.n, start), cow, local)
 
 
 # -- synthesis ------------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from liepoisson.cli import EXIT_DIMENSION, EXIT_INVALID, EXIT_PARSE, main
+from liepoisson.cli import EXIT_DIMENSION, EXIT_INVALID, EXIT_PARSE, EXIT_UNCLASSIFIED, main
 from liepoisson.classify import catalog
 from liepoisson.dynamics import rigid_body_tensor
 from liepoisson.extension import ExtensionTensor, crmhd, leibniz
@@ -97,7 +97,7 @@ def test_slices_without_q_i_eigenvalues_exit_invalid(tmp_path, command):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     result = subprocess.run([sys.executable, "-m", "liepoisson.cli", command, str(doc)],
                             capture_output=True, text=True, env=env)
-    assert result.returncode == EXIT_INVALID
+    assert result.returncode == EXIT_UNCLASSIFIED
     assert "more than one block" in result.stdout
     assert "Traceback" not in result.stderr
 
@@ -114,9 +114,43 @@ def test_multi_block_with_a_large_prime_eigenvalue_exits_invalid(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     result = subprocess.run([sys.executable, "-m", "liepoisson.cli", "classify", str(doc)],
                             capture_output=True, text=True, env=env, timeout=30)
-    assert result.returncode == EXIT_INVALID
+    assert result.returncode == EXIT_UNCLASSIFIED
     assert "more than one block" in result.stdout
     assert "Traceback" not in result.stderr
+
+
+def test_valid_bracket_outside_the_catalog_orbits_has_its_own_exit_code(tmp_path, capsys):
+    # W_2^{00} = -2, W_2^{11} = 1: a valid bracket whose tail -2x^2 + y^2 has no
+    # Q(i) scaling to entries in {0, +1, -1}, so classify refuses it
+    doc = tmp_path / "anisotropic.json"
+    w = [[["0"] * 3] * 3, [["0"] * 3] * 3, [["-2", "0", "0"], ["0", "1", "0"], ["0", "0", "0"]]]
+    doc.write_text(json.dumps({"n": 3, "semidirect": False, "w": w}))
+    assert run(["validate", str(doc)], capsys)[0] == 0
+    code, out = run(["classify", str(doc)], capsys)
+    assert code == EXIT_UNCLASSIFIED != EXIT_INVALID
+    assert out == "error: tail cannot be scaled to {0,+1,-1} entries over Q(i)\n"
+
+
+def _huge_integer_document(path):
+    # one more digit than Python's int-string limit lets json read
+    path.write_text('{"n": 1, "semidirect": false, "w": [[[' + "7" * 4301 + "]]]}")
+
+
+def _deeply_nested_document(path):
+    path.write_text('{"n": 1, "semidirect": false, "w": ' + "[" * 100_000 + "]" * 100_000 + "}")
+
+
+@pytest.mark.parametrize("write", [_huge_integer_document, _deeply_nested_document],
+                         ids=["huge-integer", "deep-nesting"])
+@pytest.mark.parametrize("command", ["validate", "classify", "casimir"])
+def test_unreadable_json_document_is_one_parse_error_line(tmp_path, capfd, command, write):
+    path = tmp_path / "t.json"
+    write(path)
+    assert main([command, str(path)]) == EXIT_PARSE
+    out = capfd.readouterr()
+    assert out.out == ""
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot read tensor document {path}: "), lines
 
 
 def test_casimir_crmhd_verify(crmhd_doc, capsys):
@@ -498,7 +532,7 @@ def test_fixture_directory_override(tmp_path, capsys, monkeypatch):
     assert "table fixtures: match" in out
     # a malformed fixture file is a parse failure with one error line, not a traceback
     no_terms = [{k: v for k, v in f.to_json().items() if k != "terms"} for f in fams]
-    for text in ("[{not json", json.dumps(no_terms)):
+    for text in ("[{not json", json.dumps(no_terms), "[" * 100_000 + "]" * 100_000):
         (fixdir / "n3-case4.json").write_text(text)
         assert main(["casimir", str(doc), "--verify"]) == EXIT_PARSE
         err = capsys.readouterr().err
@@ -527,9 +561,10 @@ def test_simulate_dimension_mismatch_exit_code(tmp_path, capsys):
     (["--state", "s.json"], {"s.json": [[1, 2]]}, EXIT_DIMENSION),
     (["--state", "s.json"], {"s.json": {"x": 1}}, EXIT_PARSE),
     (["--state", "missing.json"], {}, EXIT_PARSE),
+    (["--state", "s.json"], {"s.json": "[" * 100_000 + "]" * 100_000}, EXIT_PARSE),
 ], ids=["inertia-not-a-number", "inertia-zero", "hamiltonian-missing", "hamiltonian-not-json",
         "hamiltonian-no-blocks", "hamiltonian-not-numbers", "hamiltonian-wrong-shape",
-        "state-wrong-shape", "state-not-a-list", "state-missing"])
+        "state-wrong-shape", "state-not-a-list", "state-missing", "state-deep-nesting"])
 def test_simulate_bad_inputs_exit_without_a_traceback(tmp_path, capfd, monkeypatch, flags, files, code):
     monkeypatch.chdir(tmp_path)
     Path("t.json").write_text(json.dumps(leibniz(2).to_json()))

@@ -645,6 +645,31 @@ def test_pseudoinverse_of_invertible_is_inverse():
     assert pseudoinverse(a) == inverse(a)
 
 
+def test_invertible_pseudoinverse_is_the_inverse_without_a_rank_factorization(monkeypatch):
+    """A square matrix of full rank skips C* (C C*)^-1 (B* B)^-1 B*; every other keeps it."""
+    calls = []
+    conjugate_transpose = ExactMatrix.conjugate_transpose
+
+    def counting(self):
+        calls.append((self.rows, self.cols))
+        return conjugate_transpose(self)
+
+    cases = elementary_and_random_square(83) + random_oracle_inputs(84)
+    invertible = [a for a in cases if a.rows == a.cols and rank(a) == a.rows and a.rows]
+    deficient = [a for a in cases if rank(a) < min(a.rows, a.cols)]
+    assert len(invertible) > 100 and len(deficient) > 50
+    monkeypatch.setattr(ExactMatrix, "conjugate_transpose", counting)
+    for a in invertible:
+        assert pseudoinverse(a) == inverse(a)
+    assert calls == []
+    for a in deficient:
+        calls.clear()
+        p = pseudoinverse(a)
+        assert mp_identities_hold(a, p)
+        assert same(p, dense_pseudoinverse(dense(a)))
+        assert calls or rank(a) == 0
+
+
 @st.composite
 def rank_deficient(draw):
     """B C with B n x r and C r x m, r < min(n, m): rank at most r, short of full."""
