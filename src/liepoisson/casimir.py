@@ -39,10 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import count
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .extension import ExtensionTensor, TensorError
-from .linalg import ExactMatrix, null_space, pseudoinverse, rank
+from .linalg import ExactMatrix, _rref_rows, null_space, pseudoinverse
 from .polynomials import Poly
 from .scalars import GaussianRational, ONE, ZERO, gr, parse_scalar
 
@@ -94,9 +95,6 @@ class CasimirFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-
-    def nonzero(self) -> bool:
-        return any(not t.poly.is_zero() for t in self.terms)
 
     def to_json(self) -> dict:
         out = []
@@ -422,11 +420,17 @@ def _series_from_hessian_recursion(
 
 
 def _family_from_series(n: int, series: List[Poly], arg_index: int,
-                        label: str, semidirect: bool) -> CasimirFamily:
+                        names: Iterator[str], semidirect: bool) -> CasimirFamily:
     u = tuple(ONE if m == arg_index else ZERO for m in range(n))
-    func = FormalFunction(label, (u,))
+    func = FormalFunction(next(names), (u,))
     terms = [CasimirTerm(g, func, (i,)) for i, g in enumerate(series) if not g.is_zero()]
     return CasimirFamily(tuple(terms), n, semidirect)
+
+
+def _function_names() -> Iterator[str]:
+    """Function names in presentation order: f, g, h, k, p, ..., w, then f12, f13, ..."""
+    yield from "fghkpqrstuvw"
+    yield from (f"f{pos}" for pos in count(12))
 
 
 def _support_components(t: ExtensionTensor, lo: int, hi: int) -> List[List[int]]:
@@ -452,12 +456,12 @@ def _support_components(t: ExtensionTensor, lo: int, hi: int) -> List[List[int]]
     return sorted(groups.values())
 
 
-def _eigenvector_family(t: ExtensionTensor, label: str) -> Optional[CasimirFamily]:
+def _eigenvector_family(t: ExtensionTensor, names: Iterator[str]) -> Optional[CasimirFamily]:
     """One family per joint-eigenvector space, a function of several args.
 
     The covectors are the simultaneous eigenvectors of all slice matrices;
     for a single degenerate block their eigenvalue tuple is read off the
-    diagonals.
+    diagonals.  The family takes the next name only when it exists.
     """
     n = t.n
     # row (nu, lam) is row lam of W^(nu) - ev I, as {mu: value} over its
@@ -478,42 +482,39 @@ def _eigenvector_family(t: ExtensionTensor, label: str) -> Optional[CasimirFamil
     if not kernel.rows:
         return None
     args = tuple(map(kernel.row, range(kernel.rows)))
-    func = FormalFunction(label, args)
+    func = FormalFunction(next(names), args)
     term = CasimirTerm(Poly.constant(n, 1), func, (0,) * len(args))
     return CasimirFamily((term,), n, t.semidirect)
 
 
 def synthesize_casimirs(t: ExtensionTensor) -> List[CasimirFamily]:
-    """All Casimir families of a normalized tensor.
+    """All Casimir families of a normalized tensor, each checked once against the condition.
 
-    One family per projector-visible solvable direction (via the
-    coextension recursion, run per support component so direct sums split),
-    one multi-argument family over the simultaneous eigenvectors, and the
-    extra semidirect family exactly when Wn is nonsingular.  The bare base
-    bracket (no solvable slot) has only its eigenvector family f(xi0).
+    In presentation order, each named from :func:`_function_names` as it is
+    built: the extra semidirect family exactly when Wn is nonsingular, one
+    family per projector-visible solvable direction (via the coextension
+    recursion, run per support component so direct sums split), and one
+    multi-argument family over the simultaneous eigenvectors.  The bare
+    base bracket (no solvable slot) has only its eigenvector family f(xi0).
     """
     if not t.is_lower_triangular():
         raise CasimirError("synthesis needs a normalized (lower-triangular) tensor")
+    _require_identity_w0(t)
     s, _ = _solvable_range(t)
     whole = list(range(s, t.n))
+    cos = [_coextension(t, comp) for comp in _support_components(t, s, t.n)
+           if len(comp) > 1 or comp == whole]
+    names = _function_names()
     families: List[CasimirFamily] = []
-    whole_co = None
-    for comp in _support_components(t, s, t.n):
-        if len(comp) > 1:
-            co = _coextension(t, comp)
-            if comp == whole:
-                whole_co = co
-            families.extend(_component_families(t, co))
-    eig = _eigenvector_family(t, "f")
+    # a slot outside the last slot's component leaves a zero row in Wn, so a
+    # nonsingular Wn needs the whole solvable range to be one component
+    if t.semidirect and cos and cos[0].idx == tuple(whole) and cos[0].nonsingular:
+        families.append(_semidirect_family(t, cos[0], names))
+    for co in cos:
+        families += _component_families(t, co, names)
+    eig = _eigenvector_family(t, names)
     if eig is not None:
         families.append(eig)
-    if t.semidirect:
-        _require_identity_w0(t)
-        if whole:
-            co = whole_co if whole_co is not None else _coextension(t, whole)
-            if co.nonsingular:
-                families.insert(0, _semidirect_family(t, co, "f"))
-    families = _relabel(families)
     for fam in families:
         report = casimir_condition_check(t, fam)
         if not report:
@@ -523,43 +524,29 @@ def synthesize_casimirs(t: ExtensionTensor) -> List[CasimirFamily]:
     return families
 
 
-def _relabel(families: List[CasimirFamily]) -> List[CasimirFamily]:
-    """Assign fresh function names f, g, h, k, ... in presentation order."""
-    names = "fghk" + "pqrstuvw"
-    out = []
-    for pos, fam in enumerate(families):
-        label = names[pos] if pos < len(names) else f"f{pos}"
-        terms = []
-        for t in fam.terms:
-            func = FormalFunction(label, t.func.args) if t.func is not None else None
-            terms.append(CasimirTerm(t.poly, func, t.deriv))
-        out.append(CasimirFamily(tuple(terms), fam.n, fam.semidirect))
-    return out
+def _component_families(t: ExtensionTensor, co: CoextensionResult,
+                        names: Iterator[str]) -> List[CasimirFamily]:
+    """Families of one support component, excluding its eigenvector family.
 
-
-def _component_families(t: ExtensionTensor, co: CoextensionResult) -> List[CasimirFamily]:
-    """Families of one support component, excluding its eigenvector family."""
+    One per projector row that no earlier row spans: the pivots of one row
+    reduction over the projector's columns.
+    """
     n = t.n
     idx = co.idx
-    k = len(idx) - 1
     # the O(k^5) symmetry check is only needed when Wn is singular
     if not co.nonsingular and not (co.solvable_ok and co.coext_ok):
         raise SynthesisObstruction(
             "solvability/coextension condition fails on an indecomposable block"
         )
     families = []
-    kept: List[Dict[int, GaussianRational]] = []
-    for row in co.projector.nz:
-        if not row or (kept and rank(ExactMatrix._of(len(kept) + 1, k, kept + [row])) == len(kept)):
-            continue
-        kept.append(row)
-        g0 = {_exponent(n, idx[rho]): x for rho, x in row.items()}
-        series = _series_from_hessian_recursion(n, g0, co.omega, idx[:k])
-        families.append(_family_from_series(n, series, idx[-1], "f", t.semidirect))
+    for nu in _rref_rows(co.projector.transpose().nz)[1]:
+        g0 = {_exponent(n, idx[rho]): x for rho, x in co.projector.nz[nu].items()}
+        series = _series_from_hessian_recursion(n, g0, co.omega, idx[:-1])
+        families.append(_family_from_series(n, series, idx[-1], names, t.semidirect))
     return families
 
 
-def _semidirect_family(t: ExtensionTensor, co: CoextensionResult, label: str) -> CasimirFamily:
+def _semidirect_family(t: ExtensionTensor, co: CoextensionResult, names: Iterator[str]) -> CasimirFamily:
     """The extra family in the semisimple direction (nonsingular Wn only)."""
     n = t.n
     local = co.idx[:-1]
@@ -573,7 +560,7 @@ def _semidirect_family(t: ExtensionTensor, co: CoextensionResult, label: str) ->
     series = [Poly.variable(n, 0)]
     if g1:
         series += _series_from_hessian_recursion(n, g1, co.omega, local)
-    return _family_from_series(n, series, t.n - 1, label, True)
+    return _family_from_series(n, series, t.n - 1, names, True)
 
 
 # ---------------------------------------------------------------------------

@@ -439,7 +439,7 @@ def _stage(t: ExtensionTensor, m: int, r: _Reduction) -> ExtensionTensor:
         if leading == "n3-case1":
             return _stage4_leading_abelian(t, r)
         if leading == "n3-case2":
-            return _stage4_leading_case2(t, r)
+            return _stage4_leading_case2(t)
         if leading == "n3-case3":
             return _stage4_leading_case3(t, r)
         return _stage4_leading_case4(t, r)
@@ -507,37 +507,18 @@ def _stage4_leading_abelian(t: ExtensionTensor, r: _Reduction) -> ExtensionTenso
     raise ClassificationError(f"internal error: unexpected tail pattern {pattern}")
 
 
-def _stage4_leading_case2(t: ExtensionTensor, r: _Reduction) -> ExtensionTensor:
-    n = t.n
-    for idx in ((3, 2, 0), (3, 2, 1), (3, 2, 2)):
+def _stage4_leading_case2(t: ExtensionTensor) -> ExtensionTensor:
+    """Slice 3 over an n3-case2 window vanishes by now: nothing to reduce.
+
+    The window comes only from stage 3's (1, +-1) congruence pattern, which
+    fixes slot 2 up to scale, so W_1^{00} = 0 and slice 3 touches only
+    slots 0 and 1 (the (3, 2, .) entries vanish for a valid tensor).  The
+    head pencil reduction has then either finished the tensor or cleared
+    slice 3 with its proportional shear.
+    """
+    for idx in ((3, 0, 0), (3, 0, 1), (3, 1, 1), (3, 2, 0), (3, 2, 1), (3, 2, 2)):
         _expect_zero(t, idx)
-    q = t.entry(3, 0, 1)
-    if q:
-        t = r.step(ExactMatrix.identity(n).with_entry(3, 2, q))
-    w11, w22 = t.entry(3, 0, 0), t.entry(3, 1, 1)
-    if not w11 and not w22:
-        return t
-    if not w11:
-        t = r.step(_perm_columns(n, [1, 0, 2, 3]))
-        w11, w22 = w22, w11
-    if not w22:
-        # (1, 0) tail joins case 3c: relabel (x1, x4, x2, x3)
-        t = r.step(ExactMatrix.diagonal([ONE, ONE, ONE, w11]))
-        return r.step(_perm_columns(n, [0, 3, 1, 2]))
-    ratio = w22 / w11
-    root = sqrt_gaussian(ratio)
-    if root is None:
-        raise ClassificationError(
-            f"tail ratio {ratio} is not a square in Q(i); tensor is outside the catalog orbits"
-        )
-    t = r.step(ExactMatrix.diagonal([ONE, ONE / root, ONE / root, w11]))
-    # diag(1,1) tail joins case 3b: split into the two inert square directions
-    return r.step(ExactMatrix._of(4, 4, [
-        [ONE, ZERO, ONE, ZERO],
-        [-ONE, ZERO, ONE, ZERO],
-        [ZERO, gr(-2), ZERO, gr(2)],
-        [ZERO, gr(2), ZERO, gr(2)],
-    ]))
+    return t
 
 
 def _stage4_leading_case3(t: ExtensionTensor, r: _Reduction) -> ExtensionTensor:

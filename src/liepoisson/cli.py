@@ -1,7 +1,8 @@
 """Command-line front end (installed as ``liex``).
 
 Subcommands wrap the library: validate tensor documents, classify them with
-bit-exactly checked witnesses, synthesize and verify Casimir families, emit the
+bit-exactly checked witnesses, synthesize Casimir families (each checked
+once, by the synthesis) and verify them against the table fixtures, emit the
 catalog and Leibniz tensors, and integrate the finite-dimensional so(3)*
 realization while monitoring conservation.
 
@@ -10,9 +11,10 @@ with the lower index outermost and scalars as exact strings ("p/q" or
 "p/q+r/si"); optional metadata keys (name, beta, provenance) ride along and
 round-trip untouched.
 
-Exit codes: 0 success, 1 validation failure, 2 parse error or an output
-file that cannot be written, 3 order out of range, 4 Casimir synthesis
-obstruction, 5 dimension mismatch, 6 a valid bracket that ``classify``
+Exit codes: 0 success, 1 validation or verification failure, 2 parse error
+or an output file that cannot be written, 3 order out of range, 4 Casimir
+synthesis obstruction (also above order four, where no catalog form can be
+tried instead), 5 dimension mismatch, 6 a valid bracket that ``classify``
 cannot bring to a catalog normal form over Q(i).
 """
 
@@ -136,15 +138,28 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _normalized_for_casimir(t: ExtensionTensor):
-    """Classify when needed so synthesis sees a normalized tensor."""
-    ready = t.is_lower_triangular() and (
-        not any(t.slice_diagonal(0)) or t.slice_is_identity(0)
-    )
-    if ready:
-        return t, None
-    label = classify(t)[0]
-    return _normal_form(t, label), label
+def _casimir_families(t: ExtensionTensor):
+    """(label, normal, families): the Casimir families of ``t`` and the tensor they belong to.
+
+    A normalized ``t`` is synthesized as it is, with label None.  Otherwise,
+    or when a removable coboundary obstructs the raw form, ``t`` is
+    classified and its catalog form synthesized; where the catalog has no
+    form of that order, the obstruction stands.
+    """
+    obstruction = None
+    if t.is_lower_triangular() and (not any(t.slice_diagonal(0)) or t.slice_is_identity(0)):
+        try:
+            return None, t, casimir_mod.synthesize_casimirs(t)
+        except casimir_mod.SynthesisObstruction as err:
+            obstruction = err
+    try:
+        label = classify(t)[0]
+    except OrderTooHigh:
+        if obstruction is None:
+            raise
+        raise obstruction from None
+    normal = _normal_form(t, label)
+    return label, normal, casimir_mod.synthesize_casimirs(normal)
 
 
 def _normal_form(t: ExtensionTensor, label: CaseLabel) -> ExtensionTensor:
@@ -158,19 +173,9 @@ def _normal_form(t: ExtensionTensor, label: CaseLabel) -> ExtensionTensor:
 
 
 def cmd_casimir(args) -> int:
-    doc = load_document(args.path)
-    t = tensor_from_document(doc)
+    t = tensor_from_document(load_document(args.path))
     try:
-        normal, label = _normalized_for_casimir(t)
-        try:
-            families = casimir_mod.synthesize_casimirs(normal)
-        except casimir_mod.SynthesisObstruction:
-            if label is not None:
-                raise
-            # a removable coboundary can obstruct the raw form; reduce fully
-            label = classify(t)[0]
-            normal = _normal_form(t, label)
-            families = casimir_mod.synthesize_casimirs(normal)
+        label, normal, families = _casimir_families(t)
     except OrderTooHigh as err:
         print(f"error: {err}")
         return EXIT_ORDER
@@ -231,32 +236,32 @@ def _shift_solvable_family(fam: casimir_mod.CasimirFamily) -> casimir_mod.Casimi
 
 
 def _verify_families(normal, families, label: Optional[CaseLabel]) -> int:
-    """Check every family and the fixtures of ``label``, classifying ``normal`` if None."""
+    """List the families as passed and check the fixtures of ``label``, classifying ``normal`` if None.
+
+    ``synthesize_casimirs`` has checked every family it returned against
+    the condition, so only the fixtures are checked here, and compared
+    with the families synthesized on their catalog entry.
+    """
     if label is None:
         try:
             label, _ = classify(normal)
         except (ClassificationError, TensorError):
             pass
     fixtures = None if label is None else _fixture_families(label)
-    to_check = [(normal, fam) for fam in families]
-    if fixtures is not None:
-        fixture_tensor = catalog_entry(label)
-        if fixture_tensor.nz == normal.nz:
-            fixture_families = families
-        else:
-            fixture_families = casimir_mod.synthesize_casimirs(fixture_tensor)
-        to_check += [(fixture_tensor, fam) for fam in fixtures]
+    for fam in families:
+        print(f"  [pass] {casimir_mod.format_family(fam)}")
+    if fixtures is None:
+        return EXIT_OK
+    fixture_tensor = catalog_entry(label)
     ok = True
-    for tensor, fam in to_check:
-        result = bool(casimir_mod.casimir_condition_check(tensor, fam))
-        status = "pass" if result else "FAIL"
+    for fam in fixtures:
+        result = bool(casimir_mod.casimir_condition_check(fixture_tensor, fam))
         ok = ok and result
-        print(f"  [{status}] {casimir_mod.format_family(fam)}")
-    if fixtures is not None:
-        matched = casimir_mod.family_sets_equal(fixture_families, fixtures)
-        print(f"table fixtures: {'match' if matched else 'MISMATCH'}")
-        ok = ok and matched
-    return EXIT_OK if ok else EXIT_INVALID
+        print(f"  [{'pass' if result else 'FAIL'}] {casimir_mod.format_family(fam)}")
+    synthesized = families if fixture_tensor.nz == normal.nz else casimir_mod.synthesize_casimirs(fixture_tensor)
+    matched = casimir_mod.family_sets_equal(synthesized, fixtures)
+    print(f"table fixtures: {'match' if matched else 'MISMATCH'}")
+    return EXIT_OK if ok and matched else EXIT_INVALID
 
 
 def _parse_inertia(text: str):
@@ -401,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("casimir", help="synthesize Casimir families")
     p.add_argument("path")
     p.add_argument("--verify", action="store_true",
-                   help="re-check every family and compare with the table fixtures")
+                   help="list the families as checked by the synthesis, then check the "
+                        "table fixtures and compare them with the synthesis")
     p.set_defaults(func=cmd_casimir)
 
     p = sub.add_parser("simulate", help="integrate the so(3)* realization with drift monitors")

@@ -18,12 +18,13 @@ vector type.  Every algorithm reads the rows directly: the product is one
 sparse row-times-rows accumulation (:func:`_row_product`), and there is one
 elimination, :func:`_rref_rows`, a Gauss-Jordan on rows that touches only
 the rows holding each pivot column.  :func:`rref`, :func:`rank`,
-:func:`null_space`, :func:`inverse` (on the rows of [A | I]) and
-:func:`pseudoinverse` hand it a matrix's rows as they are.  The one
-exception is a triangular matrix, which :func:`inverse` inverts by
-substitution (:func:`_substitute`) instead: every rescaling and shear of a
-witness chain is one, and :class:`BasisChange` and :func:`pseudoinverse`
-reach it through :func:`inverse`.
+:func:`null_space`, :func:`inverse` and :func:`pseudoinverse` (both on
+the rows of [A | I], which give the pseudoinverse its rank, rref(A) and,
+at full rank, A^-1 in one elimination) hand it a matrix's rows as they
+are.  The one exception is a triangular matrix, which :func:`inverse`
+inverts by substitution (:func:`_substitute`) instead: every rescaling and
+shear of a witness chain is one, and :class:`BasisChange` reaches it
+through :func:`inverse`.
 
 Only the public constructors coerce: ``ExactMatrix(rows, cols, entries)``,
 ``from_rows`` and ``diagonal`` accept ints, ``Fraction`` values
@@ -422,20 +423,24 @@ def _substitute(
 def pseudoinverse(a: ExactMatrix) -> ExactMatrix:
     """Exact Moore-Penrose pseudoinverse: the inverse when A is invertible, else via rank factorization.
 
-    A square A whose rref has full rank is invertible, and then A^+ = A^-1
-    from :func:`inverse`.  Otherwise, writing A = B C with B the pivot
-    columns of A and C the nonzero rows of rref(A), the pseudoinverse is
-    C* (C C*)^-1 (B* B)^-1 B*, with * the conjugate transpose so complex
-    entries are handled.  Satisfies all four Moore-Penrose identities
-    exactly, for any rank.
+    One row reduction of [A | I] gives everything: its pivots left of the
+    identity columns are those of A, the left parts of the rows holding them
+    are rref(A), and when A is square of full rank the right half is A^-1.
+    Otherwise, writing A = B C with B the pivot columns of A and C the
+    nonzero rows of rref(A), the pseudoinverse is C* (C C*)^-1 (B* B)^-1 B*,
+    with * the conjugate transpose so complex entries are handled.
+    Satisfies all four Moore-Penrose identities exactly, for any rank.
     """
-    reduced, pivots = _rref_rows(a.nz)
-    if not pivots:
-        return ExactMatrix.zeros(a.cols, a.rows)
-    if len(pivots) == a.rows == a.cols:
-        return inverse(a)
+    n = a.cols
+    reduced, pivots = _rref_rows({**r, n + i: ONE} for i, r in enumerate(a.nz))
+    pivots = [p for p in pivots if p < n]
+    k = len(pivots)
+    if not k:
+        return ExactMatrix.zeros(n, a.rows)
+    if k == a.rows == n:
+        return ExactMatrix._of(n, n, [{j - n: x for j, x in row.items() if j >= n} for row in reduced])
     b = a.submatrix(range(a.rows), pivots)
-    c = ExactMatrix._of(len(pivots), a.cols, reduced)
+    c = ExactMatrix._of(k, n, [{j: x for j, x in row.items() if j < n} for row in reduced[:k]])
     ch = c.conjugate_transpose()
     bh = b.conjugate_transpose()
     return ch @ inverse(c @ ch) @ inverse(bh @ b) @ bh

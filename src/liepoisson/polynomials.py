@@ -128,9 +128,6 @@ class Poly:
     def uses_variable(self, var: int) -> bool:
         return any(e[var] for e in self.terms)
 
-    def coefficient(self, exps: Sequence[int]) -> GaussianRational:
-        return self.terms.get(tuple(exps), ZERO)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented

@@ -430,12 +430,10 @@ def _factor_int(n: int) -> dict:
 
 
 def _gaussian_prime_over(p: int) -> GaussianRational:
-    """A Gaussian prime dividing the rational prime p."""
-    if p == 2:
-        return GaussianRational(1, 1)
-    if p % 4 == 3:
-        return GaussianRational(p)
-    # p = 1 mod 4 splits: find c^2 + d^2 = p by direct search (p is small).
+    """A Gaussian prime c + di over the rational prime p = 1 mod 4, which splits as c^2 + d^2 = p.
+
+    Found by direct search (p is small).
+    """
     c = 1
     while True:
         d2 = p - c * c

@@ -582,7 +582,7 @@ def test_eigenvector_family_matches_dense_rows():
         for _, t in catalog(order).entries:
             tensors += [t, append_semisimple(t)]
     for t in tensors:
-        fam = casimir._eigenvector_family(t, "f")
+        fam = casimir._eigenvector_family(t, iter("f"))
         want = dense_eigenvector_args(t)
         if not want:
             assert fam is None
@@ -591,6 +591,26 @@ def test_eigenvector_family_matches_dense_rows():
         assert args == want
         assert [tuple((x._a, x._b, x._d) for x in v) for v in args] == \
             [tuple((x._a, x._b, x._d) for x in v) for v in want]
+
+
+def test_casimir_synth_pass_makes_no_rank_call(count_calls):
+    """The independent projector rows of a component are the pivots of one elimination over the
+    projector's columns, not one ``rank`` per row."""
+    import sys
+    from pathlib import Path
+
+    from liepoisson import linalg
+
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+
+    items = workloads.build_casimir_synth(5)
+    counts = count_calls(linalg.rank, linalg._rref_rows)
+    for item in items:
+        assert item.check(item.call()) is None, item.name
+    assert counts["rank"] == 0 and counts["_rref_rows"] > len(items)
 
 
 def test_semidirect_gate_follows_tail_determinant():

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 import signal
 import time
@@ -261,12 +262,41 @@ def test_equivalence_check_witness_replay():
 
 
 def test_qi_obstruction_is_reported():
-    # leading case2 with tail diag(1, 2): the ratio 2 is not a square in Q(i)
+    # leading case2 with tail diag(1, 2): the head pencil's discriminant 8 is not a square in Q(i)
     w3 = M([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
     w4 = ExactMatrix.diagonal([1, 2, 0, 0])
     t = from_lower_slices([None, None, w3, w4], 4)
     with pytest.raises(ClassificationError):
         classify(t)
+
+
+def test_leading_case2_box_classifies_or_refuses_by_type(monkeypatch):
+    """Slice 2 = (0, 1) and every slice-3 head (W_3^00, W_3^01, W_3^11) in {-1, 0, 1, 2}^3, as
+    given and moved by two fixed matrices: each draw classifies, through the bit-exact gate,
+    or raises a typed Q(i) refusal, never an internal error.  The draws that reach the stage-4
+    n3-case2 window find slice 3 already cleared by the head pencil."""
+    reached = []
+    case2 = classify_mod._stage4_leading_case2
+
+    def counting(t):
+        reached.append(t)
+        return case2(t)
+
+    monkeypatch.setattr(classify_mod, "_stage4_leading_case2", counting)
+    moves = [M([[1, 0, 0, 0], [2, 1, 0, 0], [1, 3, 1, 0], [0, 1, 2, 1]]),
+             M([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])]
+    labels = Counter()
+    for a, b, c in itertools.product((-1, 0, 1, 2), repeat=3):
+        head = [[0, 1, 0, 0], [1, 0, 0, 0]], [[a, b, 0, 0], [b, c, 0, 0]]
+        t = validate([[[0] * 4] * 4] * 2 + [rows + [[0] * 4] * 2 for rows in head])
+        for moved in [t] + [apply(t, BasisChange(m)) for m in moves]:
+            try:
+                labels[classify(moved)[0].name] += 1
+            except ClassificationError as err:
+                assert "internal error" not in str(err)
+                labels["refused"] += 1
+    assert set(labels) == {"n4-case2", "n4-case3b", "n4-case3c", "refused"}
+    assert sum(labels.values()) == 3 * 64 and reached
 
 
 def test_catalog_entry_semidirect():

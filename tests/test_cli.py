@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from liepoisson.cli import EXIT_DIMENSION, EXIT_INVALID, EXIT_PARSE, EXIT_UNCLASSIFIED, main
+from liepoisson.cli import EXIT_DIMENSION, EXIT_INVALID, EXIT_OBSTRUCTION, EXIT_PARSE, EXIT_UNCLASSIFIED, main
 from liepoisson.classify import catalog
 from liepoisson.dynamics import rigid_body_tensor
 from liepoisson.extension import ExtensionTensor, crmhd, leibniz
@@ -195,32 +196,46 @@ def test_casimir_verify_classifies_once(tmp_path, capsys, monkeypatch):
         assert len(calls) == 1, name
 
 
-def _count_calls(monkeypatch, *functions):
-    """Wrap every binding of ``functions`` in the package; returns the counts."""
-    import importlib
-    import pkgutil
+@pytest.mark.parametrize("t, families, fixtures", [(leibniz(6), 6, 0), (crmhd(Fraction(5, 2)), 4, 4)],
+                         ids=["leibniz6", "crmhd-5/2"])
+def test_casimir_verify_checks_each_family_once(tmp_path, capsys, count_calls, t, families, fixtures):
+    """``synthesize_casimirs`` checks every family it returns, so ``--verify`` checks only the
+    fixtures, plus the families synthesized on their catalog entry when the input is not it."""
+    from liepoisson.casimir import casimir_condition_check
 
-    import liepoisson
-
-    counts = {f.__name__: 0 for f in functions}
-
-    def counting(f):
-        def wrapper(*args, **kwargs):
-            counts[f.__name__] += 1
-            return f(*args, **kwargs)
-
-        return wrapper
-
-    for info in pkgutil.iter_modules(liepoisson.__path__):
-        module = importlib.import_module(f"liepoisson.{info.name}")
-        for name, value in list(vars(module).items()):
-            for f in functions:
-                if value is f:
-                    monkeypatch.setattr(module, name, counting(f))
-    return counts
+    doc = tmp_path / "t.json"
+    doc.write_text(json.dumps(t.to_json()))
+    counts = count_calls(casimir_condition_check)
+    code, out = run(["casimir", str(doc), "--verify"], capsys)
+    assert code == 0
+    assert out.count("  [pass] ") == families + fixtures
+    # CRMHD is not its catalog entry: the entry's own synthesis checks its families once more
+    assert counts == {"casimir_condition_check": families + 2 * fixtures}
 
 
-def test_casimir_does_not_replay_the_witness(tmp_path, capsys, monkeypatch):
+def test_a_family_failing_the_gate_is_never_listed_as_passed(crmhd_doc, capsys, monkeypatch):
+    from liepoisson import casimir
+    from liepoisson.casimir import ConditionReport
+
+    monkeypatch.setattr(casimir, "casimir_condition_check", lambda t, fam: ConditionReport(False, (1, 0, 0)))
+    code, out = run(["casimir", str(crmhd_doc), "--verify"], capsys)
+    assert code == EXIT_INVALID
+    assert "[pass]" not in out
+    assert out.startswith("invalid: internal error: synthesized family fails the condition")
+
+
+@pytest.mark.parametrize("flags", [[], ["--verify"]])
+def test_obstruction_past_the_catalog_exits_as_an_obstruction(capsys, flags):
+    """A valid lower-triangular order-5 tensor is synthesized as given and obstructed; with no
+    catalog of order 5 to reduce it to, the obstruction is the answer (it exited 3 as an order
+    error)."""
+    doc = Path(__file__).resolve().parent / "data" / "obstructed-order5.json"
+    code, out = run(["casimir", str(doc), *flags], capsys)
+    assert code == EXIT_OBSTRUCTION
+    assert out == "obstruction: solvability/coextension condition fails on an indecomposable block\n"
+
+
+def test_casimir_does_not_replay_the_witness(tmp_path, capsys, count_calls):
     from liepoisson.classify import classify
     from liepoisson.extension import _check_laws, validate
     from liepoisson.transform import apply
@@ -233,7 +248,7 @@ def test_casimir_does_not_replay_the_witness(tmp_path, capsys, monkeypatch):
     doc.write_text(json.dumps(moved.to_json()))
     parsed = ExtensionTensor.from_json(json.loads(doc.read_text()))
 
-    counts = _count_calls(monkeypatch, apply, validate, _check_laws)
+    counts = count_calls(apply, validate, _check_laws)
     classify(parsed)
     alone = dict(counts)
     # a parsed tensor is certified: classify checks neither law again
@@ -248,7 +263,7 @@ def test_casimir_does_not_replay_the_witness(tmp_path, capsys, monkeypatch):
     assert counts == {"apply": alone["apply"], "validate": 1, "_check_laws": 1}
 
 
-def test_classifying_a_certified_tensor_checks_no_law(monkeypatch):
+def test_classifying_a_certified_tensor_checks_no_law(count_calls):
     from fractions import Fraction
 
     from liepoisson.classify import classify
@@ -260,7 +275,7 @@ def test_classifying_a_certified_tensor_checks_no_law(monkeypatch):
     inputs = [apply(t, move) for _, t in catalog(4).entries]
     inputs += [apply(append_semisimple(t), move) for _, t in catalog(3).entries]
     inputs += [crmhd(Fraction(5, 2)), leibniz(3, semidirect=True), leibniz(4)]
-    counts = _count_calls(monkeypatch, validate, noncommuting_pair, _check_laws)
+    counts = count_calls(validate, noncommuting_pair, _check_laws)
     for t in inputs:
         classify(t)
     assert counts == {"validate": 0, "noncommuting_pair": 0, "_check_laws": 0}
@@ -278,7 +293,7 @@ def test_order_zero_document_exits_invalid(tmp_path, capsys, command):
     assert "at least one field" in out
 
 
-def test_classify_triangularizes_without_an_eigenvalue_search(monkeypatch):
+def test_classify_triangularizes_without_an_eigenvalue_search(count_calls):
     import random
 
     from liepoisson import linalg
@@ -297,8 +312,7 @@ def test_classify_triangularizes_without_an_eigenvalue_search(monkeypatch):
         )
         return BasisChange(lower @ upper)
 
-    counts = _count_calls(
-        monkeypatch,
+    counts = count_calls(
         linalg._kernel_flag,
         linalg.simultaneous_triangularize,
         linalg.eigenvalues_gaussian,
@@ -327,7 +341,7 @@ def test_classify_triangularizes_without_an_eigenvalue_search(monkeypatch):
     assert counts == {key: 0 for key in counts} | {"_kernel_flag": 1}
 
 
-def test_basis_changes_invert_without_the_dense_path(monkeypatch):
+def test_basis_changes_invert_without_the_dense_path(monkeypatch, count_calls):
     """Triangular witness steps are inverted by substitution, every other step by one sparse
     elimination, never through rref, and no matrix on the classify path builds its dense
     ``entries`` view: every step reads rows."""
@@ -338,7 +352,7 @@ def test_basis_changes_invert_without_the_dense_path(monkeypatch):
     from liepoisson.extension import append_semisimple
 
     rng = random.Random(12)
-    counts = _count_calls(monkeypatch, linalg.rref, linalg._rref_rows)
+    counts = count_calls(linalg.rref, linalg._rref_rows)
     inside = {key: 0 for key in counts}
     steps = {True: [], False: []}  # triangular? -> _rref_rows calls of each construction
     init = linalg.BasisChange.__init__

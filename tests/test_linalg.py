@@ -670,6 +670,20 @@ def test_invertible_pseudoinverse_is_the_inverse_without_a_rank_factorization(mo
         assert calls or rank(a) == 0
 
 
+def test_invertible_pseudoinverse_row_reduces_once(count_calls):
+    """rank, rref(A) and A^-1 come off one elimination of [A | I], also for the anti-diagonal
+    Wn of Leibniz and CRMHD, which is not triangular."""
+    from liepoisson import linalg
+
+    counts = count_calls(linalg._rref_rows)
+    for a in (M([[1, 2, 0], [0, 1, 4], [1, 0, 1]]), M([[0, 0, 1], [0, 1, 0], [1, 0, 0]]),
+              M([[0, gr(-5)], [gr(-5), 0]]), M([[1, I], [2, 3]])):
+        counts["_rref_rows"] = 0
+        p = pseudoinverse(a)
+        assert counts["_rref_rows"] == 1
+        assert p == inverse(a)
+
+
 @st.composite
 def rank_deficient(draw):
     """B C with B n x r and C r x m, r < min(n, m): rank at most r, short of full."""
