@@ -5,7 +5,9 @@ are validated against the two bracket laws, reduced to catalog normal forms
 with replayable witnesses, and their Casimir invariants are synthesized by
 the coextension recursion and verified symbolically.  A small floating-point
 module realizes any real tensor on tuples of so(3)* momenta and confirms
-the quadratic invariants numerically.
+the quadratic invariants numerically; it alone needs numpy, and it is
+imported on first use of one of its names, so the exact core loads without
+numpy.
 """
 
 from .scalars import GaussianRational, gr, parse_scalar
@@ -46,9 +48,20 @@ from .casimir import (
     quadratic_casimir_basis,
     synthesize_casimirs,
 )
-from .dynamics import FieldState, HamiltonianSpec, eom_rhs, simulate
 
 __version__ = "0.1.0"
+
+# the float dynamics layer, and numpy with it, loads on first use of one of its names
+_DYNAMICS = ("FieldState", "HamiltonianSpec", "eom_rhs", "simulate")
+
+
+def __getattr__(name):
+    if name in _DYNAMICS:
+        from . import dynamics
+
+        return getattr(dynamics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BasisChange",

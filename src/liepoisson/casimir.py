@@ -6,9 +6,11 @@ A Casimir density C(xi^0, ..., xi^n) must satisfy the symmetry condition
 
 which :func:`casimir_condition_check` verifies symbolically, treating the
 formal derivatives of the arbitrary functions as independent symbols.  The
-check holds the Hessian of C as coefficient dicts keyed by (function
-derivative, monomial), contracts only the nonzero entries of W into them,
-and builds ``Poly`` objects only for the residual of a failing triple.
+check holds the upper half of the Hessian of C as coefficient dicts keyed by
+(function derivative, monomial), built over each monomial's nonzero
+exponents.  Each nonempty Hessian cell, and its mirror, meets only the
+nonzero entries of W that contract with it, and ``Poly`` objects are built
+only for the residual of a failing triple.
 
 Synthesis works through the coextension.  With Wn the symmetric matrix of
 the last slice restricted to the solvable indices (excluding the last), its
@@ -20,23 +22,26 @@ C = sum_i g^(i) f_i(xi^n) whose coefficients obey
 
 Both layers stay sparse.  The coextension reads Wn and the subextension
 slices off one pass over the tensor's nonzeros and keeps omega as its
-nonzeros, one tuple (lam, sig, value) per upper index.  Each g^(i) is one
-{exponent: coefficient} dict, built from the nonzeros of omega and the terms
-of g^(i-1) by Euler's homogeneous-function identity and scaled once; a
-``Poly`` is made only of the finished series.  Nilpotency terminates the
-series.
+nonzeros, one tuple (lam, sig, value) per upper index; at nonsingular Wn
+omega is read off the rows of Wn^-1 W_(sig) with no further product.  Each
+g^(i) is one {exponent: coefficient} dict, built from the nonzeros of omega
+and the terms of g^(i-1) by Euler's homogeneous-function identity and
+scaled once; a ``Poly`` is made only of the finished series.  Nilpotency
+terminates the series.
 
 Singular Wn requires two conditions (the projector commuting with the
-subextension slices and the coextension product symmetry); when they fail
-the tensor splits as a direct sum on the support of its slices and the
-blocks are synthesized separately, with the simultaneous-eigenvector
-directions merged into one arbitrary function of several arguments.  A
-semidirect tensor contributes one extra family in the semisimple direction
-exactly when Wn is nonsingular, that is when P is the identity.
+subextension slices and the coextension product symmetry, summed from
+omega's nonzeros); when they fail the tensor splits as a direct sum on the
+support of its slices and the blocks are synthesized separately, with the
+simultaneous-eigenvector directions merged into one arbitrary function of
+several arguments.  A semidirect tensor contributes one extra family in
+the semisimple direction exactly when Wn is nonsingular, that is when P is
+the identity.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
@@ -48,6 +53,7 @@ from .polynomials import Poly
 from .scalars import GaussianRational, ONE, ZERO, gr, parse_scalar
 
 GREEK_XI = "\N{GREEK SMALL LETTER XI}"
+HALF = ONE / gr(2)
 
 
 class CasimirError(TensorError):
@@ -127,47 +133,63 @@ class CasimirFamily:
 # ---------------------------------------------------------------------------
 
 def _hessian(fam: CasimirFamily) -> Dict[Tuple[int, int], Dict]:
-    """Hessian of the density as {(mu, sig): {((label, deriv), monomial): scalar}}.
+    """Upper half of the Hessian of the density, {(mu, sig): {((label, deriv), monomial): scalar}}
+    over mu <= sig; the Hessian is symmetric, so cell (sig, mu) is cell (mu, sig).
 
-    Read off each term p(xi) F^(d)(u . xi) monomial by monomial: derivatives
-    of p keep the key (label, d), each chain-rule factor u^(a) raises d_a by one.
+    Read off each term p(xi) F^(d)(u . xi) monomial by monomial, over the
+    monomial's nonzero exponents only: derivatives of p keep the key
+    (label, d), each chain-rule factor u^(a) raises d_a by one.  The raised
+    keys and the argument products u^(a)_mu u^(b)_sig depend on the term
+    alone and are formed once per term.  A value may be zero where terms
+    cancel; it contributes nothing downstream.
     """
-    hess: Dict[Tuple[int, int], Dict] = {}
-
-    def add(mu, sig, key, c):
-        cell = hess.setdefault((mu, sig), {})
-        acc = cell.pop(key, ZERO) + c
-        if acc:
-            cell[key] = acc
-
+    hess: Dict[Tuple[int, int], Dict] = defaultdict(dict)
     for term in fam.terms:
-        label, d = term.func.label if term.func else None, term.deriv
-
-        def raised(*slots):
-            return (label, tuple(x + slots.count(a) for a, x in enumerate(d)))
-
-        args = [(a, [(m, c) for m, c in enumerate(u) if c])
-                for a, u in enumerate(term.func.args if term.func else ())]
+        func, d = term.func, term.deriv
+        key0 = (func.label if func else None, d)
+        # cross[sig]: (raised(a), u^(a)_sig) for every argument a with a nonzero
+        # entry at sig; pairs: ((mu, sig), raised(a, b), u^(a)_mu u^(b)_sig), mu <= sig
+        cross: Dict[int, List] = {}
+        pairs = []
+        if func:
+            supports = [[(m, c) for m, c in enumerate(u) if c] for u in func.args]
+            for a, support in enumerate(supports):
+                raised = (func.label, d[:a] + (d[a] + 1,) + d[a + 1:])
+                for sig, u in support:
+                    cross.setdefault(sig, []).append((raised, u))
+                for b, support2 in enumerate(supports):
+                    bumped = list(raised[1])
+                    bumped[b] += 1
+                    key = (func.label, tuple(bumped))
+                    pairs += [((mu, sig), key, u * u2) for mu, u in support
+                              for sig, u2 in support2 if mu <= sig]
         for e, c in term.poly.terms.items():
-            for mu, k in enumerate(e):
-                if not k:
-                    continue
+            exps = [(v, k) for v, k in enumerate(e) if k]
+            for i, (mu, k) in enumerate(exps):
                 e1 = e[:mu] + (k - 1,) + e[mu + 1:]
-                c1 = c * k
-                for sig, k2 in enumerate(e1):
+                c1 = c if k == 1 else c * k
+                for sig, k2 in exps[i:]:
+                    if sig == mu:
+                        k2 -= 1
                     if k2:
-                        add(mu, sig, ((label, d), e1[:sig] + (k2 - 1,) + e1[sig + 1:]), c1 * k2)
-                for a, support in args:
-                    key = (raised(a), e1)
-                    for sig, u in support:
-                        add(mu, sig, key, c1 * u)
-                        add(sig, mu, key, c1 * u)
-            for a, support in args:
-                for b, support2 in args:
-                    key = (raised(a, b), e)
-                    for mu, u in support:
-                        for sig, u2 in support2:
-                            add(mu, sig, key, c * u * u2)
+                        cell = hess[mu, sig]
+                        key = (key0, e1[:sig] + (k2 - 1,) + e1[sig + 1:])
+                        y = cell.get(key)
+                        x = c1 if k2 == 1 else c1 * k2
+                        cell[key] = x if y is None else y + x
+                # p_,mu u_sig F' and p_,sig u_mu F' meet in one cell, twice on the diagonal
+                for sig, entries in cross.items():
+                    cell = hess[(mu, sig) if mu <= sig else (sig, mu)]
+                    c2 = c1 * 2 if sig == mu else c1
+                    for raised, u in entries:
+                        key = (raised, e1)
+                        y = cell.get(key)
+                        cell[key] = c2 * u if y is None else y + c2 * u
+            for pos, raised, x in pairs:
+                cell = hess[pos]
+                key = (raised, e)
+                y = cell.get(key)
+                cell[key] = c * x if y is None else y + c * x
     return hess
 
 
@@ -186,33 +208,43 @@ def casimir_condition_check(t: ExtensionTensor, fam: CasimirFamily) -> Condition
 
     The difference W_lam^{mu nu} C_{,mu sig} - W_sig^{mu nu} C_{,mu lam} is
     accumulated for every (nu, lam, sig) with sig < lam as a coefficient dict
-    {((label, deriv), monomial): scalar}, visiting only the nonzero entries
-    of W against the Hessian of the density.  The first triple (lam, sig, nu)
-    with a nonzero difference, in the order nu, then lam, then sig, is
-    reported with its residual {(label, deriv): Poly}; no ``Poly`` is built
-    when the family passes.
+    {((label, deriv), monomial): scalar}.  The work is driven by the cells of
+    the Hessian: the tensor's nonzeros are grouped by their contracted index
+    mu once per call, and each nonempty cell (mu, sig), and its mirror
+    (sig, mu), meets only the entries W_lam^{mu nu} of its own mu.  The first
+    triple (lam, sig, nu) with a nonzero difference, in the order nu, then
+    lam, then sig, is reported with its residual {(label, deriv): Poly}; no
+    ``Poly`` is built when the family passes.
     """
     if fam.n != t.n:
         raise CasimirError(f"family has {fam.n} variables, tensor has {t.n}")
     hess = _hessian(fam)
-    diffs: Dict[Tuple[int, int, int], Dict] = {}
+    by_mu: Dict[int, List] = {}
     for lam, mu, nu, w in t.nonzeros():
-        for sig in range(t.n):
-            cell = hess.get((mu, sig))
-            if cell and sig != lam:
-                x, triple = (w, (nu, lam, sig)) if sig < lam else (-w, (nu, sig, lam))
-                acc = diffs.setdefault(triple, {})
-                for key, c in cell.items():
-                    total = acc.pop(key, ZERO) + x * c
-                    if total:
-                        acc[key] = total
-    first = min((triple for triple, acc in diffs.items() if acc), default=None)
+        by_mu.setdefault(mu, []).append((lam, nu, w))
+    diffs: Dict[Tuple[int, int, int], Dict] = defaultdict(dict)
+    for (m, s), cell in hess.items():
+        cell = cell.items()
+        for mu, sig in ((m, s), (s, m)) if m != s else ((m, s),):
+            for lam, nu, w in by_mu.get(mu, ()):
+                if lam == sig:
+                    continue
+                plus = sig < lam
+                acc = diffs[(nu, lam, sig) if plus else (nu, sig, lam)]
+                for key, c in cell:
+                    y, x = acc.get(key), w * c
+                    if plus:
+                        acc[key] = x if y is None else y + x
+                    else:
+                        acc[key] = -x if y is None else y - x
+    first = min((triple for triple, acc in diffs.items() if any(acc.values())), default=None)
     if first is None:
         return ConditionReport(True)
     nu, lam, sig = first
     residual: Dict = {}
     for (fkey, e), c in diffs[first].items():
-        residual.setdefault(fkey, {})[e] = c
+        if c:
+            residual.setdefault(fkey, {})[e] = c
     return ConditionReport(False, (lam, sig, nu), {k: Poly._of(t.n, v) for k, v in residual.items()})
 
 
@@ -227,7 +259,8 @@ class CoextensionResult:
     ``idx`` lists storage slots; the last one carries Wn, the others are the
     solvable-local indices of ``sub`` and ``omega``.  ``omega[nu]`` holds the
     nonzeros omega^nu_{lam sig} as (lam, sig, value), in increasing (lam,
-    sig); ``cow`` is the dense view cow[nu][lam][sig], built on first use.
+    sig); ``cow`` is the dense view cow[nu][lam][sig], built on first use
+    for inspection (no check reads it).
     The solvability and symmetry conditions are evaluated on first access.
     """
 
@@ -254,7 +287,7 @@ class CoextensionResult:
 
     @cached_property
     def coext_ok(self) -> bool:
-        return _coextension_symmetric(self.cow, len(self.sub))
+        return _coextension_symmetric(self.omega)
 
 
 def _solvable_range(t: ExtensionTensor) -> Tuple[int, int]:
@@ -294,7 +327,9 @@ def _coextension(t: ExtensionTensor, idx: Sequence[int]) -> CoextensionResult:
     in O(k^4) rather than O(k^6).  Wn and the slices W_(mu) are read off one
     pass over the tensor's nonzeros, and each (lam, sig) combines the stored
     rows of the B_mu, so only nonzeros are touched.  Wn is nonsingular
-    exactly when the projector Wn Wn^+ is the identity.
+    exactly when the projector Wn Wn^+ is the identity; then A = Wn^-1 Wn = I,
+    the first and last terms cancel, and omega^nu_{lam sig} = B_sig[lam, nu]
+    is read off the B rows with no product A and no sum over mu.
     """
     idx = tuple(idx)
     k = len(idx) - 1
@@ -313,38 +348,59 @@ def _coextension(t: ExtensionTensor, idx: Sequence[int]) -> CoextensionResult:
     wn = ExactMatrix._of(k, k, wn_rows)
     wn_pinv = pseudoinverse(wn)
     sub = tuple(ExactMatrix._of(k, k, rows) for rows in sub_rows)
-    a = wn_pinv @ wn
+    projector = wn @ wn_pinv
+    nonsingular = projector.is_identity()
     b = [(wn_pinv @ m).nz for m in sub]
     omega: List[List[Tuple[int, int, GaussianRational]]] = [[] for _ in range(k)]
-    for lam in range(k):
-        a_row = a.nz[lam].items()
-        for sig in range(k):
-            acc = dict(b[lam][sig])
-            for nu, x in b[sig][lam].items():
-                y = acc.get(nu)
-                acc[nu] = x if y is None else y + x
-            for mu, c in a_row:
-                for nu, x in b[mu][sig].items():
-                    y = acc.get(nu)
-                    acc[nu] = -(c * x) if y is None else y - c * x
-            for nu, x in acc.items():
-                if x:
+    if nonsingular:
+        for lam in range(k):
+            for sig in range(k):
+                for nu, x in b[sig][lam].items():
                     omega[nu].append((lam, sig, x))
-    projector = wn @ wn_pinv
-    return CoextensionResult(wn, wn_pinv, projector, sub, tuple(map(tuple, omega)),
-                             projector.is_identity(), idx)
+    else:
+        a = wn_pinv @ wn
+        for lam in range(k):
+            a_row = a.nz[lam].items()
+            for sig in range(k):
+                acc = dict(b[lam][sig])
+                for nu, x in b[sig][lam].items():
+                    y = acc.get(nu)
+                    acc[nu] = x if y is None else y + x
+                for mu, c in a_row:
+                    for nu, x in b[mu][sig].items():
+                        y = acc.get(nu)
+                        acc[nu] = -(c * x) if y is None else y - c * x
+                for nu, x in acc.items():
+                    if x:
+                        omega[nu].append((lam, sig, x))
+    return CoextensionResult(wn, wn_pinv, projector, sub, tuple(map(tuple, omega)), nonsingular, idx)
 
 
-def _coextension_symmetric(cow, k: int) -> bool:
-    for tau in range(k):
-        for sig in range(k):
-            for lam in range(k):
-                for nu in range(k):
-                    lhs = sum((cow[mu][tau][sig] * cow[nu][mu][lam] for mu in range(k)), ZERO)
-                    rhs = sum((cow[mu][tau][lam] * cow[nu][mu][sig] for mu in range(k)), ZERO)
-                    if lhs != rhs:
-                        return False
-    return True
+def _coextension_symmetric(omega) -> bool:
+    """Whether T[tau, sig, lam, nu] = sum_mu omega^mu_{tau sig} omega^nu_{mu lam} is
+    symmetric under sig <-> lam.
+
+    T is summed from the nonzeros of omega alone: each omega^mu_{tau sig}
+    meets the entries omega^nu_{mu lam} whose first lower index is mu.  A
+    nonzero entry of T must then equal its mirror, which covers the entries
+    whose mirror is nonzero as well.
+    """
+    by_first: Dict[int, List] = {}
+    for nu, plane in enumerate(omega):
+        for mu, lam, y in plane:
+            by_first.setdefault(mu, []).append((lam, nu, y))
+    products: Dict[Tuple[int, int, int, int], GaussianRational] = {}
+    for mu, plane in enumerate(omega):
+        rows = by_first.get(mu)
+        if not rows:
+            continue
+        for tau, sig, x in plane:
+            for lam, nu, y in rows:
+                key = (tau, sig, lam, nu)
+                z = products.get(key)
+                products[key] = x * y if z is None else z + x * y
+    return all(not x or products.get((tau, lam, sig, nu)) == x
+               for (tau, sig, lam, nu), x in products.items())
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +611,7 @@ def _semidirect_family(t: ExtensionTensor, co: CoextensionResult, names: Iterato
         for sig, c in row.items():
             e = _exponent(n, local[tau], local[sig])
             y = g1.get(e)
-            g1[e] = c / gr(2) if y is None else y + c / gr(2)
+            g1[e] = c * HALF if y is None else y + c * HALF
     g1 = {e: c for e, c in g1.items() if c}
     series = [Poly.variable(n, 0)]
     if g1:
@@ -660,7 +716,7 @@ def quadratic_family(t: ExtensionTensor, q: ExactMatrix) -> CasimirFamily:
     for i in range(n):
         for j in range(n):
             if q[i, j]:
-                poly = poly + (Poly.variable(n, i) * Poly.variable(n, j)).scale(q[i, j] / gr(2))
+                poly = poly + (Poly.variable(n, i) * Poly.variable(n, j)).scale(q[i, j] * HALF)
     return CasimirFamily((CasimirTerm(poly, None, ()),), n, t.semidirect)
 
 

@@ -28,23 +28,15 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from . import casimir as casimir_mod
 from . import tables
 from .classify import CaseLabel, ClassificationError, OrderTooHigh, catalog, catalog_entry, classify
-from .dynamics import (
-    DynamicsError,
-    FieldState,
-    HamiltonianSpec,
-    exact_monitors,
-    heavy_top_tensor,
-    rigid_body_tensor,
-    simulate,
-)
 from .extension import ExtensionTensor, TensorError, crmhd, leibniz
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -276,6 +268,8 @@ def _parse_inertia(text: str):
 
 def _read_array(path: str, what: str, key: Optional[str] = None) -> np.ndarray:
     """The float array in the JSON file ``path``, under ``key`` if given; ParseFailure if unreadable or malformed."""
+    import numpy as np
+
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -289,6 +283,12 @@ def cmd_simulate(args) -> int:
         raise ParseFailure(f"--dt must be a positive finite step, got {args.dt}")
     if args.steps < 1:
         raise ParseFailure(f"--steps must be at least 1, got {args.steps}")
+    # the float layer, and numpy with it, is loaded by this command alone
+    import numpy as np
+
+    from .dynamics import (DynamicsError, FieldState, HamiltonianSpec, exact_monitors, heavy_top_tensor,
+                           rigid_body_tensor, simulate)
+
     try:
         if args.preset == "rigid-body":
             t = rigid_body_tensor()

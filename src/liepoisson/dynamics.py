@@ -194,6 +194,22 @@ class TrajectoryRecord:
 
 
 DRIFT_FLOOR = 1e-300
+# A drift is relative to |C(0)|, but to no less than this share of the
+# monitor's magnitude at the initial state (see _magnitudes): a monitor that
+# starts at zero then reports its change against its own scale.
+DRIFT_SCALE_FLOOR = 1e-3
+
+
+def _magnitudes(h: HamiltonianSpec, mons, state: np.ndarray) -> Dict[str, float]:
+    """Each monitor's value at ``state`` with every term taken in absolute value.
+
+    That is 1/2 sum |Q_mn| |l^m| |l^n| for a Casimir monitor and 1/2 sum |A| |l| |l|,
+    entry by entry, for the Hamiltonian: a bound on |C| that no cancellation lowers.
+    """
+    norms = np.linalg.norm(state, axis=1)
+    absolute = np.abs(state)
+    return {name: 0.5 * float(np.einsum("mi,mnij,nj->", absolute, np.abs(h.blocks), absolute)) if q is None
+            else 0.5 * float(norms @ np.abs(q) @ norms) for name, q in mons}
 
 
 def simulate(
@@ -207,7 +223,10 @@ def simulate(
 ) -> TrajectoryRecord:
     """Fixed-step RK4 integration with energy and Casimir drift monitoring.
 
-    The drift of each monitor is |C(T) - C(0)| / max(|C(0)|, eps); the
+    The drift of each monitor is |C(T) - C(0)| / max(|C(0)|, f M, 1e-300),
+    with M its magnitude at the initial state (:func:`_magnitudes`) and
+    f = DRIFT_SCALE_FLOOR, so a monitor that starts at zero is measured on
+    its own scale; above that floor the drift is |C(T) - C(0)| / |C(0)|.  The
     Hamiltonian itself is always monitored under the name "H".
     """
     if not 0 < dt < math.inf:
@@ -231,6 +250,7 @@ def simulate(
                 values[name].append(0.5 * float(np.einsum("mn,mi,ni->", q, state, state)))
 
     state = s0.tuples.astype(float).copy()
+    floors = {name: max(DRIFT_SCALE_FLOOR * m, DRIFT_FLOOR) for name, m in _magnitudes(h, mons, state).items()}
     times = [s0.time]
     samples = [state.copy()]
     record(state)
@@ -249,7 +269,7 @@ def simulate(
     drifts = {}
     for name in values:
         series = values[name]
-        scale = max(abs(series[0]), DRIFT_FLOOR)
+        scale = max(abs(series[0]), floors[name])
         drifts[name] = abs(series[-1] - series[0]) / scale
     return TrajectoryRecord(
         np.array(times),

@@ -37,6 +37,10 @@ class GaussianRational:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
+        if type(re) is int and type(im) is int:
+            # (re + im*i)/1 is in lowest terms already; a bool is no int here
+            self._a, self._b, self._d = re, im, 1
+            return
         re, im = Fraction(re), Fraction(im)
         # over d = lcm of the two reduced denominators, gcd(a, b, d) = 1 already
         d = lcm(re.denominator, im.denominator)

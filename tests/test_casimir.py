@@ -282,6 +282,117 @@ def test_passing_check_builds_no_poly(monkeypatch):
     assert built
 
 
+# -- the full-Hessian check, kept as the oracle of the cell-driven one ------------
+
+def full_hessian(fam):
+    """Both halves of the Hessian as coefficient dicts, every exponent of every monomial scanned."""
+    hess: Dict = {}
+
+    def add(mu, sig, key, c):
+        cell = hess.setdefault((mu, sig), {})
+        acc = cell.pop(key, ZERO) + c
+        if acc:
+            cell[key] = acc
+
+    for term in fam.terms:
+        label, d = term.func.label if term.func else None, term.deriv
+
+        def raised(*slots):
+            return (label, tuple(x + slots.count(a) for a, x in enumerate(d)))
+
+        args = [(a, [(m, c) for m, c in enumerate(u) if c])
+                for a, u in enumerate(term.func.args if term.func else ())]
+        for e, c in term.poly.terms.items():
+            for mu, k in enumerate(e):
+                if not k:
+                    continue
+                e1 = e[:mu] + (k - 1,) + e[mu + 1:]
+                c1 = c * k
+                for sig, k2 in enumerate(e1):
+                    if k2:
+                        add(mu, sig, ((label, d), e1[:sig] + (k2 - 1,) + e1[sig + 1:]), c1 * k2)
+                for a, support in args:
+                    key = (raised(a), e1)
+                    for sig, u in support:
+                        add(mu, sig, key, c1 * u)
+                        add(sig, mu, key, c1 * u)
+            for a, support in args:
+                for b, support2 in args:
+                    key = (raised(a, b), e)
+                    for mu, u in support:
+                        for sig, u2 in support2:
+                            add(mu, sig, key, c * u * u2)
+    return hess
+
+
+def full_hessian_condition_check(t, fam):
+    """Every tensor nonzero against every sigma of the full Hessian, as the check stood before
+    it was driven by the Hessian's cells."""
+    hess = full_hessian(fam)
+    diffs: Dict = {}
+    for lam, mu, nu, w in t.nonzeros():
+        for sig in range(t.n):
+            cell = hess.get((mu, sig))
+            if cell and sig != lam:
+                x, triple = (w, (nu, lam, sig)) if sig < lam else (-w, (nu, sig, lam))
+                acc = diffs.setdefault(triple, {})
+                for key, c in cell.items():
+                    total = acc.pop(key, ZERO) + x * c
+                    if total:
+                        acc[key] = total
+    first = min((triple for triple, acc in diffs.items() if acc), default=None)
+    if first is None:
+        return ConditionReport(True)
+    nu, lam, sig = first
+    residual: Dict = {}
+    for (fkey, e), c in diffs[first].items():
+        residual.setdefault(fkey, {})[e] = c
+    return ConditionReport(False, (lam, sig, nu), {k: Poly(t.n, v) for k, v in residual.items()})
+
+
+def test_upper_hessian_is_half_of_the_full_one():
+    for t, fam in synthesized_pool():
+        full = full_hessian(fam)
+        full = {pos: cell for pos, cell in full.items() if cell}
+        upper = {pos: {key: c for key, c in cell.items() if c}
+                 for pos, cell in casimir._hessian(fam).items()}
+        assert all(mu <= sig for mu, sig in upper)
+        assert {pos: cell for pos, cell in upper.items() if cell} == \
+            {(mu, sig): cell for (mu, sig), cell in full.items() if mu <= sig}
+        assert all(full[mu, sig] == full[sig, mu] for mu, sig in full)
+
+
+@lru_cache(maxsize=None)
+def direct_sum_pool():
+    """(tensor, family) for the families of direct sums, whose eigenvector families merge
+    the null directions of the blocks into one function of several arguments."""
+    tensors = [direct_sum(leibniz(2), leibniz(2)), direct_sum(leibniz(2), leibniz(3)),
+               direct_sum(leibniz(1), catalog(3).lookup("n3-case2")), direct_sum(abelian(2), leibniz(3))]
+    return tuple((t, fam) for t in tensors for fam in synthesize_casimirs(t))
+
+
+SCALES = st.sampled_from([ONE, gr(0, 1), gr(Fraction(2, 3), -1), gr(-5, 7)])
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data(), SCALES, DELTAS)
+def test_check_matches_full_hessian_oracle(data, scale, delta):
+    pool = synthesized_pool() + direct_sum_pool()
+    t, fam = pool[data.draw(st.integers(0, len(pool) - 1))]
+    # a Casimir times a Q(i) scalar is a Casimir, with complex coefficients when scale is
+    fam = with_terms(fam, [CasimirTerm(term.poly.scale(scale), term.func, term.deriv) for term in fam.terms])
+    kinds = [fam] + list(mutants(fam, delta))
+    bad = kinds[data.draw(st.integers(0, len(kinds) - 1))]
+    report, want = casimir_condition_check(t, bad), full_hessian_condition_check(t, bad)
+    assert (report.passed, report.failure, report.residual) == (want.passed, want.failure, want.residual)
+
+
+def test_multi_argument_families_are_in_the_oracle_pool():
+    pool = synthesized_pool() + direct_sum_pool()
+    assert any(len(term.func.args) > 1 for _, fam in pool for term in fam.terms if term.func)
+    assert any(len(term.func.args) > 1 for _, fam in direct_sum_pool() for term in fam.terms if term.func)
+
+
 # -- coextension ---------------------------------------------------------------
 
 def test_crmhd_coextension_trivial():
@@ -380,6 +491,96 @@ def test_coextension_symmetry_invariant():
                 for tau in range(k):
                     for sig in range(k):
                         assert co.cow[mu][tau][sig] == co.cow[mu][sig][tau]
+
+
+def dense_coextension_symmetric(cow, k):
+    """The O(k^5) generator sums over the dense view, as the symmetry check stood before it
+    was summed from omega's nonzeros."""
+    for tau in range(k):
+        for sig in range(k):
+            for lam in range(k):
+                for nu in range(k):
+                    lhs = sum((cow[mu][tau][sig] * cow[nu][mu][lam] for mu in range(k)), ZERO)
+                    rhs = sum((cow[mu][tau][lam] * cow[nu][mu][sig] for mu in range(k)), ZERO)
+                    if lhs != rhs:
+                        return False
+    return True
+
+
+def singular_coextensions():
+    """(name, coextension) for every singular Wn met on the catalog entries with and without
+    the semisimple slot, direct sums, an unnormalized raw tensor and the obstructed order-5 tensor."""
+    import json
+    from pathlib import Path
+
+    from liepoisson.extension import ExtensionTensor
+
+    tensors = {}
+    for order in (2, 3, 4):
+        for label, entry in catalog(order).entries:
+            tensors[label.name] = entry
+            tensors[label.name + "/semidirect"] = append_semisimple(entry)
+    tensors["l2+l2"] = direct_sum(leibniz(2), leibniz(2))
+    tensors["l2+l3"] = direct_sum(leibniz(2), leibniz(3))
+    tensors["l1+n3-case2"] = direct_sum(leibniz(1), catalog(3).lookup("n3-case2"))
+    tensors["raw"] = from_lower_slices([None, M([[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+                                        M([[1, 0, 0], [0, 0, 0], [0, 0, 0]])], 3)
+    doc = Path(__file__).resolve().parent / "data" / "obstructed-order5.json"
+    tensors["obstructed-order5"] = ExtensionTensor.from_json(json.loads(doc.read_text()))
+    out = []
+    for name, t in tensors.items():
+        s = 1 if t.semidirect else 0
+        for idx in [list(range(s, t.n))] + casimir._support_components(t, s, t.n):
+            if len(idx) > 1:
+                co = casimir._coextension(t, idx)
+                if not co.nonsingular:
+                    out.append((f"{name}{idx}", co))
+    return out
+
+
+def test_sparse_coextension_symmetry_matches_the_dense_oracle_on_singular_wn():
+    outcomes = {}
+    for name, co in singular_coextensions():
+        want = dense_coextension_symmetric(co.cow, len(co.omega))
+        assert co.coext_ok == casimir._coextension_symmetric(co.omega) == want, name
+        outcomes.setdefault(want, []).append(name)
+    # both outcomes, on direct sums and on the obstructed tensor among them
+    assert any(name.startswith("l2+") for name in outcomes[True])
+    assert "n4-case3c[0, 1, 2, 3]" in outcomes[True]
+    assert any(name.startswith("obstructed-order5") for name in outcomes[False])
+    assert any(name.startswith("raw") for name in outcomes[False])
+
+
+OMEGA_ENTRIES = st.one_of(st.just(ZERO), st.just(ZERO), st.just(ONE), SMALL)
+
+
+@st.composite
+def omegas(draw):
+    """A random omega of k = 1..4 as planes of nonzeros (lam, sig, value), in increasing (lam, sig)."""
+    k = draw(st.integers(1, 4))
+    planes = []
+    for _ in range(k):
+        plane = [(lam, sig, draw(OMEGA_ENTRIES)) for lam in range(k) for sig in range(k)]
+        planes.append(tuple((lam, sig, x) for lam, sig, x in plane if x))
+    return tuple(planes)
+
+
+def dense_view(omega):
+    k = len(omega)
+    cow = [[[ZERO] * k for _ in range(k)] for _ in range(k)]
+    for nu, plane in enumerate(omega):
+        for lam, sig, x in plane:
+            cow[nu][lam][sig] = x
+    return cow
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(omegas())
+@example(((), ()))
+@example((((0, 1, ONE), (1, 0, ONE)), ()))
+@example((((1, 1, ONE),), ((0, 0, ONE),)))
+def test_sparse_coextension_symmetry_matches_the_dense_oracle_on_random_omega(omega):
+    assert casimir._coextension_symmetric(omega) == dense_coextension_symmetric(dense_view(omega), len(omega))
 
 
 # -- the entry-indexed coextension and the Poly recursion, kept as oracles ------

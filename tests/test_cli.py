@@ -516,6 +516,28 @@ def test_console_script_installed():
     assert "n2-case2" in result.stdout
 
 
+def test_exact_core_imports_no_numpy():
+    # numpy is the float dynamics layer's alone: it loads with `liex simulate`
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    probe = ("import sys, liepoisson, liepoisson.cli; bare = 'numpy' in sys.modules; "
+             "liepoisson.simulate; print(bare, 'numpy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]
+
+
+def test_simulate_reports_a_monitor_that_starts_at_zero_on_its_own_scale(tmp_path, capsys):
+    doc = tmp_path / "c.json"
+    doc.write_text(json.dumps(crmhd(Fraction(5, 2)).to_json()))
+    state = tmp_path / "s.json"
+    state.write_text(json.dumps([[1, 0, 1], [0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+    code, out = run(["simulate", str(doc), "--state", str(state), "--steps", "5"], capsys)
+    assert code == 0
+    drifts = dict(line.split() for line in out.splitlines()[1:6])
+    assert sorted(drifts) == ["H", "Q0", "Q1", "Q2", "Q3"]
+    assert all(float(d) < 1e-6 for d in drifts.values()), drifts
+
+
 def test_casimir_unnormalized_input_reduces_first(tmp_path, capsys):
     # raw form with a removable coboundary: synthesis needs the reduction
     from liepoisson.extension import from_lower_slices
@@ -595,9 +617,9 @@ def test_simulate_bad_inputs_exit_without_a_traceback(tmp_path, capfd, monkeypat
                                    ["--steps", "0"], ["--steps", "-3"]],
                          ids=["dt-zero", "dt-negative", "dt-nan", "steps-zero", "steps-negative"])
 def test_simulate_rejects_a_step_that_integrates_nothing(capfd, monkeypatch, flags):
-    import liepoisson.cli as cli_mod
+    import liepoisson.dynamics
 
-    monkeypatch.setattr(cli_mod, "simulate", lambda *a, **k: pytest.fail("integrated"))
+    monkeypatch.setattr(liepoisson.dynamics, "simulate", lambda *a, **k: pytest.fail("integrated"))
     assert main(["simulate", "--preset", "rigid-body", "--dt", "0.01", "--steps", "5", *flags]) == EXIT_PARSE
     out = capfd.readouterr()
     lines = (out.out + out.err).strip().splitlines()

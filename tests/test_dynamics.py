@@ -221,6 +221,23 @@ def test_simulate_heavy_top_drifts():
         assert drift < 1e-9, (name, drift)
 
 
+def test_monitor_that_starts_at_zero_drifts_on_its_own_scale():
+    # Q1 and Q2 of CRMHD are exactly 0 on this state; over a floor of 1e-300
+    # their round-off change read as drifts of about 1e290
+    t = crmhd(Fraction(5, 2))
+    s0 = FieldState.from_vectors([[1, 0, 1], [0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    mons = exact_monitors(t)
+    record = simulate(t, HamiltonianSpec.isotropic(4), s0, dt=0.01, steps=5, monitors=mons)
+    starts = {name: series[0] for name, series in record.monitors.items()}
+    assert [name for name, c in starts.items() if c == 0] == ["Q1", "Q2"]
+    for name, drift in record.drifts.items():
+        assert drift < 1e-6, (name, drift)
+        series = record.monitors[name]
+        if starts[name]:
+            # above the floor the drift is the plain relative change, bit for bit
+            assert drift == abs(series[-1] - series[0]) / abs(series[0]), name
+
+
 def test_rk4_convergence_order():
     t = rigid_body_tensor()
     h = HamiltonianSpec.rigid_body([1.0, 2.0, 3.0])

@@ -383,6 +383,23 @@ def test_arithmetic_matches_fraction_pair_reference(x, y, k):
     assert_agrees(-z, -zr)
 
 
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(-2**70, 2**70), st.integers(-2**70, 2**70))
+@pytest.mark.parametrize("make", [gr, GaussianRational])
+def test_integer_parts_build_the_scalar_of_their_fractions(make, re, im):
+    z, ref = make(re, im), make(Fraction(re), Fraction(im))
+    assert (z._a, z._b, z._d) == (ref._a, ref._b, ref._d) == (re, im, 1)
+    assert all(type(x) is int for x in (z._a, z._b, z._d))
+    assert_same_scalar(make(re), make(Fraction(re)))
+
+
+@pytest.mark.parametrize("re, im", [(True, 0), (0, False), (True, True)])
+def test_bool_parts_still_build_through_fractions(re, im):
+    z = gr(re, im)
+    assert (z._a, z._b, z._d) == (int(re), int(im), 1)
+    assert all(type(x) is int for x in (z._a, z._b, z._d))
+
+
 @pytest.mark.parametrize("x", [gr(3), gr(-2), gr(Fraction(-5, 6)), gr(1, 2), gr(Fraction(1, 2), Fraction(-3, 4)),
                                I, ZERO, ONE])
 def test_a_factor_of_one_gives_the_reduced_product(x):
