@@ -114,18 +114,31 @@ class CasimirFamily:
 
     @staticmethod
     def from_json(doc: dict) -> "CasimirFamily":
+        """The family of :meth:`to_json`; ValueError, TypeError or KeyError on a malformed document."""
+        (n,) = _naturals([doc["n"]])
+        semidirect = doc.get("semidirect", False)
+        if not isinstance(semidirect, bool):
+            raise ValueError(f"semidirect must be true or false, not {semidirect!r}")
         terms = []
         for entry in doc["terms"]:
             func = None
             if "func" in entry:
-                func = FormalFunction(
-                    entry["func"],
-                    tuple(tuple(parse_scalar(c) for c in u) for u in entry["args"]),
-                )
-            terms.append(
-                CasimirTerm(Poly.from_json(doc["n"], entry["poly"]), func, tuple(entry["deriv"]))
-            )
-        return CasimirFamily(tuple(terms), doc["n"], doc.get("semidirect", False))
+                if not isinstance(entry["func"], str):
+                    raise ValueError(f"function label must be a string, not {entry['func']!r}")
+                args = tuple(tuple(parse_scalar(c) for c in u) for u in entry["args"])
+                if any(len(u) != n for u in args):
+                    raise ValueError(f"every function argument needs {n} coefficients")
+                func = FormalFunction(entry["func"], args)
+            terms.append(CasimirTerm(Poly.from_json(n, entry["poly"]), func, _naturals(entry["deriv"])))
+        return CasimirFamily(tuple(terms), n, semidirect)
+
+
+def _naturals(values) -> Tuple[int, ...]:
+    """``values`` as a tuple of non-negative ints; a bool is not one."""
+    out = tuple(values)
+    if any(type(k) is not int or k < 0 for k in out):
+        raise ValueError(f"expected non-negative integers, got {values!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -707,17 +720,6 @@ def quadratic_casimir_basis(t: ExtensionTensor) -> List[ExactMatrix]:
             q[i][j] = q[j][i] = x
         basis.append(ExactMatrix._of(n, n, q))
     return basis
-
-
-def quadratic_family(t: ExtensionTensor, q: ExactMatrix) -> CasimirFamily:
-    """The constant-Hessian density 1/2 Q_{mu nu} xi^mu xi^nu as a family."""
-    n = t.n
-    poly = Poly.zero(n)
-    for i in range(n):
-        for j in range(n):
-            if q[i, j]:
-                poly = poly + (Poly.variable(n, i) * Poly.variable(n, j)).scale(q[i, j] * HALF)
-    return CasimirFamily((CasimirTerm(poly, None, ()),), n, t.semidirect)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,24 @@ with the lower index outermost and scalars as exact strings ("p/q" or
 "p/q+r/si"); optional metadata keys (name, beta, provenance) ride along and
 round-trip untouched.
 
-Exit codes: 0 success, 1 validation or verification failure, 2 parse error
-or an output file that cannot be written, 3 order out of range, 4 Casimir
-synthesis obstruction (also above order four, where no catalog form can be
-tried instead), 5 dimension mismatch, 6 a valid bracket that ``classify``
-cannot bring to a catalog normal form over Q(i).
+Every refusal ends with one line and an exit code.  ``REFUSALS`` in
+:func:`main` maps the library's exceptions; a ``ParseFailure`` (argparse's
+usage errors too) exits 2 on stderr; ``simulate`` maps ``DynamicsError`` to 5
+itself, so that the table needs no numpy:
+
+- 0 success;
+- 1 ``invalid:`` a tensor that breaks a bracket law (``TensorError``), or a
+  verification failure;
+- 2 ``error:`` on stderr: a file that cannot be read or written, a malformed
+  document or a bad option value (``ParseFailure``);
+- 3 ``error:`` an order out of range (``OrderTooHigh``);
+- 4 ``obstruction:`` a Casimir synthesis obstruction (``SynthesisObstruction``;
+  also above order four, where no catalog form can be tried instead);
+- 5 ``error:`` any refusal by the dynamics layer in ``simulate``
+  (``DynamicsError``): a dimension mismatch, a complex tensor, or an entry or
+  trajectory outside the float range;
+- 6 ``error:`` a valid bracket that ``classify`` cannot bring to a catalog
+  normal form over Q(i) (``ClassificationError``).
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ from typing import TYPE_CHECKING, List, Optional
 from . import casimir as casimir_mod
 from . import tables
 from .classify import CaseLabel, ClassificationError, OrderTooHigh, catalog, catalog_entry, classify
-from .extension import ExtensionTensor, TensorError, crmhd, leibniz
+from .extension import ExtensionTensor, TensorError, ZeroParameter, crmhd, leibniz
 
 if TYPE_CHECKING:
     import numpy as np
@@ -51,37 +64,48 @@ class ParseFailure(Exception):
     pass
 
 
-def load_document(path: str) -> dict:
+# A library refusal -> (exit code, prefix of its one stdout line); the first
+# row whose class matches wins, so subclasses come before their bases.
+REFUSALS = (
+    (OrderTooHigh, EXIT_ORDER, "error"),
+    (ClassificationError, EXIT_UNCLASSIFIED, "error"),
+    (casimir_mod.SynthesisObstruction, EXIT_OBSTRUCTION, "obstruction"),
+    (TensorError, EXIT_INVALID, "invalid"),
+)
+
+
+def read_json(path: str, what: str, convert=lambda doc: doc):
+    """``convert`` of the JSON value in ``path``; ParseFailure if it cannot be read or converted."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError, RecursionError) as err:
+            return convert(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, RecursionError, OverflowError) as err:
         # ValueError covers malformed JSON, invalid UTF-8 and integer literals
-        # past Python's digit limit; RecursionError, arrays nested too deep
-        raise ParseFailure(f"cannot read tensor document {path}: {err}")
+        # past Python's digit limit; RecursionError, arrays nested too deep;
+        # OverflowError, an integer that ``convert`` cannot make a float
+        raise ParseFailure(f"cannot read {what} {path}: {err}")
+
+
+def load_tensor(path: str) -> ExtensionTensor:
+    doc = read_json(path, "tensor document")
     if not isinstance(doc, dict) or "w" not in doc:
         raise ParseFailure(f"{path}: not a tensor document (missing 'w')")
-    return doc
-
-
-def tensor_from_document(doc: dict) -> ExtensionTensor:
     try:
         return ExtensionTensor.from_json(doc)
     except (KeyError, ValueError, TypeError) as err:
         raise ParseFailure(f"malformed tensor document: {err}")
 
 
-def dump_document(t: ExtensionTensor, metadata: Optional[dict] = None) -> dict:
-    doc = t.to_json()
-    for key, value in (metadata or {}).items():
-        doc.setdefault(key, value)
-    return doc
-
-
-def _write_json(path: str, payload) -> None:
+def write_json(payload, path: Optional[str], note: Optional[str] = None) -> None:
+    """Print ``payload`` as JSON, or write it to ``path`` and print ``note`` if given."""
     text = json.dumps(payload, indent=2, sort_keys=True)
+    if not path:
+        print(text)
+        return
     with _writing(path), open(path, "w") as fh:
         fh.write(text + "\n")
+    if note is not None:
+        print(note)
 
 
 @contextmanager
@@ -98,35 +122,17 @@ def _writing(path: str):
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    doc = load_document(args.path)
-    try:
-        t = tensor_from_document(doc)
-    except ParseFailure:
-        raise
-    except TensorError as err:
-        print(f"invalid: {err}")
-        return EXIT_INVALID
-    flag = "yes" if t.semidirect else "no"
-    print(f"valid (order {t.n}, semidirect {flag})")
+    t = load_tensor(args.path)
+    print(f"valid (order {t.n}, semidirect {'yes' if t.semidirect else 'no'})")
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
-    doc = load_document(args.path)
-    t = tensor_from_document(doc)
-    try:
-        label, chain = classify(t)
-    except OrderTooHigh as err:
-        print(f"error: {err}")
-        return EXIT_ORDER
-    except ClassificationError as err:
-        print(f"error: {err}")
-        return EXIT_UNCLASSIFIED
-    flag = " (semidirect)" if label.semidirect else ""
-    print(f"{label.name}{flag}")
+    label, chain = classify(load_tensor(args.path))
+    print(f"{label.name}{' (semidirect)' if label.semidirect else ''}")
     if args.witness:
-        _write_json(args.witness, [b.to_json() for b in chain])
-        print(f"witness chain written to {args.witness} ({len(chain)} steps)")
+        write_json([b.to_json() for b in chain], args.witness,
+                   f"witness chain written to {args.witness} ({len(chain)} steps)")
     return EXIT_OK
 
 
@@ -165,18 +171,7 @@ def _normal_form(t: ExtensionTensor, label: CaseLabel) -> ExtensionTensor:
 
 
 def cmd_casimir(args) -> int:
-    t = tensor_from_document(load_document(args.path))
-    try:
-        label, normal, families = _casimir_families(t)
-    except OrderTooHigh as err:
-        print(f"error: {err}")
-        return EXIT_ORDER
-    except ClassificationError as err:
-        print(f"error: {err}")
-        return EXIT_UNCLASSIFIED
-    except casimir_mod.SynthesisObstruction as err:
-        print(f"obstruction: {err}")
-        return EXIT_OBSTRUCTION
+    label, normal, families = _casimir_families(load_tensor(args.path))
     if label is not None:
         print(f"note: families are in the normal-form coordinates of {label.name}")
     for fam in families:
@@ -193,11 +188,7 @@ def _fixture_families(label: CaseLabel) -> Optional[List[casimir_mod.CasimirFami
         path = os.path.join(override, f"{label.name}{'-sd' if label.semidirect else ''}.json")
         if not os.path.exists(path):
             return None
-        try:
-            with open(path) as fh:
-                return [casimir_mod.CasimirFamily.from_json(d) for d in json.load(fh)]
-        except (OSError, ValueError, KeyError, TypeError, RecursionError) as err:
-            raise ParseFailure(f"cannot read fixture file {path}: {err}")
+        return read_json(path, "fixture file", lambda docs: [casimir_mod.CasimirFamily.from_json(d) for d in docs])
     table = tables.solvable_table()
     if label.name not in table:
         return None
@@ -237,7 +228,7 @@ def _verify_families(normal, families, label: Optional[CaseLabel]) -> int:
     if label is None:
         try:
             label, _ = classify(normal)
-        except (ClassificationError, TensorError):
+        except TensorError:
             pass
     fixtures = None if label is None else _fixture_families(label)
     for fam in families:
@@ -258,24 +249,19 @@ def _verify_families(normal, families, label: Optional[CaseLabel]) -> int:
 
 def _parse_inertia(text: str):
     try:
-        parts = [Fraction(p) for p in text.split(",")]
-    except (ValueError, ZeroDivisionError) as err:
+        parts = [float(Fraction(p)) for p in text.split(",")]
+    except (ValueError, ZeroDivisionError, OverflowError) as err:
         raise ParseFailure(f"bad inertia {text!r}: {err}")
     if len(parts) != 3 or not all(parts):
         raise ParseFailure("inertia needs three nonzero comma-separated values")
-    return [float(p) for p in parts]
+    return parts
 
 
 def _read_array(path: str, what: str, key: Optional[str] = None) -> np.ndarray:
-    """The float array in the JSON file ``path``, under ``key`` if given; ParseFailure if unreadable or malformed."""
+    """The float array in the JSON file ``path``, under ``key`` if given."""
     import numpy as np
 
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        return np.array(doc if key is None else doc[key], dtype=float)
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as err:
-        raise ParseFailure(f"cannot read {what} {path}: {err}")
+    return read_json(path, what, lambda doc: np.array(doc if key is None else doc[key], dtype=float))
 
 
 def cmd_simulate(args) -> int:
@@ -289,10 +275,12 @@ def cmd_simulate(args) -> int:
     from .dynamics import (DynamicsError, FieldState, HamiltonianSpec, exact_monitors, heavy_top_tensor,
                            rigid_body_tensor, simulate)
 
+    if args.inertia is not None and args.preset != "rigid-body":
+        raise ParseFailure("--inertia applies to --preset rigid-body only")
     try:
         if args.preset == "rigid-body":
             t = rigid_body_tensor()
-            h = HamiltonianSpec.rigid_body(_parse_inertia(args.inertia))
+            h = HamiltonianSpec.rigid_body(_parse_inertia("1,2,3" if args.inertia is None else args.inertia))
             s0 = FieldState.from_vectors([[1.0, 1.0, 1.0]])
         elif args.preset == "heavy-top":
             t = heavy_top_tensor()
@@ -301,7 +289,7 @@ def cmd_simulate(args) -> int:
         else:
             if not args.path:
                 raise ParseFailure("either a tensor document or --preset is required")
-            t = tensor_from_document(load_document(args.path))
+            t = load_tensor(args.path)
             if args.hamiltonian:
                 h = HamiltonianSpec(_read_array(args.hamiltonian, "Hamiltonian", "blocks"))
             else:
@@ -331,57 +319,31 @@ def cmd_simulate(args) -> int:
     summary = {"dt": args.dt, "steps": args.steps, "drifts": record.drifts,
                "monitor_ms": monitor_ms, "step_us": step_us}
     if args.summary:
-        _write_json(args.summary, summary)
+        write_json(summary, args.summary)
     return EXIT_OK
 
 
 def cmd_catalog(args) -> int:
-    try:
-        cat = catalog(args.order)
-    except OrderTooHigh as err:
-        print(f"error: {err}")
-        return EXIT_ORDER
-    docs = []
-    for label, t in cat.entries:
-        doc = dump_document(t, {"name": label.name})
-        docs.append(doc)
-    payload = docs
-    if args.out:
-        _write_json(args.out, payload)
-        print(f"{len(docs)} normal forms written to {args.out}")
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    docs = [{"name": label.name, **t.to_json()} for label, t in catalog(args.order).entries]
+    write_json(docs, args.out, f"{len(docs)} normal forms written to {args.out}")
     return EXIT_OK
 
 
 def cmd_leibniz(args) -> int:
     if args.order < 1:
-        print("error: order must be at least 1")
-        return EXIT_ORDER
+        raise ParseFailure(f"--order must be at least 1, got {args.order}")
     t = leibniz(args.order, semidirect=args.semidirect)
-    doc = dump_document(t, {"name": f"leibniz-{args.order}{'-sd' if args.semidirect else ''}"})
-    if args.out:
-        _write_json(args.out, doc)
-        print(f"tensor written to {args.out}")
-    else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+    doc = {"name": f"leibniz-{args.order}{'-sd' if args.semidirect else ''}", **t.to_json()}
+    write_json(doc, args.out, f"tensor written to {args.out}")
     return EXIT_OK
 
 
 def cmd_crmhd(args) -> int:
     try:
         t = crmhd(Fraction(args.beta))
-    except (ValueError, ZeroDivisionError) as err:
+    except (ValueError, ZeroDivisionError, ZeroParameter) as err:
         raise ParseFailure(f"bad beta: {err}")
-    except TensorError as err:
-        print(f"error: {err}")
-        return EXIT_INVALID
-    doc = dump_document(t, {"name": "crmhd", "beta": args.beta})
-    if args.out:
-        _write_json(args.out, doc)
-        print(f"tensor written to {args.out}")
-    else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+    write_json({"name": "crmhd", "beta": args.beta, **t.to_json()}, args.out, f"tensor written to {args.out}")
     return EXIT_OK
 
 
@@ -413,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate the so(3)* realization with drift monitors")
     p.add_argument("path", nargs="?")
     p.add_argument("--preset", choices=["rigid-body", "heavy-top"])
-    p.add_argument("--inertia", default="1,2,3", help="rigid-body principal moments")
+    p.add_argument("--inertia", help="rigid-body principal moments (default 1,2,3)")
     p.add_argument("--hamiltonian", help="JSON file with quadratic-form blocks")
     p.add_argument("--state", help="JSON file with the initial 3-vectors")
     p.add_argument("--dt", type=float, default=1e-3)
@@ -442,16 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseFailure as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except TensorError as err:
-        print(f"invalid: {err}")
-        return EXIT_INVALID
+        code, prefix = next((code, prefix) for cls, code, prefix in REFUSALS if isinstance(err, cls))
+        print(f"{prefix}: {err}")
+        return code
 
 
 if __name__ == "__main__":

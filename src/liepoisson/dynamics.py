@@ -121,7 +121,10 @@ def _eom_operator(t: ExtensionTensor, h: HamiltonianSpec) -> np.ndarray:
     if any(not w.is_real() for *_, w in nonzeros):
         raise DynamicsError("dynamics needs a real tensor")
     lam, a, nu = (np.array([e[k] for e in nonzeros], dtype=np.intp) for k in range(3))
-    w = np.array([float(e[3]) for e in nonzeros])
+    try:
+        w = np.array([float(e[3]) for e in nonzeros])
+    except OverflowError:
+        raise DynamicsError("a tensor entry is outside the float range") from None
     b = np.zeros((n, 3, n, 3, n, 3))  # [a, i, lam, k, nu, j]
     b[a, :, lam, :, nu, :] = w[:, None, None, None] * _EPS.transpose(0, 2, 1)
     return b.reshape(9 * n * n, 3 * n) @ h.blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
@@ -159,7 +162,10 @@ def exact_monitors(t: ExtensionTensor) -> List[Tuple[str, np.ndarray]]:
         z = np.zeros((t.n, t.n), dtype=complex)
         for i, row in enumerate(q.nz):
             for j, x in row.items():
-                z[i, j] = complex(x)
+                try:
+                    z[i, j] = complex(x)
+                except OverflowError:
+                    raise DynamicsError("a quadratic Casimir coefficient is outside the float range") from None
         re, im = z.real.copy(), z.imag.copy()
         if np.any(re):
             out.append((f"Q{k}", re))
@@ -237,8 +243,6 @@ def simulate(
         raise DynamicsError(f"sample_every must be at least 1, got {sample_every}")
     if h.n != t.n or s0.tuples.shape[0] != t.n:
         raise DynamicsError("dimension mismatch between tensor, Hamiltonian, and state")
-    r = _eom_operator(t, h)
-
     mons = [("H", None)] + list(monitors or [])
     values: Dict[str, List[float]] = {name: [] for name, _ in mons}
 
@@ -249,23 +253,28 @@ def simulate(
             else:
                 values[name].append(0.5 * float(np.einsum("mn,mi,ni->", q, state, state)))
 
-    state = s0.tuples.astype(float).copy()
-    floors = {name: max(DRIFT_SCALE_FLOOR * m, DRIFT_FLOOR) for name, m in _magnitudes(h, mons, state).items()}
-    times = [s0.time]
-    samples = [state.copy()]
-    record(state)
-    for k in range(steps):
-        k1 = _evaluate(r, state)
-        k2 = _evaluate(r, state + 0.5 * dt * k1)
-        k3 = _evaluate(r, state + 0.5 * dt * k2)
-        k4 = _evaluate(r, state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(state).all():
-            raise NonFinite(f"state became non-finite at step {k + 1}")
-        if (k + 1) % sample_every == 0 or k + 1 == steps:
-            times.append(s0.time + (k + 1) * dt)
-            samples.append(state.copy())
-            record(state)
+    # an overflow in the operator or in a step ends as a non-finite state,
+    # which the loop raises as NonFinite: numpy's own warnings would only
+    # repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _eom_operator(t, h)
+        state = s0.tuples.astype(float).copy()
+        floors = {name: max(DRIFT_SCALE_FLOOR * m, DRIFT_FLOOR) for name, m in _magnitudes(h, mons, state).items()}
+        times = [s0.time]
+        samples = [state.copy()]
+        record(state)
+        for k in range(steps):
+            k1 = _evaluate(r, state)
+            k2 = _evaluate(r, state + 0.5 * dt * k1)
+            k3 = _evaluate(r, state + 0.5 * dt * k2)
+            k4 = _evaluate(r, state + dt * k3)
+            state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.isfinite(state).all():
+                raise NonFinite(f"state became non-finite at step {k + 1}")
+            if (k + 1) % sample_every == 0 or k + 1 == steps:
+                times.append(s0.time + (k + 1) * dt)
+                samples.append(state.copy())
+                record(state)
     drifts = {}
     for name in values:
         series = values[name]

@@ -25,6 +25,8 @@ class Poly:
             e = tuple(e)
             if len(e) != nvars:
                 raise ValueError(f"exponent tuple {e} has wrong length for {nvars} variables")
+            if any(type(k) is not int or k < 0 for k in e):
+                raise ValueError(f"exponent tuple {e} holds something other than a non-negative int")
             c = as_scalar(c)
             if c:
                 clean[e] = c

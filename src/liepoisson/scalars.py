@@ -347,10 +347,6 @@ def sqrt_gaussian(z: GaussianRational) -> Optional[GaussianRational]:
     return _reduced(x, gb // (2 * x), d)
 
 
-def is_square(z: GaussianRational) -> bool:
-    return sqrt_gaussian(z) is not None
-
-
 def square_free_part(z: GaussianRational):
     """(rep, s) with z = rep * s^2 and rep a small square-free representative.
 

@@ -20,7 +20,6 @@ from liepoisson.casimir import (
     format_family,
     leibniz_casimirs_closed_form,
     quadratic_casimir_basis,
-    quadratic_family,
     synthesize_casimirs,
 )
 from liepoisson.classify import catalog, classify
@@ -905,7 +904,14 @@ def test_quadratic_basis_crmhd_contains_cross_helicity():
 def test_quadratic_families_pass_condition():
     for t in (crmhd(1), leibniz(3), leibniz(2, semidirect=True), catalog(4).lookup("n4-case3c")):
         for q in quadratic_casimir_basis(t):
-            assert casimir_condition_check(t, quadratic_family(t, q))
+            # the constant-Hessian density 1/2 Q_{mu nu} xi^mu xi^nu
+            poly = Poly.zero(t.n)
+            for i in range(t.n):
+                for j in range(t.n):
+                    if q[i, j]:
+                        poly = poly + (Poly.variable(t.n, i) * Poly.variable(t.n, j)).scale(q[i, j] / gr(2))
+            family = CasimirFamily((CasimirTerm(poly, None, ()),), t.n, t.semidirect)
+            assert casimir_condition_check(t, family)
 
 
 # -- formatting / serialization -----------------------------------------------

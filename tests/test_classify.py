@@ -299,6 +299,26 @@ def test_leading_case2_box_classifies_or_refuses_by_type(monkeypatch):
     assert sum(labels.values()) == 3 * 64 and reached
 
 
+@pytest.mark.parametrize("tail, label, cols", [
+    ((1, 0, 1), "n4-case2", [0, 1, 3, 2]),
+    ((1, 0, -1), "n4-case2", [0, 1, 3, 2]),
+    ((2, 0, -8), "n4-case2", [0, 1, 3, 2]),
+    ((0, 0, 1), "n4-case3a", [0, 3, 2, 1]),
+], ids=["pattern-1-1-0", "pattern-1-m1-0", "pattern-1-m1-0-scaled", "pattern-1-0-0"])
+def test_abelian_window_tails_with_a_zero_sign(monkeypatch, tail, label, cols):
+    """Slices 0-2 zero and a raw slice-3 tail diag(tail): the stage-4 abelian window's sign
+    patterns (1, 1, 0), (1, -1, 0) and (1, 0, 0) swap the zero slot out with one column
+    permutation, and the witness replays bit-exactly to the catalog entry."""
+    swaps = []
+    perm = classify_mod._perm_columns
+    monkeypatch.setattr(classify_mod, "_perm_columns", lambda n, c: swaps.append(list(c)) or perm(n, c))
+    t = from_lower_slices([None, None, None, ExactMatrix.diagonal([*tail, 0])], 4)
+    found, chain = classify(t)
+    assert (found.name, found.semidirect) == (label, False)
+    assert swaps == [cols]
+    assert apply_chain(t, chain).nz == catalog_entry(found).nz
+
+
 def test_catalog_entry_semidirect():
     lab = CaseLabel(2, "n2-case2", True)
     assert catalog_entry(lab).w == append_semisimple(catalog(2).lookup("n2-case2")).w

@@ -668,3 +668,115 @@ def test_unwritable_output_path_prints_no_traceback(tmp_path):
                             capture_output=True, text=True, env=env)
     assert result.returncode == EXIT_PARSE
     assert result.stderr == f"error: cannot write {out_path}: No such file or directory\n"
+
+
+def _output(capfd):
+    out = capfd.readouterr()
+    return out.out, out.err
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 2, "semidirect": False, "w": [[["0", "0"], ["0", "0"]], [["1" + "0" * 400, "0"], ["0", "0"]]]},
+    crmhd(10**400).to_json(),
+], ids=["tensor-entry", "casimir-coefficient"])
+def test_simulate_refuses_values_outside_the_float_range(tmp_path, capfd, doc):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 0
+    capfd.readouterr()
+    assert main(["simulate", str(path), "--steps", "3"]) == EXIT_DIMENSION
+    out, err = _output(capfd)
+    assert err == "" and out.startswith("error: ") and out.endswith(" is outside the float range\n"), out
+
+
+def test_simulate_overflow_is_one_line_without_numpy_warnings(tmp_path, capfd):
+    import warnings
+
+    doc = tmp_path / "one.json"
+    doc.write_text(json.dumps({"n": 2, "semidirect": False, "w": [[["0", "0"], ["0", "0"]], [["1", "0"], ["0", "0"]]]}))
+    state = tmp_path / "s.json"
+    state.write_text(json.dumps([[1e200] * 3] * 2))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", str(doc), "--state", str(state), "--dt", "1", "--steps", "50"])
+    assert code == EXIT_DIMENSION
+    assert _output(capfd) == ("error: state became non-finite at step 1\n", "")
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "t.json", "--inertia", "5,7,11"], "error: --inertia applies to --preset rigid-body only"),
+    (["simulate", "--preset", "heavy-top", "--inertia", "5,7,11"],
+     "error: --inertia applies to --preset rigid-body only"),
+    (["simulate", "--preset", "rigid-body", "--inertia", "1e-400,1,1"],
+     "error: inertia needs three nonzero comma-separated values"),
+    (["simulate", "--preset", "rigid-body", "--inertia", "1e400,1,1"], "error: bad inertia '1e400,1,1': "),
+    (["crmhd", "--beta", "0"], "error: bad beta: beta must be nonzero"),
+    (["leibniz", "--order", "0"], "error: --order must be at least 1, got 0"),
+    (["leibniz", "--order", "-2", "--semidirect"], "error: --order must be at least 1, got -2"),
+], ids=["inertia-with-a-document", "inertia-with-heavy-top", "inertia-below-the-float-range",
+        "inertia-above-the-float-range", "crmhd-beta-zero", "leibniz-order-zero", "leibniz-order-negative"])
+def test_bad_option_values_exit_2_with_one_stderr_line(tmp_path, capfd, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    Path("t.json").write_text(json.dumps(leibniz(2).to_json()))
+    assert main([*argv, "--steps", "5"] if argv[0] == "simulate" else argv) == EXIT_PARSE
+    out, err = _output(capfd)
+    assert out == "" and err.count("\n") == 1 and err.startswith(message), err
+
+
+def test_the_refusal_table_is_the_documented_exit_code_list():
+    """The module docstring and the README list exactly the codes of the table in ``cli.main``."""
+    import re
+
+    from liepoisson import cli
+
+    table = {(code, prefix) for _, code, prefix in cli.REFUSALS}
+    table |= {(EXIT_PARSE, "error"), (EXIT_DIMENSION, "error")}
+    listed = {(int(code), prefix) for code, prefix in re.findall(r"^- (\d) ``(\w+):``", cli.__doc__, re.M)}
+    assert listed == table
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    in_readme = {(int(code), prefix) for code, prefix in re.findall(r"^\| (\d) \| `(\w+):`", readme, re.M)}
+    assert in_readme == table
+
+
+def _wrap_deriv(fam):
+    fam["terms"][0]["deriv"] = [fam["terms"][0]["deriv"]]
+
+
+def _bool_exponent(fam):
+    fam["terms"][0]["poly"][0][0][0] = True
+
+
+def _short_argument(fam):
+    fam["terms"][0]["args"][0] = fam["terms"][0]["args"][0][:-1]
+
+
+def _numeric_label(fam):
+    fam["terms"][0]["func"] = 7
+
+
+def _string_order(fam):
+    fam["n"] = "3"
+
+
+def _string_semidirect(fam):
+    fam["semidirect"] = "no"
+
+
+@pytest.mark.parametrize("damage", [_wrap_deriv, _bool_exponent, _short_argument, _numeric_label,
+                                    _string_order, _string_semidirect],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_a_fixture_family_of_the_wrong_shape_is_one_parse_error_line(tmp_path, capfd, monkeypatch, damage):
+    """A fixture file that is JSON but not a family document ends before any check reads it."""
+    from liepoisson.tables import solvable_table
+
+    fams = [f.to_json() for f in solvable_table()["n3-case4"]]
+    damage(fams[0])
+    (tmp_path / "n3-case4.json").write_text(json.dumps(fams))
+    monkeypatch.setenv("LIEX_FIXTURES", str(tmp_path))
+    doc = tmp_path / "l3.json"
+    doc.write_text(json.dumps(leibniz(3).to_json()))
+    assert main(["casimir", str(doc), "--verify"]) == EXIT_PARSE
+    out, err = _output(capfd)
+    assert "[pass]" not in out
+    assert err.startswith(f"error: cannot read fixture file {tmp_path / 'n3-case4.json'}: ") and err.count("\n") == 1

@@ -281,3 +281,24 @@ def test_complex_quadratic_split_real_imag():
     mons = exact_monitors(t)
     for _, q in mons:
         assert np.allclose(q, q.T)
+
+
+def test_values_outside_the_float_range_are_dynamics_errors():
+    from liepoisson.extension import validate
+
+    huge = validate([[[0, 0], [0, 0]], [[10**400, 0], [0, 0]]])
+    with pytest.raises(DynamicsError, match="tensor entry is outside the float range"):
+        simulate(huge, HamiltonianSpec.isotropic(2), FieldState.from_vectors([[1.0, 0, 0]] * 2), 0.01, 3)
+    with pytest.raises(DynamicsError, match="Casimir coefficient is outside the float range"):
+        exact_monitors(crmhd(10**400))
+
+
+def test_an_overflowing_trajectory_stops_at_the_same_step_without_warnings():
+    import warnings
+
+    t = leibniz(2)
+    state = FieldState.from_vectors([[1e200] * 3] * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="at step 1$"):
+            simulate(t, HamiltonianSpec.isotropic(2), state, 1.0, 50)

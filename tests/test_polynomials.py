@@ -37,3 +37,9 @@ def test_computed_polys_hold_only_nonzero_scalars():
     assert (p - p).is_zero() and p.scale(0).is_zero()
     assert p.diff(0) == (x * gr(2, 2))
     assert (p * p).diff(0) == (p.diff(0) * p).scale(2)
+
+
+@pytest.mark.parametrize("exponents", [(True, 0), (1.0, 0), (-1, 0)], ids=["bool", "float", "negative"])
+def test_an_exponent_that_is_not_a_non_negative_int_is_refused(exponents):
+    with pytest.raises(ValueError, match="non-negative int"):
+        Poly(2, {exponents: 1})
