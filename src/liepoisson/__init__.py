@@ -5,9 +5,9 @@ are validated against the two bracket laws, reduced to catalog normal forms
 with replayable witnesses, and their Casimir invariants are synthesized by
 the coextension recursion and verified symbolically.  A small floating-point
 module realizes any real tensor on tuples of so(3)* momenta and confirms
-the quadratic invariants numerically; it alone needs numpy, and it is
-imported on first use of one of its names, so the exact core loads without
-numpy.
+the quadratic invariants numerically; it alone needs numpy (the optional
+extra ``liepoisson[dynamics]``), and it is imported on first use of one of
+its names, so the exact core loads without numpy.
 """
 
 from .scalars import GaussianRational, gr, parse_scalar

@@ -48,7 +48,7 @@ from itertools import count
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .extension import ExtensionTensor, TensorError
-from .linalg import ExactMatrix, _rref_rows, null_space, pseudoinverse
+from .linalg import ExactMatrix, _pseudoinverse_rank, _rref_rows, null_space
 from .polynomials import Poly
 from .scalars import GaussianRational, ONE, ZERO, gr, parse_scalar
 
@@ -340,9 +340,10 @@ def _coextension(t: ExtensionTensor, idx: Sequence[int]) -> CoextensionResult:
     in O(k^4) rather than O(k^6).  Wn and the slices W_(mu) are read off one
     pass over the tensor's nonzeros, and each (lam, sig) combines the stored
     rows of the B_mu, so only nonzeros are touched.  Wn is nonsingular
-    exactly when the projector Wn Wn^+ is the identity; then A = Wn^-1 Wn = I,
-    the first and last terms cancel, and omega^nu_{lam sig} = B_sig[lam, nu]
-    is read off the B rows with no product A and no sum over mu.
+    exactly when the row reduction that gives Wn^+ finds full rank; then the
+    projector Wn Wn^+ is the identity, A = Wn^-1 Wn = I, the first and last
+    terms cancel, and omega^nu_{lam sig} = B_sig[lam, nu] is read off the B
+    rows with no product A and no sum over mu.
     """
     idx = tuple(idx)
     k = len(idx) - 1
@@ -359,10 +360,10 @@ def _coextension(t: ExtensionTensor, idx: Sequence[int]) -> CoextensionResult:
         elif lam in local:
             sub_rows[local[lam]][rho][col] = x
     wn = ExactMatrix._of(k, k, wn_rows)
-    wn_pinv = pseudoinverse(wn)
+    wn_pinv, rank = _pseudoinverse_rank(wn)
     sub = tuple(ExactMatrix._of(k, k, rows) for rows in sub_rows)
-    projector = wn @ wn_pinv
-    nonsingular = projector.is_identity()
+    nonsingular = rank == k
+    projector = ExactMatrix.identity(k) if nonsingular else wn @ wn_pinv
     b = [(wn_pinv @ m).nz for m in sub]
     omega: List[List[Tuple[int, int, GaussianRational]]] = [[] for _ in range(k)]
     if nonsingular:
@@ -598,7 +599,8 @@ def _component_families(t: ExtensionTensor, co: CoextensionResult,
     """Families of one support component, excluding its eigenvector family.
 
     One per projector row that no earlier row spans: the pivots of one row
-    reduction over the projector's columns.
+    reduction over the projector's columns, or every row of the identity
+    projector of a nonsingular Wn.
     """
     n = t.n
     idx = co.idx
@@ -608,7 +610,8 @@ def _component_families(t: ExtensionTensor, co: CoextensionResult,
             "solvability/coextension condition fails on an indecomposable block"
         )
     families = []
-    for nu in _rref_rows(co.projector.transpose().nz)[1]:
+    rows = range(co.wn.rows) if co.nonsingular else _rref_rows(co.projector.transpose().nz)[1]
+    for nu in rows:
         g0 = {_exponent(n, idx[rho]): x for rho, x in co.projector.nz[nu].items()}
         series = _series_from_hessian_recursion(n, g0, co.omega, idx[:-1])
         families.append(_family_from_series(n, series, idx[-1], names, t.semidirect))
@@ -699,15 +702,20 @@ def quadratic_casimir_basis(t: ExtensionTensor) -> List[ExactMatrix]:
     index = {p: k for k, p in enumerate(pairs)}
     equations: Dict[Tuple[int, int, int], Dict[int, GaussianRational]] = {}
     for lam, mu, nu, w in t.nonzeros():
+        neg = -w
         for sig in range(n):
             if sig == lam:
                 continue
-            key, x = ((nu, lam, sig), w) if sig < lam else ((nu, sig, lam), -w)
+            key, x = ((nu, lam, sig), w) if sig < lam else ((nu, sig, lam), neg)
             eq = equations.setdefault(key, {})
             k = index[(mu, sig) if mu <= sig else (sig, mu)]
-            x = eq.get(k, ZERO) + x
-            if x:
+            y = eq.get(k)
+            if y is None:
                 eq[k] = x
+                continue
+            y = y + x
+            if y:
+                eq[k] = y
             else:
                 del eq[k]
     distinct = list({frozenset(eq.items()): eq for eq in equations.values()}.values())

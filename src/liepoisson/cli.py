@@ -25,8 +25,9 @@ itself, so that the table needs no numpy:
 - 4 ``obstruction:`` a Casimir synthesis obstruction (``SynthesisObstruction``;
   also above order four, where no catalog form can be tried instead);
 - 5 ``error:`` any refusal by the dynamics layer in ``simulate``
-  (``DynamicsError``): a dimension mismatch, a complex tensor, or an entry or
-  trajectory outside the float range;
+  (``DynamicsError``): a dimension mismatch, a complex tensor, a non-finite
+  state or Hamiltonian, or an entry or trajectory outside the float range;
+  also ``simulate`` without numpy (the extra ``liepoisson[dynamics]``);
 - 6 ``error:`` a valid bracket that ``classify`` cannot bring to a catalog
   normal form over Q(i) (``ClassificationError``).
 """
@@ -270,8 +271,11 @@ def cmd_simulate(args) -> int:
     if args.steps < 1:
         raise ParseFailure(f"--steps must be at least 1, got {args.steps}")
     # the float layer, and numpy with it, is loaded by this command alone
-    import numpy as np
-
+    try:
+        import numpy as np
+    except ImportError:
+        print("error: liex simulate needs numpy, the optional extra liepoisson[dynamics]")
+        return EXIT_DIMENSION
     from .dynamics import (DynamicsError, FieldState, HamiltonianSpec, exact_monitors, heavy_top_tensor,
                            rigid_body_tensor, simulate)
 

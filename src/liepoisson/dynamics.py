@@ -19,8 +19,11 @@ drift at the integrator's order, not exactness.
 With x = l.reshape(3n) the right-hand side is one quadratic form in x:
 the bracket is linear in l and so is dH/dl.  :func:`_eom_operator` writes
 it once per run as a matrix R of shape (9n^2, 3n), built from the T
-nonzero entries of W and the blocks of H, and every evaluation is then
-``(R @ x).reshape(3n, 3n) @ x``, with no Python loop and no per-entry work.
+nonzero entries of W and the blocks of H.  :func:`simulate` keeps x flat
+for the whole run, and every evaluation is ``np.dot(np.dot(R, x).reshape(3n,
+3n), x)``, with no Python loop and no per-entry work.  After the loop one
+product reads H = 1/2 x^T A x at every sample, and one more every C_Q: the
+stacked Q against the Gram matrices l l^T of the samples.
 """
 
 from __future__ import annotations
@@ -67,6 +70,8 @@ class HamiltonianSpec:
         b = np.asarray(self.blocks, dtype=float)
         if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2:] != (3, 3):
             raise DynamicsError("blocks must have shape (n, n, 3, 3)")
+        if not np.isfinite(b).all():
+            raise DynamicsError("the Hamiltonian blocks have a non-finite entry")
         if not np.allclose(b, np.swapaxes(np.swapaxes(b, 0, 1), 2, 3)):
             raise DynamicsError("blocks must satisfy A[mu,nu] = A[nu,mu]^T")
         self.blocks = b
@@ -92,8 +97,10 @@ class HamiltonianSpec:
     def gradient(self, state: np.ndarray) -> np.ndarray:
         return np.einsum("mnij,nj->mi", self.blocks, state)
 
-    def value(self, state: np.ndarray) -> float:
-        return 0.5 * float(np.einsum("mi,mnij,nj->", state, self.blocks, state))
+    def matrix(self) -> np.ndarray:
+        """The (3n, 3n) matrix A with H = 1/2 x^T A x at x = l.reshape(3n)."""
+        m = 3 * self.n
+        return self.blocks.transpose(0, 2, 1, 3).reshape(m, m)
 
 
 # _EPS[i, j, k], the Levi-Civita symbol: (g x s)_i = sum_jk _EPS[i, j, k] g_j s_k
@@ -105,7 +112,7 @@ _EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
 def _eom_operator(t: ExtensionTensor, h: HamiltonianSpec) -> np.ndarray:
     """The equations of motion as one quadratic operator R of shape (9n^2, 3n).
 
-    With x = l.reshape(3n), dl/dt = (R @ x).reshape(3n, 3n) @ x, where
+    With x = l.reshape(3n), dx/dt = np.dot(np.dot(R, x).reshape(3n, 3n), x), where
 
         R[(a, i), (lam, k), (m, p)] = sum_{nu, j} W_lam^{a nu} eps_ijk A[nu, m]_{jp}
 
@@ -127,13 +134,13 @@ def _eom_operator(t: ExtensionTensor, h: HamiltonianSpec) -> np.ndarray:
         raise DynamicsError("a tensor entry is outside the float range") from None
     b = np.zeros((n, 3, n, 3, n, 3))  # [a, i, lam, k, nu, j]
     b[a, :, lam, :, nu, :] = w[:, None, None, None] * _EPS.transpose(0, 2, 1)
-    return b.reshape(9 * n * n, 3 * n) @ h.blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+    return b.reshape(9 * n * n, 3 * n) @ h.matrix()
 
 
-def _evaluate(r: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """dl/dt at ``state`` (shape (n, 3)) from the operator of :func:`_eom_operator`."""
-    x = state.reshape(-1)
-    return ((r @ x).reshape(x.size, x.size) @ x).reshape(state.shape)
+def _evaluate(r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """dx/dt at the flat state x = l.reshape(3n); ``np.dot`` costs less per call than ``@`` here."""
+    m = x.size
+    return np.dot(np.dot(r, x).reshape(m, m), x)
 
 
 def eom_rhs(t: ExtensionTensor, h: HamiltonianSpec, s: FieldState) -> np.ndarray:
@@ -142,7 +149,7 @@ def eom_rhs(t: ExtensionTensor, h: HamiltonianSpec, s: FieldState) -> np.ndarray
         raise DynamicsError(
             f"dimension mismatch: tensor {t.n}, Hamiltonian {h.n}, state {s.tuples.shape[0]}"
         )
-    return _evaluate(_eom_operator(t, h), s.tuples)
+    return _evaluate(_eom_operator(t, h), s.tuples.reshape(-1)).reshape(s.tuples.shape)
 
 
 def monitor_gradient(q: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -159,14 +166,14 @@ def exact_monitors(t: ExtensionTensor) -> List[Tuple[str, np.ndarray]]:
 
     out = []
     for k, q in enumerate(quadratic_casimir_basis(t)):
-        z = np.zeros((t.n, t.n), dtype=complex)
-        for i, row in enumerate(q.nz):
-            for j, x in row.items():
-                try:
-                    z[i, j] = complex(x)
-                except OverflowError:
-                    raise DynamicsError("a quadratic Casimir coefficient is outside the float range") from None
-        re, im = z.real.copy(), z.imag.copy()
+        re, im = np.zeros((t.n, t.n)), np.zeros((t.n, t.n))
+        try:
+            for i, row in enumerate(q.nz):
+                for j, x in row.items():
+                    # x = (a + b i)/d: each part is one correctly rounded int division
+                    re[i, j], im[i, j] = x._a / x._d, x._b / x._d
+        except OverflowError:
+            raise DynamicsError("a quadratic Casimir coefficient is outside the float range") from None
         if np.any(re):
             out.append((f"Q{k}", re))
         if np.any(im):
@@ -201,21 +208,16 @@ class TrajectoryRecord:
 
 DRIFT_FLOOR = 1e-300
 # A drift is relative to |C(0)|, but to no less than this share of the
-# monitor's magnitude at the initial state (see _magnitudes): a monitor that
+# monitor's magnitude at the initial state (see simulate): a monitor that
 # starts at zero then reports its change against its own scale.
 DRIFT_SCALE_FLOOR = 1e-3
 
 
-def _magnitudes(h: HamiltonianSpec, mons, state: np.ndarray) -> Dict[str, float]:
-    """Each monitor's value at ``state`` with every term taken in absolute value.
-
-    That is 1/2 sum |Q_mn| |l^m| |l^n| for a Casimir monitor and 1/2 sum |A| |l| |l|,
-    entry by entry, for the Hamiltonian: a bound on |C| that no cancellation lowers.
-    """
-    norms = np.linalg.norm(state, axis=1)
-    absolute = np.abs(state)
-    return {name: 0.5 * float(np.einsum("mi,mnij,nj->", absolute, np.abs(h.blocks), absolute)) if q is None
-            else 0.5 * float(norms @ np.abs(q) @ norms) for name, q in mons}
+def _monitor_values(a: np.ndarray, qs: np.ndarray, xs: np.ndarray, ls: np.ndarray) -> np.ndarray:
+    """Row 0: 1/2 x^T A x at each row x of ``xs``; row 1 + j: 1/2 sum Q_mn <l^m, l^n>
+    for Q = qs[j] (flattened), read off the Gram matrix l l^T of the matching sample of ``ls``."""
+    gram = np.matmul(ls, ls.transpose(0, 2, 1)).reshape(len(ls), -1)
+    return 0.5 * np.concatenate(((np.dot(xs, a) * xs).sum(axis=1)[None], np.dot(qs, gram.T)))
 
 
 def simulate(
@@ -230,10 +232,10 @@ def simulate(
     """Fixed-step RK4 integration with energy and Casimir drift monitoring.
 
     The drift of each monitor is |C(T) - C(0)| / max(|C(0)|, f M, 1e-300),
-    with M its magnitude at the initial state (:func:`_magnitudes`) and
-    f = DRIFT_SCALE_FLOOR, so a monitor that starts at zero is measured on
-    its own scale; above that floor the drift is |C(T) - C(0)| / |C(0)|.  The
-    Hamiltonian itself is always monitored under the name "H".
+    with f = DRIFT_SCALE_FLOOR and M the monitor at the initial state with
+    every term in absolute value (1/2 sum |Q_mn| |l^m| |l^n|, or 1/2 |x|^T |A|
+    |x| for H), a bound no cancellation lowers: a monitor that starts at zero
+    is measured on its own scale.  "H", the Hamiltonian, is always monitored.
     """
     if not 0 < dt < math.inf:
         raise DynamicsError(f"dt must be a positive finite step, got {dt}")
@@ -241,51 +243,49 @@ def simulate(
         raise DynamicsError(f"steps must be at least 0, got {steps}")
     if sample_every < 1:
         raise DynamicsError(f"sample_every must be at least 1, got {sample_every}")
-    if h.n != t.n or s0.tuples.shape[0] != t.n:
+    n = t.n
+    if h.n != n or s0.tuples.shape[0] != n:
         raise DynamicsError("dimension mismatch between tensor, Hamiltonian, and state")
-    mons = [("H", None)] + list(monitors or [])
-    values: Dict[str, List[float]] = {name: [] for name, _ in mons}
-
-    def record(state):
-        for name, q in mons:
-            if q is None:
-                values[name].append(h.value(state))
-            else:
-                values[name].append(0.5 * float(np.einsum("mn,mi,ni->", q, state, state)))
-
+    x = s0.tuples.astype(float).reshape(-1)
+    if not np.isfinite(x).all():
+        raise DynamicsError("the initial state has a non-finite entry")
+    names, qs = ["H"], []
+    for name, q in monitors or ():
+        q = np.asarray(q, dtype=float)
+        if q.shape != (n, n):
+            raise DynamicsError(f"monitor {name} has shape {q.shape}, not ({n}, {n})")
+        names.append(name)
+        qs.append(q.reshape(-1))
+    qs = np.array(qs).reshape(len(qs), n * n)
+    a = h.matrix()
+    half, sixth = 0.5 * dt, dt / 6.0
     # an overflow in the operator or in a step ends as a non-finite state,
     # which the loop raises as NonFinite: numpy's own warnings would only
     # repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         r = _eom_operator(t, h)
-        state = s0.tuples.astype(float).copy()
-        floors = {name: max(DRIFT_SCALE_FLOOR * m, DRIFT_FLOOR) for name, m in _magnitudes(h, mons, state).items()}
-        times = [s0.time]
-        samples = [state.copy()]
-        record(state)
+        norms = np.linalg.norm(x.reshape(n, 3), axis=1)
+        floors = np.maximum(DRIFT_SCALE_FLOOR * _monitor_values(
+            np.abs(a), np.abs(qs), np.abs(x)[None], norms.reshape(1, n, 1))[:, 0], DRIFT_FLOOR)
+        times, samples = [s0.time], [x]
+        # x is rebound at every step, never written, so a sample needs no copy
         for k in range(steps):
-            k1 = _evaluate(r, state)
-            k2 = _evaluate(r, state + 0.5 * dt * k1)
-            k3 = _evaluate(r, state + 0.5 * dt * k2)
-            k4 = _evaluate(r, state + dt * k3)
-            state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.isfinite(state).all():
+            k1 = _evaluate(r, x)
+            k2 = _evaluate(r, x + half * k1)
+            k3 = _evaluate(r, x + half * k2)
+            k4 = _evaluate(r, x + dt * k3)
+            x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            # x.x overflows before any entry does, so only then are the entries read
+            if not math.isfinite(np.dot(x, x)) and not np.isfinite(x).all():
                 raise NonFinite(f"state became non-finite at step {k + 1}")
             if (k + 1) % sample_every == 0 or k + 1 == steps:
                 times.append(s0.time + (k + 1) * dt)
-                samples.append(state.copy())
-                record(state)
-    drifts = {}
-    for name in values:
-        series = values[name]
-        scale = max(abs(series[0]), floors[name])
-        drifts[name] = abs(series[-1] - series[0]) / scale
-    return TrajectoryRecord(
-        np.array(times),
-        np.array(samples),
-        {name: np.array(vals) for name, vals in values.items()},
-        drifts,
-    )
+                samples.append(x)
+        xs = np.array(samples)
+        values = _monitor_values(a, qs, xs, xs.reshape(-1, n, 3))
+        drifts = np.abs(values[:, -1] - values[:, 0]) / np.maximum(np.abs(values[:, 0]), floors)
+    return TrajectoryRecord(np.array(times), xs.reshape(-1, n, 3), dict(zip(names, values)),
+                            dict(zip(names, drifts.tolist())))
 
 
 def analytic_conservation_residual(

@@ -423,6 +423,14 @@ def _substitute(
 def pseudoinverse(a: ExactMatrix) -> ExactMatrix:
     """Exact Moore-Penrose pseudoinverse: the inverse when A is invertible, else via rank factorization.
 
+    See :func:`_pseudoinverse_rank`, which also returns the rank of A.
+    """
+    return _pseudoinverse_rank(a)[0]
+
+
+def _pseudoinverse_rank(a: ExactMatrix) -> Tuple[ExactMatrix, int]:
+    """The Moore-Penrose pseudoinverse of A and the rank of A, from one row reduction.
+
     One row reduction of [A | I] gives everything: its pivots left of the
     identity columns are those of A, the left parts of the rows holding them
     are rref(A), and when A is square of full rank the right half is A^-1.
@@ -436,14 +444,14 @@ def pseudoinverse(a: ExactMatrix) -> ExactMatrix:
     pivots = [p for p in pivots if p < n]
     k = len(pivots)
     if not k:
-        return ExactMatrix.zeros(n, a.rows)
+        return ExactMatrix.zeros(n, a.rows), 0
     if k == a.rows == n:
-        return ExactMatrix._of(n, n, [{j - n: x for j, x in row.items() if j >= n} for row in reduced])
+        return ExactMatrix._of(n, n, [{j - n: x for j, x in row.items() if j >= n} for row in reduced]), k
     b = a.submatrix(range(a.rows), pivots)
     c = ExactMatrix._of(k, n, [{j: x for j, x in row.items() if j < n} for row in reduced[:k]])
     ch = c.conjugate_transpose()
     bh = b.conjugate_transpose()
-    return ch @ inverse(c @ ch) @ inverse(bh @ b) @ bh
+    return ch @ inverse(c @ ch) @ inverse(bh @ b) @ bh, k
 
 
 # ---------------------------------------------------------------------------

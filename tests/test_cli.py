@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -526,6 +527,25 @@ def test_exact_core_imports_no_numpy():
     assert result.stdout.split() == ["False", "True"]
 
 
+def test_without_numpy_only_simulate_refuses(tmp_path):
+    # numpy is the optional extra liepoisson[dynamics]: a None entry in
+    # sys.modules makes every import of it fail, as if it were not installed
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    doc = tmp_path / "c.json"
+    doc.write_text(json.dumps(crmhd(Fraction(5, 2)).to_json()))
+    probe = ("import sys; sys.modules['numpy'] = None; from liepoisson.cli import main; "
+             "sys.exit(main(sys.argv[1:]))")
+    for argv, code in ((["casimir", str(doc), "--verify"], 0), (["classify", str(doc)], 0),
+                       (["simulate", str(doc), "--steps", "3"], EXIT_DIMENSION),
+                       (["simulate", "--preset", "heavy-top"], EXIT_DIMENSION)):
+        result = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env)
+        assert result.returncode == code, (argv, result.stdout, result.stderr)
+        assert result.stderr == "", argv
+        if code:
+            assert result.stdout.splitlines() == [
+                "error: liex simulate needs numpy, the optional extra liepoisson[dynamics]"]
+
+
 def test_simulate_reports_a_monitor_that_starts_at_zero_on_its_own_scale(tmp_path, capsys):
     doc = tmp_path / "c.json"
     doc.write_text(json.dumps(crmhd(Fraction(5, 2)).to_json()))
@@ -594,13 +614,15 @@ def test_simulate_dimension_mismatch_exit_code(tmp_path, capsys):
     (["--hamiltonian", "h.json"], {"h.json": {"x": 1}}, EXIT_PARSE),
     (["--hamiltonian", "h.json"], {"h.json": {"blocks": [["a"]]}}, EXIT_PARSE),
     (["--hamiltonian", "h.json"], {"h.json": {"blocks": [[1]]}}, EXIT_DIMENSION),
+    (["--hamiltonian", "h.json"], {"h.json": {"blocks": [[[[math.inf, 0, 0], [0, 1, 0], [0, 0, 1]]] * 2] * 2}}, EXIT_DIMENSION),
     (["--state", "s.json"], {"s.json": [[1, 2]]}, EXIT_DIMENSION),
+    (["--state", "s.json"], {"s.json": [[math.nan, 1, 0], [0, 1, 0]]}, EXIT_DIMENSION),
     (["--state", "s.json"], {"s.json": {"x": 1}}, EXIT_PARSE),
     (["--state", "missing.json"], {}, EXIT_PARSE),
     (["--state", "s.json"], {"s.json": "[" * 100_000 + "]" * 100_000}, EXIT_PARSE),
 ], ids=["inertia-not-a-number", "inertia-zero", "hamiltonian-missing", "hamiltonian-not-json",
-        "hamiltonian-no-blocks", "hamiltonian-not-numbers", "hamiltonian-wrong-shape",
-        "state-wrong-shape", "state-not-a-list", "state-missing", "state-deep-nesting"])
+        "hamiltonian-no-blocks", "hamiltonian-not-numbers", "hamiltonian-wrong-shape", "hamiltonian-infinity",
+        "state-wrong-shape", "state-nan", "state-not-a-list", "state-missing", "state-deep-nesting"])
 def test_simulate_bad_inputs_exit_without_a_traceback(tmp_path, capfd, monkeypatch, flags, files, code):
     monkeypatch.chdir(tmp_path)
     Path("t.json").write_text(json.dumps(leibniz(2).to_json()))

@@ -9,6 +9,7 @@ one refusal line, and print nothing on stderr but that line.
 
 import io
 import json
+import math
 import os
 import signal
 import tempfile
@@ -190,15 +191,17 @@ def test_mutated_tensor_documents(workdir, data):
 @FUZZ
 @given(data=st.data())
 def test_simulate_on_scaled_brackets_and_states(workdir, data):
-    """Valid brackets scaled past the float range, and states and steps large enough to overflow."""
+    """Valid brackets scaled past the float range, states and steps large enough to overflow, and
+    states and Hamiltonians holding NaN or Infinity (JSON literals that json reads as floats)."""
     base = scaled(data.draw(st.sampled_from(BASES)), data.draw(st.sampled_from(SCALES)))
     n = len(base["w"])
     argv = ["simulate", json_file(data, os.path.join(workdir, "t.json"), base, mutations=0)]
     if data.draw(st.booleans()):
-        size = data.draw(st.sampled_from([1.0, 1e10, 1e200]))
+        size = data.draw(st.sampled_from([1.0, 1e10, 1e200, math.nan, math.inf]))
         argv += ["--state", a_path(data, workdir, "s.json", [[size, 0.5, -0.25]] * n)]
     if data.draw(st.booleans()):
-        blocks = [[[[float(i == j and a == b) for b in range(3)] for a in range(3)] for j in range(n)]
+        entry = data.draw(st.sampled_from([1.0, math.nan, math.inf, -math.inf]))
+        blocks = [[[[entry if i == j and a == b else 0.0 for b in range(3)] for a in range(3)] for j in range(n)]
                   for i in range(n)]
         argv += ["--hamiltonian", a_path(data, workdir, "h.json", {"blocks": blocks})]
     argv += ["--steps", data.draw(st.sampled_from(["1", "3", "20"]))]

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -294,11 +295,122 @@ def test_values_outside_the_float_range_are_dynamics_errors():
 
 
 def test_an_overflowing_trajectory_stops_at_the_same_step_without_warnings():
-    import warnings
-
     t = leibniz(2)
     state = FieldState.from_vectors([[1e200] * 3] * 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFinite, match="at step 1$"):
             simulate(t, HamiltonianSpec.isotropic(2), state, 1.0, 50)
+
+
+def reference_simulate(t, h, s0, dt, steps, monitors=(), sample_every=1):
+    """The RK4 loop on (n, 3) states with one einsum per monitor and sample: the reference."""
+    from liepoisson.dynamics import DRIFT_FLOOR, DRIFT_SCALE_FLOOR, _eom_operator
+
+    def evaluate(r, state):
+        x = state.reshape(-1)
+        return ((r @ x).reshape(x.size, x.size) @ x).reshape(state.shape)
+
+    def magnitudes(state):
+        norms = np.linalg.norm(state, axis=1)
+        absolute = np.abs(state)
+        return {name: 0.5 * float(np.einsum("mi,mnij,nj->", absolute, np.abs(h.blocks), absolute)) if q is None
+                else 0.5 * float(norms @ np.abs(q) @ norms) for name, q in mons}
+
+    mons = [("H", None)] + list(monitors)
+    values = {name: [] for name, _ in mons}
+
+    def record(state):
+        for name, q in mons:
+            if q is None:
+                values[name].append(0.5 * float(np.einsum("mi,mnij,nj->", state, h.blocks, state)))
+            else:
+                values[name].append(0.5 * float(np.einsum("mn,mi,ni->", q, state, state)))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _eom_operator(t, h)
+        state = s0.tuples.astype(float).copy()
+        mags = magnitudes(state)
+        floors = {name: max(DRIFT_SCALE_FLOOR * m, DRIFT_FLOOR) for name, m in mags.items()}
+        times = [s0.time]
+        samples = [state.copy()]
+        record(state)
+        for k in range(steps):
+            k1 = evaluate(r, state)
+            k2 = evaluate(r, state + 0.5 * dt * k1)
+            k3 = evaluate(r, state + 0.5 * dt * k2)
+            k4 = evaluate(r, state + dt * k3)
+            state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.isfinite(state).all():
+                raise NonFinite(f"state became non-finite at step {k + 1}")
+            if (k + 1) % sample_every == 0 or k + 1 == steps:
+                times.append(s0.time + (k + 1) * dt)
+                samples.append(state.copy())
+                record(state)
+    drifts = {name: abs(series[-1] - series[0]) / max(abs(series[0]), floors[name])
+              for name, series in values.items()}
+    return np.array(times), np.array(samples), values, drifts, mags
+
+
+SO3_TENSORS = [rigid_body_tensor(), heavy_top_tensor(), crmhd(Fraction(5, 2)), leibniz(8),
+               direct_sum(leibniz(8), leibniz(8))]
+
+
+@pytest.mark.parametrize("sample_every", [1, 5])
+def test_simulate_matches_the_reference_loop(sample_every):
+    rng = np.random.default_rng(31 + sample_every)
+    for t in SO3_TENSORS:
+        mons = exact_monitors(t)
+        for _ in range(3):
+            h = HamiltonianSpec(random_hamiltonian(rng, t.n).blocks / (3 * t.n))
+            s0 = FieldState(rng.normal(size=(t.n, 3)) / np.sqrt(3 * t.n), time=rng.uniform(-1, 1))
+            record = simulate(t, h, s0, 0.01, 23, mons, sample_every)
+            times, states, values, drifts, mags = reference_simulate(t, h, s0, 0.01, 23, mons, sample_every)
+            assert record.states.shape == states.shape == (len(times), t.n, 3)
+            assert np.all(np.abs(record.times - times) <= 1e-14 * np.abs(times))
+            assert np.all(np.abs(record.states - states) <= 1e-14 * np.abs(states).max())
+            assert list(record.monitors) == list(values) == ["H"] + [name for name, _ in mons]
+            for name, series in values.items():
+                assert np.all(np.abs(record.monitors[name] - series) <= 1e-14 * mags[name]), name
+                # two values within 1e-14 M, over a scale of at least 1e-3 M
+                assert abs(record.drifts[name] - drifts[name]) <= 2e-11, name
+
+
+def test_simulate_stops_where_the_reference_loop_stops():
+    blocks = np.zeros((2, 2, 3, 3))
+    blocks[0, 0], blocks[1, 1] = np.eye(3) * 1e8, -np.eye(3) * 1e8
+    cases = [
+        (heavy_top_tensor(), HamiltonianSpec(blocks), [[1e150, 0, 0], [0, 1e150, 0]], 1e3),
+        (leibniz(2), HamiltonianSpec.isotropic(2), [[1e200] * 3] * 2, 1.0),
+        (rigid_body_tensor(), HamiltonianSpec.rigid_body([1.0, 2.0, 3.0]), [[1e100, 2e100, 3e100]], 1e52),
+        (crmhd(Fraction(5, 2)), HamiltonianSpec.isotropic(4), [[3e60, 1e60, -2e60]] * 4, 1e90),
+    ]
+    for t, h, state, dt in cases:
+        s0 = FieldState.from_vectors(state)
+        with pytest.raises(NonFinite) as got:
+            simulate(t, h, s0, dt, 50)
+        with pytest.raises(NonFinite) as want:
+            reference_simulate(t, h, s0, dt, 50)
+        assert str(got.value) == str(want.value)
+    # |x|^2 overflows while every entry stays finite: neither loop stops, nor warns
+    t, h, s0 = abelian(2), HamiltonianSpec.isotropic(2), FieldState.from_vectors([[1e200, 0, 0], [0, -1e200, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record = simulate(t, h, s0, 1.0, 5)
+    assert np.array_equal(record.states, reference_simulate(t, h, s0, 1.0, 5)[1])
+
+
+def test_non_finite_inputs_and_misshapen_monitors_are_named():
+    t, h = heavy_top_tensor(), HamiltonianSpec.isotropic(2)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DynamicsError, match="initial state has a non-finite entry"):
+            simulate(t, h, FieldState.from_vectors([[bad, 1, 0], [0, 1, 0]]), 0.01, 3)
+        blocks = HamiltonianSpec.isotropic(2).blocks
+        blocks[1, 1, 2, 2] = bad
+        with pytest.raises(DynamicsError, match="Hamiltonian blocks have a non-finite entry"):
+            HamiltonianSpec(blocks)
+    s0 = FieldState(np.ones((2, 3)))
+    with pytest.raises(DynamicsError, match=r"monitor Q has shape \(3, 3\), not \(2, 2\)"):
+        simulate(t, h, s0, 0.01, 3, monitors=[("Q", np.eye(3))])
+    with pytest.raises(DynamicsError, match=r"monitor P has shape \(4,\), not \(2, 2\)"):
+        simulate(t, h, s0, 0.01, 3, monitors=[("Q", np.eye(2)), ("P", np.ones(4))])
