@@ -303,14 +303,13 @@ class CoextensionResult:
         return _coextension_symmetric(self.omega)
 
 
-def _solvable_range(t: ExtensionTensor) -> Tuple[int, int]:
-    s = 1 if t.semidirect else 0
-    return s, t.n - 1
-
-
-def _require_identity_w0(t: ExtensionTensor) -> None:
-    if t.semidirect and not t.slice_is_identity(0):
-        raise CasimirError("semidirect tensor must have identity first slice")
+def _solvable_start(t: ExtensionTensor) -> int:
+    """1 when W^(0) = I makes slot 0 semisimple, 0 when its diagonal is zero; else not normalized."""
+    if t.slice_is_identity(0):
+        return 1
+    if any(t.slice_diagonal(0)):
+        raise CasimirError("normalize the first slice: W^(0) must be the identity or have a zero diagonal")
+    return 0
 
 
 def build_coextension(t: ExtensionTensor) -> CoextensionResult:
@@ -323,8 +322,7 @@ def build_coextension(t: ExtensionTensor) -> CoextensionResult:
     """
     if not t.is_lower_triangular():
         raise CasimirError("coextension needs a lower-triangular tensor")
-    _require_identity_w0(t)
-    s, _ = _solvable_range(t)
+    s = _solvable_start(t)
     if s == t.n:
         raise CasimirError("coextension needs at least one solvable slot")
     return _coextension(t, range(s, t.n))
@@ -554,7 +552,7 @@ def _eigenvector_family(t: ExtensionTensor, names: Iterator[str]) -> Optional[Ca
     args = tuple(map(kernel.row, range(kernel.rows)))
     func = FormalFunction(next(names), args)
     term = CasimirTerm(Poly.constant(n, 1), func, (0,) * len(args))
-    return CasimirFamily((term,), n, t.semidirect)
+    return CasimirFamily((term,), n, t.slice_is_identity(0))
 
 
 def synthesize_casimirs(t: ExtensionTensor) -> List[CasimirFamily]:
@@ -569,8 +567,7 @@ def synthesize_casimirs(t: ExtensionTensor) -> List[CasimirFamily]:
     """
     if not t.is_lower_triangular():
         raise CasimirError("synthesis needs a normalized (lower-triangular) tensor")
-    _require_identity_w0(t)
-    s, _ = _solvable_range(t)
+    s = _solvable_start(t)
     whole = list(range(s, t.n))
     cos = [_coextension(t, comp) for comp in _support_components(t, s, t.n)
            if len(comp) > 1 or comp == whole]
@@ -578,10 +575,10 @@ def synthesize_casimirs(t: ExtensionTensor) -> List[CasimirFamily]:
     families: List[CasimirFamily] = []
     # a slot outside the last slot's component leaves a zero row in Wn, so a
     # nonsingular Wn needs the whole solvable range to be one component
-    if t.semidirect and cos and cos[0].idx == tuple(whole) and cos[0].nonsingular:
+    if s and cos and cos[0].idx == tuple(whole) and cos[0].nonsingular:
         families.append(_semidirect_family(t, cos[0], names))
     for co in cos:
-        families += _component_families(t, co, names)
+        families += _component_families(t, co, names, bool(s))
     eig = _eigenvector_family(t, names)
     if eig is not None:
         families.append(eig)
@@ -594,8 +591,8 @@ def synthesize_casimirs(t: ExtensionTensor) -> List[CasimirFamily]:
     return families
 
 
-def _component_families(t: ExtensionTensor, co: CoextensionResult,
-                        names: Iterator[str]) -> List[CasimirFamily]:
+def _component_families(t: ExtensionTensor, co: CoextensionResult, names: Iterator[str],
+                        semidirect: bool) -> List[CasimirFamily]:
     """Families of one support component, excluding its eigenvector family.
 
     One per projector row that no earlier row spans: the pivots of one row
@@ -614,7 +611,7 @@ def _component_families(t: ExtensionTensor, co: CoextensionResult,
     for nu in rows:
         g0 = {_exponent(n, idx[rho]): x for rho, x in co.projector.nz[nu].items()}
         series = _series_from_hessian_recursion(n, g0, co.omega, idx[:-1])
-        families.append(_family_from_series(n, series, idx[-1], names, t.semidirect))
+        families.append(_family_from_series(n, series, idx[-1], names, semidirect))
     return families
 
 

@@ -100,7 +100,7 @@ def _normal_form(n: int, slices: Dict[int, Dict[Tuple[int, int], int]]) -> Exten
     for lam, pairs in slices.items():
         for (mu, nu), v in pairs.items():
             w[lam][mu][nu] = w[lam][nu][mu] = gr(v)
-    return ExtensionTensor._of(n, False, w)
+    return ExtensionTensor._of(n, w)
 
 
 _CATALOGS: Dict[int, Catalog] = {}
@@ -173,8 +173,8 @@ def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
         if not t.is_lower_triangular():
             raise ClassificationError("internal error: triangularization postcondition failed")
     _require_single_block(t)
-    semidirect = bool(t.slice_diagonal(0)[0])
-    if semidirect:
+    # a single block has a nonzero trace only in slice 0, where it is n times the eigenvalue
+    if t.semidirect:
         if t.n == 1:
             raise ClassificationError(
                 "bare base bracket: the semisimple slot has no solvable part to classify"
@@ -184,8 +184,8 @@ def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
             r.record(b, moved)
         t = r.split_semisimple()
     normal = _classify_solvable(t, r)
-    label = CaseLabel(normal.n, _match_catalog(normal.nz, normal.n), semidirect)
-    expected = append_semisimple(normal) if semidirect else normal
+    label = CaseLabel(normal.n, _match_catalog(normal.nz, normal.n), r.split)
+    expected = append_semisimple(normal) if r.split else normal
     if r.full.nz != expected.nz:
         raise ClassificationError("internal error: witness chain does not reproduce the normal form")
     return label, r.chain
@@ -200,7 +200,7 @@ class _Reduction:
     """
 
     def __init__(self, t: ExtensionTensor):
-        self.full, self.chain, self.semidirect = t, [], False
+        self.full, self.chain, self.split = t, [], False
 
     def record(self, b: BasisChange, moved: Optional[ExtensionTensor] = None) -> ExtensionTensor:
         """Apply a step of the full tensor; return the moved solvable part.
@@ -209,15 +209,14 @@ class _Reduction:
         """
         self.chain.append(b)
         self.full = apply(self.full, b) if moved is None else moved
-        return strip_semisimple(self.full) if self.semidirect else self.full
+        return strip_semisimple(self.full) if self.split else self.full
 
     def step(self, m: ExactMatrix) -> ExtensionTensor:
-        return self.record(BasisChange(_lift(m) if self.semidirect else m))
+        return self.record(BasisChange(_lift(m) if self.split else m))
 
     def split_semisimple(self) -> ExtensionTensor:
         """Lift the later moves past slot 0, where W^(0) = I by now; return the solvable part."""
-        self.semidirect = True
-        self.full = ExtensionTensor._of(self.full.n, True, self.full.nz)
+        self.split = True
         return strip_semisimple(self.full)
 
 

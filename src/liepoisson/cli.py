@@ -6,10 +6,10 @@ once, by the synthesis) and verify them against the table fixtures, emit the
 catalog and Leibniz tensors, and integrate the finite-dimensional so(3)*
 realization while monitoring conservation.
 
-Tensor documents are JSON: {"n": int, "semidirect": bool, "w": [[[scalar]]]}
-with the lower index outermost and scalars as exact strings ("p/q" or
-"p/q+r/si"); optional metadata keys (name, beta, provenance) ride along and
-round-trip untouched.
+Tensor documents are JSON: {"n": int, "w": [[[scalar]]]} with the lower
+index outermost and scalars as exact strings ("p/q" or "p/q+r/si"); an
+optional "semidirect" boolean must agree with the entries, and metadata keys
+(name, beta, provenance) ride along and round-trip untouched.
 
 Every refusal ends with one line and an exit code.  ``REFUSALS`` in
 :func:`main` maps the library's exceptions; a ``ParseFailure`` (argparse's
@@ -18,7 +18,7 @@ itself, so that the table needs no numpy:
 
 - 0 success;
 - 1 ``invalid:`` a tensor that breaks a bracket law (``TensorError``), or a
-  verification failure;
+  verification failure; also, with no line, a reader that stopped early;
 - 2 ``error:`` on stderr: a file that cannot be read or written, a malformed
   document or a bad option value (``ParseFailure``);
 - 3 ``error:`` an order out of range (``OrderTooHigh``);
@@ -157,18 +157,8 @@ def _casimir_families(t: ExtensionTensor):
         if obstruction is None:
             raise
         raise obstruction from None
-    normal = _normal_form(t, label)
+    normal = catalog_entry(label)
     return label, normal, casimir_mod.synthesize_casimirs(normal)
-
-
-def _normal_form(t: ExtensionTensor, label: CaseLabel) -> ExtensionTensor:
-    """The catalog form of ``label`` with the input's semidirect flag.
-
-    ``classify`` applied each step of its witness chain to ``t`` once and
-    checked that the result is this entry bit-exactly, so nothing is
-    replayed here.
-    """
-    return ExtensionTensor._of(t.n, t.semidirect, catalog_entry(label).nz)
 
 
 def cmd_casimir(args) -> int:
@@ -408,16 +398,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ParseFailure as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except TensorError as err:
-        code, prefix = next((code, prefix) for cls, code, prefix in REFUSALS if isinstance(err, cls))
-        print(f"{prefix}: {err}")
-        return code
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except ParseFailure as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_PARSE
+        except TensorError as err:
+            code, prefix = next((code, prefix) for cls, code, prefix in REFUSALS if isinstance(err, cls))
+            print(f"{prefix}: {err}")
+            return code
+        finally:
+            sys.stdout.flush()  # here, where a reader that stopped early is caught
+    except BrokenPipeError:
+        # the reader stopped early (``liex catalog | head``): the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -56,12 +56,6 @@ def _gi_mod(a: GaussianRational, m: GaussianRational) -> GaussianRational:
     return _gi_divmod(a, m)[1]
 
 
-def _gi_gcd(a: GaussianRational, b: GaussianRational) -> GaussianRational:
-    while b:
-        a, b = b, _gi_mod(a, b)
-    return a
-
-
 def _gi_ext_gcd(a: GaussianRational, b: GaussianRational):
     """(g, u, v) with u*a + v*b = g in Z[i]."""
     r0, r1 = a, b
@@ -216,14 +210,14 @@ def isotropic_ternary(a: GaussianRational, b: GaussianRational, c: GaussianRatio
                 stack.append(("scale", idx, s))
                 coeffs[idx] = rep
         # common factor of all three
-        g = _gi_gcd(_gi_gcd(coeffs[0], coeffs[1]), coeffs[2])
+        g = _gi_ext_gcd(_gi_ext_gcd(coeffs[0], coeffs[1])[0], coeffs[2])[0]
         if int(g.norm()) > 1:
             coeffs = [x / g for x in coeffs]
             continue
         # pairwise shared factors move onto the third coefficient
         shared = None
         for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            g = _gi_gcd(coeffs[i], coeffs[j])
+            g = _gi_ext_gcd(coeffs[i], coeffs[j])[0]
             if int(g.norm()) > 1:
                 shared = (i, j, k, g)
                 break

@@ -62,7 +62,7 @@ class FieldState:
 
 @dataclass
 class HamiltonianSpec:
-    """Quadratic form with one 3x3 block per index pair, symmetric overall."""
+    """Quadratic form with one 3x3 block per index pair, exactly symmetric: A[mu,nu] = A[nu,mu]^T."""
 
     blocks: np.ndarray      # shape (n, n, 3, 3)
 
@@ -72,8 +72,9 @@ class HamiltonianSpec:
             raise DynamicsError("blocks must have shape (n, n, 3, 3)")
         if not np.isfinite(b).all():
             raise DynamicsError("the Hamiltonian blocks have a non-finite entry")
-        if not np.allclose(b, np.swapaxes(np.swapaxes(b, 0, 1), 2, 3)):
-            raise DynamicsError("blocks must satisfy A[mu,nu] = A[nu,mu]^T")
+        # exactly: the RHS takes A x as dH/dl, the gradient of 1/2 x^T A x only for a symmetric A
+        if not np.array_equal(b, np.swapaxes(np.swapaxes(b, 0, 1), 2, 3)):
+            raise DynamicsError("blocks must satisfy A[mu,nu] = A[nu,mu]^T exactly")
         self.blocks = b
 
     @property
@@ -251,6 +252,8 @@ def simulate(
         raise DynamicsError("the initial state has a non-finite entry")
     names, qs = ["H"], []
     for name, q in monitors or ():
+        if name in names:
+            raise DynamicsError(f"two monitors are named {name!r} (H is the Hamiltonian)")
         q = np.asarray(q, dtype=float)
         if q.shape != (n, n):
             raise DynamicsError(f"monitor {name} has shape {q.shape}, not ({n}, {n})")

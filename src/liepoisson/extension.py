@@ -9,7 +9,7 @@ beta_nu].  It is a Lie bracket exactly when
   pairwise commute.
 
 A tensor is certified once, at a public door, and trusted from then on.  The
-doors are the constructor ``ExtensionTensor(n, semidirect, w)``,
+doors are the constructor ``ExtensionTensor(n, w)``,
 :func:`validate` on a raw array, :meth:`ExtensionTensor.from_json` and
 :func:`from_lower_slices`: each freezes the entries to Q(i) scalars, rejects
 anything but an n-cube with n >= 1, and checks both laws.  Tensors built
@@ -30,8 +30,8 @@ slices, predicates, equality and ``transform.apply`` read the rows.  Row
 lam of a tensor is row for row the symmetric matrix W_(lam), which
 :meth:`ExtensionTensor.slice_lower` hands over with no copy.
 
-Index convention: storage is always 0-based.  A tensor with the semidirect
-flag set uses slot 0 as the semisimple direction (printed labels 0..n); a
+Index convention: storage is always 0-based.  A semidirect tensor in normal
+form uses slot 0 as the semisimple direction (printed labels 0..n); a
 solvable tensor's storage slots 0..n-1 carry printed labels 1..n.
 """
 
@@ -76,7 +76,7 @@ class ExtensionTensor:
     """A certified extension 3-tensor W_lam^{mu nu}, stored as sparse rows.
 
     ``n`` counts the fields (the common size of all three indices, including
-    the semisimple slot when the semidirect flag is set).  ``nz[lam][mu]`` is
+    the semisimple slot of a semidirect tensor).  ``nz[lam][mu]`` is
     the row (lam, mu) as a ``{nu: value}`` dict of its nonzero entries; no
     zero is ever stored, and the dicts are never changed once a tensor holds
     them.  ``w`` (the n x n x n nested tuples of scalars, computed on first
@@ -91,19 +91,19 @@ class ExtensionTensor:
     hand always satisfies them.
     """
 
-    __slots__ = ("n", "semidirect", "nz", "_w", "_nonzeros")
+    __slots__ = ("n", "nz", "_semidirect", "_w", "_nonzeros")
 
-    def __init__(self, n: int, semidirect: bool, w: Sequence[Sequence[Sequence]]):
+    def __init__(self, n: int, w: Sequence[Sequence[Sequence]]):
         nz = _freeze(w)
         if len(nz) != n:
             raise TensorError(f"declared order {n} does not match array size {len(nz)}")
         if n < 1:
             raise TensorError("a tensor needs at least one field")
         _check_laws(nz)
-        _init(self, n, bool(semidirect), nz)
+        _init(self, n, nz)
 
     @staticmethod
-    def _of(n: int, semidirect: bool, data: Sequence[Sequence]) -> "ExtensionTensor":
+    def _of(n: int, data: Sequence[Sequence]) -> "ExtensionTensor":
         """Trusted constructor: n planes of n rows of scalars obeying both laws, either a dense
         cube (its zeros dropped) or, read off the first row, ``{nu: value}`` dicts holding no
         zero, which the tensor keeps as they are."""
@@ -111,12 +111,24 @@ class ExtensionTensor:
             nz = tuple(map(tuple, data))
         else:
             nz = tuple(tuple({nu: x for nu, x in enumerate(r) if x} for r in plane) for plane in data)
-        return _init(object.__new__(ExtensionTensor), n, semidirect, nz)
+        return _init(object.__new__(ExtensionTensor), n, nz)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtensionTensor is immutable")
 
     # -- views -----------------------------------------------------------------
+
+    @property
+    def semidirect(self) -> bool:
+        """Whether a slice W^(nu) has a nonzero trace sum_lam W_lam^{lam nu}: basis-free, since the traces
+        move by M^T, and on a single block a nonzero eigenvalue, the paper's semisimple slot."""
+        if self._semidirect is None:
+            traces = [ZERO] * self.n
+            for lam, plane in enumerate(self.nz):
+                for nu, x in plane[lam].items():
+                    traces[nu] += x
+            object.__setattr__(self, "_semidirect", any(traces))
+        return self._semidirect
 
     @property
     def w(self) -> Tuple:
@@ -175,10 +187,10 @@ class ExtensionTensor:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtensionTensor):
             return NotImplemented
-        return self.n == other.n and self.semidirect == other.semidirect and self.nz == other.nz
+        return self.n == other.n and self.nz == other.nz
 
     def __hash__(self):
-        return hash((self.n, self.semidirect, self.nonzeros()))
+        return hash((self.n, self.nonzeros()))
 
     def __repr__(self):
         flag = "semidirect" if self.semidirect else "solvable-form"
@@ -195,12 +207,12 @@ class ExtensionTensor:
 
     @staticmethod
     def from_json(doc: dict) -> "ExtensionTensor":
-        """The tensor of a document: ``n`` a JSON integer, ``semidirect`` a JSON
-        boolean (absent means False), ``w`` the cube.  A wrong type raises TypeError."""
-        n, semidirect = doc["n"], doc.get("semidirect", False)
+        """The tensor of a document: ``n`` a JSON integer, ``w`` the cube, ``semidirect`` (optional)
+        a JSON boolean that :func:`validate` checks against the entries.  A wrong type raises TypeError."""
+        n, semidirect = doc["n"], doc.get("semidirect")
         if type(n) is not int:  # a JSON true would pass isinstance(n, int)
             raise TypeError(f"declared order must be an integer, not {n!r}")
-        if type(semidirect) is not bool:
+        if "semidirect" in doc and type(semidirect) is not bool:
             raise TypeError(f"semidirect must be true or false, not {semidirect!r}")
         t = validate(doc["w"], semidirect=semidirect)
         if t.n != n:
@@ -208,11 +220,11 @@ class ExtensionTensor:
         return t
 
 
-def _init(t: ExtensionTensor, n: int, semidirect: bool, nz: Tuple) -> ExtensionTensor:
+def _init(t: ExtensionTensor, n: int, nz: Tuple) -> ExtensionTensor:
     """Fill the slots of ``t`` with rows already in stored form."""
     object.__setattr__(t, "n", n)
-    object.__setattr__(t, "semidirect", semidirect)
     object.__setattr__(t, "nz", nz)
+    object.__setattr__(t, "_semidirect", None)
     object.__setattr__(t, "_w", None)
     object.__setattr__(t, "_nonzeros", None)
     return t
@@ -259,17 +271,15 @@ def validate(w_raw, semidirect: Optional[bool] = None) -> ExtensionTensor:
 
     A raw array goes through the constructor, which raises
     :class:`SymmetryViolation` or :class:`CommutationViolation` with the
-    offending indices (the first pair nu < sigma in lexicographic order).  A
-    tensor in hand is already certified and is returned as it is, or as a
-    copy with the flag changed when ``semidirect`` differs from its own.
-    ``semidirect`` defaults to the flag of a tensor passed in, and to False
-    (solvable form) for a raw array.
+    offending indices (the first pair nu < sigma in lexicographic order); a
+    tensor in hand is certified and returned as it is.  A ``semidirect`` other
+    than None must equal :attr:`ExtensionTensor.semidirect`, or ValueError.
     """
-    if isinstance(w_raw, ExtensionTensor):
-        if semidirect is None or bool(semidirect) == w_raw.semidirect:
-            return w_raw
-        return ExtensionTensor._of(w_raw.n, bool(semidirect), w_raw.nz)
-    return ExtensionTensor(len(w_raw), bool(semidirect), w_raw)
+    t = w_raw if isinstance(w_raw, ExtensionTensor) else ExtensionTensor(len(w_raw), w_raw)
+    if semidirect is not None and bool(semidirect) != t.semidirect:
+        raise ValueError("declared not semidirect, but a slice has a nonzero trace" if t.semidirect
+                         else "declared semidirect, but every slice has zero trace")
+    return t
 
 
 def _empty(n: int) -> List[List[Dict[int, GaussianRational]]]:
@@ -285,7 +295,7 @@ def abelian(order: int) -> ExtensionTensor:
     """The zero bracket on ``order`` fields."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    return ExtensionTensor._of(order, False, _empty(order))
+    return ExtensionTensor._of(order, _empty(order))
 
 
 def leibniz(order: int, semidirect: bool = False) -> ExtensionTensor:
@@ -304,7 +314,7 @@ def leibniz(order: int, semidirect: bool = False) -> ExtensionTensor:
     for mu in range(n):
         for nu in range(n - mu - shift):
             w[mu + nu + shift][mu][nu] = ONE
-    return ExtensionTensor._of(n, bool(semidirect), w)
+    return ExtensionTensor._of(n, w)
 
 
 def pure_semidirect(order: int) -> ExtensionTensor:
@@ -321,7 +331,7 @@ def pure_semidirect(order: int) -> ExtensionTensor:
         w[lam][lam][0] = ONE
         w[lam][0][lam] = ONE
     w[0][0][0] = ONE
-    return ExtensionTensor._of(n, True, w)
+    return ExtensionTensor._of(n, w)
 
 
 def crmhd(beta) -> ExtensionTensor:
@@ -342,7 +352,7 @@ def crmhd(beta) -> ExtensionTensor:
         w[lam][0][lam] = ONE
     w[3][2][1] = -beta
     w[3][1][2] = -beta
-    return ExtensionTensor._of(4, True, w)
+    return ExtensionTensor._of(4, w)
 
 
 def low_beta_rmhd() -> ExtensionTensor:
@@ -353,16 +363,15 @@ def low_beta_rmhd() -> ExtensionTensor:
 def direct_sum(a: ExtensionTensor, b: ExtensionTensor) -> ExtensionTensor:
     """Cube-diagonal placement of two extension tensors.
 
-    The summands are treated as independent blocks, so the result is stored
-    without a semidirect flag even if an operand carries one (its identity
-    slice is no longer global).  Each slice of the sum is block-diagonal with
-    blocks that are slices of a certified operand, or zero, so both laws
-    hold by construction.
+    The summands are independent blocks, so a sum is semidirect exactly when
+    an operand is.  Each slice of the sum is block-diagonal with blocks that
+    are slices of a certified operand, or zero, so both laws hold by
+    construction.
     """
     pad = [{} for _ in range(b.n)]
     shifted = [[{a.n + nu: x for nu, x in row.items()} for row in plane] for plane in b.nz]
     w = [list(plane) + pad for plane in a.nz] + [[{} for _ in range(a.n)] + plane for plane in shifted]
-    return ExtensionTensor._of(a.n + b.n, False, w)
+    return ExtensionTensor._of(a.n + b.n, w)
 
 
 def append_semisimple(a: ExtensionTensor) -> ExtensionTensor:
@@ -385,7 +394,7 @@ def append_semisimple(a: ExtensionTensor) -> ExtensionTensor:
         w[lam][0][lam] = ONE
     for lam, mu, nu, x in a.nonzeros():
         w[lam + 1][mu + 1][nu + 1] = x
-    return ExtensionTensor._of(n, True, w)
+    return ExtensionTensor._of(n, w)
 
 
 def strip_semisimple(a: ExtensionTensor) -> ExtensionTensor:
@@ -405,12 +414,11 @@ def strip_semisimple(a: ExtensionTensor) -> ExtensionTensor:
         raise TensorError("tensor has no solvable part: the semisimple slot is its only field")
     if any(nu for row in a.nz[0][1:] for nu in row):
         raise TensorError("slot 0 is coupled; normalize W^(0) first")
-    return ExtensionTensor._of(a.n - 1, False, [
+    return ExtensionTensor._of(a.n - 1, [
         [{nu - 1: x for nu, x in row.items() if nu} for row in plane[1:]] for plane in a.nz[1:]])
 
 
-def from_lower_slices(slices: Sequence[Optional[ExactMatrix]], n: int,
-                      semidirect: bool = False) -> ExtensionTensor:
+def from_lower_slices(slices: Sequence[Optional[ExactMatrix]], n: int) -> ExtensionTensor:
     """Build a tensor from its symmetric lower-index matrices W_(lam).
 
     ``slices[lam]`` may be None for a zero slice.  Mostly used to state
@@ -422,4 +430,4 @@ def from_lower_slices(slices: Sequence[Optional[ExactMatrix]], n: int,
         if s is not None and (s.rows != n or s.cols != n):
             raise ValueError("slice size mismatch")
         w.append([[ZERO] * n] * n if s is None else s.to_rows())
-    return ExtensionTensor(n, bool(semidirect), w)
+    return ExtensionTensor(n, w)

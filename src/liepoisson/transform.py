@@ -11,8 +11,10 @@ never reads the dense view ``ExtensionTensor.w``.  It relies on the
 upper-index symmetry that every :class:`ExtensionTensor` carries and that
 the law preserves: only the upper triangles are computed, then mirrored.
 Validity of the bracket is preserved by construction, so the result is
-built by the trusted ``ExtensionTensor._of`` and is not checked again.  On
-top of it sit three normalizations:
+built by the trusted ``ExtensionTensor._of`` and is not checked again.  No
+flag is passed along: the slice traces move by M^T, so the result is
+semidirect exactly when the input is, as read off its entries.  On top of
+it sit three normalizations:
 
 * :func:`normalize_w0_to_identity` drives the first slice matrix to the
   identity by a scalar rescale followed by unit-lower-triangular moves that
@@ -145,7 +147,7 @@ def apply(t: ExtensionTensor, b: BasisChange) -> ExtensionTensor:
                 if y:
                     plane[a][g] = plane[g][a] = y
         out.append(plane)
-    return ExtensionTensor._of(n, t.semidirect, out)
+    return ExtensionTensor._of(n, out)
 
 
 def apply_chain(t: ExtensionTensor, chain: List[BasisChange]) -> ExtensionTensor:
@@ -201,7 +203,7 @@ def normalize_w0_to_identity(t: ExtensionTensor) -> Tuple[ExtensionTensor, Basis
         t = apply(t, witness)
     if not t.slice_is_identity(0):
         raise TransformError("internal error: W^(0) normalization did not reach the identity")
-    return ExtensionTensor._of(n, True, t.nz), witness
+    return t, witness
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +495,6 @@ def congruence_reduce_tail(t: ExtensionTensor) -> Tuple[ExtensionTensor, BasisCh
     """
     n = t.n
     last = n - 1
-    if t.semidirect:
-        raise TransformError("congruence reduction applies to solvable tensors")
     for lam in range(last):
         if not t.slice_lower(lam).is_zero():
             raise TransformError("all slices before the last must vanish")

@@ -762,6 +762,21 @@ def test_bare_base_bracket_has_only_the_eigenvector_family():
         build_coextension(t)
 
 
+def test_a_sum_whose_semidirect_operand_comes_second_keeps_slot_0_solvable():
+    # the sum is semidirect (its operand's slice keeps a nonzero trace), but W^(0) has a zero
+    # diagonal, so synthesis treats slot 0 as solvable and labels from 1, as it always has
+    t = direct_sum(leibniz(2), leibniz(1, semidirect=True))
+    assert t.semidirect and not any(t.slice_diagonal(0))
+    fams = synthesize_casimirs(t)
+    assert [format_family(f) for f in fams] == ["ξ1 f(ξ2)", "g(ξ2)"]
+    assert not any(f.semidirect for f in fams)
+    # a semidirect first slice that is not the identity is refused until it is normalized
+    moved = apply(crmhd(1), BasisChange(ExactMatrix.identity(4).scale(gr(2))))
+    assert moved.is_lower_triangular() and moved.semidirect
+    with pytest.raises(CasimirError, match="normalize the first slice"):
+        synthesize_casimirs(moved)
+
+
 def dense_eigenvector_args(t):
     """The joint eigenvectors from the n^2 dense rows of W^(nu) - ev I: the reference."""
     from liepoisson.linalg import null_space

@@ -95,7 +95,7 @@ def test_classify_order_too_high(tmp_path, capsys):
 def test_slices_without_q_i_eigenvalues_exit_invalid(tmp_path, command):
     # W^(0) = [[0, 2], [2, 0]] has the eigenvalues +-sqrt(2): two blocks that Q(i) cannot split
     doc = tmp_path / "sqrt2.json"
-    doc.write_text(json.dumps({"n": 2, "semidirect": False, "w": [[["0", "2"], ["2", "0"]], [["1", "0"], ["0", "2"]]]}))
+    doc.write_text(json.dumps({"n": 2, "w": [[["0", "2"], ["2", "0"]], [["1", "0"], ["0", "2"]]]}))
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     result = subprocess.run([sys.executable, "-m", "liepoisson.cli", command, str(doc)],
                             capture_output=True, text=True, env=env)
@@ -662,6 +662,39 @@ def test_tensor_document_with_a_wrong_json_type_is_a_parse_error(tmp_path, capfd
     out = capfd.readouterr()
     lines = (out.out + out.err).strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: malformed tensor document"), lines
+
+
+@pytest.mark.parametrize("t", [crmhd(1), leibniz(3)], ids=["crmhd", "leibniz3"])
+def test_a_declared_semidirect_is_checked_against_the_entries(tmp_path, capfd, t):
+    """Absent, the key is derived from the entries and the families verify; a key that
+    contradicts the entries refuses the document with one line, at every command."""
+    doc = t.to_json()
+    del doc["semidirect"]
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    assert main(["casimir", str(path), "--verify"]) == 0
+    out, err = _output(capfd)
+    assert "table fixtures: match" in out and err == ""
+    path.write_text(json.dumps({**doc, "semidirect": not t.semidirect}))
+    for argv in (["validate", str(path)], ["classify", str(path)], ["casimir", str(path), "--verify"]):
+        assert main(argv) == EXIT_PARSE
+        out, err = _output(capfd)
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith("error: malformed tensor document: declared "), err
+
+
+def test_a_reader_that_stops_early_gets_no_traceback():
+    # the read end is closed before liex writes, so its first write fails, as in `liex catalog | head -c 0`
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run([sys.executable, "-m", "liepoisson.cli", "catalog", "--order", "4"],
+                                stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert result.returncode == EXIT_INVALID
+    assert result.stderr == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -178,6 +178,13 @@ FUZZ = settings(derandomize=True, database=None, max_examples=120, deadline=None
 @given(data=st.data())
 def test_mutated_tensor_documents(workdir, data):
     base = scaled(data.draw(st.sampled_from(BASES)), data.draw(st.sampled_from(SCALES)))
+    # the declared semidirect: kept, set either way (a contradiction of the entries is a
+    # parse error), or dropped (derived from the entries)
+    flag = data.draw(st.sampled_from(["keep", True, False, "drop"]))
+    if flag == "drop":
+        del base["semidirect"]
+    elif flag != "keep":
+        base["semidirect"] = flag
     doc = a_path(data, workdir, "t.json", base)
     codes = [check(["validate", doc]),
              check(["classify", doc, "--witness", os.path.join(workdir, "w.json")]),

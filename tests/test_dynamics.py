@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import warnings
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from liepoisson import dynamics
+from liepoisson.cli import EXIT_DIMENSION, main
 from liepoisson.dynamics import (
     DynamicsError,
     FieldState,
@@ -70,7 +72,7 @@ def random_real_tensor(rng, n):
     """
     w = tuple(tuple(tuple(gr(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) if rng.random() < 0.4 else ZERO
                           for _ in range(n)) for _ in range(n)) for _ in range(n))
-    return ExtensionTensor._of(n, False, w)
+    return ExtensionTensor._of(n, w)
 
 
 def random_hamiltonian(rng, n):
@@ -134,7 +136,7 @@ def test_simulate_builds_the_operator_once(monkeypatch):
 def test_rhs_rejects_complex_tensor():
     w = [[[ZERO] * 2 for _ in range(2)] for _ in range(2)]
     w[1][0][0] = I
-    t = ExtensionTensor(2, False, tuple(tuple(tuple(row) for row in plane) for plane in w))
+    t = ExtensionTensor(2, tuple(tuple(tuple(row) for row in plane) for plane in w))
     with pytest.raises(DynamicsError):
         eom_rhs(t, HamiltonianSpec.isotropic(2), FieldState(np.ones((2, 3))))
 
@@ -414,3 +416,32 @@ def test_non_finite_inputs_and_misshapen_monitors_are_named():
         simulate(t, h, s0, 0.01, 3, monitors=[("Q", np.eye(3))])
     with pytest.raises(DynamicsError, match=r"monitor P has shape \(4,\), not \(2, 2\)"):
         simulate(t, h, s0, 0.01, 3, monitors=[("Q", np.eye(2)), ("P", np.ones(4))])
+
+
+def test_hamiltonian_blocks_must_be_exactly_symmetric(tmp_path, capsys):
+    # A x is the gradient of 1/2 x^T A x only for a symmetric A: an asymmetry of
+    # 1e-5 on the heavy top drifts H by about 1e-6 over 10^4 steps, not 1e-15
+    blocks = HamiltonianSpec.isotropic(2).blocks
+    blocks[0, 0, 0, 1], blocks[0, 0, 1, 0] = 1.0, 1.00001
+    with pytest.raises(DynamicsError, match="exactly"):
+        HamiltonianSpec(blocks)
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"blocks": blocks.tolist()}))
+    doc = tmp_path / "t.json"
+    doc.write_text(json.dumps(heavy_top_tensor().to_json()))
+    assert main(["simulate", str(doc), "--hamiltonian", str(path), "--steps", "3"]) == EXIT_DIMENSION
+    assert "exactly" in capsys.readouterr().out
+    blocks[0, 0, 1, 0] = 1.0
+    assert np.array_equal(HamiltonianSpec(blocks).blocks, blocks)
+
+
+def test_a_monitor_may_not_take_a_name_already_monitored():
+    # the records are keyed by name: a monitor named H would replace the Hamiltonian
+    t, h = heavy_top_tensor(), HamiltonianSpec.isotropic(2)
+    s0 = FieldState.from_vectors([[0.3, -0.2, 0.9], [0.5, 0.1, -0.4]])
+    q = 3 * np.eye(2)
+    for monitors in ([("H", q)], [("Q", q), ("Q", 2 * q)]):
+        with pytest.raises(DynamicsError, match="two monitors are named"):
+            simulate(t, h, s0, 0.01, 3, monitors=monitors)
+    record = simulate(t, h, s0, 0.01, 3, monitors=[("Q", q), ("P", 2 * q)])
+    assert sorted(record.monitors) == ["H", "P", "Q"]

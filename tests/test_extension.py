@@ -22,8 +22,8 @@ from liepoisson.extension import (
     strip_semisimple,
     validate,
 )
-from liepoisson.classify import catalog, classify
-from liepoisson.cli import EXIT_INVALID, _normal_form, main
+from liepoisson.classify import catalog, catalog_entry, classify
+from liepoisson.cli import EXIT_INVALID, main
 from liepoisson.linalg import BasisChange, ExactMatrix
 from liepoisson.scalars import GaussianRational, I, ONE, ZERO, gr
 from liepoisson.transform import apply, normalize_w0_to_identity
@@ -85,11 +85,13 @@ def test_validate_keeps_the_semidirect_flag():
     t = crmhd(1)
     assert validate(t) == t
     assert validate(leibniz(3)) == leibniz(3)
-    # a raw array is solvable-form unless the flag is given
+    # the flag is read off the entries; a declared value must agree with them
     raw = [[list(row) for row in plane] for plane in t.w]
-    assert not validate(raw).semidirect
+    assert validate(raw).semidirect and validate(raw) == t
     assert validate(raw, semidirect=True) == t
-    assert not validate(t, semidirect=False).semidirect
+    for tensor, wrong in ((raw, False), (t, False), (leibniz(3), True), (leibniz(3).w, True)):
+        with pytest.raises(ValueError, match="declared"):
+            validate(tensor, semidirect=wrong)
 
 
 def test_leibniz_slices_are_jordan_powers():
@@ -210,7 +212,7 @@ def test_validate_reports_the_reference_violation():
             assert err.value.pair == pair
             # the public constructor is a door too and reports the same pair
             with pytest.raises(CommutationViolation) as err:
-                ExtensionTensor(n, t.semidirect, frozen)
+                ExtensionTensor(n, frozen)
             assert err.value.pair == pair
     assert broken > len(pool)
 
@@ -296,7 +298,7 @@ def test_nonzeros_match_a_full_scan_and_are_computed_once():
 # ---------------------------------------------------------------------------
 
 def test_order_zero_is_rejected_at_every_door():
-    for door in (lambda: validate([]), lambda: ExtensionTensor(0, False, ()),
+    for door in (lambda: validate([]), lambda: ExtensionTensor(0, ()),
                  lambda: ExtensionTensor.from_json({"n": 0, "w": []})):
         with pytest.raises(TensorError, match="at least one field"):
             door()
@@ -317,11 +319,11 @@ def test_from_json_requires_json_types():
 
 def test_constructor_coerces_and_checks_the_declared_order():
     raw = [[[0, 0], [0, 0]], [["1", 0], [0, Fraction(0)]]]
-    assert ExtensionTensor(2, False, raw) == leibniz(2)
+    assert ExtensionTensor(2, raw) == leibniz(2)
     with pytest.raises(TensorError, match="declared order 3"):
-        ExtensionTensor(3, False, raw)
+        ExtensionTensor(3, raw)
     with pytest.raises(TensorError, match="not cubic"):
-        ExtensionTensor(2, False, [[[0, 0], [0]], [[0, 0], [0, 0]]])
+        ExtensionTensor(2, [[[0, 0], [0]], [[0, 0], [0, 0]]])
 
 
 def _assert_certified(t):
@@ -335,7 +337,7 @@ def _assert_certified(t):
             assert all(isinstance(x, GaussianRational) for x in row)
     assert all(t.w[lam][mu][nu] == t.w[lam][nu][mu] for lam in range(n) for mu in range(n) for nu in range(n))
     assert _first_noncommuting_pair(t.w) is None
-    assert ExtensionTensor(n, t.semidirect, t.w) == t
+    assert ExtensionTensor(n, t.w) == t
 
 
 CATALOG = [entry for order in range(1, 5) for _, entry in catalog(order).entries]
@@ -377,7 +379,9 @@ def test_trusted_results_pass_the_full_check(data, beta):
     _assert_certified(direct_sum(a, b))
     moved = apply(a, BasisChange(_dense_change(data, a.n)))
     _assert_certified(moved)
-    _assert_certified(validate(moved, semidirect=not moved.semidirect))
+    _assert_certified(validate(moved, semidirect=moved.semidirect))
+    with pytest.raises(ValueError, match="declared"):
+        validate(moved, semidirect=not moved.semidirect)
     # a scaled unit-lower change keeps a semidirect tensor lower-triangular with
     # one eigenvalue in W^(0): the input normalize_w0_to_identity expects
     s = data.draw(st.sampled_from([x for x in SMALL_POOL if x.semidirect]))
@@ -389,7 +393,7 @@ def test_trusted_results_pass_the_full_check(data, beta):
     _assert_certified(normal)
     if s.n > 1:
         _assert_certified(strip_semisimple(normal))
-        _assert_certified(_normal_form(shifted, classify(shifted)[0]))
+        _assert_certified(catalog_entry(classify(shifted)[0]))
 
 
 def _violation(door):
@@ -419,11 +423,12 @@ def test_one_entry_perturbation_is_rejected_at_every_door(tmp_path_factory, data
     else:
         pair = _first_noncommuting_pair(w)
         expected = ("commutation", pair) if pair else ("valid",)
-    doc = {"n": n, "semidirect": t.semidirect, "w": [[[str(x) for x in row] for row in plane] for plane in w]}
+    # no declared semidirect: a perturbed diagonal entry may change it
+    doc = {"n": n, "w": [[[str(x) for x in row] for row in plane] for plane in w]}
     path = tmp_path_factory.getbasetemp() / "perturbed.json"
     path.write_text(json.dumps(doc))
-    assert _violation(lambda: ExtensionTensor(n, t.semidirect, w)) == expected
-    assert _violation(lambda: validate(w, semidirect=t.semidirect)) == expected
+    assert _violation(lambda: ExtensionTensor(n, w)) == expected
+    assert _violation(lambda: validate(w)) == expected
     assert _violation(lambda: ExtensionTensor.from_json(json.loads(path.read_text()))) == expected
     assert main(["validate", str(path)]) == (0 if expected == ("valid",) else EXIT_INVALID)
 
@@ -461,5 +466,5 @@ def test_strip_semisimple_reads_every_coupling_entry():
             w = [[list(row) for row in plane] for plane in base.w]
             w[0][mu][nu] = w[0][nu][mu] = gr(3)
             with pytest.raises(TensorError, match="slot 0 is coupled"):
-                strip_semisimple(ExtensionTensor._of(3, True, w))
+                strip_semisimple(ExtensionTensor._of(3, w))
     assert strip_semisimple(base) == abelian(2)
