@@ -146,7 +146,7 @@ def _casimir_families(t: ExtensionTensor):
     form of that order, the obstruction stands.
     """
     obstruction = None
-    if t.is_lower_triangular() and (not any(t.slice_diagonal(0)) or t.slice_is_identity(0)):
+    if casimir_mod.is_normalized(t):
         try:
             return None, t, casimir_mod.synthesize_casimirs(t)
         except casimir_mod.SynthesisObstruction as err:

@@ -24,10 +24,16 @@ Square roots modulo a Gaussian prime live in GF(p) for split primes and in
 GF(q^2) for inert ones; one Tonelli-Shanks on pairs x + y*i serves both.
 A failed modular square root certifies that the conic has no Q(i)-rational
 point, which callers report as a genuine obstruction.
+
+The reduction runs on Gaussian integers as (x, y) int pairs, with the
+``_gi_*`` helpers of :mod:`liepoisson.scalars` (which says how they round):
+scalars enter at :func:`isotropic_ternary` and leave as its point, built
+once over the one denominator its three coordinates keep.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Optional, Tuple
 
 from .scalars import (
@@ -37,11 +43,15 @@ from .scalars import (
     ONE,
     ZERO,
     _gi_divmod,
-    gaussian_factor,
+    _gi_exact_divide,
+    _gi_factor,
+    _gi_mul,
+    _gi_sqrt,
+    _reduced,
+    _square_free,
     gr,
     sqrt_fraction,
     sqrt_gaussian,
-    square_free_part_zi,
 )
 
 Point = Tuple[GaussianRational, GaussianRational]
@@ -52,20 +62,25 @@ Triple = Tuple[GaussianRational, GaussianRational, GaussianRational]
 # Modular arithmetic in Z[i]
 # ---------------------------------------------------------------------------
 
-def _gi_mod(a: GaussianRational, m: GaussianRational) -> GaussianRational:
+def _gi_mod(a, m):
     return _gi_divmod(a, m)[1]
 
 
-def _gi_ext_gcd(a: GaussianRational, b: GaussianRational):
+def _gi_norm(z) -> int:
+    return z[0] * z[0] + z[1] * z[1]
+
+
+def _gi_ext_gcd(a, b):
     """(g, u, v) with u*a + v*b = g in Z[i]."""
     r0, r1 = a, b
-    s0, s1 = ONE, ZERO
-    t0, t1 = ZERO, ONE
-    while r1:
+    s0, s1 = (1, 0), (0, 0)
+    t0, t1 = (0, 0), (1, 0)
+    while r1 != (0, 0):
         q, r = _gi_divmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
+        qs, qt = _gi_mul(q, s1), _gi_mul(q, t1)
+        s0, s1 = s1, (s0[0] - qs[0], s0[1] - qs[1])
+        t0, t1 = t1, (t0[0] - qt[0], t0[1] - qt[1])
     return r0, s0, t0
 
 
@@ -116,45 +131,43 @@ def _tonelli_shanks(a, q: int, order: int, candidates):
     return r
 
 
-def _sqrt_mod_prime(a: GaussianRational, pi: GaussianRational) -> Optional[GaussianRational]:
-    """Square root of a modulo a Gaussian prime pi (pi does not divide a)."""
-    p = int(pi.norm())
+def _sqrt_mod_prime(a, pi):
+    """Square root of a modulo a Gaussian prime pi (pi does not divide a), or None."""
+    p = _gi_norm(pi)
     if p == 2:
         return _gi_mod(a, pi)
-    if pi.im == 0 or pi.re == 0:
+    if not pi[0] or not pi[1]:
         # inert: Z[i]/(q) is GF(q^2), non-residues searched in lexicographic order
-        q = int(abs(pi.re if pi.im == 0 else pi.im))
+        q = abs(pi[0] or pi[1])
         candidates = ((x, y) for x in range(q) for y in range(q) if x or y)
-        root = _tonelli_shanks((int(a.re), int(a.im)), q, q * q - 1, candidates)
-    else:
-        # split: Z[i]/(pi) is GF(p) with i = r
-        r = (-int(pi.re) * pow(int(pi.im), -1, p)) % p
-        candidates = ((x, 0) for x in range(2, p))
-        root = _tonelli_shanks((int(a.re) + int(a.im) * r, 0), p, p - 1, candidates)
-    if root is None:
-        return None
-    return gr(root[0], root[1])
+        return _tonelli_shanks(a, q, q * q - 1, candidates)
+    # split: Z[i]/(pi) is GF(p) with i = r
+    r = (-pi[0] * pow(pi[1], -1, p)) % p
+    candidates = ((x, 0) for x in range(2, p))
+    return _tonelli_shanks((a[0] + a[1] * r, 0), p, p - 1, candidates)
 
 
-def _sqrt_mod_squarefree_all(a: GaussianRational, m: GaussianRational, limit: int = 16):
+def _sqrt_mod_squarefree_all(a, m, limit: int = 16):
     """Balanced square roots of a modulo square-free m (CRT sign choices)."""
-    candidates = [ZERO]
-    mod = ONE
-    for pi, exp in gaussian_factor(m):
+    candidates = [(0, 0)]
+    mod = (1, 0)
+    for pi, exp in _gi_factor(m):
         if exp != 1:
             raise ValueError("modulus must be square-free")
         root = _sqrt_mod_prime(_gi_mod(a, pi), pi)
         if root is None:
             return []
         g, u, _ = _gi_ext_gcd(mod, pi)
-        u = u / g
+        # g is a unit, and (u/g) mod = 1 modulo pi
+        step = _gi_mul(_gi_exact_divide(u, g), mod)
+        mod = _gi_mul(mod, pi)
         new = []
         for t in candidates:
-            for r in (root, -root) if root else (root,):
-                new.append(_gi_mod(t + (r - t) * u * mod, mod * pi))
+            for r in (root, (-root[0], -root[1])) if root != (0, 0) else (root,):
+                lift = _gi_mul((r[0] - t[0], r[1] - t[1]), step)
+                new.append(_gi_mod((t[0] + lift[0], t[1] + lift[1]), mod))
             if len(new) >= limit:
                 break
-        mod = mod * pi
         candidates = new[:limit]
     return candidates
 
@@ -163,26 +176,34 @@ def _sqrt_mod_squarefree_all(a: GaussianRational, m: GaussianRational, limit: in
 # Lagrange reduction for ternary forms
 # ---------------------------------------------------------------------------
 
-def _small_ternary_search(coeffs, bounds=(3, 8)) -> Optional[Triple]:
+def _small_ternary_search(coeffs, bounds=(3, 8)):
     """Bounded search for a x^2 + b y^2 + c z^2 = 0 over small Gaussian x, y.
 
-    Each bound's box of Gaussian integers, and b y^2 for each of them, is
-    built once; x and y run over it by real part, then imaginary part, so
-    the first point found is the first in that order.
+    x and y run over each bound's box of Gaussian integers by real part,
+    then imaginary part, so the first point found is the first in that
+    order; b y^2 is built once per box.  z^2 = -(a x^2 + b y^2)/c needs
+    N(a x^2 + b y^2) N(c) to be a perfect square, which one integer square
+    root tests before the root in Z[i] is taken.  Returns the point as
+    ((x d, y d, z d), d), or None.
     """
-    a, b, c = coeffs
+    a, b, (cx, cy) = coeffs
+    nc = cx * cx + cy * cy
     for bound in bounds:
         side = range(-bound, bound + 1)
-        box = [gr(re, im) for re in side for im in side]
-        by2 = [(y, b * y * y) for y in box]
+        box = [(re, im) for re in side for im in side]
+        by2 = [(y, *_gi_mul(b, _gi_mul(y, y))) for y in box]
         for x in box:
-            ax2 = a * x * x
-            for y, by in by2:
-                if not (x or y):
+            ux, uy = _gi_mul(a, _gi_mul(x, x))
+            for y, vx, vy in by2:
+                sx, sy = ux + vx, uy + vy
+                m = (sx * sx + sy * sy) * nc
+                r = isqrt(m)
+                if r * r != m or x == y == (0, 0):
                     continue
-                z = sqrt_gaussian(-(ax2 + by) / c)
+                # z^2 = -(sx + sy i) conj(c) / nc, whose root is that of its numerator times nc, over nc
+                z = _gi_sqrt((-(sx * cx + sy * cy) * nc, (sx * cy - sy * cx) * nc))
                 if z is not None:
-                    return x, y, z
+                    return ((x[0] * nc, x[1] * nc), (y[0] * nc, y[1] * nc), z), nc
     return None
 
 
@@ -192,98 +213,113 @@ def isotropic_ternary(a: GaussianRational, b: GaussianRational, c: GaussianRatio
     Lagrange reduction: coefficients are kept square-free and pairwise
     coprime, and the largest is repeatedly shrunk using a balanced square
     root of the product of the other two.  Returns None when the form is
-    anisotropic (certified by a failed modular square root).
+    anisotropic (certified by a failed modular square root).  The
+    reduction runs on Gaussian integers as int pairs; the first round's
+    square-free parts take the scalars' denominators in.
     """
-    coeffs = [a, b, c]
-    for idx in range(3):
-        if not coeffs[idx]:
+    for idx, z in enumerate((a, b, c)):
+        if not z:
             sol = [ZERO, ZERO, ZERO]
             sol[idx] = ONE
             return tuple(sol)
+    coeffs = [(z._a, z._b) for z in (a, b, c)]
+    dens = [z._d for z in (a, b, c)]
     stack = []
     stall = 0
     for _round in range(400):
         # square-free reduction of each coefficient
         for idx in range(3):
-            rep, s = square_free_part_zi(coeffs[idx])
-            if not s.is_one():
+            rep, s = _square_free(coeffs[idx], dens[idx])
+            if s != (1, 0, 1):
                 stack.append(("scale", idx, s))
-                coeffs[idx] = rep
+            coeffs[idx] = rep
+        dens = (1, 1, 1)
         # common factor of all three
         g = _gi_ext_gcd(_gi_ext_gcd(coeffs[0], coeffs[1])[0], coeffs[2])[0]
-        if int(g.norm()) > 1:
-            coeffs = [x / g for x in coeffs]
+        if _gi_norm(g) > 1:
+            coeffs = [_gi_exact_divide(x, g) for x in coeffs]
             continue
         # pairwise shared factors move onto the third coefficient
         shared = None
         for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
             g = _gi_ext_gcd(coeffs[i], coeffs[j])[0]
-            if int(g.norm()) > 1:
+            if _gi_norm(g) > 1:
                 shared = (i, j, k, g)
                 break
         if shared is not None:
             i, j, k, g = shared
-            coeffs[i] = coeffs[i] / g
-            coeffs[j] = coeffs[j] / g
-            coeffs[k] = coeffs[k] * g
+            coeffs[i] = _gi_exact_divide(coeffs[i], g)
+            coeffs[j] = _gi_exact_divide(coeffs[j], g)
+            coeffs[k] = _gi_mul(coeffs[k], g)
             stack.append(("mult", k, g))
             continue
-        order = sorted(range(3), key=lambda idx: int(coeffs[idx].norm()))
+        order = sorted(range(3), key=lambda idx: _gi_norm(coeffs[idx]))
         big = order[2]
-        if int(coeffs[big].norm()) <= 128:
-            sol = _small_ternary_search(coeffs)
-            if sol is None:
-                return None
-            return _unwind(stack, sol)
+        if _gi_norm(coeffs[big]) <= 128:
+            found = _small_ternary_search(coeffs)
+            return None if found is None else _unwind(stack, *found)
         i, j = order[0], order[1]
         a_, b_, c_ = coeffs[i], coeffs[j], coeffs[big]
-        roots = _sqrt_mod_squarefree_all(_gi_mod(-(a_ * b_), c_), c_)
+        ab = _gi_mul(a_, b_)
+        roots = _sqrt_mod_squarefree_all(_gi_mod((-ab[0], -ab[1]), c_), c_)
         if not roots:
             return None
         best = None
         for t in roots:
-            e = (t * t + a_ * b_) / c_
-            if not e:
-                sol = [ZERO, ZERO, ZERO]
+            # t^2 = -ab modulo c_, so c_ divides t^2 + ab
+            t2 = _gi_mul(t, t)
+            e = _gi_exact_divide((t2[0] + ab[0], t2[1] + ab[1]), c_)
+            if e == (0, 0):
+                sol = [(0, 0)] * 3
                 sol[i], sol[j] = t, a_
-                return _unwind(stack, tuple(sol))
-            e0, s = square_free_part_zi(e)
-            if best is None or int(e0.norm()) < int(best[1].norm()):
+                return _unwind(stack, tuple(sol), 1)
+            e0, s = _square_free(e)
+            if best is None or _gi_norm(e0) < _gi_norm(best[1]):
                 best = (t, e0, s)
         t, e0, s = best
-        if int(e0.norm()) >= int(c_.norm()):
+        if _gi_norm(e0) >= _gi_norm(c_):
             stall += 1
             if stall > 6:
-                sol = _small_ternary_search(coeffs, bounds=(12,))
-                if sol is not None:
-                    return _unwind(stack, sol)
-                return None
+                found = _small_ternary_search(coeffs, bounds=(12,))
+                return None if found is None else _unwind(stack, *found)
         else:
             stall = 0
-        stack.append(("lagrange", i, j, big, t, a_, b_, e0 * s))
+        # e = e0 s^2 with s a Gaussian integer, since e is one
+        stack.append(("lagrange", i, j, big, t, a_, b_, _gi_mul(e0, s[:2])))
         coeffs[big] = e0
     return None
 
 
-def _unwind(stack, sol: Triple) -> Optional[Triple]:
-    x = list(sol)
+def _unwind(stack, point, d: int) -> Optional[Triple]:
+    """The point (x/d, y/d, z/d) of the reduced form carried back through ``stack`` to the input form.
+
+    The three coordinates keep one denominator d, so every step is integer
+    arithmetic and the scalars are built once, at the end.
+    """
+    x = list(point)
     for entry in reversed(stack):
         kind = entry[0]
         if kind == "scale":
-            _, idx, s = entry
-            x[idx] = x[idx] / s
+            # x[idx] / s = x[idx] e conj(s_) / N(s_) for s = s_/e; the others take N(s_) into d
+            _, idx, (sx, sy, e) = entry
+            n = sx * sx + sy * sy
+            x = [_gi_mul(v, (e * sx, -e * sy)) if k == idx else (v[0] * n, v[1] * n)
+                 for k, v in enumerate(x)]
+            d *= n
         elif kind == "mult":
             _, idx, g = entry
-            x[idx] = x[idx] * g
+            x[idx] = _gi_mul(x[idx], g)
         else:
             _, i, j, k, t, a_, b_, zfac = entry
             xi, xj, xk = x[i], x[j], x[k]
-            x[i] = t * xi + b_ * xj
-            x[j] = t * xj - a_ * xi
-            x[k] = zfac * xk
-    if all(not v for v in x):
+            p, q = _gi_mul(t, xi), _gi_mul(b_, xj)
+            x[i] = (p[0] + q[0], p[1] + q[1])
+            p, q = _gi_mul(t, xj), _gi_mul(a_, xi)
+            x[j] = (p[0] - q[0], p[1] - q[1])
+            x[k] = _gi_mul(zfac, xk)
+    if all(v == (0, 0) for v in x):
         return None
-    return tuple(x)
+    return tuple(_reduced(v[0], v[1], d) for v in x)
 
 
 def represent_binary(

@@ -95,9 +95,6 @@ class HamiltonianSpec:
             blocks[mu, mu] = np.eye(3)
         return HamiltonianSpec(blocks)
 
-    def gradient(self, state: np.ndarray) -> np.ndarray:
-        return np.einsum("mnij,nj->mi", self.blocks, state)
-
     def matrix(self) -> np.ndarray:
         """The (3n, 3n) matrix A with H = 1/2 x^T A x at x = l.reshape(3n)."""
         m = 3 * self.n

@@ -12,7 +12,15 @@ entries lie in Q(i).
 
 The module also provides the Gaussian-integer number theory that the
 classifier's rescalings and conic points use: exact square roots, square-free
-parts and factorization.  :func:`gaussian_divisors` has no package caller; it
+parts and factorization.  Inside it a Gaussian integer is a plain (x, y) int
+pair, and a scalar is built only where a value leaves it: the public
+:func:`square_free_part`, :func:`square_free_part_zi`, :func:`sqrt_gaussian`
+and :func:`gaussian_factor` take and return scalars, while the ``_gi_*``
+helpers, which :mod:`liepoisson.conics` shares, take and return pairs.  No
+``Fraction`` is built on the way.  Nearest-integer division rounds each part
+of a/b half to even, exactly as ``round(Fraction)`` does, so Euclid's
+remainders, and every gcd and conic point built from them, are the ones the
+scalar arithmetic gave.  :func:`gaussian_divisors` has no package caller; it
 is kept, with the eigenvalue search in :mod:`liepoisson.linalg`, only because
 the benchmark's traced set names ``linalg.eigenvalues_gaussian``.
 """
@@ -321,15 +329,32 @@ def sqrt_gaussian(z: GaussianRational) -> Optional[GaussianRational]:
 
     For z = (a + b*i)/d, z = g / d^2 with the Gaussian integer g = (a + b*i) d,
     and Z[i] is integrally closed, so z is a square in Q(i) exactly when g
-    is one in Z[i].  With (x + y*i)^2 = g: x^2 - y^2 = Re g, 2xy = Im g and
-    x^2 + y^2 = r, the integer square root of the norm of g, so
-    x^2 = (Re g + r)/2; every test is an integer one.  The root returned has
-    a positive real part, or is i*s with s > 0 for a negative real z.
+    is one in Z[i]: the root is :func:`_gi_sqrt` of g over d.  The root
+    returned has a positive real part, or is i*s with s > 0 for a negative
+    real z.
     """
-    a, b, d = z._a, z._b, z._d
-    if not a and not b:
-        return ZERO
-    ga, gb = a * d, b * d
+    d = z._d
+    root = _gi_sqrt((z._a * d, z._b * d))
+    return None if root is None else _reduced(root[0], root[1], d)
+
+
+# ---------------------------------------------------------------------------
+# Gaussian integers as (x, y) int pairs
+# ---------------------------------------------------------------------------
+
+def _gi_mul(a, b):
+    (x, y), (u, v) = a, b
+    return x * u - y * v, x * v + y * u
+
+
+def _gi_sqrt(g):
+    """The square root of the Gaussian integer g in Z[i], or None.
+
+    With (x + y*i)^2 = g: x^2 - y^2 = Re g, 2xy = Im g and x^2 + y^2 = r, the
+    integer square root of the norm of g, so x^2 = (Re g + r)/2; every test
+    is an integer one.  The root has x > 0, or is i*y with y >= 0.
+    """
+    ga, gb = g
     norm = ga * ga + gb * gb
     r = isqrt(norm)
     if r * r != norm:
@@ -340,74 +365,40 @@ def sqrt_gaussian(z: GaussianRational) -> Optional[GaussianRational]:
     x = isqrt(x2)
     if x * x != x2:
         return None
-    if not x:  # Re g + r = 0: g = ga < 0 is a negative integer, and y^2 = -ga
+    if not x:  # Re g + r = 0: g = ga <= 0 is an integer, and y^2 = -ga
         y = isqrt(-ga)
-        return _reduced(0, y, d) if y * y == -ga else None
+        return (0, y) if y * y == -ga else None
     # (r - Re g)/2 is an integer and equals (Im g / 2x)^2, so 2x divides Im g
-    return _reduced(x, gb // (2 * x), d)
+    return x, gb // (2 * x)
 
 
-def square_free_part(z: GaussianRational):
-    """(rep, s) with z = rep * s^2 and rep a small square-free representative.
+def _round_half_even(n: int, d: int) -> int:
+    """round(Fraction(n, d)) for d > 0: the nearest integer, a tie going to the even one."""
+    q, r = divmod(n, d)
+    if 2 * r > d or (2 * r == d and q & 1):
+        q += 1
+    return q
 
-    Real inputs keep a real signed representative (so real signatures
-    survive); other inputs get a square-free Gaussian integer, with the unit
-    class fixed up so that z / rep is an exact square.
+
+def _gi_divmod(a, b):
+    """Nearest-integer division in Z[i]; returns (q, r) with a = q*b + r.
+
+    Each part of q is the part of a/b = a conj(b) / N(b) rounded half to even.
     """
-    if z.is_zero():
-        return ZERO, ONE
-    if z.is_real():
-        q = abs(z.re)
-        odd = [p for p, e in _factor_int(q.numerator * q.denominator).items() if e % 2]
-        sf = Fraction(prod(odd))
-        rep = sf if z.re > 0 else -sf
-        s = sqrt_fraction(q / sf)
-        return GaussianRational(rep), GaussianRational(s)
-    return square_free_part_zi(z)
+    (ax, ay), (bx, by) = a, b
+    n = bx * bx + by * by
+    qx = _round_half_even(ax * bx + ay * by, n)
+    qy = _round_half_even(ay * bx - ax * by, n)
+    return (qx, qy), (ax - qx * bx + qy * by, ay - qx * by - qy * bx)
 
 
-def square_free_part_zi(z: GaussianRational):
-    """(rep, s) with z = rep * s^2 and rep a square-free Gaussian integer.
-
-    Unlike :func:`square_free_part` this reduces over Z[i] even for real
-    inputs (2 = -i (1+i)^2 loses its ramified square), which modular
-    arithmetic modulo the representative requires.
-    """
-    if z.is_zero():
-        return ZERO, ONE
-    den = z.denominator
-    g = z * GaussianRational(den * den)
-    rep = ONE
-    for prime, exp in gaussian_factor(g):
-        if exp % 2:
-            rep = rep * prime
-    s = sqrt_gaussian(z / rep)
-    if s is None:
-        rep = rep * I
-        s = sqrt_gaussian(z / rep)
-    if s is None:
-        raise ArithmeticError(f"square-free reduction failed for {z}")
-    return rep, s
-
-
-# ---------------------------------------------------------------------------
-# Gaussian integers: exact division, primes, divisors
-# ---------------------------------------------------------------------------
-
-def _gi_divmod(a: GaussianRational, b: GaussianRational):
-    """Nearest-integer division in Z[i]; returns (q, r) with a = q*b + r."""
-    w = a / b
-    qre = Fraction(round(w.re))
-    qim = Fraction(round(w.im))
-    q = GaussianRational(qre, qim)
-    return q, a - q * b
-
-
-def _gi_exact_divide(a: GaussianRational, b: GaussianRational) -> Optional[GaussianRational]:
-    q = a / b
-    if q.is_gaussian_integer():
-        return q
-    return None
+def _gi_exact_divide(a, b):
+    """a / b when it is a Gaussian integer, else None."""
+    (ax, ay), (bx, by) = a, b
+    n = bx * bx + by * by
+    qx, rx = divmod(ax * bx + ay * by, n)
+    qy, ry = divmod(ay * bx - ax * by, n)
+    return None if rx or ry else (qx, qy)
 
 
 def _factor_int(n: int) -> dict:
@@ -429,8 +420,8 @@ def _factor_int(n: int) -> dict:
     return out
 
 
-def _gaussian_prime_over(p: int) -> GaussianRational:
-    """A Gaussian prime c + di over the rational prime p = 1 mod 4, which splits as c^2 + d^2 = p.
+def _gaussian_prime_over(p: int):
+    """The Gaussian prime (c, d) over the rational prime p = 1 mod 4 with c^2 + d^2 = p and c least.
 
     Found by direct search (p is small).
     """
@@ -439,8 +430,33 @@ def _gaussian_prime_over(p: int) -> GaussianRational:
         d2 = p - c * c
         d = isqrt(d2)
         if d * d == d2:
-            return GaussianRational(c, d)
+            return c, d
         c += 1
+
+
+def _gi_factor(z) -> list:
+    """[(prime, exponent)] of the nonzero Gaussian integer z, unit content dropped.
+
+    By rational prime p of the norm in increasing order: 1 + i over 2, p
+    itself for an inert p = 3 mod 4, and c + di then c - di for a split p.
+    """
+    out = []
+    for p in sorted(_factor_int(z[0] * z[0] + z[1] * z[1])):
+        if p == 2:
+            candidates = ((1, 1),)
+        elif p % 4 == 3:
+            candidates = ((p, 0),)
+        else:
+            c, d = _gaussian_prime_over(p)
+            candidates = ((c, d), (c, -d))
+        for pi in candidates:
+            e = 0
+            while (q := _gi_exact_divide(z, pi)) is not None:
+                z = q
+                e += 1
+            if e:
+                out.append((pi, e))
+    return out
 
 
 def gaussian_factor(z: GaussianRational) -> list:
@@ -451,28 +467,67 @@ def gaussian_factor(z: GaussianRational) -> list:
     """
     if not z.is_gaussian_integer() or z.is_zero():
         raise ValueError("gaussian_factor expects a nonzero Gaussian integer")
-    out = []
-    n = int(z.norm())
-    for p, _ in sorted(_factor_int(n).items()):
-        if p == 2:
-            candidates = [GaussianRational(1, 1)]
-        elif p % 4 == 3:
-            candidates = [GaussianRational(p)]
-        else:
-            pi = _gaussian_prime_over(p)
-            candidates = [pi, pi.conjugate()]
-        for pi in candidates:
-            e = 0
-            while True:
-                q = _gi_exact_divide(z, pi)
-                if q is None:
-                    break
-                z = q
-                e += 1
-            if e:
-                out.append((pi, e))
-    return out
+    return [(_make(x, y, 1), e) for (x, y), e in _gi_factor((z._a, z._b))]
 
+
+def _square_free(z, d: int = 1):
+    """(rep, s) with z/d = rep * s^2 for the nonzero Gaussian integer z and d > 0.
+
+    rep is the square-free Gaussian integer made of the primes of z d that
+    occur to an odd power, times i when that is what makes z/(d rep) a
+    square; s = (x, y, e) means (x + y*i)/e, in lowest terms with e > 0.
+    """
+    a, b = z
+    rep = (1, 0)
+    for prime, exp in _gi_factor((a * d, b * d)):
+        if exp % 2:
+            rep = _gi_mul(rep, prime)
+    for _ in range(2):
+        # z/(d rep) = q/n with q = z conj(rep) and n = d N(rep): its root is that of q n, over n
+        n = d * (rep[0] * rep[0] + rep[1] * rep[1])
+        root = _gi_sqrt(((a * rep[0] + b * rep[1]) * n, (b * rep[0] - a * rep[1]) * n))
+        if root is not None:
+            g = gcd(root[0], root[1], n)
+            return rep, (root[0] // g, root[1] // g, n // g)
+        rep = (-rep[1], rep[0])
+    raise ArithmeticError(f"square-free reduction failed for {_reduced(a, b, d)}")
+
+
+def square_free_part(z: GaussianRational):
+    """(rep, s) with z = rep * s^2 and rep a small square-free representative.
+
+    Real inputs keep a real signed representative (so real signatures
+    survive): for z = a/d, rep is the signed product sf of the primes of
+    |a| d with an odd exponent, and s = isqrt(|a| d / sf) / d.  Other inputs
+    get a square-free Gaussian integer, with the unit class fixed up so
+    that z / rep is an exact square.
+    """
+    if z.is_zero():
+        return ZERO, ONE
+    if z._b:
+        return square_free_part_zi(z)
+    a, d = z._a, z._d
+    n = abs(a) * d
+    sf = prod(p for p, e in _factor_int(n).items() if e % 2)
+    return _make(sf if a > 0 else -sf, 0, 1), _reduced(isqrt(n // sf), 0, d)
+
+
+def square_free_part_zi(z: GaussianRational):
+    """(rep, s) with z = rep * s^2 and rep a square-free Gaussian integer.
+
+    Unlike :func:`square_free_part` this reduces over Z[i] even for real
+    inputs (2 = -i (1+i)^2 loses its ramified square), which modular
+    arithmetic modulo the representative requires.
+    """
+    if z.is_zero():
+        return ZERO, ONE
+    rep, s = _square_free((z._a, z._b), z._d)
+    return _make(rep[0], rep[1], 1), _make(*s)
+
+
+# ---------------------------------------------------------------------------
+# Divisors
+# ---------------------------------------------------------------------------
 
 def gaussian_divisors(z: GaussianRational) -> Iterator[GaussianRational]:
     """All divisors of a nonzero Gaussian integer, up to unit multiples."""

@@ -5,6 +5,7 @@ from typing import Dict
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import dense_unimodular
 from liepoisson import casimir
 from liepoisson.casimir import (
     CasimirError,
@@ -22,7 +23,7 @@ from liepoisson.casimir import (
     quadratic_casimir_basis,
     synthesize_casimirs,
 )
-from liepoisson.classify import catalog, classify
+from liepoisson.classify import OrderTooHigh, catalog, classify
 from liepoisson.dynamics import rigid_body_tensor
 from liepoisson.extension import (
     abelian,
@@ -775,6 +776,39 @@ def test_a_sum_whose_semidirect_operand_comes_second_keeps_slot_0_solvable():
     assert moved.is_lower_triangular() and moved.semidirect
     with pytest.raises(CasimirError, match="normalize the first slice"):
         synthesize_casimirs(moved)
+
+
+def test_the_cli_and_synthesis_decide_normalization_alike():
+    from liepoisson import cli
+
+    forms = [leibniz(k, semidirect=sd) for k in (2, 3, 5) for sd in (False, True)]
+    forms += [crmhd(Fraction(5, 2)), crmhd(1)]
+    forms += [t for order in (1, 2, 3, 4) for _, entry in catalog(order).entries
+              for t in (entry, append_semisimple(entry))]
+    moves = [lambda n: BasisChange(ExactMatrix.identity(n).scale(gr(2))),
+             lambda n: BasisChange(M([[int(j <= i) for j in range(n)] for i in range(n)])),
+             dense_unimodular]
+    decided, obstructed = set(), 0
+    for t in forms + [apply(t, move(t.n)) for t in forms for move in moves]:
+        normalized = casimir.is_normalized(t)
+        decided.add(normalized)
+        try:
+            synthesize_casimirs(t)
+            outcome = "families"
+        except SynthesisObstruction:
+            outcome = "obstructed"
+            obstructed += 1
+        except CasimirError as err:
+            assert "normaliz" in str(err)
+            outcome = "refused"
+        assert (outcome == "refused") == (not normalized)
+        # the CLI synthesizes a normalized tensor as it is, and classifies it only past an obstruction
+        try:
+            label = cli._casimir_families(t)[0]
+        except OrderTooHigh:
+            label = "classified past the catalog"
+        assert (label is None) == (outcome == "families")
+    assert decided == {True, False} and obstructed
 
 
 def dense_eigenvector_args(t):

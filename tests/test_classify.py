@@ -1,14 +1,12 @@
 import importlib
 import itertools
 import random
-import signal
-import time
 from collections import Counter
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
+from helpers import cpu_seconds_at_most, dense_unimodular
 from liepoisson.classify import (
     CaseLabel,
     ClassificationError,
@@ -178,13 +176,6 @@ def test_round_trip_semidirect():
                 got, chain = classify(moved)
                 assert got == CaseLabel(order, label.name, True)
                 assert apply_chain(moved, chain).w == sd.w
-
-
-def dense_unimodular(n):
-    """A fixed dense unimodular change L U of order n, so that classify triangularizes first."""
-    lower = M([[(i + 2 * j) % 3 + 1 if j < i else int(i == j) for j in range(n)] for i in range(n)])
-    upper = M([[(2 * i + j) % 3 - 1 if j > i else int(i == j) for j in range(n)] for i in range(n)])
-    return BasisChange(lower @ upper)
 
 
 def test_each_witness_step_is_applied_once(monkeypatch):
@@ -362,24 +353,6 @@ def test_classify_bare_base_bracket_clear_error():
 
     with pytest.raises(ClassificationError, match="no solvable part"):
         classify(pure_semidirect(0))
-
-
-@contextmanager
-def cpu_seconds_at_most(seconds):
-    """Fail instead of hanging: the body is stopped after ``seconds`` of CPU time."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s of CPU time")
-
-    previous = signal.signal(signal.SIGVTALRM, expire)
-    signal.setitimer(signal.ITIMER_VIRTUAL, seconds)
-    start = time.process_time()
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
-        signal.signal(signal.SIGVTALRM, previous)
-    assert time.process_time() - start < seconds
 
 
 def two_blocks_2p61():

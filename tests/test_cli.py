@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import dense_unimodular
 from liepoisson.cli import EXIT_DIMENSION, EXIT_INVALID, EXIT_OBSTRUCTION, EXIT_PARSE, EXIT_UNCLASSIFIED, main
 from liepoisson.classify import catalog
 from liepoisson.dynamics import rigid_body_tensor
@@ -295,23 +296,9 @@ def test_order_zero_document_exits_invalid(tmp_path, capsys, command):
 
 
 def test_classify_triangularizes_without_an_eigenvalue_search(count_calls):
-    import random
-
     from liepoisson import linalg
     from liepoisson.classify import NotSingleBlock, classify
     from liepoisson.extension import append_semisimple, validate
-
-    rng = random.Random(11)
-
-    def dense_unimodular(n):
-        """L U with unit diagonals and positive entries: determinant one, no zero entry."""
-        lower = ExactMatrix.from_rows(
-            [[rng.randint(1, 3) if j < i else int(i == j) for j in range(n)] for i in range(n)]
-        )
-        upper = ExactMatrix.from_rows(
-            [[rng.randint(1, 3) if j > i else int(i == j) for j in range(n)] for i in range(n)]
-        )
-        return BasisChange(lower @ upper)
 
     counts = count_calls(
         linalg._kernel_flag,

@@ -11,16 +11,16 @@ import io
 import json
 import math
 import os
-import signal
 import tempfile
 import warnings
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from helpers import cpu_seconds_at_most
 from liepoisson.classify import catalog
 from liepoisson.cli import EXIT_DIMENSION, EXIT_OK, EXIT_PARSE, REFUSALS, main
 from liepoisson.extension import append_semisimple, crmhd, leibniz
@@ -117,20 +117,6 @@ def a_path(data, workdir, name, value):
     if kind == "directory":
         return workdir
     return json_file(data, os.path.join(workdir, name), value)
-
-
-@contextmanager
-def cpu_seconds_at_most(seconds):
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s of CPU time")
-
-    previous = signal.signal(signal.SIGVTALRM, expire)
-    signal.setitimer(signal.ITIMER_VIRTUAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
-        signal.signal(signal.SIGVTALRM, previous)
 
 
 def check(argv, env=None):

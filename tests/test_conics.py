@@ -2,19 +2,45 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import gaussian_oracles as oracle
+from helpers import cpu_seconds_at_most, gaussian_ints
 from liepoisson.conics import (
     _gi_ext_gcd,
     _gi_mod,
     _gf2_mul,
     _gf2_pow,
     _small_ternary_search,
+    _sqrt_mod_prime,
     _sqrt_mod_squarefree_all,
     _tonelli_shanks,
     isotropic_ternary,
     represent_binary,
 )
-from liepoisson.scalars import I, ONE, ZERO, gr, square_free_part_zi, sqrt_gaussian
+from liepoisson.scalars import (
+    GaussianRational,
+    I,
+    ONE,
+    ZERO,
+    _gi_factor,
+    _gi_mul,
+    _reduced,
+    gr,
+    square_free_part_zi,
+    sqrt_gaussian,
+)
+
+
+def gi(z):
+    """The scalar of the Gaussian integer pair z."""
+    return gr(*z)
+
+
+def pair(z):
+    """The int pair of the Gaussian integer scalar z."""
+    assert z.is_gaussian_integer()
+    return z._a, z._b
 
 
 def random_scalar(rng, span=9):
@@ -50,30 +76,30 @@ def test_tonelli_shanks():
 def test_gaussian_ext_gcd():
     rng = random.Random(4)
     for _ in range(50):
-        a = gr(rng.randint(-20, 20), rng.randint(-20, 20))
-        b = gr(rng.randint(-20, 20), rng.randint(-20, 20))
-        if a.is_zero() and b.is_zero():
+        a = (rng.randint(-20, 20), rng.randint(-20, 20))
+        b = (rng.randint(-20, 20), rng.randint(-20, 20))
+        if a == b == (0, 0):
             continue
-        g, u, v = _gi_ext_gcd(a, b)
-        assert u * a + v * b == g
-        if not a.is_zero():
-            assert (a / g).is_gaussian_integer()
-        if not b.is_zero():
-            assert (b / g).is_gaussian_integer()
+        g, u, v = map(gi, _gi_ext_gcd(a, b))
+        assert u * gi(a) + v * gi(b) == g
+        if a != (0, 0):
+            assert (gi(a) / g).is_gaussian_integer()
+        if b != (0, 0):
+            assert (gi(b) / g).is_gaussian_integer()
 
 
 def test_sqrt_mod_squarefree_split_inert_ramified():
     rng = random.Random(8)
     # moduli with split (2+i), inert (3), and ramified (1+i) primes
-    for m in (gr(2, 1), gr(3), gr(1, 1), gr(2, 1) * gr(3), gr(2, 1) * gr(1, 1) * gr(7)):
+    for m in ((2, 1), (3, 0), (1, 1), (6, 3), (7, 21)):  # 2+i, 3, 1+i, (2+i) 3, (2+i)(1+i) 7
         for _ in range(20):
-            x = gr(rng.randint(-15, 15), rng.randint(-15, 15))
-            if _gi_ext_gcd(x, m)[0].norm() != 1:
+            x = (rng.randint(-15, 15), rng.randint(-15, 15))
+            if gi(_gi_ext_gcd(x, m)[0]).norm() != 1:
                 continue
-            roots = _sqrt_mod_squarefree_all(_gi_mod(x * x, m), m, limit=1)
+            roots = _sqrt_mod_squarefree_all(_gi_mod(_gi_mul(x, x), m), m, limit=1)
             assert roots
-            t = roots[0]
-            assert _gi_mod(t * t - x * x, m).is_zero()
+            t = gi(roots[0])
+            assert _gi_mod(pair(t * t - gi(x) * gi(x)), m) == (0, 0)
 
 
 def test_represent_binary_random_solvable():
@@ -231,9 +257,77 @@ def loop_small_ternary_search(coeffs, bounds):
     ((gr(7), gr(1), gr(-1)), (1, 2)),  # the first point has x = 0
 ])
 def test_small_ternary_search_finds_the_first_point_of_the_loop(coeffs, bounds):
-    got = _small_ternary_search(coeffs, bounds)
+    found = _small_ternary_search([pair(c) for c in coeffs], bounds)
+    got = None if found is None else tuple(_reduced(*v, found[1]) for v in found[0])
     assert got == loop_small_ternary_search(coeffs, bounds)
+    assert got == oracle._small_ternary_search(coeffs, bounds)
     if got is not None:
         x, y, z = got
         a, b, c = coeffs
         assert a * x * x + b * y * y + c * z * z == ZERO and (x or y)
+
+
+# ---------------------------------------------------------------------------
+# The int-pair number theory against the scalar versions it replaced
+# ---------------------------------------------------------------------------
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(a=gaussian_ints(60), b=gaussian_ints(60, nonzero=True), unit=st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+def test_gi_mod_and_ext_gcd_match_the_fraction_versions(a, b, unit):
+    # small parts make exact rounding ties common; an associate of b changes the remainder's unit class
+    for m in (b, _gi_mul(b, unit)):
+        assert gi(_gi_mod(a, m)) == oracle._gi_mod(gi(a), gi(m))
+        assert tuple(map(gi, _gi_ext_gcd(a, m))) == oracle._gi_ext_gcd(gi(a), gi(m))
+        assert tuple(map(gi, _gi_ext_gcd(m, a))) == oracle._gi_ext_gcd(gi(m), gi(a))
+
+
+def _square_free_moduli():
+    """Square-free Gaussian integers: products of distinct primes over 2, 3, 5, 7, 11, 13 and 29."""
+    primes = [pi for p in (2, 3, 5, 7, 11, 13, 29) for pi, _ in _gi_factor((p, 0))]
+    return st.lists(st.sampled_from(primes), min_size=1, max_size=4, unique=True)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(primes=_square_free_moduli(), a=gaussian_ints(400))
+def test_modular_square_roots_match_the_fraction_versions(primes, a):
+    for pi in primes:
+        r = _sqrt_mod_prime(_gi_mod(a, pi), pi)
+        want = oracle._sqrt_mod_prime(oracle._gi_mod(gi(a), gi(pi)), gi(pi))
+        assert (r is None) == (want is None)
+        if r is not None:
+            assert gi(r) == want
+    m = (1, 0)
+    for pi in primes:
+        m = _gi_mul(m, pi)
+    for square in (a, _gi_mul(a, a)):
+        roots = _sqrt_mod_squarefree_all(square, m)
+        assert [gi(t) for t in roots] == oracle._sqrt_mod_squarefree_all(gi(square), gi(m))
+
+
+def _coefficients():
+    """Small Gaussian rationals, zero excluded, with unit multiples of a few squares among them."""
+    part = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 1, 2, 3, 4]))
+    return st.builds(GaussianRational, part, part).filter(bool)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(a=_coefficients(), b=_coefficients(), c=_coefficients(), point=st.booleans())
+def test_isotropic_ternary_matches_the_fraction_version(a, b, c, point):
+    if point:
+        # c = -(a + b): (1, 1, 1) is a point, so the form is isotropic
+        c = -(a + b) or c
+    got = isotropic_ternary(a, b, c)
+    assert got == oracle.isotropic_ternary(a, b, c)
+    if got is not None:
+        x, y, z = got
+        assert a * x * x + b * y * y + c * z * z == ZERO and any(got)
+
+
+def test_isotropic_ternary_keeps_the_point_of_its_search():
+    assert isotropic_ternary(gr(11), gr(-66), gr(3)) == (gr(0, -3), gr(-2), gr(11))
+
+
+def test_an_anisotropic_conic_is_refused_in_a_tenth_of_a_second():
+    # its reduction ends in the exhaustive search of both boxes, 2401 and 83,521 pairs
+    with cpu_seconds_at_most(0.1):
+        assert represent_binary(gr(3, 3), gr(Fraction(-3, 4), Fraction(-1, 2)), gr(2, 2)) is None

@@ -6,12 +6,19 @@ from math import gcd, isqrt, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gaussian_oracles as oracle
+from helpers import gaussian_ints
 from liepoisson.scalars import (
     I,
     ONE,
     ZERO,
     GaussianRational,
     _factor_int,
+    _gaussian_prime_over,
+    _gi_divmod,
+    _gi_exact_divide,
+    _gi_factor,
+    gaussian_factor,
     format_scalar,
     gaussian_divisors,
     gr,
@@ -19,6 +26,7 @@ from liepoisson.scalars import (
     sqrt_fraction,
     sqrt_gaussian,
     square_free_part,
+    square_free_part_zi,
 )
 
 
@@ -484,3 +492,80 @@ def test_hash_matches_fraction_hashes(x):
         assert {re: "fraction"}[z] == "fraction"
         if re.denominator == 1:
             assert keys[int(re)] == "scalar" and {int(re): "int"}[z] == "int"
+
+
+# ---------------------------------------------------------------------------
+# The int-pair number theory against the scalar versions it replaced
+# ---------------------------------------------------------------------------
+
+UNIT_PAIRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def _times(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+@st.composite
+def _divisions(draw):
+    """(a, b) drawn at random, as an exact multiple, or as a tie: a/b = q + h/2 with h in {-1, 0, 1}^2."""
+    b = draw(gaussian_ints(2 ** 20, nonzero=True))
+    q = draw(gaussian_ints(2 ** 20))
+    kind = draw(st.sampled_from(["random", "exact", "tie"]))
+    if kind == "random":
+        return draw(gaussian_ints(2 ** 42)), b
+    if kind == "exact":
+        return _times(q, b), b
+    h = draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+    qb, ch = _times(q, (2 * b[0], 2 * b[1])), _times(b, h)
+    return (qb[0] + ch[0], qb[1] + ch[1]), (2 * b[0], 2 * b[1])
+
+
+def test_gi_divmod_rounds_ties_to_even():
+    # 5/2 = 2.5 -> 2, 7/2 = 3.5 -> 4, -5/2 -> -2, (3 + 3i)/2 -> 2 + 2i, (1 + 3i)/(2i) = 3/2 - i/2 -> 2 + 0i
+    assert _gi_divmod((5, 0), (2, 0)) == ((2, 0), (1, 0))
+    assert _gi_divmod((7, 0), (2, 0)) == ((4, 0), (-1, 0))
+    assert _gi_divmod((-5, 0), (2, 0)) == ((-2, 0), (-1, 0))
+    assert _gi_divmod((3, 3), (2, 0)) == ((2, 2), (-1, -1))
+    assert _gi_divmod((1, 3), (0, 2)) == ((2, 0), (1, -1))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_divisions())
+def test_gi_division_matches_the_fraction_version(ab):
+    a, b = ab
+    q, r = _gi_divmod(a, b)
+    assert (gr(*q), gr(*r)) == oracle._gi_divmod(gr(*a), gr(*b))
+    exact = _gi_exact_divide(a, b)
+    want = oracle._gi_exact_divide(gr(*a), gr(*b))
+    assert (exact is None) == (want is None)
+    if exact is not None:
+        assert gr(*exact) == want
+
+
+def test_gaussian_prime_over_matches_the_search():
+    for p in (q for q in range(5, 3000, 4) if _factor_int(q) == {q: 1}):
+        assert GaussianRational(*_gaussian_prime_over(p)) == oracle._gaussian_prime_over(p)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(z=gaussian_ints(2 ** 12, nonzero=True), unit=st.sampled_from(UNIT_PAIRS))
+def test_gaussian_factor_matches_the_fraction_version(z, unit):
+    # an associate factors into the same primes
+    for w in (z, _times(z, unit)):
+        want = oracle.gaussian_factor(gr(*w))
+        assert gaussian_factor(gr(*w)) == want
+        assert [(gr(*pi), e) for pi, e in _gi_factor(w)] == want
+    with pytest.raises(ValueError):
+        gaussian_factor(gr(Fraction(1, 2)))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(x=_pairs(2 ** 10), unit=st.sampled_from([ONE, -ONE, I, -I]))
+def test_square_free_parts_match_the_fraction_versions(x, unit):
+    # a rational, its associates, and each times a square and a non-square
+    z = gr(*x)
+    for w in (z, z * unit, z * gr(1, 1) ** 2 * unit, z * gr(2, 1) * unit, z * gr(0, 3) * unit):
+        for new, old in ((square_free_part, oracle.square_free_part),
+                         (square_free_part_zi, oracle.square_free_part_zi)):
+            (rep, s), (rep_r, s_r) = new(w), old(w)
+            assert (rep._a, rep._b, rep._d, s._a, s._b, s._d) == (rep_r._a, rep_r._b, rep_r._d, s_r._a, s_r._b, s_r._d)
