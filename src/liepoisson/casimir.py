@@ -303,16 +303,24 @@ class CoextensionResult:
         return _coextension_symmetric(self.omega)
 
 
+def _solvable_start(t: ExtensionTensor) -> int:
+    """1 when W^(0) = I makes slot 0 semisimple, 0 when its diagonal is zero; else not normalized."""
+    if t.slice_is_identity(0):
+        return 1
+    if any(t.slice_diagonal(0)):
+        raise CasimirError("normalize the first slice: W^(0) must be the identity or have a zero diagonal")
+    return 0
+
+
 def is_normalized(t: ExtensionTensor) -> bool:
     """Whether synthesis takes ``t`` as it is: lower-triangular, W^(0) the identity or with a zero diagonal."""
-    return t.is_lower_triangular() and (t.slice_is_identity(0) or not any(t.slice_diagonal(0)))
-
-
-def _solvable_start(t: ExtensionTensor) -> int:
-    """1 when W^(0) = I makes slot 0 semisimple, 0 when its diagonal is zero; for a lower-triangular t."""
-    if not is_normalized(t):
-        raise CasimirError("normalize the first slice: W^(0) must be the identity or have a zero diagonal")
-    return int(t.slice_is_identity(0))
+    if not t.is_lower_triangular():
+        return False
+    try:
+        _solvable_start(t)
+    except CasimirError:
+        return False
+    return True
 
 
 def build_coextension(t: ExtensionTensor) -> CoextensionResult:
