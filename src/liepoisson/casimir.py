@@ -703,11 +703,12 @@ def quadratic_casimir_basis(t: ExtensionTensor) -> List[ExactMatrix]:
     by one sparse null-space computation over the upper-triangle coordinates
     of Q.  Equation (nu, lam, sig), lam > sig, collects +W_lam^{mu nu} at
     Q_{mu sig} and -W_sig^{mu nu} at Q_{mu lam}; each nonzero entry of W is
-    visited once, and zero and repeated equations are dropped.
+    visited once, and the elimination skips zero equations and cancels repeated ones.
     """
     n = t.n
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    index = {p: k for k, p in enumerate(pairs)}
+    # index[i][j] = index[j][i] = k for (i, j) = pairs[k], i <= j
+    index = [[min(i, j) * (2 * n - min(i, j) - 1) // 2 + max(i, j) for j in range(n)] for i in range(n)]
     equations: Dict[Tuple[int, int, int], Dict[int, GaussianRational]] = {}
     for lam, mu, nu, w in t.nonzeros():
         neg = -w
@@ -716,7 +717,7 @@ def quadratic_casimir_basis(t: ExtensionTensor) -> List[ExactMatrix]:
                 continue
             key, x = ((nu, lam, sig), w) if sig < lam else ((nu, sig, lam), neg)
             eq = equations.setdefault(key, {})
-            k = index[(mu, sig) if mu <= sig else (sig, mu)]
+            k = index[mu][sig]
             y = eq.get(k)
             if y is None:
                 eq[k] = x
@@ -726,9 +727,8 @@ def quadratic_casimir_basis(t: ExtensionTensor) -> List[ExactMatrix]:
                 eq[k] = y
             else:
                 del eq[k]
-    distinct = list({frozenset(eq.items()): eq for eq in equations.values()}.values())
     basis = []
-    for v in null_space(ExactMatrix._of(len(distinct), len(pairs), distinct)).nz:
+    for v in null_space(ExactMatrix._of(len(equations), len(pairs), equations.values())).nz:
         # Q_ij = Q_ji is coordinate k of the kernel vector, for (i, j) = pairs[k]
         q: List[Dict[int, GaussianRational]] = [{} for _ in range(n)]
         for k, x in v.items():

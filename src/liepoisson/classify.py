@@ -194,9 +194,9 @@ def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
 class _Reduction:
     """The input in its own coordinates and the witness steps applied to it.
 
-    A move enters ``full`` only as a recorded step applied once, so ``full``
-    is the input moved by ``chain``.  Past a split-off semisimple slot, a
-    move m of the solvable part is recorded as diag(1, m).
+    A recorded step is applied to ``full`` once (an identity step, never), so
+    ``full`` is the input moved by ``chain``.  Past a split-off semisimple
+    slot, a move m of the solvable part is recorded as diag(1, m).
     """
 
     def __init__(self, t: ExtensionTensor):
@@ -212,7 +212,8 @@ class _Reduction:
         return strip_semisimple(self.full) if self.split else self.full
 
     def step(self, m: ExactMatrix) -> ExtensionTensor:
-        return self.record(BasisChange(_lift(m) if self.split else m))
+        b = BasisChange(_lift(m) if self.split else m)
+        return self.record(b, self.full if b.m.is_identity() else None)
 
     def split_semisimple(self) -> ExtensionTensor:
         """Lift the later moves past slot 0, where W^(0) = I by now; return the solvable part."""

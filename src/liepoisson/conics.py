@@ -37,7 +37,6 @@ from math import isqrt
 from typing import Optional, Tuple
 
 from .scalars import (
-    Fraction,
     GaussianRational,
     I,
     ONE,
@@ -50,7 +49,6 @@ from .scalars import (
     _reduced,
     _square_free,
     gr,
-    sqrt_fraction,
     sqrt_gaussian,
 )
 
@@ -345,29 +343,31 @@ def represent_binary(
         x = sqrt_gaussian(v / a)
         return None if x is None else (x, ZERO)
     z = v / a
+    ratio = b / a
+    # signs are those of the numerators (d > 0); a rational >= 0 is a square in Q(i) iff in Q
     real = a.is_real() and b.is_real() and v.is_real()
-    if real and (b / a).re < 0:
-        s = sqrt_fraction(-(b / a).re)
+    if real and ratio._a < 0:
+        s = sqrt_gaussian(-ratio)
         if s is not None:
             # x^2 - (s y)^2 = z factors as a difference of squares
-            for t in (ONE, gr(2), gr(Fraction(1, 2)), gr(3)):
+            for t in (ONE, gr(2), _reduced(1, 0, 2), gr(3)):
                 x = (t + z / t) / gr(2)
                 if x:
-                    y = ((z / t - t) / gr(2)) / gr(s)
+                    y = ((z / t - t) / gr(2)) / s
                     return x, y
-    s = sqrt_gaussian(b / a)
+    s = sqrt_gaussian(ratio)
     if s is not None:
-        if real and z.re >= 0:
+        if real and z._a >= 0:
             # prefer a real point when z is a sum of two rational squares
             for q in (1, 2, 3, 4, 5):
                 for p in range(0, 4 * q + 1):
-                    x = gr(Fraction(p, q))
+                    x = _reduced(p, 0, q)
                     rest = z - x * x
-                    if rest.re < 0:
+                    if rest._a < 0:
                         break
-                    root = sqrt_fraction(rest.re)
+                    root = sqrt_gaussian(rest)
                     if root is not None and x:
-                        return x, gr(root) / s
+                        return x, root / s
         # x^2 + (s y)^2 = (x + i s y)(x - i s y) = z with factors z and 1
         x = (z + ONE) / gr(2)
         if not x:

@@ -19,11 +19,12 @@ drift at the integrator's order, not exactness.
 With x = l.reshape(3n) the right-hand side is one quadratic form in x:
 the bracket is linear in l and so is dH/dl.  :func:`_eom_operator` writes
 it once per run as a matrix R of shape (9n^2, 3n), built from the T
-nonzero entries of W and the blocks of H.  :func:`simulate` keeps x flat
-for the whole run, and every evaluation is ``np.dot(np.dot(R, x).reshape(3n,
-3n), x)``, with no Python loop and no per-entry work.  After the loop one
-product reads H = 1/2 x^T A x at every sample, and one more every C_Q: the
-stacked Q against the Gram matrices l l^T of the samples.
+nonzero entries of W and the matrix A of H, which :func:`simulate` builds
+once.  x stays flat for the whole run, and every evaluation is
+``R.dot(x).reshape(3n, 3n).dot(x)`` (``ndarray.dot``: ``np.dot``'s floats
+without its dispatch), with no Python loop and no per-entry work.  After
+the loop one product reads H = 1/2 x^T A x at every sample, and one more
+every C_Q: the stacked Q against the Gram matrices l l^T of the samples.
 """
 
 from __future__ import annotations
@@ -107,10 +108,10 @@ _EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
 _EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
 
 
-def _eom_operator(t: ExtensionTensor, h: HamiltonianSpec) -> np.ndarray:
+def _eom_operator(t: ExtensionTensor, hm: np.ndarray) -> np.ndarray:
     """The equations of motion as one quadratic operator R of shape (9n^2, 3n).
 
-    With x = l.reshape(3n), dx/dt = np.dot(np.dot(R, x).reshape(3n, 3n), x), where
+    With x = l.reshape(3n) and A = ``hm``, dx/dt = R.dot(x).reshape(3n, 3n).dot(x), where
 
         R[(a, i), (lam, k), (m, p)] = sum_{nu, j} W_lam^{a nu} eps_ijk A[nu, m]_{jp}
 
@@ -132,13 +133,13 @@ def _eom_operator(t: ExtensionTensor, h: HamiltonianSpec) -> np.ndarray:
         raise DynamicsError("a tensor entry is outside the float range") from None
     b = np.zeros((n, 3, n, 3, n, 3))  # [a, i, lam, k, nu, j]
     b[a, :, lam, :, nu, :] = w[:, None, None, None] * _EPS.transpose(0, 2, 1)
-    return b.reshape(9 * n * n, 3 * n) @ h.matrix()
+    return b.reshape(9 * n * n, 3 * n) @ hm
 
 
 def _evaluate(r: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """dx/dt at the flat state x = l.reshape(3n); ``np.dot`` costs less per call than ``@`` here."""
+    """dx/dt at the flat state x = l.reshape(3n), by ``ndarray.dot``: ``np.dot``'s floats, without its dispatch."""
     m = x.size
-    return np.dot(np.dot(r, x).reshape(m, m), x)
+    return r.dot(x).reshape(m, m).dot(x)
 
 
 def eom_rhs(t: ExtensionTensor, h: HamiltonianSpec, s: FieldState) -> np.ndarray:
@@ -147,7 +148,7 @@ def eom_rhs(t: ExtensionTensor, h: HamiltonianSpec, s: FieldState) -> np.ndarray
         raise DynamicsError(
             f"dimension mismatch: tensor {t.n}, Hamiltonian {h.n}, state {s.tuples.shape[0]}"
         )
-    return _evaluate(_eom_operator(t, h), s.tuples.reshape(-1)).reshape(s.tuples.shape)
+    return _evaluate(_eom_operator(t, h.matrix()), s.tuples.reshape(-1)).reshape(s.tuples.shape)
 
 
 def monitor_gradient(q: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -162,21 +163,18 @@ def exact_monitors(t: ExtensionTensor) -> List[Tuple[str, np.ndarray]]:
     """
     from .casimir import quadratic_casimir_basis
 
-    out = []
-    for k, q in enumerate(quadratic_casimir_basis(t)):
-        re, im = np.zeros((t.n, t.n)), np.zeros((t.n, t.n))
-        try:
+    basis = quadratic_casimir_basis(t)
+    parts = np.zeros((len(basis), 2, t.n, t.n))  # the real and the imaginary part of each Q
+    try:
+        for q, (re, im) in zip(basis, parts):
             for i, row in enumerate(q.nz):
                 for j, x in row.items():
                     # x = (a + b i)/d: each part is one correctly rounded int division
                     re[i, j], im[i, j] = x._a / x._d, x._b / x._d
-        except OverflowError:
-            raise DynamicsError("a quadratic Casimir coefficient is outside the float range") from None
-        if np.any(re):
-            out.append((f"Q{k}", re))
-        if np.any(im):
-            out.append((f"Q{k}_im", im))
-    return out
+    except OverflowError:
+        raise DynamicsError("a quadratic Casimir coefficient is outside the float range") from None
+    kept = parts.any(axis=(2, 3)).tolist()
+    return [(f"Q{k}{tag}", parts[k, p]) for k, row in enumerate(kept) for p, tag in ((0, ""), (1, "_im")) if row[p]]
 
 
 @dataclass
@@ -263,7 +261,7 @@ def simulate(
     # which the loop raises as NonFinite: numpy's own warnings would only
     # repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        r = _eom_operator(t, h)
+        r = _eom_operator(t, a)
         norms = np.linalg.norm(x.reshape(n, 3), axis=1)
         floors = np.maximum(DRIFT_SCALE_FLOOR * _monitor_values(
             np.abs(a), np.abs(qs), np.abs(x)[None], norms.reshape(1, n, 1))[:, 0], DRIFT_FLOOR)

@@ -16,11 +16,11 @@ between them and dense entries.  A vector is a row: :func:`null_space`
 returns its kernel basis as the rows of one matrix, and there is no column
 vector type.  Every algorithm reads the rows directly: the product is one
 sparse row-times-rows accumulation (:func:`_row_product`), and there is one
-elimination, :func:`_rref_rows`, a Gauss-Jordan on rows that touches only
-the rows holding each pivot column.  :func:`rref`, :func:`rank`,
-:func:`null_space`, :func:`inverse` and :func:`pseudoinverse` (both on
-the rows of [A | I], which give the pseudoinverse its rank, rref(A) and,
-at full rank, A^-1 in one elimination) hand it a matrix's rows as they
+elimination, :func:`_rref_rows`, a Gauss-Jordan on rows that keeps a column
+index, so it touches only the rows holding each pivot column.  :func:`rref`,
+:func:`rank`, :func:`null_space`, :func:`inverse` and :func:`pseudoinverse`
+(both on the rows of [A | I], which give the pseudoinverse its rank, rref(A)
+and, at full rank, A^-1 in one elimination) hand it a matrix's rows as they
 are.  The one exception is a triangular matrix, which :func:`inverse`
 inverts by substitution (:func:`_substitute`) instead: every rescaling and
 shear of a witness chain is one, and :class:`BasisChange` reaches it
@@ -48,6 +48,7 @@ tensor check in :mod:`liepoisson.extension` shares.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, repeat
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -90,10 +91,10 @@ class NotCommuting(LinalgError):
 class ExactMatrix:
     """Matrix over Q(i), stored as one ``{column: value}`` dict of nonzeros per row.
 
-    ``nz[i]`` is row i; no zero is ever stored, and the dicts are never
-    changed once a matrix holds them.  ``entries`` (row-major, computed on
-    first use and kept), ``row``, ``col`` and ``[i, j]`` are read-only dense
-    views.
+    ``nz[i]`` is row i; no zero is ever stored, and the dicts are never changed
+    once a matrix holds them, so :meth:`identity` builds one matrix per n.
+    ``entries`` (row-major, computed on first use and kept), ``row``, ``col``
+    and ``[i, j]`` are read-only dense views.
     """
 
     __slots__ = ("rows", "cols", "nz", "_entries")
@@ -124,6 +125,7 @@ class ExactMatrix:
         return ExactMatrix(r, c, [x for row in rows for x in row])
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def identity(n: int) -> "ExactMatrix":
         return ExactMatrix._of(n, n, [{i: ONE} for i in range(n)])
 
@@ -231,7 +233,7 @@ class ExactMatrix:
         return not any(self.nz)
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and self == ExactMatrix.identity(self.rows)
+        return self.rows == self.cols and self.nz == ExactMatrix.identity(self.rows).nz
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
@@ -287,42 +289,51 @@ def _rref_rows(
     """Sparse Gauss-Jordan elimination: the nonzero rows of the RREF and its pivots.
 
     Each row is a ``{column: value}`` dict holding no zero; the rows are
-    copied, never changed.  Columns are taken in increasing order; the pivot
-    is the shortest remaining row holding the column, its normalization is
-    skipped when the pivot entry is already one, and only the rows holding
-    the pivot column are updated.  The reduced row echelon form is unique,
+    copied, never changed.  Columns are taken in increasing order, and a
+    column index (stale entries skipped on use, fill-ins appended) limits the
+    pivot search, for the shortest non-pivot row holding the column, and the
+    update to the rows holding it.  The reduced row echelon form is unique,
     so the result is the same as any dense elimination's.
     """
     m = [dict(row) for row in rows if row]
-    pivots: List[int] = []
-    r = 0
-    for c in sorted({j for row in m for j in row}):
-        held = [i for i in range(r, len(m)) if c in m[i]]
-        if not held:
+    index: Dict[int, List[int]] = {}
+    for i, row in enumerate(m):
+        for j in row:
+            index.setdefault(j, []).append(i)
+    done: Dict[int, int] = {}  # pivot row -> its column, in pivot order
+    for c in sorted(index):
+        held = index.pop(c)
+        p, size = -1, 0
+        for i in held:
+            if i not in done:
+                row = m[i]
+                if c in row and (p < 0 or len(row) < size):
+                    p, size = i, len(row)
+        if p < 0:
             continue
-        p = min(held, key=lambda i: len(m[i]))
-        m[r], m[p] = m[p], m[r]
-        prow = m[r]
+        prow = m[p]
         lead = prow[c]
         if not lead.is_one():
             inv = ONE / lead
-            prow = m[r] = {j: inv * x for j, x in prow.items()}
+            prow = m[p] = {j: inv * x for j, x in prow.items()}
         rest = [(j, x) for j, x in prow.items() if j != c]
-        for i, row in enumerate(m):
-            if i != r and c in row:
-                f = row.pop(c)
+        for i in held:
+            row = m[i]
+            f = row.pop(c, None) if i != p else None
+            if f is not None:
                 for j, x in rest:
                     y = row.get(j)
-                    y = -(f * x) if y is None else y - f * x
-                    if y:
+                    if y is None:
+                        row[j] = -(f * x)
+                        index[j].append(i)
+                    elif y := y - f * x:
                         row[j] = y
                     else:
                         del row[j]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
+        done[p] = c
+        if len(done) == len(m):
             break
-    return m[:r], pivots
+    return [m[p] for p in done], list(done.values())
 
 
 def rref(a: ExactMatrix) -> Tuple[ExactMatrix, List[int]]:

@@ -331,12 +331,12 @@ def _normalize_diagonal(diag: List[GaussianRational]) -> Optional[Tuple[List[Gau
         return [ONE] * len(diag), [0] * len(diag), ONE
     real = all(d.is_real() for _, d in nonzero)
     for _, c in nonzero:
-        if real and c.re < 0:
+        if real and c._a < 0:
             c = -c
         ts: List[GaussianRational] = [ONE] * len(diag)
         signs = [0] * len(diag)
         for i, d in nonzero:
-            signs[i] = -1 if real and d.re < 0 else 1
+            signs[i] = -1 if real and d._a < 0 else 1
             root = sqrt_gaussian(c / d if signs[i] == 1 else -c / d)
             if root is None:
                 break
@@ -428,7 +428,7 @@ def _repair_classes(cols, diag):
         for i in nonzero:
             rep, _ = square_free_part(diag[i])
             for u in (rep, -rep):
-                if u.re > 0 or (u.re == 0 and u.im > 0):
+                if u._a > 0 or (not u._a and u._b > 0):
                     rep = u
             if not any(sqrt_gaussian(rep / t) is not None for t in taus):
                 taus.append(rep)

@@ -193,8 +193,9 @@ def test_each_witness_step_is_applied_once(monkeypatch):
         reached.clear()
         label, chain = classify(t)
         counts = Counter(map(id, reached))
-        # no step is applied a second time: the reduced tensor is the input moved by the chain
-        assert [counts[id(b)] for b in chain] == [1] * len(chain), label
+        # no step is applied a second time, and an identity step not at all:
+        # the reduced tensor is the input moved by the chain
+        assert [counts[id(b)] for b in chain] == [int(not b.matrix.is_identity()) for b in chain], label
         steps += len(chain)
     assert steps > len(inputs)
     reached.clear()
@@ -413,3 +414,24 @@ def test_equivalence_check_unknown_when_classification_fails():
         w = equivalence_check(two_blocks_2p61(), abelian(2))
     assert v.kind == "unknown" and "not a square in Q(i)" in v.reason
     assert w.kind == "unknown" and "more than one block" in w.reason
+
+
+def test_identity_steps_are_recorded_without_apply(count_calls):
+    """A witness step that is the identity joins the chain but moves nothing, so it applies nothing."""
+    counts = count_calls(apply)
+    t = leibniz(3)
+    r = classify_mod._Reduction(t)
+    assert r.step(ExactMatrix.identity(3)) is t
+    assert counts["apply"] == 0 and r.full is t and r.chain == [BasisChange.identity(3)]
+    r.step(M([[1, 0, 0], [1, 1, 0], [0, 0, 1]]))
+    assert counts["apply"] == 1
+    identities = 0
+    for order in (2, 3, 4):
+        for _, entry in catalog(order).entries:
+            before = counts["apply"]
+            _, chain = classify(entry)
+            moving = [b for b in chain if not b.matrix.is_identity()]
+            identities += len(chain) - len(moving)
+            assert counts["apply"] - before == len(moving)
+    # the catalog's own normal forms take identity congruence moves
+    assert identities >= 10

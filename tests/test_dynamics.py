@@ -335,7 +335,7 @@ def reference_simulate(t, h, s0, dt, steps, monitors=(), sample_every=1):
                 values[name].append(0.5 * float(np.einsum("mn,mi,ni->", q, state, state)))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        r = _eom_operator(t, h)
+        r = _eom_operator(t, h.matrix())
         state = s0.tuples.astype(float).copy()
         mags = magnitudes(state)
         floors = {name: max(DRIFT_SCALE_FLOOR * m, DRIFT_FLOOR) for name, m in mags.items()}

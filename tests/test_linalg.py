@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from liepoisson.linalg import (
     _kernel_flag,
+    _kernel_vectors,
+    _row_product,
+    _rref_rows,
     BasisChange,
     ExactMatrix,
     LinalgError,
@@ -611,6 +614,167 @@ def test_no_operation_stores_a_zero(case, data):
         pass
     for m in results:
         assert stores_no_zero(m), m
+
+
+# -- the column-indexed elimination against the row-scanning one --------------
+
+def scanning_rref_rows(rows):
+    """The row-scanning sparse Gauss-Jordan that the column index replaced: the oracle.
+
+    For every pivot column it scans every remaining row for the shortest one
+    holding the column, swaps it up, and scans every row again for the update.
+    """
+    m = [dict(row) for row in rows if row]
+    pivots = []
+    r = 0
+    for c in sorted({j for row in m for j in row}):
+        held = [i for i in range(r, len(m)) if c in m[i]]
+        if not held:
+            continue
+        p = min(held, key=lambda i: len(m[i]))
+        m[r], m[p] = m[p], m[r]
+        prow = m[r]
+        lead = prow[c]
+        if not lead.is_one():
+            inv = ONE / lead
+            prow = m[r] = {j: inv * x for j, x in prow.items()}
+        rest = [(j, x) for j, x in prow.items() if j != c]
+        for i, row in enumerate(m):
+            if i != r and c in row:
+                f = row.pop(c)
+                for j, x in rest:
+                    y = row.get(j)
+                    y = -(f * x) if y is None else y - f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def triples(rows):
+    """Each row's entries as integer triples (a, b, d) of (a + b i)/d, so equal means bit-identical."""
+    return [{j: (x._a, x._b, x._d) for j, x in row.items()} for row in rows]
+
+
+NONZERO_GAUSSIANS = SMALL_GAUSSIANS.filter(bool)
+
+
+@st.composite
+def wide_sparse_rows(draw):
+    """Up to 30 rows of 1-3 entries over up to 24 columns, with repeats, multiples and sums of earlier rows."""
+    cols = draw(st.integers(1, 24))
+    entry = st.tuples(st.integers(0, cols - 1), NONZERO_GAUSSIANS)
+    rows = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["new", "new", "repeat", "multiple", "sum"])) if rows else "new"
+        if kind == "new":
+            rows.append(dict(draw(st.lists(entry, min_size=1, max_size=3))))
+        elif kind == "repeat":
+            rows.append(dict(draw(st.sampled_from(rows))))
+        elif kind == "multiple":
+            f = draw(NONZERO_GAUSSIANS)
+            rows.append({j: f * x for j, x in draw(st.sampled_from(rows)).items()})
+        else:
+            # a combination of two earlier rows: it cancels to zero in the elimination
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            f = draw(NONZERO_GAUSSIANS)
+            s = {j: a.get(j, ZERO) + f * b.get(j, ZERO) for j in {**a, **b}}
+            rows.append({j: x for j, x in s.items() if x})
+    return rows
+
+
+@st.composite
+def identity_augmented_rows(draw):
+    """The rows of [A | I] that inverse and pseudoinverse eliminate, A up to 6 x 6."""
+    n = draw(st.integers(0, 6))
+    a = ExactMatrix(n, n, draw(raw_entries(n, n)))
+    return [{**r, n + i: ONE} for i, r in enumerate(a.nz)]
+
+
+@st.composite
+def kernel_flag_stacks(draw):
+    """The rows of one kernel-flag level: Q N_i stacked over a family of up to 4 members."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    q = ExactMatrix(k, n, draw(raw_entries(k, n)))
+    family = [ExactMatrix(n, n, draw(raw_entries(n, n))) for _ in range(draw(st.integers(1, 4)))]
+    return [_row_product(qrow, s.nz) for s in family for qrow in q.nz]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.one_of(wide_sparse_rows(), identity_augmented_rows(), kernel_flag_stacks()))
+def test_column_indexed_elimination_matches_the_row_scanning_one(rows):
+    before = triples(rows)
+    reduced, pivots = _rref_rows(rows)
+    want, want_pivots = scanning_rref_rows(rows)
+    assert pivots == want_pivots
+    assert triples(reduced) == triples(want)
+    assert triples(rows) == before  # the input rows are copied, never changed
+
+
+def deduping_casimir_basis(t):
+    """quadratic_casimir_basis as it was before repeated equations went to the elimination:
+    a tuple-keyed pair index, zero and repeated equations dropped by a frozenset, and the
+    row-scanning elimination.  The oracle."""
+    n = t.n
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    index = {p: k for k, p in enumerate(pairs)}
+    equations = {}
+    for lam, mu, nu, w in t.nonzeros():
+        for sig in range(n):
+            if sig == lam:
+                continue
+            key, x = ((nu, lam, sig), w) if sig < lam else ((nu, sig, lam), -w)
+            eq = equations.setdefault(key, {})
+            k = index[(mu, sig) if mu <= sig else (sig, mu)]
+            y = eq.get(k, ZERO) + x
+            if y:
+                eq[k] = y
+            else:
+                eq.pop(k, None)
+    distinct = list({frozenset(eq.items()): eq for eq in equations.values() if eq}.values())
+    basis = []
+    for v in _kernel_vectors(*scanning_rref_rows(distinct), len(pairs)):
+        q = [{} for _ in range(n)]
+        for k, x in v.items():
+            i, j = pairs[k]
+            q[i][j] = q[j][i] = x
+        basis.append(q)
+    return basis
+
+
+def test_quadratic_casimir_basis_and_monitors_match_the_deduping_builder():
+    import numpy as np
+
+    from liepoisson.casimir import quadratic_casimir_basis
+    from liepoisson.dynamics import exact_monitors
+    from liepoisson.extension import direct_sum
+
+    tensors = [t for order in (2, 3, 4) for _, t in catalog(order).entries]
+    tensors += [append_semisimple(t) for _, t in catalog(3).entries]
+    tensors += [leibniz(k, semidirect=s) for k in range(1, 9) for s in (False, True)]
+    tensors += [crmhd(beta) for beta in (1, F(5, 2), -3)]
+    tensors += [direct_sum(leibniz(3), leibniz(4)), direct_sum(crmhd(2), leibniz(2)),
+                direct_sum(leibniz(8), leibniz(8))]
+    for t in tensors:
+        want = deduping_casimir_basis(t)
+        basis = quadratic_casimir_basis(t)
+        assert [triples(q.nz) for q in basis] == [triples(q) for q in want], t
+        expected = []
+        for k, q in enumerate(want):
+            re, im = np.zeros((t.n, t.n)), np.zeros((t.n, t.n))
+            for i, row in enumerate(q):
+                for j, x in row.items():
+                    re[i, j], im[i, j] = x._a / x._d, x._b / x._d
+            expected += [(f"Q{k}", re)] * bool(np.any(re)) + [(f"Q{k}_im", im)] * bool(np.any(im))
+        got = exact_monitors(t)
+        assert [name for name, _ in got] == [name for name, _ in expected]
+        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, expected))
 
 
 # -- pseudoinverse -----------------------------------------------------------

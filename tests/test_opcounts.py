@@ -1,0 +1,76 @@
+"""Operation counts as a performance gate.
+
+Wall time on a shared host swings too much to gate a change on, but the
+number of calls a seeded pass makes to the package's hot functions does not
+move with the host.  ``tests/data/opcounts.json`` records, for one seeded
+pass of three benchmark workloads (inputs from ``bench/workloads.py``), the
+calls cProfile counts to about eight functions each.  A count that rises
+fails the test; one that falls passes and prints the new numbers, to be
+written into the file.  The counts are taken in two subprocesses with
+different ``PYTHONHASHSEED`` values, which must agree: a count that follows
+string hashing would gate nothing.
+
+Run ``python tests/test_opcounts.py`` to print the current counts as JSON.
+"""
+
+import cProfile
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RECORD = ROOT / "tests" / "data" / "opcounts.json"
+
+
+def resolve(name):
+    """The code object of "package.module:Qual.name", a function or a property's getter."""
+    module, qualname = name.split(":")
+    obj = importlib.import_module(module)
+    for part in qualname.split("."):
+        obj = getattr(obj, part)
+    return (obj.fget if isinstance(obj, property) else obj).__code__
+
+
+def count_ops(record):
+    """Calls to each recorded function over one pass of each recorded workload, as cProfile counts them."""
+    import workloads
+
+    counts = {}
+    for workload, names in record["counts"].items():
+        items = workloads.BUILDERS[workload](record["seed"])
+        profile = cProfile.Profile()
+        profile.enable()
+        for item in items:
+            item.call()
+        profile.disable()
+        profile.create_stats()
+        calls = {(code[0], code[1], code[2]): stat[1] for code, stat in profile.stats.items()}
+        counts[workload] = {}
+        for name in names:
+            code = resolve(name)
+            counts[workload][name] = calls.get((code.co_filename, code.co_firstlineno, code.co_name), 0)
+    return counts
+
+
+def test_operation_counts_do_not_rise():
+    record = json.loads(RECORD.read_text())
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
+    runs = [subprocess.Popen([sys.executable, __file__], env=dict(env, PYTHONHASHSEED=seed),
+                             stdout=subprocess.PIPE, text=True) for seed in ("0", "1")]
+    outputs = [run.communicate(timeout=120)[0] for run in runs]
+    assert all(run.returncode == 0 for run in runs)
+    counts, other = (json.loads(out) for out in outputs)
+    assert counts == other, "operation counts depend on PYTHONHASHSEED"
+    risen = {(w, name): (record["counts"][w][name], n) for w, row in counts.items() for name, n in row.items()
+             if n > record["counts"][w][name]}
+    assert not risen, f"operation counts rose (recorded, now): {risen}"
+    if counts != record["counts"]:
+        print("operation counts fell; the new counts for tests/data/opcounts.json:")
+        print(json.dumps(counts, indent=2))
+
+
+if __name__ == "__main__":
+    print(json.dumps(count_ops(json.loads(RECORD.read_text()))))

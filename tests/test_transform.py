@@ -485,3 +485,32 @@ def test_apply_and_classify_never_read_the_dense_view(monkeypatch):
     assert reads == []
     # the counter is live
     assert inputs[0].w and len(reads) == 1
+
+
+def test_signs_are_read_off_the_integer_triple(monkeypatch):
+    """_normalize_diagonal and represent_binary's closed forms read no .re or .im (each builds a Fraction)."""
+    from liepoisson.conics import represent_binary
+    from liepoisson.scalars import GaussianRational
+    from liepoisson.transform import _normalize_diagonal
+
+    reads = []
+    for name in ("re", "im"):
+        part = getattr(GaussianRational, name)
+        monkeypatch.setattr(GaussianRational, name,
+                            property(lambda z, part=part, name=name: reads.append(name) or part.fget(z)))
+    values = [gr(2), gr(-3), gr(Fraction(-1, 2)), gr(Fraction(9, 4)), gr(-5), ZERO, I, gr(1, -2)]
+    diags = [[a, b, c] for a in values for b in values for c in values[::2]]
+    results = [_normalize_diagonal(d) for d in diags]
+    # real hyperbolic pairs, sums of two squares with and without a real point, and a complex form
+    forms = [(gr(1), gr(-4), gr(3)), (gr(2), gr(-Fraction(1, 2)), gr(-5)), (gr(1), gr(1), gr(5)),
+             (gr(1), gr(4), gr(Fraction(13, 4))), (gr(1), gr(1), gr(3)), (gr(1), gr(-1), I), (I, gr(1, 0), gr(2))]
+    points = [represent_binary(a, b, v) for a, b, v in forms]
+    assert reads == []
+    for d, out in zip(diags, results):
+        if out is not None:
+            ts, signs, c = out
+            assert all(t * t * x / c == s for t, x, s in zip(ts, d, signs))
+    for (a, b, v), (x, y) in zip(forms, points):
+        assert a * x * x + b * y * y == v and x
+    # the counter is live
+    assert gr(1).re == 1 and reads == ["re"]
