@@ -748,7 +748,7 @@ def deduping_casimir_basis(t):
     return basis
 
 
-def test_quadratic_casimir_basis_and_monitors_match_the_deduping_builder():
+def test_quadratic_casimir_basis_and_monitors_match_the_deduping_oracle():
     import numpy as np
 
     from liepoisson.casimir import quadratic_casimir_basis
