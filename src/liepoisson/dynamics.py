@@ -20,11 +20,14 @@ With x = l.reshape(3n) the right-hand side is one quadratic form in x:
 the bracket is linear in l and so is dH/dl.  :func:`_eom_operator` writes
 it once per run as a matrix R of shape (9n^2, 3n), built from the T
 nonzero entries of W and the matrix A of H, which :func:`simulate` builds
-once.  x stays flat for the whole run, and every evaluation is
-``R.dot(x).reshape(3n, 3n).dot(x)`` (``ndarray.dot``: ``np.dot``'s floats
-without its dispatch), with no Python loop and no per-entry work.  After
-the loop one product reads H = 1/2 x^T A x at every sample, and one more
-every C_Q: the stacked Q against the Gram matrices l l^T of the samples.
+once.  x stays flat for the whole run, and every evaluation is two
+``ndarray.dot`` calls (``np.dot``'s floats without its dispatch) into
+buffers allocated once per run: R x into a (9n^2,) buffer, then its
+(3n, 3n) view times x.  An RK4 step fills its four stages in place and
+allocates two arrays, the weighted sum of the stages and the new state.
+After the loop one product reads H = 1/2 x^T A x at every sample, and
+one more every C_Q: the stacked Q against the Gram matrices l l^T of the
+samples.
 """
 
 from __future__ import annotations
@@ -53,12 +56,18 @@ class FieldState:
     tuples: np.ndarray      # shape (n, 3)
     time: float = 0.0
 
+    def __post_init__(self):
+        try:
+            arr = np.asarray(self.tuples, dtype=float)
+        except (TypeError, ValueError):  # ragged rows, or an entry that is not a number
+            arr = None
+        if arr is None or arr.ndim != 2 or arr.shape[1] != 3:
+            raise DynamicsError("state must be a list of 3-vectors")
+        self.tuples = arr
+
     @staticmethod
     def from_vectors(vectors: Sequence[Sequence[float]], time: float = 0.0) -> "FieldState":
-        arr = np.asarray(vectors, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise DynamicsError("state must be a list of 3-vectors")
-        return FieldState(arr, time)
+        return FieldState(vectors, time)
 
 
 @dataclass
@@ -136,10 +145,15 @@ def _eom_operator(t: ExtensionTensor, hm: np.ndarray) -> np.ndarray:
     return b.reshape(9 * n * n, 3 * n) @ hm
 
 
-def _evaluate(r: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """dx/dt at the flat state x = l.reshape(3n), by ``ndarray.dot``: ``np.dot``'s floats, without its dispatch."""
-    m = x.size
-    return r.dot(x).reshape(m, m).dot(x)
+def _evaluate(r: np.ndarray, x: np.ndarray, flat: np.ndarray, square: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """dx/dt at the flat state x = l.reshape(3n), written into and returned as ``out``.
+
+    R x goes into ``flat``, shape (9n^2,), and ``square``, its (3n, 3n) view,
+    times x into ``out``: two ``ndarray.dot`` calls (``np.dot``'s floats
+    without its dispatch) and no allocation.  ``out`` must not be x.
+    """
+    r.dot(x, out=flat)
+    return square.dot(x, out=out)
 
 
 def eom_rhs(t: ExtensionTensor, h: HamiltonianSpec, s: FieldState) -> np.ndarray:
@@ -148,7 +162,10 @@ def eom_rhs(t: ExtensionTensor, h: HamiltonianSpec, s: FieldState) -> np.ndarray
         raise DynamicsError(
             f"dimension mismatch: tensor {t.n}, Hamiltonian {h.n}, state {s.tuples.shape[0]}"
         )
-    return _evaluate(_eom_operator(t, h.matrix()), s.tuples.reshape(-1)).reshape(s.tuples.shape)
+    x = s.tuples.reshape(-1)
+    flat = np.empty(x.size * x.size)
+    rhs = _evaluate(_eom_operator(t, h.matrix()), x, flat, flat.reshape(x.size, x.size), np.empty(x.size))
+    return rhs.reshape(s.tuples.shape)
 
 
 def monitor_gradient(q: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -232,6 +249,11 @@ def simulate(
     every term in absolute value (1/2 sum |Q_mn| |l^m| |l^n|, or 1/2 |x|^T |A|
     |x| for H), a bound no cancellation lowers: a monitor that starts at zero
     is measured on its own scale.  "H", the Hamiltonian, is always monitored.
+
+    Each step evaluates the four stages into the rows of one (4, 3n) array
+    (a stage input x + c k is formed in one buffer, the same floats as
+    ``x + c * k``), then takes x + w . ks with w = dt (1/6, 1/3, 1/3, 1/6):
+    one product for the weighted sum.
     """
     if not 0 < dt < math.inf:
         raise DynamicsError(f"dt must be a positive finite step, got {dt}")
@@ -242,7 +264,7 @@ def simulate(
     n = t.n
     if h.n != n or s0.tuples.shape[0] != n:
         raise DynamicsError("dimension mismatch between tensor, Hamiltonian, and state")
-    x = s0.tuples.astype(float).reshape(-1)
+    x = s0.tuples.reshape(-1)
     if not np.isfinite(x).all():
         raise DynamicsError("the initial state has a non-finite entry")
     names, qs = ["H"], []
@@ -256,7 +278,13 @@ def simulate(
         qs.append(q.reshape(-1))
     qs = np.array(qs).reshape(len(qs), n * n)
     a = h.matrix()
-    half, sixth = 0.5 * dt, dt / 6.0
+    half = 0.5 * dt
+    # dt/6, dt/3, dt/3, dt/6: doubling dt/6 is exact
+    weights = dt / 6.0 * np.array([1.0, 2.0, 2.0, 1.0])
+    m = x.size
+    flat, y, ks = np.empty(m * m), np.empty(m), np.empty((4, m))
+    square = flat.reshape(m, m)
+    k1, k2, k3, k4 = ks
     # an overflow in the operator or in a step ends as a non-finite state,
     # which the loop raises as NonFinite: numpy's own warnings would only
     # repeat it
@@ -268,13 +296,13 @@ def simulate(
         times, samples = [s0.time], [x]
         # x is rebound at every step, never written, so a sample needs no copy
         for k in range(steps):
-            k1 = _evaluate(r, x)
-            k2 = _evaluate(r, x + half * k1)
-            k3 = _evaluate(r, x + half * k2)
-            k4 = _evaluate(r, x + dt * k3)
-            x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            _evaluate(r, x, flat, square, k1)
+            _evaluate(r, np.add(x, np.multiply(k1, half, out=y), out=y), flat, square, k2)
+            _evaluate(r, np.add(x, np.multiply(k2, half, out=y), out=y), flat, square, k3)
+            _evaluate(r, np.add(x, np.multiply(k3, dt, out=y), out=y), flat, square, k4)
+            x = x + weights.dot(ks)
             # x.x overflows before any entry does, so only then are the entries read
-            if not math.isfinite(np.dot(x, x)) and not np.isfinite(x).all():
+            if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
                 raise NonFinite(f"state became non-finite at step {k + 1}")
             if (k + 1) % sample_every == 0 or k + 1 == steps:
                 times.append(s0.time + (k + 1) * dt)

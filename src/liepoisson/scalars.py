@@ -314,16 +314,6 @@ def format_scalar(z: GaussianRational) -> str:
 # Exact square roots
 # ---------------------------------------------------------------------------
 
-def sqrt_fraction(q: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None."""
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def sqrt_gaussian(z: GaussianRational) -> Optional[GaussianRational]:
     """Exact square root in Q(i), or None when z is not a square there.
 

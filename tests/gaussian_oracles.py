@@ -4,7 +4,8 @@ The package now carries Gaussian integers through this number theory as
 plain (x, y) int pairs (see :mod:`liepoisson.scalars` and
 :mod:`liepoisson.conics`).  These are the scalar versions it replaced, kept
 verbatim as the oracles that the tests compare the int-pair versions with
-bit-exactly.
+bit-exactly, with ``sqrt_fraction``, the rational square root they
+take, which the package no longer needs.
 """
 
 from fractions import Fraction
@@ -19,7 +20,6 @@ from liepoisson.scalars import (
     ZERO,
     _factor_int,
     gr,
-    sqrt_fraction,
     sqrt_gaussian,
 )
 
@@ -29,6 +29,16 @@ Triple = tuple
 # ---------------------------------------------------------------------------
 # scalars
 # ---------------------------------------------------------------------------
+
+def sqrt_fraction(q: Fraction) -> Optional[Fraction]:
+    """Exact square root of a nonnegative rational, or None."""
+    if q < 0:
+        return None
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
 
 def square_free_part(z: GaussianRational):
     """(rep, s) with z = rep * s^2 and rep a small square-free representative.

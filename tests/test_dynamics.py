@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liepoisson import dynamics
+from liepoisson.classify import catalog
 from liepoisson.cli import EXIT_DIMENSION, main
 from liepoisson.dynamics import (
     DynamicsError,
@@ -153,6 +155,22 @@ def test_rhs_of_zero_tensor_is_zero():
         rhs = eom_rhs(t, random_hamiltonian(rng, n), FieldState(rng.normal(size=(n, 3))))
         assert rhs.shape == (n, 3) and rhs.dtype == np.float64
         assert np.array_equal(rhs, np.zeros((n, 3)))
+
+
+@pytest.mark.parametrize("tuples", [np.ones((2, 2)), np.ones((2, 3, 1)), np.ones(6), np.ones((3, 2)), 1.0,
+                                    [[1, 0, 0], [0, 1]], [["a", "b", "c"]] * 2, {}])
+@pytest.mark.parametrize("through", ["simulate", "eom_rhs"])
+def test_a_state_that_is_not_a_list_of_3_vectors_is_refused(tuples, through):
+    # checked where the state is built: a (2, 2) state reached numpy's reshape,
+    # a (2, 3, 1) one ran as if it were (2, 3), and ragged rows raised numpy's ValueError
+    t, h = heavy_top_tensor(), HamiltonianSpec.isotropic(2)
+    run = {"simulate": lambda s: simulate(t, h, s, 0.01, 3).states[-1], "eom_rhs": lambda s: eom_rhs(t, h, s)}[through]
+    for build in (FieldState, FieldState.from_vectors):
+        with pytest.raises(DynamicsError, match="state must be a list of 3-vectors"):
+            run(build(tuples))
+    s = FieldState([[1, 0, 0], [0, 1, 0]], time=2)
+    assert s.tuples.dtype == np.float64 and s.tuples.shape == (2, 3)
+    assert run(s).shape == (2, 3)
 
 
 def test_dimension_mismatch():
@@ -310,13 +328,15 @@ def test_an_overflowing_trajectory_stops_at_the_same_step_without_warnings():
             simulate(t, HamiltonianSpec.isotropic(2), state, 1.0, 50)
 
 
+def reference_evaluate(r, state):
+    """dl/dt at an (n, 3) state from the operator R, by two matrix products."""
+    x = state.reshape(-1)
+    return ((r @ x).reshape(x.size, x.size) @ x).reshape(state.shape)
+
+
 def reference_simulate(t, h, s0, dt, steps, monitors=(), sample_every=1):
     """The RK4 loop on (n, 3) states with one einsum per monitor and sample: the reference."""
     from liepoisson.dynamics import DRIFT_FLOOR, DRIFT_SCALE_FLOOR, _eom_operator
-
-    def evaluate(r, state):
-        x = state.reshape(-1)
-        return ((r @ x).reshape(x.size, x.size) @ x).reshape(state.shape)
 
     def magnitudes(state):
         norms = np.linalg.norm(state, axis=1)
@@ -343,10 +363,10 @@ def reference_simulate(t, h, s0, dt, steps, monitors=(), sample_every=1):
         samples = [state.copy()]
         record(state)
         for k in range(steps):
-            k1 = evaluate(r, state)
-            k2 = evaluate(r, state + 0.5 * dt * k1)
-            k3 = evaluate(r, state + 0.5 * dt * k2)
-            k4 = evaluate(r, state + dt * k3)
+            k1 = reference_evaluate(r, state)
+            k2 = reference_evaluate(r, state + 0.5 * dt * k1)
+            k3 = reference_evaluate(r, state + 0.5 * dt * k2)
+            k4 = reference_evaluate(r, state + dt * k3)
             state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             if not np.isfinite(state).all():
                 raise NonFinite(f"state became non-finite at step {k + 1}")
@@ -381,6 +401,41 @@ def test_simulate_matches_the_reference_loop(sample_every):
                 assert np.all(np.abs(record.monitors[name] - series) <= 1e-14 * mags[name]), name
                 # two values within 1e-14 M, over a scale of at least 1e-3 M
                 assert abs(record.drifts[name] - drifts[name]) <= 2e-11, name
+
+
+# real tensors of every kind simulate meets (the catalog, Leibniz, CRMHD and
+# direct sums), each with its exact monitors
+PROPERTY_TENSORS = [t for order in (2, 3, 4) for _, t in catalog(order).entries]
+PROPERTY_TENSORS += [leibniz(k) for k in range(1, 9)] + [crmhd(Fraction(5, 2)), crmhd(Fraction(1, 3))]
+PROPERTY_TENSORS += [direct_sum(leibniz(2), crmhd(Fraction(1, 3))), direct_sum(leibniz(8), leibniz(8)),
+                     direct_sum(catalog(3).entries[-1][1], leibniz(3))]
+PROPERTY_CASES = [(t, exact_monitors(t)) for t in PROPERTY_TENSORS]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=st.sampled_from(PROPERTY_CASES), seed=st.integers(0, 2**32 - 1), steps=st.integers(0, 30),
+       sample_every=st.integers(1, 7), dt=st.sampled_from([0.001, 0.005, 0.01]))
+def test_simulate_agrees_with_the_reference_loop_on_drawn_runs(case, seed, steps, sample_every, dt):
+    from liepoisson.dynamics import _eom_operator
+
+    t, mons = case
+    rng = np.random.default_rng(seed)
+    h = HamiltonianSpec(random_hamiltonian(rng, t.n).blocks / (3 * t.n))
+    s0 = FieldState(rng.normal(size=(t.n, 3)) / np.sqrt(3 * t.n), time=rng.uniform(-1, 1))
+    before = s0.tuples.copy()
+    assert np.array_equal(eom_rhs(t, h, s0), reference_evaluate(_eom_operator(t, h.matrix()), s0.tuples))
+    record = simulate(t, h, s0, dt, steps, mons, sample_every)
+    times, states, values, drifts, mags = reference_simulate(t, h, s0, dt, steps, mons, sample_every)
+    # the caller's state is never written, and no sample stands in for another
+    assert np.array_equal(s0.tuples, before)
+    assert not np.shares_memory(record.states, s0.tuples)
+    assert record.states.shape == states.shape == (len(times), t.n, 3)
+    assert np.all(np.abs(record.times - times) <= 1e-14 * np.abs(times))
+    assert np.all(np.abs(record.states - states) <= 1e-14 * np.abs(states).max())
+    assert list(record.monitors) == list(values)
+    for name, series in values.items():
+        assert np.all(np.abs(record.monitors[name] - series) <= 1e-14 * mags[name]), name
+        assert abs(record.drifts[name] - drifts[name]) <= 2e-11, name
 
 
 def test_simulate_stops_where_the_reference_loop_stops():

@@ -4,11 +4,12 @@ Wall time on a shared host swings too much to gate a change on, but the
 number of calls a seeded pass makes to the package's hot functions does not
 move with the host.  ``tests/data/opcounts.json`` records, for one seeded
 pass of three benchmark workloads (inputs from ``bench/workloads.py``), the
-calls cProfile counts to about eight functions each.  A count that rises
-fails the test; one that falls passes and prints the new numbers, to be
-written into the file.  The counts are taken in two subprocesses with
-different ``PYTHONHASHSEED`` values, which must agree: a count that follows
-string hashing would gate nothing.
+calls cProfile counts to about eight functions each; simulate also counts
+NumPy's ``ndarray.dot`` and ``ndarray.reshape``, the built-in methods of its
+step loop.  A count that rises fails the test; one that falls passes and
+prints the new numbers, to be written into the file.  The counts are taken
+in two subprocesses with different ``PYTHONHASHSEED`` values, which must
+agree: a count that follows string hashing would gate nothing.
 
 Run ``python tests/test_opcounts.py`` to print the current counts as JSON.
 """
@@ -26,12 +27,19 @@ RECORD = ROOT / "tests" / "data" / "opcounts.json"
 
 
 def resolve(name):
-    """The code object of "package.module:Qual.name", a function or a property's getter."""
+    """cProfile's key for "package.module:Qual.name": a function, a property's getter,
+    or a method of a built-in type such as ``numpy:ndarray.dot``."""
     module, qualname = name.split(":")
     obj = importlib.import_module(module)
     for part in qualname.split("."):
         obj = getattr(obj, part)
-    return (obj.fget if isinstance(obj, property) else obj).__code__
+    obj = obj.fget if isinstance(obj, property) else obj
+    if hasattr(obj, "__code__"):
+        code = obj.__code__
+        return code.co_filename, code.co_firstlineno, code.co_name
+    # a built-in method has no code object: cProfile keys it by its label
+    owner = obj.__objclass__
+    return "~", 0, f"<method '{obj.__name__}' of '{owner.__module__}.{owner.__qualname__}' objects>"
 
 
 def count_ops(record):
@@ -47,11 +55,8 @@ def count_ops(record):
             item.call()
         profile.disable()
         profile.create_stats()
-        calls = {(code[0], code[1], code[2]): stat[1] for code, stat in profile.stats.items()}
-        counts[workload] = {}
-        for name in names:
-            code = resolve(name)
-            counts[workload][name] = calls.get((code.co_filename, code.co_firstlineno, code.co_name), 0)
+        calls = {key: stat[1] for key, stat in profile.stats.items()}
+        counts[workload] = {name: calls.get(resolve(name), 0) for name in names}
     return counts
 
 

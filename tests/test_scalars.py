@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gaussian_oracles as oracle
+from gaussian_oracles import sqrt_fraction
 from helpers import gaussian_ints
 from liepoisson.scalars import (
     I,
@@ -23,7 +24,6 @@ from liepoisson.scalars import (
     gaussian_divisors,
     gr,
     parse_scalar,
-    sqrt_fraction,
     sqrt_gaussian,
     square_free_part,
     square_free_part_zi,
