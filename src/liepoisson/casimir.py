@@ -41,8 +41,7 @@ the identity.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from functools import cached_property
 from itertools import count
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -68,39 +67,37 @@ class SynthesisObstruction(CasimirError):
 # Symbolic data types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FormalFunction:
+# The records of this module are namedtuples, CoextensionResult aside:
+# read-only fields and equality and hashing by value, for far less work per
+# class at import than generating each method from source text.  A __new__
+# normalizes its inputs.
+
+class FormalFunction(namedtuple("FormalFunction", "label args")):
     """An arbitrary function of linear coordinates u^(a) . xi."""
 
-    label: str
-    args: Tuple[Tuple[GaussianRational, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(tuple(u) for u in self.args))
+    def __new__(cls, label: str, args: Sequence[Sequence[GaussianRational]]):
+        return tuple.__new__(cls, (label, tuple(tuple(u) for u in args)))
 
 
-@dataclass(frozen=True)
-class CasimirTerm:
+class CasimirTerm(namedtuple("CasimirTerm", "poly func deriv")):
     """poly * (derivative of func), deriv a multi-index over func.args."""
 
-    poly: Poly
-    func: Optional[FormalFunction]
-    deriv: Tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "deriv", tuple(self.deriv))
-        if self.func is not None and len(self.deriv) != len(self.func.args):
+    def __new__(cls, poly: Poly, func: Optional[FormalFunction], deriv: Sequence[int] = ()):
+        deriv = tuple(deriv)
+        if func is not None and len(deriv) != len(func.args):
             raise ValueError("derivative multi-index length must match args")
+        return tuple.__new__(cls, (poly, func, deriv))
 
 
-@dataclass(frozen=True)
-class CasimirFamily:
-    terms: Tuple[CasimirTerm, ...]
-    n: int
-    semidirect: bool = False
+class CasimirFamily(namedtuple("CasimirFamily", "terms n semidirect")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+    def __new__(cls, terms: Sequence[CasimirTerm], n: int, semidirect: bool = False):
+        return tuple.__new__(cls, (tuple(terms), n, semidirect))
 
     def to_json(self) -> dict:
         out = []
@@ -206,11 +203,10 @@ def _hessian(fam: CasimirFamily) -> Dict[Tuple[int, int], Dict]:
     return hess
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    passed: bool
-    failure: Optional[Tuple[int, int, int]] = None
-    residual: Optional[dict] = None
+class ConditionReport(namedtuple("ConditionReport", "passed failure residual", defaults=(None, None))):
+    """``failure`` is the first failing (lam, sig, nu) and ``residual`` its {(label, deriv): Poly}."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.passed
@@ -265,25 +261,30 @@ def casimir_condition_check(t: ExtensionTensor, fam: CasimirFamily) -> Condition
 # Coextension
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class CoextensionResult:
     """Wn, its pseudoinverse, the projector P = Wn Wn^+ and omega on slots idx.
 
     ``idx`` lists storage slots; the last one carries Wn, the others are the
-    solvable-local indices of ``sub`` and ``omega``.  ``omega[nu]`` holds the
-    nonzeros omega^nu_{lam sig} as (lam, sig, value), in increasing (lam,
-    sig); ``cow`` is the dense view cow[nu][lam][sig], built on first use
-    for inspection (no check reads it).
-    The solvability and symmetry conditions are evaluated on first access.
+    solvable-local indices of ``sub`` and ``omega``.  ``sub[sig][rho, nu]``
+    is W_sig^{rho nu} in local indices.  ``omega[nu]`` holds the nonzeros
+    omega^nu_{lam sig} as (lam, sig, value), in increasing (lam, sig);
+    ``cow`` is the dense view cow[nu][lam][sig], built on first use for
+    inspection (no check reads it).  The solvability and symmetry conditions
+    are evaluated on first access and kept.  The fields are read-only: the
+    three cached properties live in the instance dict, so this is a plain
+    class, not a namedtuple.
     """
 
-    wn: ExactMatrix
-    wn_pinv: ExactMatrix
-    projector: ExactMatrix
-    sub: tuple                      # sub[sig][rho, nu] = W_sig^{rho nu}, local indices
-    omega: tuple                    # omega[nu] = ((lam, sig, value), ...), nonzeros only
-    nonsingular: bool
-    idx: Tuple[int, ...]
+    def __init__(self, wn: ExactMatrix, wn_pinv: ExactMatrix, projector: ExactMatrix, sub: tuple,
+                 omega: tuple, nonsingular: bool, idx: Tuple[int, ...]):
+        self.__dict__.update(wn=wn, wn_pinv=wn_pinv, projector=projector, sub=sub, omega=omega,
+                             nonsingular=nonsingular, idx=idx)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a CoextensionResult")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a CoextensionResult")
 
     @cached_property
     def cow(self) -> tuple:

@@ -21,7 +21,7 @@ rather than silently widening the coefficient field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .extension import (
@@ -65,20 +65,21 @@ class NotSingleBlock(ClassificationError):
     """
 
 
-@dataclass(frozen=True)
-class CaseLabel:
-    order: int
-    name: str
-    semidirect: bool = False
+# The records of this module are namedtuples: read-only fields and equality
+# and hashing by value, for far less work per class at import than
+# generating each method from source text.
+
+class CaseLabel(namedtuple("CaseLabel", "order name semidirect", defaults=(False,))):
+    __slots__ = ()
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Catalog:
-    order: int
-    entries: Tuple[Tuple[CaseLabel, ExtensionTensor], ...]
+class Catalog(namedtuple("Catalog", "order entries")):
+    """The normal forms of one order: ``entries`` holds (CaseLabel, ExtensionTensor) pairs."""
+
+    __slots__ = ()
 
     def lookup(self, name: str) -> ExtensionTensor:
         for label, t in self.entries:
@@ -574,24 +575,18 @@ def _stage4_leading_case4(t: ExtensionTensor, r: _Reduction) -> ExtensionTensor:
 # Equivalence checking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Equivalent:
-    witness: tuple
-
+class Equivalent(namedtuple("Equivalent", "witness")):
+    __slots__ = ()
     kind = "equivalent"
 
 
-@dataclass(frozen=True)
-class Distinct:
-    reason: str
-
+class Distinct(namedtuple("Distinct", "reason")):
+    __slots__ = ()
     kind = "distinct"
 
 
-@dataclass(frozen=True)
-class Unknown:
-    reason: str
-
+class Unknown(namedtuple("Unknown", "reason")):
+    __slots__ = ()
     kind = "unknown"
 
 

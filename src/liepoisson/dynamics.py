@@ -33,7 +33,6 @@ samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,43 +48,46 @@ class NonFinite(DynamicsError):
     """The trajectory left the representable floating-point range."""
 
 
-@dataclass
+def _floats(values) -> Optional[np.ndarray]:
+    """``values`` as a float array, or None when it has ragged rows or an entry that is not a number."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        return None
+
+
 class FieldState:
     """An n-tuple of so(3)* momenta and the current time."""
 
-    tuples: np.ndarray      # shape (n, 3)
-    time: float = 0.0
+    __slots__ = ("tuples", "time")
 
-    def __post_init__(self):
-        try:
-            arr = np.asarray(self.tuples, dtype=float)
-        except (TypeError, ValueError):  # ragged rows, or an entry that is not a number
-            arr = None
+    def __init__(self, tuples: Sequence[Sequence[float]], time: float = 0.0):
+        arr = _floats(tuples)
         if arr is None or arr.ndim != 2 or arr.shape[1] != 3:
             raise DynamicsError("state must be a list of 3-vectors")
-        self.tuples = arr
+        self.tuples = arr       # shape (n, 3)
+        self.time = time
 
     @staticmethod
     def from_vectors(vectors: Sequence[Sequence[float]], time: float = 0.0) -> "FieldState":
         return FieldState(vectors, time)
 
 
-@dataclass
 class HamiltonianSpec:
     """Quadratic form with one 3x3 block per index pair, exactly symmetric: A[mu,nu] = A[nu,mu]^T."""
 
-    blocks: np.ndarray      # shape (n, n, 3, 3)
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        b = np.asarray(self.blocks, dtype=float)
-        if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2:] != (3, 3):
+    def __init__(self, blocks):
+        b = _floats(blocks)
+        if b is None or b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2:] != (3, 3):
             raise DynamicsError("blocks must have shape (n, n, 3, 3)")
         if not np.isfinite(b).all():
             raise DynamicsError("the Hamiltonian blocks have a non-finite entry")
         # exactly: the RHS takes A x as dH/dl, the gradient of 1/2 x^T A x only for a symmetric A
         if not np.array_equal(b, np.swapaxes(np.swapaxes(b, 0, 1), 2, 3)):
             raise DynamicsError("blocks must satisfy A[mu,nu] = A[nu,mu]^T exactly")
-        self.blocks = b
+        self.blocks = b         # shape (n, n, 3, 3)
 
     @property
     def n(self) -> int:
@@ -194,12 +196,15 @@ def exact_monitors(t: ExtensionTensor) -> List[Tuple[str, np.ndarray]]:
     return [(f"Q{k}{tag}", parts[k, p]) for k, row in enumerate(kept) for p, tag in ((0, ""), (1, "_im")) if row[p]]
 
 
-@dataclass
 class TrajectoryRecord:
-    times: np.ndarray
-    states: np.ndarray                  # shape (samples, n, 3)
-    monitors: Dict[str, np.ndarray]     # per-monitor sampled values
-    drifts: Dict[str, float]            # relative drift over the run
+    __slots__ = ("times", "states", "monitors", "drifts")
+
+    def __init__(self, times: np.ndarray, states: np.ndarray, monitors: Dict[str, np.ndarray],
+                 drifts: Dict[str, float]):
+        self.times = times
+        self.states = states            # shape (samples, n, 3)
+        self.monitors = monitors        # per-monitor sampled values
+        self.drifts = drifts            # relative drift over the run
 
     def to_csv(self, path: str) -> None:
         names = sorted(self.monitors)

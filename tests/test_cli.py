@@ -505,13 +505,16 @@ def test_console_script_installed():
 
 
 def test_exact_core_imports_no_numpy():
-    # numpy is the float dynamics layer's alone: it loads with `liex simulate`
+    # numpy is the float dynamics layer's alone: it loads with `liex simulate`.
+    # No layer loads dataclasses, and numpy does not either: the records are
+    # namedtuples and plain classes, cheaper to create at import.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     probe = ("import sys, liepoisson, liepoisson.cli; bare = 'numpy' in sys.modules; "
-             "liepoisson.simulate; print(bare, 'numpy' in sys.modules)")
+             "core = 'dataclasses' in sys.modules; liepoisson.simulate; "
+             "print(bare, 'numpy' in sys.modules, core, 'dataclasses' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False", "True"]
+    assert result.stdout.split() == ["False", "True", "False", "False"]
 
 
 def test_without_numpy_only_simulate_refuses(tmp_path):

@@ -471,6 +471,10 @@ def test_non_finite_inputs_and_misshapen_monitors_are_named():
         blocks[1, 1, 2, 2] = bad
         with pytest.raises(DynamicsError, match="Hamiltonian blocks have a non-finite entry"):
             HamiltonianSpec(blocks)
+    # ragged rows raised numpy's ValueError and a dict a TypeError, as FieldState's did
+    for blocks in ([[1, 2], [3]], {}, np.ones((2, 2, 3))):
+        with pytest.raises(DynamicsError, match=r"blocks must have shape \(n, n, 3, 3\)"):
+            HamiltonianSpec(blocks)
     s0 = FieldState(np.ones((2, 3)))
     with pytest.raises(DynamicsError, match=r"monitor Q has shape \(3, 3\), not \(2, 2\)"):
         simulate(t, h, s0, 0.01, 3, monitors=[("Q", np.eye(3))])
