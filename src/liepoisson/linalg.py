@@ -22,9 +22,10 @@ index, so it touches only the rows holding each pivot column.  :func:`rref`,
 (both on the rows of [A | I], which give the pseudoinverse its rank, rref(A)
 and, at full rank, A^-1 in one elimination) hand it a matrix's rows as they
 are.  The one exception is a triangular matrix, which :func:`inverse`
-inverts by substitution (:func:`_substitute`) instead: every rescaling and
-shear of a witness chain is one, and :class:`BasisChange` reaches it
-through :func:`inverse`.
+inverts by substitution (:func:`_substitute`) instead.  A
+:class:`BasisChange` that is diagonal or a single unit shear is not
+inverted at all unless its inverse is read: the witness steps of those two
+kinds are applied without it.
 
 Only the public constructors coerce: ``ExactMatrix(rows, cols, entries)``,
 ``from_rows`` and ``diagonal`` accept ints, ``Fraction`` values
@@ -575,14 +576,19 @@ def eigenvalues_gaussian(a: ExactMatrix) -> List[Tuple[GaussianRational, int]]:
 class BasisChange:
     """An invertible coordinate change, with a free trailing scale factor.
 
-    The effective matrix is ``m`` with its last column multiplied by
-    ``scale`` (the block form diag(m, c) used when reducing a terminal
-    cocycle).  The inverse of the effective matrix is computed once, by
-    :func:`inverse`: by substitution for a triangular step (a rescaling or
-    a shear), by one sparse row reduction for any other.
+    The effective matrix, ``matrix``, is ``m`` with its last column
+    multiplied by ``scale`` (the block form diag(m, c) used when reducing a
+    terminal cocycle).  Its ``kind`` is read off its rows once: "diagonal"
+    when every row holds exactly its own diagonal entry, "shear" for a unit
+    shear I + c E_ij (i != j), and None for any other matrix.  Those two
+    kinds are invertible by their shape, and :func:`liepoisson.transform.apply`
+    moves a tensor by them without M^-1, so their inverse ``m_inv`` is built
+    on first read; any other matrix is inverted at construction by
+    :func:`inverse` (by substitution when triangular, else by one sparse row
+    reduction), so a singular one raises :class:`LinalgError` there.
     """
 
-    __slots__ = ("m", "scale", "m_inv")
+    __slots__ = ("m", "scale", "matrix", "kind", "_m_inv")
 
     def __init__(self, m: ExactMatrix, scale: GaussianRational = ONE):
         scale = as_scalar(scale)
@@ -591,9 +597,12 @@ class BasisChange:
         if not scale:
             raise ValueError("scale must be nonzero")
         eff = m if scale.is_one() else _scale_last_column(m, scale)
+        kind = _step_kind(eff.nz)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "m_inv", inverse(eff))
+        object.__setattr__(self, "matrix", eff)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "_m_inv", None if kind else inverse(eff))
 
     def __setattr__(self, name, value):
         raise AttributeError("BasisChange is immutable")
@@ -603,9 +612,11 @@ class BasisChange:
         return self.m.rows
 
     @property
-    def matrix(self) -> ExactMatrix:
-        """The effective matrix (scale folded into the last column)."""
-        return self.m if self.scale.is_one() else _scale_last_column(self.m, self.scale)
+    def m_inv(self) -> ExactMatrix:
+        """The inverse of the effective matrix."""
+        if self._m_inv is None:
+            object.__setattr__(self, "_m_inv", inverse(self.matrix))
+        return self._m_inv
 
     @staticmethod
     def identity(n: int) -> "BasisChange":
@@ -636,6 +647,19 @@ class BasisChange:
     def from_json(doc: dict) -> "BasisChange":
         m = ExactMatrix.from_rows([[parse_scalar(x) for x in row] for row in doc["m"]])
         return BasisChange(m, parse_scalar(doc.get("scale", "1")))
+
+
+def _step_kind(rows: Sequence[Dict[int, GaussianRational]]) -> Optional[str]:
+    """"diagonal" when row i is exactly {i: d_i} for every i, "shear" when the diagonal is all
+    ones and one row holds one more entry, else None (a missing diagonal entry included)."""
+    if any(i not in row for i, row in enumerate(rows)):
+        return None
+    longer = [row for row in rows if len(row) > 1]
+    if not longer:
+        return "diagonal"
+    if len(longer) == 1 and len(longer[0]) == 2 and all(row[i].is_one() for i, row in enumerate(rows)):
+        return "shear"
+    return None
 
 
 def _scale_last_column(m: ExactMatrix, c: GaussianRational) -> ExactMatrix:

@@ -216,7 +216,7 @@ class GaussianRational:
         mag = abs(im)
         ims = "i" if mag == 1 else f"{mag}i"
         if not re and sign == "+":
-            return ims if mag != 1 else "i"
+            return ims
         if not re:
             return f"-{ims}"
         return f"{re}{sign}{ims}"

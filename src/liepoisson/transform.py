@@ -4,12 +4,16 @@ A basis change M acts on all three indices of an extension tensor:
 
     Wbar_b^{a c} = (M^-1)_b^lam  W_lam^{mu nu}  M_mu^a  M_nu^c
 
-:func:`apply` implements this transformation law as three fused mode
-products over the tensor's stored sparse rows (one per index, zero factors
-skipped, no intermediate matrices) and writes the output rows directly; it
-never reads the dense view ``ExtensionTensor.w``.  It relies on the
-upper-index symmetry that every :class:`ExtensionTensor` carries and that
-the law preserves: only the upper triangles are computed, then mirrored.
+:func:`apply` implements this transformation law over the tensor's stored
+sparse rows and writes the output rows directly; it never reads the dense
+view ``ExtensionTensor.w``.  Most witness steps are of two kinds, which it
+applies in closed form without M^-1 (see :class:`BasisChange`): a diagonal
+M scales each stored entry, and a unit shear I + c E_ij adds multiples of
+one slice, row and column to another.  Every other M goes through three
+fused mode products (one per index, zero factors skipped, no intermediate
+matrices).  All paths rely on the upper-index symmetry that every
+:class:`ExtensionTensor` carries and that the law preserves: only the
+upper triangles are computed, then mirrored.
 Validity of the bracket is preserved by construction, so the result is
 built by the trusted ``ExtensionTensor._of`` and is not checked again.  No
 flag is passed along: the slice traces move by M^T, so the result is
@@ -88,9 +92,18 @@ class ReductionObstruction(TransformError):
 def apply(t: ExtensionTensor, b: BasisChange) -> ExtensionTensor:
     """Transform a tensor by a basis change (all three indices).
 
-    The transformation law is evaluated as three mode products over the
-    stored rows of the tensor and the stored nonzero rows of M and M^-1,
-    each skipping zero factors and building no intermediate matrix:
+    Two kinds of step, read off M once by :class:`BasisChange`, have closed
+    forms that touch only the stored entries and never build M^-1:
+
+    * diagonal, M = diag(d): Wbar_b^{ag} = W_b^{ag} d_a d_g / d_b
+      (:func:`_apply_diagonal`);
+    * unit shear, M = I + c E_ij: slice i -= c slice j, then row and column
+      j += c (row and column i) in each plane, plus c^2 X_ii on (j, j)
+      (:func:`_apply_shear`).
+
+    Any other M is evaluated as three mode products over the stored rows
+    of the tensor and the stored nonzero rows of M and M^-1, each skipping
+    zero factors and building no intermediate matrix:
 
         T1[b][mu][nu] = sum_lam (M^-1)[b][lam] W[lam][mu][nu]
         T2[b][a][nu]  = sum_mu  M[mu][a] T1[b][mu][nu]
@@ -99,12 +112,17 @@ def apply(t: ExtensionTensor, b: BasisChange) -> ExtensionTensor:
     Every extension tensor is symmetric in its upper indices and the law
     keeps it so, hence T1 and the result are computed for mu <= nu and
     a <= g only and mirrored: each nonzero output entry is written into
-    both of its output rows.  An invertible change of a certified tensor
-    satisfies both laws, so the result is not checked again.
+    both of its output rows.  On every path exact cancellations are
+    dropped.  An invertible change of a certified tensor satisfies both
+    laws, so the result is not checked again.
     """
     n = t.n
     if b.n != n:
         raise TransformError(f"basis change is {b.n}x{b.n} but tensor has {t.n} indices")
+    if b.kind == "diagonal":
+        return _apply_diagonal(t, b.matrix.nz)
+    if b.kind == "shear":
+        return _apply_shear(t, b.matrix.nz)
     m_rows = b.matrix.nz
     m_inv = b.m_inv.nz
     span = range(n)
@@ -148,6 +166,85 @@ def apply(t: ExtensionTensor, b: BasisChange) -> ExtensionTensor:
                     plane[a][g] = plane[g][a] = y
         out.append(plane)
     return ExtensionTensor._of(n, out)
+
+
+def _apply_diagonal(t: ExtensionTensor, m_rows: tuple) -> ExtensionTensor:
+    """M = diag(d): Wbar_b^{ag} = W_b^{ag} d_a d_g (1/d_b), over the stored upper triangle, mirrored.
+
+    A factor of one is skipped, and 1/d is formed only where d is not one.
+    No product of nonzeros is zero, so the pattern is the input's.
+    """
+    scale = [None if (x := row[a]).is_one() else x for a, row in enumerate(m_rows)]
+    inv = [None if x is None else ONE / x for x in scale]
+    out = []
+    for beta, plane in enumerate(t.nz):
+        f = inv[beta]
+        rows = [{} for _ in plane]
+        for a, row in enumerate(plane):
+            da = scale[a]
+            for g, x in row.items():
+                if g >= a:
+                    if da is not None:
+                        x = x * da
+                    if scale[g] is not None:
+                        x = x * scale[g]
+                    if f is not None:
+                        x = x * f
+                    rows[a][g] = rows[g][a] = x
+        out.append(rows)
+    return ExtensionTensor._of(t.n, out)
+
+
+def _apply_shear(t: ExtensionTensor, m_rows: tuple) -> ExtensionTensor:
+    """M = I + c E_ij, read off the one row of ``m_rows`` with two entries.
+
+    Row i of M^-1 is e_i - c e_j, so slice i -= c slice j (upper triangle,
+    mirrored).  Then M^T X M adds c (row i) to row j and c (column i) to
+    column j of every plane X, and c^2 X_ii to (j, j); a plane whose row i
+    is empty is kept as it is.  Entries that cancel are dropped.  Rows that
+    change are copies: the input's rows are never written.
+    """
+    i = next(k for k, row in enumerate(m_rows) if len(row) == 2)
+    j, c = next((k, x) for k, x in m_rows[i].items() if k != i)
+    planes = list(t.nz)
+    if any(planes[j]):
+        nc = -c
+        plane = [dict(row) for row in planes[i]]
+        for a, row in enumerate(planes[j]):
+            for g, x in row.items():
+                if g >= a:
+                    y = plane[a].get(g)
+                    z = nc * x if y is None else y + nc * x
+                    if z:
+                        plane[a][g] = plane[g][a] = z
+                    else:
+                        del plane[a][g]
+                        plane[g].pop(a, None)
+        planes[i] = plane
+    for lam, plane in enumerate(planes):
+        if not plane[i]:
+            continue
+        add = {g: c * x for g, x in plane[i].items()}
+        y = add.get(j)
+        if y is not None:
+            add[j] = y + y  # c X_ij + c X_ji
+        if i in add:
+            y, z = c * add[i], add.get(j)  # c^2 X_ii
+            add[j] = y if z is None else z + y
+        plane = list(plane)
+        rj = plane[j] = dict(plane[j])
+        for g, y in add.items():
+            z = rj.get(g)
+            z = y if z is None else z + y
+            rg = rj if g == j else dict(plane[g])
+            plane[g] = rg
+            if z:
+                rj[g] = rg[j] = z
+            else:
+                rj.pop(g, None)
+                rg.pop(j, None)
+        planes[lam] = plane
+    return ExtensionTensor._of(t.n, planes)
 
 
 def apply_chain(t: ExtensionTensor, chain: List[BasisChange]) -> ExtensionTensor:

@@ -330,9 +330,10 @@ def test_classify_triangularizes_without_an_eigenvalue_search(count_calls):
 
 
 def test_basis_changes_invert_without_the_dense_path(monkeypatch, count_calls):
-    """Triangular witness steps are inverted by substitution, every other step by one sparse
-    elimination, never through rref, and no matrix on the classify path builds its dense
-    ``entries`` view: every step reads rows."""
+    """Diagonal and unit-shear witness steps are not inverted when built, other triangular
+    steps are inverted by substitution and every other step by one sparse elimination, never
+    through rref, and no matrix on the classify path builds its dense ``entries`` view: every
+    step reads rows."""
     import random
 
     from liepoisson import linalg
@@ -340,9 +341,9 @@ def test_basis_changes_invert_without_the_dense_path(monkeypatch, count_calls):
     from liepoisson.extension import append_semisimple
 
     rng = random.Random(12)
-    counts = count_calls(linalg.rref, linalg._rref_rows)
+    counts = count_calls(linalg.rref, linalg._rref_rows, linalg._substitute)
     inside = {key: 0 for key in counts}
-    steps = {True: [], False: []}  # triangular? -> _rref_rows calls of each construction
+    steps = {}  # kind -> (_substitute, _rref_rows) calls of each construction
     init = linalg.BasisChange.__init__
 
     def init_and_count(self, m, *args, **kwargs):
@@ -351,7 +352,9 @@ def test_basis_changes_invert_without_the_dense_path(monkeypatch, count_calls):
         for key in counts:
             inside[key] += counts[key] - before[key]
         triangular = m.is_lower_triangular() or m.transpose().is_lower_triangular()
-        steps[triangular].append(counts["_rref_rows"] - before["_rref_rows"])
+        kind = self.kind or ("triangular" if triangular else "other")
+        steps.setdefault(kind, []).append(
+            (counts["_substitute"] - before["_substitute"], counts["_rref_rows"] - before["_rref_rows"]))
 
     monkeypatch.setattr(linalg.BasisChange, "__init__", init_and_count)
     dense_views = 0
@@ -374,9 +377,12 @@ def test_basis_changes_invert_without_the_dense_path(monkeypatch, count_calls):
                 )
                 classify(apply_chain(t, [BasisChange(move)]))
     # the wrappers are live: the kernel flag row-reduces through _rref_rows outside BasisChange
-    assert counts["_rref_rows"] > inside["_rref_rows"] and len(steps[True]) > 80 and len(steps[False]) > 30
+    assert counts["_rref_rows"] > inside["_rref_rows"]
+    assert {kind: len(calls) > 10 for kind, calls in steps.items()} == dict.fromkeys(
+        ("diagonal", "shear", "triangular", "other"), True)
     assert inside["rref"] == 0
-    assert set(steps[True]) == {0} and set(steps[False]) == {1}
+    assert set(steps["diagonal"]) == set(steps["shear"]) == {(0, 0)}
+    assert set(steps["triangular"]) == {(1, 0)} and set(steps["other"]) == {(0, 1)}
     assert dense_views == 0
 
 

@@ -78,6 +78,12 @@ def test_string_round_trip():
         assert parse_scalar(format_scalar(z)) == z
 
 
+def test_strings_of_imaginary_parts():
+    cases = [(I, "i"), (-I, "-i"), (gr(0, 2), "2i"), (gr(1, 1), "1+i"), (gr(1, -1), "1-i"),
+             (gr(Fraction(-1, 2), Fraction(-3, 4)), "-1/2-3/4i")]
+    assert [str(z) for z, _ in cases] == [s for _, s in cases]
+
+
 def test_parse_accepts_plain_forms():
     assert parse_scalar("3") == gr(3)
     assert parse_scalar("-1/2") == gr(Fraction(-1, 2))

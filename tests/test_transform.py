@@ -15,7 +15,7 @@ from liepoisson.extension import (
     pure_semidirect,
     validate,
 )
-from liepoisson.linalg import BasisChange, ExactMatrix, inverse, rank
+from liepoisson.linalg import BasisChange, ExactMatrix, LinalgError, inverse, rank
 from liepoisson.scalars import I, ONE, ZERO, gr
 from liepoisson.transform import (
     DegenerateEigenvalueMismatch,
@@ -170,6 +170,47 @@ def test_apply_matches_contraction_on_sparse_changes(case):
     out = apply(t, b)
     assert out.w == _contract(t, b.matrix)
     assert ExtensionTensor(t.n, out.w) == out
+
+
+@st.composite
+def diagonal_and_shear_steps(draw):
+    """A sparse tensor and a pure diagonal step (unit and non-unit entries, some with a trailing
+    scale) or a single unit shear I + c E_ij, with i < j or i > j.
+
+    Half of the draws move the tensor first and return the inverse step, so that sums cancel.
+    """
+    t = draw(st.sampled_from(SPARSE_POOL))
+    n = t.n
+    value = st.sampled_from(SPARSE_VALUES)
+    if n == 1 or draw(st.booleans()):
+        b = BasisChange(ExactMatrix.diagonal([draw(st.one_of(st.just(ONE), value)) for _ in range(n)]),
+                        scale=draw(st.sampled_from([ONE, ONE, -ONE, I, gr(Fraction(2, 3))])))
+    else:
+        i, j = draw(st.permutations(range(n)))[:2]
+        b = BasisChange(ExactMatrix.identity(n).with_entry(i, j, draw(value)))
+    if draw(st.booleans()):
+        return apply(t, b), b.inverse()
+    return t, b
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(diagonal_and_shear_steps())
+def test_diagonal_and_shear_steps_match_the_contraction_without_an_inverse(case):
+    t, b = case
+    assert b.kind in ("diagonal", "shear")
+    out = apply(t, b)
+    # neither the construction nor apply built M^-1
+    assert b._m_inv is None
+    assert out.w == _contract(t, b.matrix)
+    assert all(x for plane in out.nz for row in plane for x in row.values())
+    assert b.m_inv == inverse(b.matrix)
+
+
+def test_a_singular_diagonal_step_raises_at_construction():
+    with pytest.raises(LinalgError):
+        BasisChange(ExactMatrix.diagonal([ONE, ZERO, gr(2)]))
+    with pytest.raises(LinalgError):
+        BasisChange(ExactMatrix.diagonal([ONE, ZERO]), scale=gr(3))
 
 
 def test_apply_drops_exact_cancellations():
