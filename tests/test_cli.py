@@ -380,6 +380,8 @@ def test_basis_changes_invert_without_the_dense_path(monkeypatch, count_calls):
     assert counts["_rref_rows"] > inside["_rref_rows"]
     assert {kind: len(calls) > 10 for kind, calls in steps.items()} == dict.fromkeys(
         ("diagonal", "shear", "triangular", "other"), True)
+    assert len(steps["diagonal"]) + len(steps["shear"]) + len(steps["triangular"]) > 80
+    assert len(steps["other"]) > 30
     assert inside["rref"] == 0
     assert set(steps["diagonal"]) == set(steps["shear"]) == {(0, 0)}
     assert set(steps["triangular"]) == {(1, 0)} and set(steps["other"]) == {(0, 1)}
