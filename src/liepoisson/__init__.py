@@ -34,9 +34,7 @@ from .extension import (
 from .transform import (
     apply,
     apply_chain,
-    congruence_reduce_tail,
     normalize_w0_to_identity,
-    remove_coboundary,
 )
 from .classify import CaseLabel, Catalog, catalog, classify, equivalence_check
 from .casimir import (
@@ -81,7 +79,6 @@ __all__ = [
     "casimir_condition_check",
     "catalog",
     "classify",
-    "congruence_reduce_tail",
     "crmhd",
     "direct_sum",
     "eigenvalues_gaussian",
@@ -98,7 +95,6 @@ __all__ = [
     "pseudoinverse",
     "pure_semidirect",
     "quadratic_casimir_basis",
-    "remove_coboundary",
     "simulate",
     "simultaneous_triangularize",
     "strip_semisimple",

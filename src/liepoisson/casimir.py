@@ -704,7 +704,7 @@ def quadratic_casimir_basis(t: ExtensionTensor) -> List[ExactMatrix]:
     by one sparse null-space computation over the upper-triangle coordinates
     of Q.  Equation (nu, lam, sig), lam > sig, collects +W_lam^{mu nu} at
     Q_{mu sig} and -W_sig^{mu nu} at Q_{mu lam}; each nonzero entry of W is
-    visited once, and the elimination skips zero equations and cancels repeated ones.
+    visited once, and equal equations are sent to the elimination once.
     """
     n = t.n
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
@@ -728,8 +728,10 @@ def quadratic_casimir_basis(t: ExtensionTensor) -> List[ExactMatrix]:
                 eq[k] = y
             else:
                 del eq[k]
+    # the equations of different (nu, lam, sig) repeat; the elimination gets each distinct one once
+    rows = {frozenset(eq.items()): eq for eq in equations.values()}
     basis = []
-    for v in null_space(ExactMatrix._of(len(equations), len(pairs), equations.values())).nz:
+    for v in null_space(ExactMatrix._of(len(rows), len(pairs), rows.values())).nz:
         # Q_ij = Q_ji is coordinate k of the kernel vector, for (i, j) = pairs[k]
         q: List[Dict[int, GaussianRational]] = [{} for _ in range(n)]
         for k, x in v.items():

@@ -170,10 +170,6 @@ def eom_rhs(t: ExtensionTensor, h: HamiltonianSpec, s: FieldState) -> np.ndarray
     return rhs.reshape(s.tuples.shape)
 
 
-def monitor_gradient(q: np.ndarray, state: np.ndarray) -> np.ndarray:
-    return np.einsum("mn,ni->mi", np.asarray(q, dtype=float), state)
-
-
 def exact_monitors(t: ExtensionTensor) -> List[Tuple[str, np.ndarray]]:
     """Monitors from the quadratic Casimir basis, as real float matrices.
 
@@ -329,7 +325,7 @@ def analytic_conservation_residual(
     symmetric contraction.
     """
     rhs = eom_rhs(t, h, FieldState(state))
-    grad = monitor_gradient(q, state)
+    grad = np.einsum("mn,ni->mi", np.asarray(q, dtype=float), state)
     raw = float(np.einsum("mi,mi->", grad, rhs))
     scale = max(float(np.linalg.norm(grad) * np.linalg.norm(rhs)), 1e-30)
     return abs(raw) / scale

@@ -288,7 +288,7 @@ _SCALAR_RE = _re.compile(
 
 
 def parse_scalar(text: str) -> GaussianRational:
-    """Parse the string form produced by :func:`format_scalar`.
+    """Parse the string form ``str(z)`` of a scalar; ``parse_scalar(str(z)) == z``.
 
     Accepts "p/q", "p/q+r/si", "i", "-i", "3i", "1/2-3/4i".  A malformed
     string or a zero denominator raises ValueError.
@@ -303,11 +303,6 @@ def parse_scalar(text: str) -> GaussianRational:
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in Q(i) scalar: {text!r}") from None
     return GaussianRational(re_part, im_part)
-
-
-def format_scalar(z: GaussianRational) -> str:
-    """Serialize a scalar; inverse of :func:`parse_scalar`."""
-    return str(z)
 
 
 # ---------------------------------------------------------------------------

@@ -18,33 +18,23 @@ Validity of the bracket is preserved by construction, so the result is
 built by the trusted ``ExtensionTensor._of`` and is not checked again.  No
 flag is passed along: the slice traces move by M^T, so the result is
 semidirect exactly when the input is, as read off its entries.  On top of
-it sit three normalizations:
+it sit two normalizations:
 
 * :func:`normalize_w0_to_identity` drives the first slice matrix to the
   identity by a scalar rescale followed by unit-lower-triangular moves that
   clear the entries W_lam^{00} one row at a time; the Jacobi identity then
   forces the whole slice to be the identity.  The moves are read off the
   input and applied as one composed step.
-* :func:`remove_coboundary` subtracts a 2-coboundary from the trailing
-  slices of a solvable tensor with an abelian tail, realized as the block
-  matrix [[I, 0], [k, c I]] so validity is automatic.
-* :func:`congruence_reduce_tail` diagonalizes a terminal cocycle by exact
+* :func:`congruence_move` diagonalizes the leading block of a slice by exact
   symmetric congruence and rescales its entries to {0, +1, -1}, ordered with
   the +1s first.  Entries in different square classes are first moved into
   one class by pair moves whose conic points come from
   :func:`liepoisson.conics.represent_binary`; since -1 = i^2 is a square
   over Q(i), d and -d are in the same class.
 
-The classifier uses :func:`normalize_w0_to_identity` and
-:func:`congruence_move` (the move behind :func:`congruence_reduce_tail`);
-its coboundary moves are single-entry shears, shorter than going through
-:func:`coboundary_change`.  :func:`remove_coboundary` and
-:func:`congruence_reduce_tail` check their pre- and postconditions for
-other callers, where the classifier relies on its bit-exact comparison of
-the reduced tensor with the catalog normal form.
-
-Every normalization returns the witness :class:`BasisChange` so reductions
-can be replayed and audited.
+The classifier uses both; its coboundary moves are single-entry shears.
+Each normalization returns its witness, a :class:`BasisChange` or the
+matrix of one, so reductions can be replayed and audited.
 """
 
 from __future__ import annotations
@@ -55,19 +45,15 @@ from typing import List, Optional, Tuple
 from .conics import represent_binary
 from .extension import ExtensionTensor, TensorError
 from .linalg import BasisChange, ExactMatrix
-from .scalars import GaussianRational, ONE, ZERO, as_scalar, sqrt_gaussian, square_free_part
+from .scalars import GaussianRational, ONE, ZERO, sqrt_gaussian, square_free_part
 
 __all__ = [
     "BasisChange",
     "TransformError",
     "NotTriangular",
     "DegenerateEigenvalueMismatch",
-    "ReductionObstruction",
     "apply",
     "normalize_w0_to_identity",
-    "remove_coboundary",
-    "coboundary_change",
-    "congruence_reduce_tail",
     "congruence_move",
     "congruence_diagonalize",
 ]
@@ -83,10 +69,6 @@ class NotTriangular(TransformError):
 
 class DegenerateEigenvalueMismatch(TransformError):
     pass
-
-
-class ReductionObstruction(TransformError):
-    """The tail cannot be scaled to {0, +1, -1} entries over Q(i)."""
 
 
 def apply(t: ExtensionTensor, b: BasisChange) -> ExtensionTensor:
@@ -304,56 +286,6 @@ def normalize_w0_to_identity(t: ExtensionTensor) -> Tuple[ExtensionTensor, Basis
 
 
 # ---------------------------------------------------------------------------
-# Coboundary removal
-# ---------------------------------------------------------------------------
-
-def coboundary_change(n: int, k: ExactMatrix, scale=ONE) -> BasisChange:
-    """The block matrix [[I, 0], [k, c I]] as a BasisChange.
-
-    ``k`` has one row per tail slot and one column per head slot, so the
-    split point is recovered from its shape.
-    """
-    head = k.cols
-    tail = k.rows
-    if head + tail != n:
-        raise TransformError(f"coefficient matrix {tail}x{head} does not split {n} indices")
-    scale = as_scalar(scale)
-    rows = []
-    for i in range(head):
-        rows.append([ONE if j == i else ZERO for j in range(n)])
-    for i in range(tail):
-        row = [k[i, j] for j in range(head)]
-        row += [scale if j == i else ZERO for j in range(tail)]
-        rows.append(row)
-    return BasisChange(ExactMatrix._of(n, n, rows))
-
-
-def remove_coboundary(t: ExtensionTensor, k: ExactMatrix, scale=ONE) -> ExtensionTensor:
-    """Subtract the 2-coboundary generated by ``k`` from the trailing slices.
-
-    Precondition: ``t`` is lower-triangular solvable and the slots past the
-    split point form an abelian tail (the lower-right block of every
-    trailing slice vanishes).  Head slices are unchanged; trailing slices
-    lose the coboundary and pick up the optional factor 1/c.
-    """
-    head = k.cols
-    if not t.is_solvable():
-        raise TransformError("coboundary removal needs a solvable lower-triangular tensor")
-    for lam in range(t.n):
-        for mu in range(head, t.n):
-            for nu in range(head, t.n):
-                if t.entry(lam, mu, nu):
-                    raise TransformError(
-                        f"tail is not abelian: W[{lam}][{mu}][{nu}] != 0"
-                    )
-    out = apply(t, coboundary_change(t.n, k, scale))
-    for lam in range(head):
-        if out.slice_lower(lam) != t.slice_lower(lam):
-            raise TransformError("internal error: coboundary removal changed a head slice")
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Congruence reduction of a terminal cocycle
 # ---------------------------------------------------------------------------
 
@@ -390,8 +322,7 @@ def congruence_diagonalize(w: ExactMatrix) -> Tuple[ExactMatrix, List[GaussianRa
         if not a[p][p]:
             pivot = next((i for i in range(p, k) if a[i][i]), None)
             if pivot is not None:
-                if pivot != p:
-                    swap(p, pivot)
+                swap(p, pivot)
             else:
                 pair = next(
                     ((i, j) for i in range(p, k) for j in range(i + 1, k) if a[i][j]),
@@ -401,8 +332,7 @@ def congruence_diagonalize(w: ExactMatrix) -> Tuple[ExactMatrix, List[GaussianRa
                     break
                 i, j = pair
                 col_op(i, j, ONE)
-                if i != p:
-                    swap(p, i)
+                swap(p, i)
         if not a[p][p]:
             continue
         for i in range(p + 1, k):
@@ -580,35 +510,3 @@ def congruence_move(t: ExtensionTensor, s: int) -> Optional[Tuple[ExactMatrix, L
         else:
             rows.append([ZERO] * i + [c if i == s else ONE] + [ZERO] * (n - i - 1))
     return ExactMatrix._of(n, n, rows), signs
-
-
-def congruence_reduce_tail(t: ExtensionTensor) -> Tuple[ExtensionTensor, BasisChange]:
-    """Diagonalize the last slice of a terminal-cocycle tensor.
-
-    Precondition: all slices vanish except the last, which is symmetric with
-    a zero final row and column.  The result has last slice diag with
-    entries in {0, +1, -1}, +1s first, then -1s, then 0s; the free factor c
-    lands on the last slot of the returned witness.
-    """
-    n = t.n
-    last = n - 1
-    for lam in range(last):
-        if not t.slice_lower(lam).is_zero():
-            raise TransformError("all slices before the last must vanish")
-    wmat = t.slice_lower(last)
-    if any(wmat[last, j] or wmat[j, last] for j in range(n)):
-        raise TransformError("last slice must have zero final row and column")
-    move = congruence_move(t, last)
-    if move is None:
-        raise ReductionObstruction(
-            "tail diagonal cannot be scaled to {0,+1,-1} over Q(i)"
-        )
-    cmat, signs = move
-    witness = BasisChange(cmat)
-    out = apply(t, witness)
-    pos = sum(1 for s in signs if s == 1)
-    neg = sum(1 for s in signs if s == -1)
-    want = ExactMatrix.diagonal([ONE] * pos + [-ONE] * neg + [ZERO] * (n - pos - neg))
-    if out.slice_lower(last) != want:
-        raise TransformError("internal error: congruence reduction postcondition failed")
-    return out, witness

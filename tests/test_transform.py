@@ -22,11 +22,10 @@ from liepoisson.transform import (
     NotTriangular,
     apply,
     apply_chain,
-    coboundary_change,
     congruence_diagonalize,
-    congruence_reduce_tail,
+    congruence_move,
+    congruence_normalize,
     normalize_w0_to_identity,
-    remove_coboundary,
 )
 
 M = ExactMatrix.from_rows
@@ -410,43 +409,6 @@ def test_normalize_w0_errors():
         normalize_w0_to_identity(leibniz(2))  # eigenvalue zero
 
 
-def test_remove_coboundary_trivial():
-    t = leibniz(3)
-    k = ExactMatrix.zeros(1, 2)
-    assert remove_coboundary(t, k) == t
-
-
-def test_remove_coboundary_kills_w3_11():
-    # n=3, zeta1=1 raw form with W_3^{11} = a removed by a multiple of W_(2)
-    a = gr(5)
-    w2 = M([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    w3 = ExactMatrix.from_rows([[a, 1, 0], [1, 0, 0], [0, 0, 0]])
-    t = from_lower_slices([None, w2, w3], 3)
-    k = ExactMatrix(1, 2, [ZERO, a])
-    out = remove_coboundary(t, k)
-    assert out.slice_lower(1) == w2
-    assert out.entry(2, 0, 0) == ZERO
-    assert out.entry(2, 0, 1) == ONE
-
-
-def test_remove_coboundary_n4_case4_raw():
-    # leibniz(4) with coboundary dirt on W_(4) at (1,1) and (2,1)
-    base = leibniz(4)
-    w4 = base.slice_lower(3)
-    dirty = w4.with_entry(0, 0, 3).with_entry(0, 1, w4[0, 1] + gr(7)).with_entry(1, 0, w4[1, 0] + gr(7))
-    t = from_lower_slices([None, base.slice_lower(1), base.slice_lower(2), dirty], 4)
-    k = ExactMatrix(1, 3, [ZERO, gr(3), gr(7)])
-    out = remove_coboundary(t, k)
-    assert out == base
-
-
-def test_coboundary_change_shape():
-    # the scale is coerced as every scalar is, so strings parse as in BasisChange
-    for scale, c in [(gr(2), gr(2)), (2, gr(2)), ("i", I), ("1/2+i", gr(Fraction(1, 2), 1))]:
-        b = coboundary_change(3, ExactMatrix(1, 2, [gr(4), gr(5)]), scale=scale)
-        assert b.matrix == M([[1, 0, 0], [0, 1, 0], [4, 5, c]])
-
-
 def test_congruence_diagonalize_random():
     rng = random.Random(12)
     for _ in range(30):
@@ -460,27 +422,54 @@ def test_congruence_diagonalize_random():
         assert out == ExactMatrix.diagonal(diag)
 
 
-def test_congruence_reduce_tail_examples():
+def test_repair_classes_takes_the_positive_representative(monkeypatch):
+    """_repair_classes' sign choice fixes C and c on a block with no common square class.
+
+    -3, 7, 3 and 7 give no single factor c with every c/d or -c/d a square, so
+    the entries are first moved into one class tau.  The candidate classes are
+    the representatives with positive real part, so the first tau is 3, not -3.
+    """
+    import liepoisson.transform as transform
+
+    calls = []
+    repair = transform._repair_classes
+    monkeypatch.setattr(transform, "_repair_classes", lambda *a: calls.append(a) or repair(*a))
+    block = ExactMatrix.diagonal([-3, 7, 3, 7])
+    cm, signs, c = congruence_normalize(block)
+    assert len(calls) == 1
+    f = Fraction
+    assert cm == M([[0, 0, 0, 1], [gr(f(5, 7)), 0, gr(0, f(-2, 7)), 0], [0, 1, 0, 0], [gr(0, f(2, 7)), 0, gr(f(5, 7)), 0]])
+    assert signs == [1, 1, 1, -1] and c == gr(3)
+    assert cm.transpose() @ block @ cm == ExactMatrix.diagonal([c * s for s in signs])
+
+
+def _move_tail(t):
+    """The congruence move on the last slice, as a witness, and the tensor it gives."""
+    witness = BasisChange(congruence_move(t, t.n - 1)[0])
+    return apply(t, witness), witness
+
+
+def test_congruence_move_examples():
     # rescale: diag(2,0,0) -> diag(1,0,0)
     t = from_lower_slices([None, None, ExactMatrix.diagonal([2, 0, 0])], 3)
-    out, witness = congruence_reduce_tail(t)
+    out, witness = _move_tail(t)
     assert out.slice_lower(2) == ExactMatrix.diagonal([1, 0, 0])
     assert apply(t, witness) == out
     # the classifier's first step is the same congruence move
     assert classify(t)[1][0] == witness
     # hyperbolic pair: antidiag -> diag(1,-1,0)
     t = from_lower_slices([None, None, M([[0, 1, 0], [1, 0, 0], [0, 0, 0]])], 3)
-    out, witness = congruence_reduce_tail(t)
+    out, witness = _move_tail(t)
     assert out.slice_lower(2) == ExactMatrix.diagonal([1, -1, 0])
     assert classify(t)[1][0] == witness
     # already reduced
     t = from_lower_slices([None, None, ExactMatrix.diagonal([1, 1, 0])], 3)
-    out, witness = congruence_reduce_tail(t)
+    out, witness = _move_tail(t)
     assert out.slice_lower(2) == ExactMatrix.diagonal([1, 1, 0])
     assert classify(t)[1][0] == witness
 
 
-def test_congruence_reduce_tail_signature_invariance():
+def test_congruence_move_signature_invariance():
     """Congruent inputs reduce to the identical normal tail."""
     rng = random.Random(19)
     target = ExactMatrix.diagonal([1, -1, 0, 0])
@@ -490,7 +479,7 @@ def test_congruence_reduce_tail_signature_invariance():
         w = m.transpose() @ target.submatrix(range(3), range(3)) @ m
         w = w.scale(c)
         t = from_lower_slices([None, None, None, _pad(w, 4)], 4)
-        out, _ = congruence_reduce_tail(t)
+        out, _ = _move_tail(t)
         assert out.slice_lower(3) == target
 
 
