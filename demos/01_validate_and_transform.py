@@ -36,12 +36,12 @@ except SymmetryViolation as err:
 
 print()
 print("== the complex tail map ==")
-# diag(1,1) and the antidiagonal are congruent over Q(i): the 1/sqrt(2)
-# of the textbook map hides in the free scale factor
+# diag(1,1) and the antidiagonal are congruent over Q(i): the map doubles
+# the tail, so the textbook 1/sqrt(2) becomes the factor 2 on the last slot
 from liepoisson.extension import from_lower_slices
 
 t3 = from_lower_slices([None, None, ExactMatrix.diagonal([1, 1, 0])], 3)
-m = ExactMatrix.from_rows([[1, 1, 0], [I, -I, 0], [0, 0, 1]])
-out = apply(t3, BasisChange(m, scale=gr(2)))
+m = ExactMatrix.from_rows([[1, 1, 0], [I, -I, 0], [0, 0, 2]])
+out = apply(t3, BasisChange(m))
 print("diag(1,1) tail becomes:")
 print(out.slice_lower(2))

@@ -648,8 +648,7 @@ def _semidirect_family(t: ExtensionTensor, co: CoextensionResult, names: Iterato
 # Leibniz closed form
 # ---------------------------------------------------------------------------
 
-def leibniz_casimirs_closed_form(order: int, nu: int, semidirect: bool = False,
-                                 label: str = "f") -> CasimirFamily:
+def leibniz_casimirs_closed_form(order: int, nu: int, semidirect: bool = False) -> CasimirFamily:
     """The Leibniz Casimir of direction nu, as a terminating k-sum.
 
     Solvable labels run 1..order (nu = order is the bare arbitrary
@@ -663,14 +662,14 @@ def leibniz_casimirs_closed_form(order: int, nu: int, semidirect: bool = False,
     if semidirect:
         if nu < 0 or nu > order:
             raise CasimirError(f"nu must lie in 0..{order}")
-        inner = leibniz_casimirs_closed_form(order + 1, nu + 1, semidirect=False, label=label)
+        inner = leibniz_casimirs_closed_form(order + 1, nu + 1)
         return CasimirFamily(inner.terms, inner.n, True)
     if nu < 1 or nu > order:
         raise CasimirError(f"nu must lie in 1..{order}")
     n = order
     last = n - 1
     u = tuple(ONE if m == last else ZERO for m in range(n))
-    func = FormalFunction(label, (u,))
+    func = FormalFunction("f", (u,))
     if nu == order:
         return CasimirFamily((CasimirTerm(Poly.constant(n, 1), func, (0,)),), n, False)
     terms = []

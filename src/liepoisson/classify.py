@@ -458,8 +458,8 @@ def _complex_pair_map(n: int, imaginary: bool) -> ExactMatrix:
     """Map sending the tail diag(1, +-1) on slots (0,1) to the antidiagonal.
 
     The congruence doubles the cocycle, so slot 2 carries the compensating
-    factor 2 (this is the sqrt(2) of the textbook map absorbed into the free
-    scale factor).
+    factor 2 (the textbook map's 1/sqrt(2) on slots 0 and 1, moved onto slot
+    2 so that every entry is in Q(i)).
     """
     second = [I, -I] if imaginary else [ONE, -ONE]
     rows = [[ONE, ONE] + [ZERO] * (n - 2), second + [ZERO] * (n - 2)]

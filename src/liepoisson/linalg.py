@@ -94,11 +94,12 @@ class ExactMatrix:
 
     ``nz[i]`` is row i; no zero is ever stored, and the dicts are never changed
     once a matrix holds them, so :meth:`identity` builds one matrix per n.
-    ``entries`` (row-major, computed on first use and kept), ``row``, ``col``
-    and ``[i, j]`` are read-only dense views.
+    ``entries`` (row-major, built on each read), ``row``, ``col`` and
+    ``[i, j]`` are read-only dense views; the package reads ``entries`` only
+    to hash a matrix.
     """
 
-    __slots__ = ("rows", "cols", "nz", "_entries")
+    __slots__ = ("rows", "cols", "nz")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         entries = [as_scalar(x) for x in entries]
@@ -149,9 +150,7 @@ class ExactMatrix:
 
     @property
     def entries(self) -> Tuple[GaussianRational, ...]:
-        if self._entries is None:
-            object.__setattr__(self, "_entries", tuple(chain.from_iterable(map(self.row, range(self.rows)))))
-        return self._entries
+        return tuple(chain.from_iterable(map(self.row, range(self.rows))))
 
     def row(self, i: int) -> Tuple[GaussianRational, ...]:
         return tuple(map(self.nz[i].get, range(self.cols), repeat(ZERO, self.cols)))
@@ -266,7 +265,6 @@ def _init(m: ExactMatrix, rows: int, cols: int, data: Iterable) -> ExactMatrix:
     object.__setattr__(m, "rows", rows)
     object.__setattr__(m, "cols", cols)
     object.__setattr__(m, "nz", nz)
-    object.__setattr__(m, "_entries", None)
     return m
 
 
@@ -574,11 +572,11 @@ def eigenvalues_gaussian(a: ExactMatrix) -> List[Tuple[GaussianRational, int]]:
 # ---------------------------------------------------------------------------
 
 class BasisChange:
-    """An invertible coordinate change, with a free trailing scale factor.
+    """An invertible coordinate change M, one square matrix stored once.
 
-    The effective matrix, ``matrix``, is ``m`` with its last column
-    multiplied by ``scale`` (the block form diag(m, c) used when reducing a
-    terminal cocycle).  Its ``kind`` is read off its rows once: "diagonal"
+    ``m`` and ``matrix`` both name M, and ``scale`` is always 1: the names
+    stay because witness documents carry a ``"scale"`` and the benchmark
+    reads all three.  Its ``kind`` is read off its rows once: "diagonal"
     when every row holds exactly its own diagonal entry, "shear" for a unit
     shear I + c E_ij (i != j), and None for any other matrix.  Those two
     kinds are invertible by their shape, and :func:`liepoisson.transform.apply`
@@ -588,24 +586,24 @@ class BasisChange:
     reduction), so a singular one raises :class:`LinalgError` there.
     """
 
-    __slots__ = ("m", "scale", "matrix", "kind", "_m_inv")
+    __slots__ = ("m", "kind", "_m_inv")
 
-    def __init__(self, m: ExactMatrix, scale: GaussianRational = ONE):
-        scale = as_scalar(scale)
+    scale = ONE
+
+    def __init__(self, m: ExactMatrix):
         if m.rows != m.cols:
             raise ValueError("basis change must be square")
-        if not scale:
-            raise ValueError("scale must be nonzero")
-        eff = m if scale.is_one() else _scale_last_column(m, scale)
-        kind = _step_kind(eff.nz)
+        kind = _step_kind(m.nz)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "matrix", eff)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "_m_inv", None if kind else inverse(eff))
+        object.__setattr__(self, "_m_inv", None if kind else inverse(m))
 
     def __setattr__(self, name, value):
         raise AttributeError("BasisChange is immutable")
+
+    @property
+    def matrix(self) -> ExactMatrix:
+        return self.m
 
     @property
     def n(self) -> int:
@@ -613,40 +611,32 @@ class BasisChange:
 
     @property
     def m_inv(self) -> ExactMatrix:
-        """The inverse of the effective matrix."""
         if self._m_inv is None:
-            object.__setattr__(self, "_m_inv", inverse(self.matrix))
+            object.__setattr__(self, "_m_inv", inverse(self.m))
         return self._m_inv
-
-    @staticmethod
-    def identity(n: int) -> "BasisChange":
-        return BasisChange(ExactMatrix.identity(n))
 
     def inverse(self) -> "BasisChange":
         return BasisChange(self.m_inv)
 
-    def then(self, later: "BasisChange") -> "BasisChange":
-        """The single change equivalent to applying self, then ``later``."""
-        return BasisChange(self.matrix @ later.matrix)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BasisChange):
             return NotImplemented
-        return self.matrix == other.matrix
+        return self.m == other.m
 
     def __repr__(self):
-        return f"BasisChange(\n{self.matrix}\n)"
+        return f"BasisChange(\n{self.m}\n)"
 
     def to_json(self) -> dict:
-        return {
-            "m": [[str(x) for x in self.m.row(i)] for i in range(self.m.rows)],
-            "scale": str(self.scale),
-        }
+        return {"m": [[str(x) for x in self.m.row(i)] for i in range(self.m.rows)], "scale": "1"}
 
     @staticmethod
     def from_json(doc: dict) -> "BasisChange":
+        """Read ``{"m": rows, "scale": c}``; an optional ``"scale"`` c != 0 multiplies the last column."""
         m = ExactMatrix.from_rows([[parse_scalar(x) for x in row] for row in doc["m"]])
-        return BasisChange(m, parse_scalar(doc.get("scale", "1")))
+        c = parse_scalar(doc.get("scale", "1"))
+        if not c:
+            raise ValueError("scale must be nonzero")
+        return BasisChange(m @ ExactMatrix.diagonal([ONE] * (m.cols - 1) + [c]) if m.cols else m)
 
 
 def _step_kind(rows: Sequence[Dict[int, GaussianRational]]) -> Optional[str]:
@@ -660,11 +650,6 @@ def _step_kind(rows: Sequence[Dict[int, GaussianRational]]) -> Optional[str]:
     if len(longer) == 1 and len(longer[0]) == 2 and all(row[i].is_one() for i, row in enumerate(rows)):
         return "shear"
     return None
-
-
-def _scale_last_column(m: ExactMatrix, c: GaussianRational) -> ExactMatrix:
-    j = m.cols - 1
-    return ExactMatrix._of(m.rows, m.cols, [{k: x * c if k == j else x for k, x in r.items()} for r in m.nz])
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,11 @@ def dense_unimodular(n):
     return BasisChange(lower @ upper)
 
 
+def last_column_scaled(m, c):
+    """``m @ diag(1, ..., 1, c)``: ``m`` with its last column multiplied by ``c`` (none when it has no column)."""
+    return m @ ExactMatrix.diagonal([1] * (m.cols - 1) + [c]) if m.cols else m
+
+
 @contextmanager
 def cpu_seconds_at_most(seconds):
     """Fail instead of hanging: the body is stopped after ``seconds`` of CPU time.

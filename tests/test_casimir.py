@@ -231,6 +231,20 @@ def test_check_matches_poly_oracle_on_random_mutants(data, delta):
     assert casimir_condition_check(t, bad) == poly_condition_check(t, bad)
 
 
+def test_check_matches_poly_oracle_when_one_key_collects_two_subtracted_terms():
+    """(x1^2 + x0 x2) f'(x2) on the semidirect n2-case2 form: at (lam, sig, nu) = (2, 1, 1) two
+    Hessian cells land on the subtracted side of the f' key, whose residual is 1.  The order of
+    the monomials decides which cell comes first, so both orders are checked."""
+    t = append_semisimple(catalog(2).lookup("n2-case2"))
+    for monomials in (((0, 2, 0), (1, 0, 1)), ((1, 0, 1), (0, 2, 0))):
+        poly = Poly(3, dict.fromkeys(monomials, ONE))
+        fam = CasimirFamily((CasimirTerm(poly, FormalFunction("f", (unit(3, 2),)), (1,)),), 3, True)
+        report = casimir_condition_check(t, fam)
+        assert report == poly_condition_check(t, fam)
+        assert report.failure == (2, 1, 1)
+        assert report.residual[("f", (1,))] == Poly.constant(3, 1)
+
+
 SMALL = st.builds(gr, st.integers(-2, 2), st.integers(-1, 1))
 
 
@@ -875,6 +889,15 @@ def test_leibniz_closed_form_table():
     table = leibniz_table_nu1()
     for n in range(1, 6):
         assert families_equal(leibniz_casimirs_closed_form(n, 1), table[n]), n
+
+
+def test_families_that_differ_only_in_an_argument_are_unequal():
+    one = Poly.constant(3, 1)
+    f_xi3, f_xi2, g_xi3 = (CasimirFamily((CasimirTerm(one, FormalFunction(name, (unit(3, i),)), (0,)),), 3)
+                           for name, i in (("f", 2), ("f", 1), ("g", 2)))
+    assert families_equal(f_xi3, g_xi3) and not families_equal(f_xi3, f_xi2)
+    assert family_sets_equal([f_xi3, f_xi2], [f_xi2, g_xi3])
+    assert not family_sets_equal([f_xi3], [f_xi2])
 
 
 def test_leibniz_closed_form_depends_on_trailing_vars():

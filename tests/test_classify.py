@@ -15,6 +15,7 @@ from liepoisson.classify import (
     catalog,
     catalog_entry,
     classify,
+    derived_series_dims,
     equivalence_check,
     fingerprint,
 )
@@ -74,6 +75,13 @@ def test_catalog_entries_pairwise_distinct_fingerprints():
             key = (ranks, derived, nullity)
             assert key not in seen, f"{name} and {seen.get(key)} share a fingerprint"
             seen[key] = name
+
+
+def test_semidirect_forms_are_perfect():
+    """The semisimple slot makes every semidirect form its own derived algebra."""
+    for order in (1, 2, 3, 4):
+        for label, entry in catalog(order).entries:
+            assert derived_series_dims(append_semisimple(entry)) == [order + 1, order + 1], label.name
 
 
 def test_classify_normal_forms_fixed_points():
@@ -422,7 +430,7 @@ def test_identity_steps_are_recorded_without_apply(count_calls):
     t = leibniz(3)
     r = classify_mod._Reduction(t)
     assert r.step(ExactMatrix.identity(3)) is t
-    assert counts["apply"] == 0 and r.full is t and r.chain == [BasisChange.identity(3)]
+    assert counts["apply"] == 0 and r.full is t and r.chain == [BasisChange(ExactMatrix.identity(3))]
     r.step(M([[1, 0, 0], [1, 1, 0], [0, 0, 1]]))
     assert counts["apply"] == 1
     identities = 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import last_column_scaled
 from liepoisson.linalg import (
     _kernel_flag,
     _kernel_vectors,
@@ -493,7 +494,7 @@ def test_computed_matrices_hold_only_scalars():
         ExactMatrix.identity(3), ExactMatrix.zeros(2, 3), ExactMatrix.diagonal([1, 2]),
         rref(a)[0], rref(random_rank_deficient(rng, 4, 2))[0], inverse(a),
         pseudoinverse(random_rank_deficient(rng, 3, 2)), null_space(random_rank_deficient(rng, 4, 2)),
-        a @ a @ a, BasisChange(a, scale=gr(2)).matrix, BasisChange(a).m_inv,
+        a @ a @ a, BasisChange(last_column_scaled(a, gr(2))).matrix, BasisChange(a).m_inv,
     ]
     results += [t.slice_upper(nu) for nu in range(t.n)] + [t.slice_lower(lam) for lam in range(t.n)]
     for m in results:
@@ -609,7 +610,7 @@ def test_no_operation_stores_a_zero(case, data):
         i, j = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, k - 1))
         results += [a.with_entry(i, j, x), a.with_entry(i, j, 0), a.submatrix([i, 0], [j, k - 1])]
     try:
-        results += [inverse(s), BasisChange(s, scale=gr(2)).matrix, BasisChange(s).m_inv]
+        results += [inverse(s), BasisChange(last_column_scaled(s, gr(2))).matrix, BasisChange(s).m_inv]
     except LinalgError:
         pass
     for m in results:
@@ -1117,8 +1118,29 @@ def test_split_families_raise_more_than_one_block(family):
 
 
 def test_basis_change_roundtrip_json():
-    b = BasisChange(M([[1, 1], [0, 1]]), scale=gr(2))
+    b = BasisChange(last_column_scaled(M([[1, 1], [0, 1]]), gr(2)))
     again = BasisChange.from_json(b.to_json())
     assert again == b
     assert b.matrix == M([[1, 2], [0, 2]])
     assert (b.matrix @ b.m_inv).is_identity()
+    assert b.to_json() == {"m": [["1", "2"], ["0", "2"]], "scale": "1"}
+    assert b.m is b.matrix and b.scale == ONE
+
+
+def test_a_document_scale_multiplies_the_last_column():
+    doc = {"m": [["1", "1"], ["0", "1"]], "scale": "2"}
+    b = BasisChange.from_json(doc)
+    assert b.matrix == M([[1, 2], [0, 2]])
+    assert b.to_json() == {"m": [["1", "2"], ["0", "2"]], "scale": "1"}
+    assert BasisChange.from_json({"m": doc["m"]}).matrix == M([[1, 1], [0, 1]])
+    with pytest.raises(ValueError, match="scale must be nonzero"):
+        BasisChange.from_json({**doc, "scale": "0"})
+
+
+def test_sums_of_two_shapes_raise():
+    a, b = M([[1, 2, 3], [4, 5, 6]]), M([[1, 2], [3, 4]])
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            x + y
+        with pytest.raises(ValueError, match="shape mismatch"):
+            x - y

@@ -83,6 +83,10 @@ def test_strings_of_imaginary_parts():
     assert [str(z) for z, _ in cases] == [s for _, s in cases]
 
 
+def test_complex_divides_by_the_common_denominator():
+    assert complex(gr(Fraction(1, 3), Fraction(-2, 3))) == complex(1 / 3, -2 / 3)
+
+
 def test_parse_accepts_plain_forms():
     assert parse_scalar("3") == gr(3)
     assert parse_scalar("-1/2") == gr(Fraction(-1, 2))
