@@ -14,20 +14,22 @@ doors are the constructor ``ExtensionTensor(n, w)``,
 :func:`from_lower_slices`: each freezes the entries to Q(i) scalars, rejects
 anything but an n-cube with n >= 1, and checks both laws.  Tensors built
 where the laws hold by construction go through the trusted
-``ExtensionTensor._of``, which checks nothing: the named constructors below
-(Leibniz extensions, compressible reduced MHD, abelian and pure-semidirect
-tensors), direct sums and appending a semisimple part to certified operands,
-stripping that part when slot 0 is decoupled, the classifier's catalog, and
-``transform.apply`` and ``transform.normalize_w0_to_identity`` on a
-certified tensor.  :func:`validate` returns a tensor in hand as it is.
+``ExtensionTensor._of``, which takes stored rows and checks nothing: the
+named constructors below (Leibniz extensions, compressible reduced MHD,
+abelian and pure-semidirect tensors), direct sums of certified operands,
+:func:`append_semisimple` (the one writer of W^(0) = I, which every
+semidirect constructor but the one-field ``pure_semidirect(0)`` calls) and
+:func:`strip_semisimple`, the classifier's catalog, and ``transform.apply``
+and ``transform.normalize_w0_to_identity`` on a certified tensor.
+:func:`validate` returns a tensor in hand as it is.
 
 A tensor is stored as sparse rows, the way :class:`linalg.ExactMatrix`
 stores a matrix: ``nz[lam][mu]`` is one ``{nu: value}`` dict of the nonzero
 entries of row (lam, mu), kept as given.  Both entries of each symmetric
 pair (mu, nu) and (nu, mu) are stored, so every row is complete on its own.
-The dense cube ``w`` is a read-only view, built on first use and kept; the
-slices, predicates, equality and ``transform.apply`` read the rows.  Row
-lam of a tensor is row for row the symmetric matrix W_(lam), which
+The dense cube ``w`` is a read-only view, built on each read; the slices,
+predicates, equality and ``transform.apply`` read the rows.  Row lam of a
+tensor is row for row the symmetric matrix W_(lam), which
 :meth:`ExtensionTensor.slice_lower` hands over with no copy.
 
 Index convention: storage is always 0-based.  A semidirect tensor in normal
@@ -79,19 +81,19 @@ class ExtensionTensor:
     the semisimple slot of a semidirect tensor).  ``nz[lam][mu]`` is
     the row (lam, mu) as a ``{nu: value}`` dict of its nonzero entries; no
     zero is ever stored, and the dicts are never changed once a tensor holds
-    them.  ``w`` (the n x n x n nested tuples of scalars, computed on first
-    use and kept) and ``entry`` are read-only dense views.
+    them.  ``w`` (the n x n x n nested tuples of scalars, built on each
+    read) and ``entry`` are read-only dense views.
 
     The constructor is a door: it coerces ``w`` (an n x n x n array of
     scalars, ints, fractions or scalar strings), raises :class:`TensorError`
     unless it is a cube of order n >= 1, and raises
     :class:`SymmetryViolation` or :class:`CommutationViolation` at the first
-    offending indices.  The trusted ``ExtensionTensor._of`` checks nothing
-    and is used only where both laws hold by construction, so a tensor in
-    hand always satisfies them.
+    offending indices.  The trusted ``ExtensionTensor._of`` takes rows in
+    stored form, checks nothing and is used only where both laws hold by
+    construction, so a tensor in hand always satisfies them.
     """
 
-    __slots__ = ("n", "nz", "_semidirect", "_w", "_nonzeros")
+    __slots__ = ("n", "nz", "_semidirect", "_nonzeros")
 
     def __init__(self, n: int, w: Sequence[Sequence[Sequence]]):
         nz = _freeze(w)
@@ -103,15 +105,10 @@ class ExtensionTensor:
         _init(self, n, nz)
 
     @staticmethod
-    def _of(n: int, data: Sequence[Sequence]) -> "ExtensionTensor":
-        """Trusted constructor: n planes of n rows of scalars obeying both laws, either a dense
-        cube (its zeros dropped) or, read off the first row, ``{nu: value}`` dicts holding no
-        zero, which the tensor keeps as they are."""
-        if n and type(data[0][0]) is dict:
-            nz = tuple(map(tuple, data))
-        else:
-            nz = tuple(tuple({nu: x for nu, x in enumerate(r) if x} for r in plane) for plane in data)
-        return _init(object.__new__(ExtensionTensor), n, nz)
+    def _of(n: int, rows: Sequence[Sequence[Dict[int, GaussianRational]]]) -> "ExtensionTensor":
+        """Trusted constructor: n planes of n rows obeying both laws, each row a ``{nu: value}``
+        dict of scalars holding no zero, which the tensor keeps as it is."""
+        return _init(object.__new__(ExtensionTensor), n, tuple(map(tuple, rows)))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtensionTensor is immutable")
@@ -132,12 +129,9 @@ class ExtensionTensor:
 
     @property
     def w(self) -> Tuple:
-        """The dense cube: w[lam][mu][nu] as nested tuples of scalars."""
-        if self._w is None:
-            span = range(self.n)
-            object.__setattr__(self, "_w", tuple(
-                tuple(tuple(map(row.get, span, repeat(ZERO, self.n))) for row in plane) for plane in self.nz))
-        return self._w
+        """The dense cube: w[lam][mu][nu] as nested tuples of scalars, built on each read."""
+        span = range(self.n)
+        return tuple(tuple(tuple(map(row.get, span, repeat(ZERO, self.n))) for row in plane) for plane in self.nz)
 
     def entry(self, lam: int, mu: int, nu: int) -> GaussianRational:
         return self.nz[lam][mu].get(nu, ZERO)
@@ -225,7 +219,6 @@ def _init(t: ExtensionTensor, n: int, nz: Tuple) -> ExtensionTensor:
     object.__setattr__(t, "n", n)
     object.__setattr__(t, "nz", nz)
     object.__setattr__(t, "_semidirect", None)
-    object.__setattr__(t, "_w", None)
     object.__setattr__(t, "_nonzeros", None)
     return t
 
@@ -303,35 +296,31 @@ def leibniz(order: int, semidirect: bool = False) -> ExtensionTensor:
 
     Solvable form: W_lam^{mu nu} = delta(lam = mu + nu) in 1-based printed
     labels, making W^(nu) the nu-th power of a single lower Jordan block.
-    The semidirect form appends the identity slice in slot 0, which is the
+    The semidirect form is :func:`append_semisimple` of the solvable one: the
     same delta pattern on 0-based labels.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    n = order + 1 if semidirect else order
-    shift = 0 if semidirect else 1  # solvable storage slots are labels minus one
-    w = _empty(n)
-    for mu in range(n):
-        for nu in range(n - mu - shift):
-            w[mu + nu + shift][mu][nu] = ONE
-    return ExtensionTensor._of(n, w)
+    w = _empty(order)
+    for mu in range(order):
+        for nu in range(order - mu - 1):  # solvable storage slots are labels minus one
+            w[mu + nu + 1][mu][nu] = ONE
+    t = ExtensionTensor._of(order, w)
+    return append_semisimple(t) if semidirect else t
 
 
 def pure_semidirect(order: int) -> ExtensionTensor:
     """Semidirect extension of an abelian solvable part (order >= 0).
 
-    ``pure_semidirect(0)`` is the bare base bracket (a single field);
+    ``pure_semidirect(0)`` is the bare base bracket (a single field), and
+    every other order is :func:`append_semisimple` of ``abelian(order)``;
     ``pure_semidirect(1)`` is the low-beta reduced MHD tensor.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    n = order + 1
-    w = _empty(n)
-    for lam in range(n):
-        w[lam][lam][0] = ONE
-        w[lam][0][lam] = ONE
-    w[0][0][0] = ONE
-    return ExtensionTensor._of(n, w)
+    if order == 0:
+        return ExtensionTensor._of(1, [[{0: ONE}]])
+    return append_semisimple(abelian(order))
 
 
 def crmhd(beta) -> ExtensionTensor:
@@ -339,20 +328,18 @@ def crmhd(beta) -> ExtensionTensor:
 
     The field order is (vorticity, parallel velocity, pressure, magnetic
     flux) at storage indices (0, 1, 2, 3); ``beta`` is the compressibility
-    parameter and must be real and nonzero.
+    parameter and must be real and nonzero.  The tensor is
+    :func:`append_semisimple` of the three-field solvable part
+    W_2^{10} = W_2^{01} = -beta in its storage slots.
     """
     beta = as_scalar(beta)
     if beta.is_zero():
         raise ZeroParameter("beta must be nonzero")
     if not beta.is_real():
         raise ZeroParameter("beta must be real")
-    w = _empty(4)
-    for lam in range(4):
-        w[lam][lam][0] = ONE
-        w[lam][0][lam] = ONE
-    w[3][2][1] = -beta
-    w[3][1][2] = -beta
-    return ExtensionTensor._of(4, w)
+    w = _empty(3)
+    w[2][1][0] = w[2][0][1] = -beta
+    return append_semisimple(ExtensionTensor._of(3, w))
 
 
 def low_beta_rmhd() -> ExtensionTensor:

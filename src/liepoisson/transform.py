@@ -333,8 +333,6 @@ def congruence_diagonalize(w: ExactMatrix) -> Tuple[ExactMatrix, List[GaussianRa
                 i, j = pair
                 col_op(i, j, ONE)
                 swap(p, i)
-        if not a[p][p]:
-            continue
         for i in range(p + 1, k):
             if a[i][p]:
                 col_op(i, p, -a[i][p] / a[p][p])
@@ -503,10 +501,4 @@ def congruence_move(t: ExtensionTensor, s: int) -> Optional[Tuple[ExactMatrix, L
     if norm is None:
         return None
     blk, signs, c = norm
-    rows = []
-    for i in range(n):
-        if i < s:
-            rows.append(list(blk.row(i)) + [ZERO] * (n - s))
-        else:
-            rows.append([ZERO] * i + [c if i == s else ONE] + [ZERO] * (n - i - 1))
-    return ExactMatrix._of(n, n, rows), signs
+    return ExactMatrix._of(n, n, [*blk.nz, {s: c}, *({i: ONE} for i in range(s + 1, n))]), signs

@@ -23,6 +23,11 @@ def dense_unimodular(n):
     return BasisChange(lower @ upper)
 
 
+def stored_rows(cube):
+    """The ``{nu: value}`` rows of a dense cube with its zeros dropped, as ``ExtensionTensor._of`` takes them."""
+    return [[{nu: x for nu, x in enumerate(row) if x} for row in plane] for plane in cube]
+
+
 def last_column_scaled(m, c):
     """``m @ diag(1, ..., 1, c)``: ``m`` with its last column multiplied by ``c`` (none when it has no column)."""
     return m @ ExactMatrix.diagonal([1] * (m.cols - 1) + [c]) if m.cols else m

@@ -126,6 +126,34 @@ def test_classify_direct_sum_of_leibniz2():
     assert apply_chain(t, chain).w == catalog(4).lookup("n4-case3b").w
 
 
+def _order4(entries):
+    """The solvable order-4 tensor with W_lam^{mu nu} = W_lam^{nu mu} = x for each (lam, mu, nu, x)."""
+    w = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for lam, mu, nu, x in entries:
+        w[lam][mu][nu] = w[lam][nu][mu] = x
+    return validate(w)
+
+
+def test_stage4_case3_window_with_d_zero_swaps_slots_2_and_3():
+    # n4-case4a with slots 2 and 3 swapped: over the n3-case3 window, W_3^{01} = a != 0 and
+    # W_3^{22} = d = 0, so stage 4 scales slot 3 by a and swaps it with slot 2
+    t = _order4([(1, 0, 0, 1), (3, 0, 1, 3)])
+    label, chain = classify(t)
+    assert label == CaseLabel(4, "n4-case4a", False)
+    assert [b.kind for b in chain] == ["diagonal", "diagonal", None]
+    assert apply_chain(t, chain) == catalog(4).lookup(label.name)
+
+
+def test_head_pencil_with_both_determinants_zero_splits_in_one_step():
+    # the head slices diag(2, 0) and diag(0, -5) are both singular, so the pencil's roots are
+    # the two coordinate lines (1, 0) and (0, 1)
+    t = _order4([(2, 0, 0, 2), (3, 1, 1, -5)])
+    label, chain = classify(t)
+    assert label == CaseLabel(4, "n4-case3b", False)
+    assert [b.kind for b in chain] == [None]
+    assert apply_chain(t, chain) == catalog(4).lookup(label.name)
+
+
 def test_classify_order_too_high():
     with pytest.raises(OrderTooHigh):
         classify(leibniz(5))

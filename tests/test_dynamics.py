@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import stored_rows
 from liepoisson import dynamics
 from liepoisson.classify import catalog
 from liepoisson.cli import EXIT_DIMENSION, main
@@ -79,7 +80,7 @@ def random_real_tensor(rng, n):
     """
     w = tuple(tuple(tuple(gr(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) if rng.random() < 0.4 else ZERO
                           for _ in range(n)) for _ in range(n)) for _ in range(n))
-    return ExtensionTensor._of(n, w)
+    return ExtensionTensor._of(n, stored_rows(w))
 
 
 def random_hamiltonian(rng, n):

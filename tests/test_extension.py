@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import stored_rows
 from liepoisson.extension import (
     CommutationViolation,
     ExtensionTensor,
@@ -128,6 +129,60 @@ def test_append_semisimple():
         assert append_semisimple(leibniz(order)) == leibniz(order, semidirect=True)
     with pytest.raises(NotSolvable):
         append_semisimple(pure_semidirect(1))
+
+
+# The semidirect constructors go through append_semisimple.  These oracles are
+# the inline loops they used to run, each filling its rows directly.
+
+def _rows_oracle(n, entries):
+    """Stored rows with ``w[lam][mu][nu] = x`` written for each (lam, mu, nu, x), in the given order."""
+    w = [[{} for _ in range(n)] for _ in range(n)]
+    for lam, mu, nu, x in entries:
+        w[lam][mu][nu] = x
+    return w
+
+
+def _leibniz_semidirect_oracle(k):
+    """The delta(lam = mu + nu) pattern on 0-based labels."""
+    n = k + 1
+    return _rows_oracle(n, [(mu + nu, mu, nu, ONE) for mu in range(n) for nu in range(n - mu)])
+
+
+def _identity_slice_entries(n):
+    return [e for lam in range(n) for e in ((lam, lam, 0, ONE), (lam, 0, lam, ONE))]
+
+
+def _pure_semidirect_oracle(k):
+    return _rows_oracle(k + 1, _identity_slice_entries(k + 1) + [(0, 0, 0, ONE)])
+
+
+def _crmhd_oracle(beta):
+    return _rows_oracle(4, _identity_slice_entries(4) + [(3, 2, 1, -beta), (3, 1, 2, -beta)])
+
+
+def _assert_rows_and_document(t, rows):
+    """``t`` stores ``rows`` entry for entry in the same order, and writes the document they spell."""
+    n = len(rows)
+    assert t.n == n
+    assert [[list(row.items()) for row in plane] for plane in t.nz] == [[list(row.items()) for row in plane]
+                                                                          for plane in rows]
+    assert t.to_json() == {"n": n, "semidirect": True, "w": [
+        [[str(row.get(nu, ZERO)) for nu in range(n)] for row in plane] for plane in rows]}
+
+
+def test_leibniz_semidirect_matches_the_delta_loop():
+    for k in range(1, 9):
+        _assert_rows_and_document(leibniz(k, semidirect=True), _leibniz_semidirect_oracle(k))
+
+
+def test_pure_semidirect_matches_the_identity_slice_loop():
+    for k in range(9):
+        _assert_rows_and_document(pure_semidirect(k), _pure_semidirect_oracle(k))
+
+
+def test_crmhd_matches_its_literal_entries():
+    for beta in (1, Fraction(5, 2), -3, Fraction(1, 7)):
+        _assert_rows_and_document(crmhd(beta), _crmhd_oracle(gr(beta)))
 
 
 def test_direct_sum_block_structure():
@@ -466,5 +521,5 @@ def test_strip_semisimple_reads_every_coupling_entry():
             w = [[list(row) for row in plane] for plane in base.w]
             w[0][mu][nu] = w[0][nu][mu] = gr(3)
             with pytest.raises(TensorError, match="slot 0 is coupled"):
-                strip_semisimple(ExtensionTensor._of(3, w))
+                strip_semisimple(ExtensionTensor._of(3, stored_rows(w)))
     assert strip_semisimple(base) == abelian(2)
