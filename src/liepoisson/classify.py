@@ -10,8 +10,10 @@ terminal cocycles by congruence, and applying the fixed inter-case maps
 (some complex).  Classification is one pass: every move is an explicit
 invertible matrix, recorded as a witness step and applied once to the input
 (lifted to diag(1, m) past the semisimple slot), so the running tensor is
-the input moved by the chain.  It is compared bit-exactly with the catalog
-normal form before classify returns the case label and the witness chain.
+the input moved by the chain; :class:`_Reduction` drops an identity move,
+so no step of a chain is the identity.  The running tensor is compared
+bit-exactly with the catalog normal form before classify returns the case
+label and the witness chain.
 
 Over Q(i) a few tensors outside the catalog orbits hit a genuine
 obstruction: a rescaling would need a square root that Q(i) lacks (the
@@ -181,8 +183,7 @@ def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
                 "bare base bracket: the semisimple slot has no solvable part to classify"
             )
         moved, b = normalize_w0_to_identity(t)
-        if not b.matrix.is_identity():
-            r.record(b, moved)
+        r.record(b, moved)
         t = r.split_semisimple()
     normal = _classify_solvable(t, r)
     label = CaseLabel(normal.n, _match_catalog(normal.nz, normal.n), r.split)
@@ -195,31 +196,38 @@ def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
 class _Reduction:
     """The input in its own coordinates and the witness steps applied to it.
 
-    A recorded step is applied to ``full`` once (an identity step, never), so
-    ``full`` is the input moved by ``chain``.  Past a split-off semisimple
-    slot, a move m of the solvable part is recorded as diag(1, m).
+    A step is applied to ``full`` once, so ``full`` is the input moved by
+    ``chain``; an identity move is neither recorded nor applied, and this is
+    the one place that tests for it.  Past a split-off semisimple slot, a
+    move m of the solvable part is recorded as diag(1, m).
     """
 
     def __init__(self, t: ExtensionTensor):
         self.full, self.chain, self.split = t, [], False
 
+    def part(self) -> ExtensionTensor:
+        """The tensor being reduced: ``full``, or its solvable part past a split."""
+        return strip_semisimple(self.full) if self.split else self.full
+
     def record(self, b: BasisChange, moved: Optional[ExtensionTensor] = None) -> ExtensionTensor:
-        """Apply a step of the full tensor; return the moved solvable part.
+        """Apply a step of the full tensor; return the moved part.
 
         ``moved`` is ``full`` already moved by ``b``, when the caller has it.
         """
-        self.chain.append(b)
-        self.full = apply(self.full, b) if moved is None else moved
-        return strip_semisimple(self.full) if self.split else self.full
+        if not b.m.is_identity():
+            self.chain.append(b)
+            self.full = apply(self.full, b) if moved is None else moved
+        return self.part()
 
     def step(self, m: ExactMatrix) -> ExtensionTensor:
-        b = BasisChange(_lift(m) if self.split else m)
-        return self.record(b, self.full if b.m.is_identity() else None)
+        if m.is_identity():
+            return self.part()
+        return self.record(BasisChange(_lift(m) if self.split else m))
 
     def split_semisimple(self) -> ExtensionTensor:
         """Lift the later moves past slot 0, where W^(0) = I by now; return the solvable part."""
         self.split = True
-        return strip_semisimple(self.full)
+        return self.part()
 
 
 def _require_single_block(t: ExtensionTensor) -> None:
@@ -317,9 +325,7 @@ def _pencil_reduce(t: ExtensionTensor, r: _Reduction) -> Tuple[ExtensionTensor, 
         a, b = b, a
     ratio = _proportional(b, a)
     if ratio is not None:
-        if ratio:
-            t = r.step(ExactMatrix.identity(n).with_entry(3, 2, ratio))
-        return t, False
+        return r.step(ExactMatrix.identity(n).with_entry(3, 2, ratio)), False
     det_a, det_b = _det2(a), _det2(b)
     mix = a[0, 0] * b[1, 1] + a[1, 1] * b[0, 0] - gr(2) * a[0, 1] * b[0, 1]
     roots = _pencil_roots(det_a, det_b, mix)
@@ -413,9 +419,7 @@ def _stage(t: ExtensionTensor, m: int, r: _Reduction) -> ExtensionTensor:
         leading = _leading_case(t, 2)
         if leading == "n2-case2":
             _expect_zero(t, (2, 1, 1))
-            a = t.entry(2, 0, 0)
-            if a:
-                t = r.step(ExactMatrix.identity(n).with_entry(2, 1, a))
+            t = r.step(ExactMatrix.identity(n).with_entry(2, 1, t.entry(2, 0, 0)))
             b = t.entry(2, 0, 1)
             if b:
                 t = r.step(ExactMatrix.diagonal([ONE, ONE, b] + [ONE] * (n - 3)))
@@ -520,9 +524,7 @@ def _stage4_leading_case3(t: ExtensionTensor, r: _Reduction) -> ExtensionTensor:
     n = t.n
     for idx in ((3, 1, 1), (3, 2, 1)):
         _expect_zero(t, idx)
-    p = t.entry(3, 0, 0)
-    if p:
-        t = r.step(ExactMatrix.identity(n).with_entry(3, 1, p))
+    t = r.step(ExactMatrix.identity(n).with_entry(3, 1, t.entry(3, 0, 0)))
     a = t.entry(3, 0, 1)
     b = t.entry(3, 0, 2)
     d = t.entry(3, 2, 2)
@@ -556,9 +558,7 @@ def _stage4_leading_case4(t: ExtensionTensor, r: _Reduction) -> ExtensionTensor:
     if t.entry(3, 1, 1) != t.entry(3, 0, 2):
         raise ClassificationError("internal error: commutation constraint violated")
     p, q = t.entry(3, 0, 0), t.entry(3, 0, 1)
-    if p or q:
-        move = ExactMatrix.identity(n).with_entry(3, 1, p).with_entry(3, 2, q)
-        t = r.step(move)
+    t = r.step(ExactMatrix.identity(n).with_entry(3, 1, p).with_entry(3, 2, q))
     z = t.entry(3, 1, 1)
     if z:
         t = r.step(ExactMatrix.diagonal([ONE, ONE, ONE, z]))

@@ -408,8 +408,9 @@ def strip_semisimple(a: ExtensionTensor) -> ExtensionTensor:
 def from_lower_slices(slices: Sequence[Optional[ExactMatrix]], n: int) -> ExtensionTensor:
     """Build a tensor from its symmetric lower-index matrices W_(lam).
 
-    ``slices[lam]`` may be None for a zero slice.  Mostly used to state
-    catalog normal forms compactly.
+    ``slices[lam]`` may be None for a zero slice.  The tensor is built by
+    the checking constructor ``ExtensionTensor(n, w)``, so both laws are
+    checked.
     """
     w = []
     for lam in range(n):

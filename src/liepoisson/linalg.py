@@ -574,11 +574,11 @@ def eigenvalues_gaussian(a: ExactMatrix) -> List[Tuple[GaussianRational, int]]:
 class BasisChange:
     """An invertible coordinate change M, one square matrix stored once.
 
-    ``m`` and ``matrix`` both name M, and ``scale`` is always 1: the names
-    stay because witness documents carry a ``"scale"`` and the benchmark
-    reads all three.  Its ``kind`` is read off its rows once: "diagonal"
-    when every row holds exactly its own diagonal entry, "shear" for a unit
-    shear I + c E_ij (i != j), and None for any other matrix.  Those two
+    ``m`` names M, and ``scale`` is always 1: it stays because witness
+    documents carry a ``"scale"`` and the benchmark reads both.  Its
+    ``kind`` is read off its rows once: "diagonal" when every row holds
+    exactly its own diagonal entry, "shear" for a unit shear I + c E_ij
+    (i != j), and None for any other matrix.  Those two
     kinds are invertible by their shape, and :func:`liepoisson.transform.apply`
     moves a tensor by them without M^-1, so their inverse ``m_inv`` is built
     on first read; any other matrix is inverted at construction by
@@ -600,10 +600,6 @@ class BasisChange:
 
     def __setattr__(self, name, value):
         raise AttributeError("BasisChange is immutable")
-
-    @property
-    def matrix(self) -> ExactMatrix:
-        return self.m
 
     @property
     def n(self) -> int:

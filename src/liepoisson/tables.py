@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .casimir import CasimirFamily, CasimirTerm, FormalFunction
 from .polynomials import Poly
-from .scalars import ONE, ZERO, gr
+from .scalars import ONE, ZERO, as_scalar, gr
 
 
 def _unit_covector(n: int, idx: int):
@@ -190,7 +190,7 @@ def leibniz_table_nu1() -> Dict[int, CasimirFamily]:
 
 def crmhd_families(beta) -> List[CasimirFamily]:
     """The four compressible reduced MHD invariant families."""
-    inv_beta = gr(1) / gr(beta if not hasattr(beta, "re") else beta)
+    inv_beta = ONE / as_scalar(beta)
     fam0 = CasimirFamily((
         CasimirTerm(Poly(4, {_e(4, x0=1): ONE}), FormalFunction("f", (_unit_covector(4, 3),)), (0,)),
         CasimirTerm(Poly(4, {_e(4, x1=1, x2=1): -inv_beta}),

@@ -102,10 +102,10 @@ def apply(t: ExtensionTensor, b: BasisChange) -> ExtensionTensor:
     if b.n != n:
         raise TransformError(f"basis change is {b.n}x{b.n} but tensor has {t.n} indices")
     if b.kind == "diagonal":
-        return _apply_diagonal(t, b.matrix.nz)
+        return _apply_diagonal(t, b.m.nz)
     if b.kind == "shear":
-        return _apply_shear(t, b.matrix.nz)
-    m_rows = b.matrix.nz
+        return _apply_shear(t, b.m.nz)
+    m_rows = b.m.nz
     m_inv = b.m_inv.nz
     span = range(n)
     # nonzero entries of the upper triangle of each W_(lam)
@@ -399,10 +399,9 @@ def congruence_normalize(block: ExactMatrix):
         repaired = _repair_classes(cols, diag)
         if repaired is None:
             return None
+        # every nonzero entry is in one class now, so the first one serves as c
         cols, diag = repaired
         norm = _normalize_diagonal(diag)
-        if norm is None:
-            return None
     ts, signs, c = norm
     order = sorted(range(k), key=lambda j: (signs[j] != 1, signs[j] != -1))
     final = ExactMatrix._of(k, k, [[cols[j][r] * ts[j] for j in order] for r in range(k)])
@@ -440,8 +439,6 @@ def _repair_classes(cols, diag):
     Q(i)).  Leftover singletons from odd groups are merged pairwise.
     """
     nonzero = [i for i, d in enumerate(diag) if d]
-    if len(nonzero) < 2:
-        return None
     disc = prod((diag[i] for i in nonzero), start=ONE)
     disc_rep, _ = square_free_part(disc)
     if len(nonzero) % 2:
@@ -465,8 +462,10 @@ def _repair_classes(cols, diag):
 
 
 def _execute_repair(cols, diag, nonzero, tau) -> bool:
-    # over Q(i) -d is a square exactly when d is (-1 = i^2), so one test decides a class
-    for _ in range(2 * len(nonzero) + 2):
+    # over Q(i) -d is a square exactly when d is (-1 = i^2), so one test decides a class.
+    # Each pass that does not return moves at least one wrong entry into tau (a same-class
+    # pair moves both, a merge moves its partner), so the loop ends.
+    while True:
         wrong = [i for i in nonzero if sqrt_gaussian(diag[i] / tau) is None]
         if not wrong:
             return True
@@ -486,7 +485,6 @@ def _execute_repair(cols, diag, nonzero, tau) -> bool:
             if _pair_move(cols, diag, i, j, (target, -target)):
                 continue
         return False
-    return False
 
 
 def congruence_move(t: ExtensionTensor, s: int) -> Optional[Tuple[ExactMatrix, List[int]]]:

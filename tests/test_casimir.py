@@ -737,6 +737,15 @@ def test_crmhd_synthesis_matches_display():
         assert family_sets_equal(fams, crmhd_families(beta))
 
 
+def test_crmhd_families_take_every_scalar_form_of_beta():
+    # an int, a Fraction, a string and a Q(i) scalar of one value give the same tensor and families
+    for forms in ((3, Fraction(3), "3", gr(3)), (Fraction(5, 2), "5/2", gr(Fraction(5, 2)))):
+        want = synthesize_casimirs(crmhd(forms[0]))
+        for beta in forms:
+            assert crmhd(beta) == crmhd(forms[0])
+            assert family_sets_equal(crmhd_families(beta), want), beta
+
+
 def test_case3c_families():
     fams = synthesize_casimirs(catalog(4).lookup("n4-case3c"))
     assert family_sets_equal(fams, solvable_table()["n4-case3c"])

@@ -140,7 +140,7 @@ def test_stage4_case3_window_with_d_zero_swaps_slots_2_and_3():
     t = _order4([(1, 0, 0, 1), (3, 0, 1, 3)])
     label, chain = classify(t)
     assert label == CaseLabel(4, "n4-case4a", False)
-    assert [b.kind for b in chain] == ["diagonal", "diagonal", None]
+    assert [b.kind for b in chain] == ["diagonal", None]
     assert apply_chain(t, chain) == catalog(4).lookup(label.name)
 
 
@@ -152,6 +152,26 @@ def test_head_pencil_with_both_determinants_zero_splits_in_one_step():
     assert label == CaseLabel(4, "n4-case3b", False)
     assert [b.kind for b in chain] == [None]
     assert apply_chain(t, chain) == catalog(4).lookup(label.name)
+
+
+def test_catalog_forms_classify_with_an_empty_chain():
+    """A normal form reduces to itself with no step, except where its terminal cocycle holds a
+    hyperbolic pair: the congruence splits the pair into +1 and -1 and the complex pair map puts it
+    back, two steps whose product is an automorphism of the form other than the identity."""
+    forms = [(label, entry) for order in (1, 2, 3, 4) for label, entry in catalog(order).entries]
+    forms += [(label._replace(semidirect=True), append_semisimple(entry)) for label, entry in forms
+              if label.order < 4]
+    round_trips = set()
+    for label, t in forms:
+        got, chain = classify(t)
+        assert got == label
+        if chain:
+            round_trips.add((label.name, label.semidirect))
+            assert len(chain) == 2, label
+            product = BasisChange(chain[0].m @ chain[1].m)
+            assert not product.m.is_identity() and apply(t, product) == t
+    assert len(forms) == 23
+    assert round_trips == {("n3-case2", False), ("n3-case2", True), ("n4-case1b", False), ("n4-case2", False)}
 
 
 def test_classify_order_too_high():
@@ -229,9 +249,8 @@ def test_each_witness_step_is_applied_once(monkeypatch):
         reached.clear()
         label, chain = classify(t)
         counts = Counter(map(id, reached))
-        # no step is applied a second time, and an identity step not at all:
-        # the reduced tensor is the input moved by the chain
-        assert [counts[id(b)] for b in chain] == [int(not b.matrix.is_identity()) for b in chain], label
+        # every step is applied exactly once: the reduced tensor is the input moved by the chain
+        assert [counts[id(b)] for b in chain] == [1] * len(chain), label
         steps += len(chain)
     assert steps > len(inputs)
     reached.clear()
@@ -242,11 +261,14 @@ def test_a_wrong_semidirect_lift_fails_the_bit_exact_gate(monkeypatch):
     lift = classify_mod._lift
     # 2 in slot 0 leaves the solvable part as it was but makes W^(0) = 2 I
     monkeypatch.setattr(classify_mod, "_lift", lambda m: lift(m).with_entry(0, 0, 2))
-    inputs = [apply(append_semisimple(entry), dense_unimodular(4)) for _, entry in catalog(3).entries]
-    for t in inputs + [crmhd(1)]:
+    inputs = {label.name: apply(append_semisimple(entry), dense_unimodular(4)) for label, entry in catalog(3).entries}
+    # the solvable part of the moved abelian entry is in normal form once W^(0) = I: it lifts nothing
+    abelian_sd = inputs.pop("n3-case1")
+    for t in [*inputs.values(), crmhd(1)]:
         with pytest.raises(ClassificationError, match="does not reproduce the normal form"):
             classify(t)
-    # solvable inputs lift nothing and still classify
+    # inputs that lift nothing still classify
+    assert classify(abelian_sd)[0] == CaseLabel(3, "n3-case1", True)
     assert classify(strip_semisimple(crmhd(1)))[0].name == "n3-case2"
 
 
@@ -360,7 +382,7 @@ def test_triangularize_crmhd_family_postcondition():
     fam = crmhd(1).slices_upper()
     bc = simultaneous_triangularize(fam)
     for a in fam:
-        assert (bc.m_inv @ a @ bc.matrix).is_lower_triangular()
+        assert (bc.m_inv @ a @ bc.m).is_lower_triangular()
 
 
 def test_append_semisimple_case2_equivalent_to_crmhd():
@@ -452,22 +474,39 @@ def test_equivalence_check_unknown_when_classification_fails():
     assert w.kind == "unknown" and "more than one block" in w.reason
 
 
-def test_identity_steps_are_recorded_without_apply(count_calls):
-    """A witness step that is the identity joins the chain but moves nothing, so it applies nothing."""
+def test_no_recorded_step_is_the_identity(monkeypatch, count_calls):
+    """An identity move is no witness step: it joins no chain, builds no BasisChange and applies nothing."""
     counts = count_calls(apply)
+    counts["BasisChange"] = 0
+    init = BasisChange.__init__
+
+    def counting_init(self, m):
+        counts["BasisChange"] += 1
+        init(self, m)
+
+    monkeypatch.setattr(BasisChange, "__init__", counting_init)
     t = leibniz(3)
     r = classify_mod._Reduction(t)
     assert r.step(ExactMatrix.identity(3)) is t
-    assert counts["apply"] == 0 and r.full is t and r.chain == [BasisChange(ExactMatrix.identity(3))]
+    assert r.record(BasisChange(ExactMatrix.identity(3))) is t
+    assert counts == {"apply": 0, "BasisChange": 1} and r.full is t and r.chain == []
     r.step(M([[1, 0, 0], [1, 1, 0], [0, 0, 1]]))
-    assert counts["apply"] == 1
-    identities = 0
-    for order in (2, 3, 4):
-        for _, entry in catalog(order).entries:
-            before = counts["apply"]
-            _, chain = classify(entry)
-            moving = [b for b in chain if not b.matrix.is_identity()]
-            identities += len(chain) - len(moving)
-            assert counts["apply"] - before == len(moving)
-    # the catalog's own normal forms take identity congruence moves
-    assert identities >= 10
+    assert counts == {"apply": 1, "BasisChange": 2} and len(r.chain) == 1
+    # past a split the identity is not lifted either
+    sd = append_semisimple(leibniz(2))
+    r = classify_mod._Reduction(sd)
+    r.split_semisimple()
+    assert r.step(ExactMatrix.identity(2)) == leibniz(2) and r.chain == [] and r.full is sd
+    steps = 0
+    inputs = [entry for order in (2, 3, 4) for _, entry in catalog(order).entries]
+    inputs += [apply(t, dense_unimodular(t.n)) for t in [*inputs, *map(append_semisimple, inputs)]]
+    for t in inputs:
+        before = dict(counts)
+        _, chain = classify(t)
+        assert not any(b.m.is_identity() for b in chain)
+        assert counts["apply"] - before["apply"] == len(chain)
+        if not t.semidirect:
+            # a semidirect input also builds the W^(0) witness, which is not recorded when it is the identity
+            assert counts["BasisChange"] - before["BasisChange"] == len(chain)
+        steps += len(chain)
+    assert steps > len(inputs)

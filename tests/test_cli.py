@@ -344,6 +344,8 @@ def test_basis_changes_invert_without_the_dense_path(monkeypatch, count_calls):
     counts = count_calls(linalg.rref, linalg._rref_rows, linalg._substitute)
     inside = {key: 0 for key in counts}
     steps = {}  # kind -> (_substitute, _rref_rows) calls of each construction
+    # a rescaled input reaches diagonal steps; its move is built before the count starts
+    rescale = {n: BasisChange(ExactMatrix.diagonal(range(2, n + 2))) for n in range(2, 6)}
     init = linalg.BasisChange.__init__
 
     def init_and_count(self, m, *args, **kwargs):
@@ -376,6 +378,7 @@ def test_basis_changes_invert_without_the_dense_path(monkeypatch, count_calls):
                     [[rng.randint(-2, 2) if j > i else int(i == j) for j in range(n)] for i in range(n)]
                 )
                 classify(apply_chain(t, [BasisChange(move)]))
+                classify(apply_chain(t, [rescale[n]]))
     # the wrappers are live: the kernel flag row-reduces through _rref_rows outside BasisChange
     assert counts["_rref_rows"] > inside["_rref_rows"]
     assert {kind: len(calls) > 10 for kind, calls in steps.items()} == dict.fromkeys(

@@ -73,8 +73,8 @@ def _synthesis_inputs():
 
 # SHA-256 over the sorted-key JSON of each output list below
 GOLDEN = {
-    "classify": "a420b6c45472d7fdf56d547934352853a544d801322882402087894feab76550",
-    "classify-conic": "24a8747b7b31ece855ae9885d701ffde5b56f5c03738451ed57492a6f0a80a4f",
+    "classify": "ec1fec55aee85e9977cfd7a15f94e363f4b78b19e7db77b5e474da343b3a67b9",
+    "classify-conic": "8e95d26abd0028199ff68b1296520878f971fdf57fd76976bc69be7edf73f34d",
     "synthesis": "c8e8b8b4bfe111322ff6da95bfb0153394fd5219c945287aff4f8e04b678a2eb",
     "quadratic": "d05a3d14f74038df7b2e3e74f62e3a88294e4962d99421e90bede1cb13174cf1",
 }

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import last_column_scaled, stored_rows
-from liepoisson.classify import catalog, classify
+from liepoisson.classify import ClassificationError, catalog, classify
 from liepoisson.extension import (
     ExtensionTensor,
     append_semisimple,
@@ -56,7 +56,7 @@ def test_apply_group_action():
     for _ in range(10):
         b1 = BasisChange(unit_lower(rng, 4))
         b2 = BasisChange(unit_lower(rng, 4))
-        assert apply(apply(t, b2), b1) == apply(t, BasisChange(b2.matrix @ b1.matrix))
+        assert apply(apply(t, b2), b1) == apply(t, BasisChange(b2.m @ b1.m))
 
 
 def test_apply_preserves_validity_random():
@@ -123,7 +123,7 @@ def test_apply_matches_entrywise_contraction():
         # every other change has its last column multiplied by a complex factor
         b = BasisChange(last_column_scaled(dense_gaussian(rng, t.n), gr(Fraction(2, 3), 1) if k % 2 else ONE))
         checked = apply(t, b)
-        assert checked.w == _contract(t, b.matrix)
+        assert checked.w == _contract(t, b.m)
         # the trusted result passes the public door, which checks both laws
         assert ExtensionTensor(t.n, checked.w) == checked
         # the slice traces move by M^T, so whether one is nonzero does not change
@@ -168,7 +168,7 @@ def sparse_changes(draw):
 def test_apply_matches_contraction_on_sparse_changes(case):
     t, b = case
     out = apply(t, b)
-    assert out.w == _contract(t, b.matrix)
+    assert out.w == _contract(t, b.m)
     assert ExtensionTensor(t.n, out.w) == out
 
 
@@ -201,9 +201,9 @@ def test_diagonal_and_shear_steps_match_the_contraction_without_an_inverse(case)
     out = apply(t, b)
     # neither the construction nor apply built M^-1
     assert b._m_inv is None
-    assert out.w == _contract(t, b.matrix)
+    assert out.w == _contract(t, b.m)
     assert all(x for plane in out.nz for row in plane for x in row.values())
-    assert b.m_inv == inverse(b.matrix)
+    assert b.m_inv == inverse(b.m)
 
 
 def test_a_singular_diagonal_step_raises_at_construction():
@@ -221,7 +221,7 @@ def test_apply_drops_exact_cancellations():
     b = BasisChange(M([[1, 1], [0, 1]]))
     assert b.m_inv.row(0) == (ONE, -ONE)
     out = apply(t, b)
-    assert out.w == _contract(t, b.matrix)
+    assert out.w == _contract(t, b.m)
     assert not any(x for row in out.w[0] for x in row)
     assert out.w[1][0][0] == ONE
 
@@ -302,7 +302,7 @@ def test_chained_apply_rows_match_the_dense_contraction(data):
                   for j in range(n)] for i in range(n)]) @ ExactMatrix.diagonal([data.draw(value) for _ in range(n)])
         b = BasisChange(last_column_scaled(m, data.draw(st.sampled_from([ONE, gr(Fraction(2, 3), 1)]))))
         # the oracle contracts a tensor backed by the previous dense cube, never by apply's rows
-        cube = _contract(ExtensionTensor._of(t.n, stored_rows(cube)), b.matrix)
+        cube = _contract(ExtensionTensor._of(t.n, stored_rows(cube)), b.m)
         t = apply(t, b)
         assert_views_match_the_cube(t, cube)
 
@@ -311,7 +311,7 @@ def test_normalize_w0_already_identity():
     t = crmhd(1)
     out, witness = normalize_w0_to_identity(t)
     assert out == t
-    assert witness.matrix.is_identity()
+    assert witness.m.is_identity()
 
 
 def test_normalize_w0_unipotent_first_slice():
@@ -394,7 +394,7 @@ def test_normalize_w0_is_the_stepwise_reduction_applied_once(monkeypatch):
         want, total = stepwise_w0(t)
         del applied[:]
         out, witness = normalize_w0_to_identity(t)
-        assert witness.matrix == total and out.nz == want.nz and out.semidirect
+        assert witness.m == total and out.nz == want.nz and out.semidirect
         assert applied == ([] if total.is_identity() else [witness])
         moves += sum(1 for lam in range(1, t.n) if total[lam, 0])
     assert moves > 2 * len(cases)
@@ -442,6 +442,30 @@ def test_repair_classes_takes_the_positive_representative(monkeypatch):
     assert cm.transpose() @ block @ cm == ExactMatrix.diagonal([c * s for s in signs])
 
 
+def test_a_failed_merge_makes_the_block_unreachable(monkeypatch):
+    """x^2 + 2y^2 + 5z^2 has no Q(i) congruence to c diag(+-1, +-1, +-1), and the repair says so.
+
+    The entries 1, 2 and 5 lie in three square classes and their product 10 is the one
+    candidate class.  With no same-class pair, the repair merges 1 and 2 into the class of
+    1 * 2 * 10, that is 5, and x^2 + 2y^2 = +-5 has no Q(i) point: the Hilbert symbol (5, 10)
+    is -1 at the prime 2 + i, where 2 is not a square mod 5.  So ``_pair_move`` and
+    ``_execute_repair`` return False and ``_repair_classes`` None.  None is the right
+    answer: c would lie in class 10, and c diag(1, 1, 1) has Hasse invariant
+    (10, 10) = (10, -1) = 1 where the form's is (2, 5) = -1 at 2 + i.
+    """
+    import liepoisson.transform as transform
+
+    seen = {"_pair_move": [], "_execute_repair": [], "_repair_classes": []}
+    for name, out in seen.items():
+        real = getattr(transform, name)
+        monkeypatch.setattr(transform, name, lambda *a, real=real, out=out: out.append(real(*a)) or out[-1])
+    assert congruence_normalize(ExactMatrix.diagonal([1, 2, 5])) is None
+    assert seen == {"_pair_move": [False], "_execute_repair": [False], "_repair_classes": [None]}
+    t = from_lower_slices([None, None, None, ExactMatrix.diagonal([1, 2, 5, 0])], 4)
+    with pytest.raises(ClassificationError, match="tail cannot be scaled"):
+        classify(t)
+
+
 def _move_tail(t):
     """The congruence move on the last slice, as a witness, and the tensor it gives."""
     witness = BasisChange(congruence_move(t, t.n - 1)[0])
@@ -461,11 +485,12 @@ def test_congruence_move_examples():
     out, witness = _move_tail(t)
     assert out.slice_lower(2) == ExactMatrix.diagonal([1, -1, 0])
     assert classify(t)[1][0] == witness
-    # already reduced
+    # already reduced: the move is the identity, which the classifier does not record
     t = from_lower_slices([None, None, ExactMatrix.diagonal([1, 1, 0])], 3)
     out, witness = _move_tail(t)
-    assert out.slice_lower(2) == ExactMatrix.diagonal([1, 1, 0])
-    assert classify(t)[1][0] == witness
+    assert out == t and witness.m.is_identity()
+    chain = classify(t)[1]
+    assert witness not in chain and len(chain) == 1  # the complex pair map alone
 
 
 def test_congruence_move_signature_invariance():
