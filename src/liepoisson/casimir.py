@@ -802,7 +802,8 @@ def format_family(fam: CasimirFamily) -> str:
             parts.append(body)
             continue
         argtext = ", ".join(
-            _covector_text(u, names) for u in term.func.args
+            Poly(len(u), {tuple(int(k == m) for k in range(len(u))): c for m, c in enumerate(u)}).format(names)
+            for u in term.func.args
         )
         total = sum(term.deriv)
         primes = "'" * total
@@ -820,14 +821,3 @@ def format_family(fam: CasimirFamily) -> str:
         out += f" - {p[1:].lstrip()}" if p.startswith("-") else f" + {p}"
     return out
 
-
-def _covector_text(u, names) -> str:
-    pieces = []
-    for idx, c in enumerate(u):
-        if not c:
-            continue
-        if c == ONE:
-            pieces.append(names[idx])
-        else:
-            pieces.append(f"{c}{names[idx]}")
-    return " + ".join(pieces) if pieces else "0"

@@ -182,8 +182,7 @@ def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
             raise ClassificationError(
                 "bare base bracket: the semisimple slot has no solvable part to classify"
             )
-        moved, b = normalize_w0_to_identity(t)
-        r.record(b, moved)
+        r.step(normalize_w0_to_identity(t))
         t = r.split_semisimple()
     normal = _classify_solvable(t, r)
     label = CaseLabel(normal.n, _match_catalog(normal.nz, normal.n), r.split)
@@ -196,8 +195,10 @@ def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
 class _Reduction:
     """The input in its own coordinates and the witness steps applied to it.
 
-    A step is applied to ``full`` once, so ``full`` is the input moved by
-    ``chain``; an identity move is neither recorded nor applied, and this is
+    Every move of the reduction, the W^(0) normalization included, enters
+    through :meth:`step`, which applies it to ``full`` once, so ``full`` is
+    the input moved by ``chain``; an identity move builds no
+    :class:`BasisChange` and is neither recorded nor applied, and this is
     the one place that tests for it.  Past a split-off semisimple slot, a
     move m of the solvable part is recorded as diag(1, m).
     """
@@ -209,23 +210,18 @@ class _Reduction:
         """The tensor being reduced: ``full``, or its solvable part past a split."""
         return strip_semisimple(self.full) if self.split else self.full
 
-    def record(self, b: BasisChange, moved: Optional[ExtensionTensor] = None) -> ExtensionTensor:
-        """Apply a step of the full tensor; return the moved part.
-
-        ``moved`` is ``full`` already moved by ``b``, when the caller has it.
-        """
-        if not b.m.is_identity():
-            self.chain.append(b)
-            self.full = apply(self.full, b) if moved is None else moved
-        return self.part()
-
     def step(self, m: ExactMatrix) -> ExtensionTensor:
-        if m.is_identity():
-            return self.part()
-        return self.record(BasisChange(_lift(m) if self.split else m))
+        """Record and apply the move m of the part; return the moved part."""
+        if not m.is_identity():
+            b = BasisChange(_lift(m) if self.split else m)
+            self.chain.append(b)
+            self.full = apply(self.full, b)
+        return self.part()
 
     def split_semisimple(self) -> ExtensionTensor:
         """Lift the later moves past slot 0, where W^(0) = I by now; return the solvable part."""
+        if not self.full.slice_is_identity(0):
+            raise ClassificationError("internal error: W^(0) normalization did not reach the identity")
         self.split = True
         return self.part()
 

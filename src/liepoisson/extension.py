@@ -19,8 +19,8 @@ named constructors below (Leibniz extensions, compressible reduced MHD,
 abelian and pure-semidirect tensors), direct sums of certified operands,
 :func:`append_semisimple` (the one writer of W^(0) = I, which every
 semidirect constructor but the one-field ``pure_semidirect(0)`` calls) and
-:func:`strip_semisimple`, the classifier's catalog, and ``transform.apply``
-and ``transform.normalize_w0_to_identity`` on a certified tensor.
+:func:`strip_semisimple`, the classifier's catalog, and ``transform.apply`` on
+a certified tensor.
 :func:`validate` returns a tensor in hand as it is.
 
 A tensor is stored as sparse rows, the way :class:`linalg.ExactMatrix`
@@ -388,7 +388,7 @@ def strip_semisimple(a: ExtensionTensor) -> ExtensionTensor:
     """The solvable part of a semidirect tensor (drop slot 0).
 
     Slot 0 must be decoupled: W_0^{mu nu} = 0 for mu, nu >= 1, as for every
-    lower-triangular tensor, for instance after
+    lower-triangular tensor, for instance after the move of
     ``transform.normalize_w0_to_identity``.  Then row 0 of each slice W^(nu)
     with nu >= 1 vanishes, so the trailing block of W^(nu) W^(sigma) is
     S^(nu) S^(sigma) and the dropped slices commute because the full ones

@@ -18,13 +18,14 @@ Validity of the bracket is preserved by construction, so the result is
 built by the trusted ``ExtensionTensor._of`` and is not checked again.  No
 flag is passed along: the slice traces move by M^T, so the result is
 semidirect exactly when the input is, as read off its entries.  On top of
-it sit two normalizations:
+it sit two normalizations, each of which returns the matrix of its move
+and leaves applying it to the caller:
 
 * :func:`normalize_w0_to_identity` drives the first slice matrix to the
   identity by a scalar rescale followed by unit-lower-triangular moves that
   clear the entries W_lam^{00} one row at a time; the Jacobi identity then
   forces the whole slice to be the identity.  The moves are read off the
-  input and applied as one composed step.
+  input and composed into one matrix.
 * :func:`congruence_move` diagonalizes the leading block of a slice by exact
   symmetric congruence and rescales its entries to {0, +1, -1}, ordered with
   the +1s first.  Entries in different square classes are first moved into
@@ -33,8 +34,9 @@ it sit two normalizations:
   over Q(i), d and -d are in the same class.
 
 The classifier uses both; its coboundary moves are single-entry shears.
-Each normalization returns its witness, a :class:`BasisChange` or the
-matrix of one, so reductions can be replayed and audited.
+It records each returned matrix as a :class:`BasisChange` witness step
+and moves the tensor by :func:`apply`, so reductions can be replayed and
+audited.
 """
 
 from __future__ import annotations
@@ -240,21 +242,21 @@ def apply_chain(t: ExtensionTensor, chain: List[BasisChange]) -> ExtensionTensor
 # W^(0) -> identity  (semidirect normalization)
 # ---------------------------------------------------------------------------
 
-def normalize_w0_to_identity(t: ExtensionTensor) -> Tuple[ExtensionTensor, BasisChange]:
-    """Make the first slice matrix exactly the identity.
+def normalize_w0_to_identity(t: ExtensionTensor) -> ExactMatrix:
+    """The move that makes the first slice matrix exactly the identity.
 
     Requires a lower-triangular tensor whose first slice has a single
     nonzero eigenvalue (read off the diagonal).  The eigenvalue is scaled to
     one, then unit-lower-triangular moves clear W_lam^{00} for lam > 0 in
     increasing order; the induction from the Jacobi identity then gives
-    W^(0) = I exactly, which is asserted.
+    W^(0) = I exactly.
 
-    The moves are composed, not applied one by one.  The scale c = 1/ev and
-    the shears I - a_k e_k e_0^T compose to P = c (I - sum_k a_k e_k e_0^T),
+    The moves are composed into one matrix.  The scale c = 1/ev and the
+    shears I - a_k e_k e_0^T compose to P = c (I - sum_k a_k e_k e_0^T),
     and row lam of P^-1 is e_lam / c until a_lam is chosen, so the tensor
     moved by the moves so far has W_lam^{00} = c W_lam(u, u), with u the
     column e_0 - sum_{k<lam} a_k e_k.  Each a_lam is read off the input that
-    way, and P is applied once.
+    way, and P is returned; it is the identity when W^(0) already is.
     """
     n = t.n
     if not t.is_lower_triangular():
@@ -266,6 +268,7 @@ def normalize_w0_to_identity(t: ExtensionTensor) -> Tuple[ExtensionTensor, Basis
     if not ev:
         raise DegenerateEigenvalueMismatch("first slice eigenvalue vanishes")
     c = ONE / ev
+    rows = [{k: c} for k in range(n)]
     u = {0: ONE}
     for lam in range(1, n):
         plane = t.nz[lam]
@@ -273,16 +276,8 @@ def normalize_w0_to_identity(t: ExtensionTensor) -> Tuple[ExtensionTensor, Basis
                      if nu in plane[mu]), ZERO)
         if a:
             u[lam] = -a
-    rows = [{k: c} for k in range(n)]
-    for k, x in u.items():
-        if k:
-            rows[k][0] = c * x
-    witness = BasisChange(ExactMatrix._of(n, n, rows))
-    if len(u) > 1 or not c.is_one():
-        t = apply(t, witness)
-    if not t.slice_is_identity(0):
-        raise TransformError("internal error: W^(0) normalization did not reach the identity")
-    return t, witness
+            rows[lam][0] = -c * a
+    return ExactMatrix._of(n, n, rows)
 
 
 # ---------------------------------------------------------------------------

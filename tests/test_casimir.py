@@ -32,6 +32,7 @@ from liepoisson.extension import (
     direct_sum,
     from_lower_slices,
     leibniz,
+    pure_semidirect,
 )
 from liepoisson.linalg import BasisChange, ExactMatrix, inverse, pseudoinverse, rank, rref
 from liepoisson.polynomials import Poly
@@ -982,6 +983,26 @@ def test_quadratic_basis_crmhd_contains_cross_helicity():
     assert span_contains(basis, q)
 
 
+def test_quadratic_basis_sums_the_entries_one_equation_collects_twice():
+    """Two nonzeros of W that feed one coordinate of one equation add up, here to a nonzero sum.
+
+    Moving the sum of two base brackets by a shear makes W_0^{00} = 1 and W_1^{10} = 2 both reach
+    coordinate Q_{01} of equation (0, 1, 0), with sum -1 + 2; the moved sum keeps the unmoved
+    one's dimension.
+    """
+    t = apply(direct_sum(pure_semidirect(0), pure_semidirect(0)), BasisChange(M([[1, 0], [2, 1]])))
+    basis = quadratic_casimir_basis(t)
+    assert len(basis) == len(quadratic_casimir_basis(direct_sum(pure_semidirect(0), pure_semidirect(0)))) == 2
+    span = range(t.n)
+    for q in basis:
+        assert q.is_symmetric()
+        for nu in span:
+            for lam in span:
+                for sig in span:
+                    assert (sum((t.entry(lam, mu, nu) * q[mu, sig] for mu in span), ZERO)
+                            == sum((t.entry(sig, mu, nu) * q[mu, lam] for mu in span), ZERO))
+
+
 def test_quadratic_families_pass_condition():
     for t in (crmhd(1), leibniz(3), leibniz(2, semidirect=True), catalog(4).lookup("n4-case3c")):
         for q in quadratic_casimir_basis(t):
@@ -1002,6 +1023,15 @@ def test_format_family_table_notation():
     assert format_family(fam) == "ξ1 f(ξ3) + 1/2 (ξ2)^2 f'(ξ3)"
     bare = solvable_table()["n3-case1"][0]
     assert format_family(bare) == "f(ξ1, ξ2, ξ3)"
+
+
+def test_format_family_prints_an_argument_as_a_polynomial():
+    """A function argument is printed like any linear form: -1 as a sign, a complex coefficient in parentheses."""
+    t = from_lower_slices([None, None, ExactMatrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 0]])], 3)
+    assert [format_family(f) for f in synthesize_casimirs(t)] == ["(1/2 ξ1 + 1/2 ξ2) f(ξ3)", "g(-ξ1 + ξ2, ξ3)"]
+    u = (gr(2), -ONE, gr(1, 1))
+    fam = CasimirFamily((CasimirTerm(Poly.constant(3, 1), FormalFunction("f", (u, unit(3, 0))), (0, 0)),), 3)
+    assert format_family(fam) == "f(2 ξ1 - ξ2 + (1+i) ξ3, ξ1)"
 
 
 def test_family_json_round_trip():

@@ -178,6 +178,17 @@ def test_represent_binary_z_minus_one():
     assert x and x * x + y * y == -ONE
 
 
+def test_degenerate_conics_take_their_closed_forms():
+    # a zero coefficient makes its unit vector a point, whatever the other two are
+    assert isotropic_ternary(ZERO, gr(3), gr(5)) == (ONE, ZERO, ZERO)
+    assert isotropic_ternary(gr(3), ZERO, gr(5)) == (ZERO, ONE, ZERO)
+    assert isotropic_ternary(gr(3), gr(5), ZERO) == (ZERO, ZERO, ONE)
+    # a = 0 leaves b y^2 = v: a point exactly when v / b is a square
+    assert represent_binary(ZERO, gr(2), gr(8)) == (ZERO, gr(2))
+    assert represent_binary(ZERO, gr(2), gr(6)) is None
+    assert represent_binary(ZERO, ZERO, gr(6)) is None
+
+
 def test_isotropic_ternary_known_cases():
     # x^2 + y^2 + z^2 = 0 has the point (1, i, 0) family over Q(i)
     sol = isotropic_ternary(ONE, ONE, ONE)

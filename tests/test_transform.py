@@ -308,10 +308,8 @@ def test_chained_apply_rows_match_the_dense_contraction(data):
 
 
 def test_normalize_w0_already_identity():
-    t = crmhd(1)
-    out, witness = normalize_w0_to_identity(t)
-    assert out == t
-    assert witness.m.is_identity()
+    # the move is the identity: the caller records no step
+    assert normalize_w0_to_identity(crmhd(1)).is_identity()
 
 
 def test_normalize_w0_unipotent_first_slice():
@@ -322,19 +320,20 @@ def test_normalize_w0_unipotent_first_slice():
     w[1][1][0] = ONE
     w[1][0][1] = ONE
     t = validate(w)
-    out, witness = normalize_w0_to_identity(t)
+    m = normalize_w0_to_identity(t)
+    assert m == M([[1, 0], [-1, 1]])
+    out = apply(t, BasisChange(m))
     assert out.slice_upper(0).is_identity()
     assert out.semidirect
-    assert apply(t, witness).w == out.w
 
 
 def test_normalize_w0_rescales_eigenvalue():
     t = crmhd(1)
     b = BasisChange(ExactMatrix.identity(4).scale(gr(Fraction(3, 2))))
     scaled = apply(t, b)  # W^(0) eigenvalue becomes 3/2
-    out, witness = normalize_w0_to_identity(scaled)
-    assert out.slice_upper(0).is_identity()
-    assert apply(scaled, witness).w == out.w
+    m = normalize_w0_to_identity(scaled)
+    assert m == ExactMatrix.identity(4).scale(gr(Fraction(2, 3)))
+    assert apply(scaled, BasisChange(m)).slice_upper(0).is_identity()
 
 
 def test_normalize_w0_runs_no_check(monkeypatch):
@@ -352,12 +351,11 @@ def test_normalize_w0_runs_no_check(monkeypatch):
     monkeypatch.setattr(extension, "_check_laws", counting)
     # apply checks no law, so transform holds no reference to the check
     assert not hasattr(transform, "_check_laws")
-    out, witness = normalize_w0_to_identity(moved)
+    out = apply(moved, BasisChange(normalize_w0_to_identity(moved)))
     # the moves are invertible changes of a certified tensor: no law is re-checked
     assert calls == []
     assert out.slice_upper(0).is_identity() and out.semidirect
     assert validate(out.w, semidirect=True) == out  # the raw entries pass the full check
-    assert apply(moved, witness).w == out.w
 
 
 def stepwise_w0(t):
@@ -377,6 +375,7 @@ def stepwise_w0(t):
 
 
 def test_normalize_w0_is_the_stepwise_reduction_applied_once(monkeypatch):
+    """The composed move is the product of the stepwise ones, and reading it off applies nothing."""
     from liepoisson import transform
 
     rng = random.Random(20)
@@ -393,9 +392,10 @@ def test_normalize_w0_is_the_stepwise_reduction_applied_once(monkeypatch):
     for t in cases:
         want, total = stepwise_w0(t)
         del applied[:]
-        out, witness = normalize_w0_to_identity(t)
-        assert witness.m == total and out.nz == want.nz and out.semidirect
-        assert applied == ([] if total.is_identity() else [witness])
+        m = normalize_w0_to_identity(t)
+        assert m == total and applied == []
+        out = inner(t, BasisChange(m))
+        assert out.nz == want.nz and out.semidirect
         moves += sum(1 for lam in range(1, t.n) if total[lam, 0])
     assert moves > 2 * len(cases)
 
