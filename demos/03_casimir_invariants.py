@@ -37,7 +37,7 @@ print()
 print("== a singular tail: case 3c ==")
 t = catalog(4).lookup("n4-case3c")
 co = build_coextension(t)
-print("projector diagonal:", [str(x) for x in co.projector.diagonal_values()])
+print("projector diagonal:", [str(co.projector[i, i]) for i in range(co.projector.rows)])
 for fam in synthesize_casimirs(t):
     print("  ", format_family(fam))
 
@@ -56,7 +56,7 @@ print("== the semidirect gate ==")
 for name in ("n4-case3c", "n4-case4b"):
     sd = append_semisimple(catalog(4).lookup(name))
     fams = synthesize_casimirs(sd)
-    extra = [f for f in fams if any(term.poly.uses_variable(0) for term in f.terms)]
+    extra = [f for f in fams if any(e[0] for term in f.terms for e in term.poly.terms)]
     verdict = format_family(extra[0]) if extra else "none (tail is singular)"
     print(f"{name}: extra semidirect family: {verdict}")
 

@@ -6,9 +6,16 @@ with replayable witnesses, and their Casimir invariants are synthesized by
 the coextension recursion and verified symbolically.  A small floating-point
 module realizes any real tensor on tuples of so(3)* momenta and confirms
 the quadratic invariants numerically; it alone needs numpy (the optional
-extra ``liepoisson[dynamics]``), and it is imported on first use of one of
-its names, so the exact core loads without numpy.
+extra ``liepoisson[dynamics]``).
+
+Each layer past the classify core loads on first use of one of its names:
+``import liepoisson`` loads scalars, linalg, extension, transform and
+classify; the Casimir layer (``casimir``, ``polynomials``) loads with the
+first of its names, the conic solver with the first square-class repair,
+and the float layer, numpy with it, with the first of its names.
 """
+
+from importlib import import_module
 
 from .scalars import GaussianRational, gr, parse_scalar
 from .linalg import (
@@ -37,28 +44,27 @@ from .transform import (
     normalize_w0_to_identity,
 )
 from .classify import CaseLabel, Catalog, catalog, classify, equivalence_check
-from .casimir import (
-    CasimirFamily,
-    build_coextension,
-    casimir_condition_check,
-    format_family,
-    leibniz_casimirs_closed_form,
-    quadratic_casimir_basis,
-    synthesize_casimirs,
-)
 
 __version__ = "0.1.0"
 
-# the float dynamics layer, and numpy with it, loads on first use of one of its names
-_DYNAMICS = ("FieldState", "HamiltonianSpec", "eom_rhs", "simulate")
+# the layers that load on first use of one of their names: name -> submodule
+_LAZY = {
+    **dict.fromkeys(("CasimirFamily", "build_coextension", "casimir_condition_check", "format_family",
+                     "leibniz_casimirs_closed_form", "quadratic_casimir_basis", "synthesize_casimirs"),
+                    "casimir"),
+    **dict.fromkeys(("FieldState", "HamiltonianSpec", "eom_rhs", "simulate"), "dynamics"),
+}
 
 
 def __getattr__(name):
-    if name in _DYNAMICS:
-        from . import dynamics
-
-        return getattr(dynamics, name)
+    # not cached in the package namespace, so the name always reads the submodule's binding
+    if name in _LAZY:
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
 
 
 __all__ = [

@@ -46,21 +46,13 @@ from functools import cached_property
 from itertools import count
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .extension import ExtensionTensor, TensorError
+from .extension import CasimirError, ExtensionTensor, SynthesisObstruction
 from .linalg import ExactMatrix, _pseudoinverse_rank, _rref_rows, null_space
 from .polynomials import Poly
 from .scalars import GaussianRational, ONE, ZERO, gr, parse_scalar
 
 GREEK_XI = "\N{GREEK SMALL LETTER XI}"
 HALF = ONE / gr(2)
-
-
-class CasimirError(TensorError):
-    pass
-
-
-class SynthesisObstruction(CasimirError):
-    """Solvability or coextension condition fails and no split helps."""
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ optional "semidirect" boolean must agree with the entries, and metadata keys
 Every refusal ends with one line and an exit code.  ``REFUSALS`` in
 :func:`main` maps the library's exceptions; a ``ParseFailure`` (argparse's
 usage errors too) exits 2 on stderr; ``simulate`` maps ``DynamicsError`` to 5
-itself, so that the table needs no numpy:
+itself, so that the table needs no numpy.  The table takes
+``SynthesisObstruction`` from ``extension``, so it loads no Casimir layer
+either; ``casimir`` and ``tables`` load inside ``liex casimir``:
 
 - 0 success;
 - 1 ``invalid:`` a tensor that breaks a bracket law (``TensorError``), or a
@@ -44,13 +46,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional
 
-from . import casimir as casimir_mod
-from . import tables
 from .classify import CaseLabel, ClassificationError, OrderTooHigh, catalog, catalog_entry, classify
-from .extension import ExtensionTensor, TensorError, ZeroParameter, crmhd, leibniz
+from .extension import ExtensionTensor, SynthesisObstruction, TensorError, ZeroParameter, crmhd, leibniz
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .casimir import CasimirFamily
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -70,7 +72,7 @@ class ParseFailure(Exception):
 REFUSALS = (
     (OrderTooHigh, EXIT_ORDER, "error"),
     (ClassificationError, EXIT_UNCLASSIFIED, "error"),
-    (casimir_mod.SynthesisObstruction, EXIT_OBSTRUCTION, "obstruction"),
+    (SynthesisObstruction, EXIT_OBSTRUCTION, "obstruction"),
     (TensorError, EXIT_INVALID, "invalid"),
 )
 
@@ -145,11 +147,13 @@ def _casimir_families(t: ExtensionTensor):
     classified and its catalog form synthesized; where the catalog has no
     form of that order, the obstruction stands.
     """
+    from .casimir import is_normalized, synthesize_casimirs
+
     obstruction = None
-    if casimir_mod.is_normalized(t):
+    if is_normalized(t):
         try:
-            return None, t, casimir_mod.synthesize_casimirs(t)
-        except casimir_mod.SynthesisObstruction as err:
+            return None, t, synthesize_casimirs(t)
+        except SynthesisObstruction as err:
             obstruction = err
     try:
         label = classify(t)[0]
@@ -158,28 +162,33 @@ def _casimir_families(t: ExtensionTensor):
             raise
         raise obstruction from None
     normal = catalog_entry(label)
-    return label, normal, casimir_mod.synthesize_casimirs(normal)
+    return label, normal, synthesize_casimirs(normal)
 
 
 def cmd_casimir(args) -> int:
+    from .casimir import format_family
+
     label, normal, families = _casimir_families(load_tensor(args.path))
     if label is not None:
         print(f"note: families are in the normal-form coordinates of {label.name}")
     for fam in families:
-        print(casimir_mod.format_family(fam))
+        print(format_family(fam))
     if args.verify:
         return _verify_families(normal, families, label)
     return EXIT_OK
 
 
-def _fixture_families(label: CaseLabel) -> Optional[List[casimir_mod.CasimirFamily]]:
+def _fixture_families(label: CaseLabel) -> Optional[List[CasimirFamily]]:
     """Table fixtures for the case with this label, if known."""
+    from . import tables
+    from .casimir import CasimirFamily
+
     override = os.environ.get("LIEX_FIXTURES")
     if override:
         path = os.path.join(override, f"{label.name}{'-sd' if label.semidirect else ''}.json")
         if not os.path.exists(path):
             return None
-        return read_json(path, "fixture file", lambda docs: [casimir_mod.CasimirFamily.from_json(d) for d in docs])
+        return read_json(path, "fixture file", lambda docs: [CasimirFamily.from_json(d) for d in docs])
     table = tables.solvable_table()
     if label.name not in table:
         return None
@@ -192,8 +201,9 @@ def _fixture_families(label: CaseLabel) -> Optional[List[casimir_mod.CasimirFami
     return fixtures
 
 
-def _shift_solvable_family(fam: casimir_mod.CasimirFamily) -> casimir_mod.CasimirFamily:
+def _shift_solvable_family(fam: CasimirFamily) -> CasimirFamily:
     """Embed a solvable family into the semidirect tensor (slots shift by 1)."""
+    from .casimir import CasimirFamily, CasimirTerm, FormalFunction
     from .polynomials import Poly
     from .scalars import ZERO
 
@@ -204,9 +214,9 @@ def _shift_solvable_family(fam: casimir_mod.CasimirFamily) -> casimir_mod.Casimi
         func = None
         if term.func is not None:
             args = tuple((ZERO,) + u for u in term.func.args)
-            func = casimir_mod.FormalFunction(term.func.label, args)
-        terms.append(casimir_mod.CasimirTerm(poly, func, term.deriv))
-    return casimir_mod.CasimirFamily(tuple(terms), n, True)
+            func = FormalFunction(term.func.label, args)
+        terms.append(CasimirTerm(poly, func, term.deriv))
+    return CasimirFamily(tuple(terms), n, True)
 
 
 def _verify_families(normal, families, label: Optional[CaseLabel]) -> int:
@@ -216,6 +226,8 @@ def _verify_families(normal, families, label: Optional[CaseLabel]) -> int:
     the condition, so only the fixtures are checked here, and compared
     with the families synthesized on their catalog entry.
     """
+    from .casimir import casimir_condition_check, family_sets_equal, format_family, synthesize_casimirs
+
     if label is None:
         try:
             label, _ = classify(normal)
@@ -223,17 +235,17 @@ def _verify_families(normal, families, label: Optional[CaseLabel]) -> int:
             pass
     fixtures = None if label is None else _fixture_families(label)
     for fam in families:
-        print(f"  [pass] {casimir_mod.format_family(fam)}")
+        print(f"  [pass] {format_family(fam)}")
     if fixtures is None:
         return EXIT_OK
     fixture_tensor = catalog_entry(label)
     ok = True
     for fam in fixtures:
-        result = bool(casimir_mod.casimir_condition_check(fixture_tensor, fam))
+        result = bool(casimir_condition_check(fixture_tensor, fam))
         ok = ok and result
-        print(f"  [{'pass' if result else 'FAIL'}] {casimir_mod.format_family(fam)}")
-    synthesized = families if fixture_tensor.nz == normal.nz else casimir_mod.synthesize_casimirs(fixture_tensor)
-    matched = casimir_mod.family_sets_equal(synthesized, fixtures)
+        print(f"  [{'pass' if result else 'FAIL'}] {format_family(fam)}")
+    synthesized = families if fixture_tensor.nz == normal.nz else synthesize_casimirs(fixture_tensor)
+    matched = family_sets_equal(synthesized, fixtures)
     print(f"table fixtures: {'match' if matched else 'MISMATCH'}")
     return EXIT_OK if ok and matched else EXIT_INVALID
 

@@ -74,6 +74,16 @@ class NotSolvable(TensorError):
     pass
 
 
+# the Casimir layer's refusals live here so that the CLI's refusal table can
+# name them without loading that layer; casimir re-exports both
+class CasimirError(TensorError):
+    pass
+
+
+class SynthesisObstruction(CasimirError):
+    """Solvability or coextension condition fails and no split helps."""
+
+
 class ExtensionTensor:
     """A certified extension 3-tensor W_lam^{mu nu}, stored as sparse rows.
 

@@ -240,16 +240,8 @@ class ExactMatrix:
             self.nz[j].get(i) == x for i, r in enumerate(self.nz) for j, x in r.items()
         )
 
-    def is_hermitian(self) -> bool:
-        return self.rows == self.cols and all(
-            self.nz[j].get(i) == x.conjugate() for i, r in enumerate(self.nz) for j, x in r.items()
-        )
-
     def is_lower_triangular(self) -> bool:
         return all(j <= i for i, r in enumerate(self.nz) for j in r)
-
-    def diagonal_values(self) -> List[GaussianRational]:
-        return [self[i, i] for i in range(min(self.rows, self.cols))]
 
     def __str__(self) -> str:
         body = [[str(x) for x in self.row(i)] for i in range(self.rows)]

@@ -127,9 +127,6 @@ class Poly:
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=-1)
 
-    def uses_variable(self, var: int) -> bool:
-        return any(e[var] for e in self.terms)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented

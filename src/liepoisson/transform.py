@@ -30,8 +30,9 @@ and leaves applying it to the caller:
   symmetric congruence and rescales its entries to {0, +1, -1}, ordered with
   the +1s first.  Entries in different square classes are first moved into
   one class by pair moves whose conic points come from
-  :func:`liepoisson.conics.represent_binary`; since -1 = i^2 is a square
-  over Q(i), d and -d are in the same class.
+  :func:`liepoisson.conics.represent_binary`, imported by the first such
+  repair, so a classify that needs none never loads the conic solver;
+  since -1 = i^2 is a square over Q(i), d and -d are in the same class.
 
 The classifier uses both; its coboundary moves are single-entry shears.
 It records each returned matrix as a :class:`BasisChange` witness step
@@ -44,7 +45,6 @@ from __future__ import annotations
 from math import prod
 from typing import List, Optional, Tuple
 
-from .conics import represent_binary
 from .extension import ExtensionTensor, TensorError
 from .linalg import BasisChange, ExactMatrix
 from .scalars import GaussianRational, ONE, ZERO, sqrt_gaussian, square_free_part
@@ -412,6 +412,8 @@ def _pair_move(cols, diag, i, j, values) -> bool:
     a shallow copy of ``cols`` is a snapshot.  Returns False, changing
     nothing, when no v has such a point.
     """
+    from .conics import represent_binary  # the conic solver loads with the first repair
+
     for v in values:
         pt = represent_binary(diag[i], diag[j], v)
         if pt is not None and pt[0]:

@@ -33,6 +33,21 @@ def last_column_scaled(m, c):
     return m @ ExactMatrix.diagonal([1] * (m.cols - 1) + [c]) if m.cols else m
 
 
+def is_hermitian(m):
+    """Whether ``m`` is square and equals its conjugate transpose."""
+    return m.rows == m.cols and all(m.nz[j].get(i) == x.conjugate() for i, r in enumerate(m.nz) for j, x in r.items())
+
+
+def diagonal_values(m):
+    """The entries m[i, i] of ``m``, zeros included."""
+    return [m[i, i] for i in range(min(m.rows, m.cols))]
+
+
+def uses_variable(poly, var):
+    """Whether some term of ``poly`` has a nonzero exponent in variable ``var``."""
+    return any(e[var] for e in poly.terms)
+
+
 @contextmanager
 def cpu_seconds_at_most(seconds):
     """Fail instead of hanging: the body is stopped after ``seconds`` of CPU time.

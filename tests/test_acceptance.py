@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from helpers import is_hermitian, uses_variable
 from liepoisson.casimir import (
     build_coextension,
     casimir_condition_check,
@@ -120,7 +121,7 @@ def test_criterion_4_tables_3_4_5_reproduction():
                 ok = ok and bool(casimir_condition_check(t, fam))
             sd = append_semisimple(t)
             sd_fams = synthesize_casimirs(sd)
-            with_zero = [f for f in sd_fams if any(term.poly.uses_variable(0) for term in f.terms)]
+            with_zero = [f for f in sd_fams if any(uses_variable(term.poly, 0) for term in f.terms)]
             if label.name in extras:
                 ok = ok and len(with_zero) == 1
                 ok = ok and families_equal(with_zero[0], extras[label.name])
@@ -198,8 +199,8 @@ def test_criterion_8_pseudoinverse_suite():
         p = pseudoinverse(a)
         ok = ok and (a @ p @ a) == a
         ok = ok and (p @ a @ p) == p
-        ok = ok and (a @ p).is_hermitian()
-        ok = ok and (p @ a).is_hermitian()
+        ok = ok and is_hermitian(a @ p)
+        ok = ok and is_hermitian(p @ a)
     elapsed = time.time() - start
     report(8, "200 random pseudoinverses satisfy all four identities exactly",
            ok and elapsed < 10, f"{elapsed:.1f}s")
