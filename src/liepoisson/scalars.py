@@ -12,17 +12,19 @@ entries lie in Q(i).
 
 The module also provides the Gaussian-integer number theory that the
 classifier's rescalings and conic points use: exact square roots, square-free
-parts and factorization.  Inside it a Gaussian integer is a plain (x, y) int
-pair, and a scalar is built only where a value leaves it: the public
-:func:`square_free_part`, :func:`square_free_part_zi`, :func:`sqrt_gaussian`
-and :func:`gaussian_factor` take and return scalars, while the ``_gi_*``
-helpers, which :mod:`liepoisson.conics` shares, take and return pairs.  No
-``Fraction`` is built on the way.  Nearest-integer division rounds each part
-of a/b half to even, exactly as ``round(Fraction)`` does, so Euclid's
-remainders, and every gcd and conic point built from them, are the ones the
-scalar arithmetic gave.  :func:`gaussian_divisors` has no package caller; it
-is kept, with the eigenvalue search in :mod:`liepoisson.linalg`, only because
-the benchmark's traced set names ``linalg.eigenvalues_gaussian``.
+parts and factorization.  The factoring is trial division: complete in
+:func:`square_free_part`, :func:`square_free_part_zi` and :func:`gaussian_factor`
+(over 2^29 steps for a prime above 2^60), stopped at 2^16 in :func:`square_part`.
+Inside the module a Gaussian integer is a plain (x, y) int pair, and a scalar
+is built only where a value leaves it: those four and :func:`sqrt_gaussian`
+take and return scalars, while the ``_gi_*`` helpers, which
+:mod:`liepoisson.conics` shares, take and return pairs.  No ``Fraction`` is
+built on the way.  Nearest-integer division rounds each part of a/b half to
+even, exactly as ``round(Fraction)`` does, so Euclid's remainders, and every
+gcd and conic point built from them, are the ones the scalar arithmetic gave.
+:func:`gaussian_divisors` has no package caller; it is kept, with the
+eigenvalue search in :mod:`liepoisson.linalg`, only because the benchmark's
+traced set names ``linalg.eigenvalues_gaussian``.
 """
 
 from __future__ import annotations
@@ -386,23 +388,34 @@ def _gi_exact_divide(a, b):
     return None if rx or ry else (qx, qy)
 
 
-def _factor_int(n: int) -> dict:
-    """Trial-division factorization, the package's one trial division.
+def _trial_divide(n: int, bound: Optional[int] = None):
+    """({prime: exponent}, cofactor) of n > 0 by each d < ``bound``: the package's one trial division.
 
-    Its step count is about the larger of the second-largest prime factor
-    and the square root of the largest, so a prime factor above 2^60 costs
-    more than 2^29 steps.
+    A loop that reaches the bound returns the cofactor it left, all of whose
+    primes are at least ``bound``; one that ends first lists the rest as a
+    prime and returns cofactor 1.
     """
     out: dict = {}
     d = 2
     while d * d <= n:
+        if bound is not None and d >= bound:
+            return out, n
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
     if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+        out[n] = 1
+    return out, 1
+
+
+def _factor_int(n: int) -> dict:
+    """The full factorization {prime: exponent} of n > 0: :func:`_trial_divide` with no bound.
+
+    Its step count is about the larger of the second-largest prime factor
+    and the square root of the largest: over 2^29 for a prime above 2^60.
+    """
+    return _trial_divide(n)[0]
 
 
 def _gaussian_prime_over(p: int):
@@ -425,8 +438,13 @@ def _gi_factor(z) -> list:
     By rational prime p of the norm in increasing order: 1 + i over 2, p
     itself for an inert p = 3 mod 4, and c + di then c - di for a split p.
     """
+    return _gi_divide_out(z, _factor_int(z[0] * z[0] + z[1] * z[1]))[0]
+
+
+def _gi_divide_out(z, primes):
+    """(factors, rest): z divided by the Gaussian primes over ``primes``, listed as :func:`_gi_factor` does."""
     out = []
-    for p in sorted(_factor_int(z[0] * z[0] + z[1] * z[1])):
+    for p in sorted(primes):
         if p == 2:
             candidates = ((1, 1),)
         elif p % 4 == 3:
@@ -441,7 +459,7 @@ def _gi_factor(z) -> list:
                 e += 1
             if e:
                 out.append((pi, e))
-    return out
+    return out, z
 
 
 def gaussian_factor(z: GaussianRational) -> list:
@@ -455,18 +473,28 @@ def gaussian_factor(z: GaussianRational) -> list:
     return [(_make(x, y, 1), e) for (x, y), e in _gi_factor((z._a, z._b))]
 
 
-def _square_free(z, d: int = 1):
+def _square_free(z, d: int = 1, bound: Optional[int] = None):
     """(rep, s) with z/d = rep * s^2 for the nonzero Gaussian integer z and d > 0.
 
     rep is the square-free Gaussian integer made of the primes of z d that
     occur to an odd power, times i when that is what makes z/(d rep) a
     square; s = (x, y, e) means (x + y*i)/e, in lowest terms with e > 0.
+    With a ``bound``, the rest w that :func:`_trial_divide` leaves is not
+    split: unless a unit times w is a square, w joins rep whole, as a
+    positive integer or as its associate with 0 < Re < |Im|, where the
+    primes of :func:`_gi_factor` lie.
     """
     a, b = z
+    g = (a * d, b * d)
+    norm = g[0] * g[0] + g[1] * g[1]
+    factors, w = _gi_divide_out(g, _trial_divide(norm, bound)[0] if bound else _factor_int(norm))
     rep = (1, 0)
-    for prime, exp in _gi_factor((a * d, b * d)):
+    for prime, exp in factors:
         if exp % 2:
             rep = _gi_mul(rep, prime)
+    if _gi_sqrt(w) is None and _gi_sqrt((-w[1], w[0])) is None:
+        x, y = w if abs(w[0]) < abs(w[1]) else (-w[1], w[0])
+        rep = _gi_mul(rep, (abs(x), y if x > 0 else -y) if x else (abs(y), 0))
     for _ in range(2):
         # z/(d rep) = q/n with q = z conj(rep) and n = d N(rep): its root is that of q n, over n
         n = d * (rep[0] * rep[0] + rep[1] * rep[1])
@@ -478,23 +506,43 @@ def _square_free(z, d: int = 1):
     raise ArithmeticError(f"square-free reduction failed for {_reduced(a, b, d)}")
 
 
-def square_free_part(z: GaussianRational):
-    """(rep, s) with z = rep * s^2 and rep a small square-free representative.
+def _square_split(z: GaussianRational, bound: Optional[int]):
+    """(rep, s) with z = rep * s^2 from trial division below ``bound`` (no bound when None).
 
-    Real inputs keep a real signed representative (so real signatures
-    survive): for z = a/d, rep is the signed product sf of the primes of
-    |a| d with an odd exponent, and s = isqrt(|a| d / sf) / d.  Other inputs
-    get a square-free Gaussian integer, with the unit class fixed up so
-    that z / rep is an exact square.
+    A real z = a/d gets rep = +-sf, sf the product of the odd-exponent primes
+    of |a| d and of any non-square cofactor, and s = isqrt(|a| d / sf) / d.
     """
     if z.is_zero():
         return ZERO, ONE
-    if z._b:
-        return square_free_part_zi(z)
-    a, d = z._a, z._d
+    a, b, d = z._a, z._b, z._d
+    if b:
+        rep, s = _square_free((a, b), d, bound)
+        return _make(rep[0], rep[1], 1), _make(*s)
     n = abs(a) * d
-    sf = prod(p for p, e in _factor_int(n).items() if e % 2)
+    primes, m = _trial_divide(n, bound) if bound else (_factor_int(n), 1)
+    sf = prod(p for p, e in primes.items() if e % 2) * (1 if isqrt(m) ** 2 == m else m)
     return _make(sf if a > 0 else -sf, 0, 1), _reduced(isqrt(n // sf), 0, d)
+
+
+def square_free_part(z: GaussianRational):
+    """(rep, s) with z = rep * s^2 and rep a small square-free representative, by full factoring.
+
+    Real inputs keep a real signed representative (so real signatures
+    survive); others get a square-free Gaussian integer with the unit class
+    fixed up so that z / rep is an exact square.
+    """
+    return _square_split(z, None)
+
+
+def square_part(z: GaussianRational):
+    """(rep, s) with z = rep * s^2, stripping only the squares of primes below 2^16.
+
+    The congruence's size reduction, which needs a small rep, not the
+    square class.  It gives :func:`square_free_part`'s result when the
+    cofactor left is a square, or a product of distinct rational primes
+    times at most one Gaussian prime; otherwise rep keeps the cofactor.
+    """
+    return _square_split(z, 1 << 16)
 
 
 def square_free_part_zi(z: GaussianRational):

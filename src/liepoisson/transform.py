@@ -47,7 +47,7 @@ from typing import List, Optional, Tuple
 
 from .extension import ExtensionTensor, TensorError
 from .linalg import BasisChange, ExactMatrix
-from .scalars import GaussianRational, ONE, ZERO, sqrt_gaussian, square_free_part
+from .scalars import GaussianRational, ONE, ZERO, sqrt_gaussian, square_free_part, square_part
 
 __all__ = [
     "BasisChange",
@@ -371,20 +371,21 @@ def _normalize_diagonal(diag: List[GaussianRational]) -> Optional[Tuple[List[Gau
 def congruence_normalize(block: ExactMatrix):
     """Congruence C with C^T block C = c * diag(signs), entries in {0,+1,-1}.
 
-    Diagonalizes by symmetric elimination, then repairs square-class
-    mismatches among the diagonal entries: the congruence move on a zero-
-    coupled pair (d_i, d_j) -> (v, x^2 d_i d_j / v), with (x, y) a rational
-    point on d_i x^2 + d_j y^2 = v, walks every entry into one class tau
-    whenever the discriminant class permits it.  Finally the columns are
-    rescaled and ordered with the +1s first.  Returns (C, signs, c), or
-    None when the tail is not reachable over Q(i).
+    Diagonalizes by symmetric elimination and divides each diagonal entry
+    by the squares that :func:`square_part` finds below 2^16, then repairs
+    square-class mismatches among the entries, factoring them fully: the
+    congruence move on a zero-coupled pair (d_i, d_j) -> (v, x^2 d_i d_j / v),
+    with (x, y) a rational point on d_i x^2 + d_j y^2 = v, walks every entry
+    into one class tau whenever the discriminant class permits it.  Finally
+    the columns are rescaled and ordered with the +1s first.  Returns
+    (C, signs, c), or None when the tail is not reachable over Q(i).
     """
     cm, diag = congruence_diagonalize(block)
     k = block.rows
     cols = [list(cm.col(j)) for j in range(k)]
     for i in range(k):
         if diag[i]:
-            rep, s = square_free_part(diag[i])
+            rep, s = square_part(diag[i])
             if not s.is_one():
                 inv = ONE / s
                 cols[i] = [x * inv for x in cols[i]]

@@ -2,6 +2,7 @@ import operator
 import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from liepoisson.scalars import (
     sqrt_gaussian,
     square_free_part,
     square_free_part_zi,
+    square_part,
 )
 
 
@@ -578,3 +580,49 @@ def test_square_free_parts_match_the_fraction_versions(x, unit):
                          (square_free_part_zi, oracle.square_free_part_zi)):
             (rep, s), (rep_r, s_r) = new(w), old(w)
             assert (rep._a, rep._b, rep._d, s._a, s._b, s._d) == (rep_r._a, rep_r._b, rep_r._d, s_r._a, s_r._b, s_r._d)
+
+
+# Primes between 2^16 and 2^62, each split one as its c^2 + d^2 with c < d
+LARGE_PRIMES = {65537: (1, 256), 2**31 - 1: None, 1099511627873: (10033, 1048528), 2**61 - 1: None,
+                4611686018427387817: (1211408141, 1773182544)}
+
+
+def test_the_large_primes_split_as_listed():
+    for p, cd in LARGE_PRIMES.items():
+        assert pow(3, p - 1, p) == 1 and (p % 4 == 1) == (cd is not None)
+        if cd:
+            assert cd[0] < cd[1] and cd[0] ** 2 + cd[1] ** 2 == p
+
+
+def _factor_knowing_the_large_primes(n):
+    out = {}
+    for p in LARGE_PRIMES:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    return {**out, **_factor_int(n)}
+
+
+def full_square_free_part(z):
+    """The oracle's square-free part, with the large primes' factoring and splitting looked up, not searched."""
+    split = oracle._gaussian_prime_over
+    with patch.object(oracle, "_factor_int", _factor_knowing_the_large_primes), \
+            patch.object(oracle, "_gaussian_prime_over", lambda p: gr(*LARGE_PRIMES[p]) if p > 2**16 else split(p)):
+        return oracle.square_free_part(z)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(x=_pairs(2 ** 3), q=st.sampled_from(sorted(LARGE_PRIMES)), r=st.sampled_from(sorted(LARGE_PRIMES)))
+def test_square_part_is_the_square_free_part_unless_a_large_prime_repeats(x, q, r):
+    # every prime of the norm of (re + im*i) d lies below 2^16, so the bounded trial division leaves
+    # exactly q, q^2, q r, q^3, q^2 r or a Gaussian prime over q unfactored: a square goes into s, any
+    # other cofactor joins rep
+    z = gr(*x)
+    c, d = LARGE_PRIMES[q] or (0, 0)
+    over_q = (z * I * gr(c, d), z * gr(c, -d)) if c else ()
+    for w in (z, z * q, z * I * q, z * q * q, z * q * r, *over_q):
+        (rep, s), (rep_r, s_r) = square_part(w), full_square_free_part(w)
+        assert (rep._a, rep._b, rep._d, s._a, s._b, s._d) == (rep_r._a, rep_r._b, rep_r._d, s_r._a, s_r._b, s_r._d)
+    for w in (z * q ** 3, z * q * q * r):
+        rep, s = square_part(w)
+        assert rep * s * s == w
