@@ -227,15 +227,16 @@ class _Reduction:
 
 
 def _require_single_block(t: ExtensionTensor) -> None:
-    for nu in range(t.n):
-        diag = t.slice_diagonal(nu)
-        if any(d != diag[0] for d in diag):
-            raise NotSingleBlock(
-                "tensor has blocks with distinct eigenvalues; split it first"
-            )
-    for nu in range(1, t.n):
-        if t.slice_diagonal(nu)[0]:
-            raise NotSingleBlock("slice past the first has a nonzero eigenvalue")
+    """Refuse a lower-triangular tensor unless every slice diagonal is constant.
+
+    Row (lam, lam) stores W_lam^{lam nu} for every nu, entry lam of the
+    diagonal of W^(nu), so the diagonals are all constant exactly when these
+    rows are equal.  No slice past the first can then have a nonzero
+    eigenvalue: W_0^{0 nu} = W_0^{nu 0} lies in the empty row (0, nu).
+    """
+    first = t.nz[0][0]
+    if any(plane[lam] != first for lam, plane in enumerate(t.nz)):
+        raise NotSingleBlock("tensor has blocks with distinct eigenvalues; split it first")
 
 
 def _match_catalog(nz: tuple, order: int) -> str:
@@ -254,7 +255,7 @@ def _lift(m: ExactMatrix) -> ExactMatrix:
 
 def _perm_columns(n: int, cols: Sequence[int]) -> ExactMatrix:
     """Matrix whose new basis vectors are the old ones listed in ``cols``."""
-    return ExactMatrix._of(n, n, [[ONE if cols[j] == i else ZERO for j in range(n)] for i in range(n)])
+    return ExactMatrix._of(n, n, [{cols.index(i): ONE} for i in range(n)])
 
 
 def _classify_solvable(t: ExtensionTensor, r: _Reduction) -> ExtensionTensor:
@@ -283,21 +284,21 @@ def _tail_head_supported(t: ExtensionTensor) -> bool:
     return all(nu < 2 for lam in (2, 3) for row in t.nz[lam] for nu in row)
 
 
-def _product(t: ExtensionTensor, x: Sequence[GaussianRational], y: Sequence[GaussianRational]) -> List[GaussianRational]:
-    """x * y = sum W_lam^{mu nu} x_mu y_nu over the nonzeros of W; shorter vectors fill the leading slots."""
-    out = [ZERO] * t.n
+def _product(t: ExtensionTensor, x: Dict[int, GaussianRational], y: Dict[int, GaussianRational]) -> Dict[int, GaussianRational]:
+    """x * y = sum W_lam^{mu nu} x_mu y_nu over the nonzeros of W, x and y, all stored rows {index: value}."""
+    out: Dict[int, GaussianRational] = {}
     for lam, mu, nu, c in t.nonzeros():
-        if mu < len(x) and nu < len(y):
-            out[lam] = out[lam] + c * x[mu] * y[nu]
-    return out
+        if mu in x and nu in y:
+            out[lam] = out.get(lam, ZERO) + c * x[mu] * y[nu]
+    return {lam: z for lam, z in out.items() if z}
 
 
-def _rank1_decompose(g: ExactMatrix) -> Tuple[GaussianRational, GaussianRational]:
-    """w with g proportional to w w^T, for a rank-one symmetric 2x2 form."""
-    if g[0, 0]:
-        return g[0, 0], g[0, 1]
-    if g[1, 1]:
-        return g[0, 1], g[1, 1]
+def _rank1_decompose(g: ExactMatrix) -> Dict[int, GaussianRational]:
+    """w with g proportional to w w^T, for a rank-one symmetric 2x2 form: a row of g with its
+    diagonal entry, (g00, g01) or (g10, g11) = (g01, g11), as it is stored."""
+    for i, row in enumerate(g.nz):
+        if i in row:
+            return row
     raise ClassificationError("internal error: form is not rank one")
 
 
@@ -333,26 +334,24 @@ def _pencil_reduce(t: ExtensionTensor, r: _Reduction) -> Tuple[ExtensionTensor, 
     g1 = a.scale(s1) + b.scale(t1)
     if double:
         w1 = _rank1_decompose(g1)
-        kern = (-w1[1], w1[0])
-        y0 = (ONE, ZERO) if w1[0] else (ZERO, ONE)
+        kern = {1 - j: -x if j else x for j, x in w1.items()}  # (-w1[1], w1[0])
+        y0 = {0: ONE} if 0 in w1 else {1: ONE}
         f2 = _product(t, y0, y0)
         f3 = _product(t, y0, kern)
-        if all(not x for x in f3) or any(_product(t, kern, kern)):
+        if not f3 or _product(t, kern, kern):
             raise ClassificationError("internal error: double-root pencil structure")
-        cols = [[*y0, ZERO, ZERO], f2, [*kern, ZERO, ZERO], f3]
+        cols = [y0, f2, kern, f3]
     else:
         g2 = a.scale(s2) + b.scale(t2)
         # y0, y1 are the columns of [w1; w2]^-1, the rows of its transpose
-        p = inverse(ExactMatrix._of(2, 2, [_rank1_decompose(g1), _rank1_decompose(g2)])).transpose()
-        y0, y1 = p.row(0), p.row(1)
+        y0, y1 = inverse(ExactMatrix._of(2, 2, [_rank1_decompose(g1), _rank1_decompose(g2)])).transpose().nz
         f2 = _product(t, y0, y0)
         f4 = _product(t, y1, y1)
-        if any(_product(t, y0, y1)):
+        if _product(t, y0, y1):
             raise ClassificationError("internal error: distinct-root pencil structure")
-        cols = [[*y0, ZERO, ZERO], f2, [*y1, ZERO, ZERO], f4]
-    move = ExactMatrix._of(4, 4, [[cols[j][i] for j in range(4)] for i in range(4)])
-    t = r.step(move)
-    return t, True
+        cols = [y0, f2, y1, f4]
+    # the move's columns are cols, the rows of its transpose
+    return r.step(ExactMatrix._of(4, 4, cols).transpose()), True
 
 
 def _proportional(b: ExactMatrix, a: ExactMatrix) -> Optional[GaussianRational]:
@@ -455,11 +454,9 @@ def _complex_pair_map(n: int, imaginary: bool) -> ExactMatrix:
     factor 2 (the textbook map's 1/sqrt(2) on slots 0 and 1, moved onto slot
     2 so that every entry is in Q(i)).
     """
-    second = [I, -I] if imaginary else [ONE, -ONE]
-    rows = [[ONE, ONE] + [ZERO] * (n - 2), second + [ZERO] * (n - 2)]
-    for i in range(2, n):
-        rows.append([ZERO] * i + [gr(2) if i == 2 else ONE] + [ZERO] * (n - i - 1))
-    return ExactMatrix._of(n, n, rows)
+    unit = I if imaginary else ONE
+    return ExactMatrix._of(n, n, [{0: ONE, 1: ONE}, {0: unit, 1: -unit}, {2: gr(2)},
+                                  *({i: ONE} for i in range(3, n))])
 
 
 def _window_congruence(t: ExtensionTensor, s: int, r: _Reduction) -> Tuple[tuple, ExtensionTensor]:
@@ -488,12 +485,7 @@ def _stage4_leading_abelian(t: ExtensionTensor, r: _Reduction) -> ExtensionTenso
     if pattern == (1, 1, -1):
         # congruence with m^T diag(1,1,-1) m = the (0,2)+(1,1) normal tail
         half = gr(1) / gr(2)
-        return r.step(ExactMatrix._of(4, 4, [
-            [ONE, ZERO, half, ZERO],
-            [ZERO, ONE, ZERO, ZERO],
-            [ONE, ZERO, -half, ZERO],
-            [ZERO, ZERO, ZERO, ONE],
-        ]))
+        return r.step(ExactMatrix._of(4, 4, [{0: ONE, 2: half}, {1: ONE}, {0: ONE, 2: -half}, {3: ONE}]))
     if pattern in ((1, 1, 0), (1, -1, 0)):
         t = r.step(_perm_columns(n, [0, 1, 3, 2]))
         return r.step(_complex_pair_map(n, imaginary=(pattern == (1, 1, 0))))
@@ -535,12 +527,7 @@ def _stage4_leading_case3(t: ExtensionTensor, r: _Reduction) -> ExtensionTensor:
     if b:
         if d:
             # joins case 3b: x1 = -d u0 + b u2 and x3 = u2 have inert squares
-            return r.step(ExactMatrix._of(4, 4, [
-                [-d, ZERO, ZERO, ZERO],
-                [ZERO, d * d, ZERO, ZERO],
-                [b, ZERO, ONE, ZERO],
-                [ZERO, -d * b * b, ZERO, d],
-            ]))
+            return r.step(ExactMatrix._of(4, 4, [{0: -d}, {1: d * d}, {0: b, 2: ONE}, {1: -d * b * b, 3: d}]))
         return r.step(ExactMatrix.diagonal([ONE, ONE, ONE, b]))
     if d:
         return r.step(ExactMatrix.diagonal([ONE, ONE, ONE, d]))
@@ -595,7 +582,7 @@ def fingerprint(t: ExtensionTensor) -> dict:
 def derived_series_dims(t: ExtensionTensor) -> List[int]:
     """Dimensions of span{x * y : x, y in D_k}, a basis-free invariant."""
     n = t.n
-    span = [ExactMatrix.identity(n).row(i) for i in range(n)]
+    span = ExactMatrix.identity(n).nz
     dims: List[int] = []
     while True:
         # D_{k+1} is spanned by the nonzero rows of the RREF of all products of D_k's basis
@@ -603,7 +590,7 @@ def derived_series_dims(t: ExtensionTensor) -> List[int]:
         dims.append(len(pivots))
         if not pivots or (len(dims) >= 2 and dims[-1] == dims[-2]):
             break
-        span = [reduced.row(i) for i in range(len(pivots))]
+        span = reduced.nz[:len(pivots)]
     return dims
 
 

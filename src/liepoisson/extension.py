@@ -176,10 +176,7 @@ class ExtensionTensor:
 
     def slice_is_identity(self, nu: int) -> bool:
         """Whether W^(nu) is the identity matrix."""
-        return all(
-            row.get(nu, ZERO) == ONE if lam == mu else nu not in row
-            for lam, plane in enumerate(self.nz) for mu, row in enumerate(plane)
-        )
+        return self.slice_upper(nu).is_identity()
 
     def is_lower_triangular(self) -> bool:
         return not any(any(plane[lam + 1:]) for lam, plane in enumerate(self.nz))

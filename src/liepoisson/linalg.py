@@ -29,12 +29,14 @@ kinds are applied without it.
 
 Only the public constructors coerce: ``ExactMatrix(rows, cols, entries)``,
 ``from_rows`` and ``diagonal`` accept ints, ``Fraction`` values
-and scalar strings.  Every matrix computed here or elsewhere in the package
-(arithmetic, ``transpose``, ``submatrix``, ``identity``, ``rref``,
-``inverse``, tensor slices, basis changes, ...) already holds
-:class:`GaussianRational` entries and goes through the trusted
-``ExactMatrix._of``, which takes dense rows of scalars (dropping their
-zeros) or ``{column: value}`` rows (kept as they are) and checks nothing.
+and scalar strings, and build the stored rows from the coerced entries.
+Every matrix computed here or elsewhere in the package (arithmetic,
+``transpose``, ``submatrix``, ``identity``, ``rref``, ``inverse``, tensor
+slices, basis changes, the classifier's moves, ...) goes through the
+trusted ``ExactMatrix._of``, which takes only stored rows, ``{column:
+value}`` dicts of :class:`GaussianRational` values holding no zero, keeps
+them as they are and checks nothing: equality, ``is_identity`` and
+``transform.apply`` read those rows as they are.
 
 Commuting families of matrices have one higher operation,
 :func:`simultaneous_triangularize`: an invertible M, returned as a
@@ -105,7 +107,8 @@ class ExactMatrix:
         entries = [as_scalar(x) for x in entries]
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        _init(self, rows, cols, [entries[i * cols:(i + 1) * cols] for i in range(rows)])
+        _init(self, rows, cols, [{j: x for j, x in enumerate(entries[i * cols:(i + 1) * cols]) if x}
+                                 for i in range(rows)])
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -114,8 +117,8 @@ class ExactMatrix:
 
     @staticmethod
     def _of(rows: int, cols: int, data: Iterable) -> "ExactMatrix":
-        """Trusted constructor: ``rows`` rows of scalars, each a dense sequence of ``cols`` values
-        or a ``{column: value}`` dict holding no zero, which the matrix keeps as it is."""
+        """Trusted constructor: ``rows`` stored rows, each a ``{column: value}`` dict of scalars
+        holding no zero, which the matrix keeps as it is."""
         return _init(object.__new__(ExactMatrix), rows, cols, data)
 
     @staticmethod
@@ -252,11 +255,10 @@ class ExactMatrix:
 
 
 def _init(m: ExactMatrix, rows: int, cols: int, data: Iterable) -> ExactMatrix:
-    """Fill the slots of ``m``: dense rows lose their zeros, dict rows are kept."""
-    nz = tuple(r if type(r) is dict else {j: x for j, x in enumerate(r) if x} for r in data)
+    """Fill the slots of ``m``, keeping the stored rows ``data`` as they are."""
     object.__setattr__(m, "rows", rows)
     object.__setattr__(m, "cols", cols)
-    object.__setattr__(m, "nz", nz)
+    object.__setattr__(m, "nz", tuple(data))
     return m
 
 

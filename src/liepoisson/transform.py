@@ -294,7 +294,7 @@ def congruence_diagonalize(w: ExactMatrix) -> Tuple[ExactMatrix, List[GaussianRa
     if not w.is_symmetric():
         raise TransformError("congruence reduction needs a symmetric matrix")
     k = w.rows
-    a = [[w[i, j] for j in range(k)] for i in range(k)]
+    a = [list(w.row(i)) for i in range(k)]
     c = [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
 
     def col_op(i, j, f):
@@ -331,7 +331,7 @@ def congruence_diagonalize(w: ExactMatrix) -> Tuple[ExactMatrix, List[GaussianRa
         for i in range(p + 1, k):
             if a[i][p]:
                 col_op(i, p, -a[i][p] / a[p][p])
-    cm = ExactMatrix._of(k, k, c)
+    cm = ExactMatrix._of(k, k, [{j: x for j, x in enumerate(row) if x} for row in c])
     diag = [a[i][i] for i in range(k)]
     return cm, diag
 
@@ -400,7 +400,8 @@ def congruence_normalize(block: ExactMatrix):
         norm = _normalize_diagonal(diag)
     ts, signs, c = norm
     order = sorted(range(k), key=lambda j: (signs[j] != 1, signs[j] != -1))
-    final = ExactMatrix._of(k, k, [[cols[j][r] * ts[j] for j in order] for r in range(k)])
+    final = ExactMatrix._of(k, k, [{pos: cols[j][r] * ts[j] for pos, j in enumerate(order) if cols[j][r]}
+                                   for r in range(k)])
     return final, [signs[j] for j in order], c
 
 

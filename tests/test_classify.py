@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import cpu_seconds_at_most, dense_unimodular
 from liepoisson.classify import (
@@ -26,6 +27,7 @@ from liepoisson.extension import (
     direct_sum,
     from_lower_slices,
     leibniz,
+    pure_semidirect,
     strip_semisimple,
     validate,
 )
@@ -181,9 +183,50 @@ def test_classify_order_too_high():
 
 def test_classify_multi_block_rejected():
     t = validate([[[1]]])  # bare base bracket, eigenvalue 1 on a 1x1 block
-    two = direct_sum(t, abelian(1))
-    with pytest.raises(NotSingleBlock):
-        classify(two)
+    # in the second order W_1^{11} = 1 is the only entry: slice 0's diagonal is constant, slice 1's varies
+    assert direct_sum(abelian(1), t).slice_diagonal(0) == [ZERO, ZERO]
+    for two in (direct_sum(t, abelian(1)), direct_sum(abelian(1), t)):
+        assert per_slice_refusal(two)
+        with pytest.raises(NotSingleBlock, match="distinct eigenvalues; split it first"):
+            classify(two)
+
+
+def per_slice_refusal(t):
+    """The per-slice definition of one block on a lower-triangular tensor, the oracle of
+    ``_require_single_block``: some slice diagonal is not constant, or a slice past the first
+    has a nonzero eigenvalue."""
+    diagonals = [t.slice_diagonal(nu) for nu in range(t.n)]
+    return any(x != d[0] for d in diagonals for x in d) or any(d[0] for d in diagonals[1:])
+
+
+SOLVABLE_BLOCKS = [entry for order in (1, 2, 3, 4) for _, entry in catalog(order).entries]
+SINGLE_BLOCKS = [*SOLVABLE_BLOCKS, pure_semidirect(0), *(append_semisimple(b) for b in SOLVABLE_BLOCKS if b.n < 4)]
+
+
+@st.composite
+def lower_triangular_tensors(draw):
+    """Catalog entries, their semidirect forms and direct sums of two of them (so blocks with
+    different eigenvalues), each moved or not by a lower-triangular change with a nonzero
+    diagonal, which keeps every slice lower-triangular and may rescale an eigenvalue."""
+    blocks = draw(st.lists(st.sampled_from(SINGLE_BLOCKS), min_size=1, max_size=2))
+    t = blocks[0] if len(blocks) == 1 else direct_sum(*blocks)
+    if t.n <= 6 and draw(st.booleans()):
+        entry = st.sampled_from([0, 0, 1, -1, 2])
+        rows = [[draw(st.sampled_from([1, 2, -1, I])) if i == j else draw(entry) if j < i else 0 for j in range(t.n)]
+                for i in range(t.n)]
+        t = apply(t, BasisChange(M(rows)))
+    return t
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(lower_triangular_tensors())
+def test_single_block_check_refuses_exactly_when_the_per_slice_one_does(t):
+    assert t.is_lower_triangular()
+    if per_slice_refusal(t):
+        with pytest.raises(NotSingleBlock, match="^tensor has blocks with distinct eigenvalues; split it first$"):
+            classify_mod._require_single_block(t)
+    else:
+        classify_mod._require_single_block(t)
 
 
 def random_transform(rng, n):

@@ -1,11 +1,13 @@
+import importlib
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import diagonal_values, is_hermitian, last_column_scaled
+from helpers import dense_unimodular, diagonal_values, is_hermitian, last_column_scaled
 from liepoisson.linalg import (
     _kernel_flag,
     _kernel_vectors,
@@ -26,8 +28,9 @@ from liepoisson.linalg import (
     rref,
     simultaneous_triangularize,
 )
-from liepoisson.classify import catalog
+from liepoisson.classify import catalog, classify
 from liepoisson.extension import append_semisimple, crmhd, leibniz
+from liepoisson.transform import apply, congruence_diagonalize
 from liepoisson.scalars import Fraction as F, GaussianRational, I, ONE, ZERO, as_scalar, gr
 
 M = ExactMatrix.from_rows
@@ -1144,3 +1147,92 @@ def test_sums_of_two_shapes_raise():
             x + y
         with pytest.raises(ValueError, match="shape mismatch"):
             x - y
+
+
+# -- the stored-row contract: every matrix holds {column: value} rows with no zero ------------
+
+classify_mod = importlib.import_module("liepoisson.classify")
+
+
+def assert_stored(m):
+    """Every row of ``m`` is a ``{column: value}`` dict of in-range columns holding no zero.
+
+    ``ExactMatrix._of`` keeps its rows as given, and ``is_identity``, ``__eq__`` and
+    ``transform.apply`` compare and read them as they are, so a dense row or a stored zero
+    would go unseen there.
+    """
+    assert len(m.nz) == m.rows
+    for row in m.nz:
+        assert type(row) is dict and all(x and 0 <= j < m.cols for j, x in row.items()), row
+
+
+def test_the_trusted_constructor_keeps_the_rows_it_is_given():
+    rows = [{1: ONE}, {}, {0: I, 2: -ONE}]
+    m = ExactMatrix._of(3, 3, rows)
+    assert len(m.nz) == 3 and all(kept is given for kept, given in zip(m.nz, rows))
+    # the public constructor builds the stored rows of its coerced entries, zeros dropped
+    public = ExactMatrix(2, 3, [0, 1, "0", Fraction(0), 0, "2i"])
+    assert public.nz == ({1: ONE}, {2: gr(0, 2)})
+    assert_stored(public)
+
+
+def test_classify_builds_every_move_from_stored_rows(monkeypatch):
+    """Over seeded catalog orbits, solvable and semidirect, moved by dense changes, every witness
+    step and its inverse hold stored rows, and so do the moves of each builder on the way: the
+    kernel flag, the congruence, the permutations and the complex-pair maps; the head pencil
+    finishes with its own move on some inputs."""
+    ran = Counter()
+
+    def checking(name, f):
+        def wrapper(*args, **kwargs):
+            out = f(*args, **kwargs)
+            ran[name] += 1
+            if name == "_pencil_reduce":
+                ran["pencil move"] += out[1]
+            elif isinstance(out, ExactMatrix):
+                assert_stored(out)
+            elif out is not None:
+                assert_stored(out[0])
+            return out
+
+        return wrapper
+
+    for name in ("_kernel_flag", "_pencil_reduce", "congruence_move", "_perm_columns", "_complex_pair_map"):
+        monkeypatch.setattr(classify_mod, name, checking(name, getattr(classify_mod, name)))
+    rng = random.Random(39)
+    steps = 0
+    for order in (2, 3, 4):
+        for _, entry in catalog(order).entries:
+            for t in (entry, append_semisimple(entry)):
+                moves = [dense_unimodular(t.n)]
+                while len(moves) < 2:
+                    m = M([[rng.randint(-2, 2) for _ in range(t.n)] for _ in range(t.n)])
+                    if rank(m) == t.n:
+                        moves.append(BasisChange(m))
+                for b in moves:
+                    _, chain = classify(apply(t, b))
+                    for step in chain:
+                        assert_stored(step.m)
+                        assert_stored(step.m_inv)
+                    steps += len(chain)
+    assert steps and all(ran[name] for name in (
+        "_kernel_flag", "pencil move", "congruence_move", "_perm_columns", "_complex_pair_map")), ran
+
+
+def test_permutations_pair_maps_and_congruences_are_stored_rows():
+    assert classify_mod._perm_columns(4, [0, 3, 2, 1]) == M(
+        [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]])
+    assert classify_mod._perm_columns(3, [2, 0, 1]) == M([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    for n in (3, 4):
+        tail = [[int(i == j) * (2 if i == 2 else 1) for j in range(n)] for i in range(2, n)]
+        pad = [0] * (n - 2)
+        assert classify_mod._complex_pair_map(n, True) == M([[1, 1, *pad], [I, -I, *pad], *tail])
+        assert classify_mod._complex_pair_map(n, False) == M([[1, 1, *pad], [1, -1, *pad], *tail])
+    rng = random.Random(391)
+    for _ in range(30):
+        k = rng.randint(1, 4)
+        a = M([[gr(rng.choice([0, 0, 1, -2, 3])) for _ in range(k)] for _ in range(k)])
+        sym = a + a.transpose()
+        c, diag = congruence_diagonalize(sym)
+        assert_stored(c)
+        assert c.transpose() @ sym @ c == ExactMatrix.diagonal(diag)
