@@ -15,8 +15,11 @@ classifier's rescalings and conic points use: exact square roots, square-free
 parts and factorization.  The factoring is trial division: complete in
 :func:`square_free_part`, :func:`square_free_part_zi` and :func:`gaussian_factor`
 (over 2^29 steps for a prime above 2^60), stopped at 2^16 in :func:`square_part`.
+:func:`square_class_of_product` takes the class of a product from its factors,
+dividing out the integer content they share before it factors what is left,
+so a prime above 2^60 that two factors carry costs no trial division.
 Inside the module a Gaussian integer is a plain (x, y) int pair, and a scalar
-is built only where a value leaves it: those four and :func:`sqrt_gaussian`
+is built only where a value leaves it: those five and :func:`sqrt_gaussian`
 take and return scalars, while the ``_gi_*`` helpers, which
 :mod:`liepoisson.conics` shares, take and return pairs.  No ``Fraction`` is
 built on the way.  Nearest-integer division rounds each part of a/b half to
@@ -543,6 +546,27 @@ def square_part(z: GaussianRational):
     times at most one Gaussian prime; otherwise rep keeps the cofactor.
     """
     return _square_split(z, 1 << 16)
+
+
+def square_class_of_product(factors) -> GaussianRational:
+    """``square_free_part(prod(factors))[0]``, without factoring what the factors share.
+
+    (a + b*i)/d is in the class of the Gaussian integer (a + b*i) d, so the
+    factors are folded as Gaussian integers, and before each product both
+    sides are divided by the integer content they share.  Each step
+    multiplies the product by a positive rational square, which changes
+    neither its square class nor whether it is real, and the representative
+    that :func:`square_free_part` returns depends only on those two.  So a
+    prime that two factors carry is never factored: (p i)(p i) folds to -1.
+    """
+    x, y = 1, 0
+    for z in factors:
+        u, v = z._a * z._d, z._b * z._d
+        g = gcd(x, y, u, v)
+        if g > 1:
+            x, y, u, v = x // g, y // g, u // g, v // g
+        x, y = x * u - y * v, x * v + y * u
+    return square_free_part(_make(x, y, 1))[0]
 
 
 def square_free_part_zi(z: GaussianRational):

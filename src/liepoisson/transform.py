@@ -42,12 +42,12 @@ audited.
 
 from __future__ import annotations
 
-from math import prod
 from typing import List, Optional, Tuple
 
 from .extension import ExtensionTensor, TensorError
 from .linalg import BasisChange, ExactMatrix
-from .scalars import GaussianRational, ONE, ZERO, sqrt_gaussian, square_free_part, square_part
+from .scalars import (GaussianRational, ONE, ZERO, sqrt_gaussian, square_class_of_product, square_free_part,
+                      square_part)
 
 __all__ = [
     "BasisChange",
@@ -373,8 +373,9 @@ def congruence_normalize(block: ExactMatrix):
 
     Diagonalizes by symmetric elimination and divides each diagonal entry
     by the squares that :func:`square_part` finds below 2^16, then repairs
-    square-class mismatches among the entries, factoring them fully: the
-    congruence move on a zero-coupled pair (d_i, d_j) -> (v, x^2 d_i d_j / v),
+    square-class mismatches among the entries, factoring each entry but
+    taking the class of a product from its factors (:func:`_repair_classes`):
+    the congruence move on a zero-coupled pair (d_i, d_j) -> (v, x^2 d_i d_j / v),
     with (x, y) a rational point on d_i x^2 + d_j y^2 = v, walks every entry
     into one class tau whenever the discriminant class permits it.  Finally
     the columns are rescaled and ordered with the +1s first.  Returns
@@ -436,14 +437,19 @@ def _repair_classes(cols, diag):
     class pairs are moved together into the target class (their ratio is a
     square, so the conic is a sum of two squares, which is universal over
     Q(i)).  Leftover singletons from odd groups are merged pairwise.
+
+    The discriminant's class, and a merge's target class, are those of a
+    product, taken by :func:`square_class_of_product` from the entries, so
+    a large prime that two entries share, as in (-1, p i, p i), is never
+    factored.  An even count of entries needs a square discriminant, whose
+    class is +-1.  Each entry's own class is still found by factoring it.
     """
     nonzero = [i for i, d in enumerate(diag) if d]
-    disc = prod((diag[i] for i in nonzero), start=ONE)
-    disc_rep, _ = square_free_part(disc)
+    disc_rep = square_class_of_product(diag[i] for i in nonzero)
     if len(nonzero) % 2:
         taus = [disc_rep]
     else:
-        if sqrt_gaussian(disc) is None:
+        if disc_rep not in (ONE, -ONE):
             return None
         taus = []
         for i in nonzero:
@@ -480,7 +486,7 @@ def _execute_repair(cols, diag, nonzero, tau) -> bool:
         # merge two distinct wrong classes; the partner lands in tau
         if len(wrong) >= 2:
             i, j = wrong[0], wrong[1]
-            target, _ = square_free_part(diag[i] * diag[j] * tau)
+            target = square_class_of_product((diag[i], diag[j], tau))
             if _pair_move(cols, diag, i, j, (target, -target)):
                 continue
         return False

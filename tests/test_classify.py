@@ -478,10 +478,18 @@ def test_triangularize_rejects_the_large_prime_two_block_family_at_once():
         simultaneous_triangularize(family)
 
 
-@pytest.mark.parametrize("name, scale", [("n3-case2", gr(2**61 - 1)), ("n4-case2", I * (2**61 - 1))])
+@pytest.mark.parametrize("name, scale", [
+    ("n3-case2", gr(2**61 - 1)),
+    ("n4-case2", I * (2**61 - 1)),
+    ("n4-case1b", gr(2**61 - 1)),
+    ("n4-case1b", I * (2**61 - 1)),
+    ("n4-case1b", gr(4611686018427387817)),  # a 62-bit prime p = 1 mod 4
+])
 def test_a_tail_entry_with_a_prime_above_2_60_classifies_at_once(name, scale):
     # slot 0 rescaled by a prime above 2^60: the congruence's size reduction strips only the
-    # squares of primes below 2^16, so it never factors the prime by trial division
+    # squares of primes below 2^16, and the square-class repair of n4-case1b's tail, whose two
+    # entries both carry the prime, takes the class of their product from the factors; neither
+    # factors the prime by trial division
     entry = catalog(int(name[1])).lookup(name)
     t = apply(entry, BasisChange(ExactMatrix.diagonal([scale] + [1] * (entry.n - 1))))
     with cpu_seconds_at_most(2):

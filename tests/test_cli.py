@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import dense_unimodular
+from helpers import cpu_seconds_at_most, dense_unimodular
 from liepoisson.cli import EXIT_DIMENSION, EXIT_INVALID, EXIT_OBSTRUCTION, EXIT_PARSE, EXIT_UNCLASSIFIED, main
 from liepoisson.classify import catalog
 from liepoisson.dynamics import rigid_body_tensor
@@ -120,6 +120,20 @@ def test_multi_block_with_a_large_prime_eigenvalue_exits_invalid(tmp_path):
     assert result.returncode == EXIT_UNCLASSIFIED
     assert "more than one block" in result.stdout
     assert "Traceback" not in result.stderr
+
+
+def test_a_tail_sharing_a_prime_above_2_60_is_refused_at_once(tmp_path, capsys):
+    # W_2^{00} = -2p, W_2^{11} = p with p = 2^61 - 1: the discriminant -2p^2 is in the class of -2,
+    # read off the entries without factoring p, so the tail is refused as not reachable over Q(i)
+    p = 2**61 - 1
+    w = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    w[2][0][0], w[2][1][1] = -2 * p, p
+    doc = tmp_path / "shared-prime.json"
+    doc.write_text(json.dumps(ExtensionTensor(3, w).to_json()))
+    with cpu_seconds_at_most(2):
+        code, out = run(["classify", str(doc)], capsys)
+    assert code == EXIT_UNCLASSIFIED
+    assert "tail cannot be scaled to {0,+1,-1} entries over Q(i)" in out
 
 
 def test_valid_bracket_outside_the_catalog_orbits_has_its_own_exit_code(tmp_path, capsys):

@@ -3,7 +3,7 @@
 Wall time on a shared host swings too much to gate a change on, but the
 number of calls a seeded pass makes to the package's hot functions does not
 move with the host.  ``tests/data/opcounts.json`` records, for one seeded
-pass of three benchmark workloads (inputs from ``bench/workloads.py``), the
+pass of four benchmark workloads (inputs from ``bench/workloads.py``), the
 calls cProfile counts to about eight functions each; simulate also counts
 NumPy's ``ndarray.dot`` and ``ndarray.reshape``, the built-in methods of its
 step loop.  A count that rises fails the test; one that falls passes and

@@ -5,11 +5,11 @@ from math import gcd, isqrt, lcm, prod
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 import gaussian_oracles as oracle
 from gaussian_oracles import sqrt_fraction
-from helpers import gaussian_ints
+from helpers import cpu_seconds_at_most, gaussian_ints
 from liepoisson.scalars import (
     I,
     ONE,
@@ -25,6 +25,7 @@ from liepoisson.scalars import (
     gr,
     parse_scalar,
     sqrt_gaussian,
+    square_class_of_product,
     square_free_part,
     square_free_part_zi,
     square_part,
@@ -626,3 +627,24 @@ def test_square_part_is_the_square_free_part_unless_a_large_prime_repeats(x, q, 
     for w in (z * q ** 3, z * q * q * r):
         rep, s = square_part(w)
         assert rep * s * s == w
+
+
+# no shrinking: a defect that factors a shared prime fails each example only at the CPU bound
+@settings(derandomize=True, database=None, max_examples=100, deadline=None, phases=(Phase.generate,))
+@given(xs=st.lists(_pairs(2 ** 3).filter(lambda x: x != (0, 0)), min_size=1, max_size=4),
+       q=st.sampled_from(sorted(LARGE_PRIMES)), r=st.sampled_from(sorted(LARGE_PRIMES)),
+       unit=st.sampled_from([ONE, -ONE, I, -I]))
+def test_the_square_class_of_a_product_is_taken_from_its_factors(xs, q, r, unit):
+    # the class of a product of small factors, then of the same factors with a large prime, or two, that
+    # the first and an appended last factor share, in both numerators or one denominator: what the factors
+    # share is never factored, so each is the oracle's class of the product with the primes looked up
+    fs = [gr(*x) for x in xs]
+    rep = square_class_of_product(fs)
+    assert rep == square_free_part(prod(fs, start=ONE))[0]
+    assert (rep in (ONE, -ONE)) == (sqrt_gaussian(prod(fs, start=ONE)) is not None)
+    shared = [[fs[0] * q, *fs[1:], unit * q], [fs[0] * q * r, *fs[1:], unit * q * r], [fs[0] * q, *fs[1:], unit / q]]
+    with cpu_seconds_at_most(0.5):
+        reps = [square_class_of_product(gs) for gs in shared]
+    for gs, rep in zip(shared, reps):
+        assert rep == full_square_free_part(prod(gs, start=ONE))[0]
+        assert (rep in (ONE, -ONE)) == (sqrt_gaussian(prod(gs, start=ONE)) is not None)
