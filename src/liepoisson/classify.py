@@ -1,17 +1,18 @@
 """Normal-form classification of extension tensors up to order four.
 
-The pipeline follows the reduction that produces the catalog: triangularize
-the commuting slice family, check the tensor is a single degenerate block,
-split off the semisimple slot if the leading eigenvalue is nonzero (scaling
-it to one and normalizing the first slice to the identity), then reduce the
-solvable part stage by stage.  Stage m normalizes slice m given a leading
-part already in normal form, by removing coboundaries, rescaling, reducing
-terminal cocycles by congruence, and applying the fixed inter-case maps
-(some complex).  Classification is one pass: every move is an explicit
+The pipeline follows the reduction that produces the catalog.  The paper's
+semisimple slot, whose slice is the identity, is the unit of the product
+e_mu e_nu = sum_lam W_lam^{mu nu} e_lam, so a semidirect input is first
+moved by its unit split and the slot is stripped.  Every tensor, stripped or
+not, is then triangularized by the kernel flag, checked to be solvable (one
+block) and reduced stage by stage.  Stage m normalizes slice m given a
+leading part already in normal form, by removing coboundaries, rescaling,
+reducing terminal cocycles by congruence, and applying the fixed inter-case
+maps (some complex).  Classification is one pass: every move is an explicit
 invertible matrix, recorded as a witness step and applied once to the input
 (lifted to diag(1, m) past the semisimple slot), so the running tensor is
-the input moved by the chain; :class:`_Reduction` drops an identity move,
-so no step of a chain is the identity.  The running tensor is compared
+the input moved by the chain; :class:`_Reduction` drops an identity move, so
+no step of a chain is the identity.  The running tensor is compared
 bit-exactly with the catalog normal form before classify returns the case
 label and the witness chain.
 
@@ -60,11 +61,14 @@ class OrderTooHigh(ClassificationError):
 
 
 class NotSingleBlock(ClassificationError):
-    """Input splits into blocks with distinct eigenvalues (the kernel flag stalls).
+    """Input splits into blocks with distinct eigenvalues (no unit split, or the kernel flag stalls).
 
     Classification labels a single degenerate block; inputs with more than
     one block are out of scope and raise this error.
     """
+
+
+_DISTINCT_BLOCKS = "tensor has more than one block, with distinct eigenvalues; split it first"
 
 
 # The records of this module are namedtuples: read-only fields and equality
@@ -158,8 +162,9 @@ def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
     reduction ends on is the input moved by the chain; it must equal the
     normal form (for semidirect inputs, the normal form with the identity
     slice appended) bit-exactly, which is checked before returning.
-    Triangularizing is one kernel flag, with no eigenvalue search; a stalled
-    flag means more than one block and raises :class:`NotSingleBlock`.
+    A semidirect input is split at its unit first, so the kernel flag sees
+    only traceless tensors and searches no eigenvalue; no unit split, a
+    stalled flag or an unsolvable result raises :class:`NotSingleBlock`.
 
     A tensor in hand is certified and is not checked again; a raw array goes
     through :func:`validate` first.
@@ -167,6 +172,12 @@ def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
     if not isinstance(t, ExtensionTensor):
         t = validate(t)
     r = _Reduction(t)
+    if t.semidirect:
+        if t.n == 1:
+            raise ClassificationError(
+                "bare base bracket: the semisimple slot has no solvable part to classify"
+            )
+        t = r.split_semisimple(normalize_w0_to_identity(t))
     if not t.is_lower_triangular():
         m = _kernel_flag(t.slices_upper(), t.n)
         if m is None:
@@ -175,15 +186,8 @@ def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
         # each new slice is a combination of the M^-1 W^(nu) M
         if not t.is_lower_triangular():
             raise ClassificationError("internal error: triangularization postcondition failed")
-    _require_single_block(t)
-    # a single block has a nonzero trace only in slice 0, where it is n times the eigenvalue
-    if t.semidirect:
-        if t.n == 1:
-            raise ClassificationError(
-                "bare base bracket: the semisimple slot has no solvable part to classify"
-            )
-        r.step(normalize_w0_to_identity(t))
-        t = r.split_semisimple()
+    if not t.is_solvable():
+        raise NotSingleBlock(_DISTINCT_BLOCKS)
     normal = _classify_solvable(t, r)
     label = CaseLabel(normal.n, _match_catalog(normal.nz, normal.n), r.split)
     expected = append_semisimple(normal) if r.split else normal
@@ -195,12 +199,13 @@ def classify(t: ExtensionTensor) -> Tuple[CaseLabel, List[BasisChange]]:
 class _Reduction:
     """The input in its own coordinates and the witness steps applied to it.
 
-    Every move of the reduction, the W^(0) normalization included, enters
+    Every move of the reduction, the unit split included, enters
     through :meth:`step`, which applies it to ``full`` once, so ``full`` is
     the input moved by ``chain``; an identity move builds no
     :class:`BasisChange` and is neither recorded nor applied, and this is
-    the one place that tests for it.  Past a split-off semisimple slot, a
-    move m of the solvable part is recorded as diag(1, m).
+    the one place that tests for it.  :meth:`split_semisimple` steps the
+    unit split and checks that it leaves one block; past the split-off
+    semisimple slot, a move m of the solvable part is recorded as diag(1, m).
     """
 
     def __init__(self, t: ExtensionTensor):
@@ -218,25 +223,18 @@ class _Reduction:
             self.full = apply(self.full, b)
         return self.part()
 
-    def split_semisimple(self) -> ExtensionTensor:
-        """Lift the later moves past slot 0, where W^(0) = I by now; return the solvable part."""
-        if not self.full.slice_is_identity(0):
-            raise ClassificationError("internal error: W^(0) normalization did not reach the identity")
+    def split_semisimple(self, m: Optional[ExactMatrix]) -> ExtensionTensor:
+        """Step the unit split m, lift later moves past slot 0 and return the solvable part.
+
+        Unless m exists, W^(0) = I after it and the rows (0, mu >= 1) are empty
+        (the traceless kernel is an ideal), the tensor is more than one block.
+        """
+        if m is not None:
+            self.step(m)
+        if m is None or not self.full.slice_is_identity(0) or any(self.full.nz[0][1:]):
+            raise NotSingleBlock(_DISTINCT_BLOCKS)
         self.split = True
         return self.part()
-
-
-def _require_single_block(t: ExtensionTensor) -> None:
-    """Refuse a lower-triangular tensor unless every slice diagonal is constant.
-
-    Row (lam, lam) stores W_lam^{lam nu} for every nu, entry lam of the
-    diagonal of W^(nu), so the diagonals are all constant exactly when these
-    rows are equal.  No slice past the first can then have a nonzero
-    eigenvalue: W_0^{0 nu} = W_0^{nu 0} lies in the empty row (0, nu).
-    """
-    first = t.nz[0][0]
-    if any(plane[lam] != first for lam, plane in enumerate(t.nz)):
-        raise NotSingleBlock("tensor has blocks with distinct eigenvalues; split it first")
 
 
 def _match_catalog(nz: tuple, order: int) -> str:
@@ -262,8 +260,6 @@ def _classify_solvable(t: ExtensionTensor, r: _Reduction) -> ExtensionTensor:
     n = t.n
     if n > 4:
         raise OrderTooHigh(n)
-    if not t.is_solvable():
-        raise ClassificationError("internal error: expected a solvable tensor")
     if n < 4:
         for stage in range(2, n + 1):
             t = _stage(t, stage, r)

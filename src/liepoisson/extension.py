@@ -130,12 +130,16 @@ class ExtensionTensor:
         """Whether a slice W^(nu) has a nonzero trace sum_lam W_lam^{lam nu}: basis-free, since the traces
         move by M^T, and on a single block a nonzero eigenvalue, the paper's semisimple slot."""
         if self._semidirect is None:
-            traces = [ZERO] * self.n
-            for lam, plane in enumerate(self.nz):
-                for nu, x in plane[lam].items():
-                    traces[nu] += x
-            object.__setattr__(self, "_semidirect", any(traces))
+            object.__setattr__(self, "_semidirect", any(self.slice_traces()))
         return self._semidirect
+
+    def slice_traces(self) -> List[GaussianRational]:
+        """tr W^(nu) = sum_lam W_lam^{lam nu} for each nu, read off the rows (lam, lam)."""
+        traces = [ZERO] * self.n
+        for lam, plane in enumerate(self.nz):
+            for nu, x in plane[lam].items():
+                traces[nu] += x
+        return traces
 
     @property
     def w(self) -> Tuple:
@@ -395,7 +399,7 @@ def strip_semisimple(a: ExtensionTensor) -> ExtensionTensor:
     """The solvable part of a semidirect tensor (drop slot 0).
 
     Slot 0 must be decoupled: W_0^{mu nu} = 0 for mu, nu >= 1, as for every
-    lower-triangular tensor, for instance after the move of
+    lower-triangular tensor, and as ``classify`` checks after the unit split of
     ``transform.normalize_w0_to_identity``.  Then row 0 of each slice W^(nu)
     with nu >= 1 vanishes, so the trailing block of W^(nu) W^(sigma) is
     S^(nu) S^(sigma) and the dropped slices commute because the full ones

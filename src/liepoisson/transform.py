@@ -22,10 +22,10 @@ it sit two normalizations, each of which returns the matrix of its move
 and leaves applying it to the caller:
 
 * :func:`normalize_w0_to_identity` drives the first slice matrix to the
-  identity by a scalar rescale followed by unit-lower-triangular moves that
-  clear the entries W_lam^{00} one row at a time; the Jacobi identity then
-  forces the whole slice to be the identity.  The moves are read off the
-  input and composed into one matrix.
+  identity by the unit split M = [u | basis of ker phi]: u is the unit of
+  the product the tensor defines, a finite Neumann sum, and phi(x) = tr L_x
+  is the row of slice traces, whose kernel needs no row reduction.  It
+  takes a tensor in any basis, and returns None when it has no single block.
 * :func:`congruence_move` diagonalizes the leading block of a slice by exact
   symmetric congruence and rescales its entries to {0, +1, -1}, ordered with
   the +1s first.  Entries in different square classes are first moved into
@@ -42,18 +42,16 @@ audited.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .extension import ExtensionTensor, TensorError
 from .linalg import BasisChange, ExactMatrix
-from .scalars import (GaussianRational, ONE, ZERO, sqrt_gaussian, square_class_of_product, square_free_part,
+from .scalars import (GaussianRational, ONE, ZERO, gr, sqrt_gaussian, square_class_of_product, square_free_part,
                       square_part)
 
 __all__ = [
     "BasisChange",
     "TransformError",
-    "NotTriangular",
-    "DegenerateEigenvalueMismatch",
     "apply",
     "normalize_w0_to_identity",
     "congruence_move",
@@ -62,14 +60,6 @@ __all__ = [
 
 
 class TransformError(TensorError):
-    pass
-
-
-class NotTriangular(TransformError):
-    pass
-
-
-class DegenerateEigenvalueMismatch(TransformError):
     pass
 
 
@@ -239,44 +229,46 @@ def apply_chain(t: ExtensionTensor, chain: List[BasisChange]) -> ExtensionTensor
 
 
 # ---------------------------------------------------------------------------
-# W^(0) -> identity  (semidirect normalization)
+# W^(0) -> identity: the unit split of a semidirect tensor
 # ---------------------------------------------------------------------------
 
-def normalize_w0_to_identity(t: ExtensionTensor) -> ExactMatrix:
-    """The move that makes the first slice matrix exactly the identity.
+def normalize_w0_to_identity(t: ExtensionTensor) -> Optional[ExactMatrix]:
+    """The unit split M = [u | basis of ker phi], which makes W^(0) the identity, or None.
 
-    Requires a lower-triangular tensor whose first slice has a single
-    nonzero eigenvalue (read off the diagonal).  The eigenvalue is scaled to
-    one, then unit-lower-triangular moves clear W_lam^{00} for lam > 0 in
-    increasing order; the induction from the Jacobi identity then gives
-    W^(0) = I exactly.
-
-    The moves are composed into one matrix.  The scale c = 1/ev and the
-    shears I - a_k e_k e_0^T compose to P = c (I - sum_k a_k e_k e_0^T),
-    and row lam of P^-1 is e_lam / c until a_lam is chosen, so the tensor
-    moved by the moves so far has W_lam^{00} = c W_lam(u, u), with u the
-    column e_0 - sum_{k<lam} a_k e_k.  Each a_lam is read off the input that
-    way, and P is returned; it is the identity when W^(0) already is.
+    u is the unit of the product e_mu e_nu = sum_lam W_lam^{mu nu} e_lam and
+    phi(x) = tr L_x the row of slice traces; the tensor may be in any basis.
+    With p the first index where phi_p != 0 and e = phi_p / n, a single block
+    has W^(p) = e (I + N), N nilpotent, so u = (1/e) sum_k (-N)^k e_p is a
+    finite sum; the other columns e_f - (phi_f / phi_p) e_p, f != p, span
+    ker phi without a row reduction.  None means phi = 0, a sum that has not
+    ended after n terms, or phi(u) = 0 (M singular): no single block.  The
+    caller checks that the moved tensor is one.
     """
     n = t.n
-    if not t.is_lower_triangular():
-        raise NotTriangular("tensor slices are not lower-triangular")
-    diag = t.slice_diagonal(0)
-    if any(d != diag[0] for d in diag):
-        raise DegenerateEigenvalueMismatch("first slice eigenvalues are not all equal")
-    ev = diag[0]
-    if not ev:
-        raise DegenerateEigenvalueMismatch("first slice eigenvalue vanishes")
-    c = ONE / ev
-    rows = [{k: c} for k in range(n)]
-    u = {0: ONE}
-    for lam in range(1, n):
-        plane = t.nz[lam]
-        a = c * sum((x * y * plane[mu][nu] for mu, x in u.items() for nu, y in u.items()
-                     if nu in plane[mu]), ZERO)
-        if a:
-            u[lam] = -a
-            rows[lam][0] = -c * a
+    phi = t.slice_traces()
+    p = next((nu for nu, x in enumerate(phi) if x), None)
+    if p is None:
+        return None
+    c = gr(n) / phi[p]
+    u: Dict[int, GaussianRational] = {}
+    term = {p: c}
+    for _ in range(n + 1):
+        if not term:
+            break
+        for mu, x in term.items():
+            u[mu] = u.get(mu, ZERO) + x
+        # -N term = term - c W^(p) term, and row lam of W^(p) is the stored row (lam, p)
+        wp = [sum((x * term[mu] for mu, x in plane[p].items() if mu in term), ZERO) for plane in t.nz]
+        term = {lam: z for lam, y in enumerate(wp) if (z := term.get(lam, ZERO) - c * y)}
+    else:
+        return None
+    if not sum((phi[mu] * x for mu, x in u.items()), ZERO):
+        return None
+    rows = [{0: x} if (x := u.get(mu)) else {} for mu in range(n)]
+    for j, f in enumerate((f for f in range(n) if f != p), 1):
+        rows[f][j] = ONE
+        if phi[f]:
+            rows[p][j] = -phi[f] / phi[p]
     return ExactMatrix._of(n, n, rows)
 
 

@@ -6,7 +6,11 @@ from contextlib import contextmanager
 
 from hypothesis import strategies as st
 
-from liepoisson.linalg import BasisChange, ExactMatrix
+from liepoisson.classify import ClassificationError, NotSingleBlock, classify
+from liepoisson.extension import strip_semisimple
+from liepoisson.linalg import BasisChange, ExactMatrix, _kernel_flag
+from liepoisson.scalars import ONE
+from liepoisson.transform import apply
 
 
 def dense_unimodular(n):
@@ -21,6 +25,45 @@ def dense_unimodular(n):
     upper = ExactMatrix.from_rows([[(2 * i + j) % 3 + 1 if j > i else int(i == j) for j in range(n)]
                                    for i in range(n)])
     return BasisChange(lower @ upper)
+
+
+def stepwise_w0(t):
+    """The W^(0) normalization that ``classify`` ran before the unit split, on a lower-triangular
+    single block with slot 0 semidirect: the rescale, then each shear I - a E_lam0 applied to the
+    tensor before the next W_lam^{00} is read.  Returns the moved tensor and the product of the moves."""
+    n, total = t.n, ExactMatrix.identity(t.n)
+    ev = t.entry(0, 0, 0)
+    if not ev.is_one():
+        total = ExactMatrix.identity(n).scale(ONE / ev)
+        t = apply(t, BasisChange(total))
+    for lam in range(1, n):
+        a = t.entry(lam, 0, 0)
+        if a:
+            m = ExactMatrix.identity(n).with_entry(lam, 0, -a)
+            t, total = apply(t, BasisChange(m)), total @ m
+    return t, total
+
+
+def classify_by_the_flag_at_order_n_plus_1(t):
+    """The label of ``t`` by the path ``classify`` took before the unit split, an oracle for it.
+
+    The kernel flag runs on all slices, the semisimple slot included; a lower-triangular result
+    is one block exactly when its rows (lam, lam) are equal, every slice diagonal constant; a
+    semidirect one is then normalized by :func:`stepwise_w0`, and its solvable part, stripped,
+    is classified alone.  Refusals raise the classes ``classify`` raises.
+    """
+    if not t.is_lower_triangular():
+        m = _kernel_flag(t.slices_upper(), t.n)
+        if m is None:
+            raise NotSingleBlock("tensor has more than one block: a slice has two eigenvalues")
+        t = apply(t, BasisChange(m))
+    if any(plane[lam] != t.nz[0][0] for lam, plane in enumerate(t.nz)):
+        raise NotSingleBlock("tensor has blocks with distinct eigenvalues; split it first")
+    if not t.semidirect:
+        return classify(t)[0]
+    if t.n == 1:
+        raise ClassificationError("bare base bracket")
+    return classify(strip_semisimple(stepwise_w0(t)[0]))[0]._replace(semidirect=True)
 
 
 def stored_rows(cube):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import cpu_seconds_at_most, dense_unimodular
+from helpers import classify_by_the_flag_at_order_n_plus_1, cpu_seconds_at_most, dense_unimodular
 from liepoisson.classify import (
     CaseLabel,
     ClassificationError,
@@ -21,6 +21,7 @@ from liepoisson.classify import (
     fingerprint,
 )
 from liepoisson.extension import (
+    ExtensionTensor,
     abelian,
     append_semisimple,
     crmhd,
@@ -31,7 +32,7 @@ from liepoisson.extension import (
     strip_semisimple,
     validate,
 )
-from liepoisson.linalg import BasisChange, ExactMatrix, LinalgError, simultaneous_triangularize
+from liepoisson.linalg import BasisChange, ExactMatrix, LinalgError, rank, simultaneous_triangularize
 from liepoisson.scalars import I, ONE, ZERO, gr
 from liepoisson.transform import apply, apply_chain
 
@@ -221,12 +222,70 @@ def lower_triangular_tensors(draw):
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(lower_triangular_tensors())
 def test_single_block_check_refuses_exactly_when_the_per_slice_one_does(t):
+    """classify refuses a lower-triangular tensor as more than one block exactly when the per-slice
+    definition does; one block gets a label, OrderTooHigh past the catalog, or the bare base
+    bracket's refusal."""
     assert t.is_lower_triangular()
-    if per_slice_refusal(t):
-        with pytest.raises(NotSingleBlock, match="^tensor has blocks with distinct eigenvalues; split it first$"):
-            classify_mod._require_single_block(t)
+    refused = per_slice_refusal(t)
+    try:
+        classify(t)
+    except NotSingleBlock as err:
+        assert refused and str(err) == "tensor has more than one block, with distinct eigenvalues; split it first"
+        return
+    except OrderTooHigh:
+        assert t.n - t.semidirect > 4
+    except ClassificationError as err:
+        assert t.n == 1 and str(err).startswith("bare base bracket")
+    assert not refused
+
+
+def test_a_unit_whose_complement_is_no_ideal_is_refused():
+    """Q(i) x Q(i) in the basis (1, 1), (1, 0): slot 0 is the unit, W^(0) = I and the tensor is
+    lower-triangular, but ker phi is spanned by (1, 0) - (1, 1)/2, whose square (1, 1)/4 lies
+    off it.  So ker phi is no ideal and the tensor is two blocks, refused before any strip."""
+    t = ExtensionTensor.from_json({"n": 2, "w": [[[1, 0], [0, 0]], [[0, 1], [1, 1]]]})
+    assert t.slice_is_identity(0) and t.is_lower_triangular()
+    with pytest.raises(NotSingleBlock, match="more than one block, with distinct eigenvalues; split it first"):
+        classify(t)
+
+
+SOLVABLE_PARTS = [entry for order in (1, 2, 3) for _, entry in catalog(order).entries]
+SUMMANDS = SOLVABLE_PARTS + [append_semisimple(entry) for entry in SOLVABLE_PARTS]
+
+
+@st.composite
+def moved_semidirect_inputs(draw):
+    """Semidirect catalog forms of orders 1-4, semidirect Leibniz 2-5, CRMHD at a random beta and
+    direct sums of two semidirect or solvable parts of orders 1-3 (at most 6 fields), each moved by
+    a random invertible integer matrix."""
+    kind = draw(st.sampled_from(["catalog", "leibniz", "crmhd", "sum"]))
+    if kind == "catalog":
+        t = append_semisimple(draw(st.sampled_from(SOLVABLE_BLOCKS)))
+    elif kind == "leibniz":
+        t = leibniz(draw(st.integers(2, 5)), semidirect=True)
+    elif kind == "crmhd":
+        t = crmhd(Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 9))))
     else:
-        classify_mod._require_single_block(t)
+        a = draw(st.sampled_from(SUMMANDS))
+        t = direct_sum(a, draw(st.sampled_from([b for b in SUMMANDS if a.n + b.n <= 6])))
+    entries = st.lists(st.integers(-2, 2), min_size=t.n, max_size=t.n)
+    rows = draw(st.lists(entries, min_size=t.n, max_size=t.n).filter(lambda rows: rank(M(rows)) == t.n))
+    return apply(t, BasisChange(M(rows)))
+
+
+def label_or_refusal(label_of, t):
+    try:
+        return label_of(t)
+    except ClassificationError as err:
+        return type(err)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(moved_semidirect_inputs())
+def test_the_unit_split_agrees_with_the_flag_at_order_n_plus_1(t):
+    """classify splits off the unit first; the path it replaced, the kernel flag on all n + 1
+    slices, the W^(0) rescale and shears, then the split, gives the same label or refusal class."""
+    assert label_or_refusal(lambda t: classify(t)[0], t) == label_or_refusal(classify_by_the_flag_at_order_n_plus_1, t)
 
 
 def random_transform(rng, n):
@@ -540,7 +599,7 @@ def test_equivalence_check_unknown_when_classification_fails():
 def test_no_recorded_step_is_the_identity(monkeypatch, count_calls):
     """An identity move is no witness step: it joins no chain, builds no BasisChange and applies nothing.
 
-    Every move of classify, the W^(0) normalization included, enters through one door, so the
+    Every move of classify, the unit split included, enters through one door, so the
     BasisChange count is the chain length on solvable, semidirect and moved semidirect inputs alike.
     """
     counts = count_calls(apply)
@@ -561,11 +620,11 @@ def test_no_recorded_step_is_the_identity(monkeypatch, count_calls):
     # past a split the identity is not lifted either
     sd = append_semisimple(leibniz(2))
     r = classify_mod._Reduction(sd)
-    r.split_semisimple()
+    r.split_semisimple(ExactMatrix.identity(3))
     assert r.step(ExactMatrix.identity(2)) == leibniz(2) and r.chain == [] and r.full is sd
     steps = 0
     solvable = [entry for order in (2, 3, 4) for _, entry in catalog(order).entries]
-    # a semidirect catalog form has W^(0) = I as written, so its W^(0) move is the identity
+    # a semidirect catalog form has its unit at slot 0 as written, so its unit split is the identity
     inputs = [*solvable, *map(append_semisimple, solvable)]
     inputs += [apply(t, dense_unimodular(t.n)) for t in inputs]
     for t in inputs:

@@ -312,7 +312,8 @@ def test_order_zero_document_exits_invalid(tmp_path, capsys, command):
 def test_classify_triangularizes_without_an_eigenvalue_search(count_calls):
     from liepoisson import linalg
     from liepoisson.classify import NotSingleBlock, classify
-    from liepoisson.extension import append_semisimple, validate
+    from liepoisson.extension import append_semisimple, strip_semisimple, validate
+    from liepoisson.transform import apply, normalize_w0_to_identity
 
     counts = count_calls(
         linalg._kernel_flag,
@@ -328,19 +329,21 @@ def test_classify_triangularizes_without_an_eigenvalue_search(count_calls):
                 for key in counts:
                     counts[key] = 0
                 classify(t)
-                # the three abelian entries stay zero under any move
-                triangularized = int(not t.is_lower_triangular())
+                # the flag sees the order-n part: a semidirect input past its unit split
+                part = strip_semisimple(apply(t, BasisChange(normalize_w0_to_identity(t)))) if t.semidirect else t
+                # the three abelian entries stay zero under any move, with or without the unit
+                triangularized = int(not part.is_lower_triangular())
                 moved += triangularized
                 assert counts == {key: 0 for key in counts} | {"_kernel_flag": triangularized}
-    assert moved == 2 * 15 - 3
+    assert moved == 2 * (15 - 3)
 
-    # two blocks, W^(0) = diag(3, 0) moved off the triangle: the stalled flag rejects it
+    # two blocks, W^(0) = diag(3, 0) moved off the triangle: it has no unit split, and no flag runs
     for key in counts:
         counts[key] = 0
     two_blocks = apply_chain(validate([[[3, 0], [0, 0]], [[0, 0], [0, 0]]]), [dense_unimodular(2)])
     with pytest.raises(NotSingleBlock, match="more than one block"):
         classify(two_blocks)
-    assert counts == {key: 0 for key in counts} | {"_kernel_flag": 1}
+    assert counts == {key: 0 for key in counts}
 
 
 def test_basis_changes_invert_without_the_dense_path(monkeypatch, count_calls):

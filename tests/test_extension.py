@@ -437,8 +437,8 @@ def test_trusted_results_pass_the_full_check(data, beta):
     _assert_certified(validate(moved, semidirect=moved.semidirect))
     with pytest.raises(ValueError, match="declared"):
         validate(moved, semidirect=not moved.semidirect)
-    # a scaled unit-lower change keeps a semidirect tensor lower-triangular with
-    # one eigenvalue in W^(0): the input normalize_w0_to_identity expects
+    # a scaled unit-lower change of a semidirect tensor, moved back to W^(0) = I by
+    # its unit split, which leaves slot 0 decoupled
     s = data.draw(st.sampled_from([x for x in SMALL_POOL if x.semidirect]))
     c = data.draw(UNITS_AND_SMALL)
     lower = [[c if i == j else (data.draw(st.integers(-2, 2)) if j < i else 0) for j in range(s.n)]

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import last_column_scaled, stored_rows
+from helpers import last_column_scaled, stepwise_w0, stored_rows
 from liepoisson.classify import ClassificationError, catalog, classify
 from liepoisson.extension import (
     ExtensionTensor,
+    abelian,
     append_semisimple,
     crmhd,
     direct_sum,
@@ -19,8 +20,6 @@ from liepoisson.extension import (
 from liepoisson.linalg import BasisChange, ExactMatrix, LinalgError, inverse, rank
 from liepoisson.scalars import I, ONE, ZERO, gr
 from liepoisson.transform import (
-    DegenerateEigenvalueMismatch,
-    NotTriangular,
     apply,
     apply_chain,
     congruence_diagonalize,
@@ -307,9 +306,19 @@ def test_chained_apply_rows_match_the_dense_contraction(data):
         assert_views_match_the_cube(t, cube)
 
 
+def semidirect_forms():
+    """The 16 semidirect catalog forms of orders 1-4, semidirect Leibniz 2-6 and CRMHD."""
+    forms = [append_semisimple(entry) for order in (1, 2, 3, 4) for _, entry in catalog(order).entries]
+    return forms + [leibniz(order, semidirect=True) for order in range(2, 7)] + [crmhd(1), crmhd(Fraction(-5, 2))]
+
+
 def test_normalize_w0_already_identity():
-    # the move is the identity: the caller records no step
-    assert normalize_w0_to_identity(crmhd(1)).is_identity()
+    # slot 0 is the unit and the other slices have zero trace: the move is the identity, so
+    # the caller records no step and a semidirect normal form stays a fixed point
+    forms = semidirect_forms()
+    assert len(forms) == 23
+    for t in forms:
+        assert normalize_w0_to_identity(t).is_identity()
 
 
 def test_normalize_w0_unipotent_first_slice():
@@ -332,7 +341,8 @@ def test_normalize_w0_rescales_eigenvalue():
     b = BasisChange(ExactMatrix.identity(4).scale(gr(Fraction(3, 2))))
     scaled = apply(t, b)  # W^(0) eigenvalue becomes 3/2
     m = normalize_w0_to_identity(scaled)
-    assert m == ExactMatrix.identity(4).scale(gr(Fraction(2, 3)))
+    # the unit is (2/3) e_0; the other slices have zero trace and span ker phi as they are
+    assert m == ExactMatrix.diagonal([gr(Fraction(2, 3)), 1, 1, 1])
     assert apply(scaled, BasisChange(m)).slice_upper(0).is_identity()
 
 
@@ -358,54 +368,54 @@ def test_normalize_w0_runs_no_check(monkeypatch):
     assert validate(out.w, semidirect=True) == out  # the raw entries pass the full check
 
 
-def stepwise_w0(t):
-    """The rescale, then each shear applied to the tensor before the next W_lam^{00} is read:
-    the reference for normalize_w0_to_identity's composed step."""
-    n, total = t.n, ExactMatrix.identity(t.n)
-    ev = t.entry(0, 0, 0)
-    if not ev.is_one():
-        total = ExactMatrix.identity(n).scale(ONE / ev)
-        t = apply(t, BasisChange(total))
-    for lam in range(1, n):
-        a = t.entry(lam, 0, 0)
-        if a:
-            m = ExactMatrix.identity(n).with_entry(lam, 0, -a)
-            t, total = apply(t, BasisChange(m)), total @ m
-    return t, total
+def dense_integer_change(rng, n):
+    """A random invertible integer matrix with entries in [-2, 2]."""
+    while True:
+        m = M([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if rank(m) == n:
+            return m
 
 
-def test_normalize_w0_is_the_stepwise_reduction_applied_once(monkeypatch):
-    """The composed move is the product of the stepwise ones, and reading it off applies nothing."""
+def test_normalize_w0_splits_off_the_unit_of_any_moved_form(monkeypatch):
+    """In any basis the move makes slot 0 the unit with ker phi an ideal: W^(0) = I and the rows
+    (0, mu >= 1) empty.  Reading it off applies nothing.  The unit is unique, so on a
+    lower-triangular input its first column is the one of the old rescale-and-shear reduction."""
     from liepoisson import transform
 
     rng = random.Random(20)
-    cases = [crmhd(1)]
-    for order in (2, 3, 4):
-        for _, entry in catalog(order).entries:
-            t = append_semisimple(entry)
-            scale = ExactMatrix.identity(t.n).scale(gr(rng.choice([1, 2, -3]), rng.choice([0, 1])))
-            cases.append(apply(t, BasisChange(scale @ unit_lower(rng, t.n))))
+    cases = []
+    for t in semidirect_forms():
+        scale = ExactMatrix.identity(t.n).scale(gr(rng.choice([1, 2, -3]), rng.choice([0, 1])))
+        cases.append((apply(t, BasisChange(scale @ unit_lower(rng, t.n))), True))
+        cases.append((apply(t, BasisChange(dense_integer_change(rng, t.n))), False))
     applied = []
     inner = transform.apply
     monkeypatch.setattr(transform, "apply", lambda t, b: applied.append(b) or inner(t, b))
-    moves = 0
-    for t in cases:
-        want, total = stepwise_w0(t)
+    moved = 0
+    for t, triangular in cases:
         del applied[:]
         m = normalize_w0_to_identity(t)
-        assert m == total and applied == []
+        assert applied == []
         out = inner(t, BasisChange(m))
-        assert out.nz == want.nz and out.semidirect
-        moves += sum(1 for lam in range(1, t.n) if total[lam, 0])
-    assert moves > 2 * len(cases)
+        assert out.slice_upper(0).is_identity() and not any(out.nz[0][1:]), t
+        if triangular:
+            _, total = stepwise_w0(t)
+            assert m.col(0) == total.col(0)
+        moved += not m.is_identity()
+    assert moved == len(cases)
 
 
-def test_normalize_w0_errors():
+def test_normalize_w0_refuses_what_has_no_unit_split():
+    # two blocks: the bare base bracket beside an abelian field, in either order; the Neumann
+    # sum of the unit never ends, since N has the eigenvalue -1
+    for t in (direct_sum(pure_semidirect(0), abelian(1)), direct_sum(abelian(1), pure_semidirect(0))):
+        assert t.semidirect and normalize_w0_to_identity(t) is None
+    # a solvable tensor has no slice trace, so no unit to split off
+    assert normalize_w0_to_identity(leibniz(2)) is None
+    # the triangular precondition is gone: a flipped single block has its move
     flipped = apply(pure_semidirect(1), BasisChange(M([[0, 1], [1, 0]])))
-    with pytest.raises(NotTriangular):
-        normalize_w0_to_identity(flipped)
-    with pytest.raises(DegenerateEigenvalueMismatch):
-        normalize_w0_to_identity(leibniz(2))  # eigenvalue zero
+    assert not flipped.is_lower_triangular()
+    assert apply(flipped, BasisChange(normalize_w0_to_identity(flipped))) == pure_semidirect(1)
 
 
 def test_congruence_diagonalize_random():
