@@ -11,10 +11,14 @@ reducing terminal cocycles by congruence, and applying the fixed inter-case
 maps (some complex).  Classification is one pass: every move is an explicit
 invertible matrix, recorded as a witness step and applied once to the input
 (lifted to diag(1, m) past the semisimple slot), so the running tensor is
-the input moved by the chain; :class:`_Reduction` drops an identity move, so
-no step of a chain is the identity.  The running tensor is compared
-bit-exactly with the catalog normal form before classify returns the case
-label and the witness chain.
+the input moved by the chain.  Each tail decision is one step: over an
+abelian window the congruence and the fixed map its sign pattern calls for
+are multiplied before they are applied.  :class:`_Reduction` drops a move
+that is the identity or leaves the tensor's stored rows as they were, so
+every step of a chain changes the tensor and a normal form classifies with
+an empty chain.  The running tensor is compared bit-exactly with the
+catalog normal form before classify returns the case label and the witness
+chain.
 
 Over Q(i) a few tensors outside the catalog orbits hit a genuine
 obstruction: a rescaling would need a square root that Q(i) lacks (the
@@ -201,9 +205,12 @@ class _Reduction:
 
     Every move of the reduction, the unit split included, enters
     through :meth:`step`, which applies it to ``full`` once, so ``full`` is
-    the input moved by ``chain``; an identity move builds no
-    :class:`BasisChange` and is neither recorded nor applied, and this is
-    the one place that tests for it.  :meth:`split_semisimple` steps the
+    the input moved by ``chain``.  This is the one place that tests for a
+    move that changes nothing: an identity move builds no
+    :class:`BasisChange` and is neither recorded nor applied, and a move
+    whose result has the stored rows of the tensor it moved, such as the
+    automorphism [[0, 2, 0], [2, 0, 0], [0, 0, 4]] of n3-case2, is applied
+    once and not recorded.  :meth:`split_semisimple` steps the
     unit split and checks that it leaves one block; past the split-off
     semisimple slot, a move m of the solvable part is recorded as diag(1, m).
     """
@@ -216,11 +223,13 @@ class _Reduction:
         return strip_semisimple(self.full) if self.split else self.full
 
     def step(self, m: ExactMatrix) -> ExtensionTensor:
-        """Record and apply the move m of the part; return the moved part."""
+        """Apply the move m of the part, and record it if it changed the tensor; return the part."""
         if not m.is_identity():
             b = BasisChange(_lift(m) if self.split else m)
-            self.chain.append(b)
-            self.full = apply(self.full, b)
+            moved = apply(self.full, b)
+            if moved.nz != self.full.nz:
+                self.chain.append(b)
+                self.full = moved
         return self.part()
 
     def split_semisimple(self, m: Optional[ExactMatrix]) -> ExtensionTensor:
@@ -416,18 +425,11 @@ def _stage(t: ExtensionTensor, m: int, r: _Reduction) -> ExtensionTensor:
                 t = r.step(ExactMatrix.diagonal([ONE, ONE, b] + [ONE] * (n - 3)))
             return t
         # abelian leading part: reduce the terminal cocycle on the 2x2 block
-        pattern, t = _window_congruence(t, s, r)
-        if pattern == (1, 0):
-            t = r.step(_perm_columns(n, [0, 2, 1] + list(range(3, n))))
-        elif pattern == (1, 1):
-            t = r.step(_complex_pair_map(n, imaginary=True))
-        elif pattern == (1, -1):
-            t = r.step(_complex_pair_map(n, imaginary=False))
-        return t
+        return _tail_move(t, s, r)
     if m == 4:
         leading = _leading_case(t, 3)
         if leading == "n3-case1":
-            return _stage4_leading_abelian(t, r)
+            return _tail_move(t, s, r)
         if leading == "n3-case2":
             return _stage4_leading_case2(t)
         if leading == "n3-case3":
@@ -455,39 +457,31 @@ def _complex_pair_map(n: int, imaginary: bool) -> ExactMatrix:
                                   *({i: ONE} for i in range(3, n))])
 
 
-def _window_congruence(t: ExtensionTensor, s: int, r: _Reduction) -> Tuple[tuple, ExtensionTensor]:
-    """Congruence-diagonalize the s x s block of slice ``s`` in place.
+# The fixed map that follows the congruence of an abelian window's tail, by its sign pattern
+# (slots 0-1 at stage 3, 0-2 at stage 4); an all-zero tail needs none.  h^T diag(1, 1, -1) h is
+# the (0,2)+(1,1) normal tail for the h of (1, 1, -1), and diag(1, 1, i) turns a third +1 into -1.
+_HALF = ONE / gr(2)
+_TAIL_MAPS = {
+    (1, 0): lambda n: _perm_columns(n, [0, 2, 1, *range(3, n)]),
+    (1, 1): lambda n: _complex_pair_map(n, imaginary=True),
+    (1, -1): lambda n: _complex_pair_map(n, imaginary=False),
+    (1, 1, -1): lambda n: ExactMatrix._of(4, 4, [{0: ONE, 2: _HALF}, {1: ONE}, {0: ONE, 2: -_HALF}, {3: ONE}]),
+    (1, 1, 1): lambda n: ExactMatrix.diagonal([ONE, ONE, I, ONE]) @ _TAIL_MAPS[1, 1, -1](n),
+    (1, 1, 0): lambda n: _perm_columns(n, [0, 1, 3, 2]) @ _complex_pair_map(n, imaginary=True),
+    (1, -1, 0): lambda n: _perm_columns(n, [0, 1, 3, 2]) @ _complex_pair_map(n, imaginary=False),
+    (1, 0, 0): lambda n: _perm_columns(n, [0, 3, 2, 1]),
+}
 
-    Returns the sign pattern (+1/-1/0 per slot, +1s first) and the reduced
-    tensor; the scale factor sits at slot ``s`` of the move.
-    """
+
+def _tail_move(t: ExtensionTensor, s: int, r: _Reduction) -> ExtensionTensor:
+    """Reduce slice ``s`` over an abelian window in one step: :func:`congruence_move`'s matrix
+    times the fixed map of ``_TAIL_MAPS`` that its sign pattern (+1s first) calls for."""
     move = congruence_move(t, s)
     if move is None:
-        raise ClassificationError(
-            "tail cannot be scaled to {0,+1,-1} entries over Q(i)"
-        )
+        raise ClassificationError("tail cannot be scaled to {0,+1,-1} entries over Q(i)")
     m, signs = move
-    return tuple(signs), r.step(m)
-
-
-def _stage4_leading_abelian(t: ExtensionTensor, r: _Reduction) -> ExtensionTensor:
-    n = t.n
-    pattern, t = _window_congruence(t, 3, r)
-    if pattern == (0, 0, 0):
-        return t
-    if pattern == (1, 1, 1):
-        t = r.step(ExactMatrix.diagonal([ONE, ONE, I, ONE]))
-        pattern = (1, 1, -1)
-    if pattern == (1, 1, -1):
-        # congruence with m^T diag(1,1,-1) m = the (0,2)+(1,1) normal tail
-        half = gr(1) / gr(2)
-        return r.step(ExactMatrix._of(4, 4, [{0: ONE, 2: half}, {1: ONE}, {0: ONE, 2: -half}, {3: ONE}]))
-    if pattern in ((1, 1, 0), (1, -1, 0)):
-        t = r.step(_perm_columns(n, [0, 1, 3, 2]))
-        return r.step(_complex_pair_map(n, imaginary=(pattern == (1, 1, 0))))
-    if pattern == (1, 0, 0):
-        return r.step(_perm_columns(n, [0, 3, 2, 1]))
-    raise ClassificationError(f"internal error: unexpected tail pattern {pattern}")
+    fixed = _TAIL_MAPS.get(tuple(signs))
+    return r.step(m if fixed is None else m @ fixed(t.n))
 
 
 def _stage4_leading_case2(t: ExtensionTensor) -> ExtensionTensor:
@@ -518,8 +512,7 @@ def _stage4_leading_case3(t: ExtensionTensor, r: _Reduction) -> ExtensionTensor:
             d = t.entry(3, 2, 2)
         if d:
             return r.step(ExactMatrix.diagonal([a * d, a * a * d * d, a * a * d, a ** 4 * d ** 3]))
-        t = r.step(ExactMatrix.diagonal([ONE, ONE, ONE, a]))
-        return r.step(_perm_columns(n, [0, 1, 3, 2]))
+        return r.step(ExactMatrix.diagonal([ONE, ONE, ONE, a]) @ _perm_columns(n, [0, 1, 3, 2]))
     if b:
         if d:
             # joins case 3b: x1 = -d u0 + b u2 and x3 = u2 have inert squares

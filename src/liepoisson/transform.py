@@ -34,10 +34,12 @@ and leaves applying it to the caller:
   repair, so a classify that needs none never loads the conic solver;
   since -1 = i^2 is a square over Q(i), d and -d are in the same class.
 
-The classifier uses both; its coboundary moves are single-entry shears.
-It records each returned matrix as a :class:`BasisChange` witness step
-and moves the tensor by :func:`apply`, so reductions can be replayed and
-audited.
+The classifier uses both.  Its coboundary moves are single-entry shears,
+except stage 4 case 4's I + p E_31 + q E_32, a general step when p and q
+are both nonzero.  A congruence move and the fixed map that its sign
+pattern calls for are multiplied into one move.  The classifier records
+each move as one :class:`BasisChange` witness step and moves the tensor by
+:func:`apply`, so reductions can be replayed and audited.
 """
 
 from __future__ import annotations

@@ -73,8 +73,8 @@ def _synthesis_inputs():
 
 # SHA-256 over the sorted-key JSON of each output list below
 GOLDEN = {
-    "classify": "089ae8833c1a1f7b42dfc506a071c60db95fe7f5dec9ff7d7bcacf96f7f55219",
-    "classify-conic": "8e95d26abd0028199ff68b1296520878f971fdf57fd76976bc69be7edf73f34d",
+    "classify": "5ce2f876abdad7a1b703d9fa1afbe5ca02bebf21c21f6cf456e1d649855a0541",
+    "classify-conic": "811adcc28a5fe9916496b28f04c7df111b0a640be6efb5cda2b98a347f23c6a6",
     "synthesis": "c8e8b8b4bfe111322ff6da95bfb0153394fd5219c945287aff4f8e04b678a2eb",
     "quadratic": "d05a3d14f74038df7b2e3e74f62e3a88294e4962d99421e90bede1cb13174cf1",
 }

@@ -483,24 +483,24 @@ def _move_tail(t):
 
 
 def test_congruence_move_examples():
-    # rescale: diag(2,0,0) -> diag(1,0,0)
+    # the classifier's one tail step is the congruence move times the fixed map of its sign pattern
+    swap = ExactMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    # rescale: diag(2,0,0) -> diag(1,0,0), then the swap puts the zero slot at 1
     t = from_lower_slices([None, None, ExactMatrix.diagonal([2, 0, 0])], 3)
     out, witness = _move_tail(t)
     assert out.slice_lower(2) == ExactMatrix.diagonal([1, 0, 0])
     assert apply(t, witness) == out
-    # the classifier's first step is the same congruence move
-    assert classify(t)[1][0] == witness
-    # hyperbolic pair: antidiag -> diag(1,-1,0)
-    t = from_lower_slices([None, None, M([[0, 1, 0], [1, 0, 0], [0, 0, 0]])], 3)
+    assert classify(t)[1] == [BasisChange(witness.m @ swap)]
+    # hyperbolic pair: 3 antidiag -> diag(1,-1,0), then the real complex pair map
+    t = from_lower_slices([None, None, M([[0, 3, 0], [3, 0, 0], [0, 0, 0]])], 3)
     out, witness = _move_tail(t)
     assert out.slice_lower(2) == ExactMatrix.diagonal([1, -1, 0])
-    assert classify(t)[1][0] == witness
-    # already reduced: the move is the identity, which the classifier does not record
+    assert classify(t)[1] == [BasisChange(witness.m @ M([[1, 1, 0], [1, -1, 0], [0, 0, 2]]))]
+    # already reduced: the move is the identity, and the one step is the imaginary complex pair map
     t = from_lower_slices([None, None, ExactMatrix.diagonal([1, 1, 0])], 3)
     out, witness = _move_tail(t)
     assert out == t and witness.m.is_identity()
-    chain = classify(t)[1]
-    assert witness not in chain and len(chain) == 1  # the complex pair map alone
+    assert classify(t)[1] == [BasisChange(M([[1, 1, 0], [I, -I, 0], [0, 0, 2]]))]
 
 
 def test_congruence_move_signature_invariance():
