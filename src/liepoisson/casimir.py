@@ -8,9 +8,11 @@ which :func:`casimir_condition_check` verifies symbolically, treating the
 formal derivatives of the arbitrary functions as independent symbols.  The
 check holds the upper half of the Hessian of C as coefficient dicts keyed by
 (function derivative, monomial), built over each monomial's nonzero
-exponents.  Each nonempty Hessian cell, and its mirror, meets only the
-nonzero entries of W that contract with it, and ``Poly`` objects are built
-only for the residual of a failing triple.
+exponents.  :func:`_condition_residuals` contracts it with W, each nonempty
+Hessian cell, and its mirror, meeting only the nonzero entries of W that
+contract with it; ``Poly`` objects are built only for the residual of a
+failing triple.  :func:`quadratic_casimir_basis` takes its equations from
+the same builder.
 
 Synthesis works through the coextension.  With Wn the symmetric matrix of
 the last slice restricted to the solvable indices (excluding the last), its
@@ -30,9 +32,10 @@ scaled once; a ``Poly`` is made only of the finished series.  Nilpotency
 terminates the series.
 
 Singular Wn requires two conditions (the projector commuting with the
-subextension slices and the coextension product symmetry, summed from
-omega's nonzeros); when they fail the tensor splits as a direct sum on the
-support of its slices and the blocks are synthesized separately, with the
+subextension slices, tested by :func:`linalg.noncommuting_pair`, and the
+coextension product symmetry, summed from omega's nonzeros); when they
+fail the tensor splits as a direct sum on the support of its slices and
+the blocks are synthesized separately, with the
 simultaneous-eigenvector directions merged into one arbitrary function of
 several arguments.  A semidirect tensor contributes one extra family in
 the semisimple direction exactly when Wn is nonsingular, that is when P is
@@ -47,7 +50,7 @@ from itertools import count
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .extension import CasimirError, ExtensionTensor, SynthesisObstruction
-from .linalg import ExactMatrix, _pseudoinverse_rank, _rref_rows, null_space
+from .linalg import ExactMatrix, _pseudoinverse_rank, _rref_rows, noncommuting_pair, null_space
 from .polynomials import Poly
 from .scalars import GaussianRational, ONE, ZERO, gr, parse_scalar
 
@@ -204,48 +207,60 @@ class ConditionReport(namedtuple("ConditionReport", "passed failure residual", d
         return self.passed
 
 
-def casimir_condition_check(t: ExtensionTensor, fam: CasimirFamily) -> ConditionReport:
-    """Verify the symmetry condition for a candidate Casimir family.
+def _condition_residuals(t: ExtensionTensor, hess: Dict[Tuple[int, int], Dict]) -> Dict[Tuple[int, int, int], Dict]:
+    """W_lam^{mu nu} H_{mu sig} - W_sig^{mu nu} H_{mu lam} for each (nu, lam, sig), sig < lam.
 
-    The difference W_lam^{mu nu} C_{,mu sig} - W_sig^{mu nu} C_{,mu lam} is
-    accumulated for every (nu, lam, sig) with sig < lam as a coefficient dict
-    {((label, deriv), monomial): scalar}.  The work is driven by the cells of
-    the Hessian: the tensor's nonzeros are grouped by their contracted index
-    mu once per call, and each nonempty cell (mu, sig), and its mirror
-    (sig, mu), meets only the entries W_lam^{mu nu} of its own mu.  The first
-    triple (lam, sig, nu) with a nonzero difference, in the order nu, then
-    lam, then sig, is reported with its residual {(label, deriv): Poly}; no
-    ``Poly`` is built when the family passes.
+    ``hess`` is the upper half {(mu, sig): {key: scalar}}, mu <= sig, of a
+    symmetric H; zero coefficients are skipped, a ``ONE`` costs no product,
+    and a residual keeps only its nonzero sums.  The tensor's nonzeros are
+    grouped by their contracted index mu, so each cell (mu, sig), and its
+    mirror (sig, mu), meets only the entries W_lam^{mu nu} of its own mu.
     """
-    if fam.n != t.n:
-        raise CasimirError(f"family has {fam.n} variables, tensor has {t.n}")
-    hess = _hessian(fam)
     by_mu: Dict[int, List] = {}
     for lam, mu, nu, w in t.nonzeros():
         by_mu.setdefault(mu, []).append((lam, nu, w))
-    diffs: Dict[Tuple[int, int, int], Dict] = defaultdict(dict)
+    residuals: Dict[Tuple[int, int, int], Dict] = defaultdict(dict)
     for (m, s), cell in hess.items():
-        cell = cell.items()
+        cell = [(key, c) for key, c in cell.items() if c]
         for mu, sig in ((m, s), (s, m)) if m != s else ((m, s),):
             for lam, nu, w in by_mu.get(mu, ()):
                 if lam == sig:
                     continue
                 plus = sig < lam
-                acc = diffs[(nu, lam, sig) if plus else (nu, sig, lam)]
+                acc = residuals[(nu, lam, sig) if plus else (nu, sig, lam)]
                 for key, c in cell:
-                    y, x = acc.get(key), w * c
-                    if plus:
-                        acc[key] = x if y is None else y + x
+                    x = w if c is ONE else w * c
+                    y = acc.get(key)
+                    if y is None:
+                        acc[key] = x if plus else -x
+                        continue
+                    y = y + x if plus else y - x
+                    if y:
+                        acc[key] = y
                     else:
-                        acc[key] = -x if y is None else y - x
-    first = min((triple for triple, acc in diffs.items() if any(acc.values())), default=None)
+                        del acc[key]
+    return residuals
+
+
+def casimir_condition_check(t: ExtensionTensor, fam: CasimirFamily) -> ConditionReport:
+    """Verify the symmetry condition for a candidate Casimir family.
+
+    The differences W_lam^{mu nu} C_{,mu sig} - W_sig^{mu nu} C_{,mu lam}
+    are the :func:`_condition_residuals` of the Hessian's upper half, keyed
+    by ((label, deriv), monomial).  The first triple (lam, sig, nu) with a
+    nonzero one, in the order nu, then lam, then sig, is reported with its
+    residual {(label, deriv): Poly}; no ``Poly`` is built when it passes.
+    """
+    if fam.n != t.n:
+        raise CasimirError(f"family has {fam.n} variables, tensor has {t.n}")
+    diffs = _condition_residuals(t, _hessian(fam))
+    first = min((triple for triple, acc in diffs.items() if acc), default=None)
     if first is None:
         return ConditionReport(True)
     nu, lam, sig = first
     residual: Dict = {}
     for (fkey, e), c in diffs[first].items():
-        if c:
-            residual.setdefault(fkey, {})[e] = c
+        residual.setdefault(fkey, {})[e] = c
     return ConditionReport(False, (lam, sig, nu), {k: Poly._of(t.n, v) for k, v in residual.items()})
 
 
@@ -289,7 +304,7 @@ class CoextensionResult:
 
     @cached_property
     def solvable_ok(self) -> bool:
-        return all(self.projector @ m == m @ self.projector for m in self.sub)
+        return all(noncommuting_pair((self.projector, m)) is None for m in self.sub)
 
     @cached_property
     def coext_ok(self) -> bool:
@@ -693,34 +708,15 @@ def quadratic_casimir_basis(t: ExtensionTensor) -> List[ExactMatrix]:
 
     These are the constant-Hessian Casimirs 1/2 Q_{mu nu} xi^mu xi^nu, found
     by one sparse null-space computation over the upper-triangle coordinates
-    of Q.  Equation (nu, lam, sig), lam > sig, collects +W_lam^{mu nu} at
-    Q_{mu sig} and -W_sig^{mu nu} at Q_{mu lam}; each nonzero entry of W is
-    visited once, and equal equations are sent to the elimination once.
+    of Q.  The equations are the checker's :func:`_condition_residuals` of
+    the unit Hessian, whose cell (i, j) holds the unknown Q_ij with the
+    coefficient ``ONE``; equal equations go to the elimination once.
     """
     n = t.n
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    # index[i][j] = index[j][i] = k for (i, j) = pairs[k], i <= j
-    index = [[min(i, j) * (2 * n - min(i, j) - 1) // 2 + max(i, j) for j in range(n)] for i in range(n)]
-    equations: Dict[Tuple[int, int, int], Dict[int, GaussianRational]] = {}
-    for lam, mu, nu, w in t.nonzeros():
-        neg = -w
-        for sig in range(n):
-            if sig == lam:
-                continue
-            key, x = ((nu, lam, sig), w) if sig < lam else ((nu, sig, lam), neg)
-            eq = equations.setdefault(key, {})
-            k = index[mu][sig]
-            y = eq.get(k)
-            if y is None:
-                eq[k] = x
-                continue
-            y = y + x
-            if y:
-                eq[k] = y
-            else:
-                del eq[k]
+    residuals = _condition_residuals(t, {pair: {k: ONE} for k, pair in enumerate(pairs)})
     # the equations of different (nu, lam, sig) repeat; the elimination gets each distinct one once
-    rows = {frozenset(eq.items()): eq for eq in equations.values()}
+    rows = {frozenset(eq.items()): eq for eq in residuals.values()}
     basis = []
     for v in null_space(ExactMatrix._of(len(rows), len(pairs), rows.values())).nz:
         # Q_ij = Q_ji is coordinate k of the kernel vector, for (i, j) = pairs[k]

@@ -48,8 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .extension import ExtensionTensor, TensorError
 from .linalg import BasisChange, ExactMatrix
-from .scalars import (GaussianRational, ONE, ZERO, gr, sqrt_gaussian, square_class_of_product, square_free_part,
-                      square_part)
+from .scalars import GaussianRational, ONE, ZERO, gr, sqrt_gaussian, square_class_of_product, square_part
 
 __all__ = [
     "BasisChange",
@@ -367,8 +366,9 @@ def congruence_normalize(block: ExactMatrix):
 
     Diagonalizes by symmetric elimination and divides each diagonal entry
     by the squares that :func:`square_part` finds below 2^16, then repairs
-    square-class mismatches among the entries, factoring each entry but
-    taking the class of a product from its factors (:func:`_repair_classes`):
+    square-class mismatches among the entries, comparing entries by the
+    square roots of their ratios and taking the class of a product from its
+    factors (:func:`_repair_classes`):
     the congruence move on a zero-coupled pair (d_i, d_j) -> (v, x^2 d_i d_j / v),
     with (x, y) a rational point on d_i x^2 + d_j y^2 = v, walks every entry
     into one class tau whenever the discriminant class permits it.  Finally
@@ -436,7 +436,9 @@ def _repair_classes(cols, diag):
     product, taken by :func:`square_class_of_product` from the entries, so
     a large prime that two entries share, as in (-1, p i, p i), is never
     factored.  An even count of entries needs a square discriminant, whose
-    class is +-1.  Each entry's own class is still found by factoring it.
+    class is +-1; its candidates are then the first entry of each class,
+    compared by :func:`sqrt_gaussian` of their ratio, so no entry is
+    factored.
     """
     nonzero = [i for i, d in enumerate(diag) if d]
     disc_rep = square_class_of_product(diag[i] for i in nonzero)
@@ -447,12 +449,8 @@ def _repair_classes(cols, diag):
             return None
         taus = []
         for i in nonzero:
-            rep, _ = square_free_part(diag[i])
-            for u in (rep, -rep):
-                if u._a > 0 or (not u._a and u._b > 0):
-                    rep = u
-            if not any(sqrt_gaussian(rep / t) is not None for t in taus):
-                taus.append(rep)
+            if not any(sqrt_gaussian(diag[i] / t) is not None for t in taus):
+                taus.append(diag[i])
     for tau in taus:
         trial_cols, trial_diag = list(cols), list(diag)
         if _execute_repair(trial_cols, trial_diag, nonzero, tau):

@@ -17,7 +17,7 @@ from liepoisson.casimir import (
 )
 from liepoisson.classify import CaseLabel, Distinct, Equivalent, Unknown, catalog
 from liepoisson.extension import leibniz
-from liepoisson.linalg import ExactMatrix
+from liepoisson.linalg import noncommuting_pair
 from liepoisson.polynomials import Poly
 from liepoisson.scalars import ONE, ZERO
 
@@ -76,14 +76,13 @@ def condition_report(monkeypatch, count_calls):
 
 def coextension_result(monkeypatch, count_calls):
     co = build_coextension(leibniz(4))
-    products = []
-    matmul = ExactMatrix.__matmul__
-    monkeypatch.setattr(ExactMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
-    counts = count_calls(casimir._coextension_symmetric)
-    # each condition is evaluated on first access only
-    assert co.solvable_ok and co.solvable_ok
+    counts = count_calls(casimir._coextension_symmetric, noncommuting_pair)
+    # each condition is evaluated on first access only: one commutation test per subextension slice
+    assert co.solvable_ok
+    assert counts == {"_coextension_symmetric": 0, "noncommuting_pair": len(co.sub)}
+    assert co.solvable_ok
     assert co.coext_ok and co.coext_ok
-    assert len(products) == 2 * len(co.sub) and counts == {"_coextension_symmetric": 1}
+    assert counts == {"_coextension_symmetric": 1, "noncommuting_pair": len(co.sub)}
     assert co.cow is co.cow
     return [(co, ("wn", "wn_pinv", "projector", "sub", "omega", "nonsingular", "idx", "solvable_ok", "cow"))]
 

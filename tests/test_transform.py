@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import last_column_scaled, stepwise_w0, stored_rows
+from helpers import cpu_seconds_at_most, gaussian_ints, last_column_scaled, stepwise_w0, stored_rows
 from liepoisson.classify import ClassificationError, catalog, classify
 from liepoisson.extension import (
     ExtensionTensor,
@@ -18,7 +19,7 @@ from liepoisson.extension import (
     validate,
 )
 from liepoisson.linalg import BasisChange, ExactMatrix, LinalgError, inverse, rank
-from liepoisson.scalars import I, ONE, ZERO, gr
+from liepoisson.scalars import I, ONE, ZERO, gr, sqrt_gaussian
 from liepoisson.transform import (
     apply,
     apply_chain,
@@ -431,12 +432,13 @@ def test_congruence_diagonalize_random():
         assert out == ExactMatrix.diagonal(diag)
 
 
-def test_repair_classes_takes_the_positive_representative(monkeypatch):
-    """_repair_classes' sign choice fixes C and c on a block with no common square class.
+def test_repair_classes_takes_the_first_entry_of_each_class(monkeypatch):
+    """_repair_classes' candidate order fixes C and c on a block with no common square class.
 
     -3, 7, 3 and 7 give no single factor c with every c/d or -c/d a square, so
     the entries are first moved into one class tau.  The candidate classes are
-    the representatives with positive real part, so the first tau is 3, not -3.
+    the first entry of each class, compared by the square root of a ratio and
+    never factored, so the first tau is -3, the first entry.
     """
     import liepoisson.transform as transform
 
@@ -447,8 +449,48 @@ def test_repair_classes_takes_the_positive_representative(monkeypatch):
     cm, signs, c = congruence_normalize(block)
     assert len(calls) == 1
     f = Fraction
-    assert cm == M([[0, 0, 0, 1], [gr(f(5, 7)), 0, gr(0, f(-2, 7)), 0], [0, 1, 0, 0], [gr(0, f(2, 7)), 0, gr(f(5, 7)), 0]])
-    assert signs == [1, 1, 1, -1] and c == gr(3)
+    assert cm == M([[1, 0, 0, 0], [0, gr(f(2, 7)), gr(0, f(5, 7)), 0], [0, 0, 0, 1], [0, gr(0, f(5, 7)), gr(f(-2, 7)), 0]])
+    assert signs == [1, 1, 1, -1] and c == gr(-3)
+    assert cm.transpose() @ block @ cm == ExactMatrix.diagonal([c * s for s in signs])
+
+
+def test_the_even_repair_factors_no_entry():
+    """diag(3, 12, p, 4p), p = 2^61 - 1: two classes, 3 and p, with a square product.
+
+    The even branch of the repair compares the entries by the square roots of their
+    ratios and takes its candidates from the entries, so the prime is never factored.
+    """
+    p = 2**61 - 1
+    block = ExactMatrix.diagonal([3, 12, p, 4 * p])
+    with cpu_seconds_at_most(2):
+        cm, signs, c = congruence_normalize(block)
+    assert cm.transpose() @ block @ cm == ExactMatrix.diagonal([c * s for s in signs])
+
+
+# square-free Gaussian integers: a unit times a product of distinct primes, 1 + i the ramified one
+SQUARE_FREE = st.builds(lambda unit, primes: unit * math.prod(primes, start=ONE),
+                        st.sampled_from([ONE, I]),
+                        st.sets(st.sampled_from([gr(1, 1), gr(2, 1), gr(2, -1), gr(3), gr(3, 2)]), max_size=2))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(SQUARE_FREE, SQUARE_FREE, st.lists(gaussian_ints(40, nonzero=True), min_size=4, max_size=4), st.permutations(range(4)))
+def test_two_classes_with_a_square_product_normalize(a, b, ss, order):
+    """a s1^2, a s2^2, b s3^2, b s4^2 in any order: an even count with a square discriminant.
+
+    Over Q(i) the form is two hyperbolic planes, so c diag(+-1, ...) is always reached;
+    when a and b lie in different classes no single c fits before the repair.
+    """
+    from liepoisson.transform import _normalize_diagonal
+
+    entries = [a, a, b, b]
+    diag = [entries[k] * gr(*ss[k]) ** 2 for k in order]
+    if sqrt_gaussian(a / b) is None:
+        assert _normalize_diagonal(list(diag)) is None
+    block = ExactMatrix.diagonal(diag)
+    norm = congruence_normalize(block)
+    assert norm is not None
+    cm, signs, c = norm
     assert cm.transpose() @ block @ cm == ExactMatrix.diagonal([c * s for s in signs])
 
 
