@@ -52,7 +52,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .extension import CasimirError, ExtensionTensor, SynthesisObstruction
 from .linalg import ExactMatrix, _pseudoinverse_rank, _rref_rows, noncommuting_pair, null_space
 from .polynomials import Poly
-from .scalars import GaussianRational, ONE, ZERO, gr, parse_scalar
+from .scalars import GaussianRational, ONE, ZERO, gr
 
 GREEK_XI = "\N{GREEK SMALL LETTER XI}"
 HALF = ONE / gr(2)
@@ -103,34 +103,6 @@ class CasimirFamily(namedtuple("CasimirFamily", "terms n semidirect")):
                 entry["args"] = [[str(c) for c in u] for u in t.func.args]
             out.append(entry)
         return {"n": self.n, "semidirect": self.semidirect, "terms": out}
-
-    @staticmethod
-    def from_json(doc: dict) -> "CasimirFamily":
-        """The family of :meth:`to_json`; ValueError, TypeError or KeyError on a malformed document."""
-        (n,) = _naturals([doc["n"]])
-        semidirect = doc.get("semidirect", False)
-        if not isinstance(semidirect, bool):
-            raise ValueError(f"semidirect must be true or false, not {semidirect!r}")
-        terms = []
-        for entry in doc["terms"]:
-            func = None
-            if "func" in entry:
-                if not isinstance(entry["func"], str):
-                    raise ValueError(f"function label must be a string, not {entry['func']!r}")
-                args = tuple(tuple(parse_scalar(c) for c in u) for u in entry["args"])
-                if any(len(u) != n for u in args):
-                    raise ValueError(f"every function argument needs {n} coefficients")
-                func = FormalFunction(entry["func"], args)
-            terms.append(CasimirTerm(Poly.from_json(n, entry["poly"]), func, _naturals(entry["deriv"])))
-        return CasimirFamily(tuple(terms), n, semidirect)
-
-
-def _naturals(values) -> Tuple[int, ...]:
-    """``values`` as a tuple of non-negative ints; a bool is not one."""
-    out = tuple(values)
-    if any(type(k) is not int or k < 0 for k in out):
-        raise ValueError(f"expected non-negative integers, got {values!r}")
-    return out
 
 
 # ---------------------------------------------------------------------------

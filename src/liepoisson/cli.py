@@ -181,14 +181,7 @@ def cmd_casimir(args) -> int:
 def _fixture_families(label: CaseLabel) -> Optional[List[CasimirFamily]]:
     """Table fixtures for the case with this label, if known."""
     from . import tables
-    from .casimir import CasimirFamily
 
-    override = os.environ.get("LIEX_FIXTURES")
-    if override:
-        path = os.path.join(override, f"{label.name}{'-sd' if label.semidirect else ''}.json")
-        if not os.path.exists(path):
-            return None
-        return read_json(path, "fixture file", lambda docs: [CasimirFamily.from_json(d) for d in docs])
     table = tables.solvable_table()
     if label.name not in table:
         return None

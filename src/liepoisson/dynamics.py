@@ -95,8 +95,12 @@ class HamiltonianSpec:
 
     @staticmethod
     def rigid_body(inertia: Sequence[float]) -> "HamiltonianSpec":
-        i1, i2, i3 = inertia
-        block = np.diag([1.0 / i1, 1.0 / i2, 1.0 / i3])
+        """H = 1/2 sum_i l_i^2 / I_i for the three finite nonzero moments of inertia I_i."""
+        moments = _floats(inertia)
+        if moments is None or moments.shape != (3,) or not np.isfinite(moments).all() or not moments.all():
+            raise DynamicsError(f"inertia must be three finite nonzero numbers, not {inertia!r}")
+        # float division: a reciprocal past the float range is inf, which the constructor refuses, with no warning
+        block = np.diag([1.0 / x for x in moments.tolist()])
         return HamiltonianSpec(block.reshape(1, 1, 3, 3))
 
     @staticmethod

@@ -7,9 +7,9 @@ canonical comparison use graded lexicographic order.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from .scalars import GaussianRational, ONE, ZERO, as_scalar, parse_scalar
+from .scalars import GaussianRational, ONE, ZERO, as_scalar
 
 Exponents = Tuple[int, ...]
 
@@ -141,10 +141,6 @@ class Poly:
 
     def to_json(self) -> list:
         return [[list(e), str(c)] for e, c in self.sorted_terms()]
-
-    @staticmethod
-    def from_json(nvars: int, doc: Iterable) -> "Poly":
-        return Poly(nvars, {tuple(e): parse_scalar(c) for e, c in doc})
 
     def format(self, var_names: Sequence[str]) -> str:
         if self.is_zero():

@@ -13,15 +13,15 @@ entries lie in Q(i).
 The module also provides the Gaussian-integer number theory that the
 classifier's rescalings and conic points use: exact square roots, square-free
 parts and factorization.  The factoring is trial division: complete in
-:func:`square_free_part`, :func:`square_free_part_zi` and :func:`gaussian_factor`
-(over 2^29 steps for a prime above 2^60), stopped at 2^16 in :func:`square_part`.
+:func:`square_free_part` and :func:`gaussian_factor` (over 2^29 steps for a
+prime above 2^60), stopped at 2^16 in :func:`square_part`.
 :func:`square_class_of_product` takes the class of a product from its factors,
 dividing out the integer content they share before it factors what is left,
 so a prime above 2^60 that two factors carry costs no trial division.
 Inside the module a Gaussian integer is a plain (x, y) int pair, and a scalar
-is built only where a value leaves it: those five and :func:`sqrt_gaussian`
-take and return scalars, while the ``_gi_*`` helpers, which
-:mod:`liepoisson.conics` shares, take and return pairs.  No ``Fraction`` is
+is built only where a value leaves it: those four and :func:`sqrt_gaussian`
+take and return scalars, while the ``_gi_*`` helpers and :func:`_square_free`,
+which :mod:`liepoisson.conics` shares, take and return pairs.  No ``Fraction`` is
 built on the way.  Nearest-integer division rounds each part of a/b half to
 even, exactly as ``round(Fraction)`` does, so Euclid's remainders, and every
 gcd and conic point built from them, are the ones the scalar arithmetic gave.
@@ -567,19 +567,6 @@ def square_class_of_product(factors) -> GaussianRational:
             x, y, u, v = x // g, y // g, u // g, v // g
         x, y = x * u - y * v, x * v + y * u
     return square_free_part(_make(x, y, 1))[0]
-
-
-def square_free_part_zi(z: GaussianRational):
-    """(rep, s) with z = rep * s^2 and rep a square-free Gaussian integer.
-
-    Unlike :func:`square_free_part` this reduces over Z[i] even for real
-    inputs (2 = -i (1+i)^2 loses its ramified square), which modular
-    arithmetic modulo the representative requires.
-    """
-    if z.is_zero():
-        return ZERO, ONE
-    rep, s = _square_free((z._a, z._b), z._d)
-    return _make(rep[0], rep[1], 1), _make(*s)
 
 
 # ---------------------------------------------------------------------------

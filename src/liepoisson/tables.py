@@ -3,7 +3,10 @@
 The invariant families of every solvable normal form of order one through
 four, plus the extra semidirect families, entered term by term as literal
 polynomial data.  They are deliberately independent of the synthesis code
-so the two can be checked against each other.
+so the two can be checked against each other.  The direction-one Leibniz
+invariants of the paper's Table 2 are entries of these two tables: the first
+family of n1-abelian, n2-case2, n3-case4 and n4-case4b for orders 1 to 4,
+and, for order 5, the terms of the semidirect extra family of n4-case4b.
 
 Variables are storage slots: a solvable family over n fields uses slots
 0..n-1 (printed as xi^1..xi^n); a semidirect family uses 0..n (printed
@@ -165,26 +168,6 @@ def semidirect_extra_table() -> Dict[str, CasimirFamily]:
         (2, {_e(5, x2=1, x3=2): H}),
         (3, {_e(5, x3=4): F24}),
     ], semidirect=True)
-    return t
-
-
-def leibniz_table_nu1() -> Dict[int, CasimirFamily]:
-    """Reference direction-one Leibniz invariants for orders 1 to 5."""
-    t: Dict[int, CasimirFamily] = {}
-    t[1] = _bare(1, [0])
-    t[2] = _linear_times_f(2, 0, 1)
-    t[3] = _family(3, [2], [(0, {_e(3, x0=1): 1}), (1, {_e(3, x1=2): H})])
-    t[4] = _family(4, [3], [
-        (0, {_e(4, x0=1): 1}),
-        (1, {_e(4, x1=1, x2=1): 1}),
-        (2, {_e(4, x2=3): SIXTH}),
-    ])
-    t[5] = _family(5, [4], [
-        (0, {_e(5, x0=1): 1}),
-        (1, {_e(5, x1=1, x3=1): 1, _e(5, x2=2): H}),
-        (2, {_e(5, x2=1, x3=2): H}),
-        (3, {_e(5, x3=4): F24}),
-    ])
     return t
 
 

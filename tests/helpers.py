@@ -91,6 +91,20 @@ def uses_variable(poly, var):
     return any(e[var] for e in poly.terms)
 
 
+def leibniz_direction_one_fixtures():
+    """The direction-one Leibniz invariants of orders 1 to 5 (the paper's Table 2), as table entries.
+
+    Orders 1 to 4 are the first family of n1-abelian, n2-case2, n3-case4 and
+    n4-case4b; order 5 has the terms of n4-case4b's semidirect extra family,
+    whose flag ``families_equal`` does not compare.
+    """
+    from liepoisson.tables import semidirect_extra_table, solvable_table
+
+    table = solvable_table()
+    return [table[name][0] for name in ("n1-abelian", "n2-case2", "n3-case4", "n4-case4b")] + \
+        [semidirect_extra_table()["n4-case4b"]]
+
+
 @contextmanager
 def cpu_seconds_at_most(seconds):
     """Fail instead of hanging: the body is stopped after ``seconds`` of CPU time.

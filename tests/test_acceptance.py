@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from helpers import is_hermitian, uses_variable
+from helpers import is_hermitian, leibniz_direction_one_fixtures, uses_variable
 from liepoisson.casimir import (
     build_coextension,
     casimir_condition_check,
@@ -41,7 +41,7 @@ from liepoisson.extension import (
 )
 from liepoisson.linalg import BasisChange, ExactMatrix, pseudoinverse
 from liepoisson.scalars import ONE, ZERO, I, gr
-from liepoisson.tables import crmhd_families, leibniz_table_nu1, semidirect_extra_table, solvable_table
+from liepoisson.tables import crmhd_families, semidirect_extra_table, solvable_table
 from liepoisson.transform import apply, apply_chain
 
 M = ExactMatrix.from_rows
@@ -102,8 +102,8 @@ def test_criterion_2_classification_round_trip():
 
 def test_criterion_3_table2_reproduction():
     start = time.time()
-    table = leibniz_table_nu1()
-    ok = all(families_equal(leibniz_casimirs_closed_form(n, 1), table[n]) for n in range(1, 6))
+    ok = all(families_equal(leibniz_casimirs_closed_form(n, 1), fixture)
+             for n, fixture in enumerate(leibniz_direction_one_fixtures(), 1))
     report(3, "Leibniz closed forms match the reference table (n = 1..5)",
            ok, f"{time.time() - start:.2f}s")
 

@@ -5,7 +5,7 @@ from typing import Dict
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import dense_unimodular, uses_variable
+from helpers import dense_unimodular, leibniz_direction_one_fixtures, uses_variable
 from liepoisson import casimir
 from liepoisson.casimir import (
     CasimirError,
@@ -39,7 +39,6 @@ from liepoisson.polynomials import Poly
 from liepoisson.scalars import ONE, ZERO, gr
 from liepoisson.tables import (
     crmhd_families,
-    leibniz_table_nu1,
     semidirect_extra_table,
     solvable_table,
 )
@@ -896,9 +895,8 @@ def test_semidirect_gate_follows_tail_determinant():
 
 
 def test_leibniz_closed_form_table():
-    table = leibniz_table_nu1()
-    for n in range(1, 6):
-        assert families_equal(leibniz_casimirs_closed_form(n, 1), table[n]), n
+    for n, fixture in enumerate(leibniz_direction_one_fixtures(), 1):
+        assert families_equal(leibniz_casimirs_closed_form(n, 1), fixture), n
 
 
 def test_families_that_differ_only_in_an_argument_are_unequal():
@@ -1032,14 +1030,6 @@ def test_format_family_prints_an_argument_as_a_polynomial():
     u = (gr(2), -ONE, gr(1, 1))
     fam = CasimirFamily((CasimirTerm(Poly.constant(3, 1), FormalFunction("f", (u, unit(3, 0))), (0, 0)),), 3)
     assert format_family(fam) == "f(2 ξ1 - ξ2 + (1+i) ξ3, ξ1)"
-
-
-def test_family_json_round_trip():
-    for fam in synthesize_casimirs(crmhd(1)):
-        doc = fam.to_json()
-        again = CasimirFamily.from_json(doc)
-        assert families_equal(fam, again)
-        assert again.semidirect == fam.semidirect
 
 
 def test_direct_sum_additivity_mixed_orders():

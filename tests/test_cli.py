@@ -591,28 +591,6 @@ def test_casimir_unnormalized_input_reduces_first(tmp_path, capsys):
     assert "normal-form coordinates of n3-case3" in out
 
 
-def test_fixture_directory_override(tmp_path, capsys, monkeypatch):
-    from liepoisson.tables import solvable_table
-
-    fixdir = tmp_path / "fixtures"
-    fixdir.mkdir()
-    fams = solvable_table()["n3-case4"]
-    (fixdir / "n3-case4.json").write_text(json.dumps([f.to_json() for f in fams]))
-    monkeypatch.setenv("LIEX_FIXTURES", str(fixdir))
-    doc = tmp_path / "l3.json"
-    doc.write_text(json.dumps(leibniz(3).to_json()))
-    code, out = run(["casimir", str(doc), "--verify"], capsys)
-    assert code == 0
-    assert "table fixtures: match" in out
-    # a malformed fixture file is a parse failure with one error line, not a traceback
-    no_terms = [{k: v for k, v in f.to_json().items() if k != "terms"} for f in fams]
-    for text in ("[{not json", json.dumps(no_terms), "[" * 100_000 + "]" * 100_000):
-        (fixdir / "n3-case4.json").write_text(text)
-        assert main(["casimir", str(doc), "--verify"]) == EXIT_PARSE
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot read fixture file") and err.count("\n") == 1
-
-
 def test_simulate_dimension_mismatch_exit_code(tmp_path, capsys):
     doc = tmp_path / "t.json"
     doc.write_text(json.dumps(leibniz(2).to_json()))
@@ -810,46 +788,3 @@ def test_the_refusal_table_is_the_documented_exit_code_list():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     in_readme = {(int(code), prefix) for code, prefix in re.findall(r"^\| (\d) \| `(\w+):`", readme, re.M)}
     assert in_readme == table
-
-
-def _wrap_deriv(fam):
-    fam["terms"][0]["deriv"] = [fam["terms"][0]["deriv"]]
-
-
-def _bool_exponent(fam):
-    fam["terms"][0]["poly"][0][0][0] = True
-
-
-def _short_argument(fam):
-    fam["terms"][0]["args"][0] = fam["terms"][0]["args"][0][:-1]
-
-
-def _numeric_label(fam):
-    fam["terms"][0]["func"] = 7
-
-
-def _string_order(fam):
-    fam["n"] = "3"
-
-
-def _string_semidirect(fam):
-    fam["semidirect"] = "no"
-
-
-@pytest.mark.parametrize("damage", [_wrap_deriv, _bool_exponent, _short_argument, _numeric_label,
-                                    _string_order, _string_semidirect],
-                         ids=lambda f: f.__name__.strip("_"))
-def test_a_fixture_family_of_the_wrong_shape_is_one_parse_error_line(tmp_path, capfd, monkeypatch, damage):
-    """A fixture file that is JSON but not a family document ends before any check reads it."""
-    from liepoisson.tables import solvable_table
-
-    fams = [f.to_json() for f in solvable_table()["n3-case4"]]
-    damage(fams[0])
-    (tmp_path / "n3-case4.json").write_text(json.dumps(fams))
-    monkeypatch.setenv("LIEX_FIXTURES", str(tmp_path))
-    doc = tmp_path / "l3.json"
-    doc.write_text(json.dumps(leibniz(3).to_json()))
-    assert main(["casimir", str(doc), "--verify"]) == EXIT_PARSE
-    out, err = _output(capfd)
-    assert "[pass]" not in out
-    assert err.startswith(f"error: cannot read fixture file {tmp_path / 'n3-case4.json'}: ") and err.count("\n") == 1

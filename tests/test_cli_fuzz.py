@@ -25,7 +25,6 @@ from liepoisson.classify import catalog
 from liepoisson.cli import EXIT_DIMENSION, EXIT_OK, EXIT_PARSE, REFUSALS, main
 from liepoisson.extension import append_semisimple, crmhd, leibniz
 from liepoisson.scalars import as_scalar, gr
-from liepoisson.tables import solvable_table
 
 CODES = {EXIT_OK, EXIT_PARSE, EXIT_DIMENSION} | {code for _, code, _ in REFUSALS}
 PREFIXES = tuple(f"{prefix}: " for prefix in {"error"} | {prefix for *_, prefix in REFUSALS})
@@ -119,28 +118,19 @@ def a_path(data, workdir, name, value):
     return json_file(data, os.path.join(workdir, name), value)
 
 
-def check(argv, env=None):
+def check(argv):
     """Run ``liex argv`` in-process and hold it to the rules of the module docstring."""
     out, err = io.StringIO(), io.StringIO()
-    saved = {key: os.environ.get(key) for key in env or {}}
-    os.environ.update(env or {})
-    try:
-        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(), \
-                cpu_seconds_at_most(CPU_SECONDS):
-            warnings.simplefilter("error")
-            try:
-                code = main(argv)
-            except SystemExit as usage:
-                # argparse's own usage error: a usage line and one `error:` line
-                assert usage.code == EXIT_PARSE, (argv, usage.code)
-                assert err.getvalue().splitlines()[-1].startswith("liex"), (argv, err.getvalue())
-                return EXIT_PARSE
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key)
-            else:
-                os.environ[key] = value
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(), \
+            cpu_seconds_at_most(CPU_SECONDS):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as usage:
+            # argparse's own usage error: a usage line and one `error:` line
+            assert usage.code == EXIT_PARSE, (argv, usage.code)
+            assert err.getvalue().splitlines()[-1].startswith("liex"), (argv, err.getvalue())
+            return EXIT_PARSE
     assert code in CODES, (argv, code)
     lines = (out.getvalue() + err.getvalue()).splitlines()
     assert sum(line.startswith(PREFIXES) for line in lines) <= 1, (argv, lines)
@@ -242,13 +232,3 @@ def test_bad_option_values(workdir, data):
             ["simulate", "--preset", "heavy-top", "--steps", "2", "--summary"],
         ]))
         assert check([*argv, target]) == EXIT_PARSE
-
-
-@FUZZ
-@given(data=st.data())
-def test_mutated_fixture_files(workdir, data):
-    fixtures = os.path.join(workdir, "fixtures")
-    os.makedirs(fixtures, exist_ok=True)
-    json_file(data, os.path.join(fixtures, "n3-case4.json"), [f.to_json() for f in solvable_table()["n3-case4"]])
-    doc = json_file(data, os.path.join(workdir, "l3.json"), leibniz(3).to_json())
-    check(["casimir", doc, "--verify"], env={"LIEX_FIXTURES": fixtures})

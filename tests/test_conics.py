@@ -26,8 +26,8 @@ from liepoisson.scalars import (
     _gi_factor,
     _gi_mul,
     _reduced,
+    _square_free,
     gr,
-    square_free_part_zi,
     sqrt_gaussian,
 )
 
@@ -228,7 +228,9 @@ def test_square_free_part_zi():
         z = random_scalar(rng)
         if z.is_zero():
             continue
-        rep, s = square_free_part_zi(z)
+        (x, y), (sx, sy, se) = _square_free((z._a, z._b), z._d)
+        rep, s = gr(x, y), gr(Fraction(sx, se), Fraction(sy, se))
+        assert (rep, s) == oracle.square_free_part_zi(z)
         assert rep * s * s == z
         assert rep.is_gaussian_integer()
         # rep has no square prime factors

@@ -476,6 +476,15 @@ def test_non_finite_inputs_and_misshapen_monitors_are_named():
     for blocks in ([[1, 2], [3]], {}, np.ones((2, 2, 3))):
         with pytest.raises(DynamicsError, match=r"blocks must have shape \(n, n, 3, 3\)"):
             HamiltonianSpec(blocks)
+    # a zero moment raised ZeroDivisionError, two moments ValueError and a string TypeError
+    for inertia in ((0, 1, 2), (1, 2), ("a", 1, 2), (1, 2, 3, 4), (math.nan, 1, 2), (1, math.inf, 2), [[1, 2, 3]]):
+        with pytest.raises(DynamicsError, match="inertia must be three finite nonzero numbers"):
+            HamiltonianSpec.rigid_body(inertia)
+    # a moment whose reciprocal leaves the float range is refused as a non-finite block, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DynamicsError, match="Hamiltonian blocks have a non-finite entry"):
+            HamiltonianSpec.rigid_body((1e-320, 1, 2))
     s0 = FieldState(np.ones((2, 3)))
     with pytest.raises(DynamicsError, match=r"monitor Q has shape \(3, 3\), not \(2, 2\)"):
         simulate(t, h, s0, 0.01, 3, monitors=[("Q", np.eye(3))])

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -64,3 +65,69 @@ def test_the_casimir_refusals_keep_their_class_and_exit_code():
     assert casimir.CasimirError is extension.CasimirError
     row = next(row for row in REFUSALS if issubclass(casimir.SynthesisObstruction, row[0]))
     assert row[1:] == (EXIT_OBSTRUCTION, "obstruction")
+
+
+ROOT = Path(SRC).parent
+# names that no caller reaches, each kept for its reason
+UNREACHED = {
+    "classify.equivalence_check": "public API: the orbit test of two tensors, exported by the package",
+    "polynomials.Poly.diff": "the Hessian oracle that tests/test_casimir.py checks _hessian against",
+}
+
+
+def _defined(body):
+    """The functions and classes of ``body`` but its dunders, which the interpreter calls."""
+    return [node for node in body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def _definitions(tree, module):
+    """{qualified name: its node} for the module-level functions and classes and the methods of the classes."""
+    out = {}
+    for node in _defined(tree.body):
+        out[f"{module}.{node.name}"] = node
+        if isinstance(node, ast.ClassDef):
+            out.update((f"{module}.{node.name}.{item.name}", item) for item in _defined(node.body))
+    return out
+
+
+def _reads(tree):
+    """(identifier, node) for each name or attribute that ``tree`` reads; imports, strings and stores are not reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(node.ctx, ast.Store):
+            yield (node.id if isinstance(node, ast.Name) else node.attr), node
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    """A function, class or method that only tests reach is deleted, or listed in ``UNREACHED`` with its reason.
+
+    Callers are the package's own code (outside the definition itself), the
+    benchmark outside its tests (its ``TRACED`` names too), the demos and the
+    CI workflows.  Names are matched bare, so a method counts as called when
+    any attribute of that name is read.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "liepoisson").glob("*.py"))}
+    definitions = {}
+    for module, tree in trees.items():
+        definitions.update(_definitions(tree, module))
+    package = {}   # identifier -> the nodes of the package that read it
+    for tree in trees.values():
+        for name, node in _reads(tree):
+            package.setdefault(name, []).append(node)
+    outside = set()
+    for path in [*(ROOT / "bench").glob("*.py"), *(ROOT / "demos").glob("*.py")]:
+        tree = ast.parse(path.read_text())
+        outside.update(name for name, _ in _reads(tree))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets):
+                outside.update(c.value.rsplit(".", 1)[-1] for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    for path in (ROOT / ".github" / "workflows").glob("*.yml"):
+        outside.update(re.findall(r"\w+", path.read_text()))
+    unreached = set()
+    for qualified, node in definitions.items():
+        name = qualified.rsplit(".", 1)[-1]
+        inside = {id(sub) for sub in ast.walk(node)}
+        if name not in outside and all(id(ref) in inside for ref in package.get(name, ())):
+            unreached.add(qualified)
+    assert unreached - UNREACHED.keys() == set(), "reached by no caller outside the tests"
+    assert UNREACHED.keys() - unreached == set(), "listed as unreached, but a caller reaches it"
