@@ -14,6 +14,11 @@ contract with it; ``Poly`` objects are built only for the residual of a
 failing triple.  :func:`quadratic_casimir_basis` takes its equations from
 the same builder.
 
+Synthesis takes one block in normal position, as the paper derives it:
+every slice nilpotent, or W^(0) = I and every other slice nilpotent, all
+lower-triangular.  :func:`_solvable_start` is the one test of this
+contract; any other tensor is refused with one ``CasimirError``.
+
 Synthesis works through the coextension.  With Wn the symmetric matrix of
 the last slice restricted to the solvable indices (excluding the last), its
 exact pseudoinverse and the projector P = Wn Wn^+ define the dual tensor
@@ -23,7 +28,7 @@ C = sum_i g^(i) f_i(xi^n) whose coefficients obey
     g^(0) = P xi,   g^(1)_,ts = omega^nu_ts,   g^(i)_,ts = omega^mu_ts g^(i-1)_,mu.
 
 Both layers stay sparse.  The coextension reads Wn and the subextension
-slices off one pass over the tensor's nonzeros and keeps omega as its
+slices as blocks W_(lam) of the tensor's stored rows and keeps omega as its
 nonzeros, one tuple (lam, sig, value) per upper index; at nonsingular Wn
 omega is read off the rows of Wn^-1 W_(sig) with no further product.  Each
 g^(i) is one {exponent: coefficient} dict, built from the nonzeros of omega
@@ -37,9 +42,11 @@ coextension product symmetry, summed from omega's nonzeros); when they
 fail the tensor splits as a direct sum on the support of its slices and
 the blocks are synthesized separately, with the
 simultaneous-eigenvector directions merged into one arbitrary function of
-several arguments.  A semidirect tensor contributes one extra family in
-the semisimple direction exactly when Wn is nonsingular, that is when P is
-the identity.
+several arguments: the common kernel of the slices past the semisimple
+slot, that is of the stored rows (lam, nu), row lam of W^(nu) by
+upper-index symmetry; it always holds e_(n-1).  A semidirect tensor
+contributes one extra family in the semisimple direction exactly when Wn
+is nonsingular, that is when P is the identity.
 """
 
 from __future__ import annotations
@@ -283,37 +290,35 @@ class CoextensionResult:
         return _coextension_symmetric(self.omega)
 
 
-def _solvable_start(t: ExtensionTensor) -> int:
-    """1 when W^(0) = I makes slot 0 semisimple, 0 when its diagonal is zero; else not normalized."""
-    if t.slice_is_identity(0):
+def _solvable_start(t: ExtensionTensor) -> Optional[int]:
+    """The first solvable slot under the contract of synthesis, else None: 0 when every slice
+    is nilpotent, 1 when W^(0) = I and every other slice is, all of them lower-triangular."""
+    if t.is_solvable():
+        return 0
+    if t.is_lower_triangular() and t.slice_is_identity(0) and not any(
+            any(t.slice_diagonal(nu)) for nu in range(1, t.n)):
         return 1
-    if any(t.slice_diagonal(0)):
-        raise CasimirError("normalize the first slice: W^(0) must be the identity or have a zero diagonal")
-    return 0
+    return None
+
+
+_NOT_NORMALIZED = "synthesis needs a normalized single block: nilpotent slices, or W^(0) = I and the others nilpotent"
 
 
 def is_normalized(t: ExtensionTensor) -> bool:
-    """Whether synthesis takes ``t`` as it is: lower-triangular, W^(0) the identity or with a zero diagonal."""
-    if not t.is_lower_triangular():
-        return False
-    try:
-        _solvable_start(t)
-    except CasimirError:
-        return False
-    return True
+    """Whether synthesis takes ``t`` as it is (see :func:`_solvable_start`)."""
+    return _solvable_start(t) is not None
 
 
 def build_coextension(t: ExtensionTensor) -> CoextensionResult:
     """Wn, its exact pseudoinverse, the projector, and the dual tensor omega.
 
-    Expects a normalized tensor (lower-triangular, identity first slice when
-    semidirect).  Failure of the solvability or symmetry condition is
-    recorded in the flags, not raised.  A semidirect tensor with no
+    Expects a normalized tensor (see :func:`_solvable_start`).  Failure of the solvability or
+    symmetry condition is recorded in the flags, not raised.  A semidirect tensor with no
     solvable slot (the bare base bracket) has no coextension.
     """
-    if not t.is_lower_triangular():
-        raise CasimirError("coextension needs a lower-triangular tensor")
     s = _solvable_start(t)
+    if s is None:
+        raise CasimirError(_NOT_NORMALIZED)
     if s == t.n:
         raise CasimirError("coextension needs at least one solvable slot")
     return _coextension(t, range(s, t.n))
@@ -326,8 +331,8 @@ def _coextension(t: ExtensionTensor, idx: Sequence[int]) -> CoextensionResult:
                          - sum_{rho kap mu} Wn^+_{lam rho} Wn^+_{sig kap} Wn_{rho mu} W_mu^{kap nu}
     is evaluated in the factorized form B_lam[sig, nu] + B_sig[lam, nu]
     - sum_mu A[lam, mu] B_mu[sig, nu], with A = Wn^+ Wn and B_mu = Wn^+ W_(mu),
-    in O(k^4) rather than O(k^6).  Wn and the slices W_(mu) are read off one
-    pass over the tensor's nonzeros, and each (lam, sig) combines the stored
+    in O(k^4) rather than O(k^6).  Wn and the W_(mu) are read off the stored
+    rows (mu, rho), rho in the slots, and each (lam, sig) combines the stored
     rows of the B_mu, so only nonzeros are touched.  Wn is nonsingular
     exactly when the row reduction that gives Wn^+ finds full rank; then the
     projector Wn Wn^+ is the identity, A = Wn^-1 Wn = I, the first and last
@@ -336,21 +341,15 @@ def _coextension(t: ExtensionTensor, idx: Sequence[int]) -> CoextensionResult:
     """
     idx = tuple(idx)
     k = len(idx) - 1
-    last = idx[-1]
-    local = {slot: i for i, slot in enumerate(idx[:k])}
-    wn_rows: List[Dict[int, GaussianRational]] = [{} for _ in range(k)]
-    sub_rows = [[{} for _ in range(k)] for _ in range(k)]
-    for lam, mu, nu, x in t.nonzeros():
-        rho, col = local.get(mu), local.get(nu)
-        if rho is None or col is None:
-            continue
-        if lam == last:
-            wn_rows[rho][col] = x
-        elif lam in local:
-            sub_rows[local[lam]][rho][col] = x
-    wn = ExactMatrix._of(k, k, wn_rows)
+    slots = idx[:k]
+    local = {slot: i for i, slot in enumerate(slots)}
+
+    def block(lam: int) -> ExactMatrix:  # W_(lam) on the slots, in local indices
+        rows = t.nz[lam]
+        return ExactMatrix._of(k, k, [{local[nu]: x for nu, x in rows[mu].items() if nu in local} for mu in slots])
+    wn = block(idx[-1])
     wn_pinv, rank = _pseudoinverse_rank(wn)
-    sub = tuple(ExactMatrix._of(k, k, rows) for rows in sub_rows)
+    sub = tuple(map(block, slots))
     nonsingular = rank == k
     projector = ExactMatrix.identity(k) if nonsingular else wn @ wn_pinv
     b = [(wn_pinv @ m).nz for m in sub]
@@ -515,35 +514,20 @@ def _support_components(t: ExtensionTensor, lo: int, hi: int) -> List[List[int]]
     return sorted(groups.values())
 
 
-def _eigenvector_family(t: ExtensionTensor, names: Iterator[str]) -> Optional[CasimirFamily]:
-    """One family per joint-eigenvector space, a function of several args.
+def _eigenvector_family(t: ExtensionTensor, s: int, names: Iterator[str]) -> CasimirFamily:
+    """One multi-argument family over the common kernel of the slices W^(nu), nu >= s.
 
-    The covectors are the simultaneous eigenvectors of all slice matrices;
-    for a single degenerate block their eigenvalue tuple is read off the
-    diagonals.  The family takes the next name only when it exists.
+    By upper-index symmetry the stored row (lam, nu) is row lam of W^(nu), so
+    the kernel is that of the stored rows (lam, nu), nu >= s.  Under the
+    contract of :func:`_solvable_start` each of those slices is strictly
+    lower-triangular, so e_(n-1) lies in the kernel and the family exists.
     """
     n = t.n
-    # row (nu, lam) is row lam of W^(nu) - ev I, as {mu: value} over its
-    # nonzeros: entry (lam, mu) of W^(nu) is w[lam][mu][nu], and ev is w[0][0][nu]
-    rows = [[{} for _ in range(n)] for _ in range(n)]
-    for lam, mu, nu, x in t.nonzeros():
-        rows[nu][lam][mu] = x
-    for nu, plane in enumerate(rows):
-        ev = t.entry(0, 0, nu)
-        if ev:
-            for lam, row in enumerate(plane):
-                x = row.get(lam, ZERO) - ev
-                if x:
-                    row[lam] = x
-                else:
-                    del row[lam]
-    kernel = null_space(ExactMatrix._of(n * n, n, [row for plane in rows for row in plane]))
-    if not kernel.rows:
-        return None
+    kernel = null_space(ExactMatrix._of(n * (n - s), n, [plane[nu] for nu in range(s, n) for plane in t.nz]))
     args = tuple(map(kernel.row, range(kernel.rows)))
     func = FormalFunction(next(names), args)
     term = CasimirTerm(Poly.constant(n, 1), func, (0,) * len(args))
-    return CasimirFamily((term,), n, t.slice_is_identity(0))
+    return CasimirFamily((term,), n, bool(s))
 
 
 def synthesize_casimirs(t: ExtensionTensor) -> List[CasimirFamily]:
@@ -556,9 +540,9 @@ def synthesize_casimirs(t: ExtensionTensor) -> List[CasimirFamily]:
     multi-argument family over the simultaneous eigenvectors.  The bare
     base bracket (no solvable slot) has only its eigenvector family f(xi0).
     """
-    if not t.is_lower_triangular():
-        raise CasimirError("synthesis needs a normalized (lower-triangular) tensor")
     s = _solvable_start(t)
+    if s is None:
+        raise CasimirError(_NOT_NORMALIZED)
     whole = list(range(s, t.n))
     cos = [_coextension(t, comp) for comp in _support_components(t, s, t.n)
            if len(comp) > 1 or comp == whole]
@@ -570,9 +554,7 @@ def synthesize_casimirs(t: ExtensionTensor) -> List[CasimirFamily]:
         families.append(_semidirect_family(t, cos[0], names))
     for co in cos:
         families += _component_families(t, co, names, bool(s))
-    eig = _eigenvector_family(t, names)
-    if eig is not None:
-        families.append(eig)
+    families.append(_eigenvector_family(t, s, names))
     for fam in families:
         report = casimir_condition_check(t, fam)
         if not report:

@@ -331,6 +331,8 @@ def cmd_catalog(args) -> int:
 def cmd_leibniz(args) -> int:
     if args.order < 1:
         raise ParseFailure(f"--order must be at least 1, got {args.order}")
+    if args.order > 100:  # order^3 entries: order 100 writes 13 MB in about 3 s
+        raise ParseFailure(f"--order must be at most 100, got {args.order}")
     t = leibniz(args.order, semidirect=args.semidirect)
     doc = {"name": f"leibniz-{args.order}{'-sd' if args.semidirect else ''}", **t.to_json()}
     write_json(doc, args.out, f"tensor written to {args.out}")

@@ -26,6 +26,7 @@ from liepoisson.casimir import (
 from liepoisson.classify import OrderTooHigh, catalog, classify
 from liepoisson.dynamics import rigid_body_tensor
 from liepoisson.extension import (
+    ExtensionTensor,
     abelian,
     append_semisimple,
     crmhd,
@@ -786,19 +787,23 @@ def test_bare_base_bracket_has_only_the_eigenvector_family():
         build_coextension(t)
 
 
-def test_a_sum_whose_semidirect_operand_comes_second_keeps_slot_0_solvable():
-    # the sum is semidirect (its operand's slice keeps a nonzero trace), but W^(0) has a zero
-    # diagonal, so synthesis treats slot 0 as solvable and labels from 1, as it always has
+def test_synthesis_refuses_a_tensor_of_more_than_one_block():
+    # the sum is semidirect (its operand's slice keeps a nonzero trace) with a zero diagonal in W^(0):
+    # two blocks, so neither contract of synthesis holds (all slices nilpotent, or W^(0) = I and
+    # the others nilpotent), and synthesis refuses it instead of listing only some of its families
     t = direct_sum(leibniz(2), leibniz(1, semidirect=True))
     assert t.semidirect and not any(t.slice_diagonal(0))
-    fams = synthesize_casimirs(t)
-    assert [format_family(f) for f in fams] == ["ξ1 f(ξ2)", "g(ξ2)"]
-    assert not any(f.semidirect for f in fams)
+    # Q(i) x Q(i) in the basis (unit, idempotent): W^(0) = I, but W^(1) has the diagonal (0, 1)
+    coupled = ExtensionTensor.from_json({"n": 2, "w": [[["1", "0"], ["0", "0"]], [["0", "1"], ["1", "1"]]]})
+    assert coupled.slice_is_identity(0) and coupled.is_lower_triangular()
     # a semidirect first slice that is not the identity is refused until it is normalized
     moved = apply(crmhd(1), BasisChange(ExactMatrix.identity(4).scale(gr(2))))
     assert moved.is_lower_triangular() and moved.semidirect
-    with pytest.raises(CasimirError, match="normalize the first slice"):
-        synthesize_casimirs(moved)
+    for bad in (t, coupled, moved):
+        assert not casimir.is_normalized(bad)
+        for builder in (synthesize_casimirs, build_coextension):
+            with pytest.raises(CasimirError, match="needs a normalized single block"):
+                builder(bad)
 
 
 def test_the_cli_and_synthesis_decide_normalization_alike():
@@ -849,16 +854,18 @@ def dense_eigenvector_args(t):
 
 def test_eigenvector_family_matches_dense_rows():
     tensors = [rigid_body_tensor(), crmhd(1), crmhd(Fraction(-7, 3)), abelian(3)]
-    tensors += [leibniz(k, semidirect=s) for k in range(1, 6) for s in (False, True)]
+    tensors += [leibniz(k) for k in range(1, 9)] + [leibniz(k, semidirect=True) for k in range(1, 6)]
+    tensors += [direct_sum(leibniz(2), leibniz(3)), direct_sum(abelian(1), leibniz(3)),
+                direct_sum(leibniz(3), abelian(2))]
     for order in (2, 3, 4):
         for _, t in catalog(order).entries:
             tensors += [t, append_semisimple(t)]
     for t in tensors:
-        fam = casimir._eigenvector_family(t, iter("f"))
+        s = casimir._solvable_start(t)
+        fam = casimir._eigenvector_family(t, s, iter("f"))
         want = dense_eigenvector_args(t)
-        if not want:
-            assert fam is None
-            continue
+        assert want, t
+        assert fam.semidirect == t.slice_is_identity(0)
         args = fam.terms[0].func.args
         assert args == want
         assert [tuple((x._a, x._b, x._d) for x in v) for v in args] == \

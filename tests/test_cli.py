@@ -12,7 +12,7 @@ from helpers import cpu_seconds_at_most, dense_unimodular
 from liepoisson.cli import EXIT_DIMENSION, EXIT_INVALID, EXIT_OBSTRUCTION, EXIT_PARSE, EXIT_UNCLASSIFIED, main
 from liepoisson.classify import catalog
 from liepoisson.dynamics import rigid_body_tensor
-from liepoisson.extension import ExtensionTensor, crmhd, leibniz
+from liepoisson.extension import ExtensionTensor, crmhd, direct_sum, leibniz
 from liepoisson.transform import apply_chain
 from liepoisson.linalg import BasisChange, ExactMatrix
 
@@ -103,6 +103,22 @@ def test_slices_without_q_i_eigenvalues_exit_invalid(tmp_path, command):
     assert result.returncode == EXIT_UNCLASSIFIED
     assert "more than one block" in result.stdout
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 2, "semidirect": True, "w": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]]},
+    {"n": 2, "w": [[["1", "0"], ["0", "0"]], [["0", "1"], ["1", "1"]]]},
+    direct_sum(leibniz(2), leibniz(1, semidirect=True)).to_json(),
+], ids=["abelian-plus-base-bracket", "q-i-squared-unit-first", "leibniz2-plus-semidirect-leibniz1"])
+def test_casimir_refuses_a_bracket_of_more_than_one_block(tmp_path, capfd, doc):
+    """Synthesis takes one block in normal position; a lower-triangular sum of blocks goes to the
+    classifier, which refuses it, instead of listing only some of its families or failing its check."""
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(doc))
+    assert main(["casimir", str(path), "--verify"]) == EXIT_UNCLASSIFIED
+    out, err = _output(capfd)
+    assert out.count("\n") == 1 and out.startswith("error: tensor has more than one block"), out
+    assert err == ""
 
 
 def test_multi_block_with_a_large_prime_eigenvalue_exits_invalid(tmp_path):
@@ -765,8 +781,10 @@ def test_simulate_overflow_is_one_line_without_numpy_warnings(tmp_path, capfd):
     (["crmhd", "--beta", "0"], "error: bad beta: beta must be nonzero"),
     (["leibniz", "--order", "0"], "error: --order must be at least 1, got 0"),
     (["leibniz", "--order", "-2", "--semidirect"], "error: --order must be at least 1, got -2"),
+    (["leibniz", "--order", "101"], "error: --order must be at most 100, got 101"),
 ], ids=["inertia-with-a-document", "inertia-with-heavy-top", "inertia-below-the-float-range",
-        "inertia-above-the-float-range", "crmhd-beta-zero", "leibniz-order-zero", "leibniz-order-negative"])
+        "inertia-above-the-float-range", "crmhd-beta-zero", "leibniz-order-zero", "leibniz-order-negative",
+        "leibniz-order-above-100"])
 def test_bad_option_values_exit_2_with_one_stderr_line(tmp_path, capfd, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     Path("t.json").write_text(json.dumps(leibniz(2).to_json()))

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import cpu_seconds_at_most, gaussian_ints, last_column_scaled, stepwise_w0, stored_rows
 from liepoisson.classify import ClassificationError, catalog, classify
@@ -465,6 +465,24 @@ def test_the_even_repair_factors_no_entry():
     with cpu_seconds_at_most(2):
         cm, signs, c = congruence_normalize(block)
     assert cm.transpose() @ block @ cm == ExactMatrix.diagonal([c * s for s in signs])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(gaussian_ints(30, nonzero=True), gaussian_ints(30, nonzero=True), st.integers(1, 12), st.integers(1, 12))
+def test_a_refused_two_entry_tail_has_a_nonsquare_product_and_no_repair(z1, z2, q1, q2):
+    """A tail of two nonzero entries that no global factor scales is two entries in two classes.
+
+    ``classify`` builds 2x2 and 3x3 tails only, so every even count that reaches
+    :func:`_repair_classes` is this case: d1/d2 is no square (-1 = i^2 is one), so
+    neither is d1 d2 = d2^2 (d1/d2), and the even branch returns None.
+    """
+    from liepoisson.scalars import square_class_of_product
+    from liepoisson.transform import _normalize_diagonal, _repair_classes
+
+    diag = [gr(Fraction(z1[0], q1), Fraction(z1[1], q1)), gr(Fraction(z2[0], q2), Fraction(z2[1], q2))]
+    assume(_normalize_diagonal(list(diag)) is None)
+    assert square_class_of_product(diag) not in (ONE, -ONE)
+    assert _repair_classes([[ONE, ZERO], [ZERO, ONE]], list(diag)) is None
 
 
 # square-free Gaussian integers: a unit times a product of distinct primes, 1 + i the ramified one
