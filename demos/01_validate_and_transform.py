@@ -3,11 +3,11 @@
 An extension bracket on n-tuples is encoded by a 3-tensor W; it is a Lie
 bracket exactly when W is symmetric in its upper indices and the slice
 matrices pairwise commute.  This script validates the two reduced-MHD
-tensors, breaks one on purpose, and shows a coordinate change at work.
+tensors, breaks each law on purpose, and shows a coordinate change at work.
 """
 
 from liepoisson import crmhd, low_beta_rmhd, validate, apply, BasisChange
-from liepoisson.extension import SymmetryViolation
+from liepoisson.extension import CommutationViolation, SymmetryViolation
 from liepoisson.linalg import ExactMatrix
 from liepoisson.scalars import I, gr
 
@@ -33,6 +33,16 @@ try:
     validate(w)
 except SymmetryViolation as err:
     print("rejected:", err)
+
+print()
+print("== breaking the commutation law ==")
+w = [[[gr(0)] * 3 for _ in range(3)] for _ in range(3)]
+w[1][0][0] = gr(1)          # W_2^{11} = 1
+w[2][1][1] = gr(1)          # W_3^{22} = 1: symmetric, but W^(0) and W^(1) do not commute
+try:
+    validate(w)
+except CommutationViolation as err:
+    print("rejected:", err, "at the pair", err.pair)
 
 print()
 print("== the complex tail map ==")

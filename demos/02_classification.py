@@ -18,6 +18,7 @@ from liepoisson import (
     classify,
     crmhd,
     direct_sum,
+    equivalence_check,
     leibniz,
     strip_semisimple,
 )
@@ -36,6 +37,7 @@ for text, t in [
     ("CRMHD solvable part (beta = 1)", strip_semisimple(crmhd(1))),
     ("full CRMHD bracket", crmhd(1)),
     ("direct sum of two order-2 Leibniz", direct_sum(leibniz(2), leibniz(2))),
+    ("Leibniz order 4 as a raw cube", leibniz(4).w),   # validated first
 ]:
     label, chain = classify(t)
     sd = " [semidirect]" if label.semidirect else ""
@@ -53,3 +55,11 @@ label, chain = classify(scrambled)
 print("recovered label:", label.name)
 replayed = apply_chain(scrambled, chain)
 print("witness replays to the normal form exactly:", replayed.w == entry.w)
+
+print()
+print("== the orbit test ==")
+other = apply(entry, BasisChange(ExactMatrix.from_rows([[1, 0, 0, 0], [1, 1, 0, 0], [0, 2, 1, 0], [1, 0, 0, 3]])))
+verdict = equivalence_check(scrambled, other)
+print(f"two moves of n4-case3c: {verdict.kind}, witness of {len(verdict.witness)} moves,",
+      "replays one onto the other:", apply_chain(scrambled, verdict.witness) == other)
+print("n4-case3c against Leibniz order 4:", equivalence_check(scrambled, leibniz(4)).reason)

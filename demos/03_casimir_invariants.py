@@ -38,6 +38,8 @@ print("== a singular tail: case 3c ==")
 t = catalog(4).lookup("n4-case3c")
 co = build_coextension(t)
 print("projector diagonal:", [str(co.projector[i, i]) for i in range(co.projector.rows)])
+print("coextension entries:", [(nu, lam, sig, str(x)) for nu, plane in enumerate(co.cow)
+                               for lam, row in enumerate(plane) for sig, x in enumerate(row) if x])
 for fam in synthesize_casimirs(t):
     print("  ", format_family(fam))
 

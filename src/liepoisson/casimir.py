@@ -51,7 +51,7 @@ is nonsingular, that is when P is the identity.
 
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from functools import cached_property
 from itertools import count
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -84,7 +84,12 @@ class FormalFunction(namedtuple("FormalFunction", "label args")):
 
 
 class CasimirTerm(namedtuple("CasimirTerm", "poly func deriv")):
-    """poly * (derivative of func), deriv a multi-index over func.args."""
+    """poly * (derivative of func), deriv a multi-index over func.args.
+
+    With func None the term is the polynomial density poly alone, which
+    the condition checker takes; comparison and formatting take families
+    of function terms, the only ones synthesis and the tables build.
+    """
 
     __slots__ = ()
 
@@ -430,8 +435,8 @@ def _series_from_hessian_recursion(
     accumulated in one {exponent: coefficient} dict: every term of g^(i-1)
     that holds variable mu meets the nonzeros of omega^mu, with omega^mu_ts
     and omega^mu_st merged on their common monomial, and the sum is scaled
-    once.  ``start`` is g^(0) in the same form; ``local_vars`` maps omega's
-    indices to storage variables.
+    once.  ``start`` is g^(0) in the same form, never empty; ``local_vars``
+    maps omega's indices to storage variables.
     """
     planes = []
     for mu, plane in enumerate(omega):
@@ -446,9 +451,6 @@ def _series_from_hessian_recursion(
     series = [start]
     for _ in range(4 * n + 4):
         prev = series[-1]
-        if not prev:
-            series.pop()
-            break
         acc: Terms = {}
         for e, c in prev.items():
             for v, pairs in planes:
@@ -687,43 +689,24 @@ def quadratic_casimir_basis(t: ExtensionTensor) -> List[ExactMatrix]:
 # ---------------------------------------------------------------------------
 
 def _canonical_terms(fam: CasimirFamily):
-    """Family contents with function labels stripped and args sorted."""
+    """Family contents with function labels stripped and args sorted: the terms' (args, deriv, poly)."""
     out = []
     for t in fam.terms:
-        if t.poly.is_zero():
-            continue
-        if t.func is None:
-            args, deriv = None, t.deriv
-        else:
-            order = sorted(range(len(t.func.args)),
-                           key=lambda a: tuple(x.sort_key() for x in t.func.args[a]))
-            args = tuple(t.func.args[a] for a in order)
-            deriv = tuple(t.deriv[a] for a in order)
+        args = t.func.args
+        order = sorted(range(len(args)), key=lambda a: tuple(x.sort_key() for x in args[a]))
         poly = tuple(sorted(t.poly.terms.items(), key=lambda kv: kv[0]))
-        out.append((args, deriv, poly))
+        out.append((tuple(args[a] for a in order), tuple(t.deriv[a] for a in order), poly))
     return tuple(sorted(out, key=repr))
 
 
 def families_equal(a: CasimirFamily, b: CasimirFamily) -> bool:
     """Equality up to relabeling of the arbitrary-function names."""
-    if a.n != b.n:
-        return False
     return _canonical_terms(a) == _canonical_terms(b)
 
 
 def family_sets_equal(xs: Sequence[CasimirFamily], ys: Sequence[CasimirFamily]) -> bool:
     """Multiset equality of families, label-insensitive."""
-    if len(xs) != len(ys):
-        return False
-    remaining = list(ys)
-    for x in xs:
-        for i, y in enumerate(remaining):
-            if families_equal(x, y):
-                del remaining[i]
-                break
-        else:
-            return False
-    return True
+    return Counter(map(_canonical_terms, xs)) == Counter(map(_canonical_terms, ys))
 
 
 def _var_names(fam: CasimirFamily) -> List[str]:
@@ -737,12 +720,7 @@ def format_family(fam: CasimirFamily) -> str:
     names = _var_names(fam)
     parts = []
     for term in fam.terms:
-        if term.poly.is_zero():
-            continue
         body = term.poly.format(names)
-        if term.func is None:
-            parts.append(body)
-            continue
         argtext = ", ".join(
             Poly(len(u), {tuple(int(k == m) for k in range(len(u))): c for m, c in enumerate(u)}).format(names)
             for u in term.func.args
@@ -756,8 +734,6 @@ def format_family(fam: CasimirFamily) -> str:
             if len(term.poly.terms) > 1:
                 body = f"({body})"
             parts.append(f"{body} {ftext}")
-    if not parts:
-        return "0"
     out = parts[0]
     for p in parts[1:]:
         out += f" - {p[1:].lstrip()}" if p.startswith("-") else f" + {p}"

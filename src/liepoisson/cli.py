@@ -178,13 +178,11 @@ def cmd_casimir(args) -> int:
     return EXIT_OK
 
 
-def _fixture_families(label: CaseLabel) -> Optional[List[CasimirFamily]]:
-    """Table fixtures for the case with this label, if known."""
+def _fixture_families(label: CaseLabel) -> List[CasimirFamily]:
+    """Table fixtures for the case with this label; the tables hold every catalog label."""
     from . import tables
 
     table = tables.solvable_table()
-    if label.name not in table:
-        return None
     if not label.semidirect:
         return table[label.name]
     fixtures = [_shift_solvable_family(f) for f in table[label.name]]

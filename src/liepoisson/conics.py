@@ -100,12 +100,11 @@ def _tonelli_shanks(a, q: int, order: int, candidates):
     """Square root of a = x + y*i modulo q in a field of ``order`` units, or None.
 
     Elements are pairs reduced mod q: GF(p) is the pairs (x, 0) with order
-    p - 1, GF(q^2) = GF(q)[i] for an inert q has order q^2 - 1.  The first
-    non-residue among ``candidates`` drives the 2-power part.
+    p - 1, GF(q^2) = GF(q)[i] for an inert q has order q^2 - 1, and a is
+    a unit of it.  The first non-residue among ``candidates`` drives the
+    2-power part.
     """
     a = (a[0] % q, a[1] % q)
-    if a == (0, 0):
-        return (0, 0)
     if _gf2_pow(a, order // 2, q) != (1, 0):
         return None
     s, m = order, 0
@@ -288,11 +287,12 @@ def isotropic_ternary(a: GaussianRational, b: GaussianRational, c: GaussianRatio
     return None
 
 
-def _unwind(stack, point, d: int) -> Optional[Triple]:
+def _unwind(stack, point, d: int) -> Triple:
     """The point (x/d, y/d, z/d) of the reduced form carried back through ``stack`` to the input form.
 
     The three coordinates keep one denominator d, so every step is integer
-    arithmetic and the scalars are built once, at the end.
+    arithmetic and the scalars are built once, at the end.  Every step is
+    invertible, so a nonzero point stays nonzero.
     """
     x = list(point)
     for entry in reversed(stack):
@@ -315,22 +315,21 @@ def _unwind(stack, point, d: int) -> Optional[Triple]:
             p, q = _gi_mul(t, xj), _gi_mul(a_, xi)
             x[j] = (p[0] - q[0], p[1] - q[1])
             x[k] = _gi_mul(zfac, xk)
-    if all(v == (0, 0) for v in x):
-        return None
     return tuple(_reduced(v[0], v[1], d) for v in x)
 
 
 def represent_binary(
     a: GaussianRational, b: GaussianRational, v: GaussianRational
 ) -> Optional[Point]:
-    """A point (x, y) with a x^2 + b y^2 = v over Q(i), preferring x != 0.
+    """A point (x, y) with a x^2 + b y^2 = v over Q(i).
 
     An isotropic form (b/a a square; since -1 = i^2, the same as -b/a a
-    square) takes a closed form: a real hyperbolic pair factors as a
-    difference of squares, and a sum of two squares represents everything,
-    with a real point preferred for real data.  Any other form goes through
-    :func:`isotropic_ternary`.  Returns None when the conic has no
-    Q(i)-rational point.
+    square) takes a closed form with x != 0: a real hyperbolic pair factors
+    as a difference of squares, and a sum of two squares represents
+    everything, with a real point preferred for real data.  Any other form
+    goes through :func:`isotropic_ternary`; its x is nonzero when v/b is no
+    square, as in every move of the square-class repair.  Returns None
+    when the conic has no Q(i)-rational point.
     """
     if not v:
         raise ValueError("v must be nonzero")
@@ -377,26 +376,9 @@ def represent_binary(
     sol = isotropic_ternary(a, b, -v)
     if sol is None:
         return None
+    # z0 != 0: a point with z0 = 0 would make -b/a a square, which the closed form above takes
     x0, y0, z0 = sol
-    if not z0:
-        return None
     x, y = x0 / z0, y0 / z0
     if a * x * x + b * y * y != v:
         return None
-    return _ensure_x_nonzero(a, b, v, x, y)
-
-
-def _ensure_x_nonzero(a, b, v, x, y) -> Point:
-    if x:
-        return x, y
-    for u in (ZERO, ONE, -ONE, I, -I):
-        denom = a + b * u * u
-        if not denom:
-            continue
-        t = gr(-2) * (b * y * u) / denom
-        if not t:
-            continue
-        nx, ny = t, y + t * u
-        if nx and a * nx * nx + b * ny * ny == v:
-            return nx, ny
     return x, y

@@ -48,12 +48,12 @@ class NonFinite(DynamicsError):
     """The trajectory left the representable floating-point range."""
 
 
-def _floats(values) -> Optional[np.ndarray]:
-    """``values`` as a float array, or None when it has ragged rows or an entry that is not a number."""
+def _floats(values, refusal: str) -> np.ndarray:
+    """``values`` as a float array; DynamicsError(refusal) when it has ragged rows or an entry that is not a number."""
     try:
         return np.asarray(values, dtype=float)
     except (TypeError, ValueError):
-        return None
+        raise DynamicsError(refusal) from None
 
 
 class FieldState:
@@ -62,9 +62,10 @@ class FieldState:
     __slots__ = ("tuples", "time")
 
     def __init__(self, tuples: Sequence[Sequence[float]], time: float = 0.0):
-        arr = _floats(tuples)
-        if arr is None or arr.ndim != 2 or arr.shape[1] != 3:
-            raise DynamicsError("state must be a list of 3-vectors")
+        refusal = "state must be a list of 3-vectors"
+        arr = _floats(tuples, refusal)
+        if arr.ndim != 2 or arr.shape[1] != 3:
+            raise DynamicsError(refusal)
         self.tuples = arr       # shape (n, 3)
         self.time = time
 
@@ -79,9 +80,10 @@ class HamiltonianSpec:
     __slots__ = ("blocks",)
 
     def __init__(self, blocks):
-        b = _floats(blocks)
-        if b is None or b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2:] != (3, 3):
-            raise DynamicsError("blocks must have shape (n, n, 3, 3)")
+        refusal = "blocks must have shape (n, n, 3, 3)"
+        b = _floats(blocks, refusal)
+        if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2:] != (3, 3):
+            raise DynamicsError(refusal)
         if not np.isfinite(b).all():
             raise DynamicsError("the Hamiltonian blocks have a non-finite entry")
         # exactly: the RHS takes A x as dH/dl, the gradient of 1/2 x^T A x only for a symmetric A
@@ -96,9 +98,10 @@ class HamiltonianSpec:
     @staticmethod
     def rigid_body(inertia: Sequence[float]) -> "HamiltonianSpec":
         """H = 1/2 sum_i l_i^2 / I_i for the three finite nonzero moments of inertia I_i."""
-        moments = _floats(inertia)
-        if moments is None or moments.shape != (3,) or not np.isfinite(moments).all() or not moments.all():
-            raise DynamicsError(f"inertia must be three finite nonzero numbers, not {inertia!r}")
+        refusal = f"inertia must be three finite nonzero numbers, not {inertia!r}"
+        moments = _floats(inertia, refusal)
+        if moments.shape != (3,) or not np.isfinite(moments).all() or not moments.all():
+            raise DynamicsError(refusal)
         # float division: a reciprocal past the float range is inf, which the constructor refuses, with no warning
         block = np.diag([1.0 / x for x in moments.tolist()])
         return HamiltonianSpec(block.reshape(1, 1, 3, 3))

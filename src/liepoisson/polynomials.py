@@ -124,9 +124,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented

@@ -333,32 +333,33 @@ def _normalize_diagonal(diag: List[GaussianRational]) -> Optional[Tuple[List[Gau
     """Column scalings and sign pattern turning diag into {0, +1, -1} / c.
 
     Returns (scalings t_i, signs, c) with t_i^2 * d_i / c = signs_i, or None
-    when no admissible global factor exists over Q(i).  Each nonzero entry
-    is tried as c.  Real diagonals use c > 0 and real scalings so the
-    classical signature survives, and the overall sign of c is chosen to
-    put at least as many +1s as -1s; other diagonals scale every entry to
-    +1.  A real diagonal has a real solution whenever it has a complex one.
+    when no admissible global factor exists over Q(i).  The first nonzero
+    entry serves as c: an admissible c puts every entry in its square
+    class, and square classes partition the entries, so when the first
+    entry fails every other entry fails too.  Real diagonals use c > 0 and
+    real scalings so the classical signature survives, and the overall
+    sign of c is chosen to put at least as many +1s as -1s; other
+    diagonals scale every entry to +1.  A real diagonal has a real
+    solution whenever it has a complex one.
     """
     nonzero = [(i, d) for i, d in enumerate(diag) if d]
     if not nonzero:
         return [ONE] * len(diag), [0] * len(diag), ONE
     real = all(d.is_real() for _, d in nonzero)
-    for _, c in nonzero:
-        if real and c._a < 0:
-            c = -c
-        ts: List[GaussianRational] = [ONE] * len(diag)
-        signs = [0] * len(diag)
-        for i, d in nonzero:
-            signs[i] = -1 if real and d._a < 0 else 1
-            root = sqrt_gaussian(c / d if signs[i] == 1 else -c / d)
-            if root is None:
-                break
-            ts[i] = root
-        else:
-            if signs.count(-1) > signs.count(1):
-                c, signs = -c, [-s for s in signs]
-            return ts, signs, c
-    return None
+    c = nonzero[0][1]
+    if real and c._a < 0:
+        c = -c
+    ts: List[GaussianRational] = [ONE] * len(diag)
+    signs = [0] * len(diag)
+    for i, d in nonzero:
+        signs[i] = -1 if real and d._a < 0 else 1
+        root = sqrt_gaussian(c / d if signs[i] == 1 else -c / d)
+        if root is None:
+            return None
+        ts[i] = root
+    if signs.count(-1) > signs.count(1):
+        c, signs = -c, [-s for s in signs]
+    return ts, signs, c
 
 
 def congruence_normalize(block: ExactMatrix):

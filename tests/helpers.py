@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from liepoisson.classify import ClassificationError, NotSingleBlock, classify
 from liepoisson.extension import strip_semisimple
 from liepoisson.linalg import BasisChange, ExactMatrix, _kernel_flag
-from liepoisson.scalars import ONE
+from liepoisson.scalars import ONE, sqrt_gaussian
 from liepoisson.transform import apply
 
 
@@ -64,6 +64,32 @@ def classify_by_the_flag_at_order_n_plus_1(t):
     if t.n == 1:
         raise ClassificationError("bare base bracket")
     return classify(strip_semisimple(stepwise_w0(t)[0]))[0]._replace(semidirect=True)
+
+
+def normalize_diagonal_trying_every_entry(diag):
+    """The former ``transform._normalize_diagonal``, an oracle for it: each nonzero entry is tried as c in turn.
+
+    Returns (scalings t_i, signs, c) with t_i^2 d_i / c = signs_i from the first entry that fits, or None.
+    """
+    nonzero = [(i, d) for i, d in enumerate(diag) if d]
+    if not nonzero:
+        return [ONE] * len(diag), [0] * len(diag), ONE
+    real = all(d.is_real() for _, d in nonzero)
+    for _, c in nonzero:
+        if real and c.re < 0:
+            c = -c
+        ts, signs = [ONE] * len(diag), [0] * len(diag)
+        for i, d in nonzero:
+            signs[i] = -1 if real and d.re < 0 else 1
+            root = sqrt_gaussian(c / d if signs[i] == 1 else -c / d)
+            if root is None:
+                break
+            ts[i] = root
+        else:
+            if signs.count(-1) > signs.count(1):
+                c, signs = -c, [-s for s in signs]
+            return ts, signs, c
+    return None
 
 
 def stored_rows(cube):

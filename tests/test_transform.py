@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import cpu_seconds_at_most, gaussian_ints, last_column_scaled, stepwise_w0, stored_rows
+from helpers import (cpu_seconds_at_most, gaussian_ints, last_column_scaled, normalize_diagonal_trying_every_entry,
+                     stepwise_w0, stored_rows)
 from liepoisson.classify import ClassificationError, catalog, classify
 from liepoisson.extension import (
     ExtensionTensor,
@@ -483,6 +484,17 @@ def test_a_refused_two_entry_tail_has_a_nonsquare_product_and_no_repair(z1, z2, 
     assume(_normalize_diagonal(list(diag)) is None)
     assert square_class_of_product(diag) not in (ONE, -ONE)
     assert _repair_classes([[ONE, ZERO], [ZERO, ONE]], list(diag)) is None
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.booleans(), st.lists(st.one_of(st.just((0, 0)), gaussian_ints(12)), min_size=2, max_size=4),
+       st.lists(st.integers(1, 6), min_size=4, max_size=4))
+def test_normalizing_a_diagonal_by_its_first_entry_matches_trying_every_entry(real, zs, ds):
+    """Square classes partition the entries, so the first nonzero entry fits as c exactly when some entry does."""
+    from liepoisson.transform import _normalize_diagonal
+
+    diag = [gr(Fraction(x, d), 0 if real else Fraction(y, d)) for (x, y), d in zip(zs, ds)]
+    assert _normalize_diagonal(list(diag)) == normalize_diagonal_trying_every_entry(list(diag))
 
 
 # square-free Gaussian integers: a unit times a product of distinct primes, 1 + i the ramified one
