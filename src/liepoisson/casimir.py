@@ -638,6 +638,7 @@ def leibniz_casimirs_closed_form(order: int, nu: int, semidirect: bool = False) 
     terms = []
     pool = list(range(last))          # storage slots carrying labels 1..n-1
     for kk in range(1, n - nu + 1):
+        # poly is never zero: kk labels from 1..n-1 reach every sum from kk to kk(n-1), and needed lies there
         needed = nu + (kk - 1) * n
         poly = Poly.zero(n)
         for combo in combinations_with_replacement(pool, kk):
@@ -650,8 +651,7 @@ def leibniz_casimirs_closed_form(order: int, nu: int, semidirect: bool = False) 
             for e in exps:
                 denom *= factorial(e)
             poly = poly + Poly.monomial(n, exps, gr(1) / gr(denom))
-        if not poly.is_zero():
-            terms.append(CasimirTerm(poly, func, (kk - 1,)))
+        terms.append(CasimirTerm(poly, func, (kk - 1,)))
     return CasimirFamily(tuple(terms), n, False)
 
 
@@ -697,11 +697,6 @@ def _canonical_terms(fam: CasimirFamily):
         poly = tuple(sorted(t.poly.terms.items(), key=lambda kv: kv[0]))
         out.append((tuple(args[a] for a in order), tuple(t.deriv[a] for a in order), poly))
     return tuple(sorted(out, key=repr))
-
-
-def families_equal(a: CasimirFamily, b: CasimirFamily) -> bool:
-    """Equality up to relabeling of the arbitrary-function names."""
-    return _canonical_terms(a) == _canonical_terms(b)
 
 
 def family_sets_equal(xs: Sequence[CasimirFamily], ys: Sequence[CasimirFamily]) -> bool:

@@ -202,11 +202,8 @@ def _shift_solvable_family(fam: CasimirFamily) -> CasimirFamily:
     terms = []
     for term in fam.terms:
         poly = Poly(n, {(0,) + e: c for e, c in term.poly.terms.items()})
-        func = None
-        if term.func is not None:
-            args = tuple((ZERO,) + u for u in term.func.args)
-            func = FormalFunction(term.func.label, args)
-        terms.append(CasimirTerm(poly, func, term.deriv))
+        args = tuple((ZERO,) + u for u in term.func.args)
+        terms.append(CasimirTerm(poly, FormalFunction(term.func.label, args), term.deriv))
     return CasimirFamily(tuple(terms), n, True)
 
 

@@ -35,8 +35,7 @@ def _family(n: int, arg_slots: Sequence[int], terms: Sequence[Tuple[int, dict]],
     for order, poly_terms in terms:
         poly = Poly(n, {tuple(e): gr(c) for e, c in poly_terms.items()})
         deriv = [0] * len(arg_slots)
-        if arg_slots:
-            deriv[0] = order
+        deriv[0] = order
         built.append(CasimirTerm(poly, func, tuple(deriv)))
     return CasimirFamily(tuple(built), n, semidirect)
 

@@ -122,7 +122,7 @@ def leibniz_direction_one_fixtures():
 
     Orders 1 to 4 are the first family of n1-abelian, n2-case2, n3-case4 and
     n4-case4b; order 5 has the terms of n4-case4b's semidirect extra family,
-    whose flag ``families_equal`` does not compare.
+    whose flag ``family_sets_equal`` does not compare.
     """
     from liepoisson.tables import semidirect_extra_table, solvable_table
 

@@ -9,8 +9,8 @@ The real paths are what the package is for, not its tests:
 * the four benchmark workloads of ``bench/workloads.py`` at seeds 3, 5 and
   11, each item called and checked by its oracle;
 * the four demos of ``demos/``;
-* the documents and commands of the CI step "Installed console script",
-  at least one per exit code of ``liex``, run through ``cli.main``.
+* the contract of the installed ``liex`` in ``tests/console_script.py``, at
+  least one command per exit code, and more inputs, run through ``cli.main``.
 
 A *statement* is an ``ast.stmt`` node of ``src/liepoisson``.  Its own lines
 are its source lines minus those of the statements nested in it, so an
@@ -34,8 +34,8 @@ from __future__ import annotations
 import ast
 import contextlib
 import dis
+import functools
 import io
-import json
 import os
 import runpy
 import sys
@@ -43,6 +43,8 @@ import tempfile
 import warnings
 from collections import Counter
 from pathlib import Path
+
+from console_script import dump, run as run_contract
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "liepoisson"
@@ -84,7 +86,6 @@ ALLOWED = {
     # oracles and serialization that only the tests read
     "casimir.CasimirFamily.to_json": ORACLE + ": tests/test_golden.py digests families through it",
     "polynomials.Poly.to_json": ORACLE + ": tests/test_golden.py digests families through it",
-    "casimir.families_equal": ORACLE + ": the tests compare single families with it",
     "polynomials.Poly.diff": ORACLE + ": the Hessian oracle of tests/test_casimir.py",
     "polynomials.Poly.scale": ORACLE + ": the series oracle of tests/test_casimir.py",
     # the public value types
@@ -231,132 +232,26 @@ def run_demos():
             runpy.run_path(str(demo), run_name="__main__")
 
 
-class _ClosedPipe(io.StringIO):
-    """A standard output whose reader stops after ``keep`` characters, as ``liex catalog | head -c 10``."""
-
-    def __init__(self, keep, fd):
-        super().__init__()
-        self.keep, self.fd = keep, fd
-
-    def write(self, text):
-        if self.tell() + len(text) > self.keep:
-            raise BrokenPipeError(32, "Broken pipe")
-        return super().write(text)
-
-    def fileno(self):
-        return self.fd
-
-
-def dump(doc, name):
-    with open(name, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load(name):
-    with open(name) as fh:
-        return json.load(fh)
-
-
-def liex(failures, want, *argv, stdout=None):
-    """Run ``liex argv`` in this process; a failure when it exits with another code than ``want``."""
+def liex(failures, want, *argv, closed=False):
+    """``liex`` for the contract, run in this process; ``closed`` gives it a pipe whose read end is closed."""
     from liepoisson import cli
 
-    out, err = stdout or io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            got = cli.main(list(argv))
-        except SystemExit as exc:   # argparse's usage errors
-            got = exc.code
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as pipe:
+        out, err = pipe if closed else io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                got = cli.main(list(argv))
+            except SystemExit as exc:   # argparse's usage errors
+                got = exc.code
     if got != want:
         failures.append(f"liex {' '.join(argv)}: exit {got}, expected {want}: {err.getvalue()[-200:]}")
-    return out.getvalue() if stdout is None else None
+    return "" if closed else out.getvalue()
 
 
-def run_console_script(failures):
-    """The documents and commands of the CI step "Installed console script", in a scratch directory."""
-    from liepoisson.classify import catalog
-    from liepoisson.extension import ExtensionTensor, append_semisimple
-    from liepoisson.linalg import BasisChange, ExactMatrix
-    from liepoisson.transform import apply, apply_chain
-
-    liex(failures, 0, "crmhd", "--beta", "5/2", "--out", "c.json")
-    liex(failures, 0, "casimir", "c.json", "--verify")
-    liex(failures, 0, "leibniz", "--order", "8", "--out", "l.json")
-    liex(failures, 0, "casimir", "l.json", "--verify")
-    liex(failures, 0, "leibniz", "--order", "4", "--semidirect", "--out", "l4sd.json")
-    if "table fixtures: match" not in liex(failures, 0, "casimir", "l4sd.json", "--verify"):
-        failures.append("semidirect Leibniz 4 does not meet its table fixtures")
-    liex(failures, 0, "leibniz", "--order", "4", "--out", "l4.json")
-    moves = {"4": [[1, 0, 0, 0], [2, 1, 0, 0], [0, -1, 1, 0], [1, 0, 3, 1]],
-             "4sd": [[2, 0, 0, 0, 0], [1, 2, 0, 0, 0], [0, -1, 2, 0, 0], [1, 0, 3, 2, 0], [0, 1, 0, 1, 2]]}
-    for t, m in moves.items():
-        moved = apply(ExtensionTensor.from_json(load(f"l{t}.json")), BasisChange(ExactMatrix.from_rows(m)))
-        dump(moved.to_json(), f"m{t}.json")
-    # classify's witness chains replay onto the catalog entry of the printed label
-    for t in ("l4", "m4", "l4sd", "m4sd"):
-        label = liex(failures, 0, "classify", f"{t}.json", "--witness", f"w-{t}.json").splitlines()[0]
-        name, _, suffix = label.partition(" ")
-        chain = [BasisChange.from_json(step) for step in load(f"w-{t}.json")]
-        normal = catalog(4).lookup(name)
-        moved = apply_chain(ExtensionTensor.from_json(load(f"{t}.json")), chain)
-        if moved != (append_semisimple(normal) if suffix else normal) or any(b.m.is_identity() for b in chain):
-            failures.append(f"the witness of {t}.json does not replay onto {label}")
-    # every catalog form, with and without the semisimple slot, is a fixed point that meets its fixtures
-    for order in (1, 2, 3, 4):
-        for label, t in catalog(order).entries:
-            for name, form in ((label.name, t), (f"{label.name}-sd", append_semisimple(t))):
-                dump(form.to_json(), f"form-{name}.json")
-                if "(0 steps)" not in liex(failures, 0, "classify", f"form-{name}.json", "--witness", "w.json"):
-                    failures.append(f"form {name} is no fixed point")
-                if "table fixtures: match" not in liex(failures, 0, "casimir", f"form-{name}.json", "--verify"):
-                    failures.append(f"form {name} does not meet its table fixtures")
-    b = BasisChange.from_json({"m": [["1", "1"], ["0", "1"]], "scale": "2"})
-    if b.m != ExactMatrix.from_rows([[1, 2], [0, 2]]) or b.to_json()["scale"] != "1":
-        failures.append("a step's scale is not folded into its matrix")
-    liex(failures, 0, "simulate", "--preset", "heavy-top", "--dt", "0.001", "--steps", "2000", "--summary", "s.json")
-    if not all(v < 1e-8 for v in load("s.json")["drifts"].values()):
-        failures.append("heavy-top drift above 1e-8")
-    # one command for each exit code of the refusal table
-    z = ["0", "0", "0"]
-    p = 2 ** 61 - 1
-    dump({"n": 2, "semidirect": False, "w": [[["0", "0"], ["0", "0"]], [["0", "1"], ["0", "0"]]]}, "asymmetric.json")
-    dump({"n": 1, "semidirect": True, "w": [[["1+1i"]]]}, "complex.json")
-    dump({"n": 3, "semidirect": False, "w": [[z, z, z], [z, z, z], [["-2", "0", "0"], ["0", "1", "0"], z]]},
-         "anisotropic.json")
-    dump({"n": 2, "semidirect": True, "w": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]]}, "two-block.json")
-    dump({"n": 2, "w": [[["1", "0"], ["0", "0"]], [["0", "1"], ["1", "1"]]]}, "coupled-unit.json")
-    dump({"n": 3, "semidirect": False, "w": [[z, z, z], [z, z, z], [["0", str(p), "0"], [str(p), "0", "0"], z]]},
-         "large-prime.json")
-    dump({"n": 3, "semidirect": False, "w": [[z, z, z], [z, z, z], [[str(-2 * p), "0", "0"], ["0", str(p), "0"], z]]},
-         "shared-prime.json")
-    doc = load("c.json")
-    del doc["semidirect"]
-    dump(doc, "c-nokey.json")
-    liex(failures, 0, "validate", "c.json")
-    liex(failures, 1, "validate", "asymmetric.json")
-    liex(failures, 2, "crmhd", "--beta", "0")
-    liex(failures, 2, "leibniz", "--order", "101")
-    liex(failures, 3, "catalog", "--order", "5")
-    liex(failures, 0, "leibniz", "--order", "5", "--out", "l5.json")
-    liex(failures, 3, "classify", "l5.json")
-    liex(failures, 4, "casimir", str(ROOT / "tests" / "data" / "obstructed-order5.json"))
-    liex(failures, 5, "simulate", "complex.json", "--steps", "3")
-    liex(failures, 6, "classify", "anisotropic.json")
-    for doc in ("two-block.json", "coupled-unit.json"):
-        if "distinct eigenvalues" not in liex(failures, 6, "classify", doc):
-            failures.append(f"{doc} is not refused as two blocks")
-    liex(failures, 6, "casimir", "two-block.json")
-    if liex(failures, 0, "classify", "large-prime.json").splitlines()[0] != "n3-case2":
-        failures.append("large-prime.json is not n3-case2")
-    if "tail cannot be scaled" not in liex(failures, 6, "classify", "shared-prime.json"):
-        failures.append("shared-prime.json is not refused at its tail")
-    liex(failures, 0, "casimir", "c-nokey.json", "--verify")
-    with open(os.devnull, "w") as sink:
-        liex(failures, 1, "catalog", "--order", "4", stdout=_ClosedPipe(10, os.dup(sink.fileno())))
-
-
-def run_more_inputs(failures):
-    """Inputs past the CI step, each for a branch that the step leaves unrun, in the same directory."""
+def run_more_inputs(liex, failures):
+    """Inputs past the contract of ``tests/console_script.py``, each for a branch it leaves unrun, in its directory."""
     from liepoisson.classify import catalog
     from liepoisson.extension import leibniz
     from liepoisson.linalg import BasisChange, ExactMatrix
@@ -368,8 +263,7 @@ def run_more_inputs(failures):
 
     shear = [[1, 0, 0, 0], [2, 1, 0, 0], [0, -1, 1, 0], [1, 0, 3, 1]]
     dense = [[1, 2, 1, 1], [1, 3, 2, 1], [2, 1, 3, 1], [1, 1, 1, 2]]
-    # the JSON of a command without --out goes to standard output; so does ``python -m liepoisson.cli``
-    liex(failures, 0, "catalog", "--order", "2")
+    # ``python -m liepoisson.cli`` runs the same main
     argv = sys.argv
     sys.argv = ["liepoisson.cli", "catalog", "--order", "1"]
     try:
@@ -382,51 +276,51 @@ def run_more_inputs(failures):
     # synthesized as they stand
     for name in ("n4-case3c", "n4-case3d"):
         dump(moved(catalog(4).lookup(name), shear), "moved.json")
-        liex(failures, 0, "casimir", "moved.json", "--verify")
+        liex(0, "casimir", "moved.json", "--verify")
     # case 2 under the same shear fails the coextension condition as it stands, so it is classified first
     dump(moved(catalog(4).lookup("n4-case2"), shear), "moved.json")
-    liex(failures, 0, "casimir", "moved.json")
+    liex(0, "casimir", "moved.json")
     # a dense move is classified before synthesis, and its quadratic monitors solve equations with repeated unknowns
     dump(moved(leibniz(4), dense), "dense.json")
-    liex(failures, 0, "casimir", "dense.json")
-    liex(failures, 0, "simulate", "dense.json", "--steps", "3")
+    liex(0, "casimir", "dense.json")
+    liex(0, "simulate", "dense.json", "--steps", "3")
     # complex coefficients print in parentheses; past twelve families the function names run f12, f13, ...
     dump(apply(leibniz(3), BasisChange(ExactMatrix.diagonal([1, gr(2, 1), 1]))).to_json(), "complex3.json")
-    liex(failures, 0, "casimir", "complex3.json")
-    liex(failures, 0, "leibniz", "--order", "13", "--out", "l13.json")
-    liex(failures, 0, "casimir", "l13.json")
+    liex(0, "casimir", "complex3.json")
+    liex(0, "leibniz", "--order", "13", "--out", "l13.json")
+    liex(0, "casimir", "l13.json")
     # the simulate options of the README, a state and a Hamiltonian from files, and a run without numpy
-    liex(failures, 0, "simulate", "--preset", "rigid-body", "--inertia", "1,2,3", "--dt", "0.001", "--steps", "200",
+    liex(0, "simulate", "--preset", "rigid-body", "--inertia", "1,2,3", "--dt", "0.001", "--steps", "200",
          "--out", "traj.csv", "--summary", "drift.json")
     dump(leibniz(2).to_json(), "l2.json")
     dump({"blocks": [[[[float(i == j and a == b) for b in range(3)] for a in range(3)] for j in range(2)]
                      for i in range(2)]}, "blocks.json")
     dump([[1.0, 0.5, 0.2], [0.3, -0.1, 0.4]], "init.json")
-    liex(failures, 0, "simulate", "l2.json", "--hamiltonian", "blocks.json", "--state", "init.json", "--steps", "5")
+    liex(0, "simulate", "l2.json", "--hamiltonian", "blocks.json", "--state", "init.json", "--steps", "5")
     numpy = sys.modules.get("numpy")
     sys.modules["numpy"] = None
     try:
-        liex(failures, 5, "simulate", "--preset", "heavy-top", "--steps", "5")
+        liex(5, "simulate", "--preset", "heavy-top", "--steps", "5")
     finally:
         sys.modules["numpy"] = numpy
     # refusals: slices that do not commute, and a head pencil whose discriminant 5 is no square in Q(i)
     z3, z4 = ["0"] * 3, ["0"] * 4
     dump({"n": 3, "w": [[z3] * 3, [["1", "0", "0"], z3, z3], [z3, ["0", "1", "0"], z3]]}, "noncommuting.json")
-    liex(failures, 1, "validate", "noncommuting.json")
+    liex(1, "validate", "noncommuting.json")
     head = [[["1", "0"], ["0", "1"]], [["1", "1"], ["1", "0"]]]
     dump({"n": 4, "w": [[z4] * 4, [z4] * 4] + [[[*r, "0", "0"] for r in h] + [z4, z4] for h in head]}, "pencil.json")
-    liex(failures, 6, "classify", "pencil.json")
+    liex(6, "classify", "pencil.json")
     # order-4 tails diag(d0, d1, d2): the square-class repair meets conics with no point, a modulus
     # with the ramified prime 1 + i, and more square roots than it keeps; the last one it solves
     for tail, want in (((1, 2, 5), 6), ((1, 2, 15), 6), ((1, 10, 273), 6), ((1, 6, 385), 0)):
         dump({"n": 4, "w": [[z4] * 4] * 3 + [[[str(d) if mu == nu else "0" for nu in range(4)] for mu, d in
                                                enumerate(tail + (0,))]]}, "tail.json")
-        liex(failures, want, "classify", "tail.json")
+        liex(want, "classify", "tail.json")
     # a complex rescaling, n4-case1b with slot 0 scaled by 2 + i, meets a Gaussian integer whose norm is a
     # square but which is none
     dump(apply(catalog(4).lookup("n4-case1b"), BasisChange(ExactMatrix.diagonal([gr(2, 1), 1, 1, 1]))).to_json(),
          "complex-scaled.json")
-    liex(failures, 0, "classify", "complex-scaled.json")
+    liex(0, "classify", "complex-scaled.json")
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +336,9 @@ def census():
         run_demos()
         os.chdir(scratch)
         try:
-            run_console_script(failures)
-            run_more_inputs(failures)
+            in_process = functools.partial(liex, failures)
+            run_contract(in_process, failures)
+            run_more_inputs(in_process, failures)
         finally:
             os.chdir(here)
     counted, unrun = Counter(), []

@@ -15,7 +15,6 @@ from helpers import is_hermitian, leibniz_direction_one_fixtures, uses_variable
 from liepoisson.casimir import (
     build_coextension,
     casimir_condition_check,
-    families_equal,
     family_sets_equal,
     leibniz_casimirs_closed_form,
     synthesize_casimirs,
@@ -102,7 +101,7 @@ def test_criterion_2_classification_round_trip():
 
 def test_criterion_3_table2_reproduction():
     start = time.time()
-    ok = all(families_equal(leibniz_casimirs_closed_form(n, 1), fixture)
+    ok = all(family_sets_equal([leibniz_casimirs_closed_form(n, 1)], [fixture])
              for n, fixture in enumerate(leibniz_direction_one_fixtures(), 1))
     report(3, "Leibniz closed forms match the reference table (n = 1..5)",
            ok, f"{time.time() - start:.2f}s")
@@ -124,7 +123,7 @@ def test_criterion_4_tables_3_4_5_reproduction():
             with_zero = [f for f in sd_fams if any(uses_variable(term.poly, 0) for term in f.terms)]
             if label.name in extras:
                 ok = ok and len(with_zero) == 1
-                ok = ok and families_equal(with_zero[0], extras[label.name])
+                ok = ok and family_sets_equal(with_zero, [extras[label.name]])
                 ok = ok and bool(casimir_condition_check(sd, extras[label.name]))
             else:
                 ok = ok and not with_zero
